@@ -19,7 +19,7 @@ from .errors import (
     UnsupportedCharacteristic,
     VerificationFailed,
 )
-from .linalg import Echelon, span_basis, vec_add_scaled, vec_scale
+from .linalg import Echelon, span_basis, vec_add_scaled, vec_iadd_scaled, vec_scale
 
 EXCEEDS_BOUND = "exceeds bound"
 
@@ -62,7 +62,7 @@ class GradedAlgebra:
             for j, cj in w.items():
                 cell = row[j]
                 if cell:
-                    out = vec_add_scaled(f, out, cell, f.mul(ci, cj))
+                    vec_iadd_scaled(f, out, cell, f.mul(ci, cj))
         return out
 
     def component_indices(self, d):
@@ -121,10 +121,10 @@ class GradedAlgebra:
                 for k in range(n):
                     lhs = {}
                     for m, c in w.items():
-                        lhs = vec_add_scaled(f, lhs, self.mult[m][k], c)
+                        vec_iadd_scaled(f, lhs, self.mult[m][k], c)
                     rhs = {}
                     for m, c in self.mult[j][k].items():
-                        rhs = vec_add_scaled(f, rhs, self.mult[i][m], c)
+                        vec_iadd_scaled(f, rhs, self.mult[i][m], c)
                     if lhs != rhs:
                         raise ValueError(f"associativity fails at triple ({i},{j},{k})")
         if self.idempotents is not None:
@@ -139,7 +139,7 @@ class GradedAlgebra:
                     raise ValueError("idempotents must be concentrated in degree 0")
             if self.product(e, e) != e:
                 raise ValueError(f"idempotent {r} is not idempotent")
-            total = vec_add_scaled(f, total, e, f.one())
+            vec_iadd_scaled(f, total, e, f.one())
         for r, e in enumerate(self.idempotents):
             for s, e2 in enumerate(self.idempotents):
                 if r != s and self.product(e, e2):
@@ -288,7 +288,7 @@ def compile_quiver(pres, field):
                     word = p[1] + app + q[1]
                     if len(word) > L:
                         continue  # truncated away; see docstring
-                    vec = vec_add_scaled(field, vec, {index[(p[0], word)]: field.one()}, coeff)
+                    vec_iadd_scaled(field, vec, {index[(p[0], word)]: field.one()}, coeff)
                 if vec:
                     ideal.insert(vec)
 
@@ -343,7 +343,7 @@ def compile_quiver(pres, field):
     idempotents = [{trivial[v]: field.one()} for v in pres.vertices]
     unit = {}
     for e in idempotents:
-        unit = vec_add_scaled(field, unit, e, field.one())
+        vec_iadd_scaled(field, unit, e, field.one())
 
     gens = [dict(e) for e in idempotents]
     for ai, (name, src, tgt, deg) in enumerate(arrows):
@@ -577,7 +577,7 @@ class Subalgebra:
         f = self.parent.field
         out = {}
         for i, c in vec.items():
-            out = vec_add_scaled(f, out, self.basis_vectors[i], c)
+            vec_iadd_scaled(f, out, self.basis_vectors[i], c)
         return out
 
     def from_parent(self, vec):
@@ -629,7 +629,7 @@ def center_basis(a):
         diffs = []
         for m in range(a.dim):
             bm = a.basis_vec(m)
-            d = vec_add_scaled(f, a.product(bm, g), a.product(g, bm), f.neg(f.one()))
+            d = vec_iadd_scaled(f, a.product(bm, g), a.product(g, bm), f.neg(f.one()))
             diffs.append(d)
         for k in set().union(*[set(d) for d in diffs]) if diffs else set():
             row = {}
@@ -682,7 +682,7 @@ def _poly_eval(a, coeffs, z, unit):
     power = dict(unit)
     for c in coeffs:
         if not f.is_zero(c):
-            out = vec_add_scaled(f, out, power, c)
+            vec_iadd_scaled(f, out, power, c)
         power = a.product(power, z)
     return out
 
@@ -764,7 +764,7 @@ def _random_element(field, basis, rng):
     out = {}
     for b in basis:
         c = f.from_int(rng.randrange(0, 7))
-        out = vec_add_scaled(f, out, b, c)
+        vec_iadd_scaled(f, out, b, c)
     return out
 
 
@@ -806,7 +806,7 @@ def central_primitive_idempotents(s_alg, seed=0):
                 for mu, _ in roots:
                     if mu == lam:
                         continue
-                    shifted = vec_add_scaled(f, s_alg.product(eps, z), eps, f.neg(mu))
+                    shifted = vec_iadd_scaled(f, s_alg.product(eps, z), eps, f.neg(mu))
                     eps = vec_scale(f, shifted, f.inv(f.sub(lam, mu)))
                 new_basis = span_basis(f, [s_alg.product(eps, b) for b in basis])
                 pieces.extend(split_commutative(eps, new_basis))
@@ -894,7 +894,7 @@ def _split_block(s_alg, unit, rng, depth=0):
             # projecting onto the fpow-kernel part
             e = _poly_eval(s_alg, _poly_mul(f, t, rest), z, unit)
             if e and e != unit and s_alg.product(e, e) == e:
-                comp = vec_add_scaled(f, dict(unit), e, f.neg(f.one()))
+                comp = vec_add_scaled(f, unit, e, f.neg(f.one()))
                 return _split_block(s_alg, e, rng, depth + 1) + _split_block(
                     s_alg, comp, rng, depth + 1
                 )
@@ -908,7 +908,7 @@ def _split_block(s_alg, unit, rng, depth=0):
                 continue
             e = _idempotent_from_left_ideal(s_alg, unit, w)
             if e is not None and e and e != unit:
-                comp = vec_add_scaled(f, dict(unit), e, f.neg(f.one()))
+                comp = vec_add_scaled(f, unit, e, f.neg(f.one()))
                 return _split_block(s_alg, e, rng, depth + 1) + _split_block(
                     s_alg, comp, rng, depth + 1
                 )
@@ -952,7 +952,7 @@ def _idempotent_from_left_ideal(s_alg, unit, w):
         return None
     e = {}
     for i, c in coeffs.items():
-        e = vec_add_scaled(f, e, ideal[i], c)
+        vec_iadd_scaled(f, e, ideal[i], c)
     if s_alg.product(e, e) != e:
         return None
     return e
@@ -990,7 +990,7 @@ def primitive_idempotents(a, seed=0):
         x = a.product(a.product(remaining_unit, x), remaining_unit)
         e = _newton_lift(a, x, nilp)
         lifted.append(e)
-        remaining_unit = vec_add_scaled(f, remaining_unit, e, f.neg(f.one()))
+        vec_iadd_scaled(f, remaining_unit, e, f.neg(f.one()))
     if remaining_unit:
         raise NonSplitSemisimpleQuotient("lifted idempotents do not sum to the unit")
     # primitivity: e (A/rad) e must be one-dimensional
@@ -1017,7 +1017,7 @@ def _newton_lift(a, x, nilpotency):
         if sq == e:
             return e
         cube = a.product(sq, e)
-        e = vec_add_scaled(f, vec_scale(f, sq, f.from_int(3)), cube, f.from_int(-2))
+        e = vec_iadd_scaled(f, vec_scale(f, sq, f.from_int(3)), cube, f.from_int(-2))
     if a.product(e, e) != e:
         raise NonSplitSemisimpleQuotient("idempotent lifting did not converge")
     return e

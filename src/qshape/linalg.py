@@ -31,18 +31,32 @@ def vec_scale(field, vec, c):
     return {i: field.mul(x, c) for i, x in vec.items()}
 
 
+def vec_iadd_scaled(field, acc, w, c):
+    """acc += c*w in place; returns acc.
+
+    Costs O(nnz(w)).  Use it where acc is a fresh local accumulator; where
+    the caller's vector must survive, use vec_add_scaled.  Entries of w are
+    nonzero, so c*x needs no zero test where acc has no entry yet.
+    """
+    if field.is_zero(c):
+        return acc
+    add, mul, is_zero, get = field.add, field.mul, field.is_zero, acc.get
+    for i, x in w.items():
+        y = get(i)
+        if y is None:
+            acc[i] = mul(c, x)
+            continue
+        y = add(y, mul(c, x))
+        if is_zero(y):
+            del acc[i]
+        else:
+            acc[i] = y
+    return acc
+
+
 def vec_add_scaled(field, v, w, c):
     """Return v + c*w as a fresh sparse vector."""
-    if field.is_zero(c):
-        return dict(v)
-    out = dict(v)
-    for i, x in w.items():
-        y = field.add(out.get(i, field.zero()), field.mul(c, x))
-        if field.is_zero(y):
-            out.pop(i, None)
-        else:
-            out[i] = y
-    return out
+    return vec_iadd_scaled(field, dict(v), w, c)
 
 
 class Echelon:
@@ -68,19 +82,18 @@ class Echelon:
 
     def _reduce(self, vec, tag=None):
         # rows keep the invariant that no row touches another row's pivot
-        # column, so one pass over the pivots fully reduces the vector
+        # column, so subtracting a row never brings in a new pivot: one pass
+        # over the pivots already present in vec, in any order, reduces it
         f = self.field
+        rows = self.rows
         vec = dict(vec)
-        for p in sorted(self.rows):
-            if not vec:
-                break
-            x = vec.get(p)
-            if x is None:
-                continue
-            c = f.neg(x)
-            vec = vec_add_scaled(f, vec, self.rows[p], c)
+        if tag is not None:
+            tag = dict(tag)
+        for p in [p for p in vec if p in rows]:
+            c = f.neg(vec[p])
+            vec_iadd_scaled(f, vec, rows[p], c)
             if tag is not None:
-                tag = vec_add_scaled(f, tag, self.tags[p], c)
+                vec_iadd_scaled(f, tag, self.tags[p], c)
         return vec, tag
 
     def reduce(self, vec):
@@ -108,9 +121,11 @@ class Echelon:
         for p, row in list(self.rows.items()):
             x = row.get(lead)
             if x is not None:
+                # rows are handed out by basis(), so they are replaced, not
+                # updated; tags stay private and are updated in place
                 self.rows[p] = vec_add_scaled(f, row, vec, f.neg(x))
                 if self.tagged:
-                    self.tags[p] = vec_add_scaled(f, self.tags[p], tag, f.neg(x))
+                    vec_iadd_scaled(f, self.tags[p], tag, f.neg(x))
         self.rows[lead] = vec
         if self.tagged:
             self.tags[lead] = tag
@@ -181,7 +196,7 @@ def sparse_matmul(field, a_rows, b_rows):
     for row in a_rows:
         acc = {}
         for m, c in row.items():
-            acc = vec_add_scaled(field, acc, b_rows[m], c)
+            vec_iadd_scaled(field, acc, b_rows[m], c)
         out.append(acc)
     return out
 
@@ -190,7 +205,7 @@ def apply_row(field, vec, rows):
     """Image of a (row) vector under a row-convention matrix."""
     acc = {}
     for m, c in vec.items():
-        acc = vec_add_scaled(field, acc, rows[m], c)
+        vec_iadd_scaled(field, acc, rows[m], c)
     return acc
 
 

@@ -8,9 +8,17 @@ of submodules and membership tests are canonical.
 
 Hom spaces are solved through projective presentations: a degree-0 map out
 of M is a choice of images for the generators of M (one slice of N per
-cover summand) that kills the kernel of the cover.  The brute-force
-commutant solver lives in the test suite as an independent oracle.
+cover summand) that kills the kernel of the cover.  Maps stay in these
+generator coordinates: composing with another map only needs the images of
+the generators, and a map's matrix is built only when a caller asks for it.
+The brute-force commutant solver lives in the test suite as an independent
+oracle.
+
+A module caches its projective cover; the cover refers back to the module
+only weakly, so a module is freed as soon as its last reference goes.
 """
+
+import weakref
 
 from .algebra import (
     jacobson_radical,
@@ -25,7 +33,7 @@ from .linalg import (
     sparse_kernel,
     sparse_matmul,
     span_basis,
-    vec_add_scaled,
+    vec_iadd_scaled,
 )
 
 
@@ -47,7 +55,7 @@ class GradedModule:
         f = self.algebra.field
         out = {}
         for b, c in alg_vec.items():
-            out = vec_add_scaled(f, out, apply_row(f, vec, self.action[b]), c)
+            vec_iadd_scaled(f, out, apply_row(f, vec, self.action[b]), c)
         return out
 
     def action_of(self, alg_vec):
@@ -56,7 +64,7 @@ class GradedModule:
         rows = [dict() for _ in range(self.dim)]
         for b, c in alg_vec.items():
             for r, row in enumerate(self.action[b]):
-                rows[r] = vec_add_scaled(f, rows[r], row, c)
+                vec_iadd_scaled(f, rows[r], row, c)
         return rows
 
     def component_indices(self, d):
@@ -355,18 +363,15 @@ def socle(m):
     """(S, inclusion): the annihilator of the radical inside M."""
     f = m.algebra.field
     rad = jacobson_radical(m.algebra)
-    rows = {}
-    for ridx, r in enumerate(rad.basis):
-        mat = m.action_of(r)
-        for s in range(m.dim):
-            row = {}
-            for mm in range(m.dim):
-                c = mat[mm].get(s)
-                if c is not None:
-                    row[mm] = c
-            if row:
-                rows[(ridx, s)] = row
-    basis = sparse_kernel(f, list(rows.values()), m.dim)
+    rows = []
+    for r in rad.basis:
+        # columns of the action matrix of r: one equation per target coordinate
+        cols = {}
+        for mm, row in enumerate(m.action_of(r)):
+            for s, c in row.items():
+                cols.setdefault(s, {})[mm] = c
+        rows.extend(cols[s] for s in sorted(cols))
+    basis = sparse_kernel(f, rows, m.dim)
     sub = Submodule(m, basis)
     return sub.module, sub.inclusion
 
@@ -422,7 +427,7 @@ class CoverSummand:
         f = self.module.algebra.field
         out = {}
         for r, c in vec.items():
-            out = vec_add_scaled(f, out, self.inclusion_rows[r], c)
+            vec_iadd_scaled(f, out, self.inclusion_rows[r], c)
         return out
 
 
@@ -460,9 +465,7 @@ class ProjectiveCover:
                     coeffs = lift_ech.express(v)
                     if coeffs is None:
                         raise ValueError("top slice does not lift")
-                    lift = {}
-                    for pos, c in coeffs.items():
-                        lift = vec_add_scaled(f, lift, {m_deg_idx[pos]: f.one()}, c)
+                    lift = {m_deg_idx[pos]: c for pos, c in coeffs.items()}
                     gen = m.act(lift, e)
                     self.generators.append(gen)
                     self.summands.append(CoverSummand(a, e_idx, d))
@@ -478,13 +481,15 @@ class ProjectiveCover:
         # epi rows: a summand basis element u (an algebra element in e_i.Lambda)
         # maps to generator . u
         rows = []
-        for s, gen, inc in zip(self.summands, self.generators, self.inclusions):
+        for s, gen in zip(self.summands, self.generators):
             for r in range(s.module.dim):
                 u = s.algebra_coords({r: f.one()})
                 rows.append(m.act(gen, u))
-        if not self.summands:
-            rows = []
-        self.epi = GradedMap(self.module, m, rows, check=False)
+        self.epi_rows = rows
+        # m caches its cover, so the cover refers back to m only weakly: a
+        # strong reference would make every module with a cached cover cyclic
+        # garbage that only the cyclic collector frees
+        self._target = weakref.ref(m)
 
         rank_ech = Echelon(f, tagged=True)
         for row in rows:
@@ -500,13 +505,7 @@ class ProjectiveCover:
         self.kernel_basis = sparse_kernel(f, list(sys_rows.values()), self.module.dim)
 
         # section: for each basis vector of M a preimage under the epi
-        self.section_rows = []
-        for i in range(m.dim):
-            coeffs = rank_ech.express({i: f.one()})
-            sec = {}
-            for ridx, c in (coeffs or {}).items():
-                sec = vec_add_scaled(f, sec, {ridx: f.one()}, c)
-            self.section_rows.append(sec)
+        self.section_rows = [rank_ech.express({i: f.one()}) or {} for i in range(m.dim)]
 
         # minimality: kernel inside P . rad
         prad = Echelon(f)
@@ -516,7 +515,13 @@ class ProjectiveCover:
             if not prad.contains(k):
                 raise ValueError("cover is not minimal (kernel escapes P.rad)")
 
-        self.target = m
+    @property
+    def epi(self):
+        """The cover epi P -> M, built on demand while M is alive."""
+        m = self._target()
+        if m is None:
+            raise ValueError("the covered module no longer exists")
+        return GradedMap(self.module, m, self.epi_rows, check=False)
 
 
 def projective_cover(m):
@@ -552,12 +557,15 @@ def syzygy_of(m):
 # ---------------------------------------------------------------------------
 
 class HomSpace:
-    """Basis of degree-0 module maps M -> N.
+    """Basis of degree-0 module maps M -> N, kept in generator coordinates.
 
-    Internally a map is coordinatized by the images of M's cover generators:
-    for a summand with idempotent i and generator degree d, the image lives
-    in the slice (N_d).e_i.  The basis is materialized as GradedMaps and the
-    coordinate system is kept for quotient and composition bookkeeping.
+    A map is determined by the images of M's cover generators: for a summand
+    with idempotent i and generator degree d, the image lives in the slice
+    (N_d).e_i.  A map is stored as its coordinate vector over the
+    concatenated slice bases (`basis_coords`); `images` turns coordinates
+    into generator images and `coords_of_images` goes back, so callers that
+    compose with another map only need generator images.  Matrices are
+    built on demand: `basis` materializes the GradedMaps on first access.
     """
 
     def __init__(self, source, target):
@@ -614,19 +622,23 @@ class HomSpace:
                         row[var] = f.add(row.get(var, f.zero()), c)
         sys_rows = {k: {v: c for v, c in row.items() if not f.is_zero(c)}
                     for k, row in sys_rows.items()}
-        sols = sparse_kernel(f, [r for r in sys_rows.values() if r], total)
-
-        self.basis_coords = sols
-        self.basis = [self._materialize(c) for c in sols]
-        self._basis_ech = Echelon(f, tagged=True)
-        for c in sols:
-            self._basis_ech.insert(c)
+        self.basis_coords = sparse_kernel(f, [r for r in sys_rows.values() if r], total)
+        self._basis = None
+        self._basis_ech = None
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.basis_coords)
 
-    def _images_from_coords(self, coords):
+    @property
+    def basis(self):
+        """The basis maps as GradedMaps, materialized on first access."""
+        if self._basis is None:
+            self._basis = [self.map_of(c) for c in self.basis_coords]
+        return self._basis
+
+    def images(self, coords):
+        """Images of the cover generators (in target coordinates) of a map."""
         f = self.source.algebra.field
         images = []
         for t, (basis, _) in enumerate(self.slices):
@@ -634,14 +646,26 @@ class HomSpace:
             for sidx, bvec in enumerate(basis):
                 c = coords.get(self.offsets[t] + sidx)
                 if c is not None:
-                    x = vec_add_scaled(f, x, bvec, c)
+                    vec_iadd_scaled(f, x, bvec, c)
             images.append(x)
         return images
 
-    def _materialize(self, coords):
+    def coords_of_images(self, images):
+        """Slice coordinates of the map sending the cover generators to images."""
+        coords = {}
+        for t, (img, (_, ech)) in enumerate(zip(images, self.slices)):
+            expr = ech.express(img)
+            if expr is None:
+                raise ValueError("generator image leaves the idempotent slice")
+            for pos, c in expr.items():
+                coords[self.offsets[t] + pos] = c
+        return coords
+
+    def map_of(self, coords):
+        """The GradedMap with these slice coordinates."""
         cov = self._cov
         f = self.source.algebra.field
-        images = self._images_from_coords(coords)
+        images = self.images(coords)
         rows = []
         for i in range(self.source.dim):
             sec = cov.section_rows[i]
@@ -651,30 +675,31 @@ class HomSpace:
                 if not blk:
                     continue
                 u = cov.summands[t].algebra_coords(blk)
-                out = vec_add_scaled(f, out, self.target.act(images[t], u), f.one())
+                vec_iadd_scaled(f, out, self.target.act(images[t], u), f.one())
             rows.append(out)
         return GradedMap(self.source, self.target, rows, check=False)
 
     def coords_of_matrix(self, matrix_rows):
         """Slice coordinates of a map given by its matrix."""
         f = self.source.algebra.field
-        coords = {}
-        for t, (gen, (basis, ech)) in enumerate(zip(self._cov.generators, self.slices)):
-            img = apply_row(f, gen, matrix_rows)
-            expr = ech.express(img)
-            if expr is None:
-                raise ValueError("matrix image leaves the idempotent slice")
-            for pos, c in expr.items():
-                coords[self.offsets[t] + pos] = c
-        return coords
+        return self.coords_of_images([apply_row(f, gen, matrix_rows)
+                                      for gen in self._cov.generators])
 
     def coords_of(self, gmap):
         return self.coords_of_matrix(gmap.matrix)
 
+    def basis_coeffs(self, coords):
+        """Coefficients over `basis` of the map with these slice coordinates,
+        or None if it is not a module map."""
+        if self._basis_ech is None:
+            self._basis_ech = Echelon(self.source.algebra.field, tagged=True)
+            self._basis_ech.extend(self.basis_coords)
+        return self._basis_ech.express(coords)
+
     def express(self, gmap_or_matrix):
         """Coefficients of a map over this basis, or None if outside."""
         rows = gmap_or_matrix.matrix if isinstance(gmap_or_matrix, GradedMap) else gmap_or_matrix
-        return self._basis_ech.express(self.coords_of_matrix(rows))
+        return self.basis_coeffs(self.coords_of_matrix(rows))
 
 
 def hom_graded(m, n):
@@ -821,7 +846,7 @@ def find_isomorphism(m, n, seed=0, tries=200):
             if f.is_zero(c):
                 continue
             for r, row in enumerate(h.matrix):
-                rows[r] = vec_add_scaled(f, rows[r], row, c)
+                vec_iadd_scaled(f, rows[r], row, c)
         cand = GradedMap(m, n, rows, check=False)
         return cand if cand.is_isomorphism() else None
 

@@ -9,7 +9,7 @@ surjective, so the factoring subspace is one image computation.
 
 from .algebra import GradedAlgebra
 from .errors import NotSelfInjective
-from .linalg import Echelon, sparse_matmul, vec_add_scaled
+from .linalg import Echelon, apply_row, vec_iadd_scaled
 from .modules import (
     cosyzygy_of,
     cover_of,
@@ -25,22 +25,26 @@ def factor_through_projectives(m, n):
     """Basis of the subspace of hom(m, n) of maps factoring through a projective.
 
     Returned as (hom_space, coefficient_vectors) where the vectors are over
-    hom_space.basis.
+    hom_space.basis.  When hom(m, n) is 0 so is the subspace, and hom(m, P)
+    for the cover P of n is never solved.  Otherwise each basis map h of
+    hom(m, P) is composed with the cover epi in generator coordinates: the
+    generator images of h followed by the epi are the generator images of
+    the composite, so no matrix is built.
     """
     hom = hom_graded(m, n)
+    if hom.dim == 0:
+        return hom, []
     f = m.algebra.field
     cov = cover_of(n)
+    epi = cov.epi_rows
+    lifted = hom_graded(m, cov.module)
     ech = Echelon(f)
-    coeffs = []
-    if not n.is_zero() and not m.is_zero():
-        lifted = hom_graded(m, cov.module)
-        for h in lifted.basis:
-            composed = sparse_matmul(f, h.matrix, cov.epi.matrix)
-            c = hom.express(composed)
-            if c is None:
-                raise ValueError("factoring map escaped the hom space")
-            if ech.insert(c):
-                coeffs.append(c)
+    for c in lifted.basis_coords:
+        images = [apply_row(f, x, epi) for x in lifted.images(c)]
+        coeffs = hom.basis_coeffs(hom.coords_of_images(images))
+        if coeffs is None:
+            raise ValueError("factoring map escaped the hom space")
+        ech.insert(coeffs)
     return hom, ech.basis()
 
 
@@ -66,30 +70,41 @@ class StableHomSpace:
         pivots = set(self._fact_ech.rows)
         self.rep_positions = [q for q in range(self.total_dim) if q not in pivots]
         self.representative_coeffs = [{q: f.one()} for q in self.rep_positions]
+        self._rep_index = {q: i for i, q in enumerate(self.rep_positions)}
 
     @property
     def dim(self):
         return len(self.rep_positions)
 
-    def representative_maps(self):
+    def representative_coords(self):
+        """Slice coordinates (see HomSpace) of the representative maps."""
         f = self.source.algebra.field
         out = []
         for c in self.representative_coeffs:
-            rows = [dict() for _ in range(self.source.dim)]
+            coords = {}
             for q, coeff in c.items():
-                for r, row in enumerate(self.hom.basis[q].matrix):
-                    rows[r] = vec_add_scaled(f, rows[r], row, coeff)
-            out.append(rows)
+                vec_iadd_scaled(f, coords, self.hom.basis_coords[q], coeff)
+            out.append(coords)
         return out
+
+    def representative_maps(self):
+        return [self.hom.map_of(c).matrix for c in self.representative_coords()]
 
     def class_coords_of_matrix(self, matrix_rows):
         """Coordinates of the stable class of a map, over the representatives."""
-        c = self.hom.express(matrix_rows)
+        return self._class_coords(self.hom.coords_of_matrix(matrix_rows))
+
+    def class_coords_of_images(self, images):
+        """Class coordinates of the map sending the cover generators of the
+        source to images."""
+        return self._class_coords(self.hom.coords_of_images(images))
+
+    def _class_coords(self, coords):
+        c = self.hom.basis_coeffs(coords)
         if c is None:
-            raise ValueError("matrix is not a module map in this hom space")
+            raise ValueError("map is not a module map in this hom space")
         residual = self._fact_ech.reduce(c)
-        pos = {q: i for i, q in enumerate(self.rep_positions)}
-        return {pos[q]: x for q, x in residual.items()}
+        return {self._rep_index[q]: x for q, x in residual.items()}
 
 
 def stable_hom(m, n):
@@ -135,20 +150,26 @@ class StableEnd:
     """The stable endomorphism algebra of a module, with class coordinates.
 
     Multiplication is "first map then second map" (matrix product in the
-    row convention).  The unit is the class of the identity.
+    row convention).  The unit is the class of the identity.  A product is
+    composed in generator coordinates: the generator images of the first
+    map, sent through the matrix of the second, are the generator images of
+    the composite.
     """
 
     def __init__(self, m):
         f = m.algebra.field
         self.module = m
         self.stable = stable_hom(m, m)
+        hom = self.stable.hom
+        coords = self.stable.representative_coords()
         reps = self.stable.representative_maps()
+        images = [hom.images(c) for c in coords]
         dim = len(reps)
         mult = [[None] * dim for _ in range(dim)]
         for i in range(dim):
             for j in range(dim):
-                composed = sparse_matmul(f, reps[i], reps[j])
-                mult[i][j] = self.stable.class_coords_of_matrix(composed)
+                composed = [apply_row(f, x, reps[j]) for x in images[i]]
+                mult[i][j] = self.stable.class_coords_of_images(composed)
         if m.is_zero() or dim == 0:
             self.algebra = GradedAlgebra(f, [], [], {})
         else:

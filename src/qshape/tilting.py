@@ -27,7 +27,7 @@ from .algebra import (
     EXCEEDS_BOUND,
 )
 from .errors import HypothesisViolated, NonSplitSemisimpleQuotient
-from .linalg import sparse_matmul, span_basis
+from .linalg import apply_row, sparse_matmul, span_basis, vec_iadd_scaled
 from .modules import (
     GradedMap,
     QuotientModule,
@@ -129,13 +129,11 @@ class GammaData:
     def _validate_blocks(self):
         g = self.algebra
         f = g.field
-        from .linalg import vec_add_scaled
-
         total = {}
         for i, e in enumerate(self.block_idempotents):
             if g.product(e, e) != e:
                 raise ValueError("block class is not idempotent")
-            total = vec_add_scaled(f, total, e, f.one())
+            vec_iadd_scaled(f, total, e, f.one())
             for j, e2 in enumerate(self.block_idempotents):
                 if i != j and g.product(e, e2):
                     raise ValueError("block classes are not orthogonal")
@@ -188,11 +186,13 @@ def end_algebra(m):
         return zero_algebra(f)
     hom = hom_graded(m, m)
     dim = hom.dim
+    images = [hom.images(c) for c in hom.basis_coords]
     mult = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
-            composed = sparse_matmul(f, hom.basis[i].matrix, hom.basis[j].matrix)
-            mult[i][j] = hom.express(composed)
+            # composite's generator images: those of basis map i sent through j
+            composed = [apply_row(f, x, hom.basis[j].matrix) for x in images[i]]
+            mult[i][j] = hom.basis_coeffs(hom.coords_of_images(composed))
     unit = hom.express(identity_map(m).matrix)
     return GradedAlgebra(f, [0] * dim, mult, unit)
 

@@ -41,6 +41,35 @@ def naive_rref(rows):
     return m, len(pivots), pivots
 
 
+def naive_rref_mod(rows, p):
+    """Textbook reduced row echelon form over GF(p), on lists of ints."""
+    m = [[x % p for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if m[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, len(pivots), pivots
+
+
 def naive_kernel(rows, ncols):
     """Right null space basis via naive_rref (over the rationals)."""
     red, rank, pivots = naive_rref(rows) if rows else ([], 0, [])

@@ -13,9 +13,10 @@ from qshape.linalg import (
     span_basis,
     subspace_ops,
     vec_from_list,
+    vec_to_list,
 )
 
-from oracles import gf_span, gf_solutions, naive_rref
+from oracles import gf_span, gf_solutions, naive_rref, naive_rref_mod
 
 GF5 = FieldSpec(5)
 
@@ -226,3 +227,59 @@ def test_tagged_echelon_tracks_combinations(vectors, char):
         for j, c in coeffs.items():
             rebuilt = vec_add_scaled(field, rebuilt, originals[j], c)
         assert rebuilt == target
+
+
+sparse_entries = st.one_of(st.just(0), small_entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(sparse_entries, min_size=n, max_size=n), min_size=1, max_size=6),
+            st.lists(st.lists(sparse_entries, min_size=n, max_size=n), min_size=0, max_size=3),
+        )
+    ).flatmap(
+        lambda vp: st.tuples(st.just(vp[0]), st.just(vp[1]), st.permutations(range(len(vp[0]))))
+    ),
+    st.sampled_from([0, 32003]),
+)
+def test_echelon_reduce_and_express_match_naive_rref(vectors_probes_order, char):
+    # inserts arrive in arbitrary pivot order; reduce() must still give the
+    # remainder against the canonical reduced echelon basis, and express()
+    # must write span members as combinations of the inserted vectors
+    from qshape.linalg import Echelon
+
+    vectors, probes, order = vectors_probes_order
+    field = FieldSpec(char)
+    n = len(vectors[0])
+    inserted = [vectors[i] for i in order]
+    ech = Echelon(field, tagged=True)
+    for v in inserted:
+        ech.insert(vec_from_list(field, v))
+
+    if char == 0:
+        red, rank, pivots = naive_rref(inserted)
+    else:
+        red, rank, pivots = naive_rref_mod(inserted, char)
+    red = [[field.coerce(x) for x in row] for row in red[:rank]]
+    assert ech.pivots() == pivots
+    assert [vec_to_list(field, row, n) for row in ech.basis()] == red
+
+    for t in probes + vectors:
+        t = [field.coerce(x) for x in t]
+        expected = list(t)
+        for p, row in zip(pivots, red):
+            c = t[p]
+            expected = [field.sub(x, field.mul(c, y)) for x, y in zip(expected, row)]
+        vec = vec_from_list(field, t)
+        assert vec_to_list(field, ech.reduce(vec), n) == expected
+        coeffs = ech.express(vec)
+        if any(not field.is_zero(x) for x in expected):
+            assert coeffs is None
+        else:
+            rebuilt = [field.zero()] * n
+            for j, c in coeffs.items():
+                rebuilt = [field.add(x, field.mul(c, field.coerce(y)))
+                           for x, y in zip(rebuilt, inserted[j])]
+            assert rebuilt == t

@@ -1,5 +1,8 @@
 """Graded modules: constructors, homs, covers, duals, envelopes."""
 
+import gc
+import weakref
+
 import pytest
 
 from qshape.algebra import QuiverPresentation, builtin, compile_quiver
@@ -390,3 +393,27 @@ class TestInternalRoundtrips:
         t, _ = truncate_le(shift(regular(a), 1), 0)
         cov = cover_of(t)
         GradedMap(cov.module, t, cov.epi.matrix, check=True)
+
+
+class TestCoverLifetime:
+    def test_cached_cover_does_not_keep_its_module_alive(self):
+        # the module caches its cover; were the cover to refer back to the
+        # module strongly, only the cyclic collector could free either
+        from qshape.modules import cover_of
+
+        a = builtin("exterior", 2, QQ)
+        gc.collect()
+        gc.disable()
+        try:
+            m = truncate_le(shift(regular(a), 1), 0)[0]
+            cov = cover_of(m)
+            assert cov.epi.target is m
+            syzygy_of(m)
+            assert hom_graded(m, m).dim > 0
+            ref = weakref.ref(m)
+            del m
+            assert ref() is None
+            with pytest.raises(ValueError):
+                cov.epi
+        finally:
+            gc.enable()

@@ -4,9 +4,12 @@ import pytest
 
 from qshape.algebra import QuiverPresentation, builtin, compile_quiver
 from qshape.errors import NotSelfInjective
-from qshape.fields import QQ
+from qshape.fields import QQ, FieldSpec
+from qshape.linalg import Echelon, sparse_matmul
 from qshape.modules import (
+    cover_of,
     direct_sum,
+    hom_graded,
     regular,
     shift,
     simple,
@@ -20,6 +23,7 @@ from qshape.stable import (
     stable_hom,
     syzygy,
 )
+from qshape.tilting import tilting_module
 
 
 def trunc(n, field=QQ):
@@ -45,6 +49,44 @@ class TestFactoring:
         hom, coeffs = factor_through_projectives(s, s)
         assert hom.dim == 1
         assert coeffs == []  # hom(S, regular) = 0, so nothing factors
+
+
+def factoring_by_matrices(m, n):
+    """Reference factoring subspace: build every map of hom(m, P) as a
+    matrix, compose with the cover epi P -> n and express the product."""
+    hom = hom_graded(m, n)
+    f = m.algebra.field
+    cov = cover_of(n)
+    ech = Echelon(f)
+    if not n.is_zero() and not m.is_zero():
+        lifted = hom_graded(m, cov.module)
+        for h in lifted.basis:
+            c = hom.express(sparse_matmul(f, h.matrix, cov.epi.matrix))
+            assert c is not None
+            ech.insert(c)
+    return hom.dim, ech.basis()
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("family", ["exterior", "preprojective_A"])
+def test_factoring_coordinates_match_matrix_path(family, char):
+    a = builtin(family, 3, FieldSpec(char))
+    t = tilting_module(a).module
+    # T + Lambda: its maps to T split into factoring and non-factoring parts
+    sources = [t, regular(a), direct_sum([t, regular(a)])[0]]
+    x = y = t
+    for _ in range(2):
+        x, y = syzygy(x), cosyzygy(y)
+        sources += [x, y]
+    seen_zero = seen_partial = False
+    for m in sources:
+        for n in (t, syzygy(t), simple(a, 1)):
+            hom, coeffs = factor_through_projectives(m, n)
+            assert (hom.dim, coeffs) == factoring_by_matrices(m, n)
+            seen_zero |= hom.dim == 0
+            seen_partial |= 0 < len(coeffs) < hom.dim
+    # both the zero short-circuit and a proper factoring subspace are covered
+    assert seen_zero and seen_partial
 
 
 class TestStableHom:
