@@ -19,7 +19,14 @@ from .errors import (
     UnsupportedCharacteristic,
     VerificationFailed,
 )
-from .linalg import Echelon, span_basis, vec_add_scaled, vec_iadd_scaled, vec_scale
+from .linalg import (
+    Echelon,
+    apply_row,
+    span_basis,
+    vec_add_scaled,
+    vec_iadd_scaled,
+    vec_scale,
+)
 
 EXCEEDS_BOUND = "exceeds bound"
 
@@ -28,8 +35,17 @@ class GradedAlgebra:
     """A finite-dimensional graded algebra given by structure constants.
 
     mult[i][j] is the sparse coefficient vector of b_i * b_j.  Construction
-    validates associativity, the unit laws, multiplicativity of the grading
-    and (when given) the idempotent axioms, all exactly and exhaustively.
+    validates the grading, the unit laws and (when given) the idempotent
+    axioms exactly, and associativity against one generating set G: the
+    declared generators, or else basis vectors taken greedily in (degree,
+    index) order.  G is verified to generate, in that right-bracketed words
+    ((1 g_1) g_2) ... g_k span the algebra; a declared set that does not
+    generate raises ValueError.  Associativity is then checked on the
+    triples (b_i, b_j, g) with g in G only.  That is exact: the associator
+    is trilinear, so the w with (xy)w = x(yw) for all x, y form a subspace;
+    it holds 1 by the unit laws, and with w it holds wg, since
+    (xy)(wg) = ((xy)w)g = (x(yw))g = x((yw)g) = x(y(wg)); so it holds every
+    right word, and those span the algebra.
     """
 
     def __init__(self, field, degrees, mult, unit, idempotents=None, labels=None,
@@ -98,6 +114,7 @@ class GradedAlgebra:
         if n == 0:
             if self.unit:
                 raise ValueError("zero algebra cannot have a nonzero unit")
+            self._cache["gens"] = []
             return
         # grading: nonzero c[i][j][k] forces degree(k) = degree(i) + degree(j)
         for i in range(n):
@@ -114,21 +131,76 @@ class GradedAlgebra:
             e = self.basis_vec(k)
             if self.product(self.unit, e) != e or self.product(e, self.unit) != e:
                 raise ValueError("unit laws fail")
-        # associativity on every basis triple
-        for i in range(n):
-            for j in range(n):
-                w = self.mult[i][j]
-                for k in range(n):
+        gens, right = self._generating_set()
+        # associativity on the triples (b_i, b_j, g), g in G; right[t][m] is
+        # b_m * gens[t]
+        for t, table in enumerate(right):
+            for i in range(n):
+                row = self.mult[i]
+                for j in range(n):
+                    w, wg = row[j], table[j]
+                    if not w and not wg:
+                        continue  # both sides vanish
                     lhs = {}
                     for m, c in w.items():
-                        vec_iadd_scaled(f, lhs, self.mult[m][k], c)
+                        vec_iadd_scaled(f, lhs, table[m], c)
                     rhs = {}
-                    for m, c in self.mult[j][k].items():
-                        vec_iadd_scaled(f, rhs, self.mult[i][m], c)
+                    for m, c in wg.items():
+                        vec_iadd_scaled(f, rhs, row[m], c)
                     if lhs != rhs:
-                        raise ValueError(f"associativity fails at triple ({i},{j},{k})")
+                        raise ValueError(
+                            f"associativity fails at (b{i}, b{j}, generator {t})"
+                        )
+        self._cache["gens"] = gens
         if self.idempotents is not None:
             self._validate_idempotents()
+
+    def _generating_set(self):
+        """G and its right-multiplication tables, with G verified to generate.
+
+        Closes span{1} under right multiplication by G in an Echelon, which
+        costs dim * |G| products.  Declared generators must reach the whole
+        algebra; otherwise basis vectors outside the span are adjoined in
+        (degree, index) order until it is reached.
+        """
+        f = self.field
+        n = self.dim
+        span = Echelon(f)
+        words = []  # vectors that enlarged the span
+        done = 0  # words[:done] have been multiplied by every generator
+        gens, right = [], []
+
+        def grow(vec):
+            if span.insert(vec):
+                words.append(vec)
+
+        def adjoin(g, table):
+            nonlocal done
+            gens.append(g)
+            right.append(table)
+            for w in words[:done]:
+                grow(apply_row(f, w, table))
+            while done < len(words):
+                w = words[done]
+                done += 1
+                for tab in right:
+                    grow(apply_row(f, w, tab))
+
+        grow(self.unit)
+        if self.generators is not None:
+            for g in self.generators:
+                adjoin(g, [self.product(self.basis_vec(m), g) for m in range(n)])
+            if span.dim != n:
+                raise ValueError(
+                    f"declared generators span only {span.dim} of {n} dimensions"
+                )
+            return self.generators, right
+        for i in sorted(range(n), key=lambda i: (self.degrees[i], i)):
+            if span.dim == n:
+                break
+            if not span.contains(self.basis_vec(i)):
+                adjoin(self.basis_vec(i), [self.mult[m][i] for m in range(n)])
+        return gens, right
 
     def _validate_idempotents(self):
         f = self.field
@@ -455,7 +527,9 @@ def jacobson_radical(a):
 
     Uses the supplied arrow-ideal span for quiver-compiled algebras and the
     trace form kernel otherwise; the latter is valid in characteristic 0 or
-    when p exceeds the algebra dimension.
+    when p exceeds the algebra dimension.  The candidate is checked to be a
+    two-sided ideal against the generating set G only: g*I and I*g inside I
+    for g in G give A*I and I*A inside I, since words in G span A.
     """
     if a._radical is not None:
         return a._radical
@@ -476,13 +550,13 @@ def jacobson_radical(a):
         raise UnsupportedCharacteristic(
             f"characteristic {f.char} <= dim {a.dim} and no quiver origin"
         )
-    # the radical must be a two-sided ideal
+    # the radical must be a two-sided ideal; as words in G span A, it is
+    # enough that g*r and r*g stay inside for g in G
     ech = Echelon(f)
     ech.extend(basis)
-    for i in range(a.dim):
-        e = a.basis_vec(i)
+    for g in generating_vectors(a):
         for r in basis:
-            if not ech.contains(a.product(e, r)) or not ech.contains(a.product(r, e)):
+            if not ech.contains(a.product(g, r)) or not ech.contains(a.product(r, g)):
                 raise VerificationFailed("radical candidate is not an ideal")
     series = []
     power = basis
@@ -502,7 +576,7 @@ def jacobson_radical(a):
 
 
 # ---------------------------------------------------------------------------
-# quotients, subalgebras, generators, center
+# quotients, generators, center
 # ---------------------------------------------------------------------------
 
 class QuotientAlgebra:
@@ -535,88 +609,11 @@ class QuotientAlgebra:
         return {self.kept[i]: c for i, c in qvec.items()}
 
 
-class Subalgebra:
-    """The span of given vectors as an algebra in its own right.
-
-    The span must be closed under multiplication and contain the given unit.
-    Degrees are inherited; each basis vector must be homogeneous.
-    """
-
-    def __init__(self, parent, vectors, unit_vec):
-        f = parent.field
-        self.parent = parent
-        self.ech = Echelon(f, tagged=False)
-        for v in vectors:
-            self.ech.insert(v)
-        basis = self.ech.basis()
-        self.basis_vectors = basis
-        self.coords = Echelon(f, tagged=True)
-        for b in basis:
-            self.coords.insert(b)
-        degrees = []
-        for b in basis:
-            degs = {parent.degrees[i] for i in b}
-            if len(degs) != 1:
-                raise ValueError("subalgebra basis vector is not homogeneous")
-            degrees.append(degs.pop())
-        n = len(basis)
-        mult = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                prod = parent.product(basis[i], basis[j])
-                coeffs = self.coords.express(prod)
-                if coeffs is None:
-                    raise ValueError("span is not closed under multiplication")
-                mult[i][j] = coeffs
-        unit = self.coords.express(unit_vec)
-        if unit is None:
-            raise ValueError("unit does not lie in the span")
-        self.algebra = GradedAlgebra(f, degrees, mult, unit)
-
-    def to_parent(self, vec):
-        f = self.parent.field
-        out = {}
-        for i, c in vec.items():
-            vec_iadd_scaled(f, out, self.basis_vectors[i], c)
-        return out
-
-    def from_parent(self, vec):
-        return self.coords.express(vec)
-
-
 def generating_vectors(a):
-    """A small unital generating set (cached); prefers declared generators."""
-    if "gens" in a._cache:
-        return a._cache["gens"]
-    if a.generators is not None:
-        a._cache["gens"] = a.generators
-        return a.generators
-    f = a.field
-    ech = Echelon(f)
-    ech.insert(a.unit)
-    gens = []
-
-    def close():
-        changed = True
-        while changed:
-            changed = False
-            rows = ech.basis()
-            for x in rows:
-                for y in rows:
-                    if ech.insert(a.product(x, y)):
-                        changed = True
-
-    order = sorted(range(a.dim), key=lambda i: (a.degrees[i], i))
-    for i in order:
-        v = a.basis_vec(i)
-        if not ech.contains(v):
-            gens.append(v)
-            ech.insert(v)
-            close()
-        if ech.dim == a.dim:
-            break
-    a._cache["gens"] = gens
-    return gens
+    """The generating set G that construction verified and checked
+    associativity against: the declared generators, or else the greedy
+    basis vectors.  Right words in G span the algebra."""
+    return a._cache["gens"]
 
 
 def center_basis(a):

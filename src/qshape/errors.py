@@ -25,10 +25,6 @@ class NonSplitSemisimpleQuotient(QShapeError):
     """The semisimple quotient does not visibly split over the base field."""
 
 
-class MissingIdempotents(QShapeError):
-    """Operation needs a complete set of primitive orthogonal idempotents."""
-
-
 class NotNonNegativelyGraded(QShapeError):
     """Operation requires the algebra to live in non-negative degrees."""
 

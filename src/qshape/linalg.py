@@ -67,11 +67,16 @@ class Echelon:
     basis of the span.  Optional tags follow each row through the same row
     operations, which lets callers express reduced vectors as combinations
     of the inserted ones.
+
+    holders maps each non-pivot column to the set of pivots whose rows have
+    an entry there (no empty sets, no pivot columns), so an insert
+    back-eliminates its new pivot from exactly the rows that hold it.
     """
 
     def __init__(self, field, tagged=False):
         self.field = field
         self.rows = {}  # pivot -> vec
+        self.holders = {}  # non-pivot column -> {pivots of rows holding it}
         self.tags = {} if tagged else None
         self.tagged = tagged
         self.count = 0  # number of vectors inserted so far (for tag indexing)
@@ -117,15 +122,35 @@ class Echelon:
         vec = vec_scale(f, vec, c)
         if tag is not None:
             tag = vec_scale(f, tag, c)
-        # back-eliminate the new pivot from existing rows
-        for p, row in list(self.rows.items()):
-            x = row.get(lead)
-            if x is not None:
-                # rows are handed out by basis(), so they are replaced, not
-                # updated; tags stay private and are updated in place
-                self.rows[p] = vec_add_scaled(f, row, vec, f.neg(x))
-                if self.tagged:
-                    vec_iadd_scaled(f, self.tags[p], tag, f.neg(x))
+        rest = [k for k in vec if k != lead]
+        holders = self.holders
+        # back-eliminate the new pivot from the rows that hold it; only the
+        # columns of vec can change in those rows
+        for p in holders.pop(lead, ()):
+            row = self.rows[p]
+            x = f.neg(row[lead])
+            # rows are handed out by basis(), so they are replaced, not
+            # updated; tags stay private and are updated in place
+            row = self.rows[p] = vec_add_scaled(f, row, vec, x)
+            if self.tagged:
+                vec_iadd_scaled(f, self.tags[p], tag, x)
+            for k in rest:
+                held = holders.get(k)
+                if k in row:
+                    if held is None:
+                        holders[k] = {p}
+                    else:
+                        held.add(p)
+                elif held is not None:
+                    held.discard(p)
+                    if not held:
+                        del holders[k]
+        for k in rest:
+            held = holders.get(k)
+            if held is None:
+                holders[k] = {lead}
+            else:
+                held.add(lead)
         self.rows[lead] = vec
         if self.tagged:
             self.tags[lead] = tag

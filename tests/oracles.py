@@ -215,3 +215,37 @@ def auslander_linear_dim(m):
         for (a, b) in intervals
         for (c, d) in intervals
     )
+
+
+def _naive_times(field, mult, v, w):
+    out = {}
+    for i, a in v.items():
+        for j, b in w.items():
+            for k, c in mult[i][j].items():
+                out[k] = field.add(out.get(k, field.zero()), field.mul(field.mul(a, b), c))
+    return {k: c for k, c in out.items() if not field.is_zero(c)}
+
+
+def naive_failing_triples(field, mult):
+    """Every basis triple (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k)."""
+    n = len(mult)
+    basis = [{i: field.one()} for i in range(n)]
+    times = lambda v, w: _naive_times(field, mult, v, w)
+    return [
+        (i, j, k)
+        for i in range(n) for j in range(n) for k in range(n)
+        if times(times(basis[i], basis[j]), basis[k]) != times(basis[i], times(basis[j], basis[k]))
+    ]
+
+
+def naive_check_algebra(field, mult, unit):
+    """True when the structure constants define a unital associative algebra.
+
+    Checks both unit laws on every basis vector and associativity on all
+    n^3 basis triples, multiplying out with plain dict arithmetic.
+    """
+    basis = [{i: field.one()} for i in range(len(mult))]
+    times = lambda v, w: _naive_times(field, mult, v, w)
+    if any(times(unit, b) != b or times(b, unit) != b for b in basis):
+        return False
+    return not naive_failing_triples(field, mult)

@@ -1,6 +1,9 @@
 """Quiver compilation, builtin families, radicals and idempotents."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qshape.algebra import (
     EXCEEDS_BOUND,
@@ -10,6 +13,7 @@ from qshape.algebra import (
     center_basis,
     compile_quiver,
     degree_zero_part,
+    generating_vectors,
     global_dimension_bounded,
     jacobson_radical,
     minimal_polynomial,
@@ -24,7 +28,11 @@ from qshape.errors import (
     UnsupportedCharacteristic,
     VerificationFailed,
 )
+from qshape.basechange import tensor_algebra, ungrade
 from qshape.fields import FieldSpec, QQ
+from qshape.tilting import reference_upper_triangular
+
+from oracles import naive_check_algebra, naive_failing_triples
 
 GF = FieldSpec(32003)
 
@@ -349,3 +357,92 @@ class TestMeshRewriting:
         a2 = a.basis_vec(by_label["a2"])
         b2 = a.basis_vec(by_label["b2"])
         assert a.product(a2, b2) == {}  # relation at the last vertex
+
+
+class TestGeneratingSet:
+    def test_declared_generators_must_generate(self):
+        # the unit alone generates only the scalars: trusting it made the
+        # commutant of {1}, the whole algebra, pass for the center
+        a = reference_upper_triangular(3, QQ)
+        with pytest.raises(ValueError, match="span only 1 of 6"):
+            GradedAlgebra(a.field, a.degrees, a.mult, a.unit, generators=[a.unit])
+
+    def test_greedy_set_takes_basis_vectors_in_degree_order(self):
+        a = loop_algebra(4)
+        b = GradedAlgebra(a.field, a.degrees, a.mult, a.unit)
+        assert generating_vectors(b) == [b.basis_vec(1)]  # x; its powers span
+        assert generating_vectors(a) == a.generators
+
+    def test_only_failing_triple_outside_declared_generators(self):
+        # 1, x, y in degree 1, z in degree 2, w in degree 3, with
+        # xx = z, xz = zx = zy = w and every other product of positive
+        # elements zero: (xx)y = w but x(xy) = 0, and every other triple
+        # associates.  Right words in {1, x} miss y, so trusting that set
+        # would accept the table.
+        for field in (QQ, GF):
+            one = field.one()
+            mult = [[{} for _ in range(5)] for _ in range(5)]
+            for i in range(5):
+                mult[0][i] = mult[i][0] = {i: one}
+            mult[1][1] = {3: one}
+            mult[1][3] = mult[3][1] = mult[3][2] = {4: one}
+            unit = {0: one}
+            assert naive_failing_triples(field, mult) == [(1, 1, 2)]
+            assert not naive_check_algebra(field, mult, unit)
+            with pytest.raises(ValueError, match="span only 4 of 5"):
+                GradedAlgebra(field, [0, 1, 1, 2, 3], mult, unit,
+                              generators=[unit, {1: one}])
+            with pytest.raises(ValueError, match="associativity"):
+                GradedAlgebra(field, [0, 1, 1, 2, 3], mult, unit)
+
+
+_PERTURBATION_BASES = {
+    "truncated_polynomial 4": lambda f: builtin("truncated_polynomial", 4, f),
+    "exterior 2": lambda f: builtin("exterior", 2, f),
+    "preprojective_A 3": lambda f: builtin("preprojective_A", 3, f),
+    "upper_triangular 3": lambda f: reference_upper_triangular(3, f),
+    "truncated_polynomial 2 (x) preprojective_A 2": lambda f: tensor_algebra(
+        builtin("truncated_polynomial", 2, f), ungrade(builtin("preprojective_A", 2, f))
+    ).product,
+}
+_PERTURBED = {}
+
+
+def _perturbation_base(name, char):
+    """The algebra and every (i, j, k) with deg k = deg i + deg j."""
+    if (name, char) not in _PERTURBED:
+        a = _PERTURBATION_BASES[name](FieldSpec(char))
+        slots = [(i, j, k) for i in range(a.dim) for j in range(a.dim)
+                 for k in range(a.dim) if a.degrees[k] == a.degrees[i] + a.degrees[j]]
+        _PERTURBED[name, char] = (a, slots)
+    return _PERTURBED[name, char]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(_PERTURBATION_BASES)),
+    st.sampled_from([0, 32003]),
+    st.data(),
+)
+def test_validation_rejects_exactly_what_the_oracle_rejects(name, char, data):
+    # one structure constant is changed within the grading (a zero result
+    # is dropped from the table); checking associativity against the
+    # generating set must agree with the exhaustive check of all triples
+    a, slots = _perturbation_base(name, char)
+    field = a.field
+    i, j, k = data.draw(st.sampled_from(slots))
+    value = field.from_int(data.draw(st.integers(-3, 3)))
+    mult = copy.deepcopy(a.mult)
+    mult[i][j].pop(k, None)
+    if not field.is_zero(value):
+        mult[i][j][k] = value
+    valid = naive_check_algebra(field, mult, a.unit)
+    try:
+        GradedAlgebra(field, a.degrees, mult, a.unit)
+    except ValueError:
+        assert not valid
+    else:
+        assert valid
+    if not valid and a.generators is not None:
+        with pytest.raises(ValueError):
+            GradedAlgebra(field, a.degrees, mult, a.unit, generators=a.generators)

@@ -283,3 +283,31 @@ def test_echelon_reduce_and_express_match_naive_rref(vectors_probes_order, char)
                 rebuilt = [field.add(x, field.mul(c, field.coerce(y)))
                            for x, y in zip(rebuilt, inserted[j])]
             assert rebuilt == t
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.lists(sparse_entries, min_size=n, max_size=n),
+                           min_size=1, max_size=10)
+    ),
+    st.sampled_from([0, 32003]),
+)
+def test_echelon_holders_match_rows(vectors, char):
+    # the column index must equal the one recomputed from the rows after
+    # every insert: exactly the non-pivot columns, each with the pivots of
+    # the rows that hold it
+    from qshape.linalg import Echelon
+
+    field = FieldSpec(char)
+    ech = Echelon(field)
+    for v in vectors:
+        ech.insert(vec_from_list(field, v))
+        expected = {}
+        for p, row in ech.rows.items():
+            assert row[p] == field.one()
+            for k in row:
+                if k != p:
+                    expected.setdefault(k, set()).add(p)
+        assert ech.holders == expected
+        assert not set(ech.holders) & set(ech.rows)
