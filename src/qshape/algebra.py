@@ -530,6 +530,19 @@ def jacobson_radical(a):
     when p exceeds the algebra dimension.  The candidate is checked to be a
     two-sided ideal against the generating set G only: g*I and I*g inside I
     for g in G give A*I and I*A inside I, since words in G span A.
+
+    The powers come from words in V, the radical basis vectors that extend
+    an echelon basis of R^2 = span(R*R) to one of R, so R = span(V) + R^2.
+    Let W_j be the span of the products of j elements of V.  If R is
+    nilpotent then R^k = sum_{j>=k} W_j: "contains" as V lies in R; and by
+    induction R^k = R^(k-1) * (V + R^2) lies in W_k + R^(k+1), so
+    iterating up to R^N = 0 gives "inside".  Conversely, once some W_N is
+    0 and sum_{j>=1} W_j = R, a product of N elements of R is a sum of
+    words of length >= N, which vanish, so R is nilpotent.  Both are
+    checked, so the series is exact and a non-nilpotent candidate raises.
+    W_{j+1} = span(W_j * V) costs |V| products per basis vector of W_j,
+    where the powers themselves would cost dim R products per basis vector
+    of each power.
     """
     if a._radical is not None:
         return a._radical
@@ -558,17 +571,26 @@ def jacobson_radical(a):
         for r in basis:
             if not ech.contains(a.product(g, r)) or not ech.contains(a.product(r, g)):
                 raise VerificationFailed("radical candidate is not an ideal")
-    series = []
-    power = basis
-    while power:
-        series.append(len(power))
-        if len(series) > a.dim:
+    span = Echelon(f)  # R^2, then extended to R by V
+    for u in basis:
+        for r in basis:
+            span.insert(a.product(u, r))
+    gens = [r for r in basis if span.insert(r)]
+    words = []  # bases of W_1, W_2, ...
+    layer = gens
+    while layer:
+        if len(words) >= a.dim:
             raise VerificationFailed("radical is not nilpotent")
-        nxt = Echelon(f)
-        for u in power:
-            for r in basis:
-                nxt.insert(a.product(u, r))
-        power = nxt.basis()
+        words.append(layer)
+        layer = span_basis(f, [a.product(u, v) for u in layer for v in gens])
+    series = []
+    total = Echelon(f)  # sum_{j>=k} W_j, for k from the top down
+    for layer in reversed(words):
+        total.extend(layer)
+        series.append(total.dim)
+    series.reverse()
+    if total.dim != len(basis):
+        raise VerificationFailed("radical is not nilpotent")
     if series != sorted(series, reverse=True) or len(set(series)) != len(series):
         raise VerificationFailed("radical series dims are not strictly decreasing")
     a._radical = RadicalData(basis, series, len(series) + 1 if series else 1)

@@ -236,16 +236,18 @@ def cmd_gamma(args, seed):
     report["gamma"] = _algebra_json(g)
     report["gamma"]["block_idempotents"] = [_vec_json(field, e)
                                             for e in gamma.block_idempotents]
-    report["fingerprint"] = fingerprint(g, seed).as_dict()
+    fp = fingerprint(g, seed)
+    report["fingerprint"] = fp.as_dict()
     ref_name, ref = _resolve_reference(args.compare, echo, a, field)
     if ref is None:
         report["comparison"] = {"reference": None, "verdict": None}
         _emit(report)
         return EXIT_OK
-    verdict = compare(g, ref, seed)
+    ref_fp = fingerprint(ref, seed)
+    verdict = compare(fp, ref_fp)
     report["comparison"] = {
         "reference": ref_name,
-        "reference_fingerprint": fingerprint(ref, seed).as_dict(),
+        "reference_fingerprint": ref_fp.as_dict(),
         "verdict": verdict.as_dict(),
     }
     _emit(report)
@@ -303,11 +305,12 @@ def cmd_basechange(args, seed):
     report["coefficient_regraded"] = not a2.is_trivially_graded()
     report["hypotheses"] = _hypothesis_block(a, args.gldim_bound)
     try:
-        td = tilting_module(a, args.gldim_bound)
+        gamma = tilting_endomorphism_algebra(a, args.gldim_bound)
     except HypothesisViolated as e:
         report["error"] = str(e)
         _emit(report)
         return EXIT_HYPOTHESIS
+    td = gamma.tilting
     tensor = tensor_algebra(a, coeff)
     witnesses = {"regular": regular(a)}
     for i in range(1, len(a.idempotents or []) + 1):
@@ -322,7 +325,7 @@ def cmd_basechange(args, seed):
             checks[f"{name_m}|{name_n}"] = res
             all_pass = all_pass and res["pass"]
     gt = gamma_tensor(a, coeff, args.gldim_bound)
-    gamma_dim = tilting_endomorphism_algebra(a, args.gldim_bound).algebra.dim
+    gamma_dim = gamma.algebra.dim
     report["hom_checks"] = checks
     report["all_hom_checks_pass"] = all_pass
     report["gamma_tensor"] = {

@@ -437,6 +437,14 @@ class ProjectiveCover:
     Multiplicities come from the idempotent slices of the top; minimality
     (kernel inside P.rad) is asserted, which also guards against non-basic
     degenerate inputs.
+
+    `section_terms` caches, per basis vector of M, its section preimage cut
+    into its nonzero cover-summand blocks, each read as an algebra element.
+    A map out of M is then row by row a sum of one generator image acted on
+    by each term (see HomSpace.map_of).  The terms depend on the cover only,
+    not on the map, so they are computed once, on first use, and every map
+    out of M reuses them; they are the same vectors that projecting the
+    section onto each summand would give.
     """
 
     def __init__(self, m):
@@ -471,12 +479,13 @@ class ProjectiveCover:
                     self.summands.append(CoverSummand(a, e_idx, d))
 
         if self.summands:
-            mods = [s.module for s in self.summands]
-            self.module, self.inclusions, self.projections = direct_sum(mods)
+            self.module = direct_sum([s.module for s in self.summands])[0]
         else:
             self.module = zero_module(a)
-            self.inclusions = []
-            self.projections = []
+        self._block_of = []  # P coordinate -> (summand, coordinate inside it)
+        for t, s in enumerate(self.summands):
+            self._block_of.extend((t, r) for r in range(s.module.dim))
+        self._section_terms = None
 
         # epi rows: a summand basis element u (an algebra element in e_i.Lambda)
         # maps to generator . u
@@ -514,6 +523,22 @@ class ProjectiveCover:
         for k in self.kernel_basis:
             if not prad.contains(k):
                 raise ValueError("cover is not minimal (kernel escapes P.rad)")
+
+    def split(self, vec):
+        """The nonzero summand blocks of a vector of P, as (summand index,
+        algebra element) pairs in summand order."""
+        blocks = {}
+        for k, c in vec.items():
+            t, r = self._block_of[k]
+            blocks.setdefault(t, {})[r] = c
+        return [(t, self.summands[t].algebra_coords(blocks[t])) for t in sorted(blocks)]
+
+    @property
+    def section_terms(self):
+        """Per basis vector of M, `split` of its section preimage (cached)."""
+        if self._section_terms is None:
+            self._section_terms = [self.split(sec) for sec in self.section_rows]
+        return self._section_terms
 
     @property
     def epi(self):
@@ -606,12 +631,7 @@ class HomSpace:
         # constraints: for each kernel vector sum_t x_t . u_t = 0
         sys_rows = {}
         for kidx, k in enumerate(cov.kernel_basis):
-            blocks = []
-            for t, (s, prj) in enumerate(zip(cov.summands, cov.projections)):
-                blk = prj.apply(k)
-                if blk:
-                    blocks.append((t, s.algebra_coords(blk)))
-            for t, u in blocks:
+            for t, u in cov.split(k):
                 basis, _ = self.slices[t]
                 for sidx, bvec in enumerate(basis):
                     w = target.act(bvec, u)
@@ -662,20 +682,19 @@ class HomSpace:
         return coords
 
     def map_of(self, coords):
-        """The GradedMap with these slice coordinates."""
-        cov = self._cov
+        """The GradedMap with these slice coordinates: row i is the sum, over
+        the cover's section terms (t, u) of basis vector i, of the image of
+        generator t acted on by u."""
         f = self.source.algebra.field
+        one = f.one()
+        act = self.target.act
         images = self.images(coords)
         rows = []
-        for i in range(self.source.dim):
-            sec = cov.section_rows[i]
+        for terms in self._cov.section_terms:
             out = {}
-            for t, prj in enumerate(cov.projections):
-                blk = prj.apply(sec)
-                if not blk:
-                    continue
-                u = cov.summands[t].algebra_coords(blk)
-                vec_iadd_scaled(f, out, self.target.act(images[t], u), f.one())
+            for t, u in terms:
+                if images[t]:
+                    vec_iadd_scaled(f, out, act(images[t], u), one)
             rows.append(out)
         return GradedMap(self.source, self.target, rows, check=False)
 
@@ -704,6 +723,33 @@ class HomSpace:
 
 def hom_graded(m, n):
     return HomSpace(m, n)
+
+
+def composition_table(field, images, matrices, coords_of_images):
+    """Structure constants of composition over a list of maps M -> M.
+
+    images[i] are the generator images of map i and matrices[i] its matrix;
+    entry [i][j] is coords_of_images of "map i, then map j", whose generator
+    images are those of map i sent through the matrix of map j.  Sending a
+    vector through a matrix reads only the rows at its nonzero coordinates,
+    so when the union of the supports of map i's images misses every
+    nonzero row of map j, the composite is the zero map and its coordinates
+    are {} without a solve.  That is exact for any maps; it needs no block
+    structure, though for a direct sum most pairs of maps between different
+    summands are skipped this way.
+    """
+    supports = [set().union(*imgs) for imgs in images]
+    live_rows = [{r for r, row in enumerate(mat) if row} for mat in matrices]
+    mult = []
+    for imgs, support in zip(images, supports):
+        row = []
+        for mat, live in zip(matrices, live_rows):
+            if support.isdisjoint(live):
+                row.append({})
+            else:
+                row.append(coords_of_images([apply_row(field, x, mat) for x in imgs]))
+        mult.append(row)
+    return mult
 
 
 def hom_enriched(m, n):

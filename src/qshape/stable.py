@@ -11,6 +11,7 @@ from .algebra import GradedAlgebra
 from .errors import NotSelfInjective
 from .linalg import Echelon, apply_row, vec_iadd_scaled
 from .modules import (
+    composition_table,
     cosyzygy_of,
     cover_of,
     hom_graded,
@@ -150,10 +151,15 @@ class StableEnd:
     """The stable endomorphism algebra of a module, with class coordinates.
 
     Multiplication is "first map then second map" (matrix product in the
-    row convention).  The unit is the class of the identity.  A product is
-    composed in generator coordinates: the generator images of the first
-    map, sent through the matrix of the second, are the generator images of
-    the composite.
+    row convention).  The unit is the class of the identity.  Products come
+    from composition_table: composed in generator coordinates (the
+    generator images of the first map, sent through the matrix of the
+    second, are the generator images of the composite), and skipped as
+    zero when the images of the first representative avoid every nonzero
+    row of the second.  A skipped pair's representatives compose to the
+    zero map, whose class is zero, so the table is the same as composing
+    every pair; for the Gamma of truncated_polynomial 16 (dim 120) 680 of
+    the 14,400 pairs are composed.
     """
 
     def __init__(self, m):
@@ -165,11 +171,7 @@ class StableEnd:
         reps = self.stable.representative_maps()
         images = [hom.images(c) for c in coords]
         dim = len(reps)
-        mult = [[None] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                composed = [apply_row(f, x, reps[j]) for x in images[i]]
-                mult[i][j] = self.stable.class_coords_of_images(composed)
+        mult = composition_table(f, images, reps, self.stable.class_coords_of_images)
         if m.is_zero() or dim == 0:
             self.algebra = GradedAlgebra(f, [], [], {})
         else:

@@ -27,10 +27,11 @@ from .algebra import (
     EXCEEDS_BOUND,
 )
 from .errors import HypothesisViolated, NonSplitSemisimpleQuotient
-from .linalg import apply_row, sparse_matmul, span_basis, vec_iadd_scaled
+from .linalg import sparse_matmul, span_basis, vec_iadd_scaled
 from .modules import (
     GradedMap,
     QuotientModule,
+    composition_table,
     direct_sum,
     hom_graded,
     identity_map,
@@ -142,8 +143,16 @@ class GammaData:
 
 
 def tilting_endomorphism_algebra(a, gldim_bound=DEFAULT_GLDIM_BOUND):
-    """GammaData for the input algebra (hypotheses verified)."""
-    return GammaData(a, gldim_bound)
+    """GammaData for the input algebra (hypotheses verified).
+
+    Cached on the algebra per gldim bound, like its regular module and
+    projectives, so a command that needs Gamma in several places (base
+    change, Gamma tensor A, one tensor per coefficient) builds it once.
+    """
+    key = ("gamma", gldim_bound)
+    if key not in a._cache:
+        a._cache[key] = GammaData(a, gldim_bound)
+    return a._cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +189,18 @@ def _interval_modules(a, m):
 
 
 def end_algebra(m):
-    """Plain (non-stable) endomorphism algebra of a module."""
+    """Plain (non-stable) endomorphism algebra of a module.
+
+    Products come from composition_table, which skips the pairs of basis
+    maps whose composite is zero by support (see there)."""
     f = m.algebra.field
     if m.is_zero():
         return zero_algebra(f)
     hom = hom_graded(m, m)
     dim = hom.dim
     images = [hom.images(c) for c in hom.basis_coords]
-    mult = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            # composite's generator images: those of basis map i sent through j
-            composed = [apply_row(f, x, hom.basis[j].matrix) for x in images[i]]
-            mult[i][j] = hom.basis_coeffs(hom.coords_of_images(composed))
+    mult = composition_table(f, images, [h.matrix for h in hom.basis],
+                             lambda composed: hom.basis_coeffs(hom.coords_of_images(composed)))
     unit = hom.express(identity_map(m).matrix)
     return GradedAlgebra(f, [0] * dim, mult, unit)
 
@@ -251,18 +259,24 @@ def reference_subcategory_algebra(a):
 # ---------------------------------------------------------------------------
 
 def cartan_matrix(a, seed=0):
-    """C[u][v] = dim e_u A e_v over the primitive idempotents."""
+    """C[u][v] = dim e_u A e_v over the primitive idempotents.
+
+    e_u A e_v is spanned by the e_u (b_m e_v).  The products b_m e_v do not
+    depend on e_u, so they are formed once per e_v, and the zero ones are
+    dropped, since e_u 0 = 0 adds nothing to a span.  That makes
+    s*dim + s^2*(nonzero products) multiplications instead of 2*s^2*dim for
+    s idempotents, with the same spans.
+    """
     f = a.field
     idems = primitive_idempotents(a, seed=seed)
-    n = len(idems)
-    out = []
-    for eu in idems:
-        row = []
-        for ev in idems:
-            spans = [a.product(eu, a.product(a.basis_vec(m), ev)) for m in range(a.dim)]
-            row.append(len(span_basis(f, spans)))
-        out.append(tuple(row))
-    return tuple(out)
+    right = []  # per e_v, the nonzero b_m e_v
+    for ev in idems:
+        prods = (a.product(a.basis_vec(m), ev) for m in range(a.dim))
+        right.append([p for p in prods if p])
+    return tuple(
+        tuple(len(span_basis(f, [a.product(eu, p) for p in prods])) for prods in right)
+        for eu in idems
+    )
 
 
 def canonical_matrix(mat):

@@ -249,3 +249,46 @@ def naive_check_algebra(field, mult, unit):
     if any(times(unit, b) != b or times(b, unit) != b for b in basis):
         return False
     return not naive_failing_triples(field, mult)
+
+
+def _naive_rank(field, vecs, n):
+    """Rank of sparse vectors of length n, by textbook dense elimination."""
+    rows = [[v.get(i, field.zero()) for i in range(n)] for v in vecs]
+    if not rows:
+        return 0, []
+    if field.char == 0:
+        red, rank, _ = naive_rref(rows)
+    else:
+        red, rank, _ = naive_rref_mod(rows, field.char)
+    return rank, [{i: x for i, x in enumerate(r) if x != 0} for r in red[:rank]]
+
+
+def naive_radical_series(field, mult, basis):
+    """Dims of the nonzero powers of the ideal spanned by basis, and its
+    nilpotency index: each power is spanned by all products of a basis of
+    the previous power with every vector of basis.  None if the powers
+    stop shrinking before reaching 0."""
+    n = len(mult)
+    times = lambda v, w: _naive_times(field, mult, v, w)
+    series = []
+    rank, power = _naive_rank(field, basis, n)
+    while rank:
+        if series and rank == series[-1]:
+            return None
+        series.append(rank)
+        rank, power = _naive_rank(field, [times(u, r) for u in power for r in basis], n)
+    return series, len(series) + 1
+
+
+def naive_cartan(field, mult, idempotents):
+    """C[u][v] = dim e_u A e_v, spanned by e_u (b_m e_v) for every basis
+    vector b_m, each product formed anew for every pair (u, v)."""
+    n = len(mult)
+    times = lambda v, w: _naive_times(field, mult, v, w)
+    return tuple(
+        tuple(
+            _naive_rank(field, [times(eu, times({m: field.one()}, ev)) for m in range(n)], n)[0]
+            for ev in idempotents
+        )
+        for eu in idempotents
+    )

@@ -30,9 +30,9 @@ from qshape.errors import (
 )
 from qshape.basechange import tensor_algebra, ungrade
 from qshape.fields import FieldSpec, QQ
-from qshape.tilting import reference_upper_triangular
+from qshape.tilting import reference_upper_triangular, tilting_endomorphism_algebra
 
-from oracles import naive_check_algebra, naive_failing_triples
+from oracles import naive_check_algebra, naive_failing_triples, naive_radical_series
 
 GF = FieldSpec(32003)
 
@@ -175,6 +175,67 @@ class TestRadical:
     def test_nilpotency_of_truncated_equals_n(self):
         for n in (2, 3, 5):
             assert jacobson_radical(loop_algebra(n)).nilpotency == n
+
+    def test_non_nilpotent_ideal_hint_is_rejected(self):
+        # k x k[x]/x^2 with basis e, f, x (unit e + f) over GF(3), so the
+        # hint is not checked against the trace form.  span(e, x) is a
+        # two-sided ideal but not nilpotent (e^2 = e); its square span(e)
+        # leaves V = {x}, whose words die at x^2 = 0 without reaching e
+        f3 = FieldSpec(3)
+        one = f3.one()
+        mult = [[{0: one}, {}, {}], [{}, {1: one}, {2: one}], [{}, {2: one}, {}]]
+        a = GradedAlgebra(f3, [0, 0, 0], mult, {0: one, 1: one},
+                          radical_hint=[{0: one}, {2: one}])
+        assert naive_radical_series(f3, mult, a.radical_hint) is None
+        with pytest.raises(VerificationFailed, match="not nilpotent"):
+            jacobson_radical(a)
+
+
+_RADICAL_INSTANCES = {}
+
+
+def _radical_instance(name, char):
+    """A builtin ("family n") or the Gamma of one ("Gamma family n")."""
+    if (name, char) not in _RADICAL_INSTANCES:
+        family, n = name.removeprefix("Gamma ").split()
+        a = builtin(family, int(n), FieldSpec(char))
+        if name.startswith("Gamma "):
+            a = tilting_endomorphism_algebra(a).algebra
+        _RADICAL_INSTANCES[name, char] = a
+    return _RADICAL_INSTANCES[name, char]
+
+
+def relabelled(a, perm):
+    """The same algebra with basis vector i renamed perm[i]."""
+    n = a.dim
+    move = lambda v: {perm[i]: c for i, c in v.items()}
+    degrees = [None] * n
+    mult = [[None] * n for _ in range(n)]
+    for i in range(n):
+        degrees[perm[i]] = a.degrees[i]
+        for j in range(n):
+            mult[perm[i]][perm[j]] = move(a.mult[i][j])
+    hint = [move(v) for v in a.radical_hint] if a.radical_hint is not None else None
+    idems = [move(e) for e in a.idempotents] if a.idempotents is not None else None
+    return GradedAlgebra(a.field, degrees, mult, move(a.unit), idempotents=idems,
+                         radical_hint=hint)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([f"{g}{fam}" for g in ("", "Gamma ")
+                     for fam in ("truncated_polynomial 6", "preprojective_A 3", "exterior 3")]),
+    st.sampled_from([0, 32003]),
+    st.data(),
+)
+def test_radical_series_matches_all_products(name, char, data):
+    # relabelling the basis changes the radical basis and so the words in V;
+    # the series must still be the one all products of powers give
+    base = _radical_instance(name, char)
+    a = relabelled(base, data.draw(st.permutations(range(base.dim))))
+    rad, base_rad = jacobson_radical(a), jacobson_radical(base)
+    assert naive_radical_series(a.field, a.mult, rad.basis) == (rad.series_dims, rad.nilpotency)
+    assert (rad.series_dims, rad.nilpotency) == (base_rad.series_dims, base_rad.nilpotency)
 
 
 class TestIdempotents:

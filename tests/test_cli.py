@@ -188,6 +188,55 @@ class TestVerify:
         assert code == 2
 
 
+class TestWorkDoneOnce:
+    def test_gamma_fingerprints_each_algebra_once(self, tmp_path, capsys, monkeypatch):
+        import qshape.cli
+        import qshape.tilting
+
+        calls = []
+        original = qshape.tilting.fingerprint
+
+        def counted(a, seed=0):
+            calls.append(a)
+            return original(a, seed)
+
+        monkeypatch.setattr(qshape.cli, "fingerprint", counted)
+        monkeypatch.setattr(qshape.tilting, "fingerprint", counted)
+        code, rep = run(capsys, ["gamma", write_builtin(tmp_path, "truncated_polynomial", 4)])
+        assert code == 0
+        assert rep["comparison"]["verdict"]["status"] == "match"
+        assert len(calls) == 2  # Gamma and the reference, once each
+
+    def gamma_builds(self, monkeypatch):
+        import qshape.tilting
+
+        builds = []
+
+        class Counted(qshape.tilting.GammaData):
+            def __init__(self, a, gldim_bound):
+                builds.append(a)
+                super().__init__(a, gldim_bound)
+
+        monkeypatch.setattr(qshape.tilting, "GammaData", Counted)
+        return builds
+
+    def test_basechange_builds_gamma_once(self, tmp_path, capsys, monkeypatch):
+        builds = self.gamma_builds(monkeypatch)
+        lam = write_builtin(tmp_path, "truncated_polynomial", 3, name="lam.json")
+        coeff = write_builtin(tmp_path, "truncated_polynomial", 2, name="coeff.json")
+        code, rep = run(capsys, ["basechange", lam, "--with", coeff])
+        assert code == 0 and rep["gamma_tensor"]["pass"]
+        assert len(builds) == 1
+
+    def test_verify_builds_gamma_once_per_field(self, capsys, monkeypatch):
+        # truncated_polynomial 3 runs the base-change loop over three
+        # coefficient algebras, each needing Gamma tensor A
+        builds = self.gamma_builds(monkeypatch)
+        code, rep = run(capsys, ["verify", "truncated_polynomial", "3"])
+        assert code == 0 and rep["rationals"]["base_change_pass"]
+        assert len(builds) == 2
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path, capsys):
         f = write_builtin(tmp_path, "truncated_polynomial", 4)

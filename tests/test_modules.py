@@ -395,6 +395,48 @@ class TestInternalRoundtrips:
         GradedMap(cov.module, t, cov.epi.matrix, check=True)
 
 
+def map_by_projecting_the_section(hom, coords):
+    """Reference map_of: project the section row of every basis vector onto
+    each cover summand and read the block as an algebra element, per map."""
+    from qshape.linalg import vec_iadd_scaled
+    from qshape.modules import cover_of
+
+    cov = cover_of(hom.source)
+    f = hom.source.algebra.field
+    projections = direct_sum([s.module for s in cov.summands])[2] if cov.summands else []
+    images = hom.images(coords)
+    rows = []
+    for sec in cov.section_rows:
+        out = {}
+        for t, prj in enumerate(projections):
+            blk = prj.apply(sec)
+            if blk:
+                u = cov.summands[t].algebra_coords(blk)
+                vec_iadd_scaled(f, out, hom.target.act(images[t], u), f.one())
+        rows.append(out)
+    return rows
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("family,n", [("exterior", 3), ("preprojective_A", 3),
+                                      ("truncated_polynomial", 6)])
+def test_map_of_matches_projecting_the_section(family, n, char):
+    from qshape.tilting import tilting_module
+
+    a = builtin(family, n, FieldSpec(char))
+    t = tilting_module(a).module
+    modules = [t, syzygy_of(t), cosyzygy_of(t), regular(a), simple(a, 1),
+               direct_sum([t, regular(a)])[0]]
+    maps = 0
+    for m in modules:
+        for target in (t, m, simple(a, 1)):
+            hom = hom_graded(m, target)
+            for c in hom.basis_coords:
+                assert hom.map_of(c).matrix == map_by_projecting_the_section(hom, c)
+                maps += 1
+    assert maps
+
+
 class TestCoverLifetime:
     def test_cached_cover_does_not_keep_its_module_alive(self):
         # the module caches its cover; were the cover to refer back to the

@@ -2,11 +2,14 @@
 
 import pytest
 
+import qshape.stable
+import qshape.tilting
 from qshape.algebra import QuiverPresentation, builtin, compile_quiver
 from qshape.errors import NotSelfInjective
 from qshape.fields import QQ, FieldSpec
 from qshape.linalg import Echelon, sparse_matmul
 from qshape.modules import (
+    composition_table,
     cover_of,
     direct_sum,
     hom_graded,
@@ -16,6 +19,7 @@ from qshape.modules import (
     truncate_le,
 )
 from qshape.stable import (
+    StableEnd,
     cosyzygy,
     factor_through_projectives,
     stable_end_algebra,
@@ -23,7 +27,7 @@ from qshape.stable import (
     stable_hom,
     syzygy,
 )
-from qshape.tilting import tilting_module
+from qshape.tilting import end_algebra, tilting_module
 
 
 def trunc(n, field=QQ):
@@ -178,6 +182,69 @@ class TestStableEnd:
         s, _, _ = direct_sum([m, simple(a, 1)])
         g = stable_end_algebra(s)
         assert g.dim >= 1
+
+
+def counted_compositions(monkeypatch, module):
+    """Patch module's composition_table to record each pair it composes."""
+    calls = []
+
+    def patched(field, images, matrices, coords_of_images):
+        def counted(composed):
+            calls.append(composed)
+            return coords_of_images(composed)
+        return composition_table(field, images, matrices, counted)
+
+    monkeypatch.setattr(module, "composition_table", patched)
+    return calls
+
+
+def crosses_summands(rows, block):
+    """Whether a matrix has an entry from one summand into another."""
+    return any(block[r] != block[s] for r, row in enumerate(rows) for s in row)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("family,n", [("exterior", 3), ("preprojective_A", 3),
+                                      ("truncated_polynomial", 6)])
+def test_composition_tables_match_all_pairs(monkeypatch, family, n, char):
+    # every pair composed as full matrices is the reference; the tables of
+    # StableEnd and end_algebra, which skip pairs by support, must equal it
+    f = FieldSpec(char)
+    a = builtin(family, n, f)
+    td = tilting_module(a)
+    t, lam = td.module, regular(a)
+    omega = syzygy(t)
+    cases = [
+        (t, [s.dim for s in td.summands]),
+        (direct_sum([t, lam])[0], [s.dim for s in td.summands] + [lam.dim]),
+        (direct_sum([omega, t])[0], [omega.dim] + [s.dim for s in td.summands]),
+    ]
+    stable_calls = counted_compositions(monkeypatch, qshape.stable)
+    end_calls = counted_compositions(monkeypatch, qshape.tilting)
+    skipped = cross_composed = False
+    for m, dims in cases:
+        block = [b for b, d in enumerate(dims) for _ in range(d)]
+        del stable_calls[:], end_calls[:]
+        se = StableEnd(m)
+        reps = se.stable.representative_maps()
+        dim = len(reps)
+        for i in range(dim):
+            for j in range(dim):
+                product = se.stable.class_coords_of_matrix(sparse_matmul(f, reps[i], reps[j]))
+                assert se.algebra.mult[i][j] == product
+                cross_composed |= bool(product) and crosses_summands(reps[i], block)
+        skipped |= len(stable_calls) < dim * dim
+
+        e = end_algebra(m)
+        hom = hom_graded(m, m)
+        basis = [h.matrix for h in hom.basis]
+        for i in range(hom.dim):
+            for j in range(hom.dim):
+                assert e.mult[i][j] == hom.express(sparse_matmul(f, basis[i], basis[j]))
+        assert len(end_calls) < hom.dim * hom.dim
+    # some pair is skipped, and some nonzero product has a first factor
+    # from one summand into another: the skip is by support, not by block
+    assert skipped and cross_composed
 
 
 class TestSecondRoute:

@@ -2,7 +2,13 @@
 
 import pytest
 
-from qshape.algebra import QuiverPresentation, builtin, compile_quiver, jacobson_radical
+from qshape.algebra import (
+    QuiverPresentation,
+    builtin,
+    compile_quiver,
+    jacobson_radical,
+    primitive_idempotents,
+)
 from qshape.errors import HypothesisViolated
 from qshape.fields import FieldSpec, QQ
 from qshape.tilting import (
@@ -18,7 +24,7 @@ from qshape.tilting import (
     tilting_module,
 )
 
-from oracles import auslander_linear_dim
+from oracles import auslander_linear_dim, naive_cartan
 
 GF = FieldSpec(32003)
 
@@ -161,6 +167,16 @@ class TestFingerprintCompare:
     def test_fingerprint_deterministic(self):
         a = reference_auslander_linear(2, QQ)
         assert fingerprint(a).as_dict() == fingerprint(a).as_dict()
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("family,n", [("truncated_polynomial", 6), ("preprojective_A", 3),
+                                      ("exterior", 3)])
+def test_cartan_matrix_matches_pairwise_products(family, n, char):
+    a = builtin(family, n, FieldSpec(char))
+    for alg in (a, tilting_endomorphism_algebra(a).algebra):
+        idems = primitive_idempotents(alg)
+        assert cartan_matrix(alg) == naive_cartan(alg.field, alg.mult, idems)
 
 
 class TestEndAlgebra:
