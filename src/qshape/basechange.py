@@ -4,8 +4,13 @@ The tensor algebra carries the grading of the left factor (the right factor
 must be trivially graded), extension of scalars and restriction move
 modules across, and the hom-dimension identity
 dim hom(M (x) A, N (x) A) = dim hom(M, N) * dim A is checked on explicit
-witnesses.  Membership in the class of base-changed modules with projective
-restriction reduces to a projectivity test over the left factor.
+witnesses.  A tensor algebra memoises the scalar extension of each module
+it has extended, so a witness that appears in many hom checks is extended,
+and its projective cover built, once per tensor.  That is exact: the
+extension is a function of the module and the tensor alone, and no code
+changes a module's degrees or action after construction.  Membership in
+the class of base-changed modules with projective restriction reduces to a
+projectivity test over the left factor.
 """
 
 from .algebra import GradedAlgebra, generating_vectors
@@ -66,6 +71,10 @@ class TensorAlgebra:
         gens += [self.pair_vec(left.unit, g) for g in generating_vectors(right)]
         self.product = GradedAlgebra(f, degrees, mult, unit, idempotents=idems,
                                      labels=labels, generators=gens)
+        # id(m) -> (m, i_star(m, self)); holding m keeps its id from being
+        # reused while the memo lives, and since neither m nor its extension
+        # refers back to the tensor, the memo is freed with the tensor
+        self._extensions = {}
 
     def pair_vec(self, xvec, yvec):
         f = self.left.field
@@ -81,7 +90,18 @@ def tensor_algebra(left, right):
 
 
 def i_star(m, tensor):
-    """Extension of scalars: basis pairs (module basis, coefficient basis)."""
+    """Extension of scalars: basis pairs (module basis, coefficient basis).
+
+    The extension is memoised on the tensor, keyed by the identity of m:
+    asking again for the same module returns the same module object, with
+    whatever it has cached (its projective cover above all).  The result
+    depends only on m and the tensor, and modules are never changed after
+    construction, so the stored extension is the one a fresh call would
+    build.
+    """
+    hit = tensor._extensions.get(id(m))
+    if hit is not None:
+        return hit[1]
     lam, a = tensor.left, tensor.right
     f = lam.field
     nr = a.dim
@@ -104,7 +124,9 @@ def i_star(m, tensor):
                         for ga, c2 in cy.items():
                             cell[midx(s, ga)] = f.mul(c1, c2)
             action.append(mat)
-    return GradedModule(tensor.product, degrees, action, check=False)
+    ext = GradedModule(tensor.product, degrees, action, check=False)
+    tensor._extensions[id(m)] = (m, ext)
+    return ext
 
 
 def i_lower(mp, tensor):

@@ -280,12 +280,13 @@ class QuotientModule:
         return {self.pos[g]: c for g, c in red.items()}
 
 
-def direct_sum(summands):
-    """(module, inclusions, projections) of a finite direct sum."""
+def _sum_module(summands):
+    """(module, offsets) of a finite direct sum: the block-diagonal module
+    and the first coordinate of each summand in it, without the inclusion
+    and projection maps."""
     if not summands:
         raise ValueError("direct_sum needs at least one summand")
     a = summands[0].algebra
-    f = a.field
     for m in summands[1:]:
         if not same_algebra(a, m.algebra):
             raise ValueError("summands live over different algebras")
@@ -302,7 +303,14 @@ def direct_sum(summands):
             for r, row in enumerate(m.action[bidx]):
                 mat[off + r] = {off + s: c for s, c in row.items()}
         action.append(mat)
-    result = GradedModule(a, degrees, action, check=False)
+    return GradedModule(a, degrees, action, check=False), offsets
+
+
+def direct_sum(summands):
+    """(module, inclusions, projections) of a finite direct sum."""
+    result, offsets = _sum_module(summands)
+    f = result.algebra.field
+    total = result.dim
     inclusions = []
     projections = []
     for m, off in zip(summands, offsets):
@@ -478,8 +486,10 @@ class ProjectiveCover:
                     self.generators.append(gen)
                     self.summands.append(CoverSummand(a, e_idx, d))
 
+        # P as a bare sum module: the cover reads its blocks through
+        # _block_of, so the inclusion and projection maps are never built
         if self.summands:
-            self.module = direct_sum([s.module for s in self.summands])[0]
+            self.module = _sum_module([s.module for s in self.summands])[0]
         else:
             self.module = zero_module(a)
         self._block_of = []  # P coordinate -> (summand, coordinate inside it)

@@ -1,5 +1,8 @@
 """Tensor algebras, scalar extension/restriction, hom base change."""
 
+import gc
+import weakref
+
 import pytest
 
 from qshape.algebra import builtin
@@ -13,8 +16,11 @@ from qshape.basechange import (
     ungrade,
 )
 from qshape.errors import NotSelfInjective
-from qshape.fields import QQ
+from qshape.fields import QQ, FieldSpec
 from qshape.modules import (
+    GradedModule,
+    cover_of,
+    hom_graded,
     is_projective,
     module_equal,
     regular,
@@ -183,3 +189,55 @@ class TestConstructedModulesValidate:
         t = tensor_algebra(lam, dual_numbers_ungraded())
         m = i_lower(i_star(regular(lam), t), t)
         GradedModule(lam, m.degrees, m.action, check=True)
+
+
+def basechange_witnesses(lam):
+    """The witnesses `qshape basechange` checks: Λ, its projectives and
+    simples, and the tilting module T."""
+    from qshape.modules import projective
+    from qshape.tilting import tilting_endomorphism_algebra
+
+    out = [regular(lam)]
+    for i in range(1, len(lam.idempotents) + 1):
+        out += [projective(lam, i), simple(lam, i)]
+    out.append(tilting_endomorphism_algebra(lam).tilting.module)
+    return out
+
+
+class TestExtensionMemo:
+    @pytest.mark.parametrize("field", [QQ, FieldSpec(32003)], ids=["QQ", "GF32003"])
+    def test_memoised_extension_equals_a_fresh_one(self, field):
+        lam = builtin("preprojective_A", 2, field)
+        t = tensor_algebra(lam, dual_numbers_ungraded(field))
+        witnesses = basechange_witnesses(lam)
+        assert len(witnesses) == 6
+        for m in witnesses:
+            ext = i_star(m, t)
+            assert i_star(m, t) is ext
+            fresh = i_star(m, tensor_algebra(lam, dual_numbers_ungraded(field)))
+            assert fresh is not ext
+            assert module_equal(ext, fresh)
+        # equal modules that are distinct objects get extensions of their own
+        copy = GradedModule(lam, regular(lam).degrees, regular(lam).action)
+        assert i_star(copy, t) is not i_star(regular(lam), t)
+        assert module_equal(i_star(copy, t), i_star(regular(lam), t))
+
+    def test_tensor_frees_its_extensions_and_their_covers(self):
+        # the witness is cached on Λ and outlives the tensor; it must not
+        # keep the tensor, nor the tensor's extensions, alive
+        lam = builtin("preprojective_A", 2, QQ)
+        witness = regular(lam)
+        gc.collect()
+        gc.disable()
+        try:
+            t = tensor_algebra(lam, dual_numbers_ungraded())
+            ext = i_star(witness, t)
+            other = i_star(simple(lam, 1), t)
+            cov = cover_of(ext)
+            assert hom_graded(ext, other).dim > 0
+            refs = [weakref.ref(x) for x in (t, ext, other, cov)]
+            del t, ext, other, cov
+            assert [r() for r in refs] == [None] * 4
+            assert regular(lam) is witness
+        finally:
+            gc.enable()

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qshape.cli import main
 
 
@@ -227,6 +229,62 @@ class TestWorkDoneOnce:
         code, rep = run(capsys, ["basechange", lam, "--with", coeff])
         assert code == 0 and rep["gamma_tensor"]["pass"]
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    def test_basechange_extends_each_witness_once(self, tmp_path, capsys, monkeypatch,
+                                                  char):
+        # 6 witnesses (regular, 2 projectives, 2 simples, T) give 36 hom
+        # checks; each used to extend both modules and cover the source anew
+        import qshape.basechange
+        import qshape.modules
+
+        lam = write_builtin(tmp_path, "preprojective_A", 2, char, name="lam.json")
+        coeff = write_builtin(tmp_path, "truncated_polynomial", 2, char, name="coeff.json")
+        argv = ["basechange", lam, "--with", coeff]
+
+        # the report as computed with a fresh extension (and so a fresh
+        # cover) per use: each extension goes through a tensor of its own
+        original_i_star = qshape.basechange.i_star
+
+        def fresh_i_star(m, tensor):
+            return original_i_star(m, qshape.basechange.TensorAlgebra(tensor.left, tensor.right))
+
+        monkeypatch.setattr(qshape.basechange, "i_star", fresh_i_star)
+        main(argv)
+        expected = capsys.readouterr().out
+        monkeypatch.undo()
+
+        products = []
+        extensions = []
+        covered = []
+        tensor_init = qshape.basechange.TensorAlgebra.__init__
+        cover_init = qshape.modules.ProjectiveCover.__init__
+        module_class = qshape.basechange.GradedModule
+
+        def spy_tensor(self, left, right):
+            tensor_init(self, left, right)
+            products.append(self.product)
+
+        def spy_module(algebra, degrees, action, check=True):
+            extensions.append(algebra)
+            return module_class(algebra, degrees, action, check=check)
+
+        def spy_cover(self, m):
+            covered.append(m.algebra)
+            cover_init(self, m)
+
+        monkeypatch.setattr(qshape.basechange.TensorAlgebra, "__init__", spy_tensor)
+        monkeypatch.setattr(qshape.basechange, "GradedModule", spy_module)
+        monkeypatch.setattr(qshape.modules.ProjectiveCover, "__init__", spy_cover)
+        code = main(argv)
+        out = capsys.readouterr().out
+        rep = json.loads(out)
+        assert code == 0 and rep["all_hom_checks_pass"]
+        assert len(rep["hom_checks"]) == 36
+        assert out == expected
+        hom_product = products[0]  # the tensor of the hom checks, built first
+        assert sum(1 for alg in extensions if alg is hom_product) == 6
+        assert 0 < sum(1 for alg in covered if alg is hom_product) <= 6
 
     def test_verify_builds_gamma_once_per_field(self, capsys, monkeypatch):
         # truncated_polynomial 3 runs the base-change loop over three

@@ -387,7 +387,7 @@ class TestInternalRoundtrips:
         GradedMap(mono.source, mono.target, mono.matrix, check=True)
 
     def test_cover_epi_is_a_module_map(self):
-        from qshape.modules import GradedMap, cover_of
+        from qshape.modules import GradedMap, cover_of, identity_map
 
         a = builtin("preprojective_A", 3, QQ)
         t, _ = truncate_le(shift(regular(a), 1), 0)
@@ -435,6 +435,32 @@ def test_map_of_matches_projecting_the_section(family, n, char):
                 assert hom.map_of(c).matrix == map_by_projecting_the_section(hom, c)
                 maps += 1
     assert maps
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("family,n", [("exterior", 3), ("preprojective_A", 3)])
+def test_cover_module_is_the_direct_sum_of_its_summands(family, n, char):
+    # the cover builds P without inclusion and projection maps; it must be
+    # the module direct_sum builds, whose maps must still split it
+    from qshape.modules import GradedMap, cover_of, identity_map
+    from qshape.tilting import tilting_module
+
+    a = builtin(family, n, FieldSpec(char))
+    t = tilting_module(a).module
+    for m in (t, syzygy_of(t), regular(a), simple(a, 1)):
+        cov = cover_of(m)
+        summands = [s.module for s in cov.summands]
+        total, incs, prjs = direct_sum(summands)
+        assert module_equal(cov.module, total)
+        for i, (inc, s) in enumerate(zip(incs, summands)):
+            GradedMap(s, total, inc.matrix, check=True)
+            GradedMap(total, s, prjs[i].matrix, check=True)
+            for j, prj in enumerate(prjs):
+                back = inc.then(prj).matrix
+                if i == j:
+                    assert back == identity_map(s).matrix
+                else:
+                    assert not any(back)
 
 
 class TestCoverLifetime:
