@@ -7,14 +7,8 @@ compiled down to this form; everything downstream (modules, stable
 categories, tilting) only sees structure constants.
 """
 
-from random import Random
-
-from sympy import GF as sympy_GF
-from sympy import Poly, Rational, symbols
-
 from .errors import (
     NonHomogeneousRelation,
-    NonSplitSemisimpleQuotient,
     UnknownFamily,
     UnsupportedCharacteristic,
     VerificationFailed,
@@ -23,9 +17,7 @@ from .linalg import (
     Echelon,
     apply_row,
     span_basis,
-    vec_add_scaled,
     vec_iadd_scaled,
-    vec_scale,
 )
 
 EXCEEDS_BOUND = "exceeds bound"
@@ -60,7 +52,6 @@ class GradedAlgebra:
         self.generators = [dict(g) for g in generators] if generators is not None else None
         self.radical_hint = [dict(v) for v in radical_hint] if radical_hint is not None else None
         self._radical = None
-        self._primitive = None
         self._opposite = None
         self._cache = {}
         self._validate()
@@ -228,7 +219,8 @@ def same_algebra(a, b):
 
 
 def zero_algebra(field):
-    return GradedAlgebra(field, [], [], {})
+    """The zero algebra; its complete set of primitive idempotents is empty."""
+    return GradedAlgebra(field, [], [], {}, idempotents=[])
 
 
 # ---------------------------------------------------------------------------
@@ -598,38 +590,8 @@ def jacobson_radical(a):
 
 
 # ---------------------------------------------------------------------------
-# quotients, generators, center
+# generators, center, primitive idempotents
 # ---------------------------------------------------------------------------
-
-class QuotientAlgebra:
-    """A/I for a homogeneous ideal span, with projection and a linear section."""
-
-    def __init__(self, parent, ideal_vectors):
-        f = parent.field
-        self.parent = parent
-        self.ech = Echelon(f)
-        self.ech.extend(ideal_vectors)
-        pivots = set(self.ech.rows)
-        self.kept = [i for i in range(parent.dim) if i not in pivots]
-        self.pos = {g: i for i, g in enumerate(self.kept)}
-        degrees = [parent.degrees[g] for g in self.kept]
-        n = len(self.kept)
-        mult = [[None] * n for _ in range(n)]
-        for i, gi in enumerate(self.kept):
-            for j, gj in enumerate(self.kept):
-                mult[i][j] = self.project(parent.product(parent.basis_vec(gi),
-                                                          parent.basis_vec(gj)))
-        unit = self.project(parent.unit)
-        labels = [parent.label_of(g) for g in self.kept] if parent.labels else None
-        self.algebra = GradedAlgebra(f, degrees, mult, unit, labels=labels)
-
-    def project(self, vec):
-        res = self.ech.reduce(vec)
-        return {self.pos[g]: c for g, c in res.items()}
-
-    def lift(self, qvec):
-        return {self.kept[i]: c for i, c in qvec.items()}
-
 
 def generating_vectors(a):
     """The generating set G that construction verified and checked
@@ -664,382 +626,21 @@ def center_basis(a):
     return basis
 
 
-# ---------------------------------------------------------------------------
-# minimal polynomials and primitive idempotents
-# ---------------------------------------------------------------------------
+def primitive_idempotents(a):
+    """The declared complete set of primitive orthogonal idempotents.
 
-def minimal_polynomial(a, z):
-    """Monic minimal polynomial of z in a, low-to-high coefficient list."""
-    return minimal_polynomial_in_span(a, z, a.unit)
-
-
-def _poly_to_sympy(field, coeffs):
-    x = symbols("x")
-    if field.char == 0:
-        data = [Rational(c.numerator, c.denominator) for c in reversed(coeffs)]
-        return Poly(data, x, domain="QQ"), x
-    data = [int(c) for c in reversed(coeffs)]
-    return Poly(data, x, domain=sympy_GF(field.char)), x
-
-
-def factor_linear_roots(field, coeffs):
-    """Distinct roots with multiplicities, plus a flag for nonlinear factors."""
-    roots = []
-    nonlinear = False
-    for cs, mult in _sympy_factors(field, coeffs):
-        if len(cs) == 2:
-            roots.append((field.div(field.neg(cs[0]), cs[1]), mult))
-        elif len(cs) > 2:
-            nonlinear = True
-    return roots, nonlinear
-
-
-def _poly_eval(a, coeffs, z, unit):
-    """Evaluate a polynomial at z inside a, with the given unit as z^0."""
-    f = a.field
-    out = {}
-    power = dict(unit)
-    for c in coeffs:
-        if not f.is_zero(c):
-            vec_iadd_scaled(f, out, power, c)
-        power = a.product(power, z)
-    return out
-
-
-def _poly_mul(field, p, q):
-    out = [field.zero()] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = field.add(out[i + j], field.mul(a, b))
-    while len(out) > 1 and field.is_zero(out[-1]):
-        out.pop()
-    return out
-
-
-def _poly_divmod(field, p, q):
-    p = list(p)
-    dq = len(q) - 1
-    inv = field.inv(q[-1])
-    quo = [field.zero()] * max(len(p) - dq, 1)
-    while len(p) - 1 >= dq and any(not field.is_zero(c) for c in p):
-        shift = len(p) - 1 - dq
-        c = field.mul(p[-1], inv)
-        quo[shift] = c
-        for i, qc in enumerate(q):
-            p[shift + i] = field.sub(p[shift + i], field.mul(c, qc))
-        while len(p) > 1 and field.is_zero(p[-1]):
-            p.pop()
-    while len(p) > 1 and field.is_zero(p[-1]):
-        p.pop()
-    return quo, p
-
-
-def _poly_xgcd(field, p, q):
-    """(g, s, t) with s p + t q = g, g monic."""
-    r0, r1 = list(p), list(q)
-    s0, s1 = [field.one()], [field.zero()]
-    t0, t1 = [field.zero()], [field.one()]
-    while any(not field.is_zero(c) for c in r1):
-        quo, rem = _poly_divmod(field, r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub(field, s0, _poly_mul(field, quo, s1))
-        t0, t1 = t1, _poly_sub(field, t0, _poly_mul(field, quo, t1))
-    lead = r0[-1]
-    inv = field.inv(lead)
-    scale = lambda poly: [field.mul(c, inv) for c in poly]
-    return scale(r0), scale(s0), scale(t0)
-
-
-def _poly_sub(field, p, q):
-    n = max(len(p), len(q))
-    out = [field.zero()] * n
-    for i, c in enumerate(p):
-        out[i] = c
-    for i, c in enumerate(q):
-        out[i] = field.sub(out[i], c)
-    while len(out) > 1 and field.is_zero(out[-1]):
-        out.pop()
-    return out
-
-
-def _sympy_factors(field, coeffs):
-    poly, _ = _poly_to_sympy(field, coeffs)
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        cs = list(reversed(fac.all_coeffs()))
-        if field.char == 0:
-            from fractions import Fraction
-
-            cs = [field.coerce(Fraction(str(c))) for c in cs]
-        else:
-            cs = [field.from_int(int(c)) for c in cs]
-        out.append((cs, mult))
-    return out
-
-
-def _random_element(field, basis, rng):
-    f = field
-    out = {}
-    for b in basis:
-        c = f.from_int(rng.randrange(0, 7))
-        vec_iadd_scaled(f, out, b, c)
-    return out
-
-
-def central_primitive_idempotents(s_alg, seed=0):
-    """Central primitive idempotents of a semisimple algebra over its field.
-
-    Factors minimal polynomials of deterministic pseudo-random central
-    elements and splits by Lagrange interpolation, recursing on the pieces.
-    A nonlinear irreducible factor proves the center is not split and raises
-    NonSplitSemisimpleQuotient.
+    Every construction that knows its idempotents declares them: quiver
+    vertices, the (i, v) summands of the tilting module in Gamma, the
+    interval modules in the Auslander reference, the pairs e (x) g in a
+    tensor algebra.  They are not searched for; an algebra given by bare
+    structure constants has none, and asking for them raises ValueError.
+    Construction checks that a declared set consists of orthogonal
+    idempotents summing to the unit; `tilting.fingerprint` checks that each
+    is primitive with a split top.
     """
-    f = s_alg.field
-    rng = Random(seed)
-    if s_alg.dim == 0:
-        return []
-    center = center_basis(s_alg)
-
-    def split_commutative(unit, basis):
-        if len(basis) == 1:
-            return [dict(unit)]
-        candidates = list(basis) + [_random_element(f, basis, rng) for _ in range(12)]
-        for z in candidates:
-            z = s_alg.product(s_alg.product(unit, z), unit)
-            mp = minimal_polynomial_in_span(s_alg, z, unit)
-            roots, nonlinear = factor_linear_roots(f, mp)
-            if nonlinear:
-                raise NonSplitSemisimpleQuotient(
-                    "central minimal polynomial has a nonlinear factor"
-                )
-            if any(m > 1 for _, m in roots):
-                raise NonSplitSemisimpleQuotient(
-                    "central minimal polynomial is not squarefree"
-                )
-            if len(roots) <= 1:
-                continue
-            pieces = []
-            for lam, _ in roots:
-                eps = dict(unit)
-                for mu, _ in roots:
-                    if mu == lam:
-                        continue
-                    shifted = vec_iadd_scaled(f, s_alg.product(eps, z), eps, f.neg(mu))
-                    eps = vec_scale(f, shifted, f.inv(f.sub(lam, mu)))
-                new_basis = span_basis(f, [s_alg.product(eps, b) for b in basis])
-                pieces.extend(split_commutative(eps, new_basis))
-            return pieces
-        raise NonSplitSemisimpleQuotient("no splitting central element found")
-
-    return split_commutative(s_alg.unit, center)
-
-
-def semisimple_block_dims(a, seed=0):
-    """Sorted dimensions of the central blocks of A/rad."""
-    if a.dim == 0:
-        return []
-    f = a.field
-    quo = QuotientAlgebra(a, jacobson_radical(a).basis)
-    s_alg = quo.algebra
-    dims = []
-    for eps in central_primitive_idempotents(s_alg, seed):
-        block = span_basis(
-            f,
-            [s_alg.product(eps, s_alg.product(s_alg.basis_vec(i), eps))
-             for i in range(s_alg.dim)],
-        )
-        dims.append(len(block))
-    return sorted(dims)
-
-
-def _split_semisimple(s_alg, seed):
-    """Complete orthogonal primitive idempotents of a split semisimple algebra."""
-    central = central_primitive_idempotents(s_alg, seed)
-    rng = Random(seed + 1)
-    out = []
-    for eps in central:
-        out.extend(_split_block(s_alg, eps, rng))
-    return out
-
-
-def minimal_polynomial_in_span(a, z, unit):
-    """Minimal polynomial of z with the given idempotent as z^0."""
-    f = a.field
-    ech = Echelon(f, tagged=True)
-    powers = [dict(unit)]
-    while True:
-        if not ech.insert(powers[-1]):
-            coeffs = ech.express(powers[-1]) or {}
-            deg = len(powers) - 1
-            out = [f.zero()] * (deg + 1)
-            for i, c in coeffs.items():
-                out[i] = f.neg(c)
-            out[deg] = f.one()
-            return out
-        powers.append(a.product(powers[-1], z))
-
-
-def _split_block(s_alg, unit, rng, depth=0):
-    """Primitive idempotents below a central idempotent of a simple block."""
-    f = s_alg.field
-    corner_vecs = span_basis(
-        f,
-        [
-            s_alg.product(unit, s_alg.product(s_alg.basis_vec(i), unit))
-            for i in range(s_alg.dim)
-        ],
-    )
-    if len(corner_vecs) == 1:
-        return [dict(unit)]
-    if depth > s_alg.dim:
-        raise NonSplitSemisimpleQuotient("block splitting recursion exhausted")
-    candidates = list(corner_vecs) + [_random_element(f, corner_vecs, rng) for _ in range(24)]
-    for z in candidates:
-        mp = minimal_polynomial_in_span(s_alg, z, unit)
-        factors = _sympy_factors(f, mp)
-        factors = [(c, m) for c, m in factors if len(c) > 1]
-        if len(factors) >= 2:
-            fpow = factors[0][0]
-            for _ in range(factors[0][1] - 1):
-                fpow = _poly_mul(f, fpow, factors[0][0])
-            rest = [f.one()]
-            rest_list = []
-            for cs, m in factors[1:]:
-                for _ in range(m):
-                    rest = _poly_mul(f, rest, cs)
-            g, s, t = _poly_xgcd(f, fpow, rest)
-            # t * rest = 1 mod fpow: e = (t*rest)(z) is the idempotent
-            # projecting onto the fpow-kernel part
-            e = _poly_eval(s_alg, _poly_mul(f, t, rest), z, unit)
-            if e and e != unit and s_alg.product(e, e) == e:
-                comp = vec_add_scaled(f, unit, e, f.neg(f.one()))
-                return _split_block(s_alg, e, rng, depth + 1) + _split_block(
-                    s_alg, comp, rng, depth + 1
-                )
-        elif len(factors) == 1 and factors[0][1] >= 2:
-            cs, m = factors[0]
-            fz = _poly_eval(s_alg, cs, z, unit)
-            w = dict(unit)
-            for _ in range(m - 1):
-                w = s_alg.product(w, fz)
-            if not w:
-                continue
-            e = _idempotent_from_left_ideal(s_alg, unit, w)
-            if e is not None and e and e != unit:
-                comp = vec_add_scaled(f, unit, e, f.neg(f.one()))
-                return _split_block(s_alg, e, rng, depth + 1) + _split_block(
-                    s_alg, comp, rng, depth + 1
-                )
-    raise NonSplitSemisimpleQuotient("cannot split a matrix block over this field")
-
-
-def _idempotent_from_left_ideal(s_alg, unit, w):
-    """Idempotent generator of the left ideal (corner)·w, if solvable.
-
-    In a semisimple corner every left ideal is generated by an idempotent e,
-    found by solving x*e = x for all x in the ideal with e in the ideal.
-    """
-    f = s_alg.field
-    ideal = span_basis(
-        f,
-        [s_alg.product(s_alg.product(unit, s_alg.basis_vec(i)), w) for i in range(s_alg.dim)]
-        + [w],
-    )
-    if not ideal:
-        return None
-
-    def key(r, k):
-        return r * s_alg.dim + k
-
-    col_vecs = []
-    for gen in ideal:
-        col = {}
-        for r_idx, x in enumerate(ideal):
-            for k, c in s_alg.product(x, gen).items():
-                col[key(r_idx, k)] = c
-        col_vecs.append(col)
-    target = {}
-    for r_idx, x in enumerate(ideal):
-        for k, c in x.items():
-            target[key(r_idx, k)] = c
-    ech = Echelon(f, tagged=True)
-    for col in col_vecs:
-        ech.insert(col)
-    coeffs = ech.express(target)
-    if coeffs is None:
-        return None
-    e = {}
-    for i, c in coeffs.items():
-        vec_iadd_scaled(f, e, ideal[i], c)
-    if s_alg.product(e, e) != e:
-        return None
-    return e
-
-
-def primitive_idempotents(a, seed=0):
-    """Complete orthogonal primitive idempotent set (declared or computed).
-
-    For algebras without declared idempotents: decompose A/rad, lift through
-    the radical by the Newton iteration e <- 3e^2 - 2e^3, keeping
-    orthogonality by working below the complement of what is already lifted.
-    """
-    if a.idempotents is not None:
-        return a.idempotents
-    if a._primitive is not None:
-        return a._primitive
-    f = a.field
-    if a.dim == 0:
-        a._primitive = []
-        return a._primitive
-    if not a.is_trivially_graded():
-        part = degree_zero_part(a)
-        prim0 = primitive_idempotents(part.algebra, seed=seed)
-        a._primitive = [part.embed(e) for e in prim0]
-        return a._primitive
-    rad = jacobson_radical(a)
-    quo = QuotientAlgebra(a, rad.basis)
-    prim_s = _split_semisimple(quo.algebra, seed)
-    nilp = rad.nilpotency
-
-    lifted = []
-    remaining_unit = dict(a.unit)
-    for ebar in prim_s:
-        x = quo.lift(ebar)
-        x = a.product(a.product(remaining_unit, x), remaining_unit)
-        e = _newton_lift(a, x, nilp)
-        lifted.append(e)
-        vec_iadd_scaled(f, remaining_unit, e, f.neg(f.one()))
-    if remaining_unit:
-        raise NonSplitSemisimpleQuotient("lifted idempotents do not sum to the unit")
-    # primitivity: e (A/rad) e must be one-dimensional
-    for e in lifted:
-        ebar = quo.project(e)
-        corner = span_basis(
-            f,
-            [
-                quo.algebra.product(ebar, quo.algebra.product(quo.algebra.basis_vec(i), ebar))
-                for i in range(quo.algebra.dim)
-            ],
-        )
-        if len(corner) != 1:
-            raise NonSplitSemisimpleQuotient("lifted idempotent is not primitive")
-    a._primitive = lifted
-    return a._primitive
-
-
-def _newton_lift(a, x, nilpotency):
-    f = a.field
-    e = x
-    for _ in range(max(4, nilpotency.bit_length() + 2)):
-        sq = a.product(e, e)
-        if sq == e:
-            return e
-        cube = a.product(sq, e)
-        e = vec_iadd_scaled(f, vec_scale(f, sq, f.from_int(3)), cube, f.from_int(-2))
-    if a.product(e, e) != e:
-        raise NonSplitSemisimpleQuotient("idempotent lifting did not converge")
-    return e
+    if a.idempotents is None:
+        raise ValueError(f"{a!r} declares no primitive idempotents")
+    return a.idempotents
 
 
 # ---------------------------------------------------------------------------

@@ -236,14 +236,14 @@ def cmd_gamma(args, seed):
     report["gamma"] = _algebra_json(g)
     report["gamma"]["block_idempotents"] = [_vec_json(field, e)
                                             for e in gamma.block_idempotents]
-    fp = fingerprint(g, seed)
+    fp = fingerprint(g)
     report["fingerprint"] = fp.as_dict()
     ref_name, ref = _resolve_reference(args.compare, echo, a, field)
     if ref is None:
         report["comparison"] = {"reference": None, "verdict": None}
         _emit(report)
         return EXIT_OK
-    ref_fp = fingerprint(ref, seed)
+    ref_fp = fingerprint(ref)
     verdict = compare(fp, ref_fp)
     report["comparison"] = {
         "reference": ref_name,
@@ -338,7 +338,7 @@ def cmd_basechange(args, seed):
     return EXIT_OK if ok else EXIT_FAILED_CHECK
 
 
-def _verify_one_field(family, parameter, field, seed):
+def _verify_one_field(family, parameter, field):
     """Per-instance acceptance subset for one field; returns (verdicts, code)."""
     a = builtin(family, parameter, field)
     verdicts = {}
@@ -353,7 +353,7 @@ def _verify_one_field(family, parameter, field, seed):
     gamma = tilting_endomorphism_algebra(a)
     echo = {"builtin": {"family": family, "parameter": parameter}}
     ref_name, ref = _auto_reference(echo, a, field)
-    cmp_verdict = compare(gamma.algebra, ref, seed)
+    cmp_verdict = compare(gamma.algebra, ref)
     verdicts["gamma_dim"] = gamma.algebra.dim
     verdicts["comparison"] = {"reference": ref_name, "verdict": cmp_verdict.as_dict()}
 
@@ -409,10 +409,8 @@ def cmd_verify(args, seed):
     ).hexdigest()
     report = _envelope("verify", FieldSpec(0), echo, digest, seed)
     try:
-        rational, code_q = _verify_one_field(args.family, args.parameter,
-                                             FieldSpec(0), seed)
-        modular, code_p = _verify_one_field(args.family, args.parameter,
-                                            FieldSpec(32003), seed)
+        rational, code_q = _verify_one_field(args.family, args.parameter, FieldSpec(0))
+        modular, code_p = _verify_one_field(args.family, args.parameter, FieldSpec(32003))
     except QShapeError as e:
         report["error"] = f"{type(e).__name__}: {e}"
         _emit(report)
@@ -433,7 +431,8 @@ def build_parser():
     p = argparse.ArgumentParser(prog="qshape", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--seed", type=int, default=0,
-                   help="determinism seed (QSHAPE_SEED overrides)")
+                   help="echoed in every report; no computation reads it "
+                        "(QSHAPE_SEED overrides)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def with_file(sp):

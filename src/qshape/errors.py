@@ -22,7 +22,8 @@ class UnsupportedCharacteristic(QShapeError):
 
 
 class NonSplitSemisimpleQuotient(QShapeError):
-    """The semisimple quotient does not visibly split over the base field."""
+    """A declared idempotent e is not primitive with a split top: e (A/rad) e
+    is not one-dimensional."""
 
 
 class NotNonNegativelyGraded(QShapeError):

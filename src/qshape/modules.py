@@ -198,12 +198,6 @@ def regular(a):
     return a._cache["regular"]
 
 
-def idempotent_vectors(a):
-    if a.idempotents is not None:
-        return a.idempotents
-    return primitive_idempotents(a)
-
-
 class Submodule:
     """A span of homogeneous vectors, as a module plus the inclusion map."""
 
@@ -386,7 +380,7 @@ def socle(m):
 
 def projective(a, i):
     """The i-th indecomposable projective e_i . Lambda (i is 1-based)."""
-    idems = idempotent_vectors(a)
+    idems = primitive_idempotents(a)
     if not 1 <= i <= len(idems):
         raise IndexError(f"idempotent index {i} out of range 1..{len(idems)}")
     key = ("projective", i)
@@ -458,7 +452,7 @@ class ProjectiveCover:
     def __init__(self, m):
         a = m.algebra
         f = a.field
-        idems = idempotent_vectors(a)
+        idems = primitive_idempotents(a)
         t, pi = top(m)
 
         self.generators = []   # lifted generators in M coords
@@ -611,7 +605,7 @@ class HomSpace:
         self.source = source
         self.target = target
         cov = cover_of(source)
-        idems = idempotent_vectors(a)
+        idems = primitive_idempotents(a)
 
         # slice bases: for each summand, a basis of (N_d).e_i
         self.slices = []

@@ -160,9 +160,15 @@ class StableEnd:
     zero map, whose class is zero, so the table is the same as composing
     every pair; for the Gamma of truncated_polynomial 16 (dim 120) 680 of
     the 14,400 pairs are composed.
+
+    `idempotent_maps`, when given, are matrices of endomorphisms of m whose
+    nonzero stable classes form a complete set of primitive orthogonal
+    idempotents; those classes are declared on the algebra, and
+    `idempotent_classes` keeps the class of every map, zero or not, in the
+    order given.
     """
 
-    def __init__(self, m):
+    def __init__(self, m, idempotent_maps=None):
         f = m.algebra.field
         self.module = m
         self.stable = stable_hom(m, m)
@@ -172,11 +178,15 @@ class StableEnd:
         images = [hom.images(c) for c in coords]
         dim = len(reps)
         mult = composition_table(f, images, reps, self.stable.class_coords_of_images)
+        idems = None
+        if idempotent_maps is not None:
+            self.idempotent_classes = [self.class_of_matrix(p) for p in idempotent_maps]
+            idems = [e for e in self.idempotent_classes if e]
         if m.is_zero() or dim == 0:
-            self.algebra = GradedAlgebra(f, [], [], {})
+            self.algebra = GradedAlgebra(f, [], [], {}, idempotents=idems)
         else:
             unit = self.stable.class_coords_of_matrix(identity_map(m).matrix)
-            self.algebra = GradedAlgebra(f, [0] * dim, mult, unit)
+            self.algebra = GradedAlgebra(f, [0] * dim, mult, unit, idempotents=idems)
 
     def class_of_matrix(self, rows):
         return self.stable.class_coords_of_matrix(rows)

@@ -21,7 +21,6 @@ from .algebra import (
     global_dimension_bounded,
     jacobson_radical,
     primitive_idempotents,
-    semisimple_block_dims,
     sup_degree,
     zero_algebra,
     EXCEEDS_BOUND,
@@ -29,8 +28,8 @@ from .algebra import (
 from .errors import HypothesisViolated, NonSplitSemisimpleQuotient
 from .linalg import sparse_matmul, span_basis, vec_iadd_scaled
 from .modules import (
-    GradedMap,
     QuotientModule,
+    _sum_module,
     composition_table,
     direct_sum,
     hom_graded,
@@ -74,23 +73,36 @@ def require_hypotheses(a, gldim_bound=DEFAULT_GLDIM_BOUND):
 
 
 class TiltingData:
-    """Summands, their direct sum, and the block projectors inside End."""
+    """Summands T_i = Lambda(i)_{<=0}, their direct sum, and the offset of
+    each summand's coordinates in the sum."""
 
-    def __init__(self, algebra, summands, module, inclusions, projections):
+    def __init__(self, algebra, summands, module, offsets):
         self.algebra = algebra
         self.summands = summands
         self.module = module
-        self.inclusions = inclusions
-        self.projections = projections
+        self.offsets = offsets
         self.ell = len(summands)
 
-    def block_projectors(self):
-        """Endomorphisms of the sum projecting onto each summand."""
-        f = self.algebra.field
+    def vertex_projectors(self):
+        """(i, matrix) per summand i and vertex v: the endomorphism of the
+        sum that is left multiplication by e_v on T_i and zero elsewhere.
+
+        Left multiplication by e_v is a map of right modules that keeps
+        degrees, so it passes to the truncation; it projects T_i onto the
+        summand (e_v Lambda(i))_{<=0}.  T_i is Lambda modulo its basis
+        vectors of degree > i, so its coordinates are the basis vectors of
+        degree <= i, in index order, and e_v b_k stays among them.
+        """
+        a = self.algebra
         out = []
-        for inc, prj in zip(self.inclusions, self.projections):
-            rows = sparse_matmul(f, prj.matrix, inc.matrix)
-            out.append(GradedMap(self.module, self.module, rows, check=False))
+        for i, off in enumerate(self.offsets):
+            basis = [k for k in range(a.dim) if a.degrees[k] <= i]
+            pos = {k: off + r for r, k in enumerate(basis)}
+            for e in primitive_idempotents(a):
+                rows = [{} for _ in range(self.module.dim)]
+                for r, k in enumerate(basis):
+                    rows[off + r] = {pos[j]: c for j, c in a.product(e, a.basis_vec(k)).items()}
+                out.append((i, rows))
         return out
 
 
@@ -107,39 +119,32 @@ def tilting_module(a, gldim_bound=DEFAULT_GLDIM_BOUND):
         t, _ = truncate_le(shift(regular(a), i), 0)
         summands.append(t)
     if not summands:
-        z = zero_module(a)
-        return TiltingData(a, [], z, [], [])
-    module, incs, prjs = direct_sum(summands)
-    return TiltingData(a, summands, module, incs, prjs)
+        return TiltingData(a, [], zero_module(a), [])
+    module, offsets = _sum_module(summands)
+    return TiltingData(a, summands, module, offsets)
 
 
 class GammaData:
-    """Stable endomorphism algebra of the tilting module, with block data."""
+    """Stable endomorphism algebra of the tilting module, with block data.
+
+    Gamma's primitive idempotents are known before Gamma is built: they are
+    the nonzero stable classes of the vertex projectors.  The summand
+    (e_v Lambda(i))_{<=0} is a quotient of an indecomposable projective, so
+    it has a simple top and a local endomorphism ring; its projector's class
+    is zero when the summand is projective and primitive otherwise.
+    `block_idempotents[i]`, the class of the projector onto T_i, is the sum
+    of the classes of its vertex projectors.
+    """
 
     def __init__(self, a, gldim_bound=DEFAULT_GLDIM_BOUND):
         f = a.field
         self.tilting = tilting_module(a, gldim_bound)
-        self.stable_end = StableEnd(self.tilting.module)
+        projectors = self.tilting.vertex_projectors()
+        self.stable_end = StableEnd(self.tilting.module, [p for _, p in projectors])
         self.algebra = self.stable_end.algebra
-        self.block_idempotents = [
-            self.stable_end.class_of_matrix(p.matrix)
-            for p in self.tilting.block_projectors()
-        ]
-        self._validate_blocks()
-
-    def _validate_blocks(self):
-        g = self.algebra
-        f = g.field
-        total = {}
-        for i, e in enumerate(self.block_idempotents):
-            if g.product(e, e) != e:
-                raise ValueError("block class is not idempotent")
-            vec_iadd_scaled(f, total, e, f.one())
-            for j, e2 in enumerate(self.block_idempotents):
-                if i != j and g.product(e, e2):
-                    raise ValueError("block classes are not orthogonal")
-        if total != g.unit:
-            raise ValueError("block classes do not sum to the unit")
+        self.block_idempotents = [{} for _ in range(self.tilting.ell)]
+        for (i, _), e in zip(projectors, self.stable_end.idempotent_classes):
+            vec_iadd_scaled(f, self.block_idempotents[i], e, f.one())
 
 
 def tilting_endomorphism_algebra(a, gldim_bound=DEFAULT_GLDIM_BOUND):
@@ -193,6 +198,12 @@ def end_algebra(m):
 
     Products come from composition_table, which skips the pairs of basis
     maps whose composite is zero by support (see there)."""
+    return _end_algebra(m, None)
+
+
+def _end_algebra(m, idempotent_maps):
+    """end_algebra, declaring the classes of idempotent_maps (matrices of
+    endomorphisms of m) as its primitive idempotents when given."""
     f = m.algebra.field
     if m.is_zero():
         return zero_algebra(f)
@@ -202,17 +213,24 @@ def end_algebra(m):
     mult = composition_table(f, images, [h.matrix for h in hom.basis],
                              lambda composed: hom.basis_coeffs(hom.coords_of_images(composed)))
     unit = hom.express(identity_map(m).matrix)
-    return GradedAlgebra(f, [0] * dim, mult, unit)
+    idems = None
+    if idempotent_maps is not None:
+        idems = [hom.express(p) for p in idempotent_maps]
+    return GradedAlgebra(f, [0] * dim, mult, unit, idempotents=idems)
 
 
 def reference_auslander_linear(m, field):
-    """Endomorphism algebra of the sum of all interval modules over linear A_m."""
+    """Endomorphism algebra of the sum of all interval modules over linear A_m.
+
+    Each interval module is indecomposable with End = k, so the projectors
+    onto the summands are its primitive idempotents."""
     if m < 1:
         raise ValueError("parameter must be >= 1")
     a = reference_upper_triangular(m, field)
     intervals = _interval_modules(a, m)
-    total, _, _ = direct_sum(intervals)
-    return end_algebra(total)
+    total, incs, prjs = direct_sum(intervals)
+    projectors = [sparse_matmul(field, prj.matrix, inc.matrix) for inc, prj in zip(incs, prjs)]
+    return _end_algebra(total, projectors)
 
 
 def reference_subcategory_algebra(a):
@@ -258,20 +276,25 @@ def reference_subcategory_algebra(a):
 # fingerprints
 # ---------------------------------------------------------------------------
 
-def cartan_matrix(a, seed=0):
-    """C[u][v] = dim e_u A e_v over the primitive idempotents.
+def cartan_matrix(a):
+    """C[u][v] = dim e_u A e_v over the primitive idempotents."""
+    return _corner_dims(a, [a.basis_vec(m) for m in range(a.dim)])
 
-    e_u A e_v is spanned by the e_u (b_m e_v).  The products b_m e_v do not
-    depend on e_u, so they are formed once per e_v, and the zero ones are
-    dropped, since e_u 0 = 0 adds nothing to a span.  That makes
-    s*dim + s^2*(nonzero products) multiplications instead of 2*s^2*dim for
-    s idempotents, with the same spans.
+
+def _corner_dims(a, vectors):
+    """D[u][v] = dim span{e_u x e_v : x in vectors} over the primitive
+    idempotents.
+
+    The products x e_v do not depend on e_u, so they are formed once per
+    e_v, and the zero ones are dropped, since e_u 0 = 0 adds nothing to a
+    span.  That makes s*|vectors| + s^2*(nonzero products) multiplications
+    instead of 2*s^2*|vectors| for s idempotents, with the same spans.
     """
     f = a.field
-    idems = primitive_idempotents(a, seed=seed)
-    right = []  # per e_v, the nonzero b_m e_v
+    idems = primitive_idempotents(a)
+    right = []  # per e_v, the nonzero x e_v
     for ev in idems:
-        prods = (a.product(a.basis_vec(m), ev) for m in range(a.dim))
+        prods = (a.product(x, ev) for x in vectors)
         right.append([p for p in prods if p])
     return tuple(
         tuple(len(span_basis(f, [a.product(eu, p) for p in prods])) for prods in right)
@@ -324,18 +347,39 @@ class AlgebraFingerprint:
         return d
 
 
-def fingerprint(a, seed=0):
+def _simples(a, rad):
+    """(num_simples, block_dims, cartan) from the declared idempotents.
+
+    With C[u][v] = dim e_u A e_v and R[u][v] = dim e_u rad e_v, the
+    difference is dim e_u (A/rad) e_v.  e_u is primitive with a split top
+    exactly when that is 1 for v = u; otherwise NonSplitSemisimpleQuotient
+    is raised.  For such idempotents the simple tops of e_u A and e_v A are
+    isomorphic exactly when the difference is nonzero, and a class of s
+    isomorphic simples is one s x s matrix block of A/rad.
+    """
+    cartan = cartan_matrix(a)
+    radical = _corner_dims(a, rad.basis)
+    tops = [[c - r for c, r in zip(crow, rrow)] for crow, rrow in zip(cartan, radical)]
+    if any(row[u] != 1 for u, row in enumerate(tops)):
+        raise NonSplitSemisimpleQuotient("a declared idempotent is not primitive with a split top")
+    sizes = {}
+    for row in tops:
+        first = next(v for v, d in enumerate(row) if d)
+        sizes[first] = sizes.get(first, 0) + 1
+    return len(tops), sorted(s * s for s in sizes.values()), canonical_matrix(cartan)
+
+
+def fingerprint(a):
+    """Invariants of a; num_simples, block_dims and cartan come from the
+    declared primitive idempotents and are None when a declares none or
+    they fail the primitivity test, so they never decide a comparison."""
     rad = jacobson_radical(a)
-    try:
-        blocks = semisimple_block_dims(a, seed)
-        num_simples = len(blocks)
-    except NonSplitSemisimpleQuotient:
-        blocks = None
-        num_simples = None
-    try:
-        cartan = canonical_matrix(cartan_matrix(a, seed)) if a.dim else ()
-    except NonSplitSemisimpleQuotient:
-        cartan = None
+    num_simples = blocks = cartan = None
+    if a.idempotents is not None:
+        try:
+            num_simples, blocks, cartan = _simples(a, rad)
+        except NonSplitSemisimpleQuotient:
+            pass
     return AlgebraFingerprint(
         dim=a.dim,
         radical_series=list(rad.series_dims),
@@ -362,15 +406,15 @@ class CompareVerdict:
         return {"status": self.status, "mismatch_field": self.mismatch_field}
 
 
-def compare(a, b, seed=0):
+def compare(a, b):
     """Invariant-by-invariant comparison; never asserts isomorphism.
 
     mismatch(field) on the first disagreeing invariant; inconclusive when a
     skippable invariant (Cartan data, block data) is unavailable on either
     side and everything else agrees.
     """
-    fa = a if isinstance(a, AlgebraFingerprint) else fingerprint(a, seed)
-    fb = b if isinstance(b, AlgebraFingerprint) else fingerprint(b, seed)
+    fa = a if isinstance(a, AlgebraFingerprint) else fingerprint(a)
+    fb = b if isinstance(b, AlgebraFingerprint) else fingerprint(b)
     skipped = False
     for field in AlgebraFingerprint.FIELDS:
         va, vb = getattr(fa, field), getattr(fb, field)

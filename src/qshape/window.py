@@ -14,13 +14,12 @@ over a basic algebra distinct labels give non-isomorphic objects, and the
 whole hom slice between distinct objects lies in the radical.
 """
 
-from .algebra import jacobson_radical
+from .algebra import jacobson_radical, primitive_idempotents
 from .errors import NotSelfInjective
 from .linalg import Echelon, apply_row, span_basis
 from .modules import (
     Submodule,
     dual_of_regular,
-    idempotent_vectors,
     is_self_injective,
     projective,
     shift,
@@ -36,7 +35,7 @@ class QWindow:
         self.algebra = a
         self.lo = lo
         self.hi = hi
-        self.idempotents = idempotent_vectors(a)
+        self.idempotents = primitive_idempotents(a)
         self.n = len(self.idempotents)
         self.objects = [(i, j) for j in range(lo, hi + 1) for i in range(1, self.n + 1)]
         self.max_degree = max(a.degrees) if a.dim else 0
@@ -117,7 +116,7 @@ def serre_of_object(a, i, j):
     shifted by j.  The left action on the dual is (b . f)(x) = f(x b)."""
     if not is_self_injective(a):
         raise NotSelfInjective("the Serre construction needs a self-injective algebra")
-    idems = idempotent_vectors(a)
+    idems = primitive_idempotents(a)
     e = idems[i - 1]
     lam_star = dual_of_regular(a)
     spans = []

@@ -198,9 +198,9 @@ class TestWorkDoneOnce:
         calls = []
         original = qshape.tilting.fingerprint
 
-        def counted(a, seed=0):
+        def counted(a):
             calls.append(a)
-            return original(a, seed)
+            return original(a)
 
         monkeypatch.setattr(qshape.cli, "fingerprint", counted)
         monkeypatch.setattr(qshape.tilting, "fingerprint", counted)

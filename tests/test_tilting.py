@@ -11,6 +11,8 @@ from qshape.algebra import (
 )
 from qshape.errors import HypothesisViolated
 from qshape.fields import FieldSpec, QQ
+from qshape.linalg import vec_iadd_scaled
+from qshape.modules import is_projective, projective, shift, truncate_le
 from qshape.tilting import (
     canonical_matrix,
     cartan_matrix,
@@ -190,28 +192,71 @@ class TestEndAlgebra:
 
 class TestGammaIdempotents:
     def test_gamma_of_truncated_cubic_has_two_primitives(self):
-        from qshape.algebra import primitive_idempotents
-
         g = tilting_endomorphism_algebra(trunc(3)).algebra
         assert len(primitive_idempotents(g)) == 2
 
 
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("family,n", [("truncated_polynomial", 5), ("preprojective_A", 3),
+                                      ("exterior", 3)])
+def test_gamma_idempotents_are_the_nonprojective_vertex_summands(family, n, char):
+    # one declared idempotent per non-projective (e_v Lambda(i))_{<=0}, and
+    # the classes for each i sum to block_idempotents[i]
+    a = builtin(family, n, FieldSpec(char))
+    f = a.field
+    s = len(a.idempotents)
+    gamma = tilting_endomorphism_algebra(a)
+    projectors = gamma.tilting.vertex_projectors()
+    classes = gamma.stable_end.idempotent_classes
+    assert len(classes) == len(projectors) == gamma.tilting.ell * s
+    assert gamma.algebra.idempotents == [e for e in classes if e]
+    sums = [{} for _ in range(gamma.tilting.ell)]
+    for k, ((i, _), e) in enumerate(zip(projectors, classes)):
+        assert i == k // s
+        summand, _ = truncate_le(shift(projective(a, k % s + 1), i), 0)
+        assert bool(e) == (not is_projective(summand))
+        vec_iadd_scaled(f, sums[i], e, f.one())
+    assert sums == gamma.block_idempotents
+    total = {}
+    for e in gamma.block_idempotents:
+        vec_iadd_scaled(f, total, e, f.one())
+    assert total == gamma.algebra.unit
+
+
 class TestInconclusiveCompare:
     def test_nonsplit_semisimple_gives_inconclusive(self):
-        # QQ[x]/(x^2+1): semisimple but not split over the rationals, so the
-        # block data is unavailable and only the overlapping invariants count
+        # QQ[x]/(x^2+1): semisimple but not split over the rationals; its
+        # unit is primitive but e(A/rad)e is 2-dimensional, so the block data
+        # is unavailable and only the overlapping invariants count
         from qshape.algebra import GradedAlgebra
 
         one = QQ.one()
         mult = [[{0: one}, {1: one}], [{1: one}, {0: QQ.coerce(-1)}]]
-        gauss = GradedAlgebra(QQ, [0, 0], mult, {0: one})
+        gauss = GradedAlgebra(QQ, [0, 0], mult, {0: one}, idempotents=[{0: one}])
         other_mult = [[{0: one}, {1: one}], [{1: one}, {0: QQ.coerce(-2)}]]
-        other = GradedAlgebra(QQ, [0, 0], other_mult, {0: one})
+        other = GradedAlgebra(QQ, [0, 0], other_mult, {0: one}, idempotents=[{0: one}])
         v = compare(gauss, other)
         assert v.status == "inconclusive"
         f = fingerprint(gauss)
         assert f.block_dims is None and f.cartan is None
         assert f.dim == 2 and f.commutative
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    def test_non_primitive_declared_idempotents_give_inconclusive(self, char):
+        # k x k with only its unit declared: e(A/rad)e = A is 2-dimensional,
+        # so the declared set fails the primitivity test
+        from qshape.algebra import GradedAlgebra
+
+        field = FieldSpec(char)
+        one = field.one()
+        mult = [[{0: one}, {}], [{}, {1: one}]]
+        unit = {0: one, 1: one}
+        lumped = GradedAlgebra(field, [0, 0], mult, unit, idempotents=[unit])
+        split = GradedAlgebra(field, [0, 0], mult, unit, idempotents=[{0: one}, {1: one}])
+        f = fingerprint(lumped)
+        assert (f.num_simples, f.block_dims, f.cartan) == (None, None, None)
+        assert fingerprint(split).block_dims == [1, 1]
+        assert compare(lumped, split).status == "inconclusive"
 
 
 class TestDirectPresentationTriangulation:
