@@ -37,7 +37,6 @@ from .modules import (
     HomSpace,
     dual_module,
     dual_of_regular,
-    find_isomorphism,
     hom_enriched,
     hom_graded,
     injective_envelope,

@@ -199,20 +199,19 @@ def sparse_rref(field, rows):
 
 
 def sparse_kernel(field, rows, ncols):
-    """Basis of the right null space of the matrix with the given sparse rows."""
+    """Basis of the right null space of the matrix with the given sparse rows.
+
+    One vector per free column, ascending.  A reduced row holds no pivot
+    column but its own, so one pass over the entries fills every vector.
+    """
     red, pivots = sparse_rref(field, rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: field.one()}
-        for p in pivots:
-            x = red[p].get(free)
-            if x is not None:
-                vec[p] = field.neg(x)
-        basis.append(vec)
-    return basis
+    one, neg = field.one(), field.neg
+    basis = {free: {free: one} for free in range(ncols) if free not in red}
+    for p in pivots:
+        for col, x in red[p].items():
+            if col != p:
+                basis[col][p] = neg(x)
+    return list(basis.values())
 
 
 def sparse_matmul(field, a_rows, b_rows):

@@ -182,10 +182,6 @@ def identity_map(m):
     return GradedMap(m, m, [{r: f.one()} for r in range(m.dim)], check=False)
 
 
-def zero_map(m, n):
-    return GradedMap(m, n, [dict() for _ in range(m.dim)], check=False)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -410,6 +406,19 @@ def simple(a, i):
     return a._cache[key]
 
 
+def _slice_basis(m, e, d):
+    """Basis of (M_d) . e, the degree-d part of M acted on by e."""
+    f = m.algebra.field
+    rows = []
+    for i in m.component_indices(d):
+        row = {}
+        for b, c in e.items():
+            vec_iadd_scaled(f, row, m.action[b][i], c)
+        if row:
+            rows.append(row)
+    return span_basis(f, rows)
+
+
 # ---------------------------------------------------------------------------
 # projective covers and presentations
 # ---------------------------------------------------------------------------
@@ -463,15 +472,7 @@ class ProjectiveCover:
             for i in m_deg_idx:
                 lift_ech.insert(pi.apply({i: f.one()}))
             for e_idx, e in enumerate(idems, start=1):
-                slice_rows = []
-                proj_mat = t.action_of(e)
-                for i in range(t.dim):
-                    if t.degrees[i] != d:
-                        continue
-                    img = apply_row(f, {i: f.one()}, proj_mat)
-                    if img:
-                        slice_rows.append(img)
-                for v in span_basis(f, slice_rows):
+                for v in _slice_basis(t, e, d):
                     coeffs = lift_ech.express(v)
                     if coeffs is None:
                         raise ValueError("top slice does not lift")
@@ -607,27 +608,23 @@ class HomSpace:
         cov = cover_of(source)
         idems = primitive_idempotents(a)
 
-        # slice bases: for each summand, a basis of (N_d).e_i
+        # slice bases: for each summand, a basis of (N_d).e_i, solved once
+        # per distinct (i, d) and shared by the summands that have it
         self.slices = []
         offsets = []
         total = 0
+        by_key = {}
         for s in cov.summands:
-            e = idems[s.idem_index - 1]
-            mat = target.action_of(e)
-            rows = []
-            for i in range(target.dim):
-                if target.degrees[i] != s.gen_degree:
-                    continue
-                img = apply_row(f, {i: f.one()}, mat)
-                if img:
-                    rows.append(img)
-            basis = span_basis(f, rows)
-            ech = Echelon(f, tagged=True)
-            for b in basis:
-                ech.insert(b)
-            self.slices.append((basis, ech))
+            key = (s.idem_index, s.gen_degree)
+            slc = by_key.get(key)
+            if slc is None:
+                basis = _slice_basis(target, idems[s.idem_index - 1], s.gen_degree)
+                ech = Echelon(f, tagged=True)
+                ech.extend(basis)
+                slc = by_key[key] = (basis, ech)
+            self.slices.append(slc)
             offsets.append(total)
-            total += len(basis)
+            total += len(slc[0])
         self.offsets = offsets
         self.coord_dim = total
         self._cov = cov
@@ -864,54 +861,3 @@ def cosyzygy_of(m):
         quo = QuotientModule(env, mono.matrix)
         m._cache["cosyzygy"] = quo.module
     return m._cache["cosyzygy"]
-
-
-# ---------------------------------------------------------------------------
-# isomorphism search
-# ---------------------------------------------------------------------------
-
-def find_isomorphism(m, n, seed=0, tries=200):
-    """A module isomorphism m -> n, or None if the search fails.
-
-    Searches the hom space for an invertible element: basis maps first, then
-    seeded pseudo-random combinations, then an exhaustive {-1,0,1} sweep for
-    hom dimension <= 6.  A returned map is a certified isomorphism; None is
-    only evidence of absence.
-    """
-    from itertools import product as iproduct
-    from random import Random
-
-    if m.dim != n.dim or sorted(m.degrees) != sorted(n.degrees):
-        return None
-    if m.dim == 0:
-        return zero_map(m, n)
-    hom = hom_graded(m, n)
-    if hom.dim == 0:
-        return None
-    f = m.algebra.field
-
-    def try_coeffs(coeffs):
-        rows = [dict() for _ in range(m.dim)]
-        for c, h in zip(coeffs, hom.basis):
-            if f.is_zero(c):
-                continue
-            for r, row in enumerate(h.matrix):
-                vec_iadd_scaled(f, rows[r], row, c)
-        cand = GradedMap(m, n, rows, check=False)
-        return cand if cand.is_isomorphism() else None
-
-    for h in hom.basis:
-        if h.is_isomorphism():
-            return h
-    rng = Random(seed)
-    for _ in range(tries):
-        coeffs = [f.from_int(rng.randrange(-m.dim - 1, m.dim + 2)) for _ in range(hom.dim)]
-        got = try_coeffs(coeffs)
-        if got is not None:
-            return got
-    if hom.dim <= 6:
-        for pat in iproduct((-1, 0, 1), repeat=hom.dim):
-            got = try_coeffs([f.from_int(c) for c in pat])
-            if got is not None:
-                return got
-    return None

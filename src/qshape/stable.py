@@ -5,6 +5,14 @@ Maps factoring through an arbitrary projective are computed as maps
 factoring through the projective cover of the target: any factorization
 M -> P -> N lifts along the cover because P is projective and the cover is
 surjective, so the factoring subspace is one image computation.
+
+Over a self-injective algebra the syzygy functor Omega is an
+autoequivalence of the graded stable category, with the cosyzygy as its
+inverse (Happel, Triangulated categories in the representation theory of
+finite dimensional algebras, 1988, ch. I.2).  Hence stable
+Hom(Omega^-i M, N) = stable Hom(M, Omega^i N), and the Ext table needs
+syzygies only; cosyzygies and injective envelopes stay as public API and
+as the independent reference the tests check the table against.
 """
 
 from .algebra import GradedAlgebra
@@ -127,23 +135,23 @@ def cosyzygy(m):
 def stable_ext_table(m, n, k):
     """dim of stable hom from the i-th (co)syzygy of m to n, for |i| <= k.
 
-    Positive indices use iterated syzygies of the first argument, negative
-    ones iterated cosyzygies (the inverse loop functor on the first
-    argument).
+    The entry at i > 0 is dim stable Hom(Omega^i m, n).  The entry at -i is
+    dim stable Hom(Omega^-i m, n), computed as dim stable Hom(m, Omega^i n):
+    Omega is an autoequivalence of the stable category of a self-injective
+    algebra, so applying it i times to both arguments preserves stable
+    homs.  One loop walks the cached syzygy towers of both arguments, which
+    are the same tower when m is n; no injective envelope is built.
     """
     if k < 1:
         raise ValueError("window size must be >= 1")
     if not is_self_injective(m.algebra):
         raise NotSelfInjective("stable Ext tables need a self-injective algebra")
     table = {0: stable_hom(m, n).dim}
-    x = m
+    x, y = m, n
     for i in range(1, k + 1):
-        x = syzygy_of(x)
+        x, y = syzygy_of(x), syzygy_of(y)
         table[i] = stable_hom(x, n).dim
-    y = m
-    for i in range(1, k + 1):
-        y = cosyzygy_of(y)
-        table[-i] = stable_hom(y, n).dim
+        table[-i] = stable_hom(m, y).dim
     return table
 
 

@@ -16,9 +16,10 @@ whole hom slice between distinct objects lies in the radical.
 
 from .algebra import jacobson_radical, primitive_idempotents
 from .errors import NotSelfInjective
-from .linalg import Echelon, apply_row, span_basis
+from .linalg import Echelon, span_basis
 from .modules import (
     Submodule,
+    _slice_basis,
     dual_of_regular,
     is_self_injective,
     projective,
@@ -130,20 +131,6 @@ def serre_of_object(a, i, j):
             spans.append(row)
     sub = Submodule(lam_star, spans)
     return shift(sub.module, j)
-
-
-def _module_slice(m, e, degree):
-    """Basis of (M . e) in the given degree."""
-    f = m.algebra.field
-    mat = m.action_of(e)
-    rows = []
-    for r in range(m.dim):
-        if m.degrees[r] != degree:
-            continue
-        img = apply_row(f, {r: f.one()}, mat)
-        if img:
-            rows.append(img)
-    return span_basis(f, rows)
 
 
 def _kernel_trivial(field, rows):
@@ -265,7 +252,7 @@ def check_window_properties(w, serre_check=True):
             for qp in w.objects:
                 ip, jp = qp
                 lhs = w.hom_basis(q, qp)
-                rhs = _module_slice(sq, w.idempotents[ip - 1], -jp)
+                rhs = _slice_basis(sq, w.idempotents[ip - 1], -jp)
                 if len(lhs) != len(rhs):
                     serre_ok = False
                     continue

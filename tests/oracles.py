@@ -5,7 +5,9 @@ Gaussian elimination on lists, exhaustive enumerations over small prime
 fields, and a commutant-style homomorphism solver that sets up the full
 "degree-preserving and commutes with every action matrix" linear system.
 None of it calls into qshape's sparse engine, so these functions stay valid
-as oracles for it.
+as oracles for it.  The one exception is `isomorphic_projectives`, which
+reads qshape's projective covers: the cover's summands are what an exact
+comparison of graded projectives needs.
 """
 
 from fractions import Fraction
@@ -159,6 +161,24 @@ def naive_hom_basis(module_m, module_n):
     for v in ker:
         mats.append([[v[var(r, s)] for s in range(dn)] for r in range(dm)])
     return mats
+
+
+def isomorphic_projectives(m, n):
+    """Whether m and n are projective and isomorphic.
+
+    Both must be projective, with the same multiset of cover summands
+    e_i . Lambda(-d), read as (idempotent index, generator degree).  This is
+    exact: a graded projective is the cover of its top, so it is determined
+    up to isomorphism by that multiset.
+    """
+    from qshape.algebra import same_algebra
+    from qshape.modules import cover_of, is_projective
+
+    def summands(x):
+        return sorted((s.idem_index, s.gen_degree) for s in cover_of(x).summands)
+
+    return (same_algebra(m.algebra, n.algebra) and is_projective(m)
+            and is_projective(n) and summands(m) == summands(n))
 
 
 def _gf_kernel_dense(rows, ncols, p):

@@ -14,7 +14,6 @@ from qshape.modules import (
     direct_sum,
     dual_module,
     dual_of_regular,
-    find_isomorphism,
     hom_enriched,
     hom_graded,
     injective_envelope,
@@ -34,7 +33,7 @@ from qshape.modules import (
     zero_module,
 )
 
-from oracles import naive_hom_basis
+from oracles import isomorphic_projectives, naive_hom_basis
 
 GF = FieldSpec(32003)
 
@@ -251,8 +250,8 @@ class TestDuality:
         for n in (2, 3, 4):
             a = trunc(n)
             lam_star = dual_of_regular(a)
-            iso = find_isomorphism(lam_star, shift(regular(a), n - 1))
-            assert iso is not None
+            assert isomorphic_projectives(lam_star, shift(regular(a), n - 1))
+            assert not isomorphic_projectives(lam_star, shift(regular(a), n - 2))
 
     def test_dual_of_regular_projective_for_preprojective(self):
         a = builtin("preprojective_A", 2, QQ)
@@ -340,7 +339,7 @@ class TestEdgeCases:
 
     def test_dual_of_regular_semisimple_is_regular(self):
         a = builtin("preprojective_A", 1, QQ)
-        assert find_isomorphism(dual_of_regular(a), regular(a)) is not None
+        assert isomorphic_projectives(dual_of_regular(a), regular(a))
 
 
 class TestFastPathsValidate:

@@ -1,10 +1,14 @@
 """Stable homs, syzygies, Ext tables and stable endomorphism algebras."""
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import qshape.modules
 import qshape.stable
 import qshape.tilting
-from qshape.algebra import QuiverPresentation, builtin, compile_quiver
+from qshape.algebra import QuiverPresentation, builtin, compile_quiver, primitive_idempotents
 from qshape.errors import NotSelfInjective
 from qshape.fields import QQ, FieldSpec
 from qshape.linalg import Echelon, sparse_matmul
@@ -247,17 +251,74 @@ def test_composition_tables_match_all_pairs(monkeypatch, family, n, char):
     assert skipped and cross_composed
 
 
-class TestSecondRoute:
-    def test_negative_entries_match_syzygies_of_target(self):
-        # the loop-functor adjunction iterated: the entry at -i computed from
-        # cosyzygies of the source equals the dim against syzygies of the target
-        from qshape.modules import syzygy_of
+def cosyzygy_entry(m, n, i):
+    """The Ext table entry at i by the cosyzygy formula: dim stable
+    Hom(m, Omega^-i n) for i >= 0, dim stable Hom(Omega^i m, n) for i < 0."""
+    for _ in range(abs(i)):
+        if i > 0:
+            n = cosyzygy(n)
+        else:
+            m = cosyzygy(m)
+    return stable_hom(m, n).dim
 
+
+class TestSecondRoute:
+    def test_negative_entries_match_cosyzygies_of_source(self):
+        # the table reads the entry at -i off syzygies of the target; the
+        # cosyzygies of the source, through injective envelopes, are the
+        # independent reference
         a = builtin("exterior", 2, QQ)
         m, _ = truncate_le(shift(regular(a), 1), 0)
         n = simple(a, 1)
         table = stable_ext_table(m, n, 3)
-        other = n
         for i in range(1, 4):
-            other = syzygy_of(other)
-            assert table[-i] == stable_hom(m, other).dim
+            assert table[-i] == cosyzygy_entry(m, n, -i)
+
+
+POOL = [("exterior", 2), ("exterior", 3), ("preprojective_A", 3),
+        ("truncated_polynomial", 4)]
+
+
+@functools.lru_cache(maxsize=None)
+def pool_witnesses(family, n, char):
+    """Simples shifted by 0, +-1, +-2, Lambda(1)_{<=0} and T, over one
+    algebra; cached so that their syzygy and cosyzygy towers are shared."""
+    a = builtin(family, n, FieldSpec(char))
+    out = [shift(simple(a, v), j) for v in range(1, len(primitive_idempotents(a)) + 1)
+           for j in (0, 1, -1, 2, -2)]
+    out.append(truncate_le(shift(regular(a), 1), 0)[0])
+    out.append(tilting_module(a).module)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(POOL), st.sampled_from([0, 32003]), st.data())
+def test_ext_table_matches_cosyzygy_formula(algebra, char, data):
+    witnesses = pool_witnesses(*algebra, char)
+    m = data.draw(st.sampled_from(witnesses))
+    n = data.draw(st.sampled_from(witnesses))
+    table = stable_ext_table(m, n, 3)
+    for i in range(-3, 4):
+        assert table[i] == cosyzygy_entry(m, n, i)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_pool_reaches_nonzero_negative_entries(char):
+    # the property test above must see nonzero entries at negative i, not
+    # only zeros: S(-2) against S(2) over exterior 3 is 3 at -2, and S1
+    # against S3 over preprojective_A 3 is 1 at -1
+    ext = pool_witnesses("exterior", 3, char)
+    assert stable_ext_table(ext[4], ext[3], 3)[-2] == 3
+    pre = pool_witnesses("preprojective_A", 3, char)
+    assert stable_ext_table(pre[0], pre[10], 3)[-1] == 1
+
+
+def test_ext_table_builds_no_envelope(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Ext table reached the envelope path")
+
+    monkeypatch.setattr(qshape.modules, "dual_module", refuse)
+    monkeypatch.setattr(qshape.modules, "injective_envelope", refuse)
+    a = builtin("exterior", 3, QQ)
+    t = tilting_module(a).module
+    assert stable_ext_table(t, t, 3) == {i: 0 if i else 12 for i in range(-3, 4)}
