@@ -648,7 +648,7 @@ def primitive_idempotents(a):
 # ---------------------------------------------------------------------------
 
 class DegreeZeroPart:
-    """The degree-0 subalgebra, with index maps into the parent."""
+    """The degree-0 subalgebra; `kept` lists its basis indices in the parent."""
 
     def __init__(self, parent):
         f = parent.field
@@ -673,13 +673,6 @@ class DegreeZeroPart:
         labels = [parent.label_of(g) for g in self.kept] if parent.labels else None
         self.algebra = GradedAlgebra(f, [0] * n, mult, unit, idempotents=idem,
                                      labels=labels, radical_hint=hint)
-
-    def embed(self, vec):
-        return {self.kept[i]: c for i, c in vec.items()}
-
-    def restrict(self, vec):
-        pos = {g: i for i, g in enumerate(self.kept)}
-        return {pos[k]: c for k, c in vec.items()}
 
 
 def degree_zero_part(a):

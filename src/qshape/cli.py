@@ -367,12 +367,10 @@ def _verify_one_field(family, parameter, field):
     verdicts["window_all_pass"] = wrep["all_pass"]
 
     if (family, parameter) in (("truncated_polynomial", 3), ("preprojective_A", 2)):
-        from .tilting import reference_upper_triangular as rut
-
         coeffs = {
             "base_field": builtin("preprojective_A", 1, field),
             "dual_numbers": ungrade(builtin("truncated_polynomial", 2, field)),
-            "upper_triangular_2": rut(2, field),
+            "upper_triangular_2": reference_upper_triangular(2, field),
         }
         witnesses = [regular(a)]
         for i in range(1, len(a.idempotents) + 1):

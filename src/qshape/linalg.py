@@ -66,7 +66,8 @@ class Echelon:
     from every other row), so the row set is the canonical reduced echelon
     basis of the span.  Optional tags follow each row through the same row
     operations, which lets callers express reduced vectors as combinations
-    of the inserted ones.
+    of the inserted ones; the tags of the inserts that reduced to zero are
+    kept in `relations`, a basis of the linear relations among them.
 
     holders maps each non-pivot column to the set of pivots whose rows have
     an entry there (no empty sets, no pivot columns), so an insert
@@ -78,6 +79,7 @@ class Echelon:
         self.rows = {}  # pivot -> vec
         self.holders = {}  # non-pivot column -> {pivots of rows holding it}
         self.tags = {} if tagged else None
+        self.relations = [] if tagged else None
         self.tagged = tagged
         self.count = 0  # number of vectors inserted so far (for tag indexing)
 
@@ -116,6 +118,8 @@ class Echelon:
         self.count += 1
         vec, tag = self._reduce(vec, tag)
         if not vec:
+            if self.tagged:
+                self.relations.append(tag)
             return False
         lead = min(vec)
         c = f.inv(vec[lead])

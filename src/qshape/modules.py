@@ -6,6 +6,18 @@ constructions (submodules, quotients, sums, shifts, truncations, covers,
 envelopes) produce explicit bases with homogeneous coordinates, so equality
 of submodules and membership tests are canonical.
 
+A cover P -> M eliminates its epi rows once, in a tagged echelon: the rank
+certifies surjectivity, the tags give a section, and the tags of the rows
+that reduce to zero are a basis of the kernel.  P is minimal iff the map
+P/P.rad -> M/M.rad is an isomorphism (Auslander-Reiten-Smalo, ch. I.4),
+which is a dimension count once the epi is onto:
+  1. the epi maps P.rad onto M.rad, so the map of tops is onto;
+  2. its kernel is (P.rad + ker)/P.rad, zero iff ker lies in P.rad;
+  3. so P is minimal iff the sum of dim top(e_i.Lambda) over its summands
+     is dim M/M.rad.
+A submodule reads the coordinates of a span vector at the pivots of the
+span's reduced echelon basis.
+
 Hom spaces are solved through projective presentations: a degree-0 map out
 of M is a choice of images for the generators of M (one slice of N per
 cover summand) that kills the kernel of the cover.  Maps stay in these
@@ -195,46 +207,36 @@ def regular(a):
 
 
 class Submodule:
-    """A span of homogeneous vectors, as a module plus the inclusion map."""
+    """A span of homogeneous vectors, as a module plus the inclusion map.
+
+    Its basis is the span's reduced echelon basis, by degree, then pivot;
+    rows of different degrees have disjoint supports, so a span vector has
+    its coordinate on a row at that row's pivot.
+    """
 
     def __init__(self, parent, vectors):
         f = parent.algebra.field
         self.parent = parent
-        by_deg = {}
+        ech = Echelon(f)
         for v in vectors:
-            if not v:
-                continue
-            degs = {parent.degrees[i] for i in v}
-            if len(degs) != 1:
+            if v and len({parent.degrees[i] for i in v}) != 1:
                 raise ValueError("submodule spanning vectors must be homogeneous")
-            by_deg.setdefault(degs.pop(), []).append(v)
-        coords = Echelon(f, tagged=True)
-        basis = []
-        for d in sorted(by_deg):
-            ech = Echelon(f)
-            for v in by_deg[d]:
-                ech.insert(v)
-            basis.extend(ech.basis())
-        for b in basis:
-            coords.insert(b)
-        self.basis_vectors = basis
-        self.coords = coords
-        degrees = [parent.degrees[min(b)] for b in basis]
+            ech.insert(v)
+        pivots = sorted(ech.rows, key=lambda p: (parent.degrees[p], p))
+        basis = [ech.rows[p] for p in pivots]
+        pos = {p: j for j, p in enumerate(pivots)}
         action = []
         for bidx in range(parent.algebra.dim):
             mat = []
             for b in basis:
                 img = apply_row(f, b, parent.action[bidx])
-                expr = coords.express(img)
-                if expr is None:
+                if ech.reduce(img):
                     raise ValueError("span is not closed under the action")
-                mat.append(expr)
+                mat.append({pos[p]: c for p, c in img.items() if p in pos})
             action.append(mat)
+        degrees = [parent.degrees[p] for p in pivots]
         self.module = GradedModule(parent.algebra, degrees, action, check=False)
         self.inclusion = GradedMap(self.module, parent, [dict(b) for b in basis], check=False)
-
-    def coords_of(self, vec):
-        return self.coords.express(vec)
 
 
 class QuotientModule:
@@ -340,15 +342,7 @@ def truncate_le(m, n):
 
 def radical_submodule_span(m):
     """Spanning vectors of M . rad(algebra)."""
-    f = m.algebra.field
-    rad = jacobson_radical(m.algebra)
-    out = []
-    for r in rad.basis:
-        mat = m.action_of(r)
-        for row in mat:
-            if row:
-                out.append(row)
-    return out
+    return [row for r in jacobson_radical(m.algebra).basis for row in m.action_of(r) if row]
 
 
 def top(m):
@@ -423,6 +417,16 @@ def _slice_basis(m, e, d):
 # projective covers and presentations
 # ---------------------------------------------------------------------------
 
+def _projective_top_dims(a):
+    """dim top(e_i.Lambda) = dim e_i.Lambda - rank{e_i.r : r in rad}, per e_i."""
+    if "top_dims" not in a._cache:
+        rad = jacobson_radical(a).basis
+        a._cache["top_dims"] = [
+            projective(a, i).dim - len(span_basis(a.field, [a.product(e, r) for r in rad]))
+            for i, e in enumerate(primitive_idempotents(a), start=1)]
+    return a._cache["top_dims"]
+
+
 class CoverSummand:
     """One summand e_i . Lambda(-d) of a cover, with its generator in degree d."""
 
@@ -445,9 +449,10 @@ class CoverSummand:
 class ProjectiveCover:
     """Minimal projective cover of a module, with kernel and a section.
 
-    Multiplicities come from the idempotent slices of the top; minimality
-    (kernel inside P.rad) is asserted, which also guards against non-basic
-    degenerate inputs.
+    Multiplicities come from the idempotent slices of the top.  The epi
+    rows are eliminated once: `kernel_basis` is their relations and
+    `section_rows` their tags; minimality is the dimension count of the
+    module docstring, which also guards against non-basic degenerate inputs.
 
     `section_terms` caches, per basis vector of M, its section preimage cut
     into its nonzero cover-summand blocks, each read as an algebra element.
@@ -488,8 +493,8 @@ class ProjectiveCover:
         else:
             self.module = zero_module(a)
         self._block_of = []  # P coordinate -> (summand, coordinate inside it)
-        for t, s in enumerate(self.summands):
-            self._block_of.extend((t, r) for r in range(s.module.dim))
+        for k, s in enumerate(self.summands):
+            self._block_of.extend((k, r) for r in range(s.module.dim))
         self._section_terms = None
 
         # epi rows: a summand basis element u (an algebra element in e_i.Lambda)
@@ -511,23 +516,16 @@ class ProjectiveCover:
         if rank_ech.dim != m.dim:
             raise ValueError("cover candidate is not surjective")
 
-        # kernel of the epi, as homogeneous vectors in P coordinates
-        sys_rows = {}
-        for ridx, row in enumerate(rows):
-            for s, c in row.items():
-                sys_rows.setdefault(s, {})[ridx] = c
-        self.kernel_basis = sparse_kernel(f, list(sys_rows.values()), self.module.dim)
+        # row r is the image of P coordinate r: its relations are the kernel
+        self.kernel_basis = rank_ech.relations
 
         # section: for each basis vector of M a preimage under the epi
         self.section_rows = [rank_ech.express({i: f.one()}) or {} for i in range(m.dim)]
 
-        # minimality: kernel inside P . rad
-        prad = Echelon(f)
-        for v in radical_submodule_span(self.module):
-            prad.insert(v)
-        for k in self.kernel_basis:
-            if not prad.contains(k):
-                raise ValueError("cover is not minimal (kernel escapes P.rad)")
+        # minimality: P/P.rad -> M/M.rad is onto, so injective iff dims agree
+        tops = _projective_top_dims(a)
+        if sum(tops[s.idem_index - 1] for s in self.summands) != t.dim:
+            raise ValueError("cover is not minimal (kernel escapes P.rad)")
 
     def split(self, vec):
         """The nonzero summand blocks of a vector of P, as (summand index,

@@ -5,9 +5,11 @@ Gaussian elimination on lists, exhaustive enumerations over small prime
 fields, and a commutant-style homomorphism solver that sets up the full
 "degree-preserving and commutes with every action matrix" linear system.
 None of it calls into qshape's sparse engine, so these functions stay valid
-as oracles for it.  The one exception is `isomorphic_projectives`, which
-reads qshape's projective covers: the cover's summands are what an exact
-comparison of graded projectives needs.
+as oracles for it.  Two exceptions read qshape: `isomorphic_projectives`
+reads its projective covers, whose summands are what an exact comparison
+of graded projectives needs, and `submodule_by_express` keeps the earlier
+construction of a submodule, by a tagged echelon of its basis, as the
+reference for reading coordinates at pivots.
 """
 
 from fractions import Fraction
@@ -161,6 +163,42 @@ def naive_hom_basis(module_m, module_n):
     for v in ker:
         mats.append([[v[var(r, s)] for s in range(dn)] for r in range(dm)])
     return mats
+
+
+def epi_kernel(field, epi_rows, ncols):
+    """Kernel of an epi P -> M given by its rows (one per basis vector of P),
+    as sparse vectors: the transposed system, one equation per coordinate of
+    M in one unknown per basis vector of P, solved by dense elimination."""
+    cols = sorted({s for row in epi_rows for s in row})
+    dense = [[row.get(s, 0) for row in epi_rows] for s in cols]
+    if field.char == 0:
+        ker = naive_kernel(dense, ncols)
+    else:
+        ker = _gf_kernel_dense(dense, ncols, field.char)
+    return [{i: field.coerce(x) for i, x in enumerate(v) if x != 0} for v in ker]
+
+
+def submodule_by_express(parent, vectors):
+    """(degrees, action, inclusion rows) of the submodule spanned by
+    homogeneous vectors: a reduced basis per degree, in degree order, and
+    each image of a basis vector solved over that basis by a tagged echelon."""
+    from qshape.linalg import Echelon, apply_row
+
+    f = parent.algebra.field
+    by_deg = {}
+    for v in vectors:
+        if v:
+            by_deg.setdefault(parent.degrees[min(v)], []).append(v)
+    basis = []
+    for d in sorted(by_deg):
+        ech = Echelon(f)
+        ech.extend(by_deg[d])
+        basis.extend(ech.basis())
+    coords = Echelon(f, tagged=True)
+    coords.extend(basis)
+    action = [[coords.express(apply_row(f, b, parent.action[bidx])) for b in basis]
+              for bidx in range(parent.algebra.dim)]
+    return [parent.degrees[min(b)] for b in basis], action, basis
 
 
 def isomorphic_projectives(m, n):

@@ -1,6 +1,10 @@
 """CLI end-to-end: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -309,6 +313,42 @@ class TestDeterminism:
         f = write_builtin(tmp_path, "truncated_polynomial", 2)
         code, rep = run(capsys, ["check", f])
         assert rep["seed"] == 7
+
+    def test_reports_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # string hashes change with PYTHONHASHSEED, so a report that follows
+        # the order of a set or dict of names would change with it; the
+        # preprojective algebra of A_3 with named vertices and arrows
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({
+            "field": {"char": 0},
+            "quiver": {
+                "vertices": ["west", "centre", "east"],
+                "arrows": [
+                    {"name": "w2c", "from": "west", "to": "centre", "degree": 0},
+                    {"name": "c2w", "from": "centre", "to": "west", "degree": 1},
+                    {"name": "c2e", "from": "centre", "to": "east", "degree": 0},
+                    {"name": "e2c", "from": "east", "to": "centre", "degree": 1},
+                ],
+                "relations": [
+                    [{"coeff": 1, "path": ["c2w", "w2c"]}],
+                    [{"coeff": 1, "path": ["c2e", "e2c"]}],
+                    [{"coeff": 1, "path": ["e2c", "c2e"]},
+                     {"coeff": -1, "path": ["w2c", "c2w"]}],
+                ],
+                "nilpotency_bound": 6,
+            },
+        }))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for argv in (["gamma"], ["ext", "--range", "2"], ["window", "--lo", "-2", "--hi", "2"]):
+            runs = []
+            for hash_seed in ("0", "1"):
+                env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
+                runs.append(subprocess.run(
+                    [sys.executable, "-m", "qshape.cli", argv[0], str(path), *argv[1:]],
+                    env=env, capture_output=True, check=False))
+            assert runs[0].stdout and json.loads(runs[0].stdout)["command"] == argv[0]
+            assert (runs[0].returncode, runs[0].stdout) == (runs[1].returncode, runs[1].stdout)
 
 
 class TestWindowEdge:

@@ -229,6 +229,31 @@ def test_tagged_echelon_tracks_combinations(vectors, char):
         assert rebuilt == target
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.lists(small_entries, min_size=3, max_size=3), min_size=1, max_size=7),
+    st.sampled_from([0, 5]),
+)
+def test_tagged_echelon_relations_are_a_basis_of_the_relations(vectors, char):
+    # one relation per insert that reduced to zero: each one sums the
+    # inserted vectors to zero, and they are independent, so with
+    # rank + #relations = #inserts they span every linear relation
+    from qshape.linalg import Echelon, vec_add_scaled
+
+    field = FieldSpec(char)
+    ech = Echelon(field, tagged=True)
+    originals = [vec_from_list(field, v) for v in vectors]
+    for v in originals:
+        ech.insert(v)
+    assert ech.dim + len(ech.relations) == len(originals)
+    for rel in ech.relations:
+        total = {}
+        for j, c in rel.items():
+            total = vec_add_scaled(field, total, originals[j], c)
+        assert total == {}
+    assert len(span_basis(field, ech.relations)) == len(ech.relations)
+
+
 sparse_entries = st.one_of(st.just(0), small_entries)
 
 

@@ -5,7 +5,13 @@ import weakref
 
 import pytest
 
-from qshape.algebra import QuiverPresentation, builtin, compile_quiver
+from qshape.algebra import (
+    GradedAlgebra,
+    QuiverPresentation,
+    builtin,
+    compile_quiver,
+    primitive_idempotents,
+)
 from qshape.errors import NotSelfInjective
 from qshape.fields import FieldSpec, QQ
 from qshape.linalg import Echelon
@@ -26,6 +32,7 @@ from qshape.modules import (
     shift,
     simple,
     socle,
+    Submodule,
     syzygy_of,
     top,
     truncate_ge,
@@ -33,7 +40,7 @@ from qshape.modules import (
     zero_module,
 )
 
-from oracles import isomorphic_projectives, naive_hom_basis
+from oracles import epi_kernel, isomorphic_projectives, naive_hom_basis, submodule_by_express
 
 GF = FieldSpec(32003)
 
@@ -484,3 +491,152 @@ class TestCoverLifetime:
                 cov.epi
         finally:
             gc.enable()
+
+
+COVER_CASES = [(family, n, char)
+               for family, n in (("exterior", 3), ("preprojective_A", 3),
+                                 ("truncated_polynomial", 5))
+               for char in (0, 32003)]
+
+
+def cover_witnesses(a):
+    """T, its first two syzygies, shifted simples, Lambda(1)_{<=0} and the
+    extension of T to Lambda (x) k[x]/x^2."""
+    from qshape.basechange import i_star, tensor_algebra, ungrade
+    from qshape.tilting import tilting_module
+
+    t = tilting_module(a).module
+    dual_numbers = ungrade(builtin("truncated_polynomial", 2, a.field))
+    simples = [shift(simple(a, i), j)
+               for i in range(1, len(primitive_idempotents(a)) + 1) for j in (-1, 2)]
+    return ([t, syzygy_of(t), syzygy_of(syzygy_of(t))] + simples
+            + [truncate_le(shift(regular(a), 1), 0)[0],
+               i_star(t, tensor_algebra(a, dual_numbers))])
+
+
+@pytest.mark.parametrize("family,n,char", COVER_CASES)
+def test_cover_kernel_matches_the_transposed_system(family, n, char):
+    from qshape.modules import cover_of
+
+    a = builtin(family, n, FieldSpec(char))
+    f = a.field
+    for m in cover_witnesses(a):
+        cov = cover_of(m)
+        ref = epi_kernel(f, cov.epi_rows, cov.module.dim)
+        assert len(cov.kernel_basis) == len(ref) == cov.module.dim - m.dim
+        own, span = Echelon(f), Echelon(f)
+        own.extend(cov.kernel_basis)
+        span.extend(ref)
+        assert own.dim == len(ref)
+        assert all(span.contains(k) for k in cov.kernel_basis)
+        assert module_equal(syzygy_of(m), Submodule(cov.module, ref).module)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_fresh_cover_eliminates_once(monkeypatch, char):
+    # the kernel comes from the epi's own echelon and minimality from a
+    # dimension count: no second kernel solve, and the only radical span is
+    # the one the top of M needs
+    import qshape.modules as modules
+
+    def no_kernel_solve(*args):
+        raise AssertionError("a cover solved a second system for its kernel")
+
+    real_span = modules.radical_submodule_span
+    spanned = []
+
+    def recorded_span(m):
+        spanned.append(m)
+        return real_span(m)
+
+    for family, n in (("exterior", 3), ("preprojective_A", 3), ("truncated_polynomial", 5)):
+        a = builtin(family, n, FieldSpec(char))
+        module = truncate_le(shift(regular(a), 1), 0)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(modules, "sparse_kernel", no_kernel_solve)
+            patch.setattr(modules, "radical_submodule_span", recorded_span)
+            for _ in range(2):  # the module, then its syzygy
+                spanned.clear()
+                modules.cover_of(module)
+                assert spanned and all(x is module for x in spanned)
+                module = syzygy_of(module)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_submodule_builds_no_tagged_echelon(monkeypatch, char):
+    import qshape.modules as modules
+    from qshape.modules import cover_of
+    from qshape.tilting import tilting_module
+
+    class Untagged(Echelon):
+        def __init__(self, field, tagged=False):
+            assert not tagged, "Submodule built a tagged echelon"
+            super().__init__(field)
+
+    a = builtin("exterior", 3, FieldSpec(char))
+    t = tilting_module(a).module
+    cov = cover_of(t)
+    reg = regular(a)
+    monkeypatch.setattr(modules, "Echelon", Untagged)
+    assert Submodule(cov.module, cov.kernel_basis).module.dim == cov.module.dim - t.dim
+    assert truncate_ge(t, 1)[0].dim == sum(1 for d in t.degrees if d >= 1)
+    e = primitive_idempotents(a)[0]
+    spanning = [reg.act(e, a.basis_vec(j)) for j in range(a.dim)]
+    assert module_equal(Submodule(reg, spanning).module, projective(a, 1))
+
+
+@pytest.mark.parametrize("family,n,char", COVER_CASES)
+def test_submodule_coordinates_match_the_tagged_echelon(family, n, char):
+    from qshape.modules import cover_of
+    from qshape.tilting import tilting_module
+
+    a = builtin(family, n, FieldSpec(char))
+    one = a.field.one()
+    t = tilting_module(a).module
+    reg = regular(a)
+    cases = []
+    for m in (t, syzygy_of(t)):
+        cov = cover_of(m)
+        cases.append((cov.module, cov.kernel_basis))
+    for e in primitive_idempotents(a):
+        cases.append((reg, [reg.act(e, a.basis_vec(j)) for j in range(a.dim)]))
+    for d in t.degree_support():
+        cases.append((t, [{i: one} for i in range(t.dim) if t.degrees[i] >= d]))
+    for parent, vectors in cases:
+        sub = Submodule(parent, vectors)
+        degrees, action, basis = submodule_by_express(parent, vectors)
+        assert sub.module.degrees == degrees
+        assert sub.module.action == action
+        assert sub.inclusion.matrix == basis
+
+
+def matrix_units(field):
+    """M_2(k) on the matrix units e11, e12, e21, e22, in degree 0, with e11
+    and e22 declared as its primitive idempotents: a non-basic algebra."""
+    one = field.one()
+    mult = [[{} for _ in range(4)] for _ in range(4)]
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                mult[2 * i + j][2 * j + k] = {2 * i + k: one}
+    return GradedAlgebra(field, [0] * 4, mult, {0: one, 3: one},
+                         idempotents=[{0: one}, {3: one}])
+
+
+class TestCoverAndSubmoduleChecks:
+    @pytest.mark.parametrize("char", [0, 32003])
+    def test_non_basic_covers_are_not_minimal(self, char):
+        # e11.M_2(k) is simple of dim 2, so each declared summand brings a
+        # top of dim 2 where M/M.rad needs 1 per slice
+        from qshape.modules import cover_of
+
+        a = matrix_units(FieldSpec(char))
+        for m in (regular(a), projective(a, 1)):
+            with pytest.raises(ValueError, match="cover is not minimal"):
+                cover_of(m)
+
+    def test_span_not_closed_under_the_action(self):
+        a = trunc(3)
+        x = next(i for i, d in enumerate(a.degrees) if d == 1)
+        with pytest.raises(ValueError, match="span is not closed under the action"):
+            Submodule(regular(a), [{x: a.field.one()}])
