@@ -17,6 +17,7 @@ from .linalg import (
     Echelon,
     apply_row,
     span_basis,
+    sparse_kernel,
     vec_iadd_scaled,
 )
 
@@ -285,20 +286,29 @@ def compile_quiver(pres, field):
     """Compile a quiver presentation to a structure-constant algebra.
 
     Paths of length < L (L = nilpotency_bound) modulo the relation ideal form
-    the basis; the ideal is spanned by all left/right path multiples of the
-    relations up to length L, reduced by exact elimination.  Afterwards every
-    path of length exactly L must reduce to zero, otherwise the bound is too
-    small and VerificationFailed is raised.  For relations whose terms all
-    have the same path length this verification is exact; mixed-length
+    the basis.  The ideal is the span of the relations closed under
+    multiplication by one arrow on either side, with words longer than L
+    dropped: a queue starts with the relations, and each vector that
+    enlarges the span in an Echelon queues its arrow multiples.  The span
+    of the queued vectors is closed, since the multiples of a vector inside
+    it are combinations of queued multiples.  Truncation commutes with
+    multiplication, because lengths only grow, so this is exactly the span
+    of the truncated path multiples p*r*q of the relations r; the Echelon
+    keeps its canonical reduced basis, so the basis paths and structure
+    constants do not depend on the queue order.  Afterwards every path of
+    length exactly L must reduce to zero, otherwise the bound is too small
+    and VerificationFailed is raised.  For relations whose terms all have
+    the same path length this verification is exact; mixed-length
     relations are reduced in the length-truncated model, which can mask an
     undersized bound.
     """
     L = pres.nilpotency_bound
     arrows = pres.arrows
     arr_idx = {a[0]: i for i, a in enumerate(arrows)}
-    by_source = {}
+    leaving, entering = {}, {}
     for i, (name, src, tgt, deg) in enumerate(arrows):
-        by_source.setdefault(src, []).append(i)
+        leaving.setdefault(src, []).append(i)
+        entering.setdefault(tgt, []).append(i)
 
     # enumerate paths of length <= L; a path is (source_vertex, arrow index
     # tuple in application order)
@@ -308,13 +318,10 @@ def compile_quiver(pres, field):
         nxt = []
         for src, word in frontier:
             end = arrows[word[-1]][2] if word else src
-            for ai in by_source.get(end, []):
+            for ai in leaving.get(end, []):
                 nxt.append((src, word + (ai,)))
         paths.extend(nxt)
         frontier = nxt
-
-    def path_len(p):
-        return len(p[1])
 
     def path_target(p):
         return arrows[p[1][-1]][2] if p[1] else p[0]
@@ -324,48 +331,46 @@ def compile_quiver(pres, field):
 
     # longer paths get smaller indices so elimination pivots prefer them and
     # the surviving basis stays on short paths
-    order = sorted(paths, key=lambda p: (-path_len(p), p[0], p[1]))
+    order = sorted(paths, key=lambda p: (-len(p[1]), p[0], p[1]))
     index = {p: i for i, p in enumerate(order)}
 
-    by_target = {}
-    by_source_map = {}
-    for p in paths:
-        by_target.setdefault(path_target(p), []).append(p)
-        by_source_map.setdefault(p[0], []).append(p)
-
-    ideal = Echelon(field)
+    # queue entries are (source, target, vector over paths of that source
+    # and target); only arrows leaving the target or entering the source
+    # give nonzero multiples
+    queue = []
     for rel in pres.relations:
-        terms = []
+        src, tgt, _ = pres._word_data(tuple(rel[0][1]))
+        vec = {}
         for coeff, word in rel:
             app = tuple(arr_idx[n] for n in reversed(tuple(word)))
-            terms.append((field.coerce(coeff), app))
-        src, tgt, _ = pres._word_data(tuple(rel[0][1]))
-        min_len = min(len(app) for _, app in terms)
-        for p in by_target.get(src, []):
-            if path_len(p) + min_len > L:
-                continue
-            for q in by_source_map.get(tgt, []):
-                if path_len(p) + min_len + path_len(q) > L:
-                    continue
-                vec = {}
-                for coeff, app in terms:
-                    word = p[1] + app + q[1]
-                    if len(word) > L:
-                        continue  # truncated away; see docstring
-                    vec_iadd_scaled(field, vec, {index[(p[0], word)]: field.one()}, coeff)
-                if vec:
-                    ideal.insert(vec)
+            if len(app) <= L:
+                vec_iadd_scaled(field, vec, {index[(src, app)]: field.one()},
+                                field.coerce(coeff))
+        queue.append((src, tgt, vec))
+    ideal = Echelon(field)
+    while queue:
+        src, tgt, vec = queue.pop()
+        if not ideal.insert(vec):
+            continue
+        terms = [(order[k][1], c) for k, c in vec.items() if len(order[k][1]) < L]
+        for ai in leaving.get(tgt, []):
+            queue.append((src, arrows[ai][2],
+                          {index[(src, w + (ai,))]: c for w, c in terms}))
+        for ai in entering.get(src, []):
+            new_src = arrows[ai][1]
+            queue.append((new_src, tgt,
+                          {index[(new_src, (ai,) + w)]: c for w, c in terms}))
 
     # verification: every path of length exactly L lies in the ideal span
     for p in paths:
-        if path_len(p) == L and ideal.reduce({index[p]: field.one()}):
+        if len(p[1]) == L and ideal.reduce({index[p]: field.one()}):
             raise VerificationFailed(
                 f"path of length {L} survives reduction; nilpotency_bound too small"
             )
 
     pivots = set(ideal.rows)
-    basis_paths = [p for p in order if path_len(p) < L and index[p] not in pivots]
-    basis_paths.sort(key=lambda p: (path_len(p), p[0], p[1]))
+    basis_paths = [p for p in order if len(p[1]) < L and index[p] not in pivots]
+    basis_paths.sort(key=lambda p: (len(p[1]), p[0], p[1]))
     loc = {index[p]: i for i, p in enumerate(basis_paths)}
 
     def reduce_to_coords(vec):
@@ -374,26 +379,16 @@ def compile_quiver(pres, field):
             out[loc[gi]] = c
         return out
 
-    def class_of_path(p):
-        if path_len(p) >= L:
-            return {}
-        return reduce_to_coords({index[p]: field.one()})
-
     n = len(basis_paths)
     mult = [[{} for _ in range(n)] for _ in range(n)]
     for i, pi in enumerate(basis_paths):
         for j, pj in enumerate(basis_paths):
             # b_i * b_j is "pj then pi": concat pj's word with pi's word
-            if path_target(pj) != (pi[0]):
+            if path_target(pj) != pi[0]:
                 continue
             word = pj[1] + pi[1]
-            if len(word) >= L + 1:
-                continue
-            key = (pj[0], word)
-            if len(word) == L:
-                mult[i][j] = {}
-            else:
-                mult[i][j] = reduce_to_coords({index[key]: field.one()})
+            if len(word) < L:
+                mult[i][j] = reduce_to_coords({index[(pj[0], word)]: field.one()})
 
     degrees = [path_degree(p) for p in basis_paths]
 
@@ -413,13 +408,9 @@ def compile_quiver(pres, field):
     for ai, (name, src, tgt, deg) in enumerate(arrows):
         gens.append(reduce_to_coords({index[(src, (ai,))]: field.one()}))
 
-    arrow_span = []
-    for p in basis_paths:
-        if path_len(p) >= 1:
-            arrow_span.append(class_of_path(p))
-    # classes of non-basis positive-length paths are combinations of these,
-    # so the span above is the whole arrow ideal
-    radical_hint = span_basis(field, arrow_span)
+    # a basis path is not a pivot, so it is its own reduced class; the
+    # positive-length ones span the arrow ideal
+    radical_hint = [{i: field.one()} for i, p in enumerate(basis_paths) if p[1]]
 
     return GradedAlgebra(field, degrees, mult, unit, idempotents=idempotents,
                          labels=labels, generators=gens, radical_hint=radical_hint)
@@ -509,8 +500,6 @@ def _trace_form_radical(a):
             if not f.is_zero(s):
                 row[j] = s
         rows.append(row)
-    from .linalg import sparse_kernel
-
     return span_basis(f, sparse_kernel(f, rows, a.dim))
 
 
@@ -619,8 +608,6 @@ def center_basis(a):
                 if c is not None:
                     row[m] = c
             rows[(id(g), k)] = row
-    from .linalg import sparse_kernel
-
     basis = span_basis(f, sparse_kernel(f, list(rows.values()), a.dim))
     a._cache["center"] = basis
     return basis

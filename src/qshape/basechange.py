@@ -13,7 +13,7 @@ the class of base-changed modules with projective restriction reduces to a
 projectivity test over the left factor.
 """
 
-from .algebra import GradedAlgebra, generating_vectors
+from .algebra import GradedAlgebra, generating_vectors, zero_algebra
 from .errors import NotSelfInjective
 from .fields import check_same_field
 from .modules import GradedModule, hom_graded, is_projective, is_self_injective
@@ -161,7 +161,5 @@ def gamma_tensor(lam, coefficient, gldim_bound=10):
     """The stable endomorphism algebra of the tilting module, tensored with A."""
     gamma = tilting_endomorphism_algebra(lam, gldim_bound)
     if gamma.algebra.dim == 0 or coefficient.dim == 0:
-        from .algebra import zero_algebra
-
         return zero_algebra(lam.field)
     return TensorAlgebra(gamma.algebra, coefficient).product

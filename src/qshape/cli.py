@@ -40,7 +40,7 @@ from .algebra import (
     sup_degree,
 )
 from .basechange import base_change_hom_check, gamma_tensor, tensor_algebra, ungrade
-from .errors import HypothesisViolated, QShapeError
+from .errors import HypothesisViolated, NotSelfInjective, QShapeError
 from .fields import FieldSpec
 from .modules import projective, regular, simple
 from .stable import stable_ext_table
@@ -273,8 +273,6 @@ def cmd_ext(args, seed):
 
 
 def cmd_window(args, seed):
-    from .errors import NotSelfInjective
-
     a, field, echo, digest = _load_algebra_file(args.file)
     report = _envelope("window", field, echo, digest, seed)
     report["hypotheses"] = _hypothesis_block(a, args.gldim_bound)
@@ -289,6 +287,17 @@ def cmd_window(args, seed):
     report["hom_dims"] = w.dims_table()
     _emit(report)
     return EXIT_OK if rep["all_pass"] else EXIT_FAILED_CHECK
+
+
+def _witnesses(a, tilting):
+    """The base-change witnesses by name: the regular module, each
+    projective and simple, and the tilting module."""
+    witnesses = {"regular": regular(a)}
+    for i in range(1, len(a.idempotents) + 1):
+        witnesses[f"projective_{i}"] = projective(a, i)
+        witnesses[f"simple_{i}"] = simple(a, i)
+    witnesses["tilting"] = tilting
+    return witnesses
 
 
 def cmd_basechange(args, seed):
@@ -310,13 +319,8 @@ def cmd_basechange(args, seed):
         report["error"] = str(e)
         _emit(report)
         return EXIT_HYPOTHESIS
-    td = gamma.tilting
     tensor = tensor_algebra(a, coeff)
-    witnesses = {"regular": regular(a)}
-    for i in range(1, len(a.idempotents or []) + 1):
-        witnesses[f"projective_{i}"] = projective(a, i)
-        witnesses[f"simple_{i}"] = simple(a, i)
-    witnesses["tilting"] = td.module
+    witnesses = _witnesses(a, gamma.tilting.module)
     checks = {}
     all_pass = True
     for name_m, m in sorted(witnesses.items()):
@@ -372,11 +376,7 @@ def _verify_one_field(family, parameter, field):
             "dual_numbers": ungrade(builtin("truncated_polynomial", 2, field)),
             "upper_triangular_2": reference_upper_triangular(2, field),
         }
-        witnesses = [regular(a)]
-        for i in range(1, len(a.idempotents) + 1):
-            witnesses.append(projective(a, i))
-            witnesses.append(simple(a, i))
-        witnesses.append(td.module)
+        witnesses = _witnesses(a, td.module).values()
         bc_pass = True
         for coeff in coeffs.values():
             tensor = tensor_algebra(a, coeff)

@@ -33,6 +33,7 @@ only weakly, so a module is freed as soon as its last reference goes.
 import weakref
 
 from .algebra import (
+    generating_vectors,
     jacobson_radical,
     opposite,
     primitive_idempotents,
@@ -89,8 +90,6 @@ class GradedModule:
         return self.dim == 0
 
     def _validate(self):
-        from .algebra import generating_vectors
-
         a = self.algebra
         f = a.field
         if len(self.action) != a.dim:
@@ -146,8 +145,6 @@ class GradedMap:
             self._validate()
 
     def _validate(self):
-        from .algebra import generating_vectors
-
         if not same_algebra(self.source.algebra, self.target.algebra):
             raise ValueError("map between modules over different algebras")
         f = self.source.algebra.field
@@ -702,9 +699,6 @@ class HomSpace:
         f = self.source.algebra.field
         return self.coords_of_images([apply_row(f, gen, matrix_rows)
                                       for gen in self._cov.generators])
-
-    def coords_of(self, gmap):
-        return self.coords_of_matrix(gmap.matrix)
 
     def basis_coeffs(self, coords):
         """Coefficients over `basis` of the map with these slice coordinates,

@@ -5,11 +5,13 @@ Gaussian elimination on lists, exhaustive enumerations over small prime
 fields, and a commutant-style homomorphism solver that sets up the full
 "degree-preserving and commutes with every action matrix" linear system.
 None of it calls into qshape's sparse engine, so these functions stay valid
-as oracles for it.  Two exceptions read qshape: `isomorphic_projectives`
+as oracles for it.  Three exceptions read qshape: `isomorphic_projectives`
 reads its projective covers, whose summands are what an exact comparison
-of graded projectives needs, and `submodule_by_express` keeps the earlier
+of graded projectives needs, `submodule_by_express` keeps the earlier
 construction of a submodule, by a tagged echelon of its basis, as the
-reference for reading coordinates at pivots.
+reference for reading coordinates at pivots, and `pairwise_compile_quiver`
+keeps the earlier quiver compiler, which spans the relation ideal pair of
+paths by pair of paths, as the reference for the arrow closure.
 """
 
 from fractions import Fraction
@@ -350,3 +352,149 @@ def naive_cartan(field, mult, idempotents):
         )
         for eu in idempotents
     )
+
+
+def pairwise_compile_quiver(pres, field):
+    """The all-pairs quiver compiler that `qshape.algebra.compile_quiver`
+    replaced, kept verbatim as its reference.
+
+    The ideal is spanned pair by pair: every relation r times every path p
+    ending at its source and every path q starting at its target, words
+    longer than L = nilpotency_bound dropped, each product p*r*q inserted
+    into an Echelon.  Basis order, verification and outputs are those of
+    the compiler it replaced.
+    """
+    from qshape.algebra import GradedAlgebra
+    from qshape.errors import VerificationFailed
+    from qshape.linalg import Echelon, span_basis, vec_iadd_scaled
+
+    L = pres.nilpotency_bound
+    arrows = pres.arrows
+    arr_idx = {a[0]: i for i, a in enumerate(arrows)}
+    by_source = {}
+    for i, (name, src, tgt, deg) in enumerate(arrows):
+        by_source.setdefault(src, []).append(i)
+
+    # enumerate paths of length <= L; a path is (source_vertex, arrow index
+    # tuple in application order)
+    paths = [(v, ()) for v in pres.vertices]
+    frontier = list(paths)
+    for _ in range(L):
+        nxt = []
+        for src, word in frontier:
+            end = arrows[word[-1]][2] if word else src
+            for ai in by_source.get(end, []):
+                nxt.append((src, word + (ai,)))
+        paths.extend(nxt)
+        frontier = nxt
+
+    def path_len(p):
+        return len(p[1])
+
+    def path_target(p):
+        return arrows[p[1][-1]][2] if p[1] else p[0]
+
+    def path_degree(p):
+        return sum(arrows[ai][3] for ai in p[1])
+
+    # longer paths get smaller indices so elimination pivots prefer them and
+    # the surviving basis stays on short paths
+    order = sorted(paths, key=lambda p: (-path_len(p), p[0], p[1]))
+    index = {p: i for i, p in enumerate(order)}
+
+    by_target = {}
+    by_source_map = {}
+    for p in paths:
+        by_target.setdefault(path_target(p), []).append(p)
+        by_source_map.setdefault(p[0], []).append(p)
+
+    ideal = Echelon(field)
+    for rel in pres.relations:
+        terms = []
+        for coeff, word in rel:
+            app = tuple(arr_idx[n] for n in reversed(tuple(word)))
+            terms.append((field.coerce(coeff), app))
+        src, tgt, _ = pres._word_data(tuple(rel[0][1]))
+        min_len = min(len(app) for _, app in terms)
+        for p in by_target.get(src, []):
+            if path_len(p) + min_len > L:
+                continue
+            for q in by_source_map.get(tgt, []):
+                if path_len(p) + min_len + path_len(q) > L:
+                    continue
+                vec = {}
+                for coeff, app in terms:
+                    word = p[1] + app + q[1]
+                    if len(word) > L:
+                        continue  # truncated away; see docstring
+                    vec_iadd_scaled(field, vec, {index[(p[0], word)]: field.one()}, coeff)
+                if vec:
+                    ideal.insert(vec)
+
+    # verification: every path of length exactly L lies in the ideal span
+    for p in paths:
+        if path_len(p) == L and ideal.reduce({index[p]: field.one()}):
+            raise VerificationFailed(
+                f"path of length {L} survives reduction; nilpotency_bound too small"
+            )
+
+    pivots = set(ideal.rows)
+    basis_paths = [p for p in order if path_len(p) < L and index[p] not in pivots]
+    basis_paths.sort(key=lambda p: (path_len(p), p[0], p[1]))
+    loc = {index[p]: i for i, p in enumerate(basis_paths)}
+
+    def reduce_to_coords(vec):
+        out = {}
+        for gi, c in ideal.reduce(vec).items():
+            out[loc[gi]] = c
+        return out
+
+    def class_of_path(p):
+        if path_len(p) >= L:
+            return {}
+        return reduce_to_coords({index[p]: field.one()})
+
+    n = len(basis_paths)
+    mult = [[{} for _ in range(n)] for _ in range(n)]
+    for i, pi in enumerate(basis_paths):
+        for j, pj in enumerate(basis_paths):
+            # b_i * b_j is "pj then pi": concat pj's word with pi's word
+            if path_target(pj) != (pi[0]):
+                continue
+            word = pj[1] + pi[1]
+            if len(word) >= L + 1:
+                continue
+            key = (pj[0], word)
+            if len(word) == L:
+                mult[i][j] = {}
+            else:
+                mult[i][j] = reduce_to_coords({index[key]: field.one()})
+
+    degrees = [path_degree(p) for p in basis_paths]
+
+    def fmt(p):
+        if not p[1]:
+            return f"e_{p[0]}"
+        return "*".join(arrows[ai][0] for ai in reversed(p[1]))
+
+    labels = [fmt(p) for p in basis_paths]
+    trivial = {p[0]: i for i, p in enumerate(basis_paths) if not p[1]}
+    idempotents = [{trivial[v]: field.one()} for v in pres.vertices]
+    unit = {}
+    for e in idempotents:
+        vec_iadd_scaled(field, unit, e, field.one())
+
+    gens = [dict(e) for e in idempotents]
+    for ai, (name, src, tgt, deg) in enumerate(arrows):
+        gens.append(reduce_to_coords({index[(src, (ai,))]: field.one()}))
+
+    arrow_span = []
+    for p in basis_paths:
+        if path_len(p) >= 1:
+            arrow_span.append(class_of_path(p))
+    # classes of non-basis positive-length paths are combinations of these,
+    # so the span above is the whole arrow ideal
+    radical_hint = span_basis(field, arrow_span)
+
+    return GradedAlgebra(field, degrees, mult, unit, idempotents=idempotents,
+                         labels=labels, generators=gens, radical_hint=radical_hint)

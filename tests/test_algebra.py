@@ -5,6 +5,7 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qshape.algebra
 from qshape.algebra import (
     EXCEEDS_BOUND,
     GradedAlgebra,
@@ -36,7 +37,12 @@ from qshape.tilting import (
     tilting_endomorphism_algebra,
 )
 
-from oracles import naive_check_algebra, naive_failing_triples, naive_radical_series
+from oracles import (
+    naive_check_algebra,
+    naive_failing_triples,
+    naive_radical_series,
+    pairwise_compile_quiver,
+)
 
 GF = FieldSpec(32003)
 
@@ -117,6 +123,90 @@ class TestCompileQuiver:
         assert a.dim == 1
         assert a.degrees == [0]
         assert sup_degree(a) == 0
+
+
+def compiled(compiler, pres, field):
+    """The seven attributes a quiver compile produces, or the error it raised."""
+    try:
+        a = compiler(pres, field)
+    except (VerificationFailed, ValueError) as e:
+        return type(e), str(e)
+    return (a.degrees, a.mult, a.unit, a.idempotents, a.labels, a.generators,
+            a.radical_hint)
+
+
+def builtin_presentation(monkeypatch, family, n):
+    """The presentation `builtin` hands to `compile_quiver`."""
+    seen = []
+    monkeypatch.setattr(qshape.algebra, "compile_quiver",
+                        lambda pres, field: seen.append(pres))
+    builtin(family, n, QQ)
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("family, n", [("truncated_polynomial", n) for n in range(1, 17)]
+                         + [("preprojective_A", n) for n in range(1, 6)]
+                         + [("exterior", n) for n in range(1, 5)])
+def test_arrow_closure_matches_pairwise_compiler_on_builtins(monkeypatch, family, n, char):
+    pres = builtin_presentation(monkeypatch, family, n)
+    field = FieldSpec(char)
+    assert compiled(compile_quiver, pres, field) == compiled(pairwise_compile_quiver, pres, field)
+
+
+@st.composite
+def small_presentations(draw):
+    """1-3 vertices, at most 4 arrows of degree 0-2, bound L <= 5, and up to
+    4 relations, each 1-3 terms over paths of length <= L + 1 with one
+    source, target and degree (so path lengths may differ), sometimes
+    followed by every path of length L."""
+    vertices = [str(v) for v in range(draw(st.integers(1, 3)))]
+    arrows = [(f"a{i}", draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)),
+               draw(st.integers(0, 2)))
+              for i in range(draw(st.integers(0, 4)))]
+    bound = draw(st.integers(1, 5))
+    groups = {}  # (source, target, degree) -> right-to-left words
+    frontier = [((), v, v, 0) for v in vertices]
+    for _ in range(bound + 1):
+        frontier = [((name,) + word, src, tgt, deg + d)
+                    for word, src, end, deg in frontier
+                    for name, s, tgt, d in arrows if s == end]
+        for word, src, tgt, deg in frontier:
+            groups.setdefault((src, tgt, deg), []).append(word)
+    relations = []
+    if groups:
+        for _ in range(draw(st.integers(0, 4))):
+            words = groups[draw(st.sampled_from(sorted(groups)))]
+            terms = draw(st.lists(st.sampled_from(words), min_size=1, max_size=3))
+            relations.append([(draw(st.integers(-2, 2)), w) for w in terms])
+    if draw(st.booleans()):
+        # the paths of length L as monomial relations, so the bound holds and
+        # the whole algebra gets compared, not only the error
+        relations += [[(1, w)] for ws in groups.values() for w in ws if len(w) == bound]
+    return QuiverPresentation(vertices, arrows, relations, bound)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_presentations(), st.sampled_from([0, 32003]), st.data())
+def test_arrow_closure_matches_pairwise_compiler(pres, char, data):
+    # both compilers span the truncated multiples of the relations and keep
+    # the canonical reduced basis, so they agree, errors included, and the
+    # order of the relations and of their terms does not matter
+    field = FieldSpec(char)
+    expected = compiled(pairwise_compile_quiver, pres, field)
+    assert compiled(compile_quiver, pres, field) == expected
+    relations = [data.draw(st.permutations(rel)) for rel in pres.relations]
+    shuffled = QuiverPresentation(pres.vertices, pres.arrows,
+                                  data.draw(st.permutations(relations)),
+                                  pres.nilpotency_bound)
+    assert compiled(compile_quiver, shuffled, field) == expected
+
+
+def test_exterior_5_compiles():
+    a = builtin("exterior", 5, GF)
+    assert a.dim == 32
+    assert sorted(a.degrees) == sorted(bin(m).count("1") for m in range(32))
 
 
 class TestSupDegree:
