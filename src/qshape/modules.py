@@ -249,6 +249,12 @@ class QuotientModule:
                 if len(degs) != 1:
                     raise ValueError("quotient span vectors must be homogeneous")
             self.ech.insert(v)
+        # closed under a generating set means closed under its right words,
+        # which span the algebra
+        for g in generating_vectors(parent.algebra):
+            for b in self.ech.basis():
+                if self.ech.reduce(parent.act(b, g)):
+                    raise ValueError("span is not closed under the action")
         pivots = set(self.ech.rows)
         self.kept = [i for i in range(parent.dim) if i not in pivots]
         self.pos = {g: i for i, g in enumerate(self.kept)}
@@ -446,7 +452,8 @@ class CoverSummand:
 class ProjectiveCover:
     """Minimal projective cover of a module, with kernel and a section.
 
-    Multiplicities come from the idempotent slices of the top.  The epi
+    Generators are the vectors of the idempotent slices M_d . e that are
+    independent modulo M.rad and the generators before them.  The epi
     rows are eliminated once: `kernel_basis` is their relations and
     `section_rows` their tags; minimality is the dimension count of the
     module docstring, which also guards against non-basic degenerate inputs.
@@ -464,24 +471,19 @@ class ProjectiveCover:
         a = m.algebra
         f = a.field
         idems = primitive_idempotents(a)
-        t, pi = top(m)
-
-        self.generators = []   # lifted generators in M coords
+        # generators: vectors of the slices M_d . e that enlarge M.rad plus
+        # the generators so far; each lies in M . e, so gen . e = gen
+        span = Echelon(f)
+        span.extend(radical_submodule_span(m))
+        top_dim = m.dim - span.dim
+        self.generators = []   # generators in M coords
         self.summands = []     # CoverSummand
-        for d in t.degree_support():
-            m_deg_idx = [i for i in range(m.dim) if m.degrees[i] == d]
-            lift_ech = Echelon(f, tagged=True)
-            for i in m_deg_idx:
-                lift_ech.insert(pi.apply({i: f.one()}))
+        for d in m.degree_support():
             for e_idx, e in enumerate(idems, start=1):
-                for v in _slice_basis(t, e, d):
-                    coeffs = lift_ech.express(v)
-                    if coeffs is None:
-                        raise ValueError("top slice does not lift")
-                    lift = {m_deg_idx[pos]: c for pos, c in coeffs.items()}
-                    gen = m.act(lift, e)
-                    self.generators.append(gen)
-                    self.summands.append(CoverSummand(a, e_idx, d))
+                for gen in _slice_basis(m, e, d):
+                    if span.insert(gen):
+                        self.generators.append(gen)
+                        self.summands.append(CoverSummand(a, e_idx, d))
 
         # P as a bare sum module: the cover reads its blocks through
         # _block_of, so the inclusion and projection maps are never built
@@ -521,7 +523,7 @@ class ProjectiveCover:
 
         # minimality: P/P.rad -> M/M.rad is onto, so injective iff dims agree
         tops = _projective_top_dims(a)
-        if sum(tops[s.idem_index - 1] for s in self.summands) != t.dim:
+        if sum(tops[s.idem_index - 1] for s in self.summands) != top_dim:
             raise ValueError("cover is not minimal (kernel escapes P.rad)")
 
     def split(self, vec):

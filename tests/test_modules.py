@@ -28,6 +28,7 @@ from qshape.modules import (
     module_equal,
     projective,
     projective_cover,
+    QuotientModule,
     regular,
     shift,
     simple,
@@ -640,3 +641,10 @@ class TestCoverAndSubmoduleChecks:
         x = next(i for i, d in enumerate(a.degrees) if d == 1)
         with pytest.raises(ValueError, match="span is not closed under the action"):
             Submodule(regular(a), [{x: a.field.one()}])
+
+    def test_quotient_span_not_closed_under_the_action(self):
+        # x spans no submodule of k[x]/x^3: x . x = x^2 is outside its span
+        a = trunc(3)
+        x = next(i for i, d in enumerate(a.degrees) if d == 1)
+        with pytest.raises(ValueError, match="span is not closed under the action"):
+            QuotientModule(regular(a), [{x: a.field.one()}])

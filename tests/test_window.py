@@ -1,14 +1,18 @@
 """Windows of shifted projectives and their structural properties."""
 
+import json
+
 import pytest
 
+import qshape.modules
+import qshape.window
 from qshape.algebra import QuiverPresentation, builtin, compile_quiver
 from qshape.errors import NotSelfInjective
-from qshape.fields import QQ
-from qshape.modules import hom_graded, projective, regular, shift
+from qshape.fields import QQ, FieldSpec
+from qshape.modules import dual_of_regular, hom_graded, projective, regular, shift
 from qshape.window import build_window, check_window_properties, serre_of_object
 
-from oracles import isomorphic_projectives
+from oracles import isomorphic_projectives, per_object_window_properties
 
 
 def trunc(n, field=QQ):
@@ -74,6 +78,13 @@ class TestSerre:
         a = compile_quiver(pres, QQ)
         with pytest.raises(NotSelfInjective):
             serre_of_object(a, 1, 0)
+
+    @pytest.mark.parametrize("i", [0, -1, 4])
+    def test_serre_index_out_of_range(self, i):
+        # negative indices must not wrap around to the last vertices
+        a = builtin("preprojective_A", 3, QQ)
+        with pytest.raises(IndexError, match=r"out of range 1\.\.3"):
+            serre_of_object(a, i, 0)
 
 
 class TestProperties:
@@ -150,3 +161,56 @@ class TestPairingMachinery:
         assert not _kernel_trivial(
             f, [{(0, 0): f.one()}, {(0, 0): QQ.coerce(2)}]
         )
+
+
+ORACLE_ALGEBRAS = [
+    ("truncated_polynomial", 1), ("truncated_polynomial", 2), ("truncated_polynomial", 5),
+    ("preprojective_A", 1), ("preprojective_A", 2), ("preprojective_A", 3),
+    ("preprojective_A", 4), ("exterior", 2), ("exterior", 3),
+]
+# lo = hi, windows narrower and wider than twice the top degree, off-centre
+ORACLE_WINDOWS = [(0, 0), (-1, 1), (0, 3), (-3, 3), (-6, 6), (2, 9), (-2, 1)]
+
+
+def as_json(report):
+    return json.dumps(report, sort_keys=True)
+
+
+class TestShiftClassesAgainstPerObjectCheck:
+    @pytest.mark.parametrize("char", [0, 32003])
+    @pytest.mark.parametrize("family,parameter", ORACLE_ALGEBRAS)
+    def test_reports_equal(self, family, parameter, char):
+        a = builtin(family, parameter, FieldSpec(char))
+        for lo, hi in ORACLE_WINDOWS:
+            w = build_window(a, lo, hi)
+            assert as_json(check_window_properties(w)) == as_json(
+                per_object_window_properties(w)), (lo, hi)
+
+    def test_non_self_injective_quiver(self):
+        pres = QuiverPresentation(["1", "2"], [("a", "1", "2", 0)], [], 2)
+        a = compile_quiver(pres, QQ)
+        for lo, hi in ORACLE_WINDOWS:
+            w = build_window(a, lo, hi)
+            assert as_json(check_window_properties(w, serre_check=False)) == as_json(
+                per_object_window_properties(w, serre_check=False)), (lo, hi)
+            with pytest.raises(NotSelfInjective):
+                check_window_properties(w, serre_check=True)
+            with pytest.raises(NotSelfInjective):
+                per_object_window_properties(w, serre_check=True)
+
+    def test_one_serre_submodule_per_vertex(self, monkeypatch):
+        a = builtin("preprojective_A", 3, QQ)
+        dual = dual_of_regular(a)
+        built = []
+
+        class CountingSubmodule(qshape.modules.Submodule):
+            def __init__(self, parent, vectors):
+                if parent is dual:
+                    built.append(len(vectors))
+                super().__init__(parent, vectors)
+
+        monkeypatch.setattr(qshape.modules, "Submodule", CountingSubmodule)
+        monkeypatch.setattr(qshape.window, "Submodule", CountingSubmodule)
+        check_window_properties(build_window(a, -3, 3))
+        check_window_properties(build_window(a, 0, 5))
+        assert len(built) == 3
