@@ -15,7 +15,6 @@ from .algebra import (
     degree_zero_part,
     global_dimension_bounded,
     jacobson_radical,
-    opposite,
     primitive_idempotents,
     sup_degree,
     zero_algebra,
@@ -23,44 +22,32 @@ from .algebra import (
 from .basechange import (
     base_change_hom_check,
     gamma_tensor,
-    has_projective_restriction,
-    i_lower,
     i_star,
     tensor_algebra,
     ungrade,
 )
 from .fields import FieldSpec, QQ
-from .linalg import Matrix, kernel_basis, rref, subspace_ops
 from .modules import (
     GradedMap,
     GradedModule,
     HomSpace,
-    dual_module,
     dual_of_regular,
-    hom_enriched,
     hom_graded,
-    injective_envelope,
     is_projective,
     is_self_injective,
     projective,
-    projective_cover,
     regular,
     shift,
     simple,
-    socle,
     top,
-    truncate_ge,
     truncate_le,
     zero_module,
 )
 from .stable import (
     StableHomSpace,
-    cosyzygy,
     factor_through_projectives,
-    stable_end_algebra,
     stable_ext_table,
     stable_hom,
-    syzygy,
 )
 from .tilting import (
     AlgebraFingerprint,

@@ -53,7 +53,6 @@ class GradedAlgebra:
         self.generators = [dict(g) for g in generators] if generators is not None else None
         self.radical_hint = [dict(v) for v in radical_hint] if radical_hint is not None else None
         self._radical = None
-        self._opposite = None
         self._cache = {}
         self._validate()
 
@@ -75,10 +74,6 @@ class GradedAlgebra:
 
     def component_indices(self, d):
         return [i for i, deg in enumerate(self.degrees) if deg == d]
-
-    @property
-    def degree_support(self):
-        return sorted(set(self.degrees))
 
     def is_nonnegatively_graded(self):
         return all(d >= 0 for d in self.degrees)
@@ -631,7 +626,7 @@ def primitive_idempotents(a):
 
 
 # ---------------------------------------------------------------------------
-# degree-zero part, opposite, global dimension
+# degree-zero part, global dimension
 # ---------------------------------------------------------------------------
 
 class DegreeZeroPart:
@@ -666,19 +661,6 @@ def degree_zero_part(a):
     if "deg0" not in a._cache:
         a._cache["deg0"] = DegreeZeroPart(a)
     return a._cache["deg0"]
-
-
-def opposite(a):
-    """The opposite algebra (multiplication reversed), memoized both ways."""
-    if a._opposite is not None:
-        return a._opposite
-    mult = [[a.mult[j][i] for j in range(a.dim)] for i in range(a.dim)]
-    rad = a._radical.basis if a._radical is not None else a.radical_hint
-    op = GradedAlgebra(a.field, a.degrees, mult, a.unit, idempotents=a.idempotents,
-                       labels=a.labels, generators=a.generators, radical_hint=rad)
-    a._opposite = op
-    op._opposite = a
-    return op
 
 
 def global_dimension_bounded(a, bound):

@@ -1,22 +1,19 @@
 """Base change along k -> A for a finite-dimensional coefficient algebra A.
 
 The tensor algebra carries the grading of the left factor (the right factor
-must be trivially graded), extension of scalars and restriction move
-modules across, and the hom-dimension identity
+must be trivially graded), extension of scalars moves modules across, and
+the hom-dimension identity
 dim hom(M (x) A, N (x) A) = dim hom(M, N) * dim A is checked on explicit
 witnesses.  A tensor algebra memoises the scalar extension of each module
 it has extended, so a witness that appears in many hom checks is extended,
 and its projective cover built, once per tensor.  That is exact: the
 extension is a function of the module and the tensor alone, and no code
-changes a module's degrees or action after construction.  Membership in
-the class of base-changed modules with projective restriction reduces to a
-projectivity test over the left factor.
+changes a module's degrees or action after construction.
 """
 
 from .algebra import GradedAlgebra, generating_vectors, zero_algebra
-from .errors import NotSelfInjective
 from .fields import check_same_field
-from .modules import GradedModule, hom_graded, is_projective, is_self_injective
+from .modules import GradedModule, hom_graded
 from .tilting import tilting_endomorphism_algebra
 
 
@@ -129,32 +126,11 @@ def i_star(m, tensor):
     return ext
 
 
-def i_lower(mp, tensor):
-    """Restriction along b -> b (x) 1: same space, action of the left factor."""
-    lam = tensor.left
-    action = []
-    for b in range(lam.dim):
-        vec = tensor.pair_vec(lam.basis_vec(b), tensor.right.unit)
-        action.append(mp.action_of(vec))
-    return GradedModule(lam, mp.degrees, action, check=False)
-
-
 def base_change_hom_check(m, n, tensor):
     """{lhs_dim, rhs_dim, pass}: graded hom after base change vs. hom times dim A."""
     lhs = hom_graded(i_star(m, tensor), i_star(n, tensor)).dim
     rhs = hom_graded(m, n).dim * tensor.right.dim
     return {"lhs_dim": lhs, "rhs_dim": rhs, "pass": lhs == rhs}
-
-
-def has_projective_restriction(mp, tensor):
-    """Whether the restriction of a base-changed module is projective.
-
-    This is the membership test for the class of modules acyclic for the
-    base-changed theory; it needs a self-injective left factor.
-    """
-    if not is_self_injective(tensor.left):
-        raise NotSelfInjective("projective-restriction test needs a self-injective base")
-    return is_projective(i_lower(mp, tensor))
 
 
 def gamma_tensor(lam, coefficient, gldim_bound=10):

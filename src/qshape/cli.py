@@ -2,8 +2,9 @@
 
 Subcommands: check, tilt, gamma, ext, window, basechange, verify.
 Exit codes: 0 all checks pass, 1 a structural property or lemma check
-failed, 2 parse/compile error, 3 hypothesis failure, 4 comparison mismatch,
-5 nonzero stable Ext off degree zero.
+failed, or an internal invariant check failed (the error names the
+command), 2 parse/compile error, 3 hypothesis failure, 4 comparison
+mismatch, 5 nonzero stable Ext off degree zero.
 
 Algebra file schema (UTF-8 JSON)::
 
@@ -255,6 +256,8 @@ def cmd_gamma(args, seed):
 
 
 def cmd_ext(args, seed):
+    if args.range < 1:
+        raise ParseError(f"--range must be >= 1, got {args.range}")
     a, field, echo, digest = _load_algebra_file(args.file)
     report = _envelope("ext", field, echo, digest, seed)
     report["hypotheses"] = _hypothesis_block(a, args.gldim_bound)
@@ -273,6 +276,8 @@ def cmd_ext(args, seed):
 
 
 def cmd_window(args, seed):
+    if args.lo > args.hi:
+        raise ParseError(f"--lo {args.lo} exceeds --hi {args.hi}")
     a, field, echo, digest = _load_algebra_file(args.file)
     report = _envelope("window", field, echo, digest, seed)
     report["hypotheses"] = _hypothesis_block(a, args.gldim_bound)
@@ -401,6 +406,8 @@ def _verify_one_field(family, parameter, field):
 
 
 def cmd_verify(args, seed):
+    if args.parameter < 1:
+        raise ParseError(f"parameter must be >= 1, got {args.parameter}")
     echo = {"builtin": {"family": args.family, "parameter": args.parameter}}
     digest = hashlib.sha256(
         json.dumps(echo, sort_keys=True).encode("utf-8")
@@ -491,9 +498,13 @@ def main(argv=None):
     except ParseError as e:
         print(json.dumps({"error": str(e)}, sort_keys=True, indent=2))
         return EXIT_PARSE
-    except (QShapeError, ValueError) as e:
+    except QShapeError as e:
         print(json.dumps({"error": f"{type(e).__name__}: {e}"}, sort_keys=True, indent=2))
         return EXIT_PARSE
+    except ValueError as e:
+        print(json.dumps({"command": args.command, "error": f"ValueError: {e}"},
+                         sort_keys=True, indent=2))
+        return EXIT_FAILED_CHECK
 
 
 if __name__ == "__main__":

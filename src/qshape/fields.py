@@ -113,9 +113,6 @@ class FieldSpec:
             return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
         return str(a)
 
-    def parse(self, s):
-        return self.coerce(s)
-
 
 QQ = FieldSpec(0)
 

@@ -1,29 +1,15 @@
-"""Dense-contract, sparse-engine exact linear algebra.
+"""Exact sparse linear algebra.
 
-The public surface (Matrix, rref, kernel_basis, subspace_ops) works with
-dense row lists as in the type contract.  Internally everything runs on
-sparse vectors (dict index -> nonzero scalar), which is what the rest of
-the package uses directly: structure constants, action matrices and hom
-systems are mostly zeros.
+Vectors are dicts index -> nonzero scalar, matrices lists of such rows:
+structure constants, action matrices and hom systems are mostly zeros.
+`Echelon` is the one elimination routine; spans, kernels and coordinates
+are all read off its reduced rows.
 """
-
-from .fields import check_same_field
 
 
 # ---------------------------------------------------------------------------
 # sparse vectors
 # ---------------------------------------------------------------------------
-
-def vec_from_list(field, entries):
-    return {i: field.coerce(x) for i, x in enumerate(entries) if not field.is_zero(field.coerce(x))}
-
-
-def vec_to_list(field, vec, length):
-    out = [field.zero()] * length
-    for i, x in vec.items():
-        out[i] = x
-    return out
-
 
 def vec_scale(field, vec, c):
     if field.is_zero(c):
@@ -192,27 +178,18 @@ def span_basis(field, vecs):
     return ech.basis()
 
 
-def sparse_rref(field, rows):
-    """Reduced row echelon form of a list of sparse rows.
-
-    Returns (rows_by_pivot, pivots) with rows fully reduced and normalized.
-    """
-    ech = Echelon(field)
-    ech.extend(rows)
-    return ech.rows, ech.pivots()
-
-
 def sparse_kernel(field, rows, ncols):
     """Basis of the right null space of the matrix with the given sparse rows.
 
     One vector per free column, ascending.  A reduced row holds no pivot
     column but its own, so one pass over the entries fills every vector.
     """
-    red, pivots = sparse_rref(field, rows)
+    ech = Echelon(field)
+    ech.extend(rows)
     one, neg = field.one(), field.neg
-    basis = {free: {free: one} for free in range(ncols) if free not in red}
-    for p in pivots:
-        for col, x in red[p].items():
+    basis = {free: {free: one} for free in range(ncols) if free not in ech.rows}
+    for p in ech.pivots():
+        for col, x in ech.rows[p].items():
             if col != p:
                 basis[col][p] = neg(x)
     return list(basis.values())
@@ -235,135 +212,3 @@ def apply_row(field, vec, rows):
     for m, c in vec.items():
         vec_iadd_scaled(field, acc, rows[m], c)
     return acc
-
-
-# ---------------------------------------------------------------------------
-# public dense contract
-# ---------------------------------------------------------------------------
-
-class Matrix:
-    """An exact dense matrix over a FieldSpec.
-
-    Entries are coerced on construction, so they are always canonical
-    (reduced fractions / least residues).
-    """
-
-    def __init__(self, field, entries, cols=None):
-        self.field = field
-        entries = [list(r) for r in entries]
-        if entries:
-            ncols = len(entries[0])
-            if any(len(r) != ncols for r in entries):
-                raise ValueError("ragged rows")
-        else:
-            ncols = 0 if cols is None else cols
-        self.rows = len(entries)
-        self.cols = ncols
-        self.entries = [[field.coerce(x) for x in r] for r in entries]
-
-    def sparse_rows(self):
-        f = self.field
-        return [{j: x for j, x in enumerate(r) if not f.is_zero(x)} for r in self.entries]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.entries == other.entries
-            and self.cols == other.cols
-        )
-
-    def __repr__(self):
-        return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
-
-
-def rref(m):
-    """Reduced row echelon form of a Matrix.
-
-    Returns (Matrix, rank, pivot_columns).  Zero rows are kept so the shape
-    is preserved.
-    """
-    f = m.field
-    red, pivots = sparse_rref(f, m.sparse_rows())
-    out = [vec_to_list(f, red[p], m.cols) for p in pivots]
-    while len(out) < m.rows:
-        out.append([f.zero()] * m.cols)
-    return Matrix(f, out, cols=m.cols), len(pivots), pivots
-
-
-def kernel_basis(m):
-    """Basis of the right null space of a Matrix, as dense vectors."""
-    f = m.field
-    ker = sparse_kernel(f, m.sparse_rows(), m.cols)
-    return [vec_to_list(f, v, m.cols) for v in ker]
-
-
-class SubspaceOps:
-    """Sum, intersection and membership data for two subspaces of k^n."""
-
-    def __init__(self, field, ambient, u_basis, v_basis, sum_basis, intersection_basis):
-        self.field = field
-        self.ambient = ambient
-        self.u_basis = u_basis
-        self.v_basis = v_basis
-        self.sum_basis = sum_basis
-        self.intersection_basis = intersection_basis
-        # dimension of (U + V) / V
-        self.quotient_dimension = len(sum_basis) - len(v_basis)
-        self._u = Echelon(field)
-        self._u.extend(vec_from_list(field, b) for b in u_basis)
-        self._v = Echelon(field)
-        self._v.extend(vec_from_list(field, b) for b in v_basis)
-        self._s = Echelon(field)
-        self._s.extend(vec_from_list(field, b) for b in sum_basis)
-
-    def in_u(self, vec):
-        return self._u.contains(vec_from_list(self.field, vec))
-
-    def in_v(self, vec):
-        return self._v.contains(vec_from_list(self.field, vec))
-
-    def in_sum(self, vec):
-        return self._s.contains(vec_from_list(self.field, vec))
-
-
-def subspace_ops(field, u_vectors, v_vectors, ambient=None):
-    """Echelonized sum/intersection bases for two lists of dense vectors.
-
-    The intersection comes from the Zassenhaus trick: echelonize rows
-    (u | u) and (v | 0); rows whose left half vanished have right halves
-    spanning the intersection.
-    """
-    dims = {len(v) for v in list(u_vectors) + list(v_vectors)}
-    if ambient is not None:
-        dims.add(ambient)
-    if len(dims) > 1:
-        raise ValueError(f"ambient dimension mismatch: {sorted(dims)}")
-    n = dims.pop() if dims else 0
-
-    u_sp = [vec_from_list(field, v) for v in u_vectors]
-    v_sp = [vec_from_list(field, v) for v in v_vectors]
-    u_basis = span_basis(field, u_sp)
-    v_basis = span_basis(field, v_sp)
-
-    doubled = Echelon(field)
-    for v in u_sp:
-        doubled.insert({**v, **{i + n: c for i, c in v.items()}})
-    for v in v_sp:
-        doubled.insert(dict(v))
-    inter = [
-        {i - n: c for i, c in row.items()}
-        for p, row in doubled.rows.items()
-        if p >= n
-    ]
-    inter_basis = span_basis(field, inter)
-
-    sum_basis = span_basis(field, u_sp + v_sp)
-    to_dense = lambda vs: [vec_to_list(field, v, n) for v in vs]
-    return SubspaceOps(field, n, to_dense(u_basis), to_dense(v_basis),
-                       to_dense(sum_basis), to_dense(inter_basis))
-
-
-def check_matrix_fields(*mats):
-    for m in mats[1:]:
-        check_same_field(mats[0].field, m.field)

@@ -2,11 +2,12 @@
 
 A module stores one sparse action matrix per algebra basis element, in the
 row convention: (m . b) has coordinate row  m_row @ action[b].  All
-constructions (submodules, quotients, sums, shifts, truncations, covers,
-envelopes) produce explicit bases with homogeneous coordinates, so equality
-of submodules and membership tests are canonical.
+constructions (submodules, quotients, sums, shifts, truncations, covers)
+produce explicit bases with homogeneous coordinates, so equality of
+submodules and membership tests are canonical.
 
-A cover P -> M eliminates its epi rows once, in a tagged echelon: the rank
+A cover P -> M keeps its epi as `epi_rows`, the image in M of each basis
+vector of P, and eliminates them once, in a tagged echelon: the rank
 certifies surjectivity, the tags give a section, and the tags of the rows
 that reduce to zero are a basis of the kernel.  P is minimal iff the map
 P/P.rad -> M/M.rad is an isomorphism (Auslander-Reiten-Smalo, ch. I.4),
@@ -23,23 +24,17 @@ of M is a choice of images for the generators of M (one slice of N per
 cover summand) that kills the kernel of the cover.  Maps stay in these
 generator coordinates: composing with another map only needs the images of
 the generators, and a map's matrix is built only when a caller asks for it.
-The brute-force commutant solver lives in the test suite as an independent
-oracle.
-
-A module caches its projective cover; the cover refers back to the module
-only weakly, so a module is freed as soon as its last reference goes.
+The brute-force commutant solver, duals, socles and injective envelopes
+live in the test suite as independent references.
 """
-
-import weakref
 
 from .algebra import (
     generating_vectors,
     jacobson_radical,
-    opposite,
     primitive_idempotents,
     same_algebra,
 )
-from .errors import NotNonNegativelyGraded, NotSelfInjective
+from .errors import NotNonNegativelyGraded
 from .linalg import (
     Echelon,
     apply_row,
@@ -83,9 +78,6 @@ class GradedModule:
     def component_indices(self, d):
         return [i for i, deg in enumerate(self.degrees) if deg == d]
 
-    def degree_support(self):
-        return sorted(set(self.degrees))
-
     def is_zero(self):
         return self.dim == 0
 
@@ -126,69 +118,18 @@ def zero_module(algebra):
     return GradedModule(algebra, [], [[] for _ in range(algebra.dim)], check=False)
 
 
-def module_equal(m, n):
-    return (
-        same_algebra(m.algebra, n.algebra)
-        and m.degrees == n.degrees
-        and m.action == n.action
-    )
-
-
 class GradedMap:
     """A degree-preserving module map, stored as a row-convention matrix."""
 
-    def __init__(self, source, target, matrix, check=True):
+    def __init__(self, source, target, matrix):
         self.source = source
         self.target = target
         self.matrix = matrix  # len = source.dim, sparse rows over target coords
-        if check:
-            self._validate()
-
-    def _validate(self):
-        if not same_algebra(self.source.algebra, self.target.algebra):
-            raise ValueError("map between modules over different algebras")
-        f = self.source.algebra.field
-        if len(self.matrix) != self.source.dim:
-            raise ValueError("map matrix has wrong shape")
-        for r, row in enumerate(self.matrix):
-            for s, c in row.items():
-                if self.source.degrees[r] != self.target.degrees[s]:
-                    raise ValueError("map does not preserve degrees")
-        for g in generating_vectors(self.source.algebra):
-            lhs = sparse_matmul(f, self.source.action_of(g), self.matrix)
-            rhs = sparse_matmul(f, self.matrix, self.target.action_of(g))
-            if lhs != rhs:
-                raise ValueError("map does not commute with the action")
-
-    def apply(self, vec):
-        return apply_row(self.source.algebra.field, vec, self.matrix)
-
-    def then(self, other):
-        """Composite: self followed by other."""
-        if self.target is not other.source and not module_equal(self.target, other.source):
-            raise ValueError("maps are not composable")
-        f = self.source.algebra.field
-        return GradedMap(self.source, other.target,
-                         sparse_matmul(f, self.matrix, other.matrix), check=False)
-
-    def rank(self):
-        ech = Echelon(self.source.algebra.field)
-        ech.extend(self.matrix)
-        return ech.dim
-
-    def is_injective(self):
-        return self.rank() == self.source.dim
-
-    def is_surjective(self):
-        return self.rank() == self.target.dim
-
-    def is_isomorphism(self):
-        return self.source.dim == self.target.dim and self.rank() == self.source.dim
 
 
 def identity_map(m):
     f = m.algebra.field
-    return GradedMap(m, m, [{r: f.one()} for r in range(m.dim)], check=False)
+    return GradedMap(m, m, [{r: f.one()} for r in range(m.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +174,7 @@ class Submodule:
             action.append(mat)
         degrees = [parent.degrees[p] for p in pivots]
         self.module = GradedModule(parent.algebra, degrees, action, check=False)
-        self.inclusion = GradedMap(self.module, parent, [dict(b) for b in basis], check=False)
+        self.inclusion = GradedMap(self.module, parent, [dict(b) for b in basis])
 
 
 class QuotientModule:
@@ -268,7 +209,7 @@ class QuotientModule:
             action.append(mat)
         self.module = GradedModule(parent.algebra, degrees, action, check=False)
         proj_rows = [self.project({m: f.one()}) for m in range(parent.dim)]
-        self.projection = GradedMap(parent, self.module, proj_rows, check=False)
+        self.projection = GradedMap(parent, self.module, proj_rows)
 
     def project(self, vec):
         red = self.ech.reduce(vec)
@@ -313,8 +254,8 @@ def direct_sum(summands):
         prj = [dict() for _ in range(total)]
         for r in range(m.dim):
             prj[off + r] = {r: f.one()}
-        inclusions.append(GradedMap(m, result, inc, check=False))
-        projections.append(GradedMap(result, m, prj, check=False))
+        inclusions.append(GradedMap(m, result, inc))
+        projections.append(GradedMap(result, m, prj))
     return result, inclusions, projections
 
 
@@ -323,15 +264,6 @@ def shift(m, j):
     if j == 0:
         return m
     return GradedModule(m.algebra, [d - j for d in m.degrees], m.action, check=False)
-
-
-def truncate_ge(m, n):
-    """The submodule of components in degrees >= n, with its inclusion."""
-    if not m.algebra.is_nonnegatively_graded():
-        raise NotNonNegativelyGraded("truncation needs a non-negatively graded algebra")
-    one = m.algebra.field.one()
-    sub = Submodule(m, [{i: one} for i in range(m.dim) if m.degrees[i] >= n])
-    return sub.module, sub.inclusion
 
 
 def truncate_le(m, n):
@@ -352,23 +284,6 @@ def top(m):
     """(T, projection): the semisimple quotient M / M.rad."""
     quo = QuotientModule(m, radical_submodule_span(m))
     return quo.module, quo.projection
-
-
-def socle(m):
-    """(S, inclusion): the annihilator of the radical inside M."""
-    f = m.algebra.field
-    rad = jacobson_radical(m.algebra)
-    rows = []
-    for r in rad.basis:
-        # columns of the action matrix of r: one equation per target coordinate
-        cols = {}
-        for mm, row in enumerate(m.action_of(r)):
-            for s, c in row.items():
-                cols.setdefault(s, {})[mm] = c
-        rows.extend(cols[s] for s in sorted(cols))
-    basis = sparse_kernel(f, rows, m.dim)
-    sub = Submodule(m, basis)
-    return sub.module, sub.inclusion
 
 
 def projective(a, i):
@@ -454,7 +369,7 @@ class ProjectiveCover:
 
     Generators are the vectors of the idempotent slices M_d . e that are
     independent modulo M.rad and the generators before them.  The epi
-    rows are eliminated once: `kernel_basis` is their relations and
+    rows are eliminated once: `kernel_rows` is their relations and
     `section_rows` their tags; minimality is the dimension count of the
     module docstring, which also guards against non-basic degenerate inputs.
 
@@ -478,7 +393,7 @@ class ProjectiveCover:
         top_dim = m.dim - span.dim
         self.generators = []   # generators in M coords
         self.summands = []     # CoverSummand
-        for d in m.degree_support():
+        for d in sorted(set(m.degrees)):
             for e_idx, e in enumerate(idems, start=1):
                 for gen in _slice_basis(m, e, d):
                     if span.insert(gen):
@@ -504,10 +419,6 @@ class ProjectiveCover:
                 u = s.algebra_coords({r: f.one()})
                 rows.append(m.act(gen, u))
         self.epi_rows = rows
-        # m caches its cover, so the cover refers back to m only weakly: a
-        # strong reference would make every module with a cached cover cyclic
-        # garbage that only the cyclic collector frees
-        self._target = weakref.ref(m)
 
         rank_ech = Echelon(f, tagged=True)
         for row in rows:
@@ -516,7 +427,7 @@ class ProjectiveCover:
             raise ValueError("cover candidate is not surjective")
 
         # row r is the image of P coordinate r: its relations are the kernel
-        self.kernel_basis = rank_ech.relations
+        self.kernel_rows = rank_ech.relations
 
         # section: for each basis vector of M a preimage under the epi
         self.section_rows = [rank_ech.express({i: f.one()}) or {} for i in range(m.dim)]
@@ -542,20 +453,6 @@ class ProjectiveCover:
             self._section_terms = [self.split(sec) for sec in self.section_rows]
         return self._section_terms
 
-    @property
-    def epi(self):
-        """The cover epi P -> M, built on demand while M is alive."""
-        m = self._target()
-        if m is None:
-            raise ValueError("the covered module no longer exists")
-        return GradedMap(self.module, m, self.epi_rows, check=False)
-
-
-def projective_cover(m):
-    """(P, epi) with P a minimal projective cover of m."""
-    cov = cover_of(m)
-    return cov.module, cov.epi
-
 
 def cover_of(m):
     if "cover" not in m._cache:
@@ -574,7 +471,7 @@ def syzygy_of(m):
     """Kernel of the minimal cover epi, as a module."""
     if "syzygy" not in m._cache:
         cov = cover_of(m)
-        sub = Submodule(cov.module, cov.kernel_basis)
+        sub = Submodule(cov.module, cov.kernel_rows)
         m._cache["syzygy"] = sub.module
     return m._cache["syzygy"]
 
@@ -628,7 +525,7 @@ class HomSpace:
 
         # constraints: for each kernel vector sum_t x_t . u_t = 0
         sys_rows = {}
-        for kidx, k in enumerate(cov.kernel_basis):
+        for kidx, k in enumerate(cov.kernel_rows):
             for t, u in cov.split(k):
                 basis, _ = self.slices[t]
                 for sidx, bvec in enumerate(basis):
@@ -694,7 +591,7 @@ class HomSpace:
                 if images[t]:
                     vec_iadd_scaled(f, out, act(images[t], u), one)
             rows.append(out)
-        return GradedMap(self.source, self.target, rows, check=False)
+        return GradedMap(self.source, self.target, rows)
 
     def coords_of_matrix(self, matrix_rows):
         """Slice coordinates of a map given by its matrix."""
@@ -747,46 +644,9 @@ def composition_table(field, images, matrices, coords_of_images):
     return mult
 
 
-def hom_enriched(m, n):
-    """Shift-degree -> HomSpace over the finite window where it can be nonzero."""
-    if m.is_zero() or n.is_zero():
-        return {}
-    lo = min(n.degrees) - max(m.degrees)
-    hi = max(n.degrees) - min(m.degrees)
-    return {i: hom_graded(m, shift(n, i)) for i in range(lo, hi + 1)}
-
-
 # ---------------------------------------------------------------------------
-# duality, self-injectivity, envelopes
+# the dual of the regular module, self-injectivity
 # ---------------------------------------------------------------------------
-
-def dual_module(m):
-    """The k-dual as a right module over the opposite algebra; degrees negate."""
-    a = m.algebra
-    op = opposite(a)
-    f = a.field
-    action = []
-    for b in range(a.dim):
-        mat = m.action[b]
-        rows = [dict() for _ in range(m.dim)]
-        for r, row in enumerate(mat):
-            for s, c in row.items():
-                rows[s][r] = c
-        action.append(rows)
-    return GradedModule(op, [-d for d in m.degrees], action, check=False)
-
-
-def dual_map(gmap):
-    """Dual of a map: transpose matrix between the dual modules."""
-    f = gmap.source.algebra.field
-    src = dual_module(gmap.target)
-    tgt = dual_module(gmap.source)
-    rows = [dict() for _ in range(src.dim)]
-    for r, row in enumerate(gmap.matrix):
-        for s, c in row.items():
-            rows[s][r] = c
-    return GradedMap(src, tgt, rows, check=False)
-
 
 def dual_of_regular(a):
     """The dual of the algebra as a graded right module over itself.
@@ -819,39 +679,3 @@ def is_self_injective(a):
         else:
             a._cache["self_injective"] = is_projective(dual_of_regular(a))
     return a._cache["self_injective"]
-
-
-def injective_envelope(m):
-    """(I, mono) with I minimal injective over a self-injective algebra.
-
-    I is the dual of the projective cover of the dual module over the
-    opposite algebra; minimality is certified by the socle lying inside the
-    image.
-    """
-    a = m.algebra
-    if not is_self_injective(a):
-        raise NotSelfInjective("injective envelopes need a self-injective algebra")
-    f = a.field
-    md = dual_module(m)
-    cov = cover_of(md)
-    mono = dual_map(cov.epi)  # dual(M dual) -> dual(P); source equals m in coordinates
-    env = mono.target
-    mono = GradedMap(m, env, mono.matrix, check=False)
-    if not mono.is_injective():
-        raise ValueError("envelope embedding is not injective")
-    soc, soc_inc = socle(env)
-    img = Echelon(f)
-    img.extend(mono.matrix)
-    for row in soc_inc.matrix:
-        if not img.contains(row):
-            raise ValueError("envelope is not minimal (socle escapes the image)")
-    return env, mono
-
-
-def cosyzygy_of(m):
-    """Cokernel of the minimal injective envelope."""
-    if "cosyzygy" not in m._cache:
-        env, mono = injective_envelope(m)
-        quo = QuotientModule(env, mono.matrix)
-        m._cache["cosyzygy"] = quo.module
-    return m._cache["cosyzygy"]

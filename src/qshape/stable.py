@@ -1,5 +1,5 @@
-"""The graded stable category: homs modulo projectives, (co)syzygies,
-stable Ext tables and stable endomorphism algebras.
+"""The graded stable category: homs modulo projectives, stable Ext tables
+and stable endomorphism algebras.
 
 Maps factoring through an arbitrary projective are computed as maps
 factoring through the projective cover of the target: any factorization
@@ -11,8 +11,8 @@ autoequivalence of the graded stable category, with the cosyzygy as its
 inverse (Happel, Triangulated categories in the representation theory of
 finite dimensional algebras, 1988, ch. I.2).  Hence stable
 Hom(Omega^-i M, N) = stable Hom(M, Omega^i N), and the Ext table needs
-syzygies only; cosyzygies and injective envelopes stay as public API and
-as the independent reference the tests check the table against.
+syzygies only; cosyzygies, through injective envelopes, live in the test
+suite as the independent reference the table is checked against.
 """
 
 from .algebra import GradedAlgebra
@@ -20,7 +20,6 @@ from .errors import NotSelfInjective
 from .linalg import Echelon, apply_row, vec_iadd_scaled
 from .modules import (
     composition_table,
-    cosyzygy_of,
     cover_of,
     hom_graded,
     identity_map,
@@ -120,18 +119,6 @@ def stable_hom(m, n):
     return StableHomSpace(m, n)
 
 
-def syzygy(m):
-    """Minimal syzygy: kernel of the projective cover epi."""
-    return syzygy_of(m)
-
-
-def cosyzygy(m):
-    """Minimal cosyzygy: cokernel of the injective envelope (self-injective only)."""
-    if not is_self_injective(m.algebra):
-        raise NotSelfInjective("cosyzygies need a self-injective algebra")
-    return cosyzygy_of(m)
-
-
 def stable_ext_table(m, n, k):
     """dim of stable hom from the i-th (co)syzygy of m to n, for |i| <= k.
 
@@ -198,8 +185,3 @@ class StableEnd:
 
     def class_of_matrix(self, rows):
         return self.stable.class_coords_of_matrix(rows)
-
-
-def stable_end_algebra(m):
-    """The stable endomorphism algebra as a trivially graded algebra."""
-    return StableEnd(m).algebra

@@ -10,8 +10,6 @@ endomorphism algebra with a reference is evidence for an isomorphism, not a
 proof: only invariants are compared.
 """
 
-from itertools import permutations
-
 from .algebra import (
     GradedAlgebra,
     QuiverPresentation,
@@ -193,17 +191,13 @@ def _interval_modules(a, m):
     return out
 
 
-def end_algebra(m):
+def end_algebra(m, idempotent_maps=None):
     """Plain (non-stable) endomorphism algebra of a module.
 
     Products come from composition_table, which skips the pairs of basis
-    maps whose composite is zero by support (see there)."""
-    return _end_algebra(m, None)
-
-
-def _end_algebra(m, idempotent_maps):
-    """end_algebra, declaring the classes of idempotent_maps (matrices of
-    endomorphisms of m) as its primitive idempotents when given."""
+    maps whose composite is zero by support (see there).  When given, the
+    classes of idempotent_maps (matrices of endomorphisms of m) are declared
+    as its primitive idempotents."""
     f = m.algebra.field
     if m.is_zero():
         return zero_algebra(f)
@@ -230,7 +224,7 @@ def reference_auslander_linear(m, field):
     intervals = _interval_modules(a, m)
     total, incs, prjs = direct_sum(intervals)
     projectors = [sparse_matmul(field, prj.matrix, inc.matrix) for inc, prj in zip(incs, prjs)]
-    return _end_algebra(total, projectors)
+    return end_algebra(total, projectors)
 
 
 def reference_subcategory_algebra(a):
@@ -303,17 +297,77 @@ def _corner_dims(a, vectors):
 
 
 def canonical_matrix(mat):
-    """Lexicographic minimum over simultaneous row/column permutations."""
+    """Row-major lexicographic minimum of P mat P^T over permutations P.
+
+    Positions 0, 1, ... are filled in turn.  A state is the prefix of
+    vertices chosen so far and an ordered partition of the others.  The
+    next position takes a vertex v of the first cell, and every cell then
+    splits by mat[v][x], ascending: that is the only order of the later
+    positions that can still give the least row for v, and it fixes the row
+    exactly, since every later cell is constant in the row of every chosen
+    vertex.  Keeping the states with the least row at each position keeps
+    every prefix of a minimum, so the result is exact.  Two kinds of
+    candidate are skipped, both because an automorphism of mat that fixes
+    the state maps the skipped choice onto one already made: a twin of a
+    vertex tried in the same cell (their swap is the automorphism), and a
+    vertex of an untouched connected component of the support graph unless
+    that component is the first untouched one of its isomorphism class
+    (swapping the two components is).  The classes are the canonical forms
+    of the components, found by recursion.
+    """
     n = len(mat)
-    if n > 7:
-        rows = sorted(range(n), key=lambda r: (sorted(mat[r]), mat[r]))
-        return tuple(tuple(mat[r][c] for c in rows) for r in rows)
-    best = None
-    for p in permutations(range(n)):
-        cand = tuple(tuple(mat[p[r]][p[c]] for c in range(n)) for r in range(n))
-        if best is None or cand < best:
-            best = cand
-    return best
+    comp, comps = [None] * n, []  # support graph components, by least vertex
+    for s in range(n):
+        if comp[s] is None:
+            comp[s], stack, members = len(comps), [s], []
+            while stack:
+                x = stack.pop()
+                members.append(x)
+                for y in range(n):
+                    if comp[y] is None and (mat[x][y] or mat[y][x]):
+                        comp[y] = comp[s]
+                        stack.append(y)
+            comps.append(sorted(members))
+    kinds = [None] if len(comps) == 1 else [
+        canonical_matrix([[mat[r][c] for c in k] for r in k]) for k in comps]
+
+    def swappable(u, v):
+        return mat[u][u] == mat[v][v] and mat[u][v] == mat[v][u] and all(
+            mat[u][x] == mat[v][x] and mat[x][u] == mat[x][v]
+            for x in range(n) if x != u and x != v)
+
+    twin = [next(u for u in range(v + 1) if u == v or swappable(u, v)) for v in range(n)]
+    states, rows = [((), [list(range(n))])], []
+    for _ in range(n):
+        least, kept = None, []
+        for prefix, cells in states:
+            touched = {comp[p] for p in prefix}
+            first = {}
+            for c, kind in enumerate(kinds):
+                if c not in touched:
+                    first.setdefault(kind, c)
+            allowed = touched.union(first.values())
+            tried = set()
+            for v in cells[0]:
+                if comp[v] not in allowed or twin[v] in tried:
+                    continue
+                tried.add(twin[v])
+                split = []
+                for cell in [[x for x in cells[0] if x != v]] + cells[1:]:
+                    parts = {}
+                    for x in cell:
+                        parts.setdefault(mat[v][x], []).append(x)
+                    split += [parts[val] for val in sorted(parts)]
+                chosen = prefix + (v,)
+                row = (tuple(mat[v][p] for p in chosen)
+                       + tuple(mat[v][c[0]] for c in split for _ in c))
+                if least is None or row < least:
+                    least, kept = row, []
+                if row == least:
+                    kept.append((chosen, split))
+        states = kept
+        rows.append(least)
+    return tuple(rows)
 
 
 class AlgebraFingerprint:

@@ -62,7 +62,6 @@ class QWindow:
                         for m in a.component_indices(d)])
                     self._slice[(src, tgt, d)] = basis
                     self._rad_slice[(src, tgt, d)] = [v for v in basis if rad_ech.contains(v)]
-        self._modules = {}
 
     def hom_basis(self, q, qp):
         """Basis of maps q -> qp, as generator images inside the algebra."""
@@ -96,11 +95,6 @@ class QWindow:
 
     def identity_of(self, q):
         return dict(self.idempotents[q[0] - 1])
-
-    def module_of(self, q):
-        if q not in self._modules:
-            self._modules[q] = shift(projective(self.algebra, q[0]), q[1])
-        return self._modules[q]
 
     def dims_table(self):
         return {

@@ -5,19 +5,24 @@ Gaussian elimination on lists, exhaustive enumerations over small prime
 fields, and a commutant-style homomorphism solver that sets up the full
 "degree-preserving and commutes with every action matrix" linear system.
 None of it calls into qshape's sparse engine, so these functions stay valid
-as oracles for it.  Four exceptions read qshape: `isomorphic_projectives`
+as oracles for it.  The exceptions read qshape: `isomorphic_projectives`
 reads its projective covers, whose summands are what an exact comparison
 of graded projectives needs, `submodule_by_express` keeps the earlier
 construction of a submodule, by a tagged echelon of its basis, as the
 reference for reading coordinates at pivots, `pairwise_compile_quiver`
 keeps the earlier quiver compiler, which spans the relation ideal pair of
-paths by pair of paths, as the reference for the arrow closure, and
+paths by pair of paths, as the reference for the arrow closure,
 `per_object_window_properties` keeps the earlier window check, which works
-object pair by object pair, as the reference for the shift-class check.
+object pair by object pair, as the reference for the shift-class check,
+and the module references at the end (map checks, duals over the opposite
+algebra, socles, injective envelopes, cosyzygies and restriction of
+scalars) are built from qshape's modules and covers, the envelopes as the
+second route the stable tests check syzygies against.
+`brute_canonical_matrix` tries every permutation.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 
 def naive_rref(rows):
@@ -696,3 +701,160 @@ def per_object_window_properties(w, serre_check=True):
         report[f"property_{k}"]["pass"] for k in (1, 2, 3, 4)
     ) and report["property_5"]["pass"] is not False
     return report
+
+
+# ---------------------------------------------------------------------------
+# module references: equality, map checks, duals, socles, injective
+# envelopes, cosyzygies and restriction of scalars, over qshape's modules
+# ---------------------------------------------------------------------------
+
+def module_equal(m, n):
+    """Same algebra, same degrees and the same action matrices."""
+    from qshape.algebra import same_algebra
+
+    return (same_algebra(m.algebra, n.algebra) and m.degrees == n.degrees
+            and m.action == n.action)
+
+
+def validate_map(source, target, matrix):
+    """Raise ValueError unless the row matrix is a degree-0 module map
+    source -> target: right shape, degrees kept, and commuting with the
+    action of every generator of the algebra."""
+    from qshape.algebra import generating_vectors, same_algebra
+    from qshape.linalg import sparse_matmul
+
+    if not same_algebra(source.algebra, target.algebra):
+        raise ValueError("map between modules over different algebras")
+    f = source.algebra.field
+    if len(matrix) != source.dim:
+        raise ValueError("map matrix has wrong shape")
+    for r, row in enumerate(matrix):
+        for s in row:
+            if source.degrees[r] != target.degrees[s]:
+                raise ValueError("map does not preserve degrees")
+    for g in generating_vectors(source.algebra):
+        lhs = sparse_matmul(f, source.action_of(g), matrix)
+        rhs = sparse_matmul(f, matrix, target.action_of(g))
+        if lhs != rhs:
+            raise ValueError("map does not commute with the action")
+
+
+def map_rank(field, rows):
+    """Rank of a row matrix."""
+    from qshape.linalg import span_basis
+
+    return len(span_basis(field, rows))
+
+
+def opposite(a):
+    """The opposite algebra (multiplication reversed), memoized both ways."""
+    from qshape.algebra import GradedAlgebra
+
+    if "opposite" not in a._cache:
+        mult = [[a.mult[j][i] for j in range(a.dim)] for i in range(a.dim)]
+        rad = a._radical.basis if a._radical is not None else a.radical_hint
+        op = GradedAlgebra(a.field, a.degrees, mult, a.unit, idempotents=a.idempotents,
+                           labels=a.labels, generators=a.generators, radical_hint=rad)
+        a._cache["opposite"] = op
+        op._cache["opposite"] = a
+    return a._cache["opposite"]
+
+
+def _transpose(rows, ncols):
+    out = [dict() for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for s, c in row.items():
+            out[s][r] = c
+    return out
+
+
+def dual_module(m):
+    """The k-dual as a right module over the opposite algebra; degrees negate."""
+    from qshape.modules import GradedModule
+
+    return GradedModule(opposite(m.algebra), [-d for d in m.degrees],
+                        [_transpose(mat, m.dim) for mat in m.action], check=False)
+
+
+def dual_map(gmap):
+    """Dual of a map: the transposed matrix between the dual modules."""
+    from qshape.modules import GradedMap
+
+    return GradedMap(dual_module(gmap.target), dual_module(gmap.source),
+                     _transpose(gmap.matrix, gmap.target.dim))
+
+
+def socle(m):
+    """(S, inclusion): the annihilator of the radical inside M."""
+    from qshape.algebra import jacobson_radical
+    from qshape.linalg import sparse_kernel
+    from qshape.modules import Submodule
+
+    rows = []
+    for r in jacobson_radical(m.algebra).basis:
+        # columns of the action matrix of r: one equation per target coordinate
+        cols = {}
+        for mm, row in enumerate(m.action_of(r)):
+            for s, c in row.items():
+                cols.setdefault(s, {})[mm] = c
+        rows.extend(cols[s] for s in sorted(cols))
+    sub = Submodule(m, sparse_kernel(m.algebra.field, rows, m.dim))
+    return sub.module, sub.inclusion
+
+
+def injective_envelope(m):
+    """(I, mono) with I minimal injective over a self-injective algebra.
+
+    I is the dual of the projective cover of the dual module over the
+    opposite algebra; minimality is certified by the socle lying inside the
+    image.
+    """
+    from qshape.errors import NotSelfInjective
+    from qshape.linalg import Echelon
+    from qshape.modules import GradedMap, cover_of, is_self_injective
+
+    a = m.algebra
+    if not is_self_injective(a):
+        raise NotSelfInjective("injective envelopes need a self-injective algebra")
+    f = a.field
+    md = dual_module(m)
+    cov = cover_of(md)
+    # dual(M dual) -> dual(P); its source equals m in coordinates
+    dual_epi = dual_map(GradedMap(cov.module, md, cov.epi_rows))
+    env = dual_epi.target
+    mono = GradedMap(m, env, dual_epi.matrix)
+    if map_rank(f, mono.matrix) != m.dim:
+        raise ValueError("envelope embedding is not injective")
+    img = Echelon(f)
+    img.extend(mono.matrix)
+    for row in socle(env)[1].matrix:
+        if not img.contains(row):
+            raise ValueError("envelope is not minimal (socle escapes the image)")
+    return env, mono
+
+
+def cosyzygy_of(m):
+    """Cokernel of the minimal injective envelope, cached on m."""
+    from qshape.modules import QuotientModule
+
+    if "cosyzygy" not in m._cache:
+        env, mono = injective_envelope(m)
+        m._cache["cosyzygy"] = QuotientModule(env, mono.matrix).module
+    return m._cache["cosyzygy"]
+
+
+def i_lower(mp, tensor):
+    """Restriction along b -> b (x) 1: same space, action of the left factor."""
+    from qshape.modules import GradedModule
+
+    lam = tensor.left
+    action = [mp.action_of(tensor.pair_vec(lam.basis_vec(b), tensor.right.unit))
+              for b in range(lam.dim)]
+    return GradedModule(lam, mp.degrees, action, check=False)
+
+
+def brute_canonical_matrix(mat):
+    """Lexicographic minimum over all simultaneous row/column permutations."""
+    n = len(mat)
+    return min(tuple(tuple(mat[p[r]][p[c]] for c in range(n)) for r in range(n))
+               for p in permutations(range(n)))

@@ -17,7 +17,6 @@ from qshape.algebra import (
     generating_vectors,
     global_dimension_bounded,
     jacobson_radical,
-    opposite,
     primitive_idempotents,
     sup_degree,
     zero_algebra,
@@ -41,6 +40,7 @@ from oracles import (
     naive_check_algebra,
     naive_failing_triples,
     naive_radical_series,
+    opposite,
     pairwise_compile_quiver,
 )
 

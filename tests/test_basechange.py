@@ -9,24 +9,22 @@ from qshape.algebra import builtin
 from qshape.basechange import (
     base_change_hom_check,
     gamma_tensor,
-    has_projective_restriction,
-    i_lower,
     i_star,
     tensor_algebra,
     ungrade,
 )
-from qshape.errors import NotSelfInjective
 from qshape.fields import QQ, FieldSpec
 from qshape.modules import (
     GradedModule,
     cover_of,
     hom_graded,
     is_projective,
-    module_equal,
     regular,
     simple,
 )
 from qshape.tilting import reference_upper_triangular, tilting_module
+
+from oracles import i_lower, module_equal
 
 
 def trunc(n, field=QQ):
@@ -118,24 +116,6 @@ class TestHomBaseChange:
                 assert base_change_hom_check(m, n, t)["pass"]
 
 
-class TestProjectiveRestriction:
-    def test_extension_of_regular(self):
-        lam = trunc(2)
-        t = tensor_algebra(lam, dual_numbers_ungraded())
-        assert has_projective_restriction(i_star(regular(lam), t), t)
-
-    def test_extension_of_simple_is_not(self):
-        lam = trunc(2)
-        t = tensor_algebra(lam, dual_numbers_ungraded())
-        assert not has_projective_restriction(i_star(simple(lam, 1), t), t)
-
-    def test_needs_self_injective_base(self):
-        lam = reference_upper_triangular(2, QQ)
-        t = tensor_algebra(lam, base_field_algebra())
-        with pytest.raises(NotSelfInjective):
-            has_projective_restriction(i_star(regular(lam), t), t)
-
-
 class TestGammaTensor:
     def test_truncated_cubic_times_dual_numbers(self):
         g = gamma_tensor(trunc(3), dual_numbers_ungraded())
@@ -152,14 +132,9 @@ class TestGammaTensor:
 
 
 class TestProjectiveRestrictionMore:
-    def test_zero_module_is_in_the_class(self):
-        from qshape.modules import zero_module
-
-        lam = trunc(2)
-        t = tensor_algebra(lam, dual_numbers_ungraded())
-        assert has_projective_restriction(zero_module(t.product), t)
-
     def test_matches_projectivity_of_the_input(self):
+        # the restriction of the extension of M is M^(dim A), projective
+        # exactly when M is
         lam = builtin("preprojective_A", 2, QQ)
         t = tensor_algebra(lam, dual_numbers_ungraded())
         from qshape.modules import projective
@@ -170,7 +145,7 @@ class TestProjectiveRestrictionMore:
             (simple(lam, 1), False),
             (simple(lam, 2), False),
         ):
-            assert has_projective_restriction(i_star(m, t), t) is expected
+            assert is_projective(i_lower(i_star(m, t), t)) is expected
 
 
 class TestConstructedModulesValidate:

@@ -54,6 +54,22 @@ def write_preprojective_quiver(tmp_path, name="pp2.json"):
     return str(path)
 
 
+def write_cyclic_nakayama(tmp_path, n, length, char):
+    """The cyclic quiver on n vertices, arrows in degree 1, modulo all paths
+    of the given length."""
+    arrows = [{"name": f"a{i}", "from": str(i), "to": str((i + 1) % n), "degree": 1}
+              for i in range(n)]
+    relations = [[{"coeff": 1, "path": [f"a{(s + k) % n}" for k in reversed(range(length))]}]
+                 for s in range(n)]
+    path = tmp_path / f"nakayama-{n}-{length}-{char}.json"
+    path.write_text(json.dumps({
+        "field": {"char": char},
+        "quiver": {"vertices": [str(i) for i in range(n)], "arrows": arrows,
+                   "relations": relations, "nilpotency_bound": length},
+    }))
+    return str(path)
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -135,6 +151,17 @@ class TestGamma:
     def test_hypothesis_failure_exits_3(self, tmp_path, capsys):
         code, rep = run(capsys, ["gamma", write_quiver_a2(tmp_path)])
         assert code == 3
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_cyclic_nakayama_matches_subcategory(self, tmp_path, capsys, n, char):
+        # Gamma is T_3(k)^n: n isomorphic blocks of 3 simples each, whose
+        # Cartan matrix only a permutation-invariant canonical form matches
+        code, rep = run(capsys, ["gamma", write_cyclic_nakayama(tmp_path, n, 4, char),
+                                 "--compare", "subcategory"])
+        assert code == 0
+        assert rep["fingerprint"]["num_simples"] == 3 * n
+        assert rep["comparison"]["verdict"]["status"] == "match"
 
 
 class TestExt:
@@ -373,6 +400,32 @@ class TestBadFlagValues:
         code, rep = run(capsys, ["ext", f, "--range", "0"])
         assert code == 2
         assert "error" in rep
+
+    def test_window_lo_above_hi_is_parse_error(self, tmp_path, capsys):
+        f = write_builtin(tmp_path, "truncated_polynomial", 3)
+        code, rep = run(capsys, ["window", f, "--lo", "2", "--hi", "1"])
+        assert code == 2
+        assert "error" in rep
+
+    def test_verify_parameter_zero_is_parse_error(self, capsys):
+        code, rep = run(capsys, ["verify", "preprojective_A", "0"])
+        assert code == 2
+        assert "error" in rep
+
+    def test_internal_value_error_exits_1_naming_the_command(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # a failed internal invariant is not a parse error
+        import qshape.cli
+
+        def broken(*args):
+            raise ValueError("cover is not minimal (kernel escapes P.rad)")
+
+        monkeypatch.setattr(qshape.cli, "stable_ext_table", broken)
+        f = write_builtin(tmp_path, "truncated_polynomial", 3)
+        code, rep = run(capsys, ["ext", f, "--range", "2"])
+        assert code == 1
+        assert rep["command"] == "ext"
+        assert "cover is not minimal" in rep["error"]
 
     def test_bad_compare_spec(self, tmp_path, capsys):
         f = write_builtin(tmp_path, "truncated_polynomial", 3)

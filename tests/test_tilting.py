@@ -1,6 +1,7 @@
 """Tilting module, its stable endomorphism algebra, references, fingerprints."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qshape.algebra import (
     QuiverPresentation,
@@ -26,7 +27,7 @@ from qshape.tilting import (
     tilting_module,
 )
 
-from oracles import auslander_linear_dim, naive_cartan
+from oracles import auslander_linear_dim, brute_canonical_matrix, naive_cartan
 
 GF = FieldSpec(32003)
 
@@ -162,6 +163,14 @@ class TestFingerprintCompare:
         ref = reference_auslander_linear(2, QQ)
         assert compare(g, ref).status == "match"
 
+    @pytest.mark.parametrize("char", [0, 32003])
+    def test_preprojective_5_matches_auslander_4(self, char):
+        # Gamma has 10 simples, past what a search over all orders of the
+        # simples could afford
+        field = FieldSpec(char)
+        g = tilting_endomorphism_algebra(builtin("preprojective_A", 5, field)).algebra
+        assert compare(g, reference_auslander_linear(4, field)).status == "match"
+
     def test_zero_algebras_match(self):
         g = tilting_endomorphism_algebra(builtin("preprojective_A", 1, QQ)).algebra
         assert compare(g, reference_upper_triangular(0, QQ)).status == "match"
@@ -179,6 +188,58 @@ def test_cartan_matrix_matches_pairwise_products(family, n, char):
     for alg in (a, tilting_endomorphism_algebra(a).algebra):
         idems = primitive_idempotents(alg)
         assert cartan_matrix(alg) == naive_cartan(alg.field, alg.mult, idems)
+
+
+def square(n, entries):
+    """n x n integer matrices with entries drawn from `entries`."""
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def blown_up(n):
+    """Matrices whose vertices are copies of the vertices of a smaller one:
+    copies of one vertex have equal rows and columns, so they are twins."""
+    return st.integers(1, max(n, 1)).flatmap(lambda k: st.tuples(
+        square(k, st.integers(0, 2)),
+        st.lists(st.integers(0, k - 1), min_size=n, max_size=n),
+    )).map(lambda bi: [[bi[0][a][b] for b in bi[1]] for a in bi[1]])
+
+
+def repeated_blocks(n):
+    """Block-diagonal copies of one block, optionally joined by a constant
+    off-diagonal value: components (or modules) that are all isomorphic."""
+    return st.integers(1, max(n, 1)).flatmap(lambda k: st.tuples(
+        square(k, st.integers(0, 2)), st.integers(0, 1))).map(
+        lambda bj: [[bj[0][r % len(bj[0])][c % len(bj[0])]
+                     if r // len(bj[0]) == c // len(bj[0]) else bj[1]
+                     for c in range(n - n % len(bj[0]))]
+                    for r in range(n - n % len(bj[0]))])
+
+
+def matrices(max_n):
+    return st.integers(0, max_n).flatmap(lambda n: st.one_of(
+        square(n, st.integers(0, 3)),
+        square(n, st.sampled_from([0, 0, 0, 1, 2])),
+        blown_up(n),
+        repeated_blocks(n),
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(6))
+def test_canonical_matrix_is_the_brute_force_minimum(mat):
+    assert canonical_matrix(mat) == brute_canonical_matrix(mat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(12).flatmap(lambda m: st.tuples(st.just(m), st.permutations(range(len(m))))))
+def test_canonical_matrix_is_permutation_invariant(mat_perm):
+    mat, p = mat_perm
+    permuted = [[mat[p[r]][p[c]] for c in range(len(mat))] for r in range(len(mat))]
+    canon = canonical_matrix(mat)
+    assert canonical_matrix(permuted) == canon
+    # the form is a fixed point and a simultaneous permutation of mat
+    assert canonical_matrix(canon) == canon
+    assert sorted(x for row in canon for x in row) == sorted(x for row in mat for x in row)
 
 
 class TestEndAlgebra:

@@ -49,7 +49,8 @@ class TestBuildWindow:
         w = build_window(a, -1, 1)
         for q in ((1, 0), (2, -1), (1, 1)):
             for qp in ((1, 0), (2, 0), (2, 1)):
-                direct = hom_graded(w.module_of(q), w.module_of(qp)).dim
+                direct = hom_graded(shift(projective(a, q[0]), q[1]),
+                                    shift(projective(a, qp[0]), qp[1])).dim
                 assert w.hom_dim(q, qp) == direct
 
     def test_composition_against_map_composition(self):
@@ -129,7 +130,7 @@ class TestProperties:
 
 class TestSerreLocalStructure:
     def test_local_serre_equals_shifted_dual(self):
-        from qshape.modules import dual_of_regular, module_equal
+        from qshape.modules import dual_of_regular
 
         a = builtin("exterior", 2, QQ)
         for j in (-1, 0, 2):
