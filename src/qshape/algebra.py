@@ -467,10 +467,13 @@ def sup_degree(a):
 # ---------------------------------------------------------------------------
 
 class RadicalData:
-    """Radical basis, dims of its nonzero powers, and the nilpotency index."""
+    """Radical basis, the generators V (radical vectors spanning R modulo
+    R^2, so words in V span R), dims of the nonzero powers of R, and the
+    nilpotency index."""
 
-    def __init__(self, basis, series_dims, nilpotency):
+    def __init__(self, basis, gens, series_dims, nilpotency):
         self.basis = basis
+        self.gens = gens
         self.series_dims = series_dims
         self.nilpotency = nilpotency
 
@@ -491,7 +494,7 @@ def _trace_form_radical(a):
         for j in range(a.dim):
             s = f.zero()
             for m, c in a.mult[i][j].items():
-                s = f.add(s, f.mul(c, traces[m]))
+                s = f.muladd(s, c, traces[m])
             if not f.is_zero(s):
                 row[j] = s
         rows.append(row)
@@ -524,7 +527,7 @@ def jacobson_radical(a):
         return a._radical
     f = a.field
     if a.dim == 0:
-        a._radical = RadicalData([], [], 0)
+        a._radical = RadicalData([], [], [], 0)
         return a._radical
     char_ok = f.char == 0 or f.char > a.dim
     if a.radical_hint is not None:
@@ -569,7 +572,7 @@ def jacobson_radical(a):
         raise VerificationFailed("radical is not nilpotent")
     if series != sorted(series, reverse=True) or len(set(series)) != len(series):
         raise VerificationFailed("radical series dims are not strictly decreasing")
-    a._radical = RadicalData(basis, series, len(series) + 1 if series else 1)
+    a._radical = RadicalData(basis, gens, series, len(series) + 1 if series else 1)
     return a._radical
 
 

@@ -1,11 +1,15 @@
 """Exact scalars: the rationals and prime fields GF(p).
 
-Elements are plain ``fractions.Fraction`` values in characteristic 0 and
-ints in ``range(p)`` in characteristic p, so every stored scalar is already
-in canonical form (lowest terms / least non-negative residue).
+The contract: over QQ a scalar is an int when integral, else a
+``fractions.Fraction`` in lowest terms; ints in ``range(p)`` over GF(p).
+Every stored scalar is thus in one canonical form, and the integers that
+make up almost all of the rationals an elimination meets cost int
+arithmetic, not ``Fraction`` arithmetic.  No module but this one names
+``Fraction``.
 """
 
 from fractions import Fraction
+from operator import index
 
 
 def is_prime(n):
@@ -37,15 +41,25 @@ def is_prime(n):
 
 
 class FieldSpec:
-    """A base field, identified by its characteristic (0 or a prime < 2^31)."""
+    """A base field, identified by its characteristic (0 or a prime < 2^31).
 
-    __slots__ = ("char",)
+    The arithmetic ops are bound once per field in ``__init__``, so no op
+    tests the characteristic when it is called.  ``muladd(y, c, x)`` is the
+    fused ``y + c*x`` of elimination's inner loop: one normalisation over
+    QQ, one ``% p`` over GF(p).
+    """
+
+    __slots__ = ("char", "zero", "one", "from_int", "coerce", "add", "sub", "mul",
+                 "muladd", "neg", "inv", "div")
 
     def __init__(self, char=0):
         char = int(char)
         if char != 0 and (char < 2 or char >= 2**31 or not is_prime(char)):
             raise ValueError(f"characteristic must be 0 or a prime < 2^31, got {char}")
         self.char = char
+        ops = _qq_ops() if char == 0 else _gf_ops(char)
+        for name, op in ops.items():
+            setattr(self, name, op)
 
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and self.char == other.char
@@ -56,62 +70,125 @@ class FieldSpec:
     def __repr__(self):
         return "QQ" if self.char == 0 else f"GF({self.char})"
 
-    # -- element constructors ------------------------------------------------
+    @staticmethod
+    def is_zero(a):
+        return a == 0
 
-    def zero(self):
-        return Fraction(0) if self.char == 0 else 0
+    @staticmethod
+    def to_str(a):
+        return str(a)
 
-    def one(self):
-        return Fraction(1) if self.char == 0 else 1
 
-    def from_int(self, n):
-        return Fraction(n) if self.char == 0 else n % self.char
+def _zero():
+    return 0
 
-    def coerce(self, x):
+
+def _one():
+    return 1
+
+
+def _coercer(name, from_int, from_fraction):
+    def coerce(x):
         """Accept ints, Fractions and 'p/q' strings; reject floats."""
         if isinstance(x, bool):
             raise TypeError("booleans are not scalars")
         if isinstance(x, int):
-            return self.from_int(x)
-        if isinstance(x, Fraction):
-            if self.char == 0:
-                return x
-            return self.div(self.from_int(x.numerator), self.from_int(x.denominator))
+            return from_int(x)
         if isinstance(x, str):
-            return self.coerce(Fraction(x))
-        raise TypeError(f"cannot coerce {x!r} into {self!r}")
+            x = Fraction(x)
+        if isinstance(x, Fraction):
+            return from_fraction(x)
+        raise TypeError(f"cannot coerce {x!r} into {name}")
+    return coerce
 
-    # -- arithmetic ----------------------------------------------------------
 
-    def add(self, a, b):
-        return a + b if self.char == 0 else (a + b) % self.char
+def _qq_ops():
+    # a Fraction op returns lowest terms, so the only canonicalisation left
+    # is denominator 1 -> int; the int test first keeps the common case
+    # cheap, and the four ops of the inner loops inline it to save a call
+    def canon(r):
+        if type(r) is int or r.denominator != 1:
+            return r
+        return r.numerator
 
-    def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
+    def add(a, b):
+        r = a + b
+        if type(r) is int or r.denominator != 1:
+            return r
+        return r.numerator
 
-    def mul(self, a, b):
-        return a * b if self.char == 0 else (a * b) % self.char
+    def sub(a, b):
+        r = a - b
+        if type(r) is int or r.denominator != 1:
+            return r
+        return r.numerator
 
-    def neg(self, a):
-        return -a if self.char == 0 else (-a) % self.char
+    def mul(a, b):
+        r = a * b
+        if type(r) is int or r.denominator != 1:
+            return r
+        return r.numerator
 
-    def inv(self, a):
-        if self.is_zero(a):
+    def muladd(y, c, x):
+        r = y + c * x
+        if type(r) is int or r.denominator != 1:
+            return r
+        return r.numerator
+
+    def neg(a):
+        return -a
+
+    def inv(a):
+        if a == 1 or a == -1:  # almost every pivot; its own inverse
+            return int(a)
+        if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.char == 0 else pow(a, -1, self.char)
+        # Fraction(1) / a, never 1 / a: the latter is a float for an int a
+        return canon(Fraction(1) / a)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
+    def div(a, b):
+        return mul(a, inv(b))
 
-    def is_zero(self, a):
-        return a == 0
+    return {"zero": _zero, "one": _one, "from_int": index,
+            "coerce": _coercer("QQ", index, canon),
+            "add": add, "sub": sub, "mul": mul, "muladd": muladd, "neg": neg,
+            "inv": inv, "div": div}
 
-    # -- formatting ----------------------------------------------------------
 
-    def to_str(self, a):
-        if self.char == 0:
-            return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
-        return str(a)
+def _gf_ops(p):
+    def from_int(n):
+        return n % p
+
+    def add(a, b):
+        return (a + b) % p
+
+    def sub(a, b):
+        return (a - b) % p
+
+    def mul(a, b):
+        return (a * b) % p
+
+    def muladd(y, c, x):
+        return (y + c * x) % p
+
+    def neg(a):
+        return (-a) % p
+
+    def inv(a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, -1, p)
+
+    def div(a, b):
+        return (a * inv(b)) % p
+
+    def from_fraction(x):
+        return div(x.numerator % p, x.denominator % p)
+
+    return {"zero": _zero, "one": _one, "from_int": from_int,
+            "coerce": _coercer(f"GF({p})", from_int, from_fraction),
+            "add": add, "sub": sub, "mul": mul, "muladd": muladd, "neg": neg,
+            "inv": inv, "div": div}
 
 
 QQ = FieldSpec(0)

@@ -26,13 +26,13 @@ def vec_iadd_scaled(field, acc, w, c):
     """
     if field.is_zero(c):
         return acc
-    add, mul, is_zero, get = field.add, field.mul, field.is_zero, acc.get
+    muladd, mul, is_zero, get = field.muladd, field.mul, field.is_zero, acc.get
     for i, x in w.items():
         y = get(i)
         if y is None:
             acc[i] = mul(c, x)
             continue
-        y = add(y, mul(c, x))
+        y = muladd(y, c, x)
         if is_zero(y):
             del acc[i]
         else:

@@ -276,8 +276,12 @@ def truncate_le(m, n):
 
 
 def radical_submodule_span(m):
-    """Spanning vectors of M . rad(algebra)."""
-    return [row for r in jacobson_radical(m.algebra).basis for row in m.action_of(r) if row]
+    """Spanning vectors of M . rad(algebra), from the radical's generators V.
+
+    R is spanned by words in V and M.(v_1...v_j) lies in M.v_j, so
+    M.R = sum over v in V of M.v.
+    """
+    return [row for r in jacobson_radical(m.algebra).gens for row in m.action_of(r) if row]
 
 
 def top(m):

@@ -153,14 +153,16 @@ class TestGamma:
         assert code == 3
 
     @pytest.mark.parametrize("char", [0, 32003])
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_cyclic_nakayama_matches_subcategory(self, tmp_path, capsys, n, char):
-        # Gamma is T_3(k)^n: n isomorphic blocks of 3 simples each, whose
-        # Cartan matrix only a permutation-invariant canonical form matches
-        code, rep = run(capsys, ["gamma", write_cyclic_nakayama(tmp_path, n, 4, char),
+    @pytest.mark.parametrize("n,length", [pytest.param(3, 4, id="3"), pytest.param(4, 4, id="4"),
+                                          pytest.param(2, 6, id="2-6")])
+    def test_cyclic_nakayama_matches_subcategory(self, tmp_path, capsys, n, length, char):
+        # Gamma is T_{N-1}(k)^n for paths of length N = `length`: n isomorphic
+        # blocks of N-1 simples each, whose Cartan matrix only a
+        # permutation-invariant canonical form matches
+        code, rep = run(capsys, ["gamma", write_cyclic_nakayama(tmp_path, n, length, char),
                                  "--compare", "subcategory"])
         assert code == 0
-        assert rep["fingerprint"]["num_simples"] == 3 * n
+        assert rep["fingerprint"]["num_simples"] == (length - 1) * n
         assert rep["comparison"]["verdict"]["status"] == "match"
 
 

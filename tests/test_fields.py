@@ -1,4 +1,5 @@
-"""Primality of field characteristics, and qshape's independence of sympy."""
+"""Primality of field characteristics, where Fraction may appear, and
+qshape's independence of sympy."""
 
 import os
 import subprocess
@@ -29,6 +30,16 @@ def test_strong_pseudoprimes_are_rejected(n):
     assert not is_prime(n)
     with pytest.raises(ValueError):
         FieldSpec(n)
+
+
+def test_only_fields_names_fraction():
+    # every QQ scalar is made in qshape.fields, which hands out an int
+    # whenever the value is integral; no other module builds a Fraction
+    pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "qshape")
+    naming = [name for name in sorted(os.listdir(pkg)) if name.endswith(".py")
+              and "Fraction" in open(os.path.join(pkg, name)).read()]
+    assert naming == ["fields.py"]
 
 
 def test_verify_runs_without_sympy():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qshape.fields import FieldSpec, QQ, check_same_field
 from qshape.linalg import Echelon, span_basis, sparse_kernel
 
-from oracles import gf_span, gf_solutions, naive_rref, naive_rref_mod
+from oracles import gf_span, gf_solutions, naive_kernel, naive_rref, naive_rref_mod
 
 GF5 = FieldSpec(5)
 
@@ -63,6 +63,17 @@ class TestFieldSpec:
         assert GF5.coerce("1/2") == 3  # 2 * 3 = 6 = 1 mod 5
         with pytest.raises(TypeError):
             QQ.coerce(0.5)
+        # over QQ an integral value is an int, anything else a Fraction
+        half = QQ.inv(2)
+        assert type(half) is Fraction and half == Fraction(1, 2)
+        assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+        assert type(QQ.coerce("4/2")) is int and QQ.coerce("4/2") == 2
+        assert type(QQ.coerce("2/4")) is Fraction
+        assert all(type(x) is int for x in (QQ.zero(), QQ.one(), QQ.from_int(-7)))
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(0)
+        with pytest.raises(ZeroDivisionError):
+            GF5.inv(0)
 
     def test_to_str(self):
         assert QQ.to_str(Fraction(3)) == "3"
@@ -312,3 +323,65 @@ def test_echelon_holders_match_rows(vectors, char):
                     expected.setdefault(k, set()).add(p)
         assert ech.holders == expected
         assert not set(ech.holders) & set(ech.rows)
+
+
+def is_canonical_qq(x):
+    """The QQ scalar contract: an int, or a Fraction that is not integral."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+qq_values = st.one_of(st.integers(-30, 30),
+                      st.fractions(min_value=-30, max_value=30, max_denominator=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(qq_values, qq_values, qq_values)
+def test_qq_ops_return_canonical_values_equal_to_fraction_arithmetic(x, y, z):
+    a, b, c = QQ.coerce(x), QQ.coerce(y), QQ.coerce(z)
+    fa, fb, fc = Fraction(x), Fraction(y), Fraction(z)
+    results = [
+        (a, fa), (QQ.coerce(str(fa)), fa),
+        (QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb), (QQ.mul(a, b), fa * fb),
+        (QQ.muladd(a, b, c), fa + fb * fc), (QQ.neg(a), -fa),
+    ]
+    if fb != 0:
+        results += [(QQ.inv(b), 1 / fb), (QQ.div(a, b), fa / fb)]
+    for got, want in results:
+        assert is_canonical_qq(got)
+        assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.one_of(st.just(0), qq_values), min_size=n, max_size=n),
+                           min_size=1, max_size=6)
+    )
+)
+def test_qq_elimination_stores_canonical_values(rows):
+    # every row, tag, relation and kernel vector keeps the scalar contract
+    # and equals what textbook Fraction elimination gives
+    n = len(rows[0])
+    originals = [vec_from_list(QQ, r) for r in rows]
+    ech = Echelon(QQ, tagged=True)
+    for v in originals:
+        ech.insert(v)
+    kern = sparse_kernel(QQ, originals, n)
+    stored = [x for vecs in (ech.rows.values(), ech.tags.values(), ech.relations, kern)
+              for vec in vecs for x in vec.values()]
+    assert all(is_canonical_qq(x) for x in stored)
+
+    red, rank, _ = naive_rref(rows)
+    assert [vec_to_list(QQ, row, n) for row in ech.basis()] == red[:rank]
+    assert [vec_to_list(QQ, v, n) for v in kern] == naive_kernel(rows, n)
+
+    def combine(coeffs):
+        out = [Fraction(0)] * n
+        for j, c in coeffs.items():
+            out = [o + Fraction(c) * Fraction(x) for o, x in zip(out, rows[j])]
+        return out
+
+    for p, row in ech.rows.items():
+        assert combine(ech.tags[p]) == vec_to_list(QQ, row, n)
+    for rel in ech.relations:
+        assert combine(rel) == [0] * n

@@ -10,6 +10,7 @@ from qshape.algebra import (
     QuiverPresentation,
     builtin,
     compile_quiver,
+    jacobson_radical,
     primitive_idempotents,
 )
 from qshape.errors import NotSelfInjective
@@ -24,6 +25,7 @@ from qshape.modules import (
     is_self_injective,
     projective,
     QuotientModule,
+    radical_submodule_span,
     regular,
     shift,
     simple,
@@ -528,6 +530,26 @@ def test_cover_kernel_matches_the_transposed_system(family, n, char):
         assert own.dim == len(ref)
         assert all(span.contains(k) for k in cov.kernel_rows)
         assert module_equal(syzygy_of(m), Submodule(cov.module, ref).module)
+
+
+@pytest.mark.parametrize("family,n,char", COVER_CASES)
+def test_radical_span_from_generators_is_the_whole_radical_span(family, n, char):
+    # M.rad from the radical's generators V equals M.rad from its whole
+    # basis, and V spans the radical modulo its square
+    a = builtin(family, n, FieldSpec(char))
+    f = a.field
+    rad = jacobson_radical(a)
+    square = Echelon(f)
+    square.extend(a.product(u, v) for u in rad.basis for v in rad.basis)
+    assert len(rad.gens) == len(rad.basis) - square.dim
+    square.extend(rad.gens)
+    assert square.dim == len(rad.basis)
+    for m in cover_witnesses(a):
+        r = jacobson_radical(m.algebra)
+        ours, whole = Echelon(f), Echelon(f)
+        ours.extend(radical_submodule_span(m))
+        whole.extend(row for x in r.basis for row in m.action_of(x))
+        assert ours.basis() == whole.basis()
 
 
 @pytest.mark.parametrize("char", [0, 32003])
