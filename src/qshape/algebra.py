@@ -7,6 +7,8 @@ compiled down to this form; everything downstream (modules, stable
 categories, tilting) only sees structure constants.
 """
 
+import heapq
+
 from .errors import (
     NonHomogeneousRelation,
     UnknownFamily,
@@ -280,112 +282,107 @@ class QuiverPresentation:
 def compile_quiver(pres, field):
     """Compile a quiver presentation to a structure-constant algebra.
 
-    Paths of length < L (L = nilpotency_bound) modulo the relation ideal form
-    the basis.  The ideal is the span of the relations closed under
-    multiplication by one arrow on either side, with words longer than L
-    dropped: a queue starts with the relations, and each vector that
-    enlarges the span in an Echelon queues its arrow multiples.  The span
-    of the queued vectors is closed, since the multiples of a vector inside
-    it are combinations of queued multiples.  Truncation commutes with
-    multiplication, because lengths only grow, so this is exactly the span
-    of the truncated path multiples p*r*q of the relations r; the Echelon
-    keeps its canonical reduced basis, so the basis paths and structure
-    constants do not depend on the queue order.  Afterwards every path of
-    length exactly L must reduce to zero, otherwise the bound is too small
-    and VerificationFailed is raised.  For relations whose terms all have
-    the same path length this verification is exact; mixed-length
+    Paths of length < L (L = nilpotency_bound) modulo the relation ideal
+    form the basis.  The ideal is I + J^(L+1), with I spanned by the path
+    multiples p*r*q of the relations r and J the arrow ideal: a path longer
+    than L is zero, so terms longer than L are dropped wherever they arise
+    (the length-truncated model).
+
+    A path is (source, arrow tuple in application order).  The leading term
+    of a combination of paths is its longest term, ties going to the
+    smallest (source, word).  The order is admissible: paths of one length
+    keep their order under concatenation on either side, and shorter paths
+    stay shorter.  So a Groebner basis of the ideal (`_GroebnerBasis`)
+    decides which paths lead some element of the ideal: those that contain
+    the leading word of a basis element.  The others, the normal words,
+    are the non-pivot columns of the canonical reduced echelon basis of the
+    ideal inside all paths of length <= L with columns in this order, and
+    the normal form of a vector is its reduction by that echelon basis.
+    The algebra's basis is the normal words of length < L, sorted by
+    (length, source, word), and b_i * b_j is the normal form of the
+    concatenation, so degrees, products, unit, idempotents, labels,
+    generators, radical hint and errors are those of elimination over all
+    paths of length <= L, while the cost follows the normal words.
+
+    Every path of length L must reduce to zero, otherwise the bound is too
+    small and VerificationFailed is raised.  For relations whose terms all
+    have the same path length this verification is exact; mixed-length
     relations are reduced in the length-truncated model, which can mask an
     undersized bound.
     """
     L = pres.nilpotency_bound
     arrows = pres.arrows
+    one = field.one()
     arr_idx = {a[0]: i for i, a in enumerate(arrows)}
-    leaving, entering = {}, {}
-    for i, (name, src, tgt, deg) in enumerate(arrows):
-        leaving.setdefault(src, []).append(i)
-        entering.setdefault(tgt, []).append(i)
 
-    # enumerate paths of length <= L; a path is (source_vertex, arrow index
-    # tuple in application order)
-    paths = [(v, ()) for v in pres.vertices]
-    frontier = list(paths)
-    for _ in range(L):
-        nxt = []
-        for src, word in frontier:
-            end = arrows[word[-1]][2] if word else src
-            for ai in leaving.get(end, []):
-                nxt.append((src, word + (ai,)))
-        paths.extend(nxt)
-        frontier = nxt
-
-    def path_target(p):
+    def target(p):
         return arrows[p[1][-1]][2] if p[1] else p[0]
 
-    def path_degree(p):
-        return sum(arrows[ai][3] for ai in p[1])
-
-    # longer paths get smaller indices so elimination pivots prefer them and
-    # the surviving basis stays on short paths
-    order = sorted(paths, key=lambda p: (-len(p[1]), p[0], p[1]))
-    index = {p: i for i, p in enumerate(order)}
-
-    # queue entries are (source, target, vector over paths of that source
-    # and target); only arrows leaving the target or entering the source
-    # give nonzero multiples
-    queue = []
+    gb = _GroebnerBasis(field, arrows, L)
     for rel in pres.relations:
-        src, tgt, _ = pres._word_data(tuple(rel[0][1]))
         vec = {}
         for coeff, word in rel:
             app = tuple(arr_idx[n] for n in reversed(tuple(word)))
             if len(app) <= L:
-                vec_iadd_scaled(field, vec, {index[(src, app)]: field.one()},
-                                field.coerce(coeff))
-        queue.append((src, tgt, vec))
-    ideal = Echelon(field)
-    while queue:
-        src, tgt, vec = queue.pop()
-        if not ideal.insert(vec):
-            continue
-        terms = [(order[k][1], c) for k, c in vec.items() if len(order[k][1]) < L]
-        for ai in leaving.get(tgt, []):
-            queue.append((src, arrows[ai][2],
-                          {index[(src, w + (ai,))]: c for w, c in terms}))
-        for ai in entering.get(src, []):
-            new_src = arrows[ai][1]
-            queue.append((new_src, tgt,
-                          {index[(new_src, (ai,) + w)]: c for w, c in terms}))
+                vec_iadd_scaled(field, vec, {app: one}, field.coerce(coeff))
+        gb.push(vec)
+    gb.complete()
 
-    # verification: every path of length exactly L lies in the ideal span
-    for p in paths:
-        if len(p[1]) == L and ideal.reduce({index[p]: field.one()}):
-            raise VerificationFailed(
-                f"path of length {L} survives reduction; nilpotency_bound too small"
-            )
-
-    pivots = set(ideal.rows)
-    basis_paths = [p for p in order if len(p[1]) < L and index[p] not in pivots]
+    # normal words, grown by length: a normal word times an arrow stays
+    # normal unless a leading word is a suffix of the product.  A normal
+    # word of length L survives; when a basis element mixes lengths, a path
+    # of length L may also reduce to shorter normal words
+    basis_paths = [(v, ()) for v in pres.vertices]
+    layer = basis_paths
+    for _ in range(L):
+        layer = [(p[0], p[1] + (ai,)) for p in layer
+                 for ai in gb.leaving.get(target(p), ())
+                 if not gb.ends_in_tip(p[1] + (ai,))]
+        basis_paths.extend(layer)
+    if layer or (gb.mixed and not gb.kills_paths_of_length(L)):
+        raise VerificationFailed(
+            f"path of length {L} survives reduction; nilpotency_bound too small"
+        )
     basis_paths.sort(key=lambda p: (len(p[1]), p[0], p[1]))
-    loc = {index[p]: i for i, p in enumerate(basis_paths)}
+    loc = {p: i for i, p in enumerate(basis_paths)}
 
-    def reduce_to_coords(vec):
-        out = {}
-        for gi, c in ideal.reduce(vec).items():
-            out[loc[gi]] = c
-        return out
+    def coords(src, vec):
+        return {loc[(src, w)]: c for w, c in gb.normal_form(vec).items()}
 
+    # the right action of the arrows on the normal words: w times an arrow
+    # is normal unless a leading word is a suffix
     n = len(basis_paths)
+    right = []
+    for src, w in basis_paths:
+        acts = {}
+        for ai in gb.leaving.get(target((src, w)), ()):
+            u = w + (ai,)
+            if len(u) >= L:
+                continue  # a path of length >= L is zero
+            acts[ai] = coords(src, {u: one}) if gb.ends_in_tip(u) else {loc[(src, u)]: one}
+        right.append(acts)
+    # b_i * b_j is "pj then pi", and taking normal forms commutes with
+    # multiplication, so for pi = pi' then an arrow a, b_i * b_j is
+    # (b_i' * b_j) acted on by a; pi' comes earlier in the basis
     mult = [[{} for _ in range(n)] for _ in range(n)]
-    for i, pi in enumerate(basis_paths):
-        for j, pj in enumerate(basis_paths):
-            # b_i * b_j is "pj then pi": concat pj's word with pi's word
-            if path_target(pj) != pi[0]:
-                continue
-            word = pj[1] + pi[1]
-            if len(word) < L:
-                mult[i][j] = reduce_to_coords({index[(pj[0], word)]: field.one()})
+    for i, (src, w) in enumerate(basis_paths):
+        row = mult[i]
+        if not w:
+            for j, pj in enumerate(basis_paths):
+                if target(pj) == src:
+                    row[j] = {j: one}
+            continue
+        a, prev = w[-1], mult[loc[(src, w[:-1])]]
+        for j in range(n):
+            if prev[j]:
+                out = {}
+                for k, c in prev[j].items():
+                    act = right[k].get(a)
+                    if act:
+                        vec_iadd_scaled(field, out, act, c)
+                row[j] = out
 
-    degrees = [path_degree(p) for p in basis_paths]
+    degrees = [sum(arrows[ai][3] for ai in w) for _, w in basis_paths]
 
     def fmt(p):
         if not p[1]:
@@ -394,21 +391,264 @@ def compile_quiver(pres, field):
 
     labels = [fmt(p) for p in basis_paths]
     trivial = {p[0]: i for i, p in enumerate(basis_paths) if not p[1]}
-    idempotents = [{trivial[v]: field.one()} for v in pres.vertices]
+    idempotents = [{trivial[v]: one} for v in pres.vertices]
     unit = {}
     for e in idempotents:
-        vec_iadd_scaled(field, unit, e, field.one())
+        vec_iadd_scaled(field, unit, e, one)
 
     gens = [dict(e) for e in idempotents]
     for ai, (name, src, tgt, deg) in enumerate(arrows):
-        gens.append(reduce_to_coords({index[(src, (ai,))]: field.one()}))
+        gens.append(coords(src, {(ai,): one}))
 
-    # a basis path is not a pivot, so it is its own reduced class; the
-    # positive-length ones span the arrow ideal
-    radical_hint = [{i: field.one()} for i, p in enumerate(basis_paths) if p[1]]
+    # a normal word is its own normal form; the positive-length ones span
+    # the arrow ideal
+    radical_hint = [{i: one} for i, p in enumerate(basis_paths) if p[1]]
 
     return GradedAlgebra(field, degrees, mult, unit, idempotents=idempotents,
                          labels=labels, generators=gens, radical_hint=radical_hint)
+
+
+class _GroebnerBasis:
+    """A Groebner basis of I + J^(L+1) in the path algebra, under the order
+    of `compile_quiver`, built by Buchberger's algorithm.
+
+    A nonempty word (arrow tuple in application order) determines its
+    source, and the terms of an element share source and target, so words
+    stand for paths, and the leading word of an element is its longest,
+    ties going to the smallest.  `tails` maps each leading word t to its
+    element minus t (elements are monic); the leading words (tips) form
+    an antichain under "is a subword of".  The paths of length L+1 are
+    implicit elements M: reducing by them drops the terms longer than L.
+
+    Buchberger's criterion: the basis is complete once the S-polynomial of
+    each overlap of two leading words (the difference of the two rewritings
+    of the overlap word) has a representation by multiples p*g*q with
+    leading words below the overlap word; reducing it to zero gives one.
+    `complete` reduces each pushed element, shortest first, and adds a
+    nonzero remainder r with leading word t.  Then
+      - every element whose leading word contains t is removed and queued
+        again (inclusions); it is a combination of multiples of the others
+        with leading words at most its own, so earlier representations
+        still hold;
+      - g*v - u*h, truncated, is pushed for each proper or self overlap
+        t_g v = u t_h with r among g, h whose overlap word has length at
+        most L+1;
+      - p*r*q, truncated, is pushed for paths m = p t q of length L+1
+        (truncation overlaps, with M): t is pushed past L, and a term
+        shorter than t may survive, so only mixed-length r pays for them.
+    One occurrence of a leading word in each m suffices: the S-polynomials
+    of two occurrences differ by an overlap S-polynomial (its word lies in
+    m, so it is pushed) or, for disjoint occurrences, by multiples with
+    smaller leading words.  So only the first occurrence to end is taken
+    (p t[:-1] is normal), and m is skipped when it contains the leading
+    word of a single-length element, whose truncation overlap is zero.
+    The S-polynomial of an overlap word longer than L+1 is a difference of
+    multiples of truncation overlaps inside it.  Each added leading word is
+    new among the leading words of the ideal, and the paths of length <= L
+    are finitely many, so this ends.
+    """
+
+    def __init__(self, field, arrows, L):
+        self.field = field
+        self.arrows = arrows
+        self.L = L
+        self.tails = {}
+        self.mixed = set()  # leading words of the elements that mix lengths
+        self.lengths = []  # distinct lengths of the leading words, ascending
+        self._length_count = {}
+        # proper prefixes and suffixes -> the leading words they begin or end
+        self._by_prefix, self._by_suffix = {}, {}
+        self.entering, self.leaving = {}, {}
+        for i, (name, src, tgt, deg) in enumerate(arrows):
+            self.leaving.setdefault(src, []).append(i)
+            self.entering.setdefault(tgt, []).append(i)
+        self._queue = []
+        self._pushed = 0
+
+    # -- finding leading words -------------------------------------------
+
+    def _find(self, word):
+        """(start, leading word) of a leading word inside word, or None."""
+        tails = self.tails
+        n = len(word)
+        for ln in self.lengths:
+            if ln > n:
+                break
+            for s in range(n - ln + 1):
+                t = word[s:s + ln]
+                if t in tails:
+                    return s, t
+        return None
+
+    def ends_in_tip(self, word):
+        tails = self.tails
+        return any(word[-ln:] in tails for ln in self.lengths if ln <= len(word))
+
+    def _starts_with_tip(self, word):
+        tails = self.tails
+        return any(word[:ln] in tails for ln in self.lengths if ln <= len(word))
+
+    def _ends_in_single_length_tip(self, word):
+        tails, mixed = self.tails, self.mixed
+        return any(word[-ln:] in tails and word[-ln:] not in mixed
+                   for ln in self.lengths if ln <= len(word))
+
+    def normal_form(self, vec):
+        """The normal form of vec: its terms are rewritten, leading first,
+        until none contains a leading word.  Rewriting a term replaces it
+        by smaller ones, so each word is visited once."""
+        f = self.field
+        neg, mul, muladd, is_zero = f.neg, f.mul, f.muladd, f.is_zero
+        tails = self.tails
+        vec = dict(vec)
+        heap = [(-len(w), w) for w in vec]
+        heapq.heapify(heap)
+        out = {}
+        while heap:
+            w = heapq.heappop(heap)[1]
+            c = vec.pop(w, None)
+            if c is None:
+                continue  # cancelled, or a stale heap entry
+            hit = self._find(w)
+            if hit is None:
+                out[w] = c
+                continue
+            s, t = hit
+            p, q = w[:s], w[s + len(t):]
+            c = neg(c)
+            for u, d in tails[t].items():
+                u = p + u + q
+                y = vec.get(u)
+                if y is None:
+                    vec[u] = mul(c, d)
+                    heapq.heappush(heap, (-len(u), u))
+                else:
+                    y = muladd(y, c, d)
+                    if is_zero(y):
+                        del vec[u]
+                    else:
+                        vec[u] = y
+        return out
+
+    def kills_paths_of_length(self, k):
+        """Whether every path of length k > 0 reduces to zero, given that
+        no normal word is as long as k.  The normal forms of the paths of
+        length i + 1 are spanned by those of a spanning set of the normal
+        forms of the paths of length i times each arrow."""
+        f = self.field
+        arrows, leaving = self.arrows, self.leaving
+        layer = span_basis(f, [self.normal_form({(ai,): f.one()})
+                               for ai in range(len(arrows))])
+        for _ in range(k - 1):
+            products = []
+            for vec in layer:
+                end = arrows[next(iter(vec))[-1]][2]
+                for ai in leaving.get(end, ()):
+                    products.append(self.normal_form({w + (ai,): c for w, c in vec.items()}))
+            layer = span_basis(f, products)
+        return not layer
+
+    # -- Buchberger ----------------------------------------------------------
+
+    def push(self, vec):
+        """Queue an element of the ideal; shorter ones are reduced first."""
+        if vec:
+            self._pushed += 1
+            heapq.heappush(self._queue, (max(map(len, vec)), self._pushed, vec))
+
+    def complete(self):
+        f = self.field
+        while self._queue:
+            r = self.normal_form(heapq.heappop(self._queue)[2])
+            if not r:
+                continue
+            t = min(r, key=lambda w: (-len(w), w))
+            c = f.inv(r[t])
+            tail = {w: f.mul(c, x) for w, x in r.items() if w != t}
+            if self.lengths and self.lengths[-1] > len(t):
+                for s in [s for s in self.tails if len(s) > len(t) and _contains(s, t)]:
+                    self.push({s: f.one(), **self._remove(s)})
+            self._add(t, tail)
+            # an overlap in k letters with a leading word s has length
+            # |t| + |s| - k, which must not exceed L + 1
+            for k in range(max(1, len(t) + self.lengths[0] - self.L - 1), len(t)):
+                for s in self._by_prefix.get(t[-k:], ()):
+                    self._push_overlap(t, s, k)
+                for s in self._by_suffix.get(t[:k], ()):
+                    if s != t:
+                        self._push_overlap(s, t, k)
+            if t in self.mixed:
+                self._push_truncations(t, tail)
+
+    def _add(self, t, tail):
+        self.tails[t] = tail
+        if any(len(w) < len(t) for w in tail):
+            self.mixed.add(t)
+        count = self._length_count
+        count[len(t)] = count.get(len(t), 0) + 1
+        self.lengths = sorted(count)
+        for k in range(1, len(t)):
+            self._by_prefix.setdefault(t[:k], set()).add(t)
+            self._by_suffix.setdefault(t[-k:], set()).add(t)
+
+    def _remove(self, t):
+        self.mixed.discard(t)
+        count = self._length_count
+        count[len(t)] -= 1
+        if not count[len(t)]:
+            del count[len(t)]
+            self.lengths = sorted(count)
+        for k in range(1, len(t)):
+            self._by_prefix[t[:k]].discard(t)
+            self._by_suffix[t[-k:]].discard(t)
+        return self.tails.pop(t)
+
+    def _push_overlap(self, t, s, k):
+        """g*v - u*h, truncated, for the overlap t v = u s of the leading
+        words t of g and s of h in k letters, if t v is no longer than L+1."""
+        f, L = self.field, self.L
+        if len(t) + len(s) - k > L + 1:
+            return
+        u, v = t[:len(t) - k], s[k:]
+        vec = {}
+        for w, x in self.tails[t].items():
+            if len(w) + len(v) <= L:
+                vec_iadd_scaled(f, vec, {w + v: x}, f.one())
+        for w, x in self.tails[s].items():
+            if len(u) + len(w) <= L:
+                vec_iadd_scaled(f, vec, {u + w: x}, f.neg(f.one()))
+        self.push(vec)
+
+    def _push_truncations(self, t, tail):
+        """p*g*q truncated, for each p, q with |p| + |t| + |q| = L + 1 such
+        that t is the first leading word to end in m = p t q (p t[:-1] is
+        normal) and no single-length element's leading word occurs in m."""
+        f = self.field
+        arrows, entering, leaving = self.arrows, self.entering, self.leaving
+        rest = self.L + 1 - len(t)
+        short = [(w, x) for w, x in tail.items() if len(w) + rest <= self.L]
+        ps = layer = [()]
+        for _ in range(rest):
+            layer = [(ai,) + p for p in layer
+                     for ai in entering.get(arrows[(p + t)[0]][1], ())
+                     if not self._starts_with_tip((ai,) + p + t[:-1])]
+            ps = ps + layer
+        for p in ps:
+            qs = [()]
+            for _ in range(rest - len(p)):
+                qs = [q + (ai,) for q in qs
+                      for ai in leaving.get(arrows[(t + q)[-1]][2], ())
+                      if not self._ends_in_single_length_tip(p + t + q + (ai,))]
+            for q in qs:
+                vec = {}
+                for w, x in short:
+                    vec_iadd_scaled(f, vec, {p + w + q: x}, f.one())
+                self.push(vec)
+
+
+def _contains(word, sub):
+    n = len(sub)
+    return any(word[s:s + n] == sub for s in range(len(word) - n + 1))
 
 
 # ---------------------------------------------------------------------------

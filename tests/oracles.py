@@ -11,7 +11,7 @@ of graded projectives needs, `submodule_by_express` keeps the earlier
 construction of a submodule, by a tagged echelon of its basis, as the
 reference for reading coordinates at pivots, `pairwise_compile_quiver`
 keeps the earlier quiver compiler, which spans the relation ideal pair of
-paths by pair of paths, as the reference for the arrow closure,
+paths by pair of paths, as the reference for the Gröbner-basis compiler,
 `per_object_window_properties` keeps the earlier window check, which works
 object pair by object pair, as the reference for the shift-class check,
 and the module references at the end (map checks, duals over the opposite

@@ -145,12 +145,25 @@ def builtin_presentation(monkeypatch, family, n):
     return seen[0]
 
 
+def cyclic_nakayama(n, length):
+    """The cyclic quiver on n vertices, arrows in degree 1, modulo all paths
+    of the given length."""
+    arrows = [(f"a{i}", str(i), str((i + 1) % n), 1) for i in range(n)]
+    relations = [[(1, tuple(f"a{(s + k) % n}" for k in reversed(range(length))))]
+                 for s in range(n)]
+    return QuiverPresentation([str(i) for i in range(n)], arrows, relations, length)
+
+
 @pytest.mark.parametrize("char", [0, 32003])
 @pytest.mark.parametrize("family, n", [("truncated_polynomial", n) for n in range(1, 17)]
-                         + [("preprojective_A", n) for n in range(1, 6)]
-                         + [("exterior", n) for n in range(1, 5)])
-def test_arrow_closure_matches_pairwise_compiler_on_builtins(monkeypatch, family, n, char):
-    pres = builtin_presentation(monkeypatch, family, n)
+                         + [("preprojective_A", n) for n in range(1, 7)]
+                         + [("exterior", n) for n in range(1, 5)]
+                         + [("cyclic_nakayama", n) for n in ((3, 4), (4, 4), (2, 6))])
+def test_groebner_compiler_matches_pairwise_compiler_on_builtins(monkeypatch, family, n, char):
+    if family == "cyclic_nakayama":
+        pres = cyclic_nakayama(*n)
+    else:
+        pres = builtin_presentation(monkeypatch, family, n)
     field = FieldSpec(char)
     assert compiled(compile_quiver, pres, field) == compiled(pairwise_compile_quiver, pres, field)
 
@@ -189,10 +202,11 @@ def small_presentations(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(small_presentations(), st.sampled_from([0, 32003]), st.data())
-def test_arrow_closure_matches_pairwise_compiler(pres, char, data):
-    # both compilers span the truncated multiples of the relations and keep
-    # the canonical reduced basis, so they agree, errors included, and the
-    # order of the relations and of their terms does not matter
+def test_groebner_compiler_matches_pairwise_compiler(pres, char, data):
+    # both compilers give the normal words and normal forms of the truncated
+    # relation ideal under one admissible order, so they agree, errors
+    # included, and the order of the relations and of their terms does not
+    # matter
     field = FieldSpec(char)
     expected = compiled(pairwise_compile_quiver, pres, field)
     assert compiled(compile_quiver, pres, field) == expected
@@ -203,10 +217,56 @@ def test_arrow_closure_matches_pairwise_compiler(pres, char, data):
     assert compiled(compile_quiver, shuffled, field) == expected
 
 
+MIXED_LENGTH_CASES = {
+    # a0 + a0*a0 times a0 is a0*a0 once a0^3 is truncated, so a0 = -a0*a0
+    # lies in the ideal; only the truncation overlap of the leading word
+    # a0*a0 with the paths of length L + 1 = 3 finds it
+    "truncation-overlap": ((["0"], [("a0", "0", "0", 0), ("a1", "0", "0", 1)],
+                            [[(1, ("a0",)), (1, ("a0", "a0"))], [(1, ("a1",))]], 2),
+                           ["e_0"]),
+    # a times (b + b*a) is a-then-b once a*a-then-b is truncated; it is
+    # found through the overlap of the leading words a*a and a-then-b,
+    # whose overlap word has length L + 1
+    "overlap-past-the-bound": ((["0"], [("a", "0", "0", 0), ("b", "0", "0", 1)],
+                                [[(1, ("a", "a"))], [(1, ("b",)), (1, ("b", "a"))]], 2),
+                               ["e_0", "a"]),
+    # every path of length L = 2 contains a leading word, but a0*a0
+    # reduces to -a1, so a path of length L survives
+    "survivor": ((["0"], [("a0", "0", "0", 1), ("a1", "0", "0", 2)],
+                  [[(1, ("a1",)), (1, ("a0", "a0"))]], 2),
+                 VerificationFailed),
+}
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("case", list(MIXED_LENGTH_CASES))
+def test_mixed_length_presentations(case, char):
+    args, expected = MIXED_LENGTH_CASES[case]
+    pres = QuiverPresentation(*args)
+    field = FieldSpec(char)
+    got = compiled(compile_quiver, pres, field)
+    assert got == compiled(pairwise_compile_quiver, pres, field)
+    assert got[0] is expected if expected is VerificationFailed else got[4] == expected
+
+
 def test_exterior_5_compiles():
     a = builtin("exterior", 5, GF)
     assert a.dim == 32
     assert sorted(a.degrees) == sorted(bin(m).count("1") for m in range(32))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_exterior_6_and_7_compile(n):
+    a = builtin("exterior", n, GF)
+    assert a.dim == 2**n
+    assert sorted(a.degrees) == sorted(bin(m).count("1") for m in range(2**n))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_preprojective_7_and_8_compile(n):
+    a = builtin("preprojective_A", n, QQ)
+    assert a.dim == n * (n + 1) * (n + 2) // 6
+    assert sum(1 for d in a.degrees if d == 0) == n * (n + 1) // 2
 
 
 class TestSupDegree:
