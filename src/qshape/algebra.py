@@ -433,15 +433,9 @@ class _GroebnerBasis:
       - g*v - u*h, truncated, is pushed for each proper or self overlap
         t_g v = u t_h with r among g, h whose overlap word has length at
         most L+1;
-      - p*r*q, truncated, is pushed for paths m = p t q of length L+1
+      - p*r*q, truncated, is pushed for every path p t q of length L+1
         (truncation overlaps, with M): t is pushed past L, and a term
         shorter than t may survive, so only mixed-length r pays for them.
-    One occurrence of a leading word in each m suffices: the S-polynomials
-    of two occurrences differ by an overlap S-polynomial (its word lies in
-    m, so it is pushed) or, for disjoint occurrences, by multiples with
-    smaller leading words.  So only the first occurrence to end is taken
-    (p t[:-1] is normal), and m is skipped when it contains the leading
-    word of a single-length element, whose truncation overlap is zero.
     The S-polynomial of an overlap word longer than L+1 is a difference of
     multiples of truncation overlaps inside it.  Each added leading word is
     new among the leading words of the ideal, and the paths of length <= L
@@ -455,9 +449,6 @@ class _GroebnerBasis:
         self.tails = {}
         self.mixed = set()  # leading words of the elements that mix lengths
         self.lengths = []  # distinct lengths of the leading words, ascending
-        self._length_count = {}
-        # proper prefixes and suffixes -> the leading words they begin or end
-        self._by_prefix, self._by_suffix = {}, {}
         self.entering, self.leaving = {}, {}
         for i, (name, src, tgt, deg) in enumerate(arrows):
             self.leaving.setdefault(src, []).append(i)
@@ -483,15 +474,6 @@ class _GroebnerBasis:
     def ends_in_tip(self, word):
         tails = self.tails
         return any(word[-ln:] in tails for ln in self.lengths if ln <= len(word))
-
-    def _starts_with_tip(self, word):
-        tails = self.tails
-        return any(word[:ln] in tails for ln in self.lengths if ln <= len(word))
-
-    def _ends_in_single_length_tip(self, word):
-        tails, mixed = self.tails, self.mixed
-        return any(word[-ln:] in tails and word[-ln:] not in mixed
-                   for ln in self.lengths if ln <= len(word))
 
     def normal_form(self, vec):
         """The normal form of vec: its terms are rewritten, leading first,
@@ -565,17 +547,16 @@ class _GroebnerBasis:
             t = min(r, key=lambda w: (-len(w), w))
             c = f.inv(r[t])
             tail = {w: f.mul(c, x) for w, x in r.items() if w != t}
-            if self.lengths and self.lengths[-1] > len(t):
-                for s in [s for s in self.tails if len(s) > len(t) and _contains(s, t)]:
-                    self.push({s: f.one(), **self._remove(s)})
+            for s in [s for s in self.tails if len(s) > len(t) and _contains(s, t)]:
+                self.push({s: f.one(), **self._remove(s)})
             self._add(t, tail)
-            # an overlap in k letters with a leading word s has length
-            # |t| + |s| - k, which must not exceed L + 1
-            for k in range(max(1, len(t) + self.lengths[0] - self.L - 1), len(t)):
-                for s in self._by_prefix.get(t[-k:], ()):
-                    self._push_overlap(t, s, k)
-                for s in self._by_suffix.get(t[:k], ()):
-                    if s != t:
+            for s in self.tails:
+                # an overlap in k letters has length |t| + |s| - k, which
+                # must not exceed L + 1
+                for k in range(max(1, len(t) + len(s) - self.L - 1), min(len(t), len(s))):
+                    if t[-k:] == s[:k]:
+                        self._push_overlap(t, s, k)
+                    if s != t and s[-k:] == t[:k]:
                         self._push_overlap(s, t, k)
             if t in self.mixed:
                 self._push_truncations(t, tail)
@@ -584,24 +565,13 @@ class _GroebnerBasis:
         self.tails[t] = tail
         if any(len(w) < len(t) for w in tail):
             self.mixed.add(t)
-        count = self._length_count
-        count[len(t)] = count.get(len(t), 0) + 1
-        self.lengths = sorted(count)
-        for k in range(1, len(t)):
-            self._by_prefix.setdefault(t[:k], set()).add(t)
-            self._by_suffix.setdefault(t[-k:], set()).add(t)
+        self.lengths = sorted({len(s) for s in self.tails})
 
     def _remove(self, t):
         self.mixed.discard(t)
-        count = self._length_count
-        count[len(t)] -= 1
-        if not count[len(t)]:
-            del count[len(t)]
-            self.lengths = sorted(count)
-        for k in range(1, len(t)):
-            self._by_prefix[t[:k]].discard(t)
-            self._by_suffix[t[-k:]].discard(t)
-        return self.tails.pop(t)
+        tail = self.tails.pop(t)
+        self.lengths = sorted({len(s) for s in self.tails})
+        return tail
 
     def _push_overlap(self, t, s, k):
         """g*v - u*h, truncated, for the overlap t v = u s of the leading
@@ -620,9 +590,8 @@ class _GroebnerBasis:
         self.push(vec)
 
     def _push_truncations(self, t, tail):
-        """p*g*q truncated, for each p, q with |p| + |t| + |q| = L + 1 such
-        that t is the first leading word to end in m = p t q (p t[:-1] is
-        normal) and no single-length element's leading word occurs in m."""
+        """p*g*q truncated, for each pair of paths p, q with
+        |p| + |t| + |q| = L + 1 around the leading word t of g."""
         f = self.field
         arrows, entering, leaving = self.arrows, self.entering, self.leaving
         rest = self.L + 1 - len(t)
@@ -630,15 +599,13 @@ class _GroebnerBasis:
         ps = layer = [()]
         for _ in range(rest):
             layer = [(ai,) + p for p in layer
-                     for ai in entering.get(arrows[(p + t)[0]][1], ())
-                     if not self._starts_with_tip((ai,) + p + t[:-1])]
+                     for ai in entering.get(arrows[(p + t)[0]][1], ())]
             ps = ps + layer
         for p in ps:
             qs = [()]
             for _ in range(rest - len(p)):
                 qs = [q + (ai,) for q in qs
-                      for ai in leaving.get(arrows[(t + q)[-1]][2], ())
-                      if not self._ends_in_single_length_tip(p + t + q + (ai,))]
+                      for ai in leaving.get(arrows[(t + q)[-1]][2], ())]
             for q in qs:
                 vec = {}
                 for w, x in short:
