@@ -1,10 +1,13 @@
 """Finite-dimensional graded algebras as structure constants.
 
 An algebra is a basis b_0..b_{n-1} with integer degrees, sparse structure
-constants c[i][j] (the product b_i * b_j), a unit vector and, when known, a
-complete set of primitive orthogonal idempotents.  Quiver presentations are
-compiled down to this form; everything downstream (modules, stable
-categories, tilting) only sees structure constants.
+constants, a unit vector and, when known, a complete set of primitive
+orthogonal idempotents.  The structure constants are stored as one dict per
+row, mult[i] = {j: b_i * b_j}, holding the nonzero products only: a product
+that vanishes has no entry, so the table costs its number of nonzero
+products, and multiplying or validating walks only those.  Quiver
+presentations are compiled down to this form; everything downstream
+(modules, stable categories, tilting) only sees structure constants.
 """
 
 import heapq
@@ -21,6 +24,7 @@ from .linalg import (
     span_basis,
     sparse_kernel,
     vec_iadd_scaled,
+    vec_scale,
 )
 
 EXCEEDS_BOUND = "exceeds bound"
@@ -29,8 +33,11 @@ EXCEEDS_BOUND = "exceeds bound"
 class GradedAlgebra:
     """A finite-dimensional graded algebra given by structure constants.
 
-    mult[i][j] is the sparse coefficient vector of b_i * b_j.  Construction
-    validates the grading, the unit laws and (when given) the idempotent
+    mult[i] is the row of b_i: a dict {j: the sparse coefficient vector of
+    b_i * b_j} over the j with a nonzero product.  No stored vector is
+    empty, so two tables of one algebra are equal as Python values.
+    Construction validates the shape, the grading and the omission of zeros
+    over the stored entries, the unit laws and (when given) the idempotent
     axioms exactly, and associativity against one generating set G: the
     declared generators, or else basis vectors taken greedily in (degree,
     index) order.  G is verified to generate, in that right-bracketed words
@@ -40,7 +47,9 @@ class GradedAlgebra:
     is trilinear, so the w with (xy)w = x(yw) for all x, y form a subspace;
     it holds 1 by the unit laws, and with w it holds wg, since
     (xy)(wg) = ((xy)w)g = (x(yw))g = x((yw)g) = x(y(wg)); so it holds every
-    right word, and those span the algebra.
+    right word, and those span the algebra.  The triples are checked column
+    by column (see `_validate`), at a cost of |G| times the nonzero
+    products rather than n^2 |G|.
     """
 
     def __init__(self, field, degrees, mult, unit, idempotents=None, labels=None,
@@ -65,13 +74,20 @@ class GradedAlgebra:
 
     def product(self, v, w):
         f = self.field
+        mul = f.mul
         out = {}
         for i, ci in v.items():
             row = self.mult[i]
-            for j, cj in w.items():
-                cell = row[j]
-                if cell:
-                    vec_iadd_scaled(f, out, cell, f.mul(ci, cj))
+            if len(row) < len(w):
+                for j, cell in row.items():
+                    cj = w.get(j)
+                    if cj is not None:
+                        vec_iadd_scaled(f, out, cell, mul(ci, cj))
+            else:
+                for j, cj in w.items():
+                    cell = row.get(j)
+                    if cell is not None:
+                        vec_iadd_scaled(f, out, cell, mul(ci, cj))
         return out
 
     def component_indices(self, d):
@@ -84,8 +100,7 @@ class GradedAlgebra:
         return all(d == 0 for d in self.degrees)
 
     def is_commutative(self):
-        return all(self.mult[i][j] == self.mult[j][i]
-                   for i in range(self.dim) for j in range(i + 1, self.dim))
+        return self.mult == columns(self.mult)
 
     def label_of(self, i):
         return self.labels[i] if self.labels else f"b{i}"
@@ -98,7 +113,9 @@ class GradedAlgebra:
     def _validate(self):
         f = self.field
         n = self.dim
-        if len(self.mult) != n or any(len(row) != n for row in self.mult):
+        degrees = self.degrees
+        mult = self.mult
+        if len(mult) != n or not all(isinstance(row, dict) for row in mult):
             raise ValueError("structure constant table has wrong shape")
         if n == 0:
             if self.unit:
@@ -106,49 +123,63 @@ class GradedAlgebra:
             self._cache["gens"] = []
             return
         # grading: nonzero c[i][j][k] forces degree(k) = degree(i) + degree(j)
-        for i in range(n):
-            for j in range(n):
-                for k, c in self.mult[i][j].items():
+        for i, row in enumerate(mult):
+            for j, w in row.items():
+                if not 0 <= j < n:
+                    raise ValueError("structure constant table has wrong shape")
+                if not w:
+                    raise ValueError("structure constants must omit zeros")
+                for k, c in w.items():
                     if f.is_zero(c):
                         raise ValueError("structure constants must omit zeros")
-                    if self.degrees[k] != self.degrees[i] + self.degrees[j]:
+                    if degrees[k] != degrees[i] + degrees[j]:
                         raise ValueError(
-                            f"grading violated: b{i}*b{j} hits degree {self.degrees[k]}"
+                            f"grading violated: b{i}*b{j} hits degree {degrees[k]}"
                         )
         # unit laws
         for k in range(n):
             e = self.basis_vec(k)
             if self.product(self.unit, e) != e or self.product(e, self.unit) != e:
                 raise ValueError("unit laws fail")
-        gens, right = self._generating_set()
-        # associativity on the triples (b_i, b_j, g), g in G; right[t][m] is
-        # b_m * gens[t]
+        cols = columns(mult)
+        gens, right = self._generating_set(cols)
+        # associativity on the triples (b_i, b_j, g), g in G, one column j
+        # at a time: with right[t][m] = b_m * g and cols[j] = {i: b_i * b_j},
+        # the map i -> (b_i b_j) g is right[t] applied to cols[j], and
+        # i -> b_i (b_j g) is the sum over m of (b_j g)_m cols[m]
         for t, table in enumerate(right):
-            for i in range(n):
-                row = self.mult[i]
-                for j in range(n):
-                    w, wg = row[j], table[j]
-                    if not w and not wg:
-                        continue  # both sides vanish
-                    lhs = {}
-                    for m, c in w.items():
-                        vec_iadd_scaled(f, lhs, table[m], c)
-                    rhs = {}
-                    for m, c in wg.items():
-                        vec_iadd_scaled(f, rhs, row[m], c)
-                    if lhs != rhs:
-                        raise ValueError(
-                            f"associativity fails at (b{i}, b{j}, generator {t})"
-                        )
+            bad = []
+            for j, col in enumerate(cols):
+                lhs = {}
+                for i, w in col.items():
+                    wg = apply_row(f, w, table)
+                    if wg:
+                        lhs[i] = wg
+                rhs = {}
+                for m, c in table[j].items():
+                    for i, w in cols[m].items():
+                        acc = rhs.get(i)
+                        if acc is None:
+                            rhs[i] = vec_scale(f, w, c)
+                        else:
+                            vec_iadd_scaled(f, acc, w, c)
+                rhs = {i: v for i, v in rhs.items() if v}
+                if lhs != rhs:
+                    bad += [(i, j) for i in lhs.keys() | rhs.keys() if lhs.get(i) != rhs.get(i)]
+            if bad:
+                # the triple a walk over i, then j, would meet first
+                i, j = min(bad)
+                raise ValueError(f"associativity fails at (b{i}, b{j}, generator {t})")
         self._cache["gens"] = gens
         if self.idempotents is not None:
             self._validate_idempotents()
 
-    def _generating_set(self):
+    def _generating_set(self, cols):
         """G and its right-multiplication tables, with G verified to generate.
 
-        Closes span{1} under right multiplication by G in an Echelon, which
-        costs dim * |G| products.  Declared generators must reach the whole
+        cols[j] = {i: b_i * b_j} are the columns of the table.  Closes
+        span{1} under right multiplication by G in an Echelon, which costs
+        dim * |G| products.  Declared generators must reach the whole
         algebra; otherwise basis vectors outside the span are adjoined in
         (degree, index) order until it is reached.
         """
@@ -188,7 +219,8 @@ class GradedAlgebra:
             if span.dim == n:
                 break
             if not span.contains(self.basis_vec(i)):
-                adjoin(self.basis_vec(i), [self.mult[m][i] for m in range(n)])
+                col = cols[i]
+                adjoin(self.basis_vec(i), [col.get(m, {}) for m in range(n)])
         return gens, right
 
     def _validate_idempotents(self):
@@ -207,6 +239,16 @@ class GradedAlgebra:
                     raise ValueError(f"idempotents {r},{s} are not orthogonal")
         if total != self.unit:
             raise ValueError("idempotents do not sum to the unit")
+
+
+def columns(mult):
+    """The columns of a table of rows: cols[j] = {i: b_i * b_j}, over the
+    nonzero products."""
+    cols = [{} for _ in mult]
+    for i, row in enumerate(mult):
+        for j, w in row.items():
+            cols[j][i] = w
+    return cols
 
 
 def same_algebra(a, b):
@@ -351,7 +393,6 @@ def compile_quiver(pres, field):
 
     # the right action of the arrows on the normal words: w times an arrow
     # is normal unless a leading word is a suffix
-    n = len(basis_paths)
     right = []
     for src, w in basis_paths:
         acts = {}
@@ -364,23 +405,21 @@ def compile_quiver(pres, field):
     # b_i * b_j is "pj then pi", and taking normal forms commutes with
     # multiplication, so for pi = pi' then an arrow a, b_i * b_j is
     # (b_i' * b_j) acted on by a; pi' comes earlier in the basis
-    mult = [[{} for _ in range(n)] for _ in range(n)]
-    for i, (src, w) in enumerate(basis_paths):
-        row = mult[i]
+    mult = []
+    for src, w in basis_paths:
         if not w:
-            for j, pj in enumerate(basis_paths):
-                if target(pj) == src:
-                    row[j] = {j: one}
+            mult.append({j: {j: one} for j, pj in enumerate(basis_paths) if target(pj) == src})
             continue
-        a, prev = w[-1], mult[loc[(src, w[:-1])]]
-        for j in range(n):
-            if prev[j]:
-                out = {}
-                for k, c in prev[j].items():
-                    act = right[k].get(a)
-                    if act:
-                        vec_iadd_scaled(field, out, act, c)
+        a, row = w[-1], {}
+        for j, prev in mult[loc[(src, w[:-1])]].items():
+            out = {}
+            for k, c in prev.items():
+                act = right[k].get(a)
+                if act:
+                    vec_iadd_scaled(field, out, act, c)
+            if out:
                 row[j] = out
+        mult.append(row)
 
     degrees = [sum(arrows[ai][3] for ai in w) for _, w in basis_paths]
 
@@ -687,20 +726,20 @@ class RadicalData:
 
 def _trace_form_radical(a):
     f = a.field
-    traces = [f.zero()] * a.dim
-    for m in range(a.dim):
+    traces = []
+    for row in a.mult:
         t = f.zero()
-        for j in range(a.dim):
-            c = a.mult[m][j].get(j)
+        for j, w in row.items():
+            c = w.get(j)
             if c is not None:
                 t = f.add(t, c)
-        traces[m] = t
+        traces.append(t)
     rows = []
-    for i in range(a.dim):
+    for mult_row in a.mult:
         row = {}
-        for j in range(a.dim):
+        for j, w in mult_row.items():
             s = f.zero()
-            for m, c in a.mult[i][j].items():
+            for m, c in w.items():
                 s = f.muladd(s, c, traces[m])
             if not f.is_zero(s):
                 row[j] = s
@@ -799,21 +838,18 @@ def center_basis(a):
     if "center" in a._cache:
         return a._cache["center"]
     f = a.field
-    rows = {}
+    rows = []
     for g in generating_vectors(a):
-        diffs = []
+        # row k of the commutator map x -> xg - gx, transposed from its
+        # images b_m g - g b_m
+        by_k = {}
         for m in range(a.dim):
             bm = a.basis_vec(m)
             d = vec_iadd_scaled(f, a.product(bm, g), a.product(g, bm), f.neg(f.one()))
-            diffs.append(d)
-        for k in set().union(*[set(d) for d in diffs]) if diffs else set():
-            row = {}
-            for m, d in enumerate(diffs):
-                c = d.get(k)
-                if c is not None:
-                    row[m] = c
-            rows[(id(g), k)] = row
-    basis = span_basis(f, sparse_kernel(f, list(rows.values()), a.dim))
+            for k, c in d.items():
+                by_k.setdefault(k, {})[m] = c
+        rows.extend(by_k.values())
+    basis = span_basis(f, sparse_kernel(f, rows, a.dim))
     a._cache["center"] = basis
     return basis
 
@@ -848,12 +884,10 @@ class DegreeZeroPart:
         self.kept = parent.component_indices(0)
         pos = {g: i for i, g in enumerate(self.kept)}
         n = len(self.kept)
-        mult = [[None] * n for _ in range(n)]
-        for i, gi in enumerate(self.kept):
-            for j, gj in enumerate(self.kept):
-                prod = parent.product(parent.basis_vec(gi), parent.basis_vec(gj))
-                mult[i][j] = {pos[k]: c for k, c in prod.items()}
         restrict = lambda vec: {pos[k]: c for k, c in vec.items()}
+        # a product of degree-0 elements has degree 0
+        mult = [{pos[j]: restrict(w) for j, w in parent.mult[g].items() if j in pos}
+                for g in self.kept]
         unit = restrict(parent.unit)
         idem = None
         if parent.idempotents is not None:

@@ -11,7 +11,7 @@ extension is a function of the module and the tensor alone, and no code
 changes a module's degrees or action after construction.
 """
 
-from .algebra import GradedAlgebra, generating_vectors, zero_algebra
+from .algebra import GradedAlgebra, columns, generating_vectors, zero_algebra
 from .fields import check_same_field
 from .modules import GradedModule, hom_graded
 from .tilting import tilting_endomorphism_algebra
@@ -42,19 +42,14 @@ class TensorAlgebra:
 
         self.idx = idx
         degrees = [left.degrees[i] for i in range(nl) for _ in range(nr)]
-        mult = [[None] * self.dim for _ in range(self.dim)]
-        for i in range(nl):
-            for al in range(nr):
-                row_out = mult[idx(i, al)]
-                for j in range(nl):
-                    cx = left.mult[i][j]
-                    for be in range(nr):
-                        cy = right.mult[al][be]
-                        cell = {}
-                        for k, c1 in cx.items():
-                            for ga, c2 in cy.items():
-                                cell[idx(k, ga)] = f.mul(c1, c2)
-                        row_out[idx(j, be)] = cell
+        # (x (x) y)(x' (x) y') = xx' (x) yy', nonzero iff both factors are
+        mul = f.mul
+        mult = []
+        for lrow in left.mult:
+            for rrow in right.mult:
+                mult.append({idx(j, be): {idx(k, ga): mul(c1, c2)
+                                          for k, c1 in cx.items() for ga, c2 in cy.items()}
+                             for j, cx in lrow.items() for be, cy in rrow.items()})
         unit = self.pair_vec(left.unit, right.unit)
         idems = None
         if left.idempotents is not None and right.idempotents is not None:
@@ -108,15 +103,14 @@ def i_star(m, tensor):
         return r * nr + al
 
     degrees = [m.degrees[r] for r in range(m.dim) for _ in range(nr)]
+    cols = columns(a.mult)
     action = []
     for i in range(lam.dim):
         for al in range(nr):
             mat = [dict() for _ in range(dim)]
-            for r in range(m.dim):
-                base = m.action[i][r]
-                for be in range(nr):
+            for r, base in enumerate(m.action[i]):
+                for be, cy in cols[al].items():
                     cell = mat[midx(r, be)]
-                    cy = a.mult[be][al]
                     for s, c1 in base.items():
                         for ga, c2 in cy.items():
                             cell[midx(s, ga)] = f.mul(c1, c2)

@@ -127,8 +127,8 @@ def _algebra_json(a):
         "degrees": list(a.degrees),
         "labels": list(a.labels) if a.labels else None,
         "unit": _vec_json(a.field, a.unit),
-        "mult": [[_vec_json(a.field, a.mult[i][j]) for j in range(a.dim)]
-                 for i in range(a.dim)],
+        "mult": [[_vec_json(a.field, row.get(j, {})) for j in range(a.dim)]
+                 for row in a.mult],
     }
 
 

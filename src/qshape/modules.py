@@ -29,6 +29,7 @@ live in the test suite as independent references.
 """
 
 from .algebra import (
+    columns,
     generating_vectors,
     jacobson_radical,
     primitive_idempotents,
@@ -137,9 +138,13 @@ def identity_map(m):
 # ---------------------------------------------------------------------------
 
 def regular(a):
-    """The algebra acting on itself on the right."""
+    """The algebra acting on itself on the right: row i of the matrix of b_j
+    is b_i * b_j.  The rows are the algebra's own product vectors, and the
+    vanishing products share one empty row; no code changes a module's
+    action after construction."""
     if "regular" not in a._cache:
-        action = [[a.mult[i][j] for i in range(a.dim)] for j in range(a.dim)]
+        empty = {}
+        action = [[col.get(i, empty) for i in range(a.dim)] for col in columns(a.mult)]
         a._cache["regular"] = GradedModule(a, a.degrees, action, check=False)
     return a._cache["regular"]
 
@@ -625,25 +630,29 @@ def composition_table(field, images, matrices, coords_of_images):
     """Structure constants of composition over a list of maps M -> M.
 
     images[i] are the generator images of map i and matrices[i] its matrix;
-    entry [i][j] is coords_of_images of "map i, then map j", whose generator
-    images are those of map i sent through the matrix of map j.  Sending a
-    vector through a matrix reads only the rows at its nonzero coordinates,
-    so when the union of the supports of map i's images misses every
-    nonzero row of map j, the composite is the zero map and its coordinates
-    are {} without a solve.  That is exact for any maps; it needs no block
-    structure, though for a direct sum most pairs of maps between different
-    summands are skipped this way.
+    row i maps j to coords_of_images of "map i, then map j", whose
+    generator images are those of map i sent through the matrix of map j,
+    and holds the nonzero composites only.  Sending a vector through a
+    matrix reads only the rows at its nonzero coordinates, so when the
+    union of the supports of map i's images misses every nonzero row of
+    map j, the composite is the zero map and j is skipped without a solve:
+    only the maps j with a nonzero row r for some r in that union are
+    composed.  That is exact for any maps; it needs no block structure,
+    though for a direct sum most pairs of maps between different summands
+    are skipped this way.
     """
-    supports = [set().union(*imgs) for imgs in images]
-    live_rows = [{r for r, row in enumerate(mat) if row} for mat in matrices]
+    live = {}  # r -> the maps j whose matrix has a nonzero row r
+    for j, mat in enumerate(matrices):
+        for r, row in enumerate(mat):
+            if row:
+                live.setdefault(r, []).append(j)
     mult = []
-    for imgs, support in zip(images, supports):
-        row = []
-        for mat, live in zip(matrices, live_rows):
-            if support.isdisjoint(live):
-                row.append({})
-            else:
-                row.append(coords_of_images([apply_row(field, x, mat) for x in imgs]))
+    for imgs in images:
+        row = {}
+        for j in sorted({j for r in set().union(*imgs) for j in live.get(r, ())}):
+            coords = coords_of_images([apply_row(field, x, matrices[j]) for x in imgs])
+            if coords:
+                row[j] = coords
         mult.append(row)
     return mult
 
@@ -656,21 +665,18 @@ def dual_of_regular(a):
     """The dual of the algebra as a graded right module over itself.
 
     (f . b)(x) = f(b x); the degree-i piece is the dual of the degree-(-i)
-    component.
+    component.  Row i of the matrix of b is {j: (b * b_j)_i}, a transpose
+    of the nonzero products in the row of b.
     """
     if "dual_regular" not in a._cache:
-        f = a.field
+        empty = {}
         action = []
-        for b in range(a.dim):
-            rows = []
-            for i in range(a.dim):
-                row = {}
-                for j in range(a.dim):
-                    c = a.mult[b][j].get(i)
-                    if c is not None:
-                        row[j] = c
-                rows.append(row)
-            action.append(rows)
+        for mult_row in a.mult:
+            rows = {}
+            for j, w in mult_row.items():
+                for i, c in w.items():
+                    rows.setdefault(i, {})[j] = c
+            action.append([rows.get(i, empty) for i in range(a.dim)])
         a._cache["dual_regular"] = GradedModule(a, [-d for d in a.degrees], action)
     return a._cache["dual_regular"]
 

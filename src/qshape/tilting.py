@@ -247,13 +247,15 @@ def reference_subcategory_algebra(a):
                 basis.append((i, j, b))
     index = {t: k for k, t in enumerate(basis)}
     n = len(basis)
-    mult = [[{} for _ in range(n)] for _ in range(n)]
-    for k1, (i, j, b) in enumerate(basis):
-        for k2, (i2, j2, b2) in enumerate(basis):
-            if j != i2:
-                continue
-            prod = a.mult[b][b2]
-            mult[k1][k2] = {index[(i, j2, c)]: v for c, v in prod.items()}
+    # (i, j, b) * (j, j2, b2) is (i, j2, b*b2), where b2 has degree j2 - j
+    mult = []
+    for i, j, b in basis:
+        row = {}
+        for b2, prod in a.mult[b].items():
+            j2 = j + a.degrees[b2]
+            if j2 < ell:
+                row[index[(j, j2, b2)]] = {index[(i, j2, c)]: v for c, v in prod.items()}
+        mult.append(row)
     unit = {}
     for i in range(ell):
         for c, v in a.unit.items():

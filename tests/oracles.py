@@ -288,7 +288,7 @@ def _naive_times(field, mult, v, w):
     out = {}
     for i, a in v.items():
         for j, b in w.items():
-            for k, c in mult[i][j].items():
+            for k, c in mult[i].get(j, {}).items():
                 out[k] = field.add(out.get(k, field.zero()), field.mul(field.mul(a, b), c))
     return {k: c for k, c in out.items() if not field.is_zero(c)}
 
@@ -316,6 +316,75 @@ def naive_check_algebra(field, mult, unit):
     if any(times(unit, b) != b or times(b, unit) != b for b in basis):
         return False
     return not naive_failing_triples(field, mult)
+
+
+def dense_validate(field, degrees, mult, unit, generators=None):
+    """The ValueError message the structure-constant checks of
+    `GradedAlgebra` raise for this table, or None if it passes them.
+
+    The checks walk the dense table, every pair (i, j) and every triple
+    (b_i, b_j, g) with g in the generating set G: the stored vectors must be
+    nonempty with nonzero entries in degree deg i + deg j, the unit laws
+    must hold, G (the declared generators, or else the basis vectors taken
+    greedily in (degree, index) order) must generate under right
+    multiplication, and (b_i b_j) g = b_i (b_j g) for every such triple,
+    the first failure reported at the smallest (i, j) of the first failing
+    generator.  The span of right words is found by dense elimination.
+    Idempotents are not checked.
+    """
+    n = len(degrees)
+    if len(mult) != n or not all(isinstance(row, dict) and set(row) <= set(range(n))
+                                 for row in mult):
+        return "structure constant table has wrong shape"
+    if n == 0:
+        return "zero algebra cannot have a nonzero unit" if unit else None
+    table = [[row.get(j) for j in range(n)] for row in mult]
+    for i in range(n):
+        for j in range(n):
+            w = table[i][j]
+            if w is None:
+                continue
+            if not w:
+                return "structure constants must omit zeros"
+            for k, c in w.items():
+                if field.is_zero(c):
+                    return "structure constants must omit zeros"
+                if degrees[k] != degrees[i] + degrees[j]:
+                    return f"grading violated: b{i}*b{j} hits degree {degrees[k]}"
+    times = lambda v, w: _naive_times(field, mult, v, w)
+    basis = [{i: field.one()} for i in range(n)]
+    if any(times(unit, b) != b or times(b, unit) != b for b in basis):
+        return "unit laws fail"
+
+    def right_words(gens):
+        rank, span = _naive_rank(field, [unit], n)
+        while True:
+            grown, span = _naive_rank(field, span + [times(w, g) for w in span for g in gens], n)
+            if grown == rank:
+                return rank, span
+            rank = grown
+
+    if generators is not None:
+        gens = generators
+        rank, _ = right_words(gens)
+        if rank != n:
+            return f"declared generators span only {rank} of {n} dimensions"
+    else:
+        gens = []
+        for i in sorted(range(n), key=lambda i: (degrees[i], i)):
+            rank, span = right_words(gens)
+            if rank == n:
+                break
+            if _naive_rank(field, span + [basis[i]], n)[0] > rank:
+                gens.append(basis[i])
+    for t, g in enumerate(gens):
+        for i in range(n):
+            for j in range(n):
+                lhs = times(table[i][j] or {}, g)
+                rhs = times(basis[i], times(basis[j], g))
+                if lhs != rhs:
+                    return f"associativity fails at (b{i}, b{j}, generator {t})"
+    return None
 
 
 def _naive_rank(field, vecs, n):
@@ -461,21 +530,18 @@ def pairwise_compile_quiver(pres, field):
             return {}
         return reduce_to_coords({index[p]: field.one()})
 
-    n = len(basis_paths)
-    mult = [[{} for _ in range(n)] for _ in range(n)]
+    mult = [{} for _ in basis_paths]
     for i, pi in enumerate(basis_paths):
         for j, pj in enumerate(basis_paths):
             # b_i * b_j is "pj then pi": concat pj's word with pi's word
             if path_target(pj) != (pi[0]):
                 continue
             word = pj[1] + pi[1]
-            if len(word) >= L + 1:
+            if len(word) >= L:
                 continue
-            key = (pj[0], word)
-            if len(word) == L:
-                mult[i][j] = {}
-            else:
-                mult[i][j] = reduce_to_coords({index[key]: field.one()})
+            prod = reduce_to_coords({index[(pj[0], word)]: field.one()})
+            if prod:
+                mult[i][j] = prod
 
     degrees = [path_degree(p) for p in basis_paths]
 
@@ -751,7 +817,10 @@ def opposite(a):
     from qshape.algebra import GradedAlgebra
 
     if "opposite" not in a._cache:
-        mult = [[a.mult[j][i] for j in range(a.dim)] for i in range(a.dim)]
+        mult = [{} for _ in a.mult]
+        for i, row in enumerate(a.mult):
+            for j, w in row.items():
+                mult[j][i] = w
         rad = a._radical.basis if a._radical is not None else a.radical_hint
         op = GradedAlgebra(a.field, a.degrees, mult, a.unit, idempotents=a.idempotents,
                            labels=a.labels, generators=a.generators, radical_hint=rad)

@@ -27,16 +27,19 @@ from qshape.errors import (
     UnsupportedCharacteristic,
     VerificationFailed,
 )
-from qshape.basechange import tensor_algebra, ungrade
+from qshape.basechange import gamma_tensor, tensor_algebra, ungrade
 from qshape.fields import FieldSpec, QQ
 from qshape.tilting import (
     compare,
     fingerprint,
+    reference_auslander_linear,
+    reference_subcategory_algebra,
     reference_upper_triangular,
     tilting_endomorphism_algebra,
 )
 
 from oracles import (
+    dense_validate,
     naive_check_algebra,
     naive_failing_triples,
     naive_radical_series,
@@ -287,7 +290,7 @@ class TestSupDegree:
 
 def k_times_k(field=QQ):
     one = field.one()
-    mult = [[{0: one}, {}], [{}, {1: one}]]
+    mult = [{0: {0: one}}, {1: {1: one}}]
     return GradedAlgebra(field, [0, 0], mult, {0: one, 1: one},
                          idempotents=[{0: one}, {1: one}])
 
@@ -321,7 +324,7 @@ class TestRadical:
     def test_small_characteristic_without_hint(self):
         f2 = FieldSpec(2)
         one = f2.one()
-        mult = [[{0: one}, {1: one}], [{1: one}, {}]]
+        mult = [{0: {0: one}, 1: {1: one}}, {0: {1: one}}]
         a = GradedAlgebra(f2, [0, 0], mult, {0: one})
         with pytest.raises(UnsupportedCharacteristic):
             jacobson_radical(a)
@@ -337,7 +340,7 @@ class TestRadical:
         # leaves V = {x}, whose words die at x^2 = 0 without reaching e
         f3 = FieldSpec(3)
         one = f3.one()
-        mult = [[{0: one}, {}, {}], [{}, {1: one}, {2: one}], [{}, {2: one}, {}]]
+        mult = [{0: {0: one}}, {1: {1: one}, 2: {2: one}}, {1: {2: one}}]
         a = GradedAlgebra(f3, [0, 0, 0], mult, {0: one, 1: one},
                           radical_hint=[{0: one}, {2: one}])
         assert naive_radical_series(f3, mult, a.radical_hint) is None
@@ -364,11 +367,11 @@ def relabelled(a, perm):
     n = a.dim
     move = lambda v: {perm[i]: c for i, c in v.items()}
     degrees = [None] * n
-    mult = [[None] * n for _ in range(n)]
-    for i in range(n):
+    mult = [{} for _ in range(n)]
+    for i, row in enumerate(a.mult):
         degrees[perm[i]] = a.degrees[i]
-        for j in range(n):
-            mult[perm[i]][perm[j]] = move(a.mult[i][j])
+        for j, w in row.items():
+            mult[perm[i]][perm[j]] = move(w)
     hint = [move(v) for v in a.radical_hint] if a.radical_hint is not None else None
     idems = [move(e) for e in a.idempotents] if a.idempotents is not None else None
     return GradedAlgebra(a.field, degrees, mult, move(a.unit), idempotents=idems,
@@ -421,7 +424,7 @@ class TestDegreeZeroAndOpposite:
         op = opposite(a)
         for i in range(a.dim):
             for j in range(a.dim):
-                assert op.mult[i][j] == a.mult[j][i]
+                assert op.mult[i].get(j) == a.mult[j].get(i)
 
 
 class TestGlobalDimension:
@@ -461,7 +464,7 @@ class TestNonBasicIdempotents:
         # e11 and e22 declared
         one = field.one()
         units = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
-        mult = [[{} for _ in range(4)] for _ in range(4)]
+        mult = [{} for _ in range(4)]
         for (a, b), i in units.items():
             for (c, d), j in units.items():
                 if b == c:
@@ -547,7 +550,7 @@ class TestGeneratingSet:
         # would accept the table.
         for field in (QQ, GF):
             one = field.one()
-            mult = [[{} for _ in range(5)] for _ in range(5)]
+            mult = [{} for _ in range(5)]
             for i in range(5):
                 mult[0][i] = mult[i][0] = {i: one}
             mult[1][1] = {3: one}
@@ -575,13 +578,28 @@ _PERTURBED = {}
 
 
 def _perturbation_base(name, char):
-    """The algebra and every (i, j, k) with deg k = deg i + deg j."""
+    """The algebra, its stored entries (i, j, k), its stored products (i, j)
+    and every (i, j, k) with deg k = deg i + deg j outside the stored
+    entries."""
     if (name, char) not in _PERTURBED:
         a = _PERTURBATION_BASES[name](FieldSpec(char))
+        entries = [(i, j, k) for i, row in enumerate(a.mult)
+                   for j, w in row.items() for k in w]
+        products = [(i, j) for i, row in enumerate(a.mult) for j in row]
         slots = [(i, j, k) for i in range(a.dim) for j in range(a.dim)
-                 for k in range(a.dim) if a.degrees[k] == a.degrees[i] + a.degrees[j]]
-        _PERTURBED[name, char] = (a, slots)
+                 for k in range(a.dim) if a.degrees[k] == a.degrees[i] + a.degrees[j]
+                 and k not in a.mult[i].get(j, {})]
+        _PERTURBED[name, char] = (a, {"scalar": entries, "term": slots, "delete": products})
     return _PERTURBED[name, char]
+
+
+def validation_error(*args, **kwargs):
+    """The ValueError message of GradedAlgebra(*args, **kwargs), or None."""
+    try:
+        GradedAlgebra(*args, **kwargs)
+    except ValueError as e:
+        return str(e)
+    return None
 
 
 @settings(max_examples=150, deadline=None)
@@ -591,24 +609,100 @@ def _perturbation_base(name, char):
     st.data(),
 )
 def test_validation_rejects_exactly_what_the_oracle_rejects(name, char, data):
-    # one structure constant is changed within the grading (a zero result
-    # is dropped from the table); checking associativity against the
-    # generating set must agree with the exhaustive check of all triples
-    a, slots = _perturbation_base(name, char)
+    # one product is perturbed within the grading: a stored scalar changed
+    # (to zero: dropped), a term added, or the whole product deleted, and a
+    # product that becomes zero is dropped from its row.  The column-wise
+    # check against the generating set must raise what the dense check of
+    # every (b_i, b_j, g) raises, and accept exactly the tables that the
+    # exhaustive check of all triples accepts
+    a, choices = _perturbation_base(name, char)
     field = a.field
-    i, j, k = data.draw(st.sampled_from(slots))
-    value = field.from_int(data.draw(st.integers(-3, 3)))
+    kind = data.draw(st.sampled_from([kind for kind in choices if choices[kind]]))
     mult = copy.deepcopy(a.mult)
-    mult[i][j].pop(k, None)
-    if not field.is_zero(value):
-        mult[i][j][k] = value
-    valid = naive_check_algebra(field, mult, a.unit)
-    try:
-        GradedAlgebra(field, a.degrees, mult, a.unit)
-    except ValueError:
-        assert not valid
+    if kind == "delete":
+        i, j = data.draw(st.sampled_from(choices[kind]))
+        del mult[i][j]
     else:
-        assert valid
-    if not valid and a.generators is not None:
-        with pytest.raises(ValueError):
-            GradedAlgebra(field, a.degrees, mult, a.unit, generators=a.generators)
+        i, j, k = data.draw(st.sampled_from(choices[kind]))
+        value = field.from_int(data.draw(st.integers(-3, 3).filter(
+            lambda x: kind == "scalar" or x != 0)))
+        w = mult[i].setdefault(j, {})
+        w.pop(k, None)
+        if not field.is_zero(value):
+            w[k] = value
+        if not w:
+            del mult[i][j]
+    expected = dense_validate(field, a.degrees, mult, a.unit)
+    assert validation_error(field, a.degrees, mult, a.unit) == expected
+    assert (expected is None) == naive_check_algebra(field, mult, a.unit)
+    if a.generators is not None:
+        assert (validation_error(field, a.degrees, mult, a.unit, generators=a.generators)
+                == dense_validate(field, a.degrees, mult, a.unit, a.generators))
+
+
+def broken_table(case, field):
+    """(degrees, rows) of a table with one fault.  The associativity case is
+    1, x, y in degree 1, z in degree 2, w in degree 3 with xx = z and
+    xz = zx = zy = w: (xx)y = w but x(xy) = 0, and the greedy generators
+    are x, then y.  The others break k[x]/x^3 on 1, x, x^2."""
+    one = field.one()
+    if case == "associativity":
+        mult = [{i: {i: one} for i in range(5)}] + [{0: {i: one}} for i in range(1, 5)]
+        mult[1][1] = {3: one}
+        mult[1][3] = mult[3][1] = mult[3][2] = {4: one}
+        return [0, 1, 1, 2, 3], mult
+    mult = [{0: {0: one}, 1: {1: one}, 2: {2: one}}, {0: {1: one}, 1: {2: one}}, {0: {2: one}}]
+    if case == "grading":
+        mult[1][1] = {1: one}
+    elif case == "zero scalar":
+        mult[1][1] = {2: field.zero()}
+    elif case == "empty vector":
+        mult[1][2] = {}  # x * x^2 = 0, stored
+    else:  # a row in the dense format
+        mult[2] = [{2: one}, {}, {}]
+    return [0, 1, 2], mult
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("case, expected", [
+    ("associativity", "associativity fails at (b1, b1, generator 1)"),
+    ("grading", "grading violated: b1*b1 hits degree 1"),
+    ("zero scalar", "structure constants must omit zeros"),
+    ("empty vector", "structure constants must omit zeros"),
+    ("dense row", "structure constant table has wrong shape"),
+])
+def test_validation_rejects_pinned_tables(case, expected, char):
+    field = FieldSpec(char)
+    degrees, mult = broken_table(case, field)
+    unit = {0: field.one()}
+    assert dense_validate(field, degrees, mult, unit) == expected
+    assert validation_error(field, degrees, mult, unit) == expected
+
+
+_CONSTRUCTED = {
+    "compile_quiver": lambda f: builtin("preprojective_A", 3, f),
+    "DegreeZeroPart": lambda f: degree_zero_part(builtin("preprojective_A", 3, f)).algebra,
+    "StableEnd": lambda f: tilting_endomorphism_algebra(builtin("exterior", 2, f)).algebra,
+    "end_algebra": lambda f: reference_auslander_linear(3, f),
+    "reference_subcategory_algebra": lambda f: reference_subcategory_algebra(
+        builtin("preprojective_A", 2, f)),
+    "TensorAlgebra": lambda f: tensor_algebra(
+        builtin("exterior", 2, f), ungrade(builtin("preprojective_A", 2, f))).product,
+    "gamma_tensor": lambda f: gamma_tensor(builtin("truncated_polynomial", 4, f),
+                                           ungrade(builtin("preprojective_A", 2, f))),
+    "ungrade": lambda f: ungrade(builtin("truncated_polynomial", 3, f)),
+}
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("constructor", list(_CONSTRUCTED))
+def test_constructors_store_only_nonzero_products(constructor, char):
+    # every row maps j to a nonempty b_i * b_j, and the products are what
+    # the dense checks accept
+    a = _CONSTRUCTED[constructor](FieldSpec(char))
+    assert a.dim > 1
+    assert all(w for row in a.mult for w in row.values())
+    for i in range(a.dim):
+        for j in range(a.dim):
+            assert a.product(a.basis_vec(i), a.basis_vec(j)) == a.mult[i].get(j, {})
+    assert dense_validate(a.field, a.degrees, a.mult, a.unit, a.generators) is None

@@ -632,7 +632,7 @@ def matrix_units(field):
     """M_2(k) on the matrix units e11, e12, e21, e22, in degree 0, with e11
     and e22 declared as its primitive idempotents: a non-basic algebra."""
     one = field.one()
-    mult = [[{} for _ in range(4)] for _ in range(4)]
+    mult = [{} for _ in range(4)]
     for i in range(2):
         for j in range(2):
             for k in range(2):

@@ -239,7 +239,7 @@ def test_composition_tables_match_all_pairs(monkeypatch, family, n, char):
         for i in range(dim):
             for j in range(dim):
                 product = se.stable.class_coords_of_matrix(sparse_matmul(f, reps[i], reps[j]))
-                assert se.algebra.mult[i][j] == product
+                assert se.algebra.mult[i].get(j, {}) == product
                 cross_composed |= bool(product) and crosses_summands(reps[i], block)
         skipped |= len(stable_calls) < dim * dim
 
@@ -248,7 +248,7 @@ def test_composition_tables_match_all_pairs(monkeypatch, family, n, char):
         basis = [h.matrix for h in hom.basis]
         for i in range(hom.dim):
             for j in range(hom.dim):
-                assert e.mult[i][j] == hom.express(sparse_matmul(f, basis[i], basis[j]))
+                assert e.mult[i].get(j, {}) == hom.express(sparse_matmul(f, basis[i], basis[j]))
         assert len(end_calls) < hom.dim * hom.dim
     # some pair is skipped, and some nonzero product has a first factor
     # from one summand into another: the skip is by support, not by block

@@ -292,9 +292,9 @@ class TestInconclusiveCompare:
         from qshape.algebra import GradedAlgebra
 
         one = QQ.one()
-        mult = [[{0: one}, {1: one}], [{1: one}, {0: QQ.coerce(-1)}]]
+        mult = [{0: {0: one}, 1: {1: one}}, {0: {1: one}, 1: {0: QQ.coerce(-1)}}]
         gauss = GradedAlgebra(QQ, [0, 0], mult, {0: one}, idempotents=[{0: one}])
-        other_mult = [[{0: one}, {1: one}], [{1: one}, {0: QQ.coerce(-2)}]]
+        other_mult = [{0: {0: one}, 1: {1: one}}, {0: {1: one}, 1: {0: QQ.coerce(-2)}}]
         other = GradedAlgebra(QQ, [0, 0], other_mult, {0: one}, idempotents=[{0: one}])
         v = compare(gauss, other)
         assert v.status == "inconclusive"
@@ -310,7 +310,7 @@ class TestInconclusiveCompare:
 
         field = FieldSpec(char)
         one = field.one()
-        mult = [[{0: one}, {}], [{}, {1: one}]]
+        mult = [{0: {0: one}}, {1: {1: one}}]
         unit = {0: one, 1: one}
         lumped = GradedAlgebra(field, [0, 0], mult, unit, idempotents=[unit])
         split = GradedAlgebra(field, [0, 0], mult, unit, idempotents=[{0: one}, {1: one}])
