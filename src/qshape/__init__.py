@@ -28,7 +28,6 @@ from .basechange import (
 )
 from .fields import FieldSpec, QQ
 from .modules import (
-    GradedMap,
     GradedModule,
     HomSpace,
     dual_of_regular,

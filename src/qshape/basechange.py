@@ -115,7 +115,7 @@ def i_star(m, tensor):
                         for ga, c2 in cy.items():
                             cell[midx(s, ga)] = f.mul(c1, c2)
             action.append(mat)
-    ext = GradedModule(tensor.product, degrees, action, check=False)
+    ext = GradedModule(tensor.product, degrees, action)
     tensor._extensions[id(m)] = (m, ext)
     return ext
 

@@ -195,17 +195,6 @@ def sparse_kernel(field, rows, ncols):
     return list(basis.values())
 
 
-def sparse_matmul(field, a_rows, b_rows):
-    """Row-convention product: result row r = sum_m a[r][m] * b[m]."""
-    out = []
-    for row in a_rows:
-        acc = {}
-        for m, c in row.items():
-            vec_iadd_scaled(field, acc, b_rows[m], c)
-        out.append(acc)
-    return out
-
-
 def apply_row(field, vec, rows):
     """Image of a (row) vector under a row-convention matrix."""
     acc = {}

@@ -1,10 +1,12 @@
 """Finite-dimensional graded right modules over structure-constant algebras.
 
 A module stores one sparse action matrix per algebra basis element, in the
-row convention: (m . b) has coordinate row  m_row @ action[b].  All
-constructions (submodules, quotients, sums, shifts, truncations, covers)
-produce explicit bases with homogeneous coordinates, so equality of
-submodules and membership tests are canonical.
+row convention: (m . b) has coordinate row  m_row @ action[b].  A module
+map is its row matrix in the same convention, one sparse row over the
+target's coordinates per source basis vector, as `linalg` defines matrices.
+All constructions (submodules, quotients, sums, shifts, truncations,
+covers) produce explicit bases with homogeneous coordinates, so equality
+of submodules and membership tests are canonical.
 
 A cover P -> M keeps its epi as `epi_rows`, the image in M of each basis
 vector of P, and eliminates them once, in a tagged echelon: the rank
@@ -24,8 +26,8 @@ of M is a choice of images for the generators of M (one slice of N per
 cover summand) that kills the kernel of the cover.  Maps stay in these
 generator coordinates: composing with another map only needs the images of
 the generators, and a map's matrix is built only when a caller asks for it.
-The brute-force commutant solver, duals, socles and injective envelopes
-live in the test suite as independent references.
+The module and map checks, the brute-force commutant solver, duals, socles
+and injective envelopes live in the test suite as independent references.
 """
 
 from .algebra import (
@@ -40,7 +42,6 @@ from .linalg import (
     Echelon,
     apply_row,
     sparse_kernel,
-    sparse_matmul,
     span_basis,
     vec_iadd_scaled,
 )
@@ -50,14 +51,12 @@ class GradedModule:
     """A graded right module: basis degrees plus one action matrix per
     algebra basis element."""
 
-    def __init__(self, algebra, degrees, action, check=True):
+    def __init__(self, algebra, degrees, action):
         self.algebra = algebra
         self.degrees = list(degrees)
         self.dim = len(self.degrees)
         self.action = action  # list (over algebra basis) of row-matrices
         self._cache = {}
-        if check:
-            self._validate()
 
     def act(self, vec, alg_vec):
         """vec . (algebra element), both as sparse coordinate vectors."""
@@ -82,55 +81,12 @@ class GradedModule:
     def is_zero(self):
         return self.dim == 0
 
-    def _validate(self):
-        a = self.algebra
-        f = a.field
-        if len(self.action) != a.dim:
-            raise ValueError("need one action matrix per algebra basis element")
-        for b in range(a.dim):
-            mat = self.action[b]
-            if len(mat) != self.dim:
-                raise ValueError("action matrix has wrong shape")
-            for r, row in enumerate(mat):
-                for s, c in row.items():
-                    if f.is_zero(c):
-                        raise ValueError("action matrices must omit zeros")
-                    if self.degrees[s] != self.degrees[r] + a.degrees[b]:
-                        raise ValueError("action violates the grading")
-        if self.dim == 0 or a.dim == 0:
-            return
-        ident = [{r: f.one()} for r in range(self.dim)]
-        if self.action_of(a.unit) != ident:
-            raise ValueError("unit does not act as the identity")
-        # multiplicativity: act(b_i * g) = act(b_i) act(g) for a generating
-        # set g; with linearity this extends to all products
-        for g in generating_vectors(a):
-            ag = self.action_of(g)
-            for i in range(a.dim):
-                prod = a.product(a.basis_vec(i), g)
-                if self.action_of(prod) != sparse_matmul(f, self.action[i], ag):
-                    raise ValueError("action is not compatible with multiplication")
-
     def __repr__(self):
         return f"GradedModule(dim={self.dim}, degrees={sorted(set(self.degrees))})"
 
 
 def zero_module(algebra):
-    return GradedModule(algebra, [], [[] for _ in range(algebra.dim)], check=False)
-
-
-class GradedMap:
-    """A degree-preserving module map, stored as a row-convention matrix."""
-
-    def __init__(self, source, target, matrix):
-        self.source = source
-        self.target = target
-        self.matrix = matrix  # len = source.dim, sparse rows over target coords
-
-
-def identity_map(m):
-    f = m.algebra.field
-    return GradedMap(m, m, [{r: f.one()} for r in range(m.dim)])
+    return GradedModule(algebra, [], [[] for _ in range(algebra.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -145,49 +101,48 @@ def regular(a):
     if "regular" not in a._cache:
         empty = {}
         action = [[col.get(i, empty) for i in range(a.dim)] for col in columns(a.mult)]
-        a._cache["regular"] = GradedModule(a, a.degrees, action, check=False)
+        a._cache["regular"] = GradedModule(a, a.degrees, action)
     return a._cache["regular"]
 
 
 class Submodule:
-    """A span of homogeneous vectors, as a module plus the inclusion map.
+    """A span of homogeneous vectors, as a module plus its basis rows.
 
     Its basis is the span's reduced echelon basis, by degree, then pivot;
     rows of different degrees have disjoint supports, so a span vector has
-    its coordinate on a row at that row's pivot.
+    its coordinate on a row at that row's pivot.  `basis` holds those rows
+    in parent coordinates: it is the matrix of the inclusion.
     """
 
     def __init__(self, parent, vectors):
         f = parent.algebra.field
-        self.parent = parent
         ech = Echelon(f)
         for v in vectors:
             if v and len({parent.degrees[i] for i in v}) != 1:
                 raise ValueError("submodule spanning vectors must be homogeneous")
             ech.insert(v)
         pivots = sorted(ech.rows, key=lambda p: (parent.degrees[p], p))
-        basis = [ech.rows[p] for p in pivots]
+        self.basis = [ech.rows[p] for p in pivots]
         pos = {p: j for j, p in enumerate(pivots)}
         action = []
         for bidx in range(parent.algebra.dim):
             mat = []
-            for b in basis:
+            for b in self.basis:
                 img = apply_row(f, b, parent.action[bidx])
                 if ech.reduce(img):
                     raise ValueError("span is not closed under the action")
                 mat.append({pos[p]: c for p, c in img.items() if p in pos})
             action.append(mat)
         degrees = [parent.degrees[p] for p in pivots]
-        self.module = GradedModule(parent.algebra, degrees, action, check=False)
-        self.inclusion = GradedMap(self.module, parent, [dict(b) for b in basis])
+        self.module = GradedModule(parent.algebra, degrees, action)
 
 
 class QuotientModule:
-    """Parent modulo a homogeneous submodule span, with the projection."""
+    """Parent modulo a homogeneous submodule span; `project` takes a parent
+    vector to its class in quotient coordinates."""
 
     def __init__(self, parent, vectors):
         f = parent.algebra.field
-        self.parent = parent
         self.ech = Echelon(f)
         for v in vectors:
             if v:
@@ -212,19 +167,18 @@ class QuotientModule:
                 img = apply_row(f, {g: f.one()}, parent.action[bidx])
                 mat.append(self.project(img))
             action.append(mat)
-        self.module = GradedModule(parent.algebra, degrees, action, check=False)
-        proj_rows = [self.project({m: f.one()}) for m in range(parent.dim)]
-        self.projection = GradedMap(parent, self.module, proj_rows)
+        self.module = GradedModule(parent.algebra, degrees, action)
 
     def project(self, vec):
         red = self.ech.reduce(vec)
         return {self.pos[g]: c for g, c in red.items()}
 
 
-def _sum_module(summands):
+def direct_sum(summands):
     """(module, offsets) of a finite direct sum: the block-diagonal module
-    and the first coordinate of each summand in it, without the inclusion
-    and projection maps."""
+    and the first coordinate of each summand in it.  The inclusion of a
+    summand sends its row r to row offset + r of the sum, and the
+    projection onto it reads those rows back."""
     if not summands:
         raise ValueError("direct_sum needs at least one summand")
     a = summands[0].algebra
@@ -244,40 +198,22 @@ def _sum_module(summands):
             for r, row in enumerate(m.action[bidx]):
                 mat[off + r] = {off + s: c for s, c in row.items()}
         action.append(mat)
-    return GradedModule(a, degrees, action, check=False), offsets
-
-
-def direct_sum(summands):
-    """(module, inclusions, projections) of a finite direct sum."""
-    result, offsets = _sum_module(summands)
-    f = result.algebra.field
-    total = result.dim
-    inclusions = []
-    projections = []
-    for m, off in zip(summands, offsets):
-        inc = [{off + r: f.one()} for r in range(m.dim)]
-        prj = [dict() for _ in range(total)]
-        for r in range(m.dim):
-            prj[off + r] = {r: f.one()}
-        inclusions.append(GradedMap(m, result, inc))
-        projections.append(GradedMap(result, m, prj))
-    return result, inclusions, projections
+    return GradedModule(a, degrees, action), offsets
 
 
 def shift(m, j):
     """Regrading: the new degree-d component is the old degree-(d+j) one."""
     if j == 0:
         return m
-    return GradedModule(m.algebra, [d - j for d in m.degrees], m.action, check=False)
+    return GradedModule(m.algebra, [d - j for d in m.degrees], m.action)
 
 
 def truncate_le(m, n):
-    """The quotient by components in degrees > n, with its projection."""
+    """The quotient by components in degrees > n."""
     if not m.algebra.is_nonnegatively_graded():
         raise NotNonNegativelyGraded("truncation needs a non-negatively graded algebra")
     one = m.algebra.field.one()
-    quo = QuotientModule(m, [{i: one} for i in range(m.dim) if m.degrees[i] > n])
-    return quo.module, quo.projection
+    return QuotientModule(m, [{i: one} for i in range(m.dim) if m.degrees[i] > n]).module
 
 
 def radical_submodule_span(m):
@@ -290,9 +226,8 @@ def radical_submodule_span(m):
 
 
 def top(m):
-    """(T, projection): the semisimple quotient M / M.rad."""
-    quo = QuotientModule(m, radical_submodule_span(m))
-    return quo.module, quo.projection
+    """The semisimple quotient M / M.rad."""
+    return QuotientModule(m, radical_submodule_span(m)).module
 
 
 def projective(a, i):
@@ -302,25 +237,18 @@ def projective(a, i):
         raise IndexError(f"idempotent index {i} out of range 1..{len(idems)}")
     key = ("projective", i)
     if key not in a._cache:
-        f = a.field
         reg = regular(a)
         e = idems[i - 1]
         spanning = [reg.act(e, a.basis_vec(j)) for j in range(a.dim)]
-        sub = Submodule(reg, spanning)
-        a._cache[key] = sub
+        a._cache[key] = Submodule(reg, spanning)
     return a._cache[key].module
-
-
-def projective_inclusion(a, i):
-    projective(a, i)
-    return a._cache[("projective", i)].inclusion
 
 
 def simple(a, i):
     """The i-th graded simple: top of projective(a, i), in degree 0."""
     key = ("simple", i)
     if key not in a._cache:
-        t, _ = top(projective(a, i))
+        t = top(projective(a, i))
         if any(d != 0 for d in t.degrees):
             raise ValueError("simple module is not concentrated in degree 0")
         a._cache[key] = t
@@ -361,7 +289,8 @@ class CoverSummand:
         self.idem_index = idem_index
         self.gen_degree = gen_degree
         base = projective(a, idem_index)
-        self.inclusion_rows = projective_inclusion(a, idem_index).matrix
+        # the basis of e_i.Lambda in algebra coordinates
+        self.inclusion_rows = a._cache[("projective", idem_index)].basis
         self.module = shift(base, -gen_degree)
 
     def algebra_coords(self, vec):
@@ -409,10 +338,9 @@ class ProjectiveCover:
                         self.generators.append(gen)
                         self.summands.append(CoverSummand(a, e_idx, d))
 
-        # P as a bare sum module: the cover reads its blocks through
-        # _block_of, so the inclusion and projection maps are never built
+        # P as a sum module: the cover reads its blocks through _block_of
         if self.summands:
-            self.module = _sum_module([s.module for s in self.summands])[0]
+            self.module = direct_sum([s.module for s in self.summands])[0]
         else:
             self.module = zero_module(a)
         self._block_of = []  # P coordinate -> (summand, coordinate inside it)
@@ -497,8 +425,10 @@ class HomSpace:
     (N_d).e_i.  A map is stored as its coordinate vector over the
     concatenated slice bases (`basis_coords`); `images` turns coordinates
     into generator images and `coords_of_images` goes back, so callers that
-    compose with another map only need generator images.  Matrices are
-    built on demand: `basis` materializes the GradedMaps on first access.
+    compose with another map only need generator images.  A map's matrix,
+    its rows over N's coordinates, is built only on demand by `map_of`;
+    `coords_of_matrix` goes back, and `basis_coeffs` expresses coordinates
+    over `basis_coords`.
     """
 
     def __init__(self, source, target):
@@ -547,19 +477,11 @@ class HomSpace:
         sys_rows = {k: {v: c for v, c in row.items() if not f.is_zero(c)}
                     for k, row in sys_rows.items()}
         self.basis_coords = sparse_kernel(f, [r for r in sys_rows.values() if r], total)
-        self._basis = None
         self._basis_ech = None
 
     @property
     def dim(self):
         return len(self.basis_coords)
-
-    @property
-    def basis(self):
-        """The basis maps as GradedMaps, materialized on first access."""
-        if self._basis is None:
-            self._basis = [self.map_of(c) for c in self.basis_coords]
-        return self._basis
 
     def images(self, coords):
         """Images of the cover generators (in target coordinates) of a map."""
@@ -586,9 +508,9 @@ class HomSpace:
         return coords
 
     def map_of(self, coords):
-        """The GradedMap with these slice coordinates: row i is the sum, over
-        the cover's section terms (t, u) of basis vector i, of the image of
-        generator t acted on by u."""
+        """The row matrix of the map with these slice coordinates: row i is
+        the sum, over the cover's section terms (t, u) of basis vector i, of
+        the image of generator t acted on by u."""
         f = self.source.algebra.field
         one = f.one()
         act = self.target.act
@@ -600,7 +522,7 @@ class HomSpace:
                 if images[t]:
                     vec_iadd_scaled(f, out, act(images[t], u), one)
             rows.append(out)
-        return GradedMap(self.source, self.target, rows)
+        return rows
 
     def coords_of_matrix(self, matrix_rows):
         """Slice coordinates of a map given by its matrix."""
@@ -609,17 +531,12 @@ class HomSpace:
                                       for gen in self._cov.generators])
 
     def basis_coeffs(self, coords):
-        """Coefficients over `basis` of the map with these slice coordinates,
-        or None if it is not a module map."""
+        """Coefficients over `basis_coords` of the map with these slice
+        coordinates, or None if it is not a module map."""
         if self._basis_ech is None:
             self._basis_ech = Echelon(self.source.algebra.field, tagged=True)
             self._basis_ech.extend(self.basis_coords)
         return self._basis_ech.express(coords)
-
-    def express(self, gmap_or_matrix):
-        """Coefficients of a map over this basis, or None if outside."""
-        rows = gmap_or_matrix.matrix if isinstance(gmap_or_matrix, GradedMap) else gmap_or_matrix
-        return self.basis_coeffs(self.coords_of_matrix(rows))
 
 
 def hom_graded(m, n):
@@ -667,6 +584,12 @@ def dual_of_regular(a):
     (f . b)(x) = f(b x); the degree-i piece is the dual of the degree-(-i)
     component.  Row i of the matrix of b is {j: (b * b_j)_i}, a transpose
     of the nonzero products in the row of b.
+
+    The module axioms need no check here: they follow from those of the
+    algebra, which its construction has validated.  ((f . b) . c)(x) =
+    f(b (c x)) = f((b c) x) = (f . (b c))(x) by associativity, and
+    (f . 1)(x) = f(x) by the unit laws; the grading holds because the
+    products keep degrees.
     """
     if "dual_regular" not in a._cache:
         empty = {}

@@ -17,12 +17,11 @@ suite as the independent reference the table is checked against.
 
 from .algebra import GradedAlgebra
 from .errors import NotSelfInjective
-from .linalg import Echelon, apply_row, vec_iadd_scaled
+from .linalg import Echelon, apply_row
 from .modules import (
     composition_table,
     cover_of,
     hom_graded,
-    identity_map,
     is_self_injective,
     same_algebra,
     syzygy_of,
@@ -33,11 +32,11 @@ def factor_through_projectives(m, n):
     """Basis of the subspace of hom(m, n) of maps factoring through a projective.
 
     Returned as (hom_space, coefficient_vectors) where the vectors are over
-    hom_space.basis.  When hom(m, n) is 0 so is the subspace, and hom(m, P)
-    for the cover P of n is never solved.  Otherwise each basis map h of
-    hom(m, P) is composed with the cover epi in generator coordinates: the
-    generator images of h followed by the epi are the generator images of
-    the composite, so no matrix is built.
+    hom_space.basis_coords.  When hom(m, n) is 0 so is the subspace, and
+    hom(m, P) for the cover P of n is never solved.  Otherwise each basis
+    map h of hom(m, P) is composed with the cover epi in generator
+    coordinates: the generator images of h followed by the epi are the
+    generator images of the composite, so no matrix is built.
     """
     hom = hom_graded(m, n)
     if hom.dim == 0:
@@ -59,9 +58,9 @@ def factor_through_projectives(m, n):
 class StableHomSpace:
     """hom(m, n) together with the factoring subspace and representatives.
 
-    Coefficients live over hom.basis; representatives are the standard
-    coefficient vectors at the non-pivot positions of the echelonized
-    factoring subspace, so dim representatives + dim factoring = total dim.
+    Coefficients live over hom.basis_coords; representatives are the basis
+    maps at the non-pivot positions of the echelonized factoring subspace,
+    so dim representatives + dim factoring = total dim.
     """
 
     def __init__(self, m, n):
@@ -77,7 +76,6 @@ class StableHomSpace:
             self._fact_ech.insert(c)
         pivots = set(self._fact_ech.rows)
         self.rep_positions = [q for q in range(self.total_dim) if q not in pivots]
-        self.representative_coeffs = [{q: f.one()} for q in self.rep_positions]
         self._rep_index = {q: i for i, q in enumerate(self.rep_positions)}
 
     @property
@@ -86,17 +84,7 @@ class StableHomSpace:
 
     def representative_coords(self):
         """Slice coordinates (see HomSpace) of the representative maps."""
-        f = self.source.algebra.field
-        out = []
-        for c in self.representative_coeffs:
-            coords = {}
-            for q, coeff in c.items():
-                vec_iadd_scaled(f, coords, self.hom.basis_coords[q], coeff)
-            out.append(coords)
-        return out
-
-    def representative_maps(self):
-        return [self.hom.map_of(c).matrix for c in self.representative_coords()]
+        return [self.hom.basis_coords[q] for q in self.rep_positions]
 
     def class_coords_of_matrix(self, matrix_rows):
         """Coordinates of the stable class of a map, over the representatives."""
@@ -169,19 +157,18 @@ class StableEnd:
         self.stable = stable_hom(m, m)
         hom = self.stable.hom
         coords = self.stable.representative_coords()
-        reps = self.stable.representative_maps()
+        reps = [hom.map_of(c) for c in coords]
         images = [hom.images(c) for c in coords]
         dim = len(reps)
         mult = composition_table(f, images, reps, self.stable.class_coords_of_images)
         idems = None
         if idempotent_maps is not None:
-            self.idempotent_classes = [self.class_of_matrix(p) for p in idempotent_maps]
+            self.idempotent_classes = [self.stable.class_coords_of_matrix(p)
+                                       for p in idempotent_maps]
             idems = [e for e in self.idempotent_classes if e]
         if m.is_zero() or dim == 0:
             self.algebra = GradedAlgebra(f, [], [], {}, idempotents=idems)
         else:
-            unit = self.stable.class_coords_of_matrix(identity_map(m).matrix)
+            identity = [{r: f.one()} for r in range(m.dim)]
+            unit = self.stable.class_coords_of_matrix(identity)
             self.algebra = GradedAlgebra(f, [0] * dim, mult, unit, idempotents=idems)
-
-    def class_of_matrix(self, rows):
-        return self.stable.class_coords_of_matrix(rows)

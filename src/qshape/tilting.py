@@ -24,14 +24,12 @@ from .algebra import (
     EXCEEDS_BOUND,
 )
 from .errors import HypothesisViolated, NonSplitSemisimpleQuotient
-from .linalg import sparse_matmul, span_basis, vec_iadd_scaled
+from .linalg import span_basis, vec_iadd_scaled
 from .modules import (
     QuotientModule,
-    _sum_module,
     composition_table,
     direct_sum,
     hom_graded,
-    identity_map,
     is_self_injective,
     projective,
     regular,
@@ -114,11 +112,10 @@ def tilting_module(a, gldim_bound=DEFAULT_GLDIM_BOUND):
     ell = sup_degree(a) if a.dim else 0
     summands = []
     for i in range(ell):
-        t, _ = truncate_le(shift(regular(a), i), 0)
-        summands.append(t)
+        summands.append(truncate_le(shift(regular(a), i), 0))
     if not summands:
         return TiltingData(a, [], zero_module(a), [])
-    module, offsets = _sum_module(summands)
+    module, offsets = direct_sum(summands)
     return TiltingData(a, summands, module, offsets)
 
 
@@ -204,12 +201,13 @@ def end_algebra(m, idempotent_maps=None):
     hom = hom_graded(m, m)
     dim = hom.dim
     images = [hom.images(c) for c in hom.basis_coords]
-    mult = composition_table(f, images, [h.matrix for h in hom.basis],
+    mult = composition_table(f, images, [hom.map_of(c) for c in hom.basis_coords],
                              lambda composed: hom.basis_coeffs(hom.coords_of_images(composed)))
-    unit = hom.express(identity_map(m).matrix)
+    identity = [{r: f.one()} for r in range(m.dim)]
+    unit = hom.basis_coeffs(hom.coords_of_matrix(identity))
     idems = None
     if idempotent_maps is not None:
-        idems = [hom.express(p) for p in idempotent_maps]
+        idems = [hom.basis_coeffs(hom.coords_of_matrix(p)) for p in idempotent_maps]
     return GradedAlgebra(f, [0] * dim, mult, unit, idempotents=idems)
 
 
@@ -217,13 +215,19 @@ def reference_auslander_linear(m, field):
     """Endomorphism algebra of the sum of all interval modules over linear A_m.
 
     Each interval module is indecomposable with End = k, so the projectors
-    onto the summands are its primitive idempotents."""
+    onto the summands are its primitive idempotents; the projector onto a
+    summand is the identity on its rows of the sum and zero elsewhere."""
     if m < 1:
         raise ValueError("parameter must be >= 1")
     a = reference_upper_triangular(m, field)
     intervals = _interval_modules(a, m)
-    total, incs, prjs = direct_sum(intervals)
-    projectors = [sparse_matmul(field, prj.matrix, inc.matrix) for inc, prj in zip(incs, prjs)]
+    total, offsets = direct_sum(intervals)
+    projectors = []
+    for interval, off in zip(intervals, offsets):
+        rows = [{} for _ in range(total.dim)]
+        for r in range(off, off + interval.dim):
+            rows[r] = {r: field.one()}
+        projectors.append(rows)
     return end_algebra(total, projectors)
 
 

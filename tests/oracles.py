@@ -14,10 +14,12 @@ keeps the earlier quiver compiler, which spans the relation ideal pair of
 paths by pair of paths, as the reference for the Gröbner-basis compiler,
 `per_object_window_properties` keeps the earlier window check, which works
 object pair by object pair, as the reference for the shift-class check,
-and the module references at the end (map checks, duals over the opposite
-algebra, socles, injective envelopes, cosyzygies and restriction of
-scalars) are built from qshape's modules and covers, the envelopes as the
-second route the stable tests check syzygies against.
+and the module references at the end (module and map checks, the maps of a
+direct sum, duals over the opposite algebra, socles, injective envelopes,
+cosyzygies and restriction of scalars) are built from qshape's modules and
+covers, the envelopes as the second route the stable tests check syzygies
+against.  Maps are row matrices, one sparse row over the target's
+coordinates per source basis vector, as in qshape.
 `brute_canonical_matrix` tries every permutation.
 """
 
@@ -770,9 +772,17 @@ def per_object_window_properties(w, serre_check=True):
 
 
 # ---------------------------------------------------------------------------
-# module references: equality, map checks, duals, socles, injective
-# envelopes, cosyzygies and restriction of scalars, over qshape's modules
+# module references: equality, module and map checks, sums, duals, socles,
+# injective envelopes, cosyzygies and restriction of scalars, over qshape's
+# modules
 # ---------------------------------------------------------------------------
+
+def sparse_matmul(field, a_rows, b_rows):
+    """Row-convention product: result row r = sum_m a[r][m] * b[m]."""
+    from qshape.linalg import apply_row
+
+    return [apply_row(field, row, b_rows) for row in a_rows]
+
 
 def module_equal(m, n):
     """Same algebra, same degrees and the same action matrices."""
@@ -782,12 +792,46 @@ def module_equal(m, n):
             and m.action == n.action)
 
 
+def validate_module(m):
+    """Raise ValueError unless m is a graded right module: one action matrix
+    per algebra basis element, of the right shape, with no stored zeros and
+    degrees kept; the unit acting as the identity; and
+    act(b_i * g) = act(b_i) act(g) for every basis element b_i and every g
+    of a generating set, which with linearity extends to all products."""
+    from qshape.algebra import generating_vectors
+
+    a = m.algebra
+    f = a.field
+    if len(m.action) != a.dim:
+        raise ValueError("need one action matrix per algebra basis element")
+    for b in range(a.dim):
+        mat = m.action[b]
+        if len(mat) != m.dim:
+            raise ValueError("action matrix has wrong shape")
+        for r, row in enumerate(mat):
+            for s, c in row.items():
+                if f.is_zero(c):
+                    raise ValueError("action matrices must omit zeros")
+                if m.degrees[s] != m.degrees[r] + a.degrees[b]:
+                    raise ValueError("action violates the grading")
+    if m.dim == 0 or a.dim == 0:
+        return
+    ident = [{r: f.one()} for r in range(m.dim)]
+    if m.action_of(a.unit) != ident:
+        raise ValueError("unit does not act as the identity")
+    for g in generating_vectors(a):
+        ag = m.action_of(g)
+        for i in range(a.dim):
+            prod = a.product(a.basis_vec(i), g)
+            if m.action_of(prod) != sparse_matmul(f, m.action[i], ag):
+                raise ValueError("action is not compatible with multiplication")
+
+
 def validate_map(source, target, matrix):
     """Raise ValueError unless the row matrix is a degree-0 module map
     source -> target: right shape, degrees kept, and commuting with the
     action of every generator of the algebra."""
     from qshape.algebra import generating_vectors, same_algebra
-    from qshape.linalg import sparse_matmul
 
     if not same_algebra(source.algebra, target.algebra):
         raise ValueError("map between modules over different algebras")
@@ -803,6 +847,25 @@ def validate_map(source, target, matrix):
         rhs = sparse_matmul(f, matrix, target.action_of(g))
         if lhs != rhs:
             raise ValueError("map does not commute with the action")
+
+
+def sum_maps(summands):
+    """(module, inclusions, projections) of the direct sum of summands,
+    with the maps taken from its offsets: the inclusion of a summand sends
+    its row r to row offset + r, and the projection reads those rows
+    back and sends every other row to zero."""
+    from qshape.modules import direct_sum
+
+    total, offsets = direct_sum(summands)
+    one = total.algebra.field.one()
+    inclusions, projections = [], []
+    for m, off in zip(summands, offsets):
+        inclusions.append([{off + r: one} for r in range(m.dim)])
+        prj = [{} for _ in range(total.dim)]
+        for r in range(m.dim):
+            prj[off + r] = {r: one}
+        projections.append(prj)
+    return total, inclusions, projections
 
 
 def map_rank(field, rows):
@@ -842,19 +905,17 @@ def dual_module(m):
     from qshape.modules import GradedModule
 
     return GradedModule(opposite(m.algebra), [-d for d in m.degrees],
-                        [_transpose(mat, m.dim) for mat in m.action], check=False)
+                        [_transpose(mat, m.dim) for mat in m.action])
 
 
-def dual_map(gmap):
-    """Dual of a map: the transposed matrix between the dual modules."""
-    from qshape.modules import GradedMap
-
-    return GradedMap(dual_module(gmap.target), dual_module(gmap.source),
-                     _transpose(gmap.matrix, gmap.target.dim))
+def dual_map(rows, target):
+    """Dual of the map with these rows into target: the transposed matrix,
+    from dual_module(target) to the dual of the source."""
+    return _transpose(rows, target.dim)
 
 
 def socle(m):
-    """(S, inclusion): the annihilator of the radical inside M."""
+    """(S, inclusion rows): the annihilator of the radical inside M."""
     from qshape.algebra import jacobson_radical
     from qshape.linalg import sparse_kernel
     from qshape.modules import Submodule
@@ -868,11 +929,11 @@ def socle(m):
                 cols.setdefault(s, {})[mm] = c
         rows.extend(cols[s] for s in sorted(cols))
     sub = Submodule(m, sparse_kernel(m.algebra.field, rows, m.dim))
-    return sub.module, sub.inclusion
+    return sub.module, sub.basis
 
 
 def injective_envelope(m):
-    """(I, mono) with I minimal injective over a self-injective algebra.
+    """(I, mono rows) with I minimal injective over a self-injective algebra.
 
     I is the dual of the projective cover of the dual module over the
     opposite algebra; minimality is certified by the socle lying inside the
@@ -880,7 +941,7 @@ def injective_envelope(m):
     """
     from qshape.errors import NotSelfInjective
     from qshape.linalg import Echelon
-    from qshape.modules import GradedMap, cover_of, is_self_injective
+    from qshape.modules import cover_of, is_self_injective
 
     a = m.algebra
     if not is_self_injective(a):
@@ -889,14 +950,13 @@ def injective_envelope(m):
     md = dual_module(m)
     cov = cover_of(md)
     # dual(M dual) -> dual(P); its source equals m in coordinates
-    dual_epi = dual_map(GradedMap(cov.module, md, cov.epi_rows))
-    env = dual_epi.target
-    mono = GradedMap(m, env, dual_epi.matrix)
-    if map_rank(f, mono.matrix) != m.dim:
+    env = dual_module(cov.module)
+    mono = dual_map(cov.epi_rows, md)
+    if map_rank(f, mono) != m.dim:
         raise ValueError("envelope embedding is not injective")
     img = Echelon(f)
-    img.extend(mono.matrix)
-    for row in socle(env)[1].matrix:
+    img.extend(mono)
+    for row in socle(env)[1]:
         if not img.contains(row):
             raise ValueError("envelope is not minimal (socle escapes the image)")
     return env, mono
@@ -908,7 +968,7 @@ def cosyzygy_of(m):
 
     if "cosyzygy" not in m._cache:
         env, mono = injective_envelope(m)
-        m._cache["cosyzygy"] = QuotientModule(env, mono.matrix).module
+        m._cache["cosyzygy"] = QuotientModule(env, mono).module
     return m._cache["cosyzygy"]
 
 
@@ -919,7 +979,7 @@ def i_lower(mp, tensor):
     lam = tensor.left
     action = [mp.action_of(tensor.pair_vec(lam.basis_vec(b), tensor.right.unit))
               for b in range(lam.dim)]
-    return GradedModule(lam, mp.degrees, action, check=False)
+    return GradedModule(lam, mp.degrees, action)
 
 
 def brute_canonical_matrix(mat):

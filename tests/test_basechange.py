@@ -24,7 +24,7 @@ from qshape.modules import (
 )
 from qshape.tilting import reference_upper_triangular, tilting_module
 
-from oracles import i_lower, module_equal
+from oracles import i_lower, module_equal, validate_module
 
 
 def trunc(n, field=QQ):
@@ -150,20 +150,14 @@ class TestProjectiveRestrictionMore:
 
 class TestConstructedModulesValidate:
     def test_extension_satisfies_module_axioms(self):
-        from qshape.modules import GradedModule
-
         lam = builtin("preprojective_A", 2, QQ)
         t = tensor_algebra(lam, dual_numbers_ungraded())
-        m = i_star(simple(lam, 1), t)
-        GradedModule(t.product, m.degrees, m.action, check=True)  # raises on a bad action
+        validate_module(i_star(simple(lam, 1), t))  # raises on a bad action
 
     def test_restriction_satisfies_module_axioms(self):
-        from qshape.modules import GradedModule
-
         lam = trunc(2)
         t = tensor_algebra(lam, dual_numbers_ungraded())
-        m = i_lower(i_star(regular(lam), t), t)
-        GradedModule(lam, m.degrees, m.action, check=True)
+        validate_module(i_lower(i_star(regular(lam), t), t))
 
 
 def basechange_witnesses(lam):

@@ -298,9 +298,9 @@ class TestWorkDoneOnce:
             tensor_init(self, left, right)
             products.append(self.product)
 
-        def spy_module(algebra, degrees, action, check=True):
+        def spy_module(algebra, degrees, action):
             extensions.append(algebra)
-            return module_class(algebra, degrees, action, check=check)
+            return module_class(algebra, degrees, action)
 
         def spy_cover(self, m):
             covered.append(m.algebra)

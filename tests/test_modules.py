@@ -15,7 +15,7 @@ from qshape.algebra import (
 )
 from qshape.errors import NotSelfInjective
 from qshape.fields import FieldSpec, QQ
-from qshape.linalg import Echelon, apply_row, sparse_matmul
+from qshape.linalg import Echelon, apply_row
 from qshape.modules import (
     cover_of,
     direct_sum,
@@ -46,8 +46,11 @@ from oracles import (
     module_equal,
     naive_hom_basis,
     socle,
+    sparse_matmul,
     submodule_by_express,
+    sum_maps,
     validate_map,
+    validate_module,
 )
 
 GF = FieldSpec(32003)
@@ -114,19 +117,19 @@ class TestShift:
 class TestTruncation:
     def test_simple_from_regular(self):
         a = trunc(2)
-        t, proj = truncate_le(regular(a), 0)
+        t = truncate_le(regular(a), 0)
         assert t.dim == 1
         assert module_equal(t, simple(a, 1))
 
     def test_shift_then_truncate(self):
-        t, _ = truncate_le(shift(regular(trunc(3)), 1), 0)
+        t = truncate_le(shift(regular(trunc(3)), 1), 0)
         assert t.dim == 2
         assert sorted(t.degrees) == [-1, 0]
 
     def test_dimension_bookkeeping(self):
         m = regular(builtin("exterior", 2, QQ))
         for n in (-1, 0, 1, 2, 5):
-            le, _ = truncate_le(m, n)
+            le = truncate_le(m, n)
             ge = truncate_ge(m, n + 1)
             assert le.dim + ge.dim == m.dim
 
@@ -168,7 +171,7 @@ class TestHom:
 
     def test_naive_oracle_on_exterior(self):
         a = builtin("exterior", 2, QQ)
-        t, _ = truncate_le(shift(regular(a), 1), 0)
+        t = truncate_le(shift(regular(a), 1), 0)
         for m, n in ((t, t), (t, regular(a)), (regular(a), t)):
             assert hom_graded(m, n).dim == len(naive_hom_basis(m, n))
 
@@ -176,8 +179,9 @@ class TestHom:
         a = builtin("preprojective_A", 2, QQ)
         m = shift(projective(a, 2), 1)
         n = regular(a)
-        for h in hom_graded(m, n).basis:
-            validate_map(m, n, h.matrix)  # raises on a bad map
+        hom = hom_graded(m, n)
+        for c in hom.basis_coords:
+            validate_map(m, n, hom.map_of(c))  # raises on a bad map
 
     def test_hom_enriched_of_regular(self):
         a = trunc(2)
@@ -193,7 +197,7 @@ class TestHom:
 
     def test_shift_invariance(self):
         a = builtin("exterior", 2, QQ)
-        m, _ = truncate_le(shift(regular(a), 1), 0)
+        m = truncate_le(shift(regular(a), 1), 0)
         n = regular(a)
         for j in (-2, 1, 3):
             assert hom_graded(m, n).dim == hom_graded(shift(m, j), shift(n, j)).dim
@@ -203,8 +207,7 @@ class TestTopSocle:
     def test_top_of_projective_is_simple(self):
         a = builtin("preprojective_A", 3, QQ)
         for i in range(1, 4):
-            t, _ = top(projective(a, i))
-            assert module_equal(t, simple(a, i))
+            assert module_equal(top(projective(a, i)), simple(a, i))
 
     def test_socle_of_truncated_regular(self):
         n = 4
@@ -216,8 +219,7 @@ class TestTopSocle:
     def test_top_of_semisimple_is_itself(self):
         a = builtin("preprojective_A", 2, QQ)
         s = simple(a, 1)
-        t, proj = top(s)
-        assert t.dim == s.dim
+        assert top(s).dim == s.dim
 
 
 class TestCovers:
@@ -234,7 +236,7 @@ class TestCovers:
 
     def test_cover_of_truncated_shift(self):
         a = trunc(3)
-        m, _ = truncate_le(shift(regular(a), 1), 0)
+        m = truncate_le(shift(regular(a), 1), 0)
         p = cover_of(m).module
         assert module_equal(p, shift(regular(a), 1))
         assert p.dim - m.dim == 1  # kernel dim 1
@@ -306,7 +308,7 @@ class TestEnvelopes:
     def test_envelope_of_projective_injective(self):
         a = trunc(3)
         env, mono = injective_envelope(regular(a))
-        assert env.dim == a.dim == map_rank(QQ, mono.matrix)
+        assert env.dim == a.dim == map_rank(QQ, mono)
 
     def test_envelope_of_simple_over_dual_numbers(self):
         a = trunc(2)
@@ -334,11 +336,11 @@ class TestEnvelopes:
 class TestDirectSum:
     def test_block_dims(self):
         a = trunc(3)
-        m, incs, prjs = direct_sum([regular(a), simple(a, 1)])
+        m, incs, prjs = sum_maps([regular(a), simple(a, 1)])
         assert m.dim == 4
-        assert sparse_matmul(QQ, incs[0].matrix, prjs[0].matrix) == [
+        assert sparse_matmul(QQ, incs[0], prjs[0]) == [
             {r: QQ.one()} for r in range(a.dim)]
-        assert all(not v for v in sparse_matmul(QQ, incs[0].matrix, prjs[1].matrix))
+        assert all(not v for v in sparse_matmul(QQ, incs[0], prjs[1]))
 
 
 def test_projectivity_independent_of_field():
@@ -365,18 +367,12 @@ class TestEdgeCases:
 
 class TestFastPathsValidate:
     def test_dual_module_axioms(self):
-        from qshape.modules import GradedModule
-
         a = builtin("preprojective_A", 2, QQ)
-        d = dual_module(projective(a, 1))
-        GradedModule(d.algebra, d.degrees, d.action, check=True)
+        validate_module(dual_module(projective(a, 1)))
 
     def test_syzygy_module_axioms(self):
-        from qshape.modules import GradedModule
-
         a = builtin("exterior", 2, QQ)
-        s = syzygy_of(simple(a, 1))
-        GradedModule(s.algebra, s.degrees, s.action, check=True)
+        validate_module(syzygy_of(simple(a, 1)))
 
 
 class TestInternalRoundtrips:
@@ -384,13 +380,13 @@ class TestInternalRoundtrips:
         a = builtin("preprojective_A", 2, QQ)
         m = shift(projective(a, 2), 1)
         h = hom_graded(m, regular(a))
-        for q, basis_map in enumerate(h.basis):
-            coeffs = h.express(basis_map)
+        for q, c in enumerate(h.basis_coords):
+            coeffs = h.basis_coeffs(h.coords_of_matrix(h.map_of(c)))
             assert coeffs == {q: QQ.one()}
 
     def test_cover_section_is_a_section(self):
         a = builtin("exterior", 2, QQ)
-        m, _ = truncate_le(shift(regular(a), 1), 0)
+        m = truncate_le(shift(regular(a), 1), 0)
         cov = cover_of(m)
         composite = sparse_matmul(QQ, cov.section_rows, cov.epi_rows)
         ident = [{r: QQ.one()} for r in range(m.dim)]
@@ -399,11 +395,11 @@ class TestInternalRoundtrips:
     def test_envelope_mono_is_a_module_map(self):
         a = builtin("exterior", 2, QQ)
         env, mono = injective_envelope(simple(a, 1))
-        validate_map(mono.source, mono.target, mono.matrix)
+        validate_map(simple(a, 1), env, mono)
 
     def test_cover_epi_is_a_module_map(self):
         a = builtin("preprojective_A", 3, QQ)
-        t, _ = truncate_le(shift(regular(a), 1), 0)
+        t = truncate_le(shift(regular(a), 1), 0)
         cov = cover_of(t)
         validate_map(cov.module, t, cov.epi_rows)
 
@@ -415,13 +411,13 @@ def map_by_projecting_the_section(hom, coords):
 
     cov = cover_of(hom.source)
     f = hom.source.algebra.field
-    projections = direct_sum([s.module for s in cov.summands])[2] if cov.summands else []
+    projections = sum_maps([s.module for s in cov.summands])[2] if cov.summands else []
     images = hom.images(coords)
     rows = []
     for sec in cov.section_rows:
         out = {}
         for t, prj in enumerate(projections):
-            blk = apply_row(f, sec, prj.matrix)
+            blk = apply_row(f, sec, prj)
             if blk:
                 u = cov.summands[t].algebra_coords(blk)
                 vec_iadd_scaled(f, out, hom.target.act(images[t], u), f.one())
@@ -444,7 +440,7 @@ def test_map_of_matches_projecting_the_section(family, n, char):
         for target in (t, m, simple(a, 1)):
             hom = hom_graded(m, target)
             for c in hom.basis_coords:
-                assert hom.map_of(c).matrix == map_by_projecting_the_section(hom, c)
+                assert hom.map_of(c) == map_by_projecting_the_section(hom, c)
                 maps += 1
     assert maps
 
@@ -452,9 +448,8 @@ def test_map_of_matches_projecting_the_section(family, n, char):
 @pytest.mark.parametrize("char", [0, 32003])
 @pytest.mark.parametrize("family,n", [("exterior", 3), ("preprojective_A", 3)])
 def test_cover_module_is_the_direct_sum_of_its_summands(family, n, char):
-    # the cover builds P without inclusion and projection maps; it must be
-    # the module direct_sum builds, whose maps must still split it
-    from qshape.modules import identity_map
+    # the cover's P is the sum of its summands, and the inclusions and
+    # projections read off the sum's offsets split it
     from qshape.tilting import tilting_module
 
     a = builtin(family, n, FieldSpec(char))
@@ -462,15 +457,15 @@ def test_cover_module_is_the_direct_sum_of_its_summands(family, n, char):
     for m in (t, syzygy_of(t), regular(a), simple(a, 1)):
         cov = cover_of(m)
         summands = [s.module for s in cov.summands]
-        total, incs, prjs = direct_sum(summands)
+        total, incs, prjs = sum_maps(summands)
         assert module_equal(cov.module, total)
         for i, (inc, s) in enumerate(zip(incs, summands)):
-            validate_map(s, total, inc.matrix)
-            validate_map(total, s, prjs[i].matrix)
+            validate_map(s, total, inc)
+            validate_map(total, s, prjs[i])
             for j, prj in enumerate(prjs):
-                back = sparse_matmul(a.field, inc.matrix, prj.matrix)
+                back = sparse_matmul(a.field, inc, prj)
                 if i == j:
-                    assert back == identity_map(s).matrix
+                    assert back == [{r: a.field.one()} for r in range(s.dim)]
                 else:
                     assert not any(back)
 
@@ -483,7 +478,7 @@ class TestCoverLifetime:
         gc.collect()
         gc.disable()
         try:
-            m = truncate_le(shift(regular(a), 1), 0)[0]
+            m = truncate_le(shift(regular(a), 1), 0)
             cov = cover_of(m)
             syzygy_of(m)
             assert hom_graded(m, m).dim > 0
@@ -512,7 +507,7 @@ def cover_witnesses(a):
     simples = [shift(simple(a, i), j)
                for i in range(1, len(primitive_idempotents(a)) + 1) for j in (-1, 2)]
     return ([t, syzygy_of(t), syzygy_of(syzygy_of(t))] + simples
-            + [truncate_le(shift(regular(a), 1), 0)[0],
+            + [truncate_le(shift(regular(a), 1), 0),
                i_star(t, tensor_algebra(a, dual_numbers))])
 
 
@@ -571,7 +566,7 @@ def test_fresh_cover_eliminates_once(monkeypatch, char):
 
     for family, n in (("exterior", 3), ("preprojective_A", 3), ("truncated_polynomial", 5)):
         a = builtin(family, n, FieldSpec(char))
-        module = truncate_le(shift(regular(a), 1), 0)[0]
+        module = truncate_le(shift(regular(a), 1), 0)
         with monkeypatch.context() as patch:
             patch.setattr(modules, "sparse_kernel", no_kernel_solve)
             patch.setattr(modules, "radical_submodule_span", recorded_span)
@@ -625,7 +620,7 @@ def test_submodule_coordinates_match_the_tagged_echelon(family, n, char):
         degrees, action, basis = submodule_by_express(parent, vectors)
         assert sub.module.degrees == degrees
         assert sub.module.action == action
-        assert sub.inclusion.matrix == basis
+        assert sub.basis == basis
 
 
 def matrix_units(field):
@@ -663,3 +658,77 @@ class TestCoverAndSubmoduleChecks:
         x = next(i for i, d in enumerate(a.degrees) if d == 1)
         with pytest.raises(ValueError, match="span is not closed under the action"):
             QuotientModule(regular(a), [{x: a.field.one()}])
+
+
+def test_maps_are_row_matrices():
+    # a module map is its row matrix: no map class in the package, homs
+    # hand out rows, and truncations and tops are plain modules
+    import os
+
+    from qshape.modules import GradedModule
+
+    pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "qshape")
+    naming = [name for name in sorted(os.listdir(pkg)) if name.endswith(".py")
+              and "GradedMap" in open(os.path.join(pkg, name)).read()]
+    assert naming == []
+    a = builtin("exterior", 2, QQ)
+    m = truncate_le(shift(regular(a), 1), 0)
+    assert type(m) is GradedModule
+    assert type(top(m)) is GradedModule
+    hom = hom_graded(m, m)
+    assert hom.dim
+    for c in hom.basis_coords:
+        rows = hom.map_of(c)
+        assert type(rows) is list and len(rows) == m.dim
+        assert all(type(row) is dict for row in rows)
+
+
+def moved_entry(m):
+    """m with one entry of one action matrix moved to an empty cell of its
+    row: preferably in the matrix of a basis element of positive degree and
+    to a column of the same degree, so that only the product checks can
+    see it; failing that, to any empty cell."""
+    from qshape.modules import GradedModule
+
+    def cells():
+        for b, mat in enumerate(m.action):
+            for r, row in enumerate(mat):
+                for s in row:
+                    for t in range(m.dim):
+                        if t not in row:
+                            keeps = m.degrees[t] == m.degrees[s] and m.algebra.degrees[b] > 0
+                            yield not keeps, b, r, s, t
+
+    _, b, r, s, t = min(cells())
+    row = dict(m.action[b][r])
+    row[t] = row.pop(s)
+    action = [list(mat) for mat in m.action]
+    action[b][r] = row
+    return GradedModule(m.algebra, m.degrees, action)
+
+
+@pytest.mark.parametrize("family,n,char", COVER_CASES)
+def test_validate_module_accepts_constructed_modules(family, n, char):
+    # the dual of the regular module is built unchecked: its action is the
+    # transpose of the algebra's validated structure constants
+    from qshape.basechange import i_star, tensor_algebra, ungrade
+    from qshape.cli import _witnesses
+    from qshape.tilting import reference_upper_triangular, tilting_module
+
+    f = FieldSpec(char)
+    a = builtin(family, n, f)
+    t = tilting_module(a).module
+    modules = [dual_of_regular(a), regular(a), t, syzygy_of(t)]
+    for i in range(1, len(primitive_idempotents(a)) + 1):
+        modules += [projective(a, i), simple(a, i)]
+    witnesses = list(_witnesses(a, t).values())
+    for coeff in (builtin("preprojective_A", 1, f),
+                  ungrade(builtin("truncated_polynomial", 2, f)),
+                  reference_upper_triangular(2, f)):
+        tensor = tensor_algebra(a, coeff)
+        modules += [i_star(w, tensor) for w in witnesses]
+    for m in modules:
+        validate_module(m)
+    with pytest.raises(ValueError):
+        validate_module(moved_entry(dual_of_regular(a)))
