@@ -43,6 +43,7 @@ from .modules import (
     zero_module,
 )
 from .stable import (
+    ExtCertificate,
     StableHomSpace,
     factor_through_projectives,
     stable_ext_table,

@@ -4,7 +4,8 @@ Subcommands: check, tilt, gamma, ext, window, basechange, verify.
 Exit codes: 0 all checks pass, 1 a structural property or lemma check
 failed, or an internal invariant check failed (the error names the
 command), 2 parse/compile error, 3 hypothesis failure, 4 comparison
-mismatch, 5 nonzero stable Ext off degree zero.
+mismatch, 5 nonzero stable Ext off degree zero (from `ext` only: `verify`
+proves the vanishing from a degree certificate, see ExtCertificate).
 
 Algebra file schema (UTF-8 JSON)::
 
@@ -44,7 +45,7 @@ from .basechange import base_change_hom_check, gamma_tensor, tensor_algebra, ung
 from .errors import HypothesisViolated, NotSelfInjective, QShapeError
 from .fields import FieldSpec
 from .modules import projective, regular, simple
-from .stable import stable_ext_table
+from .stable import ExtCertificate, stable_ext_table
 from .tilting import (
     DEFAULT_GLDIM_BOUND,
     check_hypotheses,
@@ -367,10 +368,13 @@ def _verify_one_field(family, parameter, field):
     verdicts["comparison"] = {"reference": ref_name, "verdict": cmp_verdict.as_dict()}
 
     td = gamma.tilting
-    table = stable_ext_table(td.module, td.module, 5)
-    off = [i for i, v in table.items() if i != 0 and v]
-    verdicts["ext_vanishes_off_zero"] = not off
-    verdicts["ext_zero_entry_is_gamma_dim"] = table[0] == gamma.algebra.dim
+    cert = ExtCertificate(td.module)
+    if not cert.holds:
+        raise ValueError(f"Ext degree certificate fails: {cert.as_dict()}")
+    verdicts["ext_certificate"] = cert.as_dict()
+    verdicts["ext_vanishes_off_zero"] = cert.holds
+    verdicts["ext_zero_entry_is_gamma_dim"] = (
+        gamma.stable_end.stable.dim == gamma.algebra.dim)
 
     wrep = check_window_properties(build_window(a, -6, 6), serre_check=True)
     verdicts["window_all_pass"] = wrep["all_pass"]
@@ -397,8 +401,6 @@ def _verify_one_field(family, parameter, field):
     code = EXIT_OK
     if cmp_verdict.status == "mismatch":
         code = EXIT_COMPARISON
-    elif off:
-        code = EXIT_EXT_NONZERO
     elif not (verdicts["ext_zero_entry_is_gamma_dim"] and verdicts["window_all_pass"]
               and verdicts.get("base_change_pass", True)):
         code = EXIT_FAILED_CHECK

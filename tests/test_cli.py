@@ -222,6 +222,41 @@ class TestVerify:
         code, rep = run(capsys, ["verify", "nope", "2"])
         assert code == 2
 
+    def test_reports_the_ext_certificate(self, capsys):
+        code, rep = run(capsys, ["verify", "preprojective_A", "1"])
+        assert rep["gf_32003"]["ext_certificate"] == {
+            "tilting_max_degree": None, "syzygy_min_degree": None}
+        code, rep = run(capsys, ["verify", "truncated_polynomial", "3"])
+        for key in ("rationals", "gf_32003"):
+            assert rep[key]["ext_certificate"] == {
+                "tilting_max_degree": 0, "syzygy_min_degree": 1}
+            assert rep[key]["ext_vanishes_off_zero"] is True
+            assert rep[key]["ext_zero_entry_is_gamma_dim"] is True
+
+    def test_computes_no_ext_table(self, capsys, monkeypatch):
+        import qshape.cli
+        import qshape.stable
+
+        def refuse(*args):
+            raise AssertionError("verify computed a stable Ext table")
+
+        monkeypatch.setattr(qshape.cli, "stable_ext_table", refuse)
+        monkeypatch.setattr(qshape.stable, "stable_ext_table", refuse)
+        monkeypatch.setattr(qshape.stable, "syzygy_of", refuse)
+        code, rep = run(capsys, ["verify", "exterior", "3"])
+        assert code == 0
+
+    def test_failed_certificate_is_an_internal_error(self, capsys, monkeypatch):
+        # the gates make the certificate hold; should it fail all the same,
+        # verify stops with exit 1 naming the command, not 0 and not 5
+        import qshape.stable
+
+        monkeypatch.setattr(qshape.stable.ExtCertificate, "holds", property(lambda self: False))
+        code, rep = run(capsys, ["verify", "truncated_polynomial", "3"])
+        assert code == 1
+        assert rep["command"] == "verify"
+        assert "Ext degree certificate fails" in rep["error"]
+
 
 class TestWorkDoneOnce:
     def test_gamma_fingerprints_each_algebra_once(self, tmp_path, capsys, monkeypatch):

@@ -24,12 +24,13 @@ from qshape.modules import (
     truncate_le,
 )
 from qshape.stable import (
+    ExtCertificate,
     StableEnd,
     factor_through_projectives,
     stable_ext_table,
     stable_hom,
 )
-from qshape.tilting import end_algebra, tilting_module
+from qshape.tilting import end_algebra, tilting_endomorphism_algebra, tilting_module
 
 from oracles import cosyzygy_of as cosyzygy, sparse_matmul
 
@@ -328,3 +329,48 @@ def test_ext_table_builds_no_envelope(monkeypatch):
     t = tilting_module(a).module
     monkeypatch.setattr(qshape.modules, "QuotientModule", refuse)
     assert stable_ext_table(t, t, 3) == {i: 0 if i else 12 for i in range(-3, 4)}
+
+
+CERTIFIED = ([("truncated_polynomial", n) for n in range(3, 7)]
+             + [("preprojective_A", n) for n in range(1, 5)]
+             + [("exterior", n) for n in range(2, 4)])
+
+
+class TestExtCertificate:
+    @pytest.mark.parametrize("char", [0, 32003])
+    @pytest.mark.parametrize("family, n", CERTIFIED)
+    def test_certificate_agrees_with_the_computed_table(self, family, n, char):
+        gamma = tilting_endomorphism_algebra(builtin(family, n, FieldSpec(char)))
+        t = gamma.tilting.module
+        cert = ExtCertificate(t)
+        assert cert.holds
+        assert stable_ext_table(t, t, 5) == {i: 0 if i else gamma.algebra.dim
+                                             for i in range(-5, 6)}
+        # the certificate reads the degrees of Omega T off the cover's kernel
+        assert cert.syzygy_min_degree == min(syzygy(t).degrees, default=None)
+        # the inductive step of the proof: Omega^k T stays in degrees >= 1
+        m = t
+        for _ in range(3):
+            m = syzygy(m)
+            assert all(d >= 1 for d in m.degrees)
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    def test_certificate_fails_on_shifted_tilting_modules(self, char):
+        # the certificate is a sufficient condition cut between degrees 0
+        # and 1: T(-1) reaches degree 1, T(1) has its syzygy start at 0
+        t = tilting_module(builtin("exterior", 3, FieldSpec(char))).module
+        up = ExtCertificate(shift(t, -1))
+        assert up.as_dict() == {"tilting_max_degree": 1, "syzygy_min_degree": 2}
+        assert not up.holds
+        down = ExtCertificate(shift(t, 1))
+        assert down.as_dict() == {"tilting_max_degree": -1, "syzygy_min_degree": 0}
+        assert not down.holds
+
+    def test_certificate_fails_where_the_table_is_nonzero(self):
+        # over the dual numbers Omega S = S(-1), so S + S(-1) has Ext^1
+        # against itself, and its degrees reach 1
+        a = trunc(2)
+        s = simple(a, 1)
+        m, _ = direct_sum([s, shift(s, -1)])
+        assert not ExtCertificate(m).holds
+        assert stable_ext_table(m, m, 1)[1] > 0
