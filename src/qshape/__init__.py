@@ -38,7 +38,6 @@ from .modules import (
     regular,
     shift,
     simple,
-    top,
     truncate_le,
     zero_module,
 )

@@ -4,9 +4,13 @@ A module stores one sparse action matrix per algebra basis element, in the
 row convention: (m . b) has coordinate row  m_row @ action[b].  A module
 map is its row matrix in the same convention, one sparse row over the
 target's coordinates per source basis vector, as `linalg` defines matrices.
-All constructions (submodules, quotients, sums, shifts, truncations,
-covers) produce explicit bases with homogeneous coordinates, so equality
-of submodules and membership tests are canonical.
+All constructions (submodules, restrictions, sums, shifts, truncations,
+simples, covers) produce explicit bases with homogeneous coordinates, so
+equality of submodules and membership tests are canonical.  The one
+quotient is `restrict`, by a span of basis vectors that the caller knows
+to be a submodule: a truncation drops the degrees above a bound.  A simple
+is read off the characters of Lambda/rad, which the declared idempotents
+span when the algebra is basic.
 
 A cover P -> M keeps its epi as `epi_rows`, the image in M of each basis
 vector of P, and eliminates them once, in a tagged echelon: the rank
@@ -17,7 +21,9 @@ which is a dimension count once the epi is onto:
   1. the epi maps P.rad onto M.rad, so the map of tops is onto;
   2. its kernel is (P.rad + ker)/P.rad, zero iff ker lies in P.rad;
   3. so P is minimal iff the sum of dim top(e_i.Lambda) over its summands
-     is dim M/M.rad.
+     is dim M/M.rad.  The cover has one summand per dimension of M/M.rad,
+     and each top(e_i.Lambda) has dim 1 when the idempotents span
+     Lambda/rad, that is when dim rad = dim Lambda - #idempotents.
 A submodule reads the coordinates of a span vector at the pivots of the
 span's reduced echelon basis.
 
@@ -26,13 +32,13 @@ of M is a choice of images for the generators of M (one slice of N per
 cover summand) that kills the kernel of the cover.  Maps stay in these
 generator coordinates: composing with another map only needs the images of
 the generators, and a map's matrix is built only when a caller asks for it.
-The module and map checks, the brute-force commutant solver, duals, socles
-and injective envelopes live in the test suite as independent references.
+The module and map checks, the brute-force commutant solver, general
+quotients, tops, duals, socles and injective envelopes live in the test
+suite as independent references.
 """
 
 from .algebra import (
     columns,
-    generating_vectors,
     jacobson_radical,
     primitive_idempotents,
     same_algebra,
@@ -137,41 +143,17 @@ class Submodule:
         self.module = GradedModule(parent.algebra, degrees, action)
 
 
-class QuotientModule:
-    """Parent modulo a homogeneous submodule span; `project` takes a parent
-    vector to its class in quotient coordinates."""
+def restrict(m, keep):
+    """The module on the basis vectors `keep` of m, in increasing index
+    order: each action row is m's row with the dropped columns removed.
 
-    def __init__(self, parent, vectors):
-        f = parent.algebra.field
-        self.ech = Echelon(f)
-        for v in vectors:
-            if v:
-                degs = {parent.degrees[i] for i in v}
-                if len(degs) != 1:
-                    raise ValueError("quotient span vectors must be homogeneous")
-            self.ech.insert(v)
-        # closed under a generating set means closed under its right words,
-        # which span the algebra
-        for g in generating_vectors(parent.algebra):
-            for b in self.ech.basis():
-                if self.ech.reduce(parent.act(b, g)):
-                    raise ValueError("span is not closed under the action")
-        pivots = set(self.ech.rows)
-        self.kept = [i for i in range(parent.dim) if i not in pivots]
-        self.pos = {g: i for i, g in enumerate(self.kept)}
-        degrees = [parent.degrees[g] for g in self.kept]
-        action = []
-        for bidx in range(parent.algebra.dim):
-            mat = []
-            for g in self.kept:
-                img = apply_row(f, {g: f.one()}, parent.action[bidx])
-                mat.append(self.project(img))
-            action.append(mat)
-        self.module = GradedModule(parent.algebra, degrees, action)
-
-    def project(self, vec):
-        red = self.ech.reduce(vec)
-        return {self.pos[g]: c for g, c in red.items()}
+    This is the quotient of m by the span of the dropped basis vectors, so
+    the caller must know that span to be a submodule; no closure is checked.
+    """
+    pos = {k: r for r, k in enumerate(keep)}
+    action = [[{pos[s]: c for s, c in mat[k].items() if s in pos} for k in keep]
+              for mat in m.action]
+    return GradedModule(m.algebra, [m.degrees[k] for k in keep], action)
 
 
 def direct_sum(summands):
@@ -209,11 +191,13 @@ def shift(m, j):
 
 
 def truncate_le(m, n):
-    """The quotient by components in degrees > n."""
+    """The quotient by components in degrees > n: the restriction of m to
+    its basis vectors of degree <= n, which are its coordinates in index
+    order.  The action never lowers degrees, the grading being
+    non-negative, so the dropped vectors span a submodule."""
     if not m.algebra.is_nonnegatively_graded():
         raise NotNonNegativelyGraded("truncation needs a non-negatively graded algebra")
-    one = m.algebra.field.one()
-    return QuotientModule(m, [{i: one} for i in range(m.dim) if m.degrees[i] > n]).module
+    return restrict(m, [i for i in range(m.dim) if m.degrees[i] <= n])
 
 
 def radical_submodule_span(m):
@@ -223,11 +207,6 @@ def radical_submodule_span(m):
     M.R = sum over v in V of M.v.
     """
     return [row for r in jacobson_radical(m.algebra).gens for row in m.action_of(r) if row]
-
-
-def top(m):
-    """The semisimple quotient M / M.rad."""
-    return QuotientModule(m, radical_submodule_span(m)).module
 
 
 def projective(a, i):
@@ -245,14 +224,34 @@ def projective(a, i):
 
 
 def simple(a, i):
-    """The i-th graded simple: top of projective(a, i), in degree 0."""
-    key = ("simple", i)
-    if key not in a._cache:
-        t = top(projective(a, i))
-        if any(d != 0 for d in t.degrees):
-            raise ValueError("simple module is not concentrated in degree 0")
-        a._cache[key] = t
-    return a._cache[key]
+    """The i-th graded simple S_i, in degree 0 (i is 1-based).
+
+    When the declared idempotents span Lambda/rad, every b is
+    sum_v chi_v(b).e_v modulo rad, and b acts on the one basis vector of
+    S_i by chi_i(b).  The characters come from one echelon of the radical
+    and a tagged echelon of the idempotents reduced modulo it, and all the
+    simples are built at once and cached on the algebra.  The idempotents
+    lie in degree 0 and rad is a graded ideal, so chi vanishes off degree 0.
+    Raises ValueError when the idempotents do not span Lambda/rad, which is
+    when the algebra is not basic or its simples do not split.
+    """
+    idems = primitive_idempotents(a)
+    if not 1 <= i <= len(idems):
+        raise IndexError(f"idempotent index {i} out of range 1..{len(idems)}")
+    if "simples" not in a._cache:
+        rad = Echelon(a.field)
+        rad.extend(jacobson_radical(a).basis)
+        tops = Echelon(a.field, tagged=True)
+        for e in idems:
+            tops.insert(rad.reduce(e))
+        if rad.dim + tops.dim != a.dim:
+            raise ValueError("the declared idempotents do not span Lambda/rad")
+        actions = [[[{}] for _ in range(a.dim)] for _ in idems]
+        for k in range(a.dim):
+            for v, c in tops.express(rad.reduce(a.basis_vec(k))).items():
+                actions[v][k] = [{0: c}]
+        a._cache["simples"] = [GradedModule(a, [0], act) for act in actions]
+    return a._cache["simples"][i - 1]
 
 
 def _slice_basis(m, e, d):
@@ -271,16 +270,6 @@ def _slice_basis(m, e, d):
 # ---------------------------------------------------------------------------
 # projective covers and presentations
 # ---------------------------------------------------------------------------
-
-def _projective_top_dims(a):
-    """dim top(e_i.Lambda) = dim e_i.Lambda - rank{e_i.r : r in rad}, per e_i."""
-    if "top_dims" not in a._cache:
-        rad = jacobson_radical(a).basis
-        a._cache["top_dims"] = [
-            projective(a, i).dim - len(span_basis(a.field, [a.product(e, r) for r in rad]))
-            for i, e in enumerate(primitive_idempotents(a), start=1)]
-    return a._cache["top_dims"]
-
 
 class CoverSummand:
     """One summand e_i . Lambda(-d) of a cover, with its generator in degree d."""
@@ -328,7 +317,6 @@ class ProjectiveCover:
         # the generators so far; each lies in M . e, so gen . e = gen
         span = Echelon(f)
         span.extend(radical_submodule_span(m))
-        top_dim = m.dim - span.dim
         self.generators = []   # generators in M coords
         self.summands = []     # CoverSummand
         for d in sorted(set(m.degrees)):
@@ -369,9 +357,12 @@ class ProjectiveCover:
         # section: for each basis vector of M a preimage under the epi
         self.section_rows = [rank_ech.express({i: f.one()}) or {} for i in range(m.dim)]
 
-        # minimality: P/P.rad -> M/M.rad is onto, so injective iff dims agree
-        tops = _projective_top_dims(a)
-        if sum(tops[s.idem_index - 1] for s in self.summands) != top_dim:
+        # minimality: P/P.rad -> M/M.rad is onto, so injective iff dims
+        # agree.  The slices span M and the generators are independent
+        # modulo M.rad, so they number dim M/M.rad, and P/P.rad has that
+        # dimension when every top(e_i.Lambda) has dim 1: when the
+        # idempotents span Lambda/rad.  Covers refuse other algebras.
+        if len(jacobson_radical(a).basis) != a.dim - len(idems):
             raise ValueError("cover is not minimal (kernel escapes P.rad)")
 
     def split(self, vec):

@@ -26,13 +26,13 @@ from .algebra import (
 from .errors import HypothesisViolated, NonSplitSemisimpleQuotient
 from .linalg import span_basis, vec_iadd_scaled
 from .modules import (
-    QuotientModule,
     composition_table,
     direct_sum,
     hom_graded,
     is_self_injective,
     projective,
     regular,
+    restrict,
     shift,
     truncate_le,
     zero_module,
@@ -85,9 +85,9 @@ class TiltingData:
 
         Left multiplication by e_v is a map of right modules that keeps
         degrees, so it passes to the truncation; it projects T_i onto the
-        summand (e_v Lambda(i))_{<=0}.  T_i is Lambda modulo its basis
-        vectors of degree > i, so its coordinates are the basis vectors of
-        degree <= i, in index order, and e_v b_k stays among them.
+        summand (e_v Lambda(i))_{<=0}.  By `truncate_le`, the coordinates
+        of T_i are the basis vectors of degree <= i, in index order, and
+        e_v b_k stays among them.
         """
         a = self.algebra
         out = []
@@ -173,18 +173,18 @@ def reference_upper_triangular(m, field):
 
 def _interval_modules(a, m):
     """All indecomposables of the linear A_m path algebra, as quotients of
-    the projectives: for c <= i, kill the source-j slices with j < c (the
-    right action of e_j picks out the paths starting at vertex j)."""
+    the projectives: for c <= i, drop from e_i.Lambda the paths that the
+    right action of some e_j with j < c keeps (those starting at vertex j).
+    In the path basis a path times e_j is the path itself or 0, so the
+    rows of e_j are unit vectors or empty; e_j.Lambda.e_k is 0 for k > j,
+    so the dropped paths span a submodule."""
     out = []
     for i in range(1, m + 1):
         p = projective(a, i)
         for c in range(1, i + 1):
-            kill = []
-            for j in range(1, c):
-                for row in p.action_of(a.idempotents[j - 1]):
-                    if row:
-                        kill.append(row)
-            out.append(QuotientModule(p, kill).module)
+            dropped = {r for j in range(1, c)
+                       for r, row in enumerate(p.action_of(a.idempotents[j - 1])) if row}
+            out.append(restrict(p, [r for r in range(p.dim) if r not in dropped]))
     return out
 
 

@@ -15,11 +15,13 @@ paths by pair of paths, as the reference for the Gröbner-basis compiler,
 `per_object_window_properties` keeps the earlier window check, which works
 object pair by object pair, as the reference for the shift-class check,
 and the module references at the end (module and map checks, the maps of a
-direct sum, duals over the opposite algebra, socles, injective envelopes,
-cosyzygies and restriction of scalars) are built from qshape's modules and
-covers, the envelopes as the second route the stable tests check syzygies
-against.  Maps are row matrices, one sparse row over the target's
-coordinates per source basis vector, as in qshape.
+direct sum, duals over the opposite algebra, socles, general quotients and
+tops, injective envelopes, cosyzygies and restriction of scalars) are built
+from qshape's modules and covers, the envelopes as the second route the
+stable tests check syzygies against, the quotients and tops as the
+reference for qshape's truncations and simples.  Maps are row matrices,
+one sparse row over the target's coordinates per source basis vector, as
+in qshape.
 `brute_canonical_matrix` tries every permutation.
 """
 
@@ -773,8 +775,8 @@ def per_object_window_properties(w, serre_check=True):
 
 # ---------------------------------------------------------------------------
 # module references: equality, module and map checks, sums, duals, socles,
-# injective envelopes, cosyzygies and restriction of scalars, over qshape's
-# modules
+# quotients and tops, injective envelopes, cosyzygies and restriction of
+# scalars, over qshape's modules
 # ---------------------------------------------------------------------------
 
 def sparse_matmul(field, a_rows, b_rows):
@@ -962,10 +964,57 @@ def injective_envelope(m):
     return env, mono
 
 
+class QuotientModule:
+    """Parent modulo a homogeneous span closed under the action (checked);
+    `project` takes a parent vector to its class in quotient coordinates.
+    The reference for qshape's truncations, interval modules and simples."""
+
+    def __init__(self, parent, vectors):
+        from qshape.algebra import generating_vectors
+        from qshape.linalg import Echelon, apply_row
+        from qshape.modules import GradedModule
+
+        f = parent.algebra.field
+        self.ech = Echelon(f)
+        for v in vectors:
+            if v:
+                degs = {parent.degrees[i] for i in v}
+                if len(degs) != 1:
+                    raise ValueError("quotient span vectors must be homogeneous")
+            self.ech.insert(v)
+        # closed under a generating set means closed under its right words,
+        # which span the algebra
+        for g in generating_vectors(parent.algebra):
+            for b in self.ech.basis():
+                if self.ech.reduce(parent.act(b, g)):
+                    raise ValueError("span is not closed under the action")
+        pivots = set(self.ech.rows)
+        self.kept = [i for i in range(parent.dim) if i not in pivots]
+        self.pos = {g: i for i, g in enumerate(self.kept)}
+        degrees = [parent.degrees[g] for g in self.kept]
+        action = []
+        for bidx in range(parent.algebra.dim):
+            mat = []
+            for g in self.kept:
+                img = apply_row(f, {g: f.one()}, parent.action[bidx])
+                mat.append(self.project(img))
+            action.append(mat)
+        self.module = GradedModule(parent.algebra, degrees, action)
+
+    def project(self, vec):
+        red = self.ech.reduce(vec)
+        return {self.pos[g]: c for g, c in red.items()}
+
+
+def top(m):
+    """The semisimple quotient M / M.rad."""
+    from qshape.modules import radical_submodule_span
+
+    return QuotientModule(m, radical_submodule_span(m)).module
+
+
 def cosyzygy_of(m):
     """Cokernel of the minimal injective envelope, cached on m."""
-    from qshape.modules import QuotientModule
-
     if "cosyzygy" not in m._cache:
         env, mono = injective_envelope(m)
         m._cache["cosyzygy"] = QuotientModule(env, mono).module

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,7 @@ from qshape.algebra import (
     QuiverPresentation,
     builtin,
     compile_quiver,
+    degree_zero_part,
     jacobson_radical,
     primitive_idempotents,
 )
@@ -24,14 +26,12 @@ from qshape.modules import (
     is_projective,
     is_self_injective,
     projective,
-    QuotientModule,
     radical_submodule_span,
     regular,
     shift,
     simple,
     Submodule,
     syzygy_of,
-    top,
     truncate_le,
     zero_module,
 )
@@ -45,15 +45,20 @@ from oracles import (
     map_rank,
     module_equal,
     naive_hom_basis,
+    QuotientModule,
     socle,
     sparse_matmul,
     submodule_by_express,
     sum_maps,
+    top,
     validate_map,
     validate_module,
 )
 
 GF = FieldSpec(32003)
+BUILTINS = ([("truncated_polynomial", n) for n in (2, 3, 6, 10)]
+            + [("preprojective_A", n) for n in (1, 2, 3, 4)]
+            + [("exterior", n) for n in (1, 2, 3)])
 
 
 def trunc(n, field=QQ):
@@ -133,6 +138,21 @@ class TestTruncation:
             ge = truncate_ge(m, n + 1)
             assert le.dim + ge.dim == m.dim
 
+    @pytest.mark.parametrize("char", [0, 32003])
+    @pytest.mark.parametrize("family,n", BUILTINS)
+    def test_restriction_matches_the_general_quotient(self, family, n, char):
+        # the kept basis vectors, in index order, are the quotient's
+        # coordinates, and each action row is the parent's with the
+        # dropped columns removed
+        a = builtin(family, n, FieldSpec(char))
+        one = a.field.one()
+        top_degree = max(a.degrees)
+        for i in range(top_degree + 2):
+            m = shift(regular(a), i)
+            for cut in range(-i - 1, top_degree - i + 1):
+                drop = [{r: one} for r in range(m.dim) if m.degrees[r] > cut]
+                assert module_equal(truncate_le(m, cut), QuotientModule(m, drop).module)
+
 
 class TestHom:
     def test_hom_from_regular_counts_degree_zero(self):
@@ -203,11 +223,29 @@ class TestHom:
             assert hom_graded(m, n).dim == hom_graded(shift(m, j), shift(n, j)).dim
 
 
+def rescaled(a):
+    """The same algebra on the basis (k + 2).b_k, whose characters of
+    Lambda/rad take values other than 0 and 1."""
+    f = a.field
+    s = [f.from_int(k + 2) for k in range(a.dim)]
+    move = lambda v: {k: f.div(c, s[k]) for k, c in v.items()}
+    mult = [{j: {k: f.div(f.mul(f.mul(s[i], s[j]), c), s[k]) for k, c in w.items()}
+             for j, w in row.items()} for i, row in enumerate(a.mult)]
+    return GradedAlgebra(f, a.degrees, mult, move(a.unit),
+                         idempotents=[move(e) for e in a.idempotents],
+                         radical_hint=[move(v) for v in a.radical_hint])
+
+
 class TestTopSocle:
     def test_top_of_projective_is_simple(self):
-        a = builtin("preprojective_A", 3, QQ)
-        for i in range(1, 4):
-            assert module_equal(top(projective(a, i)), simple(a, i))
+        # the simples read off the characters of Lambda/rad are the tops of
+        # the projectives, over the algebra, over its degree-0 part and on a
+        # rescaled basis
+        for (family, n), field in product(BUILTINS, (QQ, GF)):
+            a = builtin(family, n, field)
+            for b in (a, degree_zero_part(a).algebra, rescaled(a)):
+                for i in range(1, len(primitive_idempotents(b)) + 1):
+                    assert module_equal(top(projective(b, i)), simple(b, i))
 
     def test_socle_of_truncated_regular(self):
         n = 4
@@ -646,6 +684,13 @@ class TestCoverAndSubmoduleChecks:
             with pytest.raises(ValueError, match="cover is not minimal"):
                 cover_of(m)
 
+    @pytest.mark.parametrize("char", [0, 32003])
+    def test_non_basic_algebras_have_no_simples_from_characters(self, char):
+        # e11 and e22 span 2 of the 4 dimensions of M_2(k)/rad = M_2(k)
+        a = matrix_units(FieldSpec(char))
+        with pytest.raises(ValueError, match="do not span Lambda/rad"):
+            simple(a, 1)
+
     def test_span_not_closed_under_the_action(self):
         a = trunc(3)
         x = next(i for i, d in enumerate(a.degrees) if d == 1)
@@ -662,7 +707,7 @@ class TestCoverAndSubmoduleChecks:
 
 def test_maps_are_row_matrices():
     # a module map is its row matrix: no map class in the package, homs
-    # hand out rows, and truncations and tops are plain modules
+    # hand out rows, and truncations and simples are plain modules
     import os
 
     from qshape.modules import GradedModule
@@ -675,7 +720,7 @@ def test_maps_are_row_matrices():
     a = builtin("exterior", 2, QQ)
     m = truncate_le(shift(regular(a), 1), 0)
     assert type(m) is GradedModule
-    assert type(top(m)) is GradedModule
+    assert type(simple(a, 1)) is GradedModule
     hom = hom_graded(m, m)
     assert hom.dim
     for c in hom.basis_coords:

@@ -32,6 +32,7 @@ from qshape.stable import (
 )
 from qshape.tilting import end_algebra, tilting_endomorphism_algebra, tilting_module
 
+import oracles
 from oracles import cosyzygy_of as cosyzygy, sparse_matmul
 
 
@@ -321,13 +322,15 @@ def test_pool_reaches_nonzero_negative_entries(char):
 
 
 def test_ext_table_builds_no_envelope(monkeypatch):
-    # a cosyzygy is the cokernel of an envelope; the table takes no quotient
+    # a cosyzygy is the cokernel of an envelope; the table takes no quotient,
+    # neither the general one of the oracles nor a coordinate restriction
     def refuse(*args):
         raise AssertionError("the Ext table built a quotient module")
 
     a = builtin("exterior", 3, QQ)
     t = tilting_module(a).module
-    monkeypatch.setattr(qshape.modules, "QuotientModule", refuse)
+    monkeypatch.setattr(oracles, "QuotientModule", refuse)
+    monkeypatch.setattr(qshape.modules, "restrict", refuse)
     assert stable_ext_table(t, t, 3) == {i: 0 if i else 12 for i in range(-3, 4)}
 
 

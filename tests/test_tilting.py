@@ -15,6 +15,7 @@ from qshape.fields import FieldSpec, QQ
 from qshape.linalg import vec_iadd_scaled
 from qshape.modules import is_projective, projective, shift, truncate_le
 from qshape.tilting import (
+    _interval_modules,
     canonical_matrix,
     cartan_matrix,
     compare,
@@ -27,7 +28,13 @@ from qshape.tilting import (
     tilting_module,
 )
 
-from oracles import auslander_linear_dim, brute_canonical_matrix, naive_cartan
+from oracles import (
+    QuotientModule,
+    auslander_linear_dim,
+    brute_canonical_matrix,
+    module_equal,
+    naive_cartan,
+)
 
 GF = FieldSpec(32003)
 
@@ -115,6 +122,24 @@ class TestReferences:
         # frozen from the interval-hom counting oracle
         assert auslander_linear_dim(3) == 15
         assert reference_auslander_linear(3, QQ).dim == 15
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_interval_modules_match_the_kill_row_quotient(self, m, char):
+        # each interval module drops from e_i.Lambda the paths kept by e_j,
+        # j < c: the restriction equals the quotient by the span of the
+        # rows of those e_j, closure checked
+        a = reference_upper_triangular(m, FieldSpec(char))
+        expected = []
+        for i in range(1, m + 1):
+            p = projective(a, i)
+            for c in range(1, i + 1):
+                kill = [row for j in range(1, c)
+                        for row in p.action_of(a.idempotents[j - 1]) if row]
+                expected.append(QuotientModule(p, kill).module)
+        intervals = _interval_modules(a, m)
+        assert len(intervals) == len(expected) == m * (m + 1) // 2
+        assert all(module_equal(x, y) for x, y in zip(intervals, expected))
 
     def test_subcategory_dims(self):
         assert reference_subcategory_algebra(trunc(4)).dim == 6
