@@ -19,6 +19,7 @@ from .algebra import (
     global_dimension_bounded,
     jacobson_radical,
     primitive_idempotents,
+    product_pairs,
     sup_degree,
     zero_algebra,
     EXCEEDS_BOUND,
@@ -87,17 +88,23 @@ class TiltingData:
         degrees, so it passes to the truncation; it projects T_i onto the
         summand (e_v Lambda(i))_{<=0}.  By `truncate_le`, the coordinates
         of T_i are the basis vectors of degree <= i, in index order, and
-        e_v b_k stays among them.
+        e_v b_k stays among them.  The products e_v b_k are formed once,
+        for the pairs that `product_pairs` allows; the others are zero.
         """
         a = self.algebra
+        idems = primitive_idempotents(a)
+        basis = [a.basis_vec(k) for k in range(a.dim)]
+        left = [{} for _ in idems]  # per e_v, k -> e_v b_k
+        for v, k in product_pairs(a, idems, basis):
+            left[v][k] = a.product(idems[v], basis[k])
         out = []
         for i, off in enumerate(self.offsets):
-            basis = [k for k in range(a.dim) if a.degrees[k] <= i]
-            pos = {k: off + r for r, k in enumerate(basis)}
-            for e in primitive_idempotents(a):
+            kept = [k for k in range(a.dim) if a.degrees[k] <= i]
+            pos = {k: off + r for r, k in enumerate(kept)}
+            for prods in left:
                 rows = [{} for _ in range(self.module.dim)]
-                for r, k in enumerate(basis):
-                    rows[off + r] = {pos[j]: c for j, c in a.product(e, a.basis_vec(k)).items()}
+                for r, k in enumerate(kept):
+                    rows[off + r] = {pos[j]: c for j, c in prods.get(k, {}).items()}
                 out.append((i, rows))
         return out
 
@@ -287,19 +294,26 @@ def _corner_dims(a, vectors):
 
     The products x e_v do not depend on e_u, so they are formed once per
     e_v, and the zero ones are dropped, since e_u 0 = 0 adds nothing to a
-    span.  That makes s*|vectors| + s^2*(nonzero products) multiplications
-    instead of 2*s^2*|vectors| for s idempotents, with the same spans.
+    span.  Both rounds form only the products that `product_pairs` allows:
+    any other x e_v or e_u (x e_v) is zero by support.  So the cost is the
+    pairs whose supports meet a stored product, not s*|vectors| +
+    s^2*(nonzero x e_v) for s idempotents, with the same spans.
     """
     f = a.field
     idems = primitive_idempotents(a)
-    right = []  # per e_v, the nonzero x e_v
-    for ev in idems:
-        prods = (a.product(x, ev) for x in vectors)
-        right.append([p for p in prods if p])
-    return tuple(
-        tuple(len(span_basis(f, [a.product(eu, p) for p in prods])) for prods in right)
-        for eu in idems
-    )
+    right = [[] for _ in idems]  # per e_v, the nonzero x e_v
+    for s, v in product_pairs(a, vectors, idems):
+        p = a.product(vectors[s], idems[v])
+        if p:
+            right[v].append(p)
+    dims = [[0] * len(idems) for _ in idems]
+    for v, prods in enumerate(right):
+        left = [[] for _ in idems]
+        for u, s in product_pairs(a, idems, prods):
+            left[u].append(a.product(idems[u], prods[s]))
+        for u, vecs in enumerate(left):
+            dims[u][v] = len(span_basis(f, vecs))
+    return tuple(tuple(row) for row in dims)
 
 
 def canonical_matrix(mat):

@@ -20,7 +20,7 @@ once per class, with |j' - j| <= hi - lo, and the Serre image D(Lambda e_i)
 is built once per vertex and shifted.
 """
 
-from .algebra import jacobson_radical, primitive_idempotents
+from .algebra import jacobson_radical, primitive_idempotents, product_pairs
 from .errors import NotSelfInjective
 from .linalg import Echelon, span_basis
 from .modules import (
@@ -51,17 +51,32 @@ class QWindow:
         rad_ech = Echelon(f)
         rad_ech.extend(jacobson_radical(a).basis)
 
+        # the slice e_tgt Lambda_d e_src is spanned by e_tgt (b_m e_src) over
+        # the b_m of degree d; only the products that `product_pairs` allows
+        # are formed, the others being zero
+        idems = self.idempotents
+        spanning = {}  # (src, tgt, d) -> the nonzero e_tgt (b_m e_src), by m
+        basis = [a.basis_vec(m) for m in range(a.dim)]
+        right = [[] for _ in idems]  # per source, (m, b_m e_src) when nonzero
+        for m, s in product_pairs(a, basis, idems):
+            p = a.product(basis[m], idems[s])
+            if p:
+                right[s].append((m, p))
+        for s, pairs in enumerate(right):
+            prods = [p for _, p in pairs]
+            for t, r in product_pairs(a, idems, prods):
+                q = a.product(idems[t], prods[r])
+                if q:
+                    key = (s + 1, t + 1, a.degrees[pairs[r][0]])
+                    spanning.setdefault(key, []).append(q)
         self._slice = {}
         self._rad_slice = {}
         for d in range(0, self.max_degree + 1):
             for src in range(1, self.n + 1):
                 for tgt in range(1, self.n + 1):
-                    basis = span_basis(f, [
-                        a.product(self.idempotents[tgt - 1],
-                                  a.product(a.basis_vec(m), self.idempotents[src - 1]))
-                        for m in a.component_indices(d)])
-                    self._slice[(src, tgt, d)] = basis
-                    self._rad_slice[(src, tgt, d)] = [v for v in basis if rad_ech.contains(v)]
+                    span = span_basis(f, spanning.get((src, tgt, d), []))
+                    self._slice[(src, tgt, d)] = span
+                    self._rad_slice[(src, tgt, d)] = [v for v in span if rad_ech.contains(v)]
 
     def hom_basis(self, q, qp):
         """Basis of maps q -> qp, as generator images inside the algebra."""
@@ -122,8 +137,9 @@ def serre_of_object(a, i, j):
             raise NotSelfInjective("the Serre construction needs a self-injective algebra")
         # the functional x -> coefficient of b_m in x e, one per m
         spans = {}
-        for jj in range(a.dim):
-            for m, c in a.product(a.basis_vec(jj), idems[i - 1]).items():
+        basis = [a.basis_vec(jj) for jj in range(a.dim)]
+        for jj, _ in product_pairs(a, basis, [idems[i - 1]]):
+            for m, c in a.product(basis[jj], idems[i - 1]).items():
                 spans.setdefault(m, {})[jj] = c
         a._cache[key] = Submodule(dual_of_regular(a), list(spans.values())).module
     return shift(a._cache[key], j)

@@ -14,6 +14,9 @@ keeps the earlier quiver compiler, which spans the relation ideal pair of
 paths by pair of paths, as the reference for the Gröbner-basis compiler,
 `per_object_window_properties` keeps the earlier window check, which works
 object pair by object pair, as the reference for the shift-class check,
+`all_pairs_radical` and `all_pairs_center` keep the radical and center
+loops that formed every pair of products, as the reference for the ones
+that form only the pairs whose supports meet a stored product,
 and the module references at the end (module and map checks, the maps of a
 direct sum, duals over the opposite algebra, socles, general quotients and
 tops, injective envelopes, cosyzygies and restriction of scalars) are built
@@ -432,6 +435,64 @@ def naive_cartan(field, mult, idempotents):
         )
         for eu in idempotents
     )
+
+
+def all_pairs_radical(a):
+    """(basis, V, series dims) of the radical as `jacobson_radical` found
+    them before it formed only the products that supports allow: the ideal
+    check forms g*r and r*g for every generator g and radical basis vector
+    r, R^2 is spanned by all dim(R)^2 products, and W_{j+1} by every
+    product of a basis vector of W_j with a vector of V.  The candidate is
+    the span of the radical hint, or else the trace form kernel."""
+    from qshape.algebra import _trace_form_radical, generating_vectors
+    from qshape.errors import VerificationFailed
+    from qshape.linalg import Echelon, span_basis
+
+    f = a.field
+    if a.radical_hint is not None:
+        basis = span_basis(f, a.radical_hint)
+    else:
+        basis = _trace_form_radical(a)
+    ech = Echelon(f)
+    ech.extend(basis)
+    for g in generating_vectors(a):
+        for r in basis:
+            if not ech.contains(a.product(g, r)) or not ech.contains(a.product(r, g)):
+                raise VerificationFailed("radical candidate is not an ideal")
+    span = Echelon(f)
+    for u in basis:
+        for r in basis:
+            span.insert(a.product(u, r))
+    gens = [r for r in basis if span.insert(r)]
+    words, layer = [], gens
+    while layer:
+        words.append(layer)
+        layer = span_basis(f, [a.product(u, v) for u in layer for v in gens])
+    series, total = [], Echelon(f)
+    for layer in reversed(words):
+        total.extend(layer)
+        series.append(total.dim)
+    return basis, gens, series[::-1]
+
+
+def all_pairs_center(a):
+    """Basis of the center as `center_basis` found it before it skipped
+    the commutators that vanish by support: for every generator g, the
+    images b_m g - g b_m of all dim basis vectors."""
+    from qshape.algebra import generating_vectors
+    from qshape.linalg import span_basis, sparse_kernel, vec_iadd_scaled
+
+    f = a.field
+    rows = []
+    for g in generating_vectors(a):
+        by_k = {}
+        for m in range(a.dim):
+            bm = a.basis_vec(m)
+            d = vec_iadd_scaled(f, a.product(bm, g), a.product(g, bm), f.neg(f.one()))
+            for k, c in d.items():
+                by_k.setdefault(k, {})[m] = c
+        rows.extend(by_k.values())
+    return span_basis(f, sparse_kernel(f, rows, a.dim))
 
 
 def pairwise_compile_quiver(pres, field):

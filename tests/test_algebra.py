@@ -18,6 +18,7 @@ from qshape.algebra import (
     global_dimension_bounded,
     jacobson_radical,
     primitive_idempotents,
+    product_pairs,
     sup_degree,
     zero_algebra,
 )
@@ -29,7 +30,9 @@ from qshape.errors import (
 )
 from qshape.basechange import gamma_tensor, tensor_algebra, ungrade
 from qshape.fields import FieldSpec, QQ
+from qshape.linalg import vec_iadd_scaled
 from qshape.tilting import (
+    cartan_matrix,
     compare,
     fingerprint,
     reference_auslander_linear,
@@ -37,9 +40,13 @@ from qshape.tilting import (
     reference_upper_triangular,
     tilting_endomorphism_algebra,
 )
+from qshape.window import QWindow
 
 from oracles import (
+    all_pairs_center,
+    all_pairs_radical,
     dense_validate,
+    naive_cartan,
     naive_check_algebra,
     naive_failing_triples,
     naive_radical_series,
@@ -347,6 +354,31 @@ class TestRadical:
         with pytest.raises(VerificationFailed, match="not nilpotent"):
             jacobson_radical(a)
 
+    @staticmethod
+    def linear_a3_with_hint(field, label):
+        """The path algebra of 1 -a-> 2 -b-> 3 with the span of one basis
+        vector as its radical hint."""
+        pres = QuiverPresentation(["1", "2", "3"], [("a", "1", "2", 0), ("b", "2", "3", 0)],
+                                  [], 3)
+        base = compile_quiver(pres, field)
+        hint = [base.basis_vec(base.labels.index(label))]
+        return GradedAlgebra(field, base.degrees, base.mult, base.unit,
+                             idempotents=base.idempotents, generators=base.generators,
+                             radical_hint=hint)
+
+    def test_hint_that_is_not_an_ideal_is_rejected(self):
+        # over GF(2) the characteristic is below the dimension 6, so the
+        # trace form is not consulted; b*a lies outside span(a)
+        a = self.linear_a3_with_hint(FieldSpec(2), "a")
+        with pytest.raises(VerificationFailed, match="radical candidate is not an ideal"):
+            jacobson_radical(a)
+
+    def test_hint_that_misses_the_trace_form_radical_is_rejected(self):
+        a = self.linear_a3_with_hint(QQ, "a")
+        with pytest.raises(VerificationFailed,
+                           match="arrow-ideal radical disagrees with trace form"):
+            jacobson_radical(a)
+
 
 _RADICAL_INSTANCES = {}
 
@@ -393,6 +425,124 @@ def test_radical_series_matches_all_products(name, char, data):
     rad, base_rad = jacobson_radical(a), jacobson_radical(base)
     assert naive_radical_series(a.field, a.mult, rad.basis) == (rad.series_dims, rad.nilpotency)
     assert (rad.series_dims, rad.nilpotency) == (base_rad.series_dims, base_rad.nilpotency)
+
+
+def _reference_instance(kind, char):
+    f = FieldSpec(char)
+    if kind == "upper_triangular":
+        return reference_upper_triangular(4, f)
+    if kind == "auslander":
+        return reference_auslander_linear(3, f)
+    return reference_subcategory_algebra(builtin("exterior", 3, f))
+
+
+_PAIR_INSTANCES = [f"{g}{fam}" for g in ("", "Gamma ")
+                   for fam in ("truncated_polynomial 6", "preprojective_A 3",
+                               "preprojective_A 4", "exterior 3")]
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("name", _PAIR_INSTANCES + ["upper_triangular", "auslander",
+                                                    "subcategory"])
+def test_support_pairs_give_the_all_pairs_radical_and_center(name, char):
+    # forming only the products whose supports meet a stored product must
+    # give the same radical basis, V, series and center basis as all pairs
+    if name in ("upper_triangular", "auslander", "subcategory"):
+        a = _reference_instance(name, char)
+    else:
+        a = _radical_instance(name, char)
+    rad = jacobson_radical(a)
+    assert (rad.basis, rad.gens, rad.series_dims) == all_pairs_radical(a)
+    assert center_basis(a) == all_pairs_center(a)
+
+
+def unitriangular_changed(a):
+    """The same algebra on the basis b'_k = b_k + sum of c_kl b_l over the
+    later l of the degree of k, every c_kl nonzero: a unitriangular change
+    inside each degree, so most basis vectors, idempotents and hint vectors
+    have many entries where `relabelled` and `rescaled` keep one."""
+    f = a.field
+    new = {}  # b'_k in the old coordinates
+    for d in sorted(set(a.degrees)):
+        ks = a.component_indices(d)
+        for pos, k in enumerate(ks):
+            new[k] = {k: f.one(), **{l: f.from_int(1 + (3 * k + l) % 4) for l in ks[pos + 1:]}}
+
+    def to_new(vec):
+        # b'_k leads with b_k and is otherwise later in the same degree, so
+        # the coefficient of the smallest old index left is the next one
+        rest, out = dict(vec), {}
+        while rest:
+            k = min(rest)
+            out[k] = rest[k]
+            vec_iadd_scaled(f, rest, new[k], f.neg(out[k]))
+        return out
+
+    mult = []
+    for i in range(a.dim):
+        row = {}
+        for j in range(a.dim):
+            w = to_new(a.product(new[i], new[j]))
+            if w:
+                row[j] = w
+        mult.append(row)
+    move = lambda vecs: [to_new(v) for v in vecs] if vecs is not None else None
+    return GradedAlgebra(f, a.degrees, mult, to_new(a.unit), idempotents=move(a.idempotents),
+                         generators=move(a.generators), radical_hint=move(a.radical_hint))
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("name", ["preprojective_A 3", "Gamma exterior 3"])
+def test_product_pairs_are_the_pairs_whose_supports_meet(name, char):
+    # from either side: fewer us than vs walks rows, more walks columns
+    a = unitriangular_changed(_radical_instance(name, char))
+    basis = [a.basis_vec(m) for m in range(a.dim)]
+    rad = jacobson_radical(a).basis
+    for us, vs in ((a.idempotents, basis), (basis, a.idempotents), (rad, rad),
+                   (rad[:3], basis[::2]), (basis[::2], rad[:3]), ([], basis)):
+        meet = [(s, t) for s, u in enumerate(us) for t, v in enumerate(vs)
+                if any(j in a.mult[i] for i in u for j in v)]
+        assert product_pairs(a, us, vs) == meet
+        assert all(not a.product(u, v) for s, u in enumerate(us) for t, v in enumerate(vs)
+                   if (s, t) not in meet)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("name", _PAIR_INSTANCES)
+def test_dense_change_of_basis_keeps_every_invariant(name, char):
+    base = _radical_instance(name, char)
+    a = unitriangular_changed(base)
+    assert len(a.idempotents) == 1 or any(len(e) > 1 for e in a.idempotents)
+    rad = jacobson_radical(a)
+    assert naive_radical_series(a.field, a.mult, rad.basis) == (rad.series_dims, rad.nilpotency)
+    assert rad.series_dims == jacobson_radical(base).series_dims
+    assert (rad.basis, rad.gens, rad.series_dims) == all_pairs_radical(a)
+    assert cartan_matrix(a) == naive_cartan(a.field, a.mult, a.idempotents) == cartan_matrix(base)
+    assert center_basis(a) == all_pairs_center(a)
+    assert len(center_basis(a)) == len(center_basis(base))
+    w, w_base = QWindow(a, -1, 1), QWindow(base, -1, 1)
+    for q in w.objects:
+        for qp in w.objects:
+            assert w.hom_dim(q, qp) == w_base.hom_dim(q, qp)
+            assert len(w.radical_basis(q, qp)) == len(w_base.radical_basis(q, qp))
+
+
+def test_fingerprint_forms_only_the_products_supports_allow(monkeypatch):
+    # on the dim-120 Gamma of truncated_polynomial 16, 455 of the 105^2
+    # products of radical basis vectors are nonzero; all pairs in the
+    # radical, the center and the Cartan corners would form 31,845
+    g = tilting_endomorphism_algebra(builtin("truncated_polynomial", 16, QQ)).algebra
+    calls = []
+    product = GradedAlgebra.product
+
+    def counted(self, v, w):
+        calls.append(None)
+        return product(self, v, w)
+
+    monkeypatch.setattr(GradedAlgebra, "product", counted)
+    fp = fingerprint(g)
+    assert fp.radical_series == [n * (n + 1) // 2 for n in range(14, 0, -1)]
+    assert len(calls) <= 5000
 
 
 class TestIdempotents:

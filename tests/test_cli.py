@@ -175,6 +175,22 @@ class TestExt:
         assert rep["ext_table"]["0"] == 3
         assert all(v == 0 for k, v in rep["ext_table"].items() if k != "0")
 
+    def test_nonzero_entry_off_zero_exits_5(self, tmp_path, capsys, monkeypatch):
+        # the degree certificate makes the tilting module's table vanish off
+        # zero, so only a patched table reaches this exit
+        import qshape.cli
+
+        def table(m, n, k):
+            return {i: 3 if i == 0 else int(i == 2) for i in range(-k, k + 1)}
+
+        monkeypatch.setattr(qshape.cli, "stable_ext_table", table)
+        code, rep = run(capsys, [
+            "ext", write_builtin(tmp_path, "truncated_polynomial", 3), "--range", "2",
+        ])
+        assert code == 5
+        assert rep["ext_table"] == {"-1": 0, "-2": 0, "0": 3, "1": 0, "2": 1}
+        assert rep["vanishes_off_zero"] is False
+
 
 class TestWindow:
     def test_dual_numbers_window(self, tmp_path, capsys):
