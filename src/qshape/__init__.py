@@ -54,7 +54,6 @@ from .tilting import (
     cartan_matrix,
     check_hypotheses,
     compare,
-    end_algebra,
     fingerprint,
     reference_auslander_linear,
     reference_subcategory_algebra,

@@ -803,6 +803,10 @@ def jacobson_radical(a):
     0 and sum_{j>=1} W_j = R, a product of N elements of R is a sum of
     words of length >= N, which vanish, so R is nilpotent.  Both are
     checked, so the series is exact and a non-nilpotent candidate raises.
+    The series S_k = sum_{j>=k} W_j strictly decreases, with no check
+    needed: W_{j+1} = span(W_j * V), so S_k = S_{k+1} would give W_k inside
+    S_{k+1}, hence W_{k+1} inside span(S_{k+1} * V) = S_{k+2} and
+    S_{k+1} = S_{k+2}, and so on up to S_N = 0, against W_k != 0.
     W_{j+1} = span(W_j * V) costs at most |V| products per basis vector of
     W_j, where the powers themselves would cost dim R products per basis
     vector of each power.
@@ -862,8 +866,6 @@ def jacobson_radical(a):
     series.reverse()
     if total.dim != len(basis):
         raise VerificationFailed("radical is not nilpotent")
-    if series != sorted(series, reverse=True) or len(set(series)) != len(series):
-        raise VerificationFailed("radical series dims are not strictly decreasing")
     a._radical = RadicalData(basis, gens, series, len(series) + 1 if series else 1)
     return a._radical
 
@@ -913,10 +915,11 @@ def primitive_idempotents(a):
     """The declared complete set of primitive orthogonal idempotents.
 
     Every construction that knows its idempotents declares them: quiver
-    vertices, the (i, v) summands of the tilting module in Gamma, the
-    interval modules in the Auslander reference, the pairs e (x) g in a
-    tensor algebra.  They are not searched for; an algebra given by bare
-    structure constants has none, and asking for them raises ValueError.
+    vertices (the Auslander reference's are the interval modules), the
+    (i, v) summands of the tilting module in Gamma, the pairs (i, e_v) of
+    the subcategory reference, the pairs e (x) g in a tensor algebra.
+    They are not searched for; an algebra given by bare structure
+    constants has none, and asking for them raises ValueError.
     Construction checks that a declared set consists of orthogonal
     idempotents summing to the unit; `tilting.fingerprint` checks that each
     is primitive with a split top.
@@ -930,35 +933,28 @@ def primitive_idempotents(a):
 # degree-zero part, global dimension
 # ---------------------------------------------------------------------------
 
-class DegreeZeroPart:
-    """The degree-0 subalgebra; `kept` lists its basis indices in the parent."""
-
-    def __init__(self, parent):
-        f = parent.field
-        self.parent = parent
-        self.kept = parent.component_indices(0)
-        pos = {g: i for i, g in enumerate(self.kept)}
-        n = len(self.kept)
-        restrict = lambda vec: {pos[k]: c for k, c in vec.items()}
-        # a product of degree-0 elements has degree 0
-        mult = [{pos[j]: restrict(w) for j, w in parent.mult[g].items() if j in pos}
-                for g in self.kept]
-        unit = restrict(parent.unit)
-        idem = None
-        if parent.idempotents is not None:
-            idem = [restrict(e) for e in parent.idempotents]
-        hint = None
-        if parent.radical_hint is not None:
-            hint = [restrict(v) for v in parent.radical_hint
-                    if all(parent.degrees[k] == 0 for k in v)]
-        labels = [parent.label_of(g) for g in self.kept] if parent.labels else None
-        self.algebra = GradedAlgebra(f, [0] * n, mult, unit, idempotents=idem,
-                                     labels=labels, radical_hint=hint)
-
-
 def degree_zero_part(a):
-    if "deg0" not in a._cache:
-        a._cache["deg0"] = DegreeZeroPart(a)
+    """The degree-0 subalgebra, on the basis vectors of degree 0 in index
+    order, with the parent's idempotents, labels and the degree-0 vectors
+    of its radical hint.  Cached on the parent."""
+    if "deg0" in a._cache:
+        return a._cache["deg0"]
+    kept = a.component_indices(0)
+    pos = {g: i for i, g in enumerate(kept)}
+    restrict = lambda vec: {pos[k]: c for k, c in vec.items()}
+    # a product of degree-0 elements has degree 0
+    mult = [{pos[j]: restrict(w) for j, w in a.mult[g].items() if j in pos}
+            for g in kept]
+    idem = None
+    if a.idempotents is not None:
+        idem = [restrict(e) for e in a.idempotents]
+    hint = None
+    if a.radical_hint is not None:
+        hint = [restrict(v) for v in a.radical_hint
+                if all(a.degrees[k] == 0 for k in v)]
+    labels = [a.label_of(g) for g in kept] if a.labels else None
+    a._cache["deg0"] = GradedAlgebra(a.field, [0] * len(kept), mult, restrict(a.unit),
+                                     idempotents=idem, labels=labels, radical_hint=hint)
     return a._cache["deg0"]
 
 

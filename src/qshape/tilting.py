@@ -5,9 +5,14 @@ isomorphism-evidence fingerprints.
 For a non-negatively graded self-injective algebra with a degree-0 part of
 finite global dimension, the tilting module is the direct sum of the
 degree-<=0 truncations of the shifted regular modules, one summand per
-positive degree below the top.  Fingerprint agreement of the computed
-endomorphism algebra with a reference is evidence for an isomorphism, not a
-proof: only invariants are compared.
+positive degree below the top.  No reference algebra goes through the hom
+solver or the composition table that build Gamma: the upper triangular
+algebra and the Auslander algebra of linear A_m are compiled from quivers
+with relations (the latter from its Auslander-Reiten quiver with the mesh
+relations), and the subcategory algebra multiplies graded slices of the
+input.  Fingerprint agreement of the computed endomorphism algebra with a
+reference is evidence for an isomorphism, not a proof: only invariants are
+compared.
 """
 
 from .algebra import (
@@ -27,13 +32,9 @@ from .algebra import (
 from .errors import HypothesisViolated, NonSplitSemisimpleQuotient
 from .linalg import span_basis, vec_iadd_scaled
 from .modules import (
-    composition_table,
     direct_sum,
-    hom_graded,
     is_self_injective,
-    projective,
     regular,
-    restrict,
     shift,
     truncate_le,
     zero_module,
@@ -50,7 +51,7 @@ def check_hypotheses(a, gldim_bound=DEFAULT_GLDIM_BOUND):
     selfinj = is_self_injective(a) if nonneg else False
     gldim = None
     if a.dim:
-        gldim = global_dimension_bounded(degree_zero_part(a).algebra, gldim_bound)
+        gldim = global_dimension_bounded(degree_zero_part(a), gldim_bound)
     else:
         gldim = 0
     return {
@@ -178,64 +179,46 @@ def reference_upper_triangular(m, field):
     return compile_quiver(pres, field)
 
 
-def _interval_modules(a, m):
-    """All indecomposables of the linear A_m path algebra, as quotients of
-    the projectives: for c <= i, drop from e_i.Lambda the paths that the
-    right action of some e_j with j < c keeps (those starting at vertex j).
-    In the path basis a path times e_j is the path itself or 0, so the
-    rows of e_j are unit vectors or empty; e_j.Lambda.e_k is 0 for k > j,
-    so the dropped paths span a submodule."""
-    out = []
-    for i in range(1, m + 1):
-        p = projective(a, i)
-        for c in range(1, i + 1):
-            dropped = {r for j in range(1, c)
-                       for r, row in enumerate(p.action_of(a.idempotents[j - 1])) if row}
-            out.append(restrict(p, [r for r in range(p.dim) if r not in dropped]))
-    return out
-
-
-def end_algebra(m, idempotent_maps=None):
-    """Plain (non-stable) endomorphism algebra of a module.
-
-    Products come from composition_table, which skips the pairs of basis
-    maps whose composite is zero by support (see there).  When given, the
-    classes of idempotent_maps (matrices of endomorphisms of m) are declared
-    as its primitive idempotents."""
-    f = m.algebra.field
-    if m.is_zero():
-        return zero_algebra(f)
-    hom = hom_graded(m, m)
-    dim = hom.dim
-    images = [hom.images(c) for c in hom.basis_coords]
-    mult = composition_table(f, images, [hom.map_of(c) for c in hom.basis_coords],
-                             lambda composed: hom.basis_coeffs(hom.coords_of_images(composed)))
-    identity = [{r: f.one()} for r in range(m.dim)]
-    unit = hom.basis_coeffs(hom.coords_of_matrix(identity))
-    idems = None
-    if idempotent_maps is not None:
-        idems = [hom.basis_coeffs(hom.coords_of_matrix(p)) for p in idempotent_maps]
-    return GradedAlgebra(f, [0] * dim, mult, unit, idempotents=idems)
-
-
 def reference_auslander_linear(m, field):
-    """Endomorphism algebra of the sum of all interval modules over linear A_m.
+    """Auslander algebra of linear A_m, compiled from its Auslander-Reiten
+    quiver with the mesh relations (Auslander-Reiten-Smalo, ch. VII).
 
-    Each interval module is indecomposable with End = k, so the projectors
-    onto the summands are its primitive idempotents; the projector onto a
-    summand is the identity on its rows of the sum and zero elsewhere."""
+    The vertices are the intervals (i, j), 1 <= i <= j <= m, one per
+    indecomposable module; the arrows (i, j) -> (i, j+1) and (i, j) ->
+    (i+1, j) have degree 0.  For j < m the mesh from (i, j) to (i+1, j+1)
+    makes its two paths equal; when i = j there is only one path, through
+    (i, i+1), and it is zero.  A nonzero path from (i, j) ends at some
+    (i', j') with i' <= j, so it has length at most m - i < m.  The bound
+    is m, and as every relation has path length 2 the compiler's check
+    that every path of length m is zero is exact.
+
+    Which way the arrows point does not matter: duality makes the
+    Auslander algebra of an algebra B^op the opposite of that of B, and
+    kA_m is isomorphic to its opposite by reversing the vertex order, so
+    the Auslander algebra of kA_m is isomorphic to its opposite.
+    """
     if m < 1:
         raise ValueError("parameter must be >= 1")
-    a = reference_upper_triangular(m, field)
-    intervals = _interval_modules(a, m)
-    total, offsets = direct_sum(intervals)
-    projectors = []
-    for interval, off in zip(intervals, offsets):
-        rows = [{} for _ in range(total.dim)]
-        for r in range(off, off + interval.dim):
-            rows[r] = {r: field.one()}
-        projectors.append(rows)
-    return end_algebra(total, projectors)
+    cells = [(i, j) for i in range(1, m + 1) for j in range(i, m + 1)]
+    vertices = [f"{i},{j}" for i, j in cells]
+    arrows = []
+    for i, j in cells:
+        if j < m:
+            arrows.append((f"r{i},{j}", f"{i},{j}", f"{i},{j + 1}", 0))
+        if i < j:
+            arrows.append((f"d{i},{j}", f"{i},{j}", f"{i + 1},{j}", 0))
+    relations = []
+    for i, j in cells:
+        if j == m:
+            continue
+        # words are written right-to-left
+        through_right = (f"d{i},{j + 1}", f"r{i},{j}")
+        if i == j:
+            relations.append([(1, through_right)])
+        else:
+            relations.append([(1, through_right), (-1, (f"r{i + 1},{j}", f"d{i},{j}"))])
+    pres = QuiverPresentation(vertices, arrows, relations, m)
+    return compile_quiver(pres, field)
 
 
 def reference_subcategory_algebra(a):

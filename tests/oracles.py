@@ -17,6 +17,10 @@ object pair by object pair, as the reference for the shift-class check,
 `all_pairs_radical` and `all_pairs_center` keep the radical and center
 loops that formed every pair of products, as the reference for the ones
 that form only the pairs whose supports meet a stored product,
+`end_algebra` and `_interval_modules` keep the earlier Auslander
+reference, the endomorphism algebra of the sum of the interval modules
+through the hom solver (`interval_auslander`), as the reference for the
+one compiled from the mesh quiver,
 and the module references at the end (module and map checks, the maps of a
 direct sum, duals over the opposite algebra, socles, general quotients and
 tops, injective envelopes, cosyzygies and restriction of scalars) are built
@@ -1090,6 +1094,74 @@ def i_lower(mp, tensor):
     action = [mp.action_of(tensor.pair_vec(lam.basis_vec(b), tensor.right.unit))
               for b in range(lam.dim)]
     return GradedModule(lam, mp.degrees, action)
+
+
+def _interval_modules(a, m):
+    """All indecomposables of the linear A_m path algebra, as quotients of
+    the projectives: for c <= i, drop from e_i.Lambda the paths that the
+    right action of some e_j with j < c keeps (those starting at vertex j).
+    In the path basis a path times e_j is the path itself or 0, so the
+    rows of e_j are unit vectors or empty; e_j.Lambda.e_k is 0 for k > j,
+    so the dropped paths span a submodule."""
+    from qshape.modules import projective, restrict
+
+    out = []
+    for i in range(1, m + 1):
+        p = projective(a, i)
+        for c in range(1, i + 1):
+            dropped = {r for j in range(1, c)
+                       for r, row in enumerate(p.action_of(a.idempotents[j - 1])) if row}
+            out.append(restrict(p, [r for r in range(p.dim) if r not in dropped]))
+    return out
+
+
+def end_algebra(m, idempotent_maps=None):
+    """Plain (non-stable) endomorphism algebra of a module.
+
+    Products come from composition_table, which skips the pairs of basis
+    maps whose composite is zero by support (see there).  When given, the
+    classes of idempotent_maps (matrices of endomorphisms of m) are declared
+    as its primitive idempotents."""
+    from qshape.algebra import GradedAlgebra, zero_algebra
+    from qshape.modules import composition_table, hom_graded
+
+    f = m.algebra.field
+    if m.is_zero():
+        return zero_algebra(f)
+    hom = hom_graded(m, m)
+    dim = hom.dim
+    images = [hom.images(c) for c in hom.basis_coords]
+    mult = composition_table(f, images, [hom.map_of(c) for c in hom.basis_coords],
+                             lambda composed: hom.basis_coeffs(hom.coords_of_images(composed)))
+    identity = [{r: f.one()} for r in range(m.dim)]
+    unit = hom.basis_coeffs(hom.coords_of_matrix(identity))
+    idems = None
+    if idempotent_maps is not None:
+        idems = [hom.basis_coeffs(hom.coords_of_matrix(p)) for p in idempotent_maps]
+    return GradedAlgebra(f, [0] * dim, mult, unit, idempotents=idems)
+
+
+def interval_auslander(m, field):
+    """Endomorphism algebra of the sum of all interval modules over linear
+    A_m, through the hom solver: the earlier Auslander reference, against
+    which the mesh-quiver one is checked.
+
+    Each interval module is indecomposable with End = k, so the projectors
+    onto the summands are its primitive idempotents; the projector onto a
+    summand is the identity on its rows of the sum and zero elsewhere."""
+    from qshape.modules import direct_sum
+    from qshape.tilting import reference_upper_triangular
+
+    a = reference_upper_triangular(m, field)
+    intervals = _interval_modules(a, m)
+    total, offsets = direct_sum(intervals)
+    projectors = []
+    for interval, off in zip(intervals, offsets):
+        rows = [{} for _ in range(total.dim)]
+        for r in range(off, off + interval.dim):
+            rows[r] = {r: field.one()}
+        projectors.append(rows)
+    return end_algebra(total, projectors)
 
 
 def brute_canonical_matrix(mat):

@@ -292,11 +292,11 @@ def test_criterion_7_hypothesis_gate():
         is_self_injective(algebra_of(RATIONALS, fam, par)) for fam, par in INSTANCES
     )
     gldim_base_field = global_dimension_bounded(
-        degree_zero_part(algebra_of(RATIONALS, "truncated_polynomial", 3)).algebra, 10
+        degree_zero_part(algebra_of(RATIONALS, "truncated_polynomial", 3)), 10
     )
     gldim_paths = {
         n: global_dimension_bounded(
-            degree_zero_part(algebra_of(RATIONALS, "preprojective_A", n)).algebra, 10
+            degree_zero_part(algebra_of(RATIONALS, "preprojective_A", n)), 10
         )
         for n in (2, 3, 4)
     }

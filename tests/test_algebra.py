@@ -46,6 +46,7 @@ from oracles import (
     all_pairs_center,
     all_pairs_radical,
     dense_validate,
+    interval_auslander,
     naive_cartan,
     naive_check_algebra,
     naive_failing_triples,
@@ -432,6 +433,9 @@ def _reference_instance(kind, char):
     if kind == "upper_triangular":
         return reference_upper_triangular(4, f)
     if kind == "auslander":
+        # no quiver behind it: no radical hint, idempotents as class vectors
+        return interval_auslander(3, f)
+    if kind == "auslander_mesh":
         return reference_auslander_linear(3, f)
     return reference_subcategory_algebra(builtin("exterior", 3, f))
 
@@ -443,11 +447,11 @@ _PAIR_INSTANCES = [f"{g}{fam}" for g in ("", "Gamma ")
 
 @pytest.mark.parametrize("char", [0, 32003])
 @pytest.mark.parametrize("name", _PAIR_INSTANCES + ["upper_triangular", "auslander",
-                                                    "subcategory"])
+                                                    "auslander_mesh", "subcategory"])
 def test_support_pairs_give_the_all_pairs_radical_and_center(name, char):
     # forming only the products whose supports meet a stored product must
     # give the same radical basis, V, series and center basis as all pairs
-    if name in ("upper_triangular", "auslander", "subcategory"):
+    if name in ("upper_triangular", "auslander", "auslander_mesh", "subcategory"):
         a = _reference_instance(name, char)
     else:
         a = _radical_instance(name, char)
@@ -561,9 +565,10 @@ class TestDegreeZeroAndOpposite:
     def test_degree_zero_of_preprojective(self):
         a = builtin("preprojective_A", 3, QQ)
         part = degree_zero_part(a)
-        assert part.algebra.dim == 6
-        assert part.algebra.is_trivially_graded()
-        assert len(part.algebra.idempotents) == 3
+        assert part.dim == 6
+        assert part.is_trivially_graded()
+        assert len(part.idempotents) == 3
+        assert degree_zero_part(a) is part
 
     def test_opposite_involution(self):
         a = builtin("preprojective_A", 2, QQ)
@@ -595,7 +600,7 @@ class TestGlobalDimension:
     def test_coefficient_rings_of_preprojective(self):
         for n in (2, 3, 4):
             part = degree_zero_part(builtin("preprojective_A", n, QQ))
-            assert global_dimension_bounded(part.algebra, 10) == 1
+            assert global_dimension_bounded(part, 10) == 1
 
 
 class TestCenter:
@@ -831,9 +836,12 @@ def test_validation_rejects_pinned_tables(case, expected, char):
 
 _CONSTRUCTED = {
     "compile_quiver": lambda f: builtin("preprojective_A", 3, f),
-    "DegreeZeroPart": lambda f: degree_zero_part(builtin("preprojective_A", 3, f)).algebra,
+    "degree_zero_part": lambda f: degree_zero_part(builtin("preprojective_A", 3, f)),
     "StableEnd": lambda f: tilting_endomorphism_algebra(builtin("exterior", 2, f)).algebra,
-    "end_algebra": lambda f: reference_auslander_linear(3, f),
+    # the oracle End of the interval modules: no quiver behind it, so no
+    # radical hint, and idempotents given as class vectors
+    "end_algebra": lambda f: interval_auslander(3, f),
+    "reference_auslander_linear": lambda f: reference_auslander_linear(3, f),
     "reference_subcategory_algebra": lambda f: reference_subcategory_algebra(
         builtin("preprojective_A", 2, f)),
     "TensorAlgebra": lambda f: tensor_algebra(

@@ -485,6 +485,12 @@ class TestBadFlagValues:
         code, rep = run(capsys, ["gamma", f, "--compare", "upper_triangular:x"])
         assert code == 2
 
+    def test_auslander_parameter_below_one(self, tmp_path, capsys):
+        f = write_builtin(tmp_path, "preprojective_A", 3)
+        code, rep = run(capsys, ["gamma", f, "--compare", "auslander:0"])
+        assert code == 2
+        assert rep == {"error": "bad --compare spec 'auslander:0': parameter must be >= 1"}
+
     def test_subcategory_on_degree_zero_algebra(self, tmp_path, capsys):
         f = write_builtin(tmp_path, "preprojective_A", 1)
         code, rep = run(capsys, ["gamma", f, "--compare", "subcategory"])

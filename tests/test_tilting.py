@@ -15,11 +15,9 @@ from qshape.fields import FieldSpec, QQ
 from qshape.linalg import vec_iadd_scaled
 from qshape.modules import is_projective, projective, shift, truncate_le
 from qshape.tilting import (
-    _interval_modules,
     canonical_matrix,
     cartan_matrix,
     compare,
-    end_algebra,
     fingerprint,
     reference_auslander_linear,
     reference_subcategory_algebra,
@@ -30,10 +28,15 @@ from qshape.tilting import (
 
 from oracles import (
     QuotientModule,
+    _interval_modules,
     auslander_linear_dim,
     brute_canonical_matrix,
+    end_algebra,
+    interval_auslander,
     module_equal,
     naive_cartan,
+    opposite,
+    socle,
 )
 
 GF = FieldSpec(32003)
@@ -102,6 +105,13 @@ class TestGamma:
         assert len(g.block_idempotents) == 3  # ell blocks; validated on build
 
 
+def projective_socles(a):
+    """The sorted pairs (dim P, dim soc P) over the indecomposable
+    projectives P = e_u A."""
+    return sorted((p.dim, socle(p)[0].dim)
+                  for p in (projective(a, u) for u in range(1, len(a.idempotents) + 1)))
+
+
 class TestReferences:
     def test_upper_triangular_dims(self):
         assert reference_upper_triangular(0, QQ).dim == 0
@@ -140,6 +150,25 @@ class TestReferences:
         intervals = _interval_modules(a, m)
         assert len(intervals) == len(expected) == m * (m + 1) // 2
         assert all(module_equal(x, y) for x, y in zip(intervals, expected))
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_mesh_quiver_matches_the_interval_endomorphisms(self, m, char):
+        # the mesh-quiver presentation and the End of the sum of the
+        # interval modules, through the hom solver and composition table,
+        # must agree on every invariant, canonical Cartan form included
+        field = FieldSpec(char)
+        mesh = reference_auslander_linear(m, field)
+        ends = interval_auslander(m, field)
+        assert mesh.dim == ends.dim == auslander_linear_dim(m)
+        fm, fe = fingerprint(mesh), fingerprint(ends)
+        assert fm.cartan is not None
+        assert fm.as_dict() == fe.as_dict()
+        assert compare(mesh, ends).status == "match"
+        # the fingerprint cannot tell a commutative square from one with a
+        # path killed; the socles of the projectives on both sides can
+        assert projective_socles(mesh) == projective_socles(ends)
+        assert projective_socles(opposite(mesh)) == projective_socles(opposite(ends))
 
     def test_subcategory_dims(self):
         assert reference_subcategory_algebra(trunc(4)).dim == 6
@@ -347,8 +376,9 @@ class TestInconclusiveCompare:
 
 class TestDirectPresentationTriangulation:
     def test_gamma3_matches_directly_presented_radical_square_zero(self):
-        # kA_3 with both length-2 paths killed, presented directly as a
-        # quiver algebra, independently of the interval-endomorphism route
+        # kA_3 with its length-2 path killed, written down by hand as a
+        # quiver algebra: a third route beside the mesh-quiver reference
+        # and the End of the interval modules
         pres = QuiverPresentation(
             ["1", "2", "3"],
             [("a", "1", "2", 0), ("b", "2", "3", 0)],
@@ -360,3 +390,4 @@ class TestDirectPresentationTriangulation:
         g = tilting_endomorphism_algebra(builtin("preprojective_A", 3, QQ)).algebra
         assert compare(g, direct).status == "match"
         assert compare(reference_auslander_linear(2, QQ), direct).status == "match"
+        assert compare(interval_auslander(2, QQ), direct).status == "match"
