@@ -24,14 +24,21 @@ which is a dimension count once the epi is onto:
      is dim M/M.rad.  The cover has one summand per dimension of M/M.rad,
      and each top(e_i.Lambda) has dim 1 when the idempotents span
      Lambda/rad, that is when dim rad = dim Lambda - #idempotents.
+The cover reads dim P and the degrees of P off its summands; the sum
+module P itself is built only when a caller acts on it (a syzygy, or maps
+into P), so hom solves and projectivity tests never copy the summands.
 A submodule reads the coordinates of a span vector at the pivots of the
-span's reduced echelon basis.
+span's reduced echelon basis, and checks closure by support: it forms the
+image of a basis row under b only where b acts by a nonzero row at some
+coordinate of that basis row, every other image being zero.
 
 Hom spaces are solved through projective presentations: a degree-0 map out
 of M is a choice of images for the generators of M (one slice of N per
-cover summand) that kills the kernel of the cover.  Maps stay in these
-generator coordinates: composing with another map only needs the images of
-the generators, and a map's matrix is built only when a caller asks for it.
+cover summand) that kills the kernel of the cover.  Each slice (N_d).e_i,
+and its tagged echelon, is solved once per module N and cached on it.
+Maps stay in these generator coordinates: composing with another map only
+needs the images of the generators, and a map's matrix is built only when
+a caller asks for it.
 The module and map checks, the brute-force commutant solver, general
 quotients, tops, duals, socles and injective envelopes live in the test
 suite as independent references.
@@ -118,6 +125,12 @@ class Submodule:
     rows of different degrees have disjoint supports, so a span vector has
     its coordinate on a row at that row's pivot.  `basis` holds those rows
     in parent coordinates: it is the matrix of the inclusion.
+
+    Closure is checked by support: the image of a basis row b under the
+    basis element k reads only the rows of action[k] at supp(b), so it is
+    formed only for the k that `_live_actions` lists at some coordinate of
+    supp(b).  Every other image is the zero vector, which lies in the span,
+    and its action entry is the empty row.
     """
 
     def __init__(self, parent, vectors):
@@ -130,17 +143,31 @@ class Submodule:
         pivots = sorted(ech.rows, key=lambda p: (parent.degrees[p], p))
         self.basis = [ech.rows[p] for p in pivots]
         pos = {p: j for j, p in enumerate(pivots)}
-        action = []
-        for bidx in range(parent.algebra.dim):
-            mat = []
-            for b in self.basis:
-                img = apply_row(f, b, parent.action[bidx])
+        live = _live_actions(parent)
+        empty = {}
+        action = [[empty] * len(self.basis) for _ in range(parent.algebra.dim)]
+        for j, b in enumerate(self.basis):
+            for k in {k for r in b for k in live[r]}:
+                img = apply_row(f, b, parent.action[k])
                 if ech.reduce(img):
                     raise ValueError("span is not closed under the action")
-                mat.append({pos[p]: c for p, c in img.items() if p in pos})
-            action.append(mat)
+                if img:
+                    action[k][j] = {pos[p]: c for p, c in img.items() if p in pos}
         degrees = [parent.degrees[p] for p in pivots]
         self.module = GradedModule(parent.algebra, degrees, action)
+
+
+def _live_actions(m):
+    """Per coordinate r of m, the basis elements k whose action matrix has a
+    nonzero row r, in increasing order; built once and cached on m."""
+    if "live" not in m._cache:
+        live = [[] for _ in range(m.dim)]
+        for k, mat in enumerate(m.action):
+            for r, row in enumerate(mat):
+                if row:
+                    live[r].append(k)
+        m._cache["live"] = live
+    return m._cache["live"]
 
 
 def restrict(m, keep):
@@ -173,12 +200,14 @@ def direct_sum(summands):
         offsets.append(total)
         total += m.dim
     degrees = [d for m in summands for d in m.degrees]
+    empty = {}  # the vanishing rows share one empty row, as in `regular`
     action = []
     for bidx in range(a.dim):
-        mat = [dict() for _ in range(total)]
+        mat = [empty] * total
         for m, off in zip(summands, offsets):
             for r, row in enumerate(m.action[bidx]):
-                mat[off + r] = {off + s: c for s, c in row.items()}
+                if row:
+                    mat[off + r] = {off + s: c for s, c in row.items()}
         action.append(mat)
     return GradedModule(a, degrees, action), offsets
 
@@ -254,17 +283,33 @@ def simple(a, i):
     return a._cache["simples"][i - 1]
 
 
-def _slice_basis(m, e, d):
-    """Basis of (M_d) . e, the degree-d part of M acted on by e."""
-    f = m.algebra.field
-    rows = []
-    for i in m.component_indices(d):
-        row = {}
-        for b, c in e.items():
-            vec_iadd_scaled(f, row, m.action[b][i], c)
-        if row:
-            rows.append(row)
-    return span_basis(f, rows)
+def _slice_basis(m, i, d):
+    """Basis of (M_d) . e_i, the degree-d part of M acted on by the i-th
+    idempotent (i is 1-based); solved once and cached on m."""
+    key = ("slice", i, d)
+    if key not in m._cache:
+        f = m.algebra.field
+        e = primitive_idempotents(m.algebra)[i - 1]
+        rows = []
+        for r in m.component_indices(d):
+            row = {}
+            for b, c in e.items():
+                vec_iadd_scaled(f, row, m.action[b][r], c)
+            if row:
+                rows.append(row)
+        m._cache[key] = span_basis(f, rows)
+    return m._cache[key]
+
+
+def _slice_echelon(m, i, d):
+    """The slice basis of (M_d) . e_i in a tagged echelon, which expresses
+    a slice vector over that basis; eliminated once and cached on m."""
+    key = ("slice_echelon", i, d)
+    if key not in m._cache:
+        ech = Echelon(m.algebra.field, tagged=True)
+        ech.extend(_slice_basis(m, i, d))
+        m._cache[key] = ech
+    return m._cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +345,13 @@ class ProjectiveCover:
     `section_rows` their tags; minimality is the dimension count of the
     module docstring, which also guards against non-basic degenerate inputs.
 
+    P = sum of the summands is described by `dim` and `degrees`, read off
+    the summands, and by `split`, which cuts a vector of P into summand
+    blocks.  `module`, the block-diagonal sum module, is built by
+    `direct_sum` on first access and cached: only callers that act on P
+    (`syzygy_of`, maps into P) build it.  The cover holds no reference to
+    the module it covers, which caches the cover.
+
     `section_terms` caches, per basis vector of M, its section preimage cut
     into its nonzero cover-summand blocks, each read as an algebra element.
     A map out of M is then row by row a sum of one generator image acted on
@@ -320,17 +372,17 @@ class ProjectiveCover:
         self.generators = []   # generators in M coords
         self.summands = []     # CoverSummand
         for d in sorted(set(m.degrees)):
-            for e_idx, e in enumerate(idems, start=1):
-                for gen in _slice_basis(m, e, d):
+            for i in range(1, len(idems) + 1):
+                for gen in _slice_basis(m, i, d):
                     if span.insert(gen):
                         self.generators.append(gen)
-                        self.summands.append(CoverSummand(a, e_idx, d))
+                        self.summands.append(CoverSummand(a, i, d))
 
-        # P as a sum module: the cover reads its blocks through _block_of
-        if self.summands:
-            self.module = direct_sum([s.module for s in self.summands])[0]
-        else:
-            self.module = zero_module(a)
+        # P is read off its summands; the sum module is built on demand
+        self._algebra = a
+        self._module = None
+        self.degrees = [d for s in self.summands for d in s.module.degrees]
+        self.dim = len(self.degrees)
         self._block_of = []  # P coordinate -> (summand, coordinate inside it)
         for k, s in enumerate(self.summands):
             self._block_of.extend((k, r) for r in range(s.module.dim))
@@ -365,6 +417,16 @@ class ProjectiveCover:
         if len(jacobson_radical(a).basis) != a.dim - len(idems):
             raise ValueError("cover is not minimal (kernel escapes P.rad)")
 
+    @property
+    def module(self):
+        """P as the direct sum of the summands, built on first access (cached)."""
+        if self._module is None:
+            if self.summands:
+                self._module = direct_sum([s.module for s in self.summands])[0]
+            else:
+                self._module = zero_module(self._algebra)
+        return self._module
+
     def split(self, vec):
         """The nonzero summand blocks of a vector of P, as (summand index,
         algebra element) pairs in summand order."""
@@ -391,7 +453,7 @@ def cover_of(m):
 def is_projective(m):
     """Projectivity via the cover: minimal epi is injective iff dims agree."""
     if "is_projective" not in m._cache:
-        m._cache["is_projective"] = cover_of(m).module.dim == m.dim
+        m._cache["is_projective"] = cover_of(m).dim == m.dim
     return m._cache["is_projective"]
 
 
@@ -419,7 +481,8 @@ class HomSpace:
     compose with another map only need generator images.  A map's matrix,
     its rows over N's coordinates, is built only on demand by `map_of`;
     `coords_of_matrix` goes back, and `basis_coeffs` expresses coordinates
-    over `basis_coords`.
+    over `basis_coords`.  The slice bases and their tagged echelons are
+    cached on N, so every hom into N shares them.
     """
 
     def __init__(self, source, target):
@@ -430,25 +493,17 @@ class HomSpace:
         self.source = source
         self.target = target
         cov = cover_of(source)
-        idems = primitive_idempotents(a)
 
         # slice bases: for each summand, a basis of (N_d).e_i, solved once
-        # per distinct (i, d) and shared by the summands that have it
-        self.slices = []
+        # per target and shared by every summand and hom that has it
+        self._slice_keys = [(s.idem_index, s.gen_degree) for s in cov.summands]
+        self.slices = [_slice_basis(target, i, d) for i, d in self._slice_keys]
+        self._slice_echelons = None  # their tagged echelons, on first use
         offsets = []
         total = 0
-        by_key = {}
-        for s in cov.summands:
-            key = (s.idem_index, s.gen_degree)
-            slc = by_key.get(key)
-            if slc is None:
-                basis = _slice_basis(target, idems[s.idem_index - 1], s.gen_degree)
-                ech = Echelon(f, tagged=True)
-                ech.extend(basis)
-                slc = by_key[key] = (basis, ech)
-            self.slices.append(slc)
+        for basis in self.slices:
             offsets.append(total)
-            total += len(slc[0])
+            total += len(basis)
         self.offsets = offsets
         self.coord_dim = total
         self._cov = cov
@@ -457,8 +512,7 @@ class HomSpace:
         sys_rows = {}
         for kidx, k in enumerate(cov.kernel_rows):
             for t, u in cov.split(k):
-                basis, _ = self.slices[t]
-                for sidx, bvec in enumerate(basis):
+                for sidx, bvec in enumerate(self.slices[t]):
                     w = target.act(bvec, u)
                     for coord, c in w.items():
                         key = (kidx, coord)
@@ -478,7 +532,7 @@ class HomSpace:
         """Images of the cover generators (in target coordinates) of a map."""
         f = self.source.algebra.field
         images = []
-        for t, (basis, _) in enumerate(self.slices):
+        for t, basis in enumerate(self.slices):
             x = {}
             for sidx, bvec in enumerate(basis):
                 c = coords.get(self.offsets[t] + sidx)
@@ -489,8 +543,11 @@ class HomSpace:
 
     def coords_of_images(self, images):
         """Slice coordinates of the map sending the cover generators to images."""
+        if self._slice_echelons is None:
+            self._slice_echelons = [_slice_echelon(self.target, i, d)
+                                    for i, d in self._slice_keys]
         coords = {}
-        for t, (img, (_, ech)) in enumerate(zip(images, self.slices)):
+        for t, (img, ech) in enumerate(zip(images, self._slice_echelons)):
             expr = ech.express(img)
             if expr is None:
                 raise ValueError("generator image leaves the idempotent slice")

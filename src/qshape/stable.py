@@ -153,7 +153,7 @@ class ExtCertificate:
         cov = cover_of(m)
         self.top_degree = max(m.degrees, default=None)
         self.syzygy_min_degree = min(
-            (cov.module.degrees[k] for row in cov.kernel_rows for k in row), default=None)
+            (cov.degrees[k] for row in cov.kernel_rows for k in row), default=None)
 
     @property
     def holds(self):

@@ -263,7 +263,7 @@ def check_window_properties(w, serre_check=True):
                 for d in range(-width, width + 1):
                     # hom(P_i(j), P_i'(j + d)) against component -d of S P_i
                     lhs = hom(i, ip, d)
-                    rhs = _slice_basis(s, w.idempotents[ip - 1], -d)
+                    rhs = _slice_basis(s, ip, -d)
                     if len(lhs) != len(rhs):
                         serre_ok = False
                     elif lhs:

@@ -370,6 +370,47 @@ class TestWorkDoneOnce:
         assert sum(1 for alg in extensions if alg is hom_product) == 6
         assert 0 < sum(1 for alg in covered if alg is hom_product) <= 6
 
+    def test_basechange_hom_checks_build_no_cover_sum_module(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # a hom solve reads the cover's summands, kernel and section only:
+        # no cover in the hom-check loop builds its sum module P
+        import qshape.cli
+        import qshape.modules
+
+        lam = write_builtin(tmp_path, "preprojective_A", 3, name="lam.json")
+        coeff = write_builtin(tmp_path, "preprojective_A", 2, name="coeff.json")
+        in_loop = []
+        sums = []
+        covers = []
+        real_check = qshape.cli.base_change_hom_check
+        real_sum = qshape.modules.direct_sum
+        real_cover = qshape.modules.cover_of
+
+        def spy_check(m, n, tensor):
+            in_loop.append(True)
+            try:
+                return real_check(m, n, tensor)
+            finally:
+                in_loop.pop()
+
+        def spy_sum(summands):
+            if in_loop:
+                sums.append(len(summands))
+            return real_sum(summands)
+
+        def spy_cover(m):
+            cov = real_cover(m)
+            if in_loop:
+                covers.append(cov)
+            return cov
+
+        monkeypatch.setattr(qshape.cli, "base_change_hom_check", spy_check)
+        monkeypatch.setattr(qshape.modules, "direct_sum", spy_sum)
+        monkeypatch.setattr(qshape.modules, "cover_of", spy_cover)
+        code, rep = run(capsys, ["basechange", lam, "--with", coeff])
+        assert code == 0 and rep["all_hom_checks_pass"]
+        assert covers and sums == []
+
     def test_verify_builds_gamma_once_per_field(self, capsys, monkeypatch):
         # truncated_polynomial 3 runs the base-change loop over three
         # coefficient algebras, each needing Gamma tensor A

@@ -51,6 +51,7 @@ from oracles import (
     submodule_by_express,
     sum_maps,
     top,
+    uncached_slice_basis,
     validate_map,
     validate_module,
 )
@@ -496,6 +497,7 @@ def test_cover_module_is_the_direct_sum_of_its_summands(family, n, char):
         cov = cover_of(m)
         summands = [s.module for s in cov.summands]
         total, incs, prjs = sum_maps(summands)
+        assert (cov.dim, cov.degrees) == (cov.module.dim, cov.module.degrees)
         assert module_equal(cov.module, total)
         for i, (inc, s) in enumerate(zip(incs, summands)):
             validate_map(s, total, inc)
@@ -563,6 +565,41 @@ def test_cover_kernel_matches_the_transposed_system(family, n, char):
         assert own.dim == len(ref)
         assert all(span.contains(k) for k in cov.kernel_rows)
         assert module_equal(syzygy_of(m), Submodule(cov.module, ref).module)
+
+
+@pytest.mark.parametrize("family,n,char", COVER_CASES)
+def test_cached_slices_match_a_fresh_solve(family, n, char):
+    # each slice (M_d).e_i is solved once per module and then read back
+    from qshape.modules import _slice_basis
+    from qshape.tilting import tilting_module
+
+    a = builtin(family, n, FieldSpec(char))
+    t = tilting_module(a).module
+    for m in (t, syzygy_of(t)):
+        for i in range(1, len(primitive_idempotents(a)) + 1):
+            for d in sorted(set(m.degrees)):
+                basis = _slice_basis(m, i, d)
+                assert basis == uncached_slice_basis(m, i, d)
+                assert _slice_basis(m, i, d) is basis
+
+
+@pytest.mark.parametrize("family,n,char", COVER_CASES)
+def test_homs_into_one_target_agree(family, n, char):
+    # a second hom into the same target reads the cached slices and their
+    # echelons; a copy of the target with no cache solves them afresh
+    from qshape.modules import GradedModule
+    from qshape.tilting import tilting_module
+
+    a = builtin(family, n, FieldSpec(char))
+    t = tilting_module(a).module
+    one = a.field.one()
+    for m in (t, syzygy_of(t), regular(a), simple(a, 1)):
+        for target in (t, regular(a)):
+            first, second = hom_graded(m, target), hom_graded(m, target)
+            fresh = hom_graded(m, GradedModule(a, target.degrees, target.action))
+            assert first.basis_coords == second.basis_coords == fresh.basis_coords
+            for q, c in enumerate(second.basis_coords):
+                assert second.basis_coeffs(second.coords_of_matrix(second.map_of(c))) == {q: one}
 
 
 @pytest.mark.parametrize("family,n,char", COVER_CASES)
@@ -641,18 +678,23 @@ def test_submodule_builds_no_tagged_echelon(monkeypatch, char):
 def test_submodule_coordinates_match_the_tagged_echelon(family, n, char):
     from qshape.tilting import tilting_module
 
-    a = builtin(family, n, FieldSpec(char))
-    one = a.field.one()
-    t = tilting_module(a).module
-    reg = regular(a)
+    # the dense change of basis gives idempotents and action rows with many
+    # entries, so a span row meets many live rows of the action
+    from test_algebra import unitriangular_changed
+
+    base = builtin(family, n, FieldSpec(char))
     cases = []
-    for m in (t, syzygy_of(t)):
-        cov = cover_of(m)
-        cases.append((cov.module, cov.kernel_rows))
-    for e in primitive_idempotents(a):
-        cases.append((reg, [reg.act(e, a.basis_vec(j)) for j in range(a.dim)]))
-    for d in sorted(set(t.degrees)):
-        cases.append((t, [{i: one} for i in range(t.dim) if t.degrees[i] >= d]))
+    for a in (base, unitriangular_changed(base)):
+        one = a.field.one()
+        t = tilting_module(a).module
+        reg = regular(a)
+        for m in (t, syzygy_of(t)):
+            cov = cover_of(m)
+            cases.append((cov.module, cov.kernel_rows))
+        for e in primitive_idempotents(a):
+            cases.append((reg, [reg.act(e, a.basis_vec(j)) for j in range(a.dim)]))
+        for d in sorted(set(t.degrees)):
+            cases.append((t, [{i: one} for i in range(t.dim) if t.degrees[i] >= d]))
     for parent, vectors in cases:
         sub = Submodule(parent, vectors)
         degrees, action, basis = submodule_by_express(parent, vectors)
@@ -696,6 +738,26 @@ class TestCoverAndSubmoduleChecks:
         x = next(i for i, d in enumerate(a.degrees) if d == 1)
         with pytest.raises(ValueError, match="span is not closed under the action"):
             Submodule(regular(a), [{x: a.field.one()}])
+
+    def test_span_escaping_through_one_live_row(self):
+        # in S + k[x]/x^3, the span of s + 1 and x^2: the one image that
+        # leaves the span is (s + 1) . x = x, read off row 1 of the action
+        # of x, at a coordinate that is not the least of its support
+        a = trunc(3)
+        f = a.field
+        parent = direct_sum([simple(a, 1), regular(a)])[0]
+        power = {deg: 1 + i for i, deg in enumerate(a.degrees)}  # x^deg in parent
+        x = a.degrees.index(1)
+        span = [{0: f.one(), power[0]: f.one()}, {power[2]: f.one()}]
+        ech = Echelon(f)
+        ech.extend(span)
+        escaping = [(j, k) for j, b in enumerate(span) for k in range(a.dim)
+                    if not ech.contains(apply_row(f, b, parent.action[k]))]
+        assert escaping == [(0, x)]
+        assert [r for r in span[0] if parent.action[x][r]] == [power[0]]
+        with pytest.raises(ValueError, match="span is not closed under the action"):
+            Submodule(parent, span)
+        assert Submodule(parent, span + [{power[1]: f.one()}]).module.dim == 3
 
     def test_quotient_span_not_closed_under_the_action(self):
         # x spans no submodule of k[x]/x^3: x . x = x^2 is outside its span
