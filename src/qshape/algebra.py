@@ -47,9 +47,13 @@ class GradedAlgebra:
     is trilinear, so the w with (xy)w = x(yw) for all x, y form a subspace;
     it holds 1 by the unit laws, and with w it holds wg, since
     (xy)(wg) = ((xy)w)g = (x(yw))g = x((yw)g) = x(y(wg)); so it holds every
-    right word, and those span the algebra.  The triples are checked column
-    by column (see `_validate`), at a cost of |G| times the nonzero
-    products rather than n^2 |G|.
+    right word, and those span the algebra.  For each g only the triples
+    that can be nonzero are formed (see `_validate`): (b_i b_j) g for the
+    stored products whose support meets a nonzero row of right
+    multiplication by g, and b_i (b_j g) for the j with b_j g nonzero; every
+    other triple is 0 = 0.  The cost is those triples, not |G| times the
+    nonzero products, and the closure that verifies G skips the words whose
+    image under a generator is zero by support in the same way.
     """
 
     def __init__(self, field, degrees, mult, unit, idempotents=None, labels=None,
@@ -142,71 +146,86 @@ class GradedAlgebra:
             if self.product(self.unit, e) != e or self.product(e, self.unit) != e:
                 raise ValueError("unit laws fail")
         cols = self._cache["cols"] = columns(mult)
-        gens, right = self._generating_set(cols)
-        # associativity on the triples (b_i, b_j, g), g in G, one column j
-        # at a time: with right[t][m] = b_m * g and cols[j] = {i: b_i * b_j},
-        # the map i -> (b_i b_j) g is right[t] applied to cols[j], and
-        # i -> b_i (b_j g) is the sum over m of (b_j g)_m cols[m]
-        for t, table in enumerate(right):
-            bad = []
-            for j, col in enumerate(cols):
-                lhs = {}
-                for i, w in col.items():
-                    wg = apply_row(f, w, table)
-                    if wg:
-                        lhs[i] = wg
-                rhs = {}
+        gens, right, live = self._generating_set(cols)
+        # associativity on the triples (b_i, b_j, g), g in G.  With
+        # right[t][m] = b_m * g, (b_i b_j) g reads right[t] only at
+        # supp(b_i b_j), and b_i (b_j g) = sum_m (b_j g)_m b_i b_m is zero
+        # unless b_j g is: so (b_i b_j) g is formed only for the stored
+        # products whose support meets a nonzero row of right[t], and
+        # b_i (b_j g) only for the columns j with b_j g nonzero.  Every other
+        # triple is 0 = 0.  A product b_i * b_j is keyed i * n + j, which
+        # orders as (i, j).
+        by_coord = [[] for _ in range(n)]  # k -> the products with k in their support
+        for i, row in enumerate(mult):
+            for j, w in row.items():
+                p = i * n + j
+                for k in w:
+                    by_coord[k].append(p)
+        for t, (table, rows) in enumerate(zip(right, live)):
+            rhs = {}
+            for j in rows:
                 for m, c in table[j].items():
                     for i, w in cols[m].items():
-                        acc = rhs.get(i)
+                        p = i * n + j
+                        acc = rhs.get(p)
                         if acc is None:
-                            rhs[i] = vec_scale(f, w, c)
+                            rhs[p] = vec_scale(f, w, c)
                         else:
                             vec_iadd_scaled(f, acc, w, c)
-                rhs = {i: v for i, v in rhs.items() if v}
-                if lhs != rhs:
-                    bad += [(i, j) for i in lhs.keys() | rhs.keys() if lhs.get(i) != rhs.get(i)]
+            bad = []
+            for p in set().union(*(by_coord[k] for k in rows)):
+                i, j = divmod(p, n)
+                if apply_row(f, mult[i][j], table) != rhs.pop(p, {}):
+                    bad.append(p)
+            bad += [p for p, v in rhs.items() if v]  # where (b_i b_j) g is 0 by support
             if bad:
                 # the triple a walk over i, then j, would meet first
-                i, j = min(bad)
+                i, j = divmod(min(bad), n)
                 raise ValueError(f"associativity fails at (b{i}, b{j}, generator {t})")
         self._cache["gens"] = gens
         if self.idempotents is not None:
             self._validate_idempotents()
 
     def _generating_set(self, cols):
-        """G and its right-multiplication tables, with G verified to generate.
+        """G, its right-multiplication tables and their nonzero rows, with G
+        verified to generate.
 
         cols[j] = {i: b_i * b_j} are the columns of the table.  Closes
-        span{1} under right multiplication by G in an Echelon, which costs
-        dim * |G| row applications.  A declared generator's table b_m * g
-        forms only the products that `product_pairs` allows; the other rows
-        are zero.  Declared generators must reach the whole algebra;
-        otherwise basis vectors outside the span are adjoined in (degree,
-        index) order until it is reached.
+        span{1} under right multiplication by G in an Echelon.  A word w
+        whose support misses every nonzero row of a table has image 0 and
+        is not multiplied, so the cost is the words that meet each table's
+        rows rather than dim * |G| row applications.  A declared
+        generator's table b_m * g forms only the products that
+        `product_pairs` allows; the other rows are zero.  Declared
+        generators must reach the whole algebra; otherwise basis vectors
+        outside the span are adjoined in (degree, index) order until it is
+        reached.
         """
         f = self.field
         n = self.dim
         span = Echelon(f)
         words = []  # vectors that enlarged the span
         done = 0  # words[:done] have been multiplied by every generator
-        gens, right = [], []
+        gens, right, live = [], [], []
 
         def grow(vec):
             if span.insert(vec):
                 words.append(vec)
 
-        def adjoin(g, table):
+        def adjoin(g, table, rows):
             nonlocal done
             gens.append(g)
             right.append(table)
+            live.append(rows)
             for w in words[:done]:
-                grow(apply_row(f, w, table))
+                if not rows.isdisjoint(w):
+                    grow(apply_row(f, w, table))
             while done < len(words):
                 w = words[done]
                 done += 1
-                for tab in right:
-                    grow(apply_row(f, w, tab))
+                for tab, tab_rows in zip(right, live):
+                    if not tab_rows.isdisjoint(w):
+                        grow(apply_row(f, w, tab))
 
         grow(self.unit)
         if self.generators is not None:
@@ -215,19 +234,19 @@ class GradedAlgebra:
                 table = [{} for _ in range(n)]
                 for m, _ in product_pairs(self, basis, [g]):
                     table[m] = self.product(basis[m], g)
-                adjoin(g, table)
+                adjoin(g, table, {m for m, r in enumerate(table) if r})
             if span.dim != n:
                 raise ValueError(
                     f"declared generators span only {span.dim} of {n} dimensions"
                 )
-            return self.generators, right
+            return self.generators, right, live
         for i in sorted(range(n), key=lambda i: (self.degrees[i], i)):
             if span.dim == n:
                 break
             if not span.contains(self.basis_vec(i)):
                 col = cols[i]
-                adjoin(self.basis_vec(i), [col.get(m, {}) for m in range(n)])
-        return gens, right
+                adjoin(self.basis_vec(i), [col.get(m, {}) for m in range(n)], set(col))
+        return gens, right, live
 
     def _validate_idempotents(self):
         f = self.field

@@ -29,6 +29,7 @@ least non-negative residues.  QSHAPE_SEED overrides --seed.
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -416,7 +417,16 @@ def cmd_verify(args, seed):
     ).hexdigest()
     report = _envelope("verify", FieldSpec(0), echo, digest, seed)
     try:
-        rational, code_q = _verify_one_field(args.family, args.parameter, FieldSpec(0))
+        # an algebra and the modules cached on it refer to each other, so the
+        # first field's objects are freed only by the cycle collector: collect
+        # them before the second field is built, walking only what this field
+        # made (older objects are frozen meanwhile)
+        gc.freeze()
+        try:
+            rational, code_q = _verify_one_field(args.family, args.parameter, FieldSpec(0))
+            gc.collect()
+        finally:
+            gc.unfreeze()
         modular, code_p = _verify_one_field(args.family, args.parameter, FieldSpec(32003))
     except QShapeError as e:
         report["error"] = f"{type(e).__name__}: {e}"

@@ -549,6 +549,25 @@ def test_fingerprint_forms_only_the_products_supports_allow(monkeypatch):
     assert len(calls) <= 5000
 
 
+def test_validation_forms_only_the_products_supports_allow(monkeypatch):
+    # validating the dim-120 Gamma of truncated_polynomial 16 (28 greedy
+    # generators) applies a right-multiplication table to 1,490 vectors;
+    # every stored product and every word against every table would be
+    # 22,400
+    g = tilting_endomorphism_algebra(builtin("truncated_polynomial", 16, QQ)).algebra
+    calls = []
+    apply_row = qshape.algebra.apply_row
+
+    def counted(field, vec, rows):
+        calls.append(None)
+        return apply_row(field, vec, rows)
+
+    monkeypatch.setattr(qshape.algebra, "apply_row", counted)
+    rebuilt = GradedAlgebra(g.field, g.degrees, g.mult, g.unit, g.idempotents)
+    assert len(rebuilt._cache["gens"]) == 28
+    assert len(calls) <= 2000
+
+
 class TestIdempotents:
     def test_local_algebra(self):
         a = loop_algebra(3)
@@ -728,6 +747,15 @@ _PERTURBATION_BASES = {
     "truncated_polynomial 2 (x) preprojective_A 2": lambda f: tensor_algebra(
         builtin("truncated_polynomial", 2, f), ungrade(builtin("preprojective_A", 2, f))
     ).product,
+    # sparse tables with many idempotents, where most products of a
+    # generator's right-multiplication table are zero by support
+    "upper_triangular 6": lambda f: reference_upper_triangular(6, f),
+    "auslander 3": lambda f: reference_auslander_linear(3, f),
+    # no declared generators: the greedy generating set
+    "Gamma of truncated_polynomial 6": lambda f: tilting_endomorphism_algebra(
+        builtin("truncated_polynomial", 6, f)).algebra,
+    "degree_zero_part of preprojective_A 4": lambda f: degree_zero_part(
+        builtin("preprojective_A", 4, f)),
 }
 _PERTURBED = {}
 
@@ -757,7 +785,7 @@ def validation_error(*args, **kwargs):
     return None
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=270, deadline=None)
 @given(
     st.sampled_from(sorted(_PERTURBATION_BASES)),
     st.sampled_from([0, 32003]),
@@ -799,13 +827,31 @@ def broken_table(case, field):
     """(degrees, rows) of a table with one fault.  The associativity case is
     1, x, y in degree 1, z in degree 2, w in degree 3 with xx = z and
     xz = zx = zy = w: (xx)y = w but x(xy) = 0, and the greedy generators
-    are x, then y.  The others break k[x]/x^3 on 1, x, x^2."""
+    are x, then y.  The two cases after it are 1, x, y in degree 1, u, z in
+    degree 2 and w in degree 3, each failing only at (x, x, y) with y the
+    greedy generator 1, whose right-multiplication table is nonzero only in
+    the rows of 1 and one other basis vector:
+    - "(b_i b_j)g only": xx = u + z and zy = w, so (xx)y = w through the
+      last coordinate of supp(xx), while xy = 0;
+    - "b_i(b_j g) only": xx = u, xy = z and xz = w, so supp(xx) misses the
+      rows of xy = z and (xx)y = 0, while x(xy) = w.
+    The others break k[x]/x^3 on 1, x, x^2."""
     one = field.one()
     if case == "associativity":
         mult = [{i: {i: one} for i in range(5)}] + [{0: {i: one}} for i in range(1, 5)]
         mult[1][1] = {3: one}
         mult[1][3] = mult[3][1] = mult[3][2] = {4: one}
         return [0, 1, 1, 2, 3], mult
+    if case.startswith("associativity, "):
+        mult = [{i: {i: one} for i in range(6)}] + [{0: {i: one}} for i in range(1, 6)]
+        if case.endswith("(b_i b_j)g only"):
+            mult[1][1] = {3: one, 4: one}
+            mult[4][2] = {5: one}
+        else:
+            mult[1][1] = {3: one}
+            mult[1][2] = {4: one}
+            mult[1][4] = {5: one}
+        return [0, 1, 1, 2, 2, 3], mult
     mult = [{0: {0: one}, 1: {1: one}, 2: {2: one}}, {0: {1: one}, 1: {2: one}}, {0: {2: one}}]
     if case == "grading":
         mult[1][1] = {1: one}
@@ -821,6 +867,8 @@ def broken_table(case, field):
 @pytest.mark.parametrize("char", [0, 32003])
 @pytest.mark.parametrize("case, expected", [
     ("associativity", "associativity fails at (b1, b1, generator 1)"),
+    ("associativity, (b_i b_j)g only", "associativity fails at (b1, b1, generator 1)"),
+    ("associativity, b_i(b_j g) only", "associativity fails at (b1, b1, generator 1)"),
     ("grading", "grading violated: b1*b1 hits degree 1"),
     ("zero scalar", "structure constants must omit zeros"),
     ("empty vector", "structure constants must omit zeros"),
@@ -830,6 +878,8 @@ def test_validation_rejects_pinned_tables(case, expected, char):
     field = FieldSpec(char)
     degrees, mult = broken_table(case, field)
     unit = {0: field.one()}
+    if case.startswith("associativity, "):
+        assert naive_failing_triples(field, mult) == [(1, 1, 2)]
     assert dense_validate(field, degrees, mult, unit) == expected
     assert validation_error(field, degrees, mult, unit) == expected
 

@@ -262,6 +262,35 @@ class TestVerify:
         code, rep = run(capsys, ["verify", "exterior", "3"])
         assert code == 0
 
+    def test_frees_the_first_field_before_the_second(self, capsys, monkeypatch):
+        # the QQ algebra and the modules cached on it form reference cycles;
+        # they must be gone before the GF(32003) field is built, whatever
+        # point the automatic collector has reached
+        import gc
+        import weakref
+
+        import qshape.cli
+
+        built = []
+        alive_at_second_field = []
+        builtin = qshape.cli.builtin
+
+        def spy(family, parameter, field):
+            if built:
+                alive_at_second_field.append(built[0]() is not None)
+            a = builtin(family, parameter, field)
+            built.append(weakref.ref(a))
+            return a
+
+        monkeypatch.setattr(qshape.cli, "builtin", spy)
+        gc.disable()
+        try:
+            code, rep = run(capsys, ["verify", "exterior", "2"])
+        finally:
+            gc.enable()
+        assert code == 0
+        assert alive_at_second_field == [False]
+
     def test_failed_certificate_is_an_internal_error(self, capsys, monkeypatch):
         # the gates make the certificate hold; should it fail all the same,
         # verify stops with exit 1 naming the command, not 0 and not 5
