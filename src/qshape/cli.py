@@ -34,6 +34,7 @@ import hashlib
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .algebra import (
@@ -115,22 +116,25 @@ def _load_algebra_file(path):
     return a, field, echo, digest
 
 
-def _scalar_str(field, x):
-    return field.to_str(x)
-
-
 def _vec_json(field, vec):
-    return {str(k): _scalar_str(field, c) for k, c in sorted(vec.items())}
+    return {str(k): field.to_str(c) for k, c in sorted(vec.items())}
 
 
 def _algebra_json(a):
+    # the table lists every slot; the absent products share one empty dict
+    empty = {}
+    mult = []
+    for row in a.mult:
+        out = [empty] * a.dim
+        for j, w in row.items():
+            out[j] = _vec_json(a.field, w)
+        mult.append(out)
     return {
         "dim": a.dim,
         "degrees": list(a.degrees),
         "labels": list(a.labels) if a.labels else None,
         "unit": _vec_json(a.field, a.unit),
-        "mult": [[_vec_json(a.field, row.get(j, {})) for j in range(a.dim)]
-                 for row in a.mult],
+        "mult": mult,
     }
 
 
@@ -145,8 +149,50 @@ def _envelope(command, field, echo, digest, seed):
     }
 
 
+def _dumps(obj, indent=""):
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte.
+
+    The stdlib encodes with `indent` in pure Python, one generator per
+    container; this recursion writes the same text for the types a report
+    holds and hands any other value (a float, or one json rejects) to
+    json.dumps.  Dict items are sorted as json sorts them, by the original
+    keys, and non-str keys are converted as json converts them.  Dicts come
+    first: most values of a report are the empty slots of a table.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                if key is not None and not isinstance(key, (int, float)):
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                key = json.dumps(key)
+            items.append(f"{encode_basestring_ascii(key)}: {_dumps(value, inner)}")
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        items = [_dumps(x, inner) for x in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    return json.dumps(obj)
+
+
 def _emit(report):
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(_dumps(report))
 
 
 def _hypothesis_block(a, gldim_bound):
@@ -503,19 +549,18 @@ def main(argv=None):
         try:
             seed = int(env_seed)
         except ValueError:
-            print(json.dumps({"error": "QSHAPE_SEED must be an integer"}))
+            _emit({"error": "QSHAPE_SEED must be an integer"})
             return EXIT_PARSE
     try:
         return COMMANDS[args.command](args, seed)
     except ParseError as e:
-        print(json.dumps({"error": str(e)}, sort_keys=True, indent=2))
+        _emit({"error": str(e)})
         return EXIT_PARSE
     except QShapeError as e:
-        print(json.dumps({"error": f"{type(e).__name__}: {e}"}, sort_keys=True, indent=2))
+        _emit({"error": f"{type(e).__name__}: {e}"})
         return EXIT_PARSE
     except ValueError as e:
-        print(json.dumps({"command": args.command, "error": f"ValueError: {e}"},
-                         sort_keys=True, indent=2))
+        _emit({"command": args.command, "error": f"ValueError: {e}"})
         return EXIT_FAILED_CHECK
 
 

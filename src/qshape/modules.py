@@ -506,6 +506,10 @@ class HomSpace:
             total += len(basis)
         self.offsets = offsets
         self.coord_dim = total
+        # slice coordinate q -> (summand, slice vector), so `images` reads
+        # only the coordinates a map has
+        self._coord_vecs = [(t, bvec) for t, basis in enumerate(self.slices)
+                            for bvec in basis]
         self._cov = cov
 
         # constraints: for each kernel vector sum_t x_t . u_t = 0
@@ -529,16 +533,17 @@ class HomSpace:
         return len(self.basis_coords)
 
     def images(self, coords):
-        """Images of the cover generators (in target coordinates) of a map."""
+        """Images of the cover generators (in target coordinates) of a map.
+
+        Only the nonzero coordinates are read; ascending coordinates run
+        over the summands in order and over each slice basis in order.
+        """
         f = self.source.algebra.field
-        images = []
-        for t, basis in enumerate(self.slices):
-            x = {}
-            for sidx, bvec in enumerate(basis):
-                c = coords.get(self.offsets[t] + sidx)
-                if c is not None:
-                    vec_iadd_scaled(f, x, bvec, c)
-            images.append(x)
+        images = [{} for _ in self.slices]
+        coord_vecs = self._coord_vecs
+        for q in sorted(coords):
+            t, bvec = coord_vecs[q]
+            vec_iadd_scaled(f, images[t], bvec, coords[q])
         return images
 
     def coords_of_images(self, images):
@@ -548,6 +553,8 @@ class HomSpace:
                                     for i, d in self._slice_keys]
         coords = {}
         for t, (img, ech) in enumerate(zip(images, self._slice_echelons)):
+            if not img:
+                continue  # a zero image has no coordinates
             expr = ech.express(img)
             if expr is None:
                 raise ValueError("generator image leaves the idempotent slice")

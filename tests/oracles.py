@@ -20,7 +20,9 @@ that form only the pairs whose supports meet a stored product,
 `end_algebra` and `_interval_modules` keep the earlier Auslander
 reference, the endomorphism algebra of the sum of the interval modules
 through the hom solver (`interval_auslander`), as the reference for the
-one compiled from the mesh quiver,
+one compiled from the mesh quiver, `dense_images` keeps the earlier
+`HomSpace.images`, which walks every slice vector of every summand, as the
+reference for the one that reads only a map's nonzero coordinates,
 and the module references at the end (module and map checks, the maps of a
 direct sum, duals over the opposite algebra, socles, general quotients and
 tops, injective envelopes, cosyzygies and restriction of scalars) are built
@@ -230,6 +232,23 @@ def uncached_slice_basis(m, i, d):
     f = m.algebra.field
     e = primitive_idempotents(m.algebra)[i - 1]
     return span_basis(f, [m.act({r: f.one()}, e) for r in m.component_indices(d)])
+
+
+def dense_images(hom, coords):
+    """Generator images of the map with these slice coordinates, walking
+    every slice vector of every summand of `hom` in order."""
+    from qshape.linalg import vec_iadd_scaled
+
+    f = hom.source.algebra.field
+    images = []
+    for t, basis in enumerate(hom.slices):
+        x = {}
+        for sidx, bvec in enumerate(basis):
+            c = coords.get(hom.offsets[t] + sidx)
+            if c is not None:
+                vec_iadd_scaled(f, x, bvec, c)
+        images.append(x)
+    return images
 
 
 def isomorphic_projectives(m, n):

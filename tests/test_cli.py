@@ -2,13 +2,15 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from qshape.cli import main
+import qshape.cli
+from qshape.cli import _dumps, main
 
 
 def write_builtin(tmp_path, family, parameter, char=0, name="alg.json"):
@@ -499,6 +501,99 @@ class TestDeterminism:
                     env=env, capture_output=True, check=False))
             assert runs[0].stdout and json.loads(runs[0].stdout)["command"] == argv[0]
             assert (runs[0].returncode, runs[0].stdout) == (runs[1].returncode, runs[1].stdout)
+
+
+def stdlib_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+WRITER_EDGE_CASES = [
+    {}, [], {"a": {}}, {"a": []}, [[], {}], [[[]]], {"a": {"b": {}}},
+    {"10": 1, "2": 2, "1": 3},
+    {10: "x", 2: "y", -1: "z"},
+    {True: 1, 0: 2, 3: 3},
+    {None: "null key"},
+    {False: None},
+    [0, -1, -(10 ** 40), 10 ** 40, True, False, None],
+    "",
+    "caf\u00e9 \u03b3 \U0001d53d",
+    "quote \" backslash \\ slash /",
+    "".join(map(chr, range(32))) + "\x7f",
+    {"\u00e9": ["\u2028", "\ud800"]},
+    (1, (2, [])),
+    {"f": 0.5, "g": [1e300, -0.0]},
+    7,
+    None,
+]
+
+
+def random_report(rng, depth=0):
+    """A nested value of the types a report holds, with odd strings and keys."""
+    alphabet = "ab10\"\\/\n\t\x00\x1f\u00e9\u20ac\U0001f600 "
+    kind = rng.randrange(8 if depth < 4 else 4)
+    if kind == 0:
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+    if kind == 1:
+        return rng.choice([0, 1, -1, rng.randrange(-10 ** 30, 10 ** 30)])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:
+        return rng.randrange(-5, 5) / 4
+    if kind == 4:
+        return [random_report(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 5:
+        # int keys sort as numbers; bools are ints to json too
+        keys = {rng.choice([rng.randrange(-20, 20), True, False]) for _ in range(rng.randrange(4))}
+    else:
+        keys = {"".join(rng.choice(alphabet) for _ in range(rng.randrange(4)))
+                for _ in range(rng.randrange(5))}
+    return {k: random_report(rng, depth + 1) for k in keys}
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("obj", WRITER_EDGE_CASES)
+    def test_matches_json_on_edge_cases(self, obj):
+        assert _dumps(obj) == stdlib_dumps(obj)
+
+    @pytest.mark.parametrize("obj", [{(1, 2): 0}, {"a": 1, 2: 0}, {"a": {1, 2}}, object()])
+    def test_rejects_what_json_rejects(self, obj):
+        with pytest.raises(TypeError):
+            stdlib_dumps(obj)
+        with pytest.raises(TypeError):
+            _dumps(obj)
+
+    def test_matches_json_on_random_values(self):
+        rng = random.Random(20240601)
+        for _ in range(400):
+            obj = random_report(rng)
+            assert _dumps(obj) == stdlib_dumps(obj)
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    def test_matches_json_on_a_gamma_report(self, tmp_path, capsys, monkeypatch, char):
+        reports = []
+        real_emit = qshape.cli._emit
+
+        def spy(report):
+            reports.append(report)
+            real_emit(report)
+
+        monkeypatch.setattr(qshape.cli, "_emit", spy)
+        code = main(["gamma", write_builtin(tmp_path, "truncated_polynomial", 16, char)])
+        assert code == 0
+        (report,) = reports
+        assert report["gamma"]["dim"] == 120
+        text = stdlib_dumps(report)
+        assert _dumps(report) == text
+        assert capsys.readouterr().out == text + "\n"
+
+    def test_non_integer_seed_is_an_indented_parse_error(self, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setenv("QSHAPE_SEED", "seven")
+        code = main(["check", write_builtin(tmp_path, "truncated_polynomial", 2)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert json.loads(out) == {"error": "QSHAPE_SEED must be an integer"}
+        assert out == stdlib_dumps(json.loads(out)) + "\n"
 
 
 class TestWindowEdge:

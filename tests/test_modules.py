@@ -17,7 +17,7 @@ from qshape.algebra import (
 )
 from qshape.errors import NotSelfInjective
 from qshape.fields import FieldSpec, QQ
-from qshape.linalg import Echelon, apply_row
+from qshape.linalg import Echelon, apply_row, vec_iadd_scaled
 from qshape.modules import (
     cover_of,
     direct_sum,
@@ -38,6 +38,7 @@ from qshape.modules import (
 
 from oracles import (
     cosyzygy_of,
+    dense_images,
     dual_module,
     epi_kernel,
     injective_envelope,
@@ -600,6 +601,77 @@ def test_homs_into_one_target_agree(family, n, char):
             assert first.basis_coords == second.basis_coords == fresh.basis_coords
             for q, c in enumerate(second.basis_coords):
                 assert second.basis_coeffs(second.coords_of_matrix(second.map_of(c))) == {q: one}
+
+
+def witness_homs(a):
+    ws = cover_witnesses(a)
+    return [hom_graded(m, n) for m in ws for n in ws if m.algebra is n.algebra]
+
+
+def sample_coords(hom):
+    """Each basis map, their sum (keys ascending and descending), and a map
+    with every slice coordinate set."""
+    f = hom.source.algebra.field
+    total = {}
+    for c in hom.basis_coords:
+        vec_iadd_scaled(f, total, c, f.one())
+    descending = dict(sorted(total.items(), reverse=True))
+    full = {q: f.from_int(q + 2) for q in range(hom.coord_dim)}
+    return list(hom.basis_coords) + [total, descending, full, {}]
+
+
+@pytest.mark.parametrize("family,n,char", COVER_CASES)
+def test_images_read_only_the_nonzero_coordinates(family, n, char):
+    # equal key order too: the eliminations that read the images pick their
+    # pivots in that order
+    a = builtin(family, n, FieldSpec(char))
+    for hom in witness_homs(a):
+        for c in sample_coords(hom):
+            got, ref = hom.images(c), dense_images(hom, c)
+            assert got == ref
+            assert [list(x) for x in got] == [list(x) for x in ref]
+
+
+@pytest.mark.parametrize("family,n,char", COVER_CASES)
+def test_coords_of_images_skips_zero_images(family, n, char, monkeypatch):
+    a = builtin(family, n, FieldSpec(char))
+    calls = []
+    real_express = Echelon.express
+
+    def counted(self, vec):
+        calls.append(dict(vec))
+        return real_express(self, vec)
+
+    monkeypatch.setattr(Echelon, "express", counted)
+    zero_images = 0
+    for hom in witness_homs(a):
+        for c in sample_coords(hom):
+            images = hom.images(c)
+            zero_images += images.count({})
+            calls.clear()
+            assert hom.coords_of_images(images) == c
+            assert calls == [x for x in images if x]
+    assert zero_images
+
+
+@pytest.mark.parametrize("family,n,char", COVER_CASES)
+def test_coords_of_images_rejects_an_image_outside_its_slice(family, n, char):
+    a = builtin(family, n, FieldSpec(char))
+    one = a.field.one()
+    checked = 0
+    for hom in witness_homs(a):
+        target = hom.target
+        for t, s in enumerate(hom._cov.summands):
+            # a target basis vector of another degree is outside (N_d).e_i
+            off = [j for j, d in enumerate(target.degrees) if d != s.gen_degree]
+            if not off:
+                continue
+            images = [{} for _ in hom.slices]
+            images[t] = {off[0]: one}
+            with pytest.raises(ValueError, match="leaves the idempotent slice"):
+                hom.coords_of_images(images)
+            checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("family,n,char", COVER_CASES)
