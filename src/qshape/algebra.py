@@ -23,8 +23,6 @@ from .linalg import (
     apply_row,
     span_basis,
     sparse_kernel,
-    vec_iadd_scaled,
-    vec_scale,
 )
 
 EXCEEDS_BOUND = "exceeds bound"
@@ -78,7 +76,7 @@ class GradedAlgebra:
 
     def product(self, v, w):
         f = self.field
-        mul = f.mul
+        axpy, mul = f.axpy, f.mul
         out = {}
         for i, ci in v.items():
             row = self.mult[i]
@@ -86,12 +84,12 @@ class GradedAlgebra:
                 for j, cell in row.items():
                     cj = w.get(j)
                     if cj is not None:
-                        vec_iadd_scaled(f, out, cell, mul(ci, cj))
+                        axpy(out, cell, mul(ci, cj))
             else:
                 for j, cj in w.items():
                     cell = row.get(j)
                     if cell is not None:
-                        vec_iadd_scaled(f, out, cell, mul(ci, cj))
+                        axpy(out, cell, mul(ci, cj))
         return out
 
     def component_indices(self, d):
@@ -140,12 +138,23 @@ class GradedAlgebra:
                         raise ValueError(
                             f"grading violated: b{i}*b{j} hits degree {degrees[k]}"
                         )
-        # unit laws
-        for k in range(n):
-            e = self.basis_vec(k)
-            if self.product(self.unit, e) != e or self.product(e, self.unit) != e:
-                raise ValueError("unit laws fail")
+        # unit laws, by support: u b_k is column k of the table read at
+        # supp(u), and b_k u is row k read there; a unit with a coordinate
+        # off the basis is no element of the algebra
+        axpy, one, unit = f.axpy, f.one(), self.unit
+        if not all(0 <= i < n for i in unit):
+            raise ValueError("unit laws fail")
         cols = self._cache["cols"] = columns(mult)
+        for k in range(n):
+            e = {k: one}
+            for line in (cols[k], mult[k]):
+                prod = {}
+                for i, c in unit.items():
+                    w = line.get(i)
+                    if w is not None:
+                        axpy(prod, w, c)
+                if prod != e:
+                    raise ValueError("unit laws fail")
         gens, right, live = self._generating_set(cols)
         # associativity on the triples (b_i, b_j, g), g in G.  With
         # right[t][m] = b_m * g, (b_i b_j) g reads right[t] only at
@@ -169,9 +178,9 @@ class GradedAlgebra:
                         p = i * n + j
                         acc = rhs.get(p)
                         if acc is None:
-                            rhs[p] = vec_scale(f, w, c)
+                            rhs[p] = f.scale(w, c)
                         else:
-                            vec_iadd_scaled(f, acc, w, c)
+                            axpy(acc, w, c)
             bad = []
             for p in set().union(*(by_coord[k] for k in rows)):
                 i, j = divmod(p, n)
@@ -257,7 +266,7 @@ class GradedAlgebra:
                     raise ValueError("idempotents must be concentrated in degree 0")
             if self.product(e, e) != e:
                 raise ValueError(f"idempotent {r} is not idempotent")
-            vec_iadd_scaled(f, total, e, f.one())
+            f.axpy(total, e, f.one())
         for r, e in enumerate(self.idempotents):
             for s, e2 in enumerate(self.idempotents):
                 if r != s and self.product(e, e2):
@@ -423,7 +432,7 @@ def compile_quiver(pres, field):
         for coeff, word in rel:
             app = tuple(arr_idx[n] for n in reversed(tuple(word)))
             if len(app) <= L:
-                vec_iadd_scaled(field, vec, {app: one}, field.coerce(coeff))
+                field.axpy(vec, {app: one}, field.coerce(coeff))
         gb.push(vec)
     gb.complete()
 
@@ -473,7 +482,7 @@ def compile_quiver(pres, field):
             for k, c in prev.items():
                 act = right[k].get(a)
                 if act:
-                    vec_iadd_scaled(field, out, act, c)
+                    field.axpy(out, act, c)
             if out:
                 row[j] = out
         mult.append(row)
@@ -490,7 +499,7 @@ def compile_quiver(pres, field):
     idempotents = [{trivial[v]: one} for v in pres.vertices]
     unit = {}
     for e in idempotents:
-        vec_iadd_scaled(field, unit, e, one)
+        field.axpy(unit, e, one)
 
     gens = [dict(e) for e in idempotents]
     for ai, (name, src, tgt, deg) in enumerate(arrows):
@@ -679,10 +688,10 @@ class _GroebnerBasis:
         vec = {}
         for w, x in self.tails[t].items():
             if len(w) + len(v) <= L:
-                vec_iadd_scaled(f, vec, {w + v: x}, f.one())
+                f.axpy(vec, {w + v: x}, f.one())
         for w, x in self.tails[s].items():
             if len(u) + len(w) <= L:
-                vec_iadd_scaled(f, vec, {u + w: x}, f.neg(f.one()))
+                f.axpy(vec, {u + w: x}, f.neg(f.one()))
         self.push(vec)
 
     def _push_truncations(self, t, tail):
@@ -705,7 +714,7 @@ class _GroebnerBasis:
             for q in qs:
                 vec = {}
                 for w, x in short:
-                    vec_iadd_scaled(f, vec, {p + w + q: x}, f.one())
+                    f.axpy(vec, {p + w + q: x}, f.one())
                 self.push(vec)
 
 
@@ -921,7 +930,7 @@ def center_basis(a):
         left = {m: a.product(g, basis[m]) for _, m in product_pairs(a, [g], basis)}
         by_k = {}
         for m in sorted(right.keys() | left.keys()):
-            d = vec_iadd_scaled(f, right.get(m, {}), left.get(m, {}), minus_one)
+            d = f.axpy(right.get(m, {}), left.get(m, {}), minus_one)
             for k, c in d.items():
                 by_k.setdefault(k, {})[m] = c
         rows.extend(by_k.values())

@@ -6,6 +6,11 @@ Every stored scalar is thus in one canonical form, and the integers that
 make up almost all of the rationals an elimination meets cost int
 arithmetic, not ``Fraction`` arithmetic.  No module but this one names
 ``Fraction``.
+
+The sparse-vector kernels live here too, bound per field: ``axpy`` and
+``scale`` on dicts index -> nonzero scalar (see ``FieldSpec``), with the
+scalar op written into the loop, so a row operation costs one loop step
+per entry and no call per entry.
 """
 
 from fractions import Fraction
@@ -45,12 +50,20 @@ class FieldSpec:
 
     The arithmetic ops are bound once per field in ``__init__``, so no op
     tests the characteristic when it is called.  ``muladd(y, c, x)`` is the
-    fused ``y + c*x`` of elimination's inner loop: one normalisation over
-    QQ, one ``% p`` over GF(p).
+    fused scalar ``y + c*x``: one normalisation over QQ, one ``% p`` over
+    GF(p).
+
+    ``axpy`` and ``scale`` are the sparse kernels of elimination, on dicts
+    index -> nonzero scalar in canonical form:
+    - ``axpy(acc, w, c)`` does acc += c*w in place and returns acc.  It
+      costs O(nnz(w)): an entry of w that acc lacks is appended, in w's
+      order, an entry that cancels is deleted, and the others are updated
+      where they stand.  c = 0 leaves acc unchanged.
+    - ``scale(vec, c)`` returns c*vec as a fresh dict.
     """
 
     __slots__ = ("char", "zero", "one", "from_int", "coerce", "add", "sub", "mul",
-                 "muladd", "neg", "inv", "div")
+                 "muladd", "neg", "inv", "div", "axpy", "scale")
 
     def __init__(self, char=0):
         char = int(char)
@@ -149,10 +162,37 @@ def _qq_ops():
     def div(a, b):
         return mul(a, inv(b))
 
+    # entries of w are nonzero, so c*x is nonzero for c != 0, and only a sum
+    # can cancel; a Fraction op that lands on an integer has denominator 1
+    def axpy(acc, w, c):
+        if c == 0:
+            return acc
+        get = acc.get
+        for i, x in w.items():
+            y = get(i)
+            if y is None:
+                r = c * x
+            else:
+                r = y + c * x
+                if not r:
+                    del acc[i]
+                    continue
+            acc[i] = r if type(r) is int or r.denominator != 1 else r.numerator
+        return acc
+
+    def scale(vec, c):
+        if c == 0:
+            return {}
+        out = {}
+        for i, x in vec.items():
+            r = c * x
+            out[i] = r if type(r) is int or r.denominator != 1 else r.numerator
+        return out
+
     return {"zero": _zero, "one": _one, "from_int": index,
             "coerce": _coercer("QQ", index, canon),
             "add": add, "sub": sub, "mul": mul, "muladd": muladd, "neg": neg,
-            "inv": inv, "div": div}
+            "inv": inv, "div": div, "axpy": axpy, "scale": scale}
 
 
 def _gf_ops(p):
@@ -185,10 +225,31 @@ def _gf_ops(p):
     def from_fraction(x):
         return div(x.numerator % p, x.denominator % p)
 
+    def axpy(acc, w, c):
+        if c == 0:
+            return acc
+        get = acc.get
+        for i, x in w.items():
+            y = get(i)
+            if y is None:
+                acc[i] = c * x % p
+                continue
+            y = (y + c * x) % p
+            if y:
+                acc[i] = y
+            else:
+                del acc[i]
+        return acc
+
+    def scale(vec, c):
+        if c == 0:
+            return {}
+        return {i: c * x % p for i, x in vec.items()}
+
     return {"zero": _zero, "one": _one, "from_int": from_int,
             "coerce": _coercer(f"GF({p})", from_int, from_fraction),
             "add": add, "sub": sub, "mul": mul, "muladd": muladd, "neg": neg,
-            "inv": inv, "div": div}
+            "inv": inv, "div": div, "axpy": axpy, "scale": scale}
 
 
 QQ = FieldSpec(0)

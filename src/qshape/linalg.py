@@ -2,47 +2,11 @@
 
 Vectors are dicts index -> nonzero scalar, matrices lists of such rows:
 structure constants, action matrices and hom systems are mostly zeros.
-`Echelon` is the one elimination routine; spans, kernels and coordinates
-are all read off its reduced rows.
+The row operations on them are the field's bound kernels
+(`FieldSpec.axpy` and `FieldSpec.scale`).  `Echelon` is the one
+elimination routine; spans, kernels and coordinates are all read off its
+reduced rows.
 """
-
-
-# ---------------------------------------------------------------------------
-# sparse vectors
-# ---------------------------------------------------------------------------
-
-def vec_scale(field, vec, c):
-    if field.is_zero(c):
-        return {}
-    return {i: field.mul(x, c) for i, x in vec.items()}
-
-
-def vec_iadd_scaled(field, acc, w, c):
-    """acc += c*w in place; returns acc.
-
-    Costs O(nnz(w)).  Use it where acc is a fresh local accumulator; where
-    the caller's vector must survive, use vec_add_scaled.  Entries of w are
-    nonzero, so c*x needs no zero test where acc has no entry yet.
-    """
-    if field.is_zero(c):
-        return acc
-    muladd, mul, is_zero, get = field.muladd, field.mul, field.is_zero, acc.get
-    for i, x in w.items():
-        y = get(i)
-        if y is None:
-            acc[i] = mul(c, x)
-            continue
-        y = muladd(y, c, x)
-        if is_zero(y):
-            del acc[i]
-        else:
-            acc[i] = y
-    return acc
-
-
-def vec_add_scaled(field, v, w, c):
-    """Return v + c*w as a fresh sparse vector."""
-    return vec_iadd_scaled(field, dict(v), w, c)
 
 
 class Echelon:
@@ -78,15 +42,17 @@ class Echelon:
         # column, so subtracting a row never brings in a new pivot: one pass
         # over the pivots already present in vec, in any order, reduces it
         f = self.field
+        axpy, neg = f.axpy, f.neg
         rows = self.rows
         vec = dict(vec)
         if tag is not None:
             tag = dict(tag)
+            tags = self.tags
         for p in [p for p in vec if p in rows]:
-            c = f.neg(vec[p])
-            vec_iadd_scaled(f, vec, rows[p], c)
+            c = neg(vec[p])
+            axpy(vec, rows[p], c)
             if tag is not None:
-                vec_iadd_scaled(f, tag, self.tags[p], c)
+                axpy(tag, tags[p], c)
         return vec, tag
 
     def reduce(self, vec):
@@ -109,11 +75,14 @@ class Echelon:
             return False
         lead = min(vec)
         c = f.inv(vec[lead])
-        vec = vec_scale(f, vec, c)
-        if tag is not None:
-            tag = vec_scale(f, tag, c)
+        # vec and tag are _reduce's fresh copies, so a unit pivot keeps them
+        if c != 1:
+            vec = f.scale(vec, c)
+            if tag is not None:
+                tag = f.scale(tag, c)
         rest = [k for k in vec if k != lead]
         holders = self.holders
+        axpy = f.axpy
         # back-eliminate the new pivot from the rows that hold it; only the
         # columns of vec can change in those rows
         for p in holders.pop(lead, ()):
@@ -121,9 +90,9 @@ class Echelon:
             x = f.neg(row[lead])
             # rows are handed out by basis(), so they are replaced, not
             # updated; tags stay private and are updated in place
-            row = self.rows[p] = vec_add_scaled(f, row, vec, x)
+            row = self.rows[p] = axpy(dict(row), vec, x)
             if self.tagged:
-                vec_iadd_scaled(f, self.tags[p], tag, x)
+                axpy(self.tags[p], tag, x)
             for k in rest:
                 held = holders.get(k)
                 if k in row:
@@ -198,6 +167,7 @@ def sparse_kernel(field, rows, ncols):
 def apply_row(field, vec, rows):
     """Image of a (row) vector under a row-convention matrix."""
     acc = {}
+    axpy = field.axpy
     for m, c in vec.items():
-        vec_iadd_scaled(field, acc, rows[m], c)
+        axpy(acc, rows[m], c)
     return acc

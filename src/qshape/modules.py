@@ -56,7 +56,6 @@ from .linalg import (
     apply_row,
     sparse_kernel,
     span_basis,
-    vec_iadd_scaled,
 )
 
 
@@ -72,20 +71,27 @@ class GradedModule:
         self._cache = {}
 
     def act(self, vec, alg_vec):
-        """vec . (algebra element), both as sparse coordinate vectors."""
+        """vec . (algebra element), both as sparse coordinate vectors: the
+        sum of (c_b x_m) . action[b][m] over the nonzero rows."""
         f = self.algebra.field
+        axpy, mul = f.axpy, f.mul
         out = {}
         for b, c in alg_vec.items():
-            vec_iadd_scaled(f, out, apply_row(f, vec, self.action[b]), c)
+            mat = self.action[b]
+            for m, x in vec.items():
+                row = mat[m]
+                if row:
+                    axpy(out, row, mul(c, x))
         return out
 
     def action_of(self, alg_vec):
         """Row-matrix of the right action of an algebra element."""
-        f = self.algebra.field
+        axpy = self.algebra.field.axpy
         rows = [dict() for _ in range(self.dim)]
         for b, c in alg_vec.items():
             for r, row in enumerate(self.action[b]):
-                vec_iadd_scaled(f, rows[r], row, c)
+                if row:
+                    axpy(rows[r], row, c)
         return rows
 
     def component_indices(self, d):
@@ -289,12 +295,13 @@ def _slice_basis(m, i, d):
     key = ("slice", i, d)
     if key not in m._cache:
         f = m.algebra.field
+        axpy = f.axpy
         e = primitive_idempotents(m.algebra)[i - 1]
         rows = []
         for r in m.component_indices(d):
             row = {}
             for b, c in e.items():
-                vec_iadd_scaled(f, row, m.action[b][r], c)
+                axpy(row, m.action[b][r], c)
             if row:
                 rows.append(row)
         m._cache[key] = span_basis(f, rows)
@@ -329,10 +336,11 @@ class CoverSummand:
 
     def algebra_coords(self, vec):
         """View a summand element as an element of the algebra."""
-        f = self.module.algebra.field
+        axpy = self.module.algebra.field.axpy
+        rows = self.inclusion_rows
         out = {}
         for r, c in vec.items():
-            vec_iadd_scaled(f, out, self.inclusion_rows[r], c)
+            axpy(out, rows[r], c)
         return out
 
 
@@ -538,12 +546,12 @@ class HomSpace:
         Only the nonzero coordinates are read; ascending coordinates run
         over the summands in order and over each slice basis in order.
         """
-        f = self.source.algebra.field
+        axpy = self.source.algebra.field.axpy
         images = [{} for _ in self.slices]
         coord_vecs = self._coord_vecs
         for q in sorted(coords):
             t, bvec = coord_vecs[q]
-            vec_iadd_scaled(f, images[t], bvec, coords[q])
+            axpy(images[t], bvec, coords[q])
         return images
 
     def coords_of_images(self, images):
@@ -567,7 +575,7 @@ class HomSpace:
         the sum, over the cover's section terms (t, u) of basis vector i, of
         the image of generator t acted on by u."""
         f = self.source.algebra.field
-        one = f.one()
+        axpy, one = f.axpy, f.one()
         act = self.target.act
         images = self.images(coords)
         rows = []
@@ -575,7 +583,7 @@ class HomSpace:
             out = {}
             for t, u in terms:
                 if images[t]:
-                    vec_iadd_scaled(f, out, act(images[t], u), one)
+                    axpy(out, act(images[t], u), one)
             rows.append(out)
         return rows
 
@@ -611,7 +619,8 @@ def composition_table(field, images, matrices, coords_of_images):
     only the maps j with a nonzero row r for some r in that union are
     composed.  That is exact for any maps; it needs no block structure,
     though for a direct sum most pairs of maps between different summands
-    are skipped this way.
+    are skipped this way.  A zero generator image stays zero and is not
+    sent through the matrix.
     """
     live = {}  # r -> the maps j whose matrix has a nonzero row r
     for j, mat in enumerate(matrices):
@@ -622,7 +631,8 @@ def composition_table(field, images, matrices, coords_of_images):
     for imgs in images:
         row = {}
         for j in sorted({j for r in set().union(*imgs) for j in live.get(r, ())}):
-            coords = coords_of_images([apply_row(field, x, matrices[j]) for x in imgs])
+            coords = coords_of_images([apply_row(field, x, matrices[j]) if x else {}
+                                       for x in imgs])
             if coords:
                 row[j] = coords
         mult.append(row)

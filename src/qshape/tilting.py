@@ -30,7 +30,7 @@ from .algebra import (
     EXCEEDS_BOUND,
 )
 from .errors import HypothesisViolated, NonSplitSemisimpleQuotient
-from .linalg import span_basis, vec_iadd_scaled
+from .linalg import span_basis
 from .modules import (
     direct_sum,
     is_self_injective,
@@ -147,7 +147,7 @@ class GammaData:
         self.algebra = self.stable_end.algebra
         self.block_idempotents = [{} for _ in range(self.tilting.ell)]
         for (i, _), e in zip(projectors, self.stable_end.idempotent_classes):
-            vec_iadd_scaled(f, self.block_idempotents[i], e, f.one())
+            f.axpy(self.block_idempotents[i], e, f.one())
 
 
 def tilting_endomorphism_algebra(a, gldim_bound=DEFAULT_GLDIM_BOUND):

@@ -23,6 +23,9 @@ through the hom solver (`interval_auslander`), as the reference for the
 one compiled from the mesh quiver, `dense_images` keeps the earlier
 `HomSpace.images`, which walks every slice vector of every summand, as the
 reference for the one that reads only a map's nonzero coordinates,
+`vec_iadd_scaled`, `vec_scale` and `module_act` keep the sparse row
+operations as one field op call per entry, as the reference for the
+kernels `FieldSpec` binds per field and for the fused `GradedModule.act`,
 and the module references at the end (module and map checks, the maps of a
 direct sum, duals over the opposite algebra, socles, general quotients and
 tops, injective envelopes, cosyzygies and restriction of scalars) are built
@@ -36,6 +39,45 @@ in qshape.
 
 from fractions import Fraction
 from itertools import permutations, product
+
+
+def vec_iadd_scaled(field, acc, w, c):
+    """acc += c*w in place through the field's scalar ops; returns acc.
+
+    New entries are appended in w's order, cancelled ones deleted."""
+    if field.is_zero(c):
+        return acc
+    for i, x in w.items():
+        y = acc.get(i)
+        if y is None:
+            acc[i] = field.mul(c, x)
+            continue
+        y = field.muladd(y, c, x)
+        if field.is_zero(y):
+            del acc[i]
+        else:
+            acc[i] = y
+    return acc
+
+
+def vec_scale(field, vec, c):
+    """c*vec as a fresh dict, through the field's scalar ops."""
+    if field.is_zero(c):
+        return {}
+    return {i: field.mul(x, c) for i, x in vec.items()}
+
+
+def module_act(m, vec, alg_vec):
+    """vec . (algebra element) in module m: vec is sent through the action
+    matrix of each basis element b, and that image is added times c_b."""
+    f = m.algebra.field
+    out = {}
+    for b, c in alg_vec.items():
+        img = {}
+        for r, x in vec.items():
+            vec_iadd_scaled(f, img, m.action[b][r], x)
+        vec_iadd_scaled(f, out, img, c)
+    return out
 
 
 def naive_rref(rows):
@@ -237,8 +279,6 @@ def uncached_slice_basis(m, i, d):
 def dense_images(hom, coords):
     """Generator images of the map with these slice coordinates, walking
     every slice vector of every summand of `hom` in order."""
-    from qshape.linalg import vec_iadd_scaled
-
     f = hom.source.algebra.field
     images = []
     for t, basis in enumerate(hom.slices):
@@ -514,7 +554,7 @@ def all_pairs_center(a):
     the commutators that vanish by support: for every generator g, the
     images b_m g - g b_m of all dim basis vectors."""
     from qshape.algebra import generating_vectors
-    from qshape.linalg import span_basis, sparse_kernel, vec_iadd_scaled
+    from qshape.linalg import span_basis, sparse_kernel
 
     f = a.field
     rows = []
@@ -541,7 +581,7 @@ def pairwise_compile_quiver(pres, field):
     """
     from qshape.algebra import GradedAlgebra
     from qshape.errors import VerificationFailed
-    from qshape.linalg import Echelon, span_basis, vec_iadd_scaled
+    from qshape.linalg import Echelon, span_basis
 
     L = pres.nilpotency_bound
     arrows = pres.arrows

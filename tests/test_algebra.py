@@ -30,7 +30,6 @@ from qshape.errors import (
 )
 from qshape.basechange import gamma_tensor, tensor_algebra, ungrade
 from qshape.fields import FieldSpec, QQ
-from qshape.linalg import vec_iadd_scaled
 from qshape.tilting import (
     cartan_matrix,
     compare,
@@ -53,6 +52,7 @@ from oracles import (
     naive_radical_series,
     opposite,
     pairwise_compile_quiver,
+    vec_iadd_scaled,
 )
 
 GF = FieldSpec(32003)
@@ -835,7 +835,9 @@ def broken_table(case, field):
       last coordinate of supp(xx), while xy = 0;
     - "b_i(b_j g) only": xx = u, xy = z and xz = w, so supp(xx) misses the
       rows of xy = z and (xx)y = 0, while x(xy) = w.
-    The others break k[x]/x^3 on 1, x, x^2."""
+    The others break k[x]/x^3 on 1, x, x^2; "one-sided unit" drops
+    x^2 * 1, so 1 * x^2 = x^2 but x^2 * 1 = 0, at a basis element outside
+    the support of the unit."""
     one = field.one()
     if case == "associativity":
         mult = [{i: {i: one} for i in range(5)}] + [{0: {i: one}} for i in range(1, 5)]
@@ -859,6 +861,8 @@ def broken_table(case, field):
         mult[1][1] = {2: field.zero()}
     elif case == "empty vector":
         mult[1][2] = {}  # x * x^2 = 0, stored
+    elif case == "one-sided unit":
+        del mult[2][0]
     else:  # a row in the dense format
         mult[2] = [{2: one}, {}, {}]
     return [0, 1, 2], mult
@@ -872,6 +876,7 @@ def broken_table(case, field):
     ("grading", "grading violated: b1*b1 hits degree 1"),
     ("zero scalar", "structure constants must omit zeros"),
     ("empty vector", "structure constants must omit zeros"),
+    ("one-sided unit", "unit laws fail"),
     ("dense row", "structure constant table has wrong shape"),
 ])
 def test_validation_rejects_pinned_tables(case, expected, char):
@@ -880,8 +885,22 @@ def test_validation_rejects_pinned_tables(case, expected, char):
     unit = {0: field.one()}
     if case.startswith("associativity, "):
         assert naive_failing_triples(field, mult) == [(1, 1, 2)]
+    if case == "one-sided unit":
+        assert not naive_check_algebra(field, mult, unit)
     assert dense_validate(field, degrees, mult, unit) == expected
     assert validation_error(field, degrees, mult, unit) == expected
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("extra", [3, -1])
+def test_validation_rejects_a_unit_off_the_basis(extra, char):
+    # the unit laws read the table at supp(u), so a coordinate of u that
+    # names no basis vector must fail them rather than be skipped
+    field = FieldSpec(char)
+    a = loop_algebra(3, field)
+    unit = {**a.unit, extra: field.one()}
+    assert validation_error(field, a.degrees, a.mult, a.unit) is None
+    assert validation_error(field, a.degrees, a.mult, unit) == "unit laws fail"
 
 
 _CONSTRUCTED = {

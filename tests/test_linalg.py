@@ -1,14 +1,25 @@
 """Exact linear algebra: frozen oracle values and algebraic properties."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qshape.fields import FieldSpec, QQ, check_same_field
-from qshape.linalg import Echelon, span_basis, sparse_kernel
+from qshape.linalg import Echelon, apply_row, span_basis, sparse_kernel
+from qshape.modules import GradedModule
 
-from oracles import gf_span, gf_solutions, naive_kernel, naive_rref, naive_rref_mod
+from oracles import (
+    gf_span,
+    gf_solutions,
+    module_act,
+    naive_kernel,
+    naive_rref,
+    naive_rref_mod,
+    vec_iadd_scaled,
+    vec_scale,
+)
 
 GF5 = FieldSpec(5)
 
@@ -193,7 +204,7 @@ def test_span_basis_canonical():
     st.sampled_from([0, 5]),
 )
 def test_tagged_echelon_tracks_combinations(vectors, char):
-    from qshape.linalg import Echelon, vec_add_scaled
+    from qshape.linalg import Echelon
 
     field = FieldSpec(char)
     ech = Echelon(field, tagged=True)
@@ -204,7 +215,7 @@ def test_tagged_echelon_tracks_combinations(vectors, char):
     for pivot, row in ech.rows.items():
         claimed = {}
         for j, c in ech.tags[pivot].items():
-            claimed = vec_add_scaled(field, claimed, originals[j], c)
+            field.axpy(claimed, originals[j], c)
         assert claimed == row
     # and express() must reproduce any input vector exactly
     for target in originals:
@@ -212,7 +223,7 @@ def test_tagged_echelon_tracks_combinations(vectors, char):
         assert coeffs is not None
         rebuilt = {}
         for j, c in coeffs.items():
-            rebuilt = vec_add_scaled(field, rebuilt, originals[j], c)
+            field.axpy(rebuilt, originals[j], c)
         assert rebuilt == target
 
 
@@ -225,7 +236,7 @@ def test_tagged_echelon_relations_are_a_basis_of_the_relations(vectors, char):
     # one relation per insert that reduced to zero: each one sums the
     # inserted vectors to zero, and they are independent, so with
     # rank + #relations = #inserts they span every linear relation
-    from qshape.linalg import Echelon, vec_add_scaled
+    from qshape.linalg import Echelon
 
     field = FieldSpec(char)
     ech = Echelon(field, tagged=True)
@@ -236,7 +247,7 @@ def test_tagged_echelon_relations_are_a_basis_of_the_relations(vectors, char):
     for rel in ech.relations:
         total = {}
         for j, c in rel.items():
-            total = vec_add_scaled(field, total, originals[j], c)
+            field.axpy(total, originals[j], c)
         assert total == {}
     assert len(span_basis(field, ech.relations)) == len(ech.relations)
 
@@ -385,3 +396,135 @@ def test_qq_elimination_stores_canonical_values(rows):
         assert combine(ech.tags[p]) == vec_to_list(QQ, row, n)
     for rel in ech.relations:
         assert combine(rel) == [0] * n
+
+
+# ---------------------------------------------------------------------------
+# the bound kernels against the one-op-per-entry oracle
+# ---------------------------------------------------------------------------
+
+KERNEL_CHARS = [0, 5, 32003]
+
+
+def kernel_scalars(field):
+    """Scalars of the field in canonical form, small enough over QQ and
+    near 0 and -1 over GF(32003) that sums often cancel."""
+    if field.char == 0:
+        return st.one_of(st.integers(-4, 4),
+                         st.fractions(min_value=-4, max_value=4, max_denominator=4),
+                         ).map(field.coerce)
+    p = field.char
+    return st.one_of(st.integers(0, min(p - 1, 4)), st.integers(max(0, p - 4), p - 1),
+                     st.integers(0, p - 1))
+
+
+def sparse_vectors(field, keys, max_size):
+    return st.dictionaries(keys, kernel_scalars(field).filter(lambda x: x != 0),
+                           max_size=max_size)
+
+
+def entries(vec):
+    """The items of a vector in key order, with the type of each scalar."""
+    return [(i, type(x), x) for i, x in vec.items()]
+
+
+def keeps_scalar_contract(field, vec):
+    if field.char == 0:
+        return all(is_canonical_qq(x) and x != 0 for x in vec.values())
+    return all(x in range(1, field.char) for x in vec.values())
+
+
+@st.composite
+def axpy_cases(draw):
+    """(field, acc, w, c), where some shared entries are set to cancel."""
+    field = FieldSpec(draw(st.sampled_from(KERNEL_CHARS)))
+    keys = st.integers(0, 7)
+    acc = draw(sparse_vectors(field, keys, 6))
+    w = draw(sparse_vectors(field, keys, 6))
+    c = draw(kernel_scalars(field))
+    if c != 0:
+        for i in [i for i in w if i in acc]:
+            if draw(st.booleans()):
+                acc[i] = field.neg(field.mul(c, w[i]))
+    return field, acc, w, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(axpy_cases())
+def test_axpy_and_scale_match_the_oracle(case):
+    # axpy updates acc in place and returns it, with the oracle's values
+    # and key order: new entries appended in w's order, cancelled ones
+    # deleted; c = 0 leaves acc as it was.  scale builds a fresh c * w
+    field, acc, w, c = case
+    want = vec_iadd_scaled(field, dict(acc), w, c)
+    mine = dict(acc)
+    got = field.axpy(mine, w, c)
+    assert got is mine
+    assert entries(got) == entries(want)
+    assert keeps_scalar_contract(field, got)
+    if c == 0:
+        assert entries(got) == entries(acc)
+    scaled = field.scale(w, c)
+    assert scaled is not w
+    assert entries(scaled) == entries(vec_scale(field, w, c))
+    assert keeps_scalar_contract(field, scaled)
+
+
+@st.composite
+def action_cases(draw):
+    """(field, action, vec, alg_vec): action matrices of nb basis elements
+    on a dim-dimensional space, with empty rows, and two sparse vectors."""
+    field = FieldSpec(draw(st.sampled_from(KERNEL_CHARS)))
+    dim, nb = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rows = sparse_vectors(field, st.integers(0, dim - 1), 3)
+    action = [[draw(rows) for _ in range(dim)] for _ in range(nb)]
+    vec = draw(sparse_vectors(field, st.integers(0, dim - 1), dim))
+    alg_vec = draw(sparse_vectors(field, st.integers(0, nb - 1), nb))
+    return field, action, vec, alg_vec
+
+
+@settings(max_examples=100, deadline=None)
+@given(action_cases())
+def test_apply_row_act_and_action_of_match_the_oracle(case):
+    # act sums (c_b x_m) . action[b][m] directly; the oracle sends vec
+    # through each matrix first.  Only act does only the field's ops, so a
+    # stub algebra carrying the field is enough
+    field, action, vec, alg_vec = case
+    m = GradedModule(SimpleNamespace(field=field), [0] * len(action[0]), action)
+    want_row = {}
+    for r, x in vec.items():
+        vec_iadd_scaled(field, want_row, action[0][r], x)
+    want_rows = [{} for _ in range(m.dim)]
+    for b, c in alg_vec.items():
+        for r, row in enumerate(action[b]):
+            vec_iadd_scaled(field, want_rows[r], row, c)
+    got_row = apply_row(field, vec, action[0])
+    got_act = m.act(vec, alg_vec)
+    got_rows = m.action_of(alg_vec)
+    assert got_row == want_row
+    assert got_act == module_act(m, vec, alg_vec)
+    assert got_rows == want_rows
+    for got in [got_row, got_act, *got_rows]:
+        assert keeps_scalar_contract(field, got)
+
+
+@pytest.mark.parametrize("char", KERNEL_CHARS)
+def test_echelon_holds_no_alias_of_an_inserted_vector(char):
+    # a unit pivot is not rescaled, so the stored row must still be a copy:
+    # changing the inserted vector or tag afterwards changes nothing stored
+    field = FieldSpec(char)
+    for tagged in (False, True):
+        ech = Echelon(field, tagged=tagged)
+        first = {1: field.one(), 3: field.from_int(2)}
+        second = {0: field.one(), 1: field.from_int(4)}  # reduced by first
+        third = {2: field.one(), 4: field.from_int(3)}  # nothing to reduce
+        tag = {7: field.one()} if tagged else None
+        ech.insert(first)
+        ech.insert(second, tag)
+        ech.insert(third)
+        rows = {p: dict(row) for p, row in ech.rows.items()}
+        tags = {p: dict(t) for p, t in ech.tags.items()} if tagged else None
+        for v in (first, second, third) + ((tag,) if tagged else ()):
+            v[min(v)] = field.from_int(2)
+            v[9] = field.one()
+        assert ech.rows == rows
+        assert ech.tags == tags

@@ -17,7 +17,7 @@ from qshape.algebra import (
 )
 from qshape.errors import NotSelfInjective
 from qshape.fields import FieldSpec, QQ
-from qshape.linalg import Echelon, apply_row, vec_iadd_scaled
+from qshape.linalg import Echelon, apply_row
 from qshape.modules import (
     cover_of,
     direct_sum,
@@ -55,6 +55,7 @@ from oracles import (
     uncached_slice_basis,
     validate_map,
     validate_module,
+    vec_iadd_scaled,
 )
 
 GF = FieldSpec(32003)
@@ -447,8 +448,6 @@ class TestInternalRoundtrips:
 def map_by_projecting_the_section(hom, coords):
     """Reference map_of: project the section row of every basis vector onto
     each cover summand and read the block as an algebra element, per map."""
-    from qshape.linalg import vec_iadd_scaled
-
     cov = cover_of(hom.source)
     f = hom.source.algebra.field
     projections = sum_maps([s.module for s in cov.summands])[2] if cov.summands else []

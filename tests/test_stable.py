@@ -208,6 +208,56 @@ def counted_compositions(monkeypatch, module):
     return calls
 
 
+def test_composition_table_sends_only_nonzero_images_through_a_matrix(monkeypatch):
+    # on the Gamma of truncated_polynomial 16, each composed pair (i, j)
+    # sends the nonzero generator images of map i, and only those, through
+    # the matrix of map j, one apply_row each; the table is the one that
+    # sends every image through
+    real_apply = qshape.modules.apply_row
+    sent, tables = [], []
+    inside = [False]
+
+    def spy_apply(field, vec, rows):
+        if inside[0]:
+            sent.append(vec)
+        return real_apply(field, vec, rows)
+
+    def spy_table(field, images, matrices, coords_of_images):
+        def coords(composed):
+            inside[0] = False
+            try:
+                return coords_of_images(composed)
+            finally:
+                inside[0] = True
+        inside[0] = True
+        try:
+            table = composition_table(field, images, matrices, coords)
+        finally:
+            inside[0] = False
+        tables.append((images, matrices, coords_of_images, table))
+        return table
+
+    monkeypatch.setattr(qshape.modules, "apply_row", spy_apply)
+    monkeypatch.setattr(qshape.stable, "composition_table", spy_table)
+    tilting_endomorphism_algebra(builtin("truncated_polynomial", 16, QQ))
+    (images, matrices, coords_of_images, table), = tables
+    expected, reference = [], []
+    for imgs in images:
+        rows = set().union(*imgs)
+        composed = [j for j, mat in enumerate(matrices) if any(mat[r] for r in rows)]
+        expected += [x for j in composed for x in imgs if x]
+        ref = {}
+        for j in composed:
+            c = coords_of_images([real_apply(QQ, x, matrices[j]) for x in imgs])
+            if c:
+                ref[j] = c
+        reference.append(ref)
+    assert len(table) == 120
+    assert any(not x for imgs in images for x in imgs)
+    assert all(sent) and sent == expected
+    assert table == reference
+
+
 def crosses_summands(rows, block):
     """Whether a matrix has an entry from one summand into another."""
     return any(block[r] != block[s] for r, row in enumerate(rows) for s in row)

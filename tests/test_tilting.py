@@ -12,7 +12,6 @@ from qshape.algebra import (
 )
 from qshape.errors import HypothesisViolated
 from qshape.fields import FieldSpec, QQ
-from qshape.linalg import vec_iadd_scaled
 from qshape.modules import is_projective, projective, shift, truncate_le
 from qshape.tilting import (
     canonical_matrix,
@@ -37,6 +36,7 @@ from oracles import (
     naive_cartan,
     opposite,
     socle,
+    vec_iadd_scaled,
 )
 
 GF = FieldSpec(32003)
