@@ -44,7 +44,6 @@ from .modules import (
 from .stable import (
     ExtCertificate,
     StableHomSpace,
-    factor_through_projectives,
     stable_ext_table,
     stable_hom,
 )

@@ -957,6 +957,39 @@ def primitive_idempotents(a):
     return a.idempotents
 
 
+def corners(a, vectors):
+    """C[u][v] = the reduced echelon basis of span{e_u x e_v : x in vectors}
+    over the declared primitive idempotents.
+
+    The products x e_v do not depend on e_u, so they are formed once per
+    e_v, and the zero ones are dropped, since e_u 0 = 0 adds nothing to a
+    span.  Both rounds form only the products that `product_pairs` allows:
+    any other x e_v or e_u (x e_v) is zero by support.  So the cost is the
+    pairs whose supports meet a stored product, not s*|vectors| +
+    s^2*(nonzero x e_v) for s idempotents.
+
+    The idempotents have degree 0, so the corner products of homogeneous
+    vectors are homogeneous, and so is every row of their reduced echelon
+    basis: that basis is unique, and the union of the reduced bases of the
+    degree components is one.
+    """
+    f = a.field
+    idems = primitive_idempotents(a)
+    right = [[] for _ in idems]  # per e_v, the nonzero x e_v
+    for s, v in product_pairs(a, vectors, idems):
+        p = a.product(vectors[s], idems[v])
+        if p:
+            right[v].append(p)
+    out = [[None] * len(idems) for _ in idems]
+    for v, prods in enumerate(right):
+        left = [[] for _ in idems]
+        for u, s in product_pairs(a, idems, prods):
+            left[u].append(a.product(idems[u], prods[s]))
+        for u, vecs in enumerate(left):
+            out[u][v] = span_basis(f, vecs)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # degree-zero part, global dimension
 # ---------------------------------------------------------------------------

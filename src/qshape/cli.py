@@ -353,6 +353,19 @@ def _witnesses(a, tilting):
     return witnesses
 
 
+def _base_change(a, coeff, gamma, gldim_bound):
+    """(checks, gamma_tensor block) of base change along coeff: the hom
+    check of every ordered pair of witnesses, by "m|n" name in sorted
+    order, and dim Gamma (x) A against dim Gamma * dim A."""
+    tensor = tensor_algebra(a, coeff)
+    witnesses = sorted(_witnesses(a, gamma.tilting.module).items())
+    checks = {f"{name_m}|{name_n}": base_change_hom_check(m, n, tensor)
+              for name_m, m in witnesses for name_n, n in witnesses}
+    dim = gamma_tensor(a, coeff, gldim_bound).dim
+    expected = gamma.algebra.dim * coeff.dim
+    return checks, {"dim": dim, "expected_dim": expected, "pass": dim == expected}
+
+
 def cmd_basechange(args, seed):
     a, field, echo, digest = _load_algebra_file(args.file)
     a2, field2, echo2, digest2 = _load_algebra_file(getattr(args, "with"))
@@ -372,27 +385,13 @@ def cmd_basechange(args, seed):
         report["error"] = str(e)
         _emit(report)
         return EXIT_HYPOTHESIS
-    tensor = tensor_algebra(a, coeff)
-    witnesses = _witnesses(a, gamma.tilting.module)
-    checks = {}
-    all_pass = True
-    for name_m, m in sorted(witnesses.items()):
-        for name_n, n in sorted(witnesses.items()):
-            res = base_change_hom_check(m, n, tensor)
-            checks[f"{name_m}|{name_n}"] = res
-            all_pass = all_pass and res["pass"]
-    gt = gamma_tensor(a, coeff, args.gldim_bound)
-    gamma_dim = gamma.algebra.dim
+    checks, gt = _base_change(a, coeff, gamma, args.gldim_bound)
+    all_pass = all(res["pass"] for res in checks.values())
     report["hom_checks"] = checks
     report["all_hom_checks_pass"] = all_pass
-    report["gamma_tensor"] = {
-        "dim": gt.dim,
-        "expected_dim": gamma_dim * coeff.dim,
-        "pass": gt.dim == gamma_dim * coeff.dim,
-    }
+    report["gamma_tensor"] = gt
     _emit(report)
-    ok = all_pass and report["gamma_tensor"]["pass"]
-    return EXIT_OK if ok else EXIT_FAILED_CHECK
+    return EXIT_OK if all_pass and gt["pass"] else EXIT_FAILED_CHECK
 
 
 def _verify_one_field(family, parameter, field):
@@ -414,8 +413,7 @@ def _verify_one_field(family, parameter, field):
     verdicts["gamma_dim"] = gamma.algebra.dim
     verdicts["comparison"] = {"reference": ref_name, "verdict": cmp_verdict.as_dict()}
 
-    td = gamma.tilting
-    cert = ExtCertificate(td.module)
+    cert = ExtCertificate(gamma.tilting.module)
     if not cert.holds:
         raise ValueError(f"Ext degree certificate fails: {cert.as_dict()}")
     verdicts["ext_certificate"] = cert.as_dict()
@@ -432,17 +430,10 @@ def _verify_one_field(family, parameter, field):
             "dual_numbers": ungrade(builtin("truncated_polynomial", 2, field)),
             "upper_triangular_2": reference_upper_triangular(2, field),
         }
-        witnesses = _witnesses(a, td.module).values()
         bc_pass = True
         for coeff in coeffs.values():
-            tensor = tensor_algebra(a, coeff)
-            for m in witnesses:
-                for n in witnesses:
-                    if not base_change_hom_check(m, n, tensor)["pass"]:
-                        bc_pass = False
-            gt = gamma_tensor(a, coeff)
-            if gt.dim != gamma.algebra.dim * coeff.dim:
-                bc_pass = False
+            checks, gt = _base_change(a, coeff, gamma, DEFAULT_GLDIM_BOUND)
+            bc_pass = bc_pass and gt["pass"] and all(r["pass"] for r in checks.values())
         verdicts["base_change_pass"] = bc_pass
 
     code = EXIT_OK

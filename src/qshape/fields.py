@@ -62,8 +62,8 @@ class FieldSpec:
     - ``scale(vec, c)`` returns c*vec as a fresh dict.
     """
 
-    __slots__ = ("char", "zero", "one", "from_int", "coerce", "add", "sub", "mul",
-                 "muladd", "neg", "inv", "div", "axpy", "scale")
+    __slots__ = ("char", "zero", "one", "from_int", "coerce", "add", "mul",
+                 "muladd", "neg", "inv", "axpy", "scale")
 
     def __init__(self, char=0):
         char = int(char)
@@ -118,7 +118,7 @@ def _coercer(name, from_int, from_fraction):
 def _qq_ops():
     # a Fraction op returns lowest terms, so the only canonicalisation left
     # is denominator 1 -> int; the int test first keeps the common case
-    # cheap, and the four ops of the inner loops inline it to save a call
+    # cheap, and the three ops of the inner loops inline it to save a call
     def canon(r):
         if type(r) is int or r.denominator != 1:
             return r
@@ -126,12 +126,6 @@ def _qq_ops():
 
     def add(a, b):
         r = a + b
-        if type(r) is int or r.denominator != 1:
-            return r
-        return r.numerator
-
-    def sub(a, b):
-        r = a - b
         if type(r) is int or r.denominator != 1:
             return r
         return r.numerator
@@ -158,9 +152,6 @@ def _qq_ops():
             raise ZeroDivisionError("inverse of zero")
         # Fraction(1) / a, never 1 / a: the latter is a float for an int a
         return canon(Fraction(1) / a)
-
-    def div(a, b):
-        return mul(a, inv(b))
 
     # entries of w are nonzero, so c*x is nonzero for c != 0, and only a sum
     # can cancel; a Fraction op that lands on an integer has denominator 1
@@ -191,8 +182,8 @@ def _qq_ops():
 
     return {"zero": _zero, "one": _one, "from_int": index,
             "coerce": _coercer("QQ", index, canon),
-            "add": add, "sub": sub, "mul": mul, "muladd": muladd, "neg": neg,
-            "inv": inv, "div": div, "axpy": axpy, "scale": scale}
+            "add": add, "mul": mul, "muladd": muladd, "neg": neg,
+            "inv": inv, "axpy": axpy, "scale": scale}
 
 
 def _gf_ops(p):
@@ -201,9 +192,6 @@ def _gf_ops(p):
 
     def add(a, b):
         return (a + b) % p
-
-    def sub(a, b):
-        return (a - b) % p
 
     def mul(a, b):
         return (a * b) % p
@@ -219,11 +207,8 @@ def _gf_ops(p):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, p)
 
-    def div(a, b):
-        return (a * inv(b)) % p
-
     def from_fraction(x):
-        return div(x.numerator % p, x.denominator % p)
+        return x.numerator * inv(x.denominator % p) % p
 
     def axpy(acc, w, c):
         if c == 0:
@@ -248,8 +233,8 @@ def _gf_ops(p):
 
     return {"zero": _zero, "one": _one, "from_int": from_int,
             "coerce": _coercer(f"GF({p})", from_int, from_fraction),
-            "add": add, "sub": sub, "mul": mul, "muladd": muladd, "neg": neg,
-            "inv": inv, "div": div, "axpy": axpy, "scale": scale}
+            "add": add, "mul": mul, "muladd": muladd, "neg": neg,
+            "inv": inv, "axpy": axpy, "scale": scale}
 
 
 QQ = FieldSpec(0)

@@ -336,12 +336,7 @@ class CoverSummand:
 
     def algebra_coords(self, vec):
         """View a summand element as an element of the algebra."""
-        axpy = self.module.algebra.field.axpy
-        rows = self.inclusion_rows
-        out = {}
-        for r, c in vec.items():
-            axpy(out, rows[r], c)
-        return out
+        return apply_row(self.module.algebra.field, vec, self.inclusion_rows)
 
 
 class ProjectiveCover:

@@ -31,39 +31,17 @@ from .modules import (
 )
 
 
-def factor_through_projectives(m, n):
-    """Basis of the subspace of hom(m, n) of maps factoring through a projective.
-
-    Returned as (hom_space, coefficient_vectors) where the vectors are over
-    hom_space.basis_coords.  When hom(m, n) is 0 so is the subspace, and
-    hom(m, P) for the cover P of n is never solved.  Otherwise each basis
-    map h of hom(m, P) is composed with the cover epi in generator
-    coordinates: the generator images of h followed by the epi are the
-    generator images of the composite, so no matrix is built.
-    """
-    hom = hom_graded(m, n)
-    if hom.dim == 0:
-        return hom, []
-    f = m.algebra.field
-    cov = cover_of(n)
-    epi = cov.epi_rows
-    lifted = hom_graded(m, cov.module)
-    ech = Echelon(f)
-    for c in lifted.basis_coords:
-        images = [apply_row(f, x, epi) for x in lifted.images(c)]
-        coeffs = hom.basis_coeffs(hom.coords_of_images(images))
-        if coeffs is None:
-            raise ValueError("factoring map escaped the hom space")
-        ech.insert(coeffs)
-    return hom, ech.basis()
-
-
 class StableHomSpace:
     """hom(m, n) together with the factoring subspace and representatives.
 
-    Coefficients live over hom.basis_coords; representatives are the basis
-    maps at the non-pivot positions of the echelonized factoring subspace,
-    so dim representatives + dim factoring = total dim.
+    `factoring` is an Echelon of the maps that factor through a projective,
+    as coefficient vectors over hom.basis_coords.  When hom(m, n) is 0 so
+    is the subspace, and hom(m, P) for the cover P of n is never solved.
+    Otherwise each basis map h of hom(m, P) is composed with the cover epi
+    in generator coordinates: the generator images of h followed by the
+    epi are the generator images of the composite, so no matrix is built.
+    Representatives are the basis maps at the non-pivot positions, so
+    dim representatives + dim factoring = hom.dim.
     """
 
     def __init__(self, m, n):
@@ -72,13 +50,20 @@ class StableHomSpace:
         f = m.algebra.field
         self.source = m
         self.target = n
-        self.hom, self.factoring_coeffs = factor_through_projectives(m, n)
-        self.total_dim = self.hom.dim
-        self._fact_ech = Echelon(f)
-        for c in self.factoring_coeffs:
-            self._fact_ech.insert(c)
-        pivots = set(self._fact_ech.rows)
-        self.rep_positions = [q for q in range(self.total_dim) if q not in pivots]
+        self.hom = hom = hom_graded(m, n)
+        self.factoring = Echelon(f)
+        if hom.dim:
+            cov = cover_of(n)
+            epi = cov.epi_rows
+            lifted = hom_graded(m, cov.module)
+            for c in lifted.basis_coords:
+                images = [apply_row(f, x, epi) for x in lifted.images(c)]
+                coeffs = hom.basis_coeffs(hom.coords_of_images(images))
+                if coeffs is None:
+                    raise ValueError("factoring map escaped the hom space")
+                self.factoring.insert(coeffs)
+        pivots = self.factoring.rows
+        self.rep_positions = [q for q in range(hom.dim) if q not in pivots]
         self._rep_index = {q: i for i, q in enumerate(self.rep_positions)}
 
     @property
@@ -102,7 +87,7 @@ class StableHomSpace:
         c = self.hom.basis_coeffs(coords)
         if c is None:
             raise ValueError("map is not a module map in this hom space")
-        residual = self._fact_ech.reduce(c)
+        residual = self.factoring.reduce(c)
         return {self._rep_index[q]: x for q, x in residual.items()}
 
 

@@ -20,6 +20,7 @@ from .algebra import (
     QuiverPresentation,
     center_basis,
     compile_quiver,
+    corners,
     degree_zero_part,
     global_dimension_bounded,
     jacobson_radical,
@@ -30,7 +31,6 @@ from .algebra import (
     EXCEEDS_BOUND,
 )
 from .errors import HypothesisViolated, NonSplitSemisimpleQuotient
-from .linalg import span_basis
 from .modules import (
     direct_sum,
     is_self_injective,
@@ -268,35 +268,8 @@ def reference_subcategory_algebra(a):
 
 def cartan_matrix(a):
     """C[u][v] = dim e_u A e_v over the primitive idempotents."""
-    return _corner_dims(a, [a.basis_vec(m) for m in range(a.dim)])
-
-
-def _corner_dims(a, vectors):
-    """D[u][v] = dim span{e_u x e_v : x in vectors} over the primitive
-    idempotents.
-
-    The products x e_v do not depend on e_u, so they are formed once per
-    e_v, and the zero ones are dropped, since e_u 0 = 0 adds nothing to a
-    span.  Both rounds form only the products that `product_pairs` allows:
-    any other x e_v or e_u (x e_v) is zero by support.  So the cost is the
-    pairs whose supports meet a stored product, not s*|vectors| +
-    s^2*(nonzero x e_v) for s idempotents, with the same spans.
-    """
-    f = a.field
-    idems = primitive_idempotents(a)
-    right = [[] for _ in idems]  # per e_v, the nonzero x e_v
-    for s, v in product_pairs(a, vectors, idems):
-        p = a.product(vectors[s], idems[v])
-        if p:
-            right[v].append(p)
-    dims = [[0] * len(idems) for _ in idems]
-    for v, prods in enumerate(right):
-        left = [[] for _ in idems]
-        for u, s in product_pairs(a, idems, prods):
-            left[u].append(a.product(idems[u], prods[s]))
-        for u, vecs in enumerate(left):
-            dims[u][v] = len(span_basis(f, vecs))
-    return tuple(tuple(row) for row in dims)
+    basis = [a.basis_vec(m) for m in range(a.dim)]
+    return tuple(tuple(len(b) for b in row) for row in corners(a, basis))
 
 
 def canonical_matrix(mat):
@@ -407,16 +380,16 @@ class AlgebraFingerprint:
 def _simples(a, rad):
     """(num_simples, block_dims, cartan) from the declared idempotents.
 
-    With C[u][v] = dim e_u A e_v and R[u][v] = dim e_u rad e_v, the
-    difference is dim e_u (A/rad) e_v.  e_u is primitive with a split top
-    exactly when that is 1 for v = u; otherwise NonSplitSemisimpleQuotient
-    is raised.  For such idempotents the simple tops of e_u A and e_v A are
+    With C[u][v] = dim e_u A e_v and R[u][v] = dim e_u rad e_v, both read
+    off `corners`, the difference is dim e_u (A/rad) e_v.  e_u is primitive
+    with a split top exactly when that is 1 for v = u; otherwise
+    NonSplitSemisimpleQuotient is raised.  For such idempotents the simple tops of e_u A and e_v A are
     isomorphic exactly when the difference is nonzero, and a class of s
     isomorphic simples is one s x s matrix block of A/rad.
     """
     cartan = cartan_matrix(a)
-    radical = _corner_dims(a, rad.basis)
-    tops = [[c - r for c, r in zip(crow, rrow)] for crow, rrow in zip(cartan, radical)]
+    radical = corners(a, rad.basis)
+    tops = [[c - len(r) for c, r in zip(crow, rrow)] for crow, rrow in zip(cartan, radical)]
     if any(row[u] != 1 for u, row in enumerate(tops)):
         raise NonSplitSemisimpleQuotient("a declared idempotent is not primitive with a split top")
     sizes = {}

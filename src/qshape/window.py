@@ -4,10 +4,12 @@ Objects are pairs (i, j) with i a 1-based idempotent index and j a shift in
 [lo, hi].  A degree-0 map P_i(j) -> P_i'(j') is determined by the image of
 the generator e_i, which lives in the bimodule slice e_i' . Lambda_{j'-j} . e_i,
 and composition is multiplication in the algebra.  The window stores those
-slices and their radical parts (slices of the Jacobson radical) and checks
-finiteness, local boundedness, the identity-plus-radical splitting of
-endomorphism rings, radical nilpotency, and Serre duality dimensions with a
-nondegenerate composition pairing.
+slices and their radical parts e_i' . R_{j'-j} . e_i, R the Jacobson
+radical: the idempotent corners (`algebra.corners`) of the basis and of
+the radical basis, split by degree.  It checks finiteness, local
+boundedness, the identity-plus-radical splitting of endomorphism rings,
+radical nilpotency, and Serre duality dimensions with a nondegenerate
+composition pairing.
 
 "Distinct objects" in the splitting property means distinct (i, j) labels;
 over a basic algebra distinct labels give non-isomorphic objects, and the
@@ -20,9 +22,9 @@ once per class, with |j' - j| <= hi - lo, and the Serre image D(Lambda e_i)
 is built once per vertex and shifted.
 """
 
-from .algebra import jacobson_radical, primitive_idempotents, product_pairs
+from .algebra import corners, jacobson_radical, primitive_idempotents, product_pairs
 from .errors import NotSelfInjective
-from .linalg import Echelon, span_basis
+from .linalg import Echelon
 from .modules import (
     Submodule,
     _slice_basis,
@@ -47,59 +49,23 @@ class QWindow:
         self.objects = [(i, j) for j in range(lo, hi + 1) for i in range(1, self.n + 1)]
         self.max_degree = max(a.degrees) if a.dim else 0
 
-        f = a.field
-        rad_ech = Echelon(f)
-        rad_ech.extend(jacobson_radical(a).basis)
-
-        # the slice e_tgt Lambda_d e_src is spanned by e_tgt (b_m e_src) over
-        # the b_m of degree d; only the products that `product_pairs` allows
-        # are formed, the others being zero
-        idems = self.idempotents
-        spanning = {}  # (src, tgt, d) -> the nonzero e_tgt (b_m e_src), by m
+        # the Jacobson radical of a Z-graded ring is a graded ideal (Bergman,
+        # On Jacobson radicals of graded rings, 1975), so its reduced basis
+        # is homogeneous, and so are the rows of its corners
         basis = [a.basis_vec(m) for m in range(a.dim)]
-        right = [[] for _ in idems]  # per source, (m, b_m e_src) when nonzero
-        for m, s in product_pairs(a, basis, idems):
-            p = a.product(basis[m], idems[s])
-            if p:
-                right[s].append((m, p))
-        for s, pairs in enumerate(right):
-            prods = [p for _, p in pairs]
-            for t, r in product_pairs(a, idems, prods):
-                q = a.product(idems[t], prods[r])
-                if q:
-                    key = (s + 1, t + 1, a.degrees[pairs[r][0]])
-                    spanning.setdefault(key, []).append(q)
-        self._slice = {}
-        self._rad_slice = {}
-        for d in range(0, self.max_degree + 1):
-            for src in range(1, self.n + 1):
-                for tgt in range(1, self.n + 1):
-                    span = span_basis(f, spanning.get((src, tgt, d), []))
-                    self._slice[(src, tgt, d)] = span
-                    self._rad_slice[(src, tgt, d)] = [v for v in span if rad_ech.contains(v)]
+        self._slice = _by_shift_class(a, corners(a, basis))
+        self._rad_slice = _by_shift_class(a, corners(a, jacobson_radical(a).basis))
 
     def hom_basis(self, q, qp):
         """Basis of maps q -> qp, as generator images inside the algebra."""
-        (i, j), (ip, jp) = q, qp
-        d = jp - j
-        if d < 0 or d > self.max_degree:
-            return []
-        return self._slice[(i, ip, d)]
+        return self._slice.get((q[0], qp[0], qp[1] - q[1]), [])
 
     def radical_basis(self, q, qp):
-        """The radical part of hom(q, qp).
-
-        Between distinct labels everything is radical (positive degree, or a
-        degree-0 slice of the Jacobson radical over a basic algebra); on an
-        endomorphism ring it is the degree-0 radical slice.
-        """
-        (i, j), (ip, jp) = q, qp
-        d = jp - j
-        if d < 0 or d > self.max_degree:
-            return []
-        if q != qp and d > 0:
-            return self._slice[(i, ip, d)]
-        return self._rad_slice[(i, ip, 0)]
+        """The radical part of hom(q, qp): the slice e_i' R_d e_i of the
+        Jacobson radical R.  Over a non-negative grading R holds every
+        positive degree, so between distinct labels everything is radical
+        (positive degree, or a degree-0 slice of R over a basic algebra)."""
+        return self._rad_slice.get((q[0], qp[0], qp[1] - q[1]), [])
 
     def hom_dim(self, q, qp):
         return len(self.hom_basis(q, qp))
@@ -118,6 +84,23 @@ class QWindow:
             for qp in self.objects
             if self.hom_dim(q, qp)
         }
+
+
+def _by_shift_class(a, corner_bases):
+    """{(s, t, d): the rows of degree d >= 0 of corner (t, s)}, with 1-based
+    s and t, in pivot order: the slices e_t V_d e_s of the span V whose
+    corners are given.  Each row is homogeneous (`corners`), so its degree
+    is that of any entry.  The checks take maps never to lower the shift,
+    as over a non-negative grading, so rows of negative degree are left
+    out."""
+    out = {}
+    for t, row in enumerate(corner_bases):
+        for s, rows in enumerate(row):
+            for vec in rows:
+                d = a.degrees[next(iter(vec))]
+                if d >= 0:
+                    out.setdefault((s + 1, t + 1, d), []).append(vec)
+    return out
 
 
 def build_window(a, lo, hi):

@@ -209,7 +209,7 @@ def naive_hom_basis(module_m, module_n):
                     c = an[t].get(s)
                     if c is not None:
                         key = var(r, t)
-                        row[key] = f.sub(row.get(key, f.zero()), c)
+                        row[key] = f.add(row.get(key, f.zero()), f.neg(c))
                 row = {k: v for k, v in row.items() if not f.is_zero(v)}
                 if row:
                     rows.append(row)
@@ -497,18 +497,23 @@ def naive_radical_series(field, mult, basis):
     return series, len(series) + 1
 
 
-def naive_cartan(field, mult, idempotents):
-    """C[u][v] = dim e_u A e_v, spanned by e_u (b_m e_v) for every basis
-    vector b_m, each product formed anew for every pair (u, v)."""
+def naive_corners(field, mult, idempotents, vectors):
+    """C[u][v] = the reduced echelon rows of span{e_u (x e_v) : x in
+    vectors}, each product formed anew for every pair (u, v) and reduced
+    by textbook dense elimination."""
     n = len(mult)
     times = lambda v, w: _naive_times(field, mult, v, w)
-    return tuple(
-        tuple(
-            _naive_rank(field, [times(eu, times({m: field.one()}, ev)) for m in range(n)], n)[0]
-            for ev in idempotents
-        )
-        for eu in idempotents
-    )
+    return [[_naive_rank(field, [times(eu, times(x, ev)) for x in vectors], n)[1]
+             for ev in idempotents]
+            for eu in idempotents]
+
+
+def naive_cartan(field, mult, idempotents):
+    """C[u][v] = dim e_u A e_v, spanned by e_u (b_m e_v) for every basis
+    vector b_m."""
+    basis = [{m: field.one()} for m in range(len(mult))]
+    return tuple(tuple(len(rows) for rows in row)
+                 for row in naive_corners(field, mult, idempotents, basis))
 
 
 def all_pairs_radical(a):

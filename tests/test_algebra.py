@@ -13,6 +13,7 @@ from qshape.algebra import (
     builtin,
     center_basis,
     compile_quiver,
+    corners,
     degree_zero_part,
     generating_vectors,
     global_dimension_bounded,
@@ -48,6 +49,7 @@ from oracles import (
     interval_auslander,
     naive_cartan,
     naive_check_algebra,
+    naive_corners,
     naive_failing_triples,
     naive_radical_series,
     opposite,
@@ -529,6 +531,23 @@ def test_dense_change_of_basis_keeps_every_invariant(name, char):
         for qp in w.objects:
             assert w.hom_dim(q, qp) == w_base.hom_dim(q, qp)
             assert len(w.radical_basis(q, qp)) == len(w_base.radical_basis(q, qp))
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("name", _PAIR_INSTANCES)
+def test_corners_are_the_naive_corners_of_the_basis_and_the_radical(name, char):
+    # the one corner routine gives the reduced rows of every e_u x e_v span
+    # exactly, with homogeneous rows, for the basis (Cartan matrix, window
+    # slices) and the radical basis (radical corners, window radicals)
+    a = unitriangular_changed(_radical_instance(name, char))
+    f, idems = a.field, a.idempotents
+    for vectors in ([a.basis_vec(m) for m in range(a.dim)], jacobson_radical(a).basis):
+        got = corners(a, vectors)
+        assert got == naive_corners(f, a.mult, idems, vectors)
+        assert all(len({a.degrees[k] for k in vec}) == 1
+                   for row in got for rows in row for vec in rows)
+    # the radical is the direct sum of its corners
+    assert sum(len(rows) for row in got for rows in row) == len(jacobson_radical(a).basis)
 
 
 def test_fingerprint_forms_only_the_products_supports_allow(monkeypatch):

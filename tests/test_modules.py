@@ -231,8 +231,9 @@ def rescaled(a):
     Lambda/rad take values other than 0 and 1."""
     f = a.field
     s = [f.from_int(k + 2) for k in range(a.dim)]
-    move = lambda v: {k: f.div(c, s[k]) for k, c in v.items()}
-    mult = [{j: {k: f.div(f.mul(f.mul(s[i], s[j]), c), s[k]) for k, c in w.items()}
+    inv = [f.inv(x) for x in s]
+    move = lambda v: {k: f.mul(c, inv[k]) for k, c in v.items()}
+    mult = [{j: {k: f.mul(f.mul(f.mul(s[i], s[j]), c), inv[k]) for k, c in w.items()}
              for j, w in row.items()} for i, row in enumerate(a.mult)]
     return GradedAlgebra(f, a.degrees, mult, move(a.unit),
                          idempotents=[move(e) for e in a.idempotents],

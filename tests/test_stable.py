@@ -25,7 +25,6 @@ from qshape.modules import (
 from qshape.stable import (
     ExtCertificate,
     StableEnd,
-    factor_through_projectives,
     stable_ext_table,
     stable_hom,
 )
@@ -43,23 +42,30 @@ def trunc(n, field=QQ):
     return builtin("truncated_polynomial", n, field)
 
 
+def factoring_span(m, n):
+    """hom(m, n) and the reduced basis of the coefficients, over its
+    basis_coords, of the maps that factor through a projective."""
+    sh = stable_hom(m, n)
+    return sh.hom, sh.factoring.basis()
+
+
 class TestFactoring:
     def test_projective_target_everything_factors(self):
         a = trunc(2)
         m = simple(a, 1)
-        hom, coeffs = factor_through_projectives(m, regular(a))
+        hom, coeffs = factoring_span(m, regular(a))
         assert len(coeffs) == hom.dim
 
     def test_projective_source_everything_factors(self):
         a = trunc(2)
-        hom, coeffs = factor_through_projectives(regular(a), simple(a, 1))
+        hom, coeffs = factoring_span(regular(a), simple(a, 1))
         assert hom.dim == 1
         assert len(coeffs) == 1
 
     def test_simple_to_simple_over_dual_numbers(self):
         a = trunc(2)
         s = simple(a, 1)
-        hom, coeffs = factor_through_projectives(s, s)
+        hom, coeffs = factoring_span(s, s)
         assert hom.dim == 1
         assert coeffs == []  # hom(S, regular) = 0, so nothing factors
 
@@ -95,7 +101,7 @@ def test_factoring_coordinates_match_matrix_path(family, char):
     seen_zero = seen_partial = False
     for m in sources:
         for n in (t, syzygy(t), simple(a, 1)):
-            hom, coeffs = factor_through_projectives(m, n)
+            hom, coeffs = factoring_span(m, n)
             assert (hom.dim, coeffs) == factoring_by_matrices(m, n)
             seen_zero |= hom.dim == 0
             seen_partial |= 0 < len(coeffs) < hom.dim
@@ -113,7 +119,7 @@ class TestStableHom:
         a = trunc(2)
         s = simple(a, 1)
         sh = stable_hom(s, s)
-        assert sh.total_dim == 1
+        assert sh.hom.dim == 1
         assert sh.dim == 1
 
     def test_semisimple_algebra_everything_vanishes(self):

@@ -6,7 +6,7 @@ import pytest
 
 import qshape.modules
 import qshape.window
-from qshape.algebra import QuiverPresentation, builtin, compile_quiver
+from qshape.algebra import GradedAlgebra, QuiverPresentation, builtin, compile_quiver
 from qshape.errors import NotSelfInjective
 from qshape.fields import QQ, FieldSpec
 from qshape.modules import dual_of_regular, hom_graded, projective, regular, shift
@@ -118,6 +118,23 @@ class TestProperties:
         rep = check_window_properties(w)
         assert rep["all_pass"]
         assert rep["property_4"]["window_radical_nilpotency"] == 1
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    def test_radical_not_spanned_by_slice_rows(self, char):
+        # k[x]/x^2 in degree 0 on the basis c0 = 1, c1 = 1 + x, idempotent
+        # c0: the radical is the line of c1 - c0, and the reduced rows of
+        # the slice, c0 and c1, hold no radical vector
+        f = FieldSpec(char)
+        one = f.one()
+        mult = [{0: {0: one}, 1: {1: one}},
+                {0: {1: one}, 1: {0: f.neg(one), 1: f.from_int(2)}}]
+        a = GradedAlgebra(f, [0, 0], mult, {0: one}, idempotents=[{0: one}])
+        w = build_window(a, 0, 0)
+        assert w.hom_basis((1, 0), (1, 0)) == [{0: one}, {1: one}]
+        assert w.radical_basis((1, 0), (1, 0)) == [{0: one, 1: f.neg(one)}]
+        rep = check_window_properties(w)
+        assert rep["property_3"]["identity_splitting"] and rep["property_3"]["pass"]
+        assert rep["all_pass"]
 
     def test_serre_skippable(self):
         pres = QuiverPresentation(["1", "2"], [("a", "1", "2", 0)], [], 2)
