@@ -14,10 +14,13 @@ span when the algebra is basic.
 
 A cover P -> M keeps its epi as `epi_rows`, the image in M of each basis
 vector of P, and eliminates them once, in a tagged echelon: the rank
-certifies surjectivity, the tags give a section, and the tags of the rows
-that reduce to zero are a basis of the kernel.  P is minimal iff the map
-P/P.rad -> M/M.rad is an isomorphism (Auslander-Reiten-Smalo, ch. I.4),
-which is a dimension count once the epi is onto:
+certifies surjectivity, and the tags of the rows that reduce to zero are a
+basis of the kernel.  At full rank every coordinate of M is a pivot whose
+reduced row is a unit vector, so the tag of pivot i is a preimage of the
+i-th basis vector: the tags are the section, read off with no solve.
+P is minimal iff the map P/P.rad -> M/M.rad is an isomorphism
+(Auslander-Reiten-Smalo, ch. I.4), which is a dimension count once the
+epi is onto:
   1. the epi maps P.rad onto M.rad, so the map of tops is onto;
   2. its kernel is (P.rad + ker)/P.rad, zero iff ker lies in P.rad;
   3. so P is minimal iff the sum of dim top(e_i.Lambda) over its summands
@@ -36,6 +39,10 @@ Hom spaces are solved through projective presentations: a degree-0 map out
 of M is a choice of images for the generators of M (one slice of N per
 cover summand) that kills the kernel of the cover.  Each slice (N_d).e_i,
 and its tagged echelon, is solved once per module N and cached on it.
+A generator of degree d lies in M_d, so when M and N share no degree every
+slice is zero and so is the hom: it is set to 0 with no cover of M and no
+system, and its presentation is set up only if a caller asks for it.  A
+hom whose slices are all zero has no unknowns and builds no system.
 Maps stay in these generator coordinates: composing with another map only
 needs the images of the generators, and a map's matrix is built only when
 a caller asks for it.
@@ -344,9 +351,10 @@ class ProjectiveCover:
 
     Generators are the vectors of the idempotent slices M_d . e that are
     independent modulo M.rad and the generators before them.  The epi
-    rows are eliminated once: `kernel_rows` is their relations and
-    `section_rows` their tags; minimality is the dimension count of the
-    module docstring, which also guards against non-basic degenerate inputs.
+    rows are eliminated once: `kernel_rows` is their relations, and the
+    tags give a section, `section_rows`, the tag of each pivot of the
+    full-rank echelon; minimality is the dimension count of the module
+    docstring, which also guards against non-basic degenerate inputs.
 
     P = sum of the summands is described by `dim` and `degrees`, read off
     the summands, and by `split`, which cuts a vector of P into summand
@@ -409,8 +417,11 @@ class ProjectiveCover:
         # row r is the image of P coordinate r: its relations are the kernel
         self.kernel_rows = rank_ech.relations
 
-        # section: for each basis vector of M a preimage under the epi
-        self.section_rows = [rank_ech.express({i: f.one()}) or {} for i in range(m.dim)]
+        # section: for each basis vector of M a preimage under the epi.  With
+        # rank dim M every coordinate of M is a pivot, so the reduced row at
+        # pivot i is the unit vector e_i, and its tag, a combination of the
+        # epi rows, is a preimage of e_i: what express({i: 1}) would return
+        self.section_rows = [rank_ech.tags[i] for i in range(m.dim)]
 
         # minimality: P/P.rad -> M/M.rad is onto, so injective iff dims
         # agree.  The slices span M and the generators are independent
@@ -473,6 +484,11 @@ def syzygy_of(m):
 # hom spaces
 # ---------------------------------------------------------------------------
 
+# the attributes that HomSpace._present sets
+_PRESENTATION = frozenset(
+    ("_cov", "_slice_keys", "slices", "offsets", "coord_dim", "_coord_vecs"))
+
+
 class HomSpace:
     """Basis of degree-0 module maps M -> N, kept in generator coordinates.
 
@@ -485,23 +501,54 @@ class HomSpace:
     its rows over N's coordinates, is built only on demand by `map_of`;
     `coords_of_matrix` goes back, and `basis_coeffs` expresses coordinates
     over `basis_coords`.  The slice bases and their tagged echelons are
-    cached on N, so every hom into N shares them.
+    cached on N, so every hom into N shares them.  A hom between modules
+    that share no degree is 0 and builds neither the cover of M nor any
+    slice; `_present` sets them up on the first read of an attribute it
+    sets, so such a hom still rejects a nonzero generator image.
     """
 
     def __init__(self, source, target):
         if not same_algebra(source.algebra, target.algebra):
             raise ValueError("hom between modules over different algebras")
-        a = source.algebra
-        f = a.field
         self.source = source
         self.target = target
-        cov = cover_of(source)
+        self._slice_echelons = None  # the slices' tagged echelons, on first use
+        self._basis_ech = None
+        self.basis_coords = []
+        if set(source.degrees).isdisjoint(target.degrees):
+            # every generator degree d of M is a degree of M, so each slice
+            # (N_d).e_i is zero, and so is the hom: no cover, no system
+            return
+        self._present()
+        if not self.coord_dim:
+            return  # every slice is zero: no unknowns, so no system
+        f = source.algebra.field
+        offsets = self.offsets
 
-        # slice bases: for each summand, a basis of (N_d).e_i, solved once
-        # per target and shared by every summand and hom that has it
+        # constraints: for each kernel vector sum_t x_t . u_t = 0
+        sys_rows = {}
+        for kidx, k in enumerate(self._cov.kernel_rows):
+            for t, u in self._cov.split(k):
+                for sidx, bvec in enumerate(self.slices[t]):
+                    w = target.act(bvec, u)
+                    for coord, c in w.items():
+                        key = (kidx, coord)
+                        row = sys_rows.setdefault(key, {})
+                        var = offsets[t] + sidx
+                        row[var] = f.add(row.get(var, f.zero()), c)
+        sys_rows = {k: {v: c for v, c in row.items() if not f.is_zero(c)}
+                    for k, row in sys_rows.items()}
+        self.basis_coords = sparse_kernel(f, [r for r in sys_rows.values() if r],
+                                          self.coord_dim)
+
+    def _present(self):
+        """Set up the presentation: the cover of M, and per cover summand
+        the slice (N_d).e_i, solved once per target and shared by every
+        summand and hom that has it."""
+        cov = cover_of(self.source)
+        self._cov = cov
         self._slice_keys = [(s.idem_index, s.gen_degree) for s in cov.summands]
-        self.slices = [_slice_basis(target, i, d) for i, d in self._slice_keys]
-        self._slice_echelons = None  # their tagged echelons, on first use
+        self.slices = [_slice_basis(self.target, i, d) for i, d in self._slice_keys]
         offsets = []
         total = 0
         for basis in self.slices:
@@ -513,23 +560,14 @@ class HomSpace:
         # only the coordinates a map has
         self._coord_vecs = [(t, bvec) for t, basis in enumerate(self.slices)
                             for bvec in basis]
-        self._cov = cov
 
-        # constraints: for each kernel vector sum_t x_t . u_t = 0
-        sys_rows = {}
-        for kidx, k in enumerate(cov.kernel_rows):
-            for t, u in cov.split(k):
-                for sidx, bvec in enumerate(self.slices[t]):
-                    w = target.act(bvec, u)
-                    for coord, c in w.items():
-                        key = (kidx, coord)
-                        row = sys_rows.setdefault(key, {})
-                        var = offsets[t] + sidx
-                        row[var] = f.add(row.get(var, f.zero()), c)
-        sys_rows = {k: {v: c for v, c in row.items() if not f.is_zero(c)}
-                    for k, row in sys_rows.items()}
-        self.basis_coords = sparse_kernel(f, [r for r in sys_rows.values() if r], total)
-        self._basis_ech = None
+    def __getattr__(self, name):
+        # only reached for an attribute not yet set: a hom that is zero by
+        # degree sets up its presentation on first use
+        if name in _PRESENTATION:
+            self._present()
+            return self.__dict__[name]
+        raise AttributeError(name)
 
     @property
     def dim(self):

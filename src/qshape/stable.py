@@ -128,6 +128,8 @@ class ExtCertificate:
     grading non-negative the cover and its kernel stay there; so Omega^k m
     lives in degrees >= 1 for every k >= 1.  Degree-0 maps between modules
     with disjoint degree supports are zero, hence so are both stable homs.
+    The hom solver applies the same argument: the table solves these homs
+    as zero by degree, with no cover of Omega^k m and no system.
 
     The degrees of Omega m are read off the kernel rows of the cover of m,
     which the stable End of m builds and caches; no syzygy module is built.

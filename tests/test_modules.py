@@ -417,6 +417,27 @@ class TestFastPathsValidate:
         validate_module(syzygy_of(simple(a, 1)))
 
 
+COVER_CASES = [(family, n, char)
+               for family, n in (("exterior", 3), ("preprojective_A", 3),
+                                 ("truncated_polynomial", 5))
+               for char in (0, 32003)]
+
+
+def cover_witnesses(a):
+    """T, its first two syzygies, shifted simples, Lambda(1)_{<=0} and the
+    extension of T to Lambda (x) k[x]/x^2."""
+    from qshape.basechange import i_star, tensor_algebra, ungrade
+    from qshape.tilting import tilting_module
+
+    t = tilting_module(a).module
+    dual_numbers = ungrade(builtin("truncated_polynomial", 2, a.field))
+    simples = [shift(simple(a, i), j)
+               for i in range(1, len(primitive_idempotents(a)) + 1) for j in (-1, 2)]
+    return ([t, syzygy_of(t), syzygy_of(syzygy_of(t))] + simples
+            + [truncate_le(shift(regular(a), 1), 0),
+               i_star(t, tensor_algebra(a, dual_numbers))])
+
+
 class TestInternalRoundtrips:
     def test_hom_basis_expresses_as_unit_vectors(self):
         a = builtin("preprojective_A", 2, QQ)
@@ -426,13 +447,15 @@ class TestInternalRoundtrips:
             coeffs = h.basis_coeffs(h.coords_of_matrix(h.map_of(c)))
             assert coeffs == {q: QQ.one()}
 
-    def test_cover_section_is_a_section(self):
-        a = builtin("exterior", 2, QQ)
-        m = truncate_le(shift(regular(a), 1), 0)
-        cov = cover_of(m)
-        composite = sparse_matmul(QQ, cov.section_rows, cov.epi_rows)
-        ident = [{r: QQ.one()} for r in range(m.dim)]
-        assert composite == ident
+    @pytest.mark.parametrize("family,n,char", COVER_CASES)
+    def test_cover_section_is_a_section(self, family, n, char):
+        # the section rows are the tags of the epi's echelon
+        a = builtin(family, n, FieldSpec(char))
+        for m in cover_witnesses(a):
+            f = m.algebra.field
+            cov = cover_of(m)
+            composite = sparse_matmul(f, cov.section_rows, cov.epi_rows)
+            assert composite == [{r: f.one()} for r in range(m.dim)]
 
     def test_envelope_mono_is_a_module_map(self):
         a = builtin("exterior", 2, QQ)
@@ -529,27 +552,6 @@ class TestCoverLifetime:
             assert cov.module.dim > 0
         finally:
             gc.enable()
-
-
-COVER_CASES = [(family, n, char)
-               for family, n in (("exterior", 3), ("preprojective_A", 3),
-                                 ("truncated_polynomial", 5))
-               for char in (0, 32003)]
-
-
-def cover_witnesses(a):
-    """T, its first two syzygies, shifted simples, Lambda(1)_{<=0} and the
-    extension of T to Lambda (x) k[x]/x^2."""
-    from qshape.basechange import i_star, tensor_algebra, ungrade
-    from qshape.tilting import tilting_module
-
-    t = tilting_module(a).module
-    dual_numbers = ungrade(builtin("truncated_polynomial", 2, a.field))
-    simples = [shift(simple(a, i), j)
-               for i in range(1, len(primitive_idempotents(a)) + 1) for j in (-1, 2)]
-    return ([t, syzygy_of(t), syzygy_of(syzygy_of(t))] + simples
-            + [truncate_le(shift(regular(a), 1), 0),
-               i_star(t, tensor_algebra(a, dual_numbers))])
 
 
 @pytest.mark.parametrize("family,n,char", COVER_CASES)
@@ -672,6 +674,32 @@ def test_coords_of_images_rejects_an_image_outside_its_slice(family, n, char):
                 hom.coords_of_images(images)
             checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_zero_by_degree_hom_builds_no_cover(monkeypatch, char):
+    # Lambda(-10) and Lambda share no degree, so every slice (N_d).e_i of a
+    # generator degree d is zero: the hom is 0 with no cover of its source
+    import qshape.modules as modules
+
+    def refuse(*args):
+        raise AssertionError("a zero-by-degree hom built a cover")
+
+    a = builtin("exterior", 2, FieldSpec(char))
+    f = a.field
+    source = shift(regular(a), 10)
+    monkeypatch.setattr(modules, "ProjectiveCover", refuse)
+    hom = hom_graded(source, regular(a))
+    assert hom.dim == 0
+    monkeypatch.undo()
+    # the presentation is set up on first use, and its slices are empty
+    assert hom.coords_of_matrix([{} for _ in range(source.dim)]) == {}
+    assert hom.map_of({}) == [{} for _ in range(source.dim)]
+    assert hom.coord_dim == 0
+    images = [{} for _ in hom.slices]
+    images[0] = {0: f.one()}
+    with pytest.raises(ValueError, match="leaves the idempotent slice"):
+        hom.coords_of_images(images)
 
 
 @pytest.mark.parametrize("family,n,char", COVER_CASES)

@@ -391,6 +391,20 @@ def test_ext_table_builds_no_envelope(monkeypatch):
     assert stable_ext_table(t, t, 3) == {i: 0 if i else 12 for i in range(-3, 4)}
 
 
+def test_ext_table_covers_no_last_syzygy():
+    # Omega^k T lives in degrees >= 1 and T in degrees <= 0, so both homs
+    # that read the last syzygy are zero by degree and need no cover of it
+    a = builtin("exterior", 3, QQ)
+    t = tilting_module(a).module
+    k = 3
+    assert stable_ext_table(t, t, k) == {i: 0 if i else 12 for i in range(-k, k + 1)}
+    last = t
+    for _ in range(k):
+        last = syzygy(last)
+    assert "cover" not in last._cache
+    assert "cover" in syzygy(syzygy(t))._cache
+
+
 CERTIFIED = ([("truncated_polynomial", n) for n in range(3, 7)]
              + [("preprojective_A", n) for n in range(1, 5)]
              + [("exterior", n) for n in range(2, 4)])
