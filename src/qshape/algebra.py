@@ -155,13 +155,13 @@ class GradedAlgebra:
                         axpy(prod, w, c)
                 if prod != e:
                     raise ValueError("unit laws fail")
-        gens, right, live = self._generating_set(cols)
+        gens, right = self._generating_set(cols)
         # associativity on the triples (b_i, b_j, g), g in G.  With
-        # right[t][m] = b_m * g, (b_i b_j) g reads right[t] only at
-        # supp(b_i b_j), and b_i (b_j g) = sum_m (b_j g)_m b_i b_m is zero
-        # unless b_j g is: so (b_i b_j) g is formed only for the stored
-        # products whose support meets a nonzero row of right[t], and
-        # b_i (b_j g) only for the columns j with b_j g nonzero.  Every other
+        # right[t] = {m: b_m * g} over the nonzero products, (b_i b_j) g
+        # reads right[t] only at supp(b_i b_j), and b_i (b_j g) =
+        # sum_m (b_j g)_m b_i b_m is zero unless b_j g is: so (b_i b_j) g is
+        # formed only for the stored products whose support meets a row of
+        # right[t], and b_i (b_j g) only for the rows j of right[t].  Every other
         # triple is 0 = 0.  A product b_i * b_j is keyed i * n + j, which
         # orders as (i, j).
         by_coord = [[] for _ in range(n)]  # k -> the products with k in their support
@@ -170,10 +170,10 @@ class GradedAlgebra:
                 p = i * n + j
                 for k in w:
                     by_coord[k].append(p)
-        for t, (table, rows) in enumerate(zip(right, live)):
+        for t, table in enumerate(right):
             rhs = {}
-            for j in rows:
-                for m, c in table[j].items():
+            for j, row in table.items():
+                for m, c in row.items():
                     for i, w in cols[m].items():
                         p = i * n + j
                         acc = rhs.get(p)
@@ -182,7 +182,7 @@ class GradedAlgebra:
                         else:
                             axpy(acc, w, c)
             bad = []
-            for p in set().union(*(by_coord[k] for k in rows)):
+            for p in set().union(*(by_coord[k] for k in table)):
                 i, j = divmod(p, n)
                 if apply_row(f, mult[i][j], table) != rhs.pop(p, {}):
                     bad.append(p)
@@ -196,16 +196,17 @@ class GradedAlgebra:
             self._validate_idempotents()
 
     def _generating_set(self, cols):
-        """G, its right-multiplication tables and their nonzero rows, with G
-        verified to generate.
+        """G and its right-multiplication tables {m: b_m * g}, over the
+        nonzero products, with G verified to generate.
 
-        cols[j] = {i: b_i * b_j} are the columns of the table.  Closes
-        span{1} under right multiplication by G in an Echelon.  A word w
-        whose support misses every nonzero row of a table has image 0 and
-        is not multiplied, so the cost is the words that meet each table's
-        rows rather than dim * |G| row applications.  A declared
-        generator's table b_m * g forms only the products that
-        `product_pairs` allows; the other rows are zero.  Declared
+        cols[j] = {i: b_i * b_j} are the columns of the table, and the
+        table of a basis vector b_j is cols[j] itself.  Closes span{1}
+        under right multiplication by G in an Echelon.  A word w whose
+        support misses every row of a table has image 0 and is not
+        multiplied, so the cost is the words that meet each table's rows
+        rather than dim * |G| row applications.  A declared generator's
+        table forms b_m * g only for the m of `left_support`; the other
+        products are zero.  Declared
         generators must reach the whole algebra; otherwise basis vectors
         outside the span are adjoined in (degree, index) order until it is
         reached.
@@ -215,47 +216,42 @@ class GradedAlgebra:
         span = Echelon(f)
         words = []  # vectors that enlarged the span
         done = 0  # words[:done] have been multiplied by every generator
-        gens, right, live = [], [], []
+        gens, right = [], []
 
         def grow(vec):
             if span.insert(vec):
                 words.append(vec)
 
-        def adjoin(g, table, rows):
+        def adjoin(g, table):
             nonlocal done
             gens.append(g)
             right.append(table)
-            live.append(rows)
             for w in words[:done]:
-                if not rows.isdisjoint(w):
+                if not table.keys().isdisjoint(w):
                     grow(apply_row(f, w, table))
             while done < len(words):
                 w = words[done]
                 done += 1
-                for tab, tab_rows in zip(right, live):
-                    if not tab_rows.isdisjoint(w):
+                for tab in right:
+                    if not tab.keys().isdisjoint(w):
                         grow(apply_row(f, w, tab))
 
         grow(self.unit)
         if self.generators is not None:
-            basis = [self.basis_vec(m) for m in range(n)]
             for g in self.generators:
-                table = [{} for _ in range(n)]
-                for m, _ in product_pairs(self, basis, [g]):
-                    table[m] = self.product(basis[m], g)
-                adjoin(g, table, {m for m, r in enumerate(table) if r})
+                prods = {m: self.product(self.basis_vec(m), g) for m in left_support(self, g)}
+                adjoin(g, {m: p for m, p in prods.items() if p})
             if span.dim != n:
                 raise ValueError(
                     f"declared generators span only {span.dim} of {n} dimensions"
                 )
-            return self.generators, right, live
+            return self.generators, right
         for i in sorted(range(n), key=lambda i: (self.degrees[i], i)):
             if span.dim == n:
                 break
             if not span.contains(self.basis_vec(i)):
-                col = cols[i]
-                adjoin(self.basis_vec(i), [col.get(m, {}) for m in range(n)], set(col))
-        return gens, right, live
+                adjoin(self.basis_vec(i), cols[i])
+        return gens, right
 
     def _validate_idempotents(self):
         f = self.field
@@ -283,6 +279,19 @@ def columns(mult):
         for j, w in row.items():
             cols[j][i] = w
     return cols
+
+
+def left_support(a, g):
+    """The m, ascending, with b_m * g possibly nonzero: the rows of the
+    columns j in supp(g), read off the table; b_m * g is 0 for any other m."""
+    cols = a._cache["cols"]
+    return sorted({m for j in g for m in cols[j]})
+
+
+def right_support(a, g):
+    """The m, ascending, with g * b_m possibly nonzero: the columns of the
+    rows i in supp(g), read off the table; g * b_m is 0 for any other m."""
+    return sorted({m for i in g for m in a.mult[i]})
 
 
 def product_pairs(a, us, vs):
@@ -914,20 +923,19 @@ def center_basis(a):
 
     The commutator map x -> xg - gx is read off its images b_m g - g b_m.
     b_m g can be nonzero only for m in a column of supp(g), and g b_m only
-    for m in a row of supp(g) (`product_pairs`); every other image is zero
-    and adds no entry to the map.  So each g costs the products its rows
-    and columns allow, not 2 * dim.
+    for m in a row of supp(g) (`left_support`, `right_support`); every
+    other image is zero and adds no entry to the map.  So each g costs the
+    products its rows and columns allow, not 2 * dim.
     """
     if "center" in a._cache:
         return a._cache["center"]
     f = a.field
-    basis = [a.basis_vec(m) for m in range(a.dim)]
     minus_one = f.neg(f.one())
     rows = []
     for g in generating_vectors(a):
         # row k of the commutator map, transposed from its images
-        right = {m: a.product(basis[m], g) for m, _ in product_pairs(a, basis, [g])}
-        left = {m: a.product(g, basis[m]) for _, m in product_pairs(a, [g], basis)}
+        right = {m: a.product(a.basis_vec(m), g) for m in left_support(a, g)}
+        left = {m: a.product(g, a.basis_vec(m)) for m in right_support(a, g)}
         by_k = {}
         for m in sorted(right.keys() | left.keys()):
             d = f.axpy(right.get(m, {}), left.get(m, {}), minus_one)

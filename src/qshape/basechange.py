@@ -11,7 +11,7 @@ extension is a function of the module and the tensor alone, and no code
 changes a module's degrees or action after construction.
 """
 
-from .algebra import GradedAlgebra, columns, generating_vectors, zero_algebra
+from .algebra import GradedAlgebra, generating_vectors, zero_algebra
 from .fields import check_same_field
 from .modules import GradedModule, hom_graded
 from .tilting import tilting_endomorphism_algebra
@@ -97,23 +97,20 @@ def i_star(m, tensor):
     lam, a = tensor.left, tensor.right
     f = lam.field
     nr = a.dim
-    dim = m.dim * nr
 
     def midx(r, al):
         return r * nr + al
 
     degrees = [m.degrees[r] for r in range(m.dim) for _ in range(nr)]
-    cols = columns(a.mult)
+    cols = a._cache["cols"]  # the columns {i: b_i * b_j} of A's table
     action = []
     for i in range(lam.dim):
         for al in range(nr):
-            mat = [dict() for _ in range(dim)]
-            for r, base in enumerate(m.action[i]):
+            mat = {}
+            for r, base in m.action[i].items():
                 for be, cy in cols[al].items():
-                    cell = mat[midx(r, be)]
-                    for s, c1 in base.items():
-                        for ga, c2 in cy.items():
-                            cell[midx(s, ga)] = f.mul(c1, c2)
+                    mat[midx(r, be)] = {midx(s, ga): f.mul(c1, c2)
+                                        for s, c1 in base.items() for ga, c2 in cy.items()}
             action.append(mat)
     ext = GradedModule(tensor.product, degrees, action)
     tensor._extensions[id(m)] = (m, ext)

@@ -1,7 +1,10 @@
 """Exact sparse linear algebra.
 
-Vectors are dicts index -> nonzero scalar, matrices lists of such rows:
-structure constants, action matrices and hom systems are mostly zeros.
+Vectors are dicts index -> nonzero scalar, and a matrix is the dict
+{row index: nonzero row} of its nonzero rows: an absent row is zero and no
+stored row is empty.  Structure constants, action matrices, module maps
+and hom systems are mostly zeros, so they cost what their nonzero rows
+and entries cost.
 The row operations on them are the field's bound kernels
 (`FieldSpec.axpy` and `FieldSpec.scale`).  `Echelon` is the one
 elimination routine; spans, kernels and coordinates are all read off its
@@ -165,9 +168,12 @@ def sparse_kernel(field, rows, ncols):
 
 
 def apply_row(field, vec, rows):
-    """Image of a (row) vector under a row-convention matrix."""
+    """Image of a (row) vector under a row-convention matrix; a row the
+    matrix does not store is zero."""
     acc = {}
     axpy = field.axpy
     for m, c in vec.items():
-        axpy(acc, rows[m], c)
+        row = rows.get(m)
+        if row is not None:
+            axpy(acc, row, c)
     return acc

@@ -2,8 +2,10 @@
 
 A module stores one sparse action matrix per algebra basis element, in the
 row convention: (m . b) has coordinate row  m_row @ action[b].  A module
-map is its row matrix in the same convention, one sparse row over the
-target's coordinates per source basis vector, as `linalg` defines matrices.
+map is its row matrix in the same convention, the nonzero rows over the
+target's coordinates keyed by source basis vector.  Every matrix is the
+dict of its nonzero rows, as `linalg` defines matrices, so a module or a
+map costs its nonzero rows and not its dimension.
 All constructions (submodules, restrictions, sums, shifts, truncations,
 simples, covers) produce explicit bases with homogeneous coordinates, so
 equality of submodules and membership tests are canonical.  The one
@@ -12,8 +14,8 @@ to be a submodule: a truncation drops the degrees above a bound.  A simple
 is read off the characters of Lambda/rad, which the declared idempotents
 span when the algebra is basic.
 
-A cover P -> M keeps its epi as `epi_rows`, the image in M of each basis
-vector of P, and eliminates them once, in a tagged echelon: the rank
+A cover P -> M keeps its epi as `epi_rows`, the nonzero images in M of the
+basis vectors of P, and eliminates the images once, in a tagged echelon: the rank
 certifies surjectivity, and the tags of the rows that reduce to zero are a
 basis of the kernel.  At full rank every coordinate of M is a pivot whose
 reduced row is a unit vector, so the tag of pivot i is a preimage of the
@@ -32,7 +34,7 @@ module P itself is built only when a caller acts on it (a syzygy, or maps
 into P), so hom solves and projectivity tests never copy the summands.
 A submodule reads the coordinates of a span vector at the pivots of the
 span's reduced echelon basis, and checks closure by support: it forms the
-image of a basis row under b only where b acts by a nonzero row at some
+image of a basis row under b only where the matrix of b has a row at some
 coordinate of that basis row, every other image being zero.
 
 Hom spaces are solved through projective presentations: a degree-0 map out
@@ -52,7 +54,6 @@ suite as independent references.
 """
 
 from .algebra import (
-    columns,
     jacobson_radical,
     primitive_idempotents,
     same_algebra,
@@ -79,27 +80,26 @@ class GradedModule:
 
     def act(self, vec, alg_vec):
         """vec . (algebra element), both as sparse coordinate vectors: the
-        sum of (c_b x_m) . action[b][m] over the nonzero rows."""
+        sum of (c_b x_m) . action[b][m] over the stored rows."""
         f = self.algebra.field
         axpy, mul = f.axpy, f.mul
         out = {}
         for b, c in alg_vec.items():
             mat = self.action[b]
             for m, x in vec.items():
-                row = mat[m]
-                if row:
+                row = mat.get(m)
+                if row is not None:
                     axpy(out, row, mul(c, x))
         return out
 
     def action_of(self, alg_vec):
         """Row-matrix of the right action of an algebra element."""
         axpy = self.algebra.field.axpy
-        rows = [dict() for _ in range(self.dim)]
+        rows = {}
         for b, c in alg_vec.items():
-            for r, row in enumerate(self.action[b]):
-                if row:
-                    axpy(rows[r], row, c)
-        return rows
+            for r, row in self.action[b].items():
+                axpy(rows.setdefault(r, {}), row, c)
+        return {r: row for r, row in rows.items() if row}
 
     def component_indices(self, d):
         return [i for i, deg in enumerate(self.degrees) if deg == d]
@@ -112,7 +112,7 @@ class GradedModule:
 
 
 def zero_module(algebra):
-    return GradedModule(algebra, [], [[] for _ in range(algebra.dim)])
+    return GradedModule(algebra, [], [{} for _ in range(algebra.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +121,11 @@ def zero_module(algebra):
 
 def regular(a):
     """The algebra acting on itself on the right: row i of the matrix of b_j
-    is b_i * b_j.  The rows are the algebra's own product vectors, and the
-    vanishing products share one empty row; no code changes a module's
+    is b_i * b_j, so the matrix of b_j is the column {i: b_i * b_j} of the
+    nonzero products, which the algebra keeps; no code changes a module's
     action after construction."""
     if "regular" not in a._cache:
-        empty = {}
-        action = [[col.get(i, empty) for i in range(a.dim)] for col in columns(a.mult)]
-        a._cache["regular"] = GradedModule(a, a.degrees, action)
+        a._cache["regular"] = GradedModule(a, a.degrees, a._cache["cols"])
     return a._cache["regular"]
 
 
@@ -137,13 +135,14 @@ class Submodule:
     Its basis is the span's reduced echelon basis, by degree, then pivot;
     rows of different degrees have disjoint supports, so a span vector has
     its coordinate on a row at that row's pivot.  `basis` holds those rows
-    in parent coordinates: it is the matrix of the inclusion.
+    in parent coordinates, keyed by position: it is the matrix of the
+    inclusion.
 
     Closure is checked by support: the image of a basis row b under the
     basis element k reads only the rows of action[k] at supp(b), so it is
-    formed only for the k that `_live_actions` lists at some coordinate of
+    formed only for the k that `row_index` lists at some coordinate of
     supp(b).  Every other image is the zero vector, which lies in the span,
-    and its action entry is the empty row.
+    and has no row in the action.
     """
 
     def __init__(self, parent, vectors):
@@ -154,13 +153,14 @@ class Submodule:
                 raise ValueError("submodule spanning vectors must be homogeneous")
             ech.insert(v)
         pivots = sorted(ech.rows, key=lambda p: (parent.degrees[p], p))
-        self.basis = [ech.rows[p] for p in pivots]
+        self.basis = {j: ech.rows[p] for j, p in enumerate(pivots)}
         pos = {p: j for j, p in enumerate(pivots)}
-        live = _live_actions(parent)
-        empty = {}
-        action = [[empty] * len(self.basis) for _ in range(parent.algebra.dim)]
-        for j, b in enumerate(self.basis):
-            for k in {k for r in b for k in live[r]}:
+        if "live" not in parent._cache:
+            parent._cache["live"] = row_index(parent.action)
+        live = parent._cache["live"]
+        action = [{} for _ in range(parent.algebra.dim)]
+        for j, b in self.basis.items():
+            for k in {k for r in b for k in live.get(r, ())}:
                 img = apply_row(f, b, parent.action[k])
                 if ech.reduce(img):
                     raise ValueError("span is not closed under the action")
@@ -170,17 +170,13 @@ class Submodule:
         self.module = GradedModule(parent.algebra, degrees, action)
 
 
-def _live_actions(m):
-    """Per coordinate r of m, the basis elements k whose action matrix has a
-    nonzero row r, in increasing order; built once and cached on m."""
-    if "live" not in m._cache:
-        live = [[] for _ in range(m.dim)]
-        for k, mat in enumerate(m.action):
-            for r, row in enumerate(mat):
-                if row:
-                    live[r].append(k)
-        m._cache["live"] = live
-    return m._cache["live"]
+def row_index(matrices):
+    """{r: the indices j, ascending, of the matrices with a row r}."""
+    live = {}
+    for j, mat in enumerate(matrices):
+        for r in mat:
+            live.setdefault(r, []).append(j)
+    return live
 
 
 def restrict(m, keep):
@@ -191,7 +187,8 @@ def restrict(m, keep):
     the caller must know that span to be a submodule; no closure is checked.
     """
     pos = {k: r for r, k in enumerate(keep)}
-    action = [[{pos[s]: c for s, c in mat[k].items() if s in pos} for k in keep]
+    action = [{pos[k]: kept for k, row in mat.items() if k in pos
+               if (kept := {pos[s]: c for s, c in row.items() if s in pos})}
               for mat in m.action]
     return GradedModule(m.algebra, [m.degrees[k] for k in keep], action)
 
@@ -213,14 +210,12 @@ def direct_sum(summands):
         offsets.append(total)
         total += m.dim
     degrees = [d for m in summands for d in m.degrees]
-    empty = {}  # the vanishing rows share one empty row, as in `regular`
     action = []
     for bidx in range(a.dim):
-        mat = [empty] * total
+        mat = {}
         for m, off in zip(summands, offsets):
-            for r, row in enumerate(m.action[bidx]):
-                if row:
-                    mat[off + r] = {off + s: c for s, c in row.items()}
+            for r, row in m.action[bidx].items():
+                mat[off + r] = {off + s: c for s, c in row.items()}
         action.append(mat)
     return GradedModule(a, degrees, action), offsets
 
@@ -248,7 +243,7 @@ def radical_submodule_span(m):
     R is spanned by words in V and M.(v_1...v_j) lies in M.v_j, so
     M.R = sum over v in V of M.v.
     """
-    return [row for r in jacobson_radical(m.algebra).gens for row in m.action_of(r) if row]
+    return [row for r in jacobson_radical(m.algebra).gens for row in m.action_of(r).values()]
 
 
 def projective(a, i):
@@ -288,10 +283,10 @@ def simple(a, i):
             tops.insert(rad.reduce(e))
         if rad.dim + tops.dim != a.dim:
             raise ValueError("the declared idempotents do not span Lambda/rad")
-        actions = [[[{}] for _ in range(a.dim)] for _ in idems]
+        actions = [[{} for _ in range(a.dim)] for _ in idems]
         for k in range(a.dim):
             for v, c in tops.express(rad.reduce(a.basis_vec(k))).items():
-                actions[v][k] = [{0: c}]
+                actions[v][k] = {0: {0: c}}
         a._cache["simples"] = [GradedModule(a, [0], act) for act in actions]
     return a._cache["simples"][i - 1]
 
@@ -302,16 +297,9 @@ def _slice_basis(m, i, d):
     key = ("slice", i, d)
     if key not in m._cache:
         f = m.algebra.field
-        axpy = f.axpy
         e = primitive_idempotents(m.algebra)[i - 1]
-        rows = []
-        for r in m.component_indices(d):
-            row = {}
-            for b, c in e.items():
-                axpy(row, m.action[b][r], c)
-            if row:
-                rows.append(row)
-        m._cache[key] = span_basis(f, rows)
+        m._cache[key] = span_basis(f, [m.act({r: f.one()}, e)
+                                       for r in m.component_indices(d)])
     return m._cache[key]
 
 
@@ -337,7 +325,7 @@ class CoverSummand:
         self.idem_index = idem_index
         self.gen_degree = gen_degree
         base = projective(a, idem_index)
-        # the basis of e_i.Lambda in algebra coordinates
+        # the basis of e_i.Lambda in algebra coordinates, keyed by position
         self.inclusion_rows = a._cache[("projective", idem_index)].basis
         self.module = shift(base, -gen_degree)
 
@@ -400,16 +388,14 @@ class ProjectiveCover:
         self._section_terms = None
 
         # epi rows: a summand basis element u (an algebra element in e_i.Lambda)
-        # maps to generator . u
-        rows = []
-        for s, gen in zip(self.summands, self.generators):
-            for r in range(s.module.dim):
-                u = s.algebra_coords({r: f.one()})
-                rows.append(m.act(gen, u))
-        self.epi_rows = rows
-
+        # maps to generator . u; every image is eliminated, in P's order
+        self.epi_rows = {}
         rank_ech = Echelon(f, tagged=True)
-        for row in rows:
+        images = (m.act(gen, u) for s, gen in zip(self.summands, self.generators)
+                  for u in s.inclusion_rows.values())
+        for r, row in enumerate(images):
+            if row:
+                self.epi_rows[r] = row
             rank_ech.insert(row)
         if rank_ech.dim != m.dim:
             raise ValueError("cover candidate is not surjective")
@@ -421,7 +407,7 @@ class ProjectiveCover:
         # rank dim M every coordinate of M is a pivot, so the reduced row at
         # pivot i is the unit vector e_i, and its tag, a combination of the
         # epi rows, is a preimage of e_i: what express({i: 1}) would return
-        self.section_rows = [rank_ech.tags[i] for i in range(m.dim)]
+        self.section_rows = {i: rank_ech.tags[i] for i in range(m.dim)}
 
         # minimality: P/P.rad -> M/M.rad is onto, so injective iff dims
         # agree.  The slices span M and the generators are independent
@@ -454,7 +440,7 @@ class ProjectiveCover:
     def section_terms(self):
         """Per basis vector of M, `split` of its section preimage (cached)."""
         if self._section_terms is None:
-            self._section_terms = [self.split(sec) for sec in self.section_rows]
+            self._section_terms = [self.split(sec) for sec in self.section_rows.values()]
         return self._section_terms
 
 
@@ -606,18 +592,20 @@ class HomSpace:
     def map_of(self, coords):
         """The row matrix of the map with these slice coordinates: row i is
         the sum, over the cover's section terms (t, u) of basis vector i, of
-        the image of generator t acted on by u."""
+        the image of generator t acted on by u; only the nonzero rows are
+        kept."""
         f = self.source.algebra.field
         axpy, one = f.axpy, f.one()
         act = self.target.act
         images = self.images(coords)
-        rows = []
-        for terms in self._cov.section_terms:
+        rows = {}
+        for i, terms in enumerate(self._cov.section_terms):
             out = {}
             for t, u in terms:
                 if images[t]:
                     axpy(out, act(images[t], u), one)
-            rows.append(out)
+            if out:
+                rows[i] = out
         return rows
 
     def coords_of_matrix(self, matrix_rows):
@@ -647,19 +635,15 @@ def composition_table(field, images, matrices, coords_of_images):
     generator images are those of map i sent through the matrix of map j,
     and holds the nonzero composites only.  Sending a vector through a
     matrix reads only the rows at its nonzero coordinates, so when the
-    union of the supports of map i's images misses every nonzero row of
-    map j, the composite is the zero map and j is skipped without a solve:
-    only the maps j with a nonzero row r for some r in that union are
-    composed.  That is exact for any maps; it needs no block structure,
+    union of the supports of map i's images misses every row of map j, the
+    composite is the zero map and j is skipped without a solve: only the
+    maps j that `row_index` lists at some r in that union are composed.
+    That is exact for any maps; it needs no block structure,
     though for a direct sum most pairs of maps between different summands
     are skipped this way.  A zero generator image stays zero and is not
     sent through the matrix.
     """
-    live = {}  # r -> the maps j whose matrix has a nonzero row r
-    for j, mat in enumerate(matrices):
-        for r, row in enumerate(mat):
-            if row:
-                live.setdefault(r, []).append(j)
+    live = row_index(matrices)
     mult = []
     for imgs in images:
         row = {}
@@ -690,14 +674,13 @@ def dual_of_regular(a):
     products keep degrees.
     """
     if "dual_regular" not in a._cache:
-        empty = {}
         action = []
         for mult_row in a.mult:
             rows = {}
             for j, w in mult_row.items():
                 for i, c in w.items():
                     rows.setdefault(i, {})[j] = c
-            action.append([rows.get(i, empty) for i in range(a.dim)])
+            action.append(rows)
         a._cache["dual_regular"] = GradedModule(a, [-d for d in a.degrees], action)
     return a._cache["dual_regular"]
 

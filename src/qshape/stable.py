@@ -191,6 +191,6 @@ class StableEnd:
         if m.is_zero() or dim == 0:
             self.algebra = GradedAlgebra(f, [], [], {}, idempotents=idems)
         else:
-            identity = [{r: f.one()} for r in range(m.dim)]
+            identity = {r: {r: f.one()} for r in range(m.dim)}
             unit = self.stable.class_coords_of_matrix(identity)
             self.algebra = GradedAlgebra(f, [0] * dim, mult, unit, idempotents=idems)

@@ -25,7 +25,7 @@ from .algebra import (
     global_dimension_bounded,
     jacobson_radical,
     primitive_idempotents,
-    product_pairs,
+    right_support,
     sup_degree,
     zero_algebra,
     EXCEEDS_BOUND,
@@ -89,24 +89,21 @@ class TiltingData:
         degrees, so it passes to the truncation; it projects T_i onto the
         summand (e_v Lambda(i))_{<=0}.  By `truncate_le`, the coordinates
         of T_i are the basis vectors of degree <= i, in index order, and
-        e_v b_k stays among them.  The products e_v b_k are formed once,
-        for the pairs that `product_pairs` allows; the others are zero.
+        e_v b_k stays among them.  The nonzero products e_v b_k are formed
+        once, for the k of `right_support`; the others are zero.
         """
         a = self.algebra
-        idems = primitive_idempotents(a)
-        basis = [a.basis_vec(k) for k in range(a.dim)]
-        left = [{} for _ in idems]  # per e_v, k -> e_v b_k
-        for v, k in product_pairs(a, idems, basis):
-            left[v][k] = a.product(idems[v], basis[k])
+        left = []  # per e_v, {k: e_v b_k} over the nonzero products
+        for e in primitive_idempotents(a):
+            prods = {k: a.product(e, a.basis_vec(k)) for k in right_support(a, e)}
+            left.append({k: p for k, p in prods.items() if p})
         out = []
         for i, off in enumerate(self.offsets):
             kept = [k for k in range(a.dim) if a.degrees[k] <= i]
             pos = {k: off + r for r, k in enumerate(kept)}
             for prods in left:
-                rows = [{} for _ in range(self.module.dim)]
-                for r, k in enumerate(kept):
-                    rows[off + r] = {pos[j]: c for j, c in prods.get(k, {}).items()}
-                out.append((i, rows))
+                out.append((i, {pos[k]: {pos[j]: c for j, c in prods[k].items()}
+                                for k in kept if k in prods}))
         return out
 
 

@@ -22,7 +22,7 @@ once per class, with |j' - j| <= hi - lo, and the Serre image D(Lambda e_i)
 is built once per vertex and shifted.
 """
 
-from .algebra import corners, jacobson_radical, primitive_idempotents, product_pairs
+from .algebra import corners, jacobson_radical, left_support, primitive_idempotents
 from .errors import NotSelfInjective
 from .linalg import Echelon
 from .modules import (
@@ -120,9 +120,9 @@ def serre_of_object(a, i, j):
             raise NotSelfInjective("the Serre construction needs a self-injective algebra")
         # the functional x -> coefficient of b_m in x e, one per m
         spans = {}
-        basis = [a.basis_vec(jj) for jj in range(a.dim)]
-        for jj, _ in product_pairs(a, basis, [idems[i - 1]]):
-            for m, c in a.product(basis[jj], idems[i - 1]).items():
+        e = idems[i - 1]
+        for jj in left_support(a, e):
+            for m, c in a.product(a.basis_vec(jj), e).items():
                 spans.setdefault(m, {})[jj] = c
         a._cache[key] = Submodule(dual_of_regular(a), list(spans.values())).module
     return shift(a._cache[key], j)

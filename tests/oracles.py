@@ -31,9 +31,10 @@ direct sum, duals over the opposite algebra, socles, general quotients and
 tops, injective envelopes, cosyzygies and restriction of scalars) are built
 from qshape's modules and covers, the envelopes as the second route the
 stable tests check syzygies against, the quotients and tops as the
-reference for qshape's truncations and simples.  Maps are row matrices,
-one sparse row over the target's coordinates per source basis vector, as
-in qshape.
+reference for qshape's truncations and simples.  Matrices are as in
+qshape: the dict {row index: nonzero row}, so a map is its nonzero rows
+over the target's coordinates, keyed by source basis vector, and an
+absent row is zero.
 `brute_canonical_matrix` tries every permutation.
 """
 
@@ -75,7 +76,7 @@ def module_act(m, vec, alg_vec):
     for b, c in alg_vec.items():
         img = {}
         for r, x in vec.items():
-            vec_iadd_scaled(f, img, m.action[b][r], x)
+            vec_iadd_scaled(f, img, m.action[b].get(r, {}), x)
         vec_iadd_scaled(f, out, img, c)
     return out
 
@@ -203,10 +204,10 @@ def naive_hom_basis(module_m, module_n):
         for r in range(dm):
             for s in range(dn):
                 row = {}
-                for m_idx, c in am[r].items():
+                for m_idx, c in am.get(r, {}).items():
                     row[var(m_idx, s)] = f.add(row.get(var(m_idx, s), f.zero()), c)
                 for t in range(dn):
-                    c = an[t].get(s)
+                    c = an.get(t, {}).get(s)
                     if c is not None:
                         key = var(r, t)
                         row[key] = f.add(row.get(key, f.zero()), f.neg(c))
@@ -230,11 +231,12 @@ def naive_hom_basis(module_m, module_n):
 
 
 def epi_kernel(field, epi_rows, ncols):
-    """Kernel of an epi P -> M given by its rows (one per basis vector of P),
-    as sparse vectors: the transposed system, one equation per coordinate of
-    M in one unknown per basis vector of P, solved by dense elimination."""
-    cols = sorted({s for row in epi_rows for s in row})
-    dense = [[row.get(s, 0) for row in epi_rows] for s in cols]
+    """Kernel of an epi P -> M given by its nonzero rows (keyed by basis
+    vector of P, ncols of them), as sparse vectors: the transposed system,
+    one equation per coordinate of M in one unknown per basis vector of P,
+    solved by dense elimination."""
+    cols = sorted({s for row in epi_rows.values() for s in row})
+    dense = [[epi_rows.get(r, {}).get(s, 0) for r in range(ncols)] for s in cols]
     if field.char == 0:
         ker = naive_kernel(dense, ncols)
     else:
@@ -245,7 +247,8 @@ def epi_kernel(field, epi_rows, ncols):
 def submodule_by_express(parent, vectors):
     """(degrees, action, inclusion rows) of the submodule spanned by
     homogeneous vectors: a reduced basis per degree, in degree order, and
-    each image of a basis vector solved over that basis by a tagged echelon."""
+    each image of a basis vector solved over that basis by a tagged echelon,
+    the zero images left out of the action."""
     from qshape.linalg import Echelon, apply_row
 
     f = parent.algebra.field
@@ -260,9 +263,15 @@ def submodule_by_express(parent, vectors):
         basis.extend(ech.basis())
     coords = Echelon(f, tagged=True)
     coords.extend(basis)
-    action = [[coords.express(apply_row(f, b, parent.action[bidx])) for b in basis]
-              for bidx in range(parent.algebra.dim)]
-    return [parent.degrees[min(b)] for b in basis], action, basis
+    action = []
+    for bidx in range(parent.algebra.dim):
+        mat = {}
+        for j, b in enumerate(basis):
+            x = coords.express(apply_row(f, b, parent.action[bidx]))
+            if x != {}:
+                mat[j] = x
+        action.append(mat)
+    return [parent.degrees[min(b)] for b in basis], action, dict(enumerate(basis))
 
 
 def uncached_slice_basis(m, i, d):
@@ -920,10 +929,34 @@ def per_object_window_properties(w, serre_check=True):
 # ---------------------------------------------------------------------------
 
 def sparse_matmul(field, a_rows, b_rows):
-    """Row-convention product: result row r = sum_m a[r][m] * b[m]."""
-    from qshape.linalg import apply_row
+    """Row-convention product: result row r = sum_m a[r][m] * b[m], an
+    absent row of b being zero, and the zero rows of the result left out."""
+    out = {}
+    for r, row in a_rows.items():
+        acc = {}
+        for m, c in row.items():
+            vec_iadd_scaled(field, acc, b_rows.get(m, {}), c)
+        if acc:
+            out[r] = acc
+    return out
 
-    return [apply_row(field, row, b_rows) for row in a_rows]
+
+def check_matrix(field, mat, nrows, ncols, what):
+    """Raise ValueError unless mat is a matrix of nrows x ncols as qshape
+    stores one: a dict whose keys are row indices, with no empty row and no
+    stored zero or out-of-range column."""
+    if not isinstance(mat, dict):
+        raise ValueError(f"{what} is not a dict of rows")
+    for r, row in mat.items():
+        if not (isinstance(r, int) and 0 <= r < nrows):
+            raise ValueError(f"{what} has a row index out of range")
+        if not row:
+            raise ValueError(f"{what} stores an empty row")
+        for s, c in row.items():
+            if not (isinstance(s, int) and 0 <= s < ncols):
+                raise ValueError(f"{what} has a column index out of range")
+            if field.is_zero(c):
+                raise ValueError(f"{what} stores a zero entry")
 
 
 def module_equal(m, n):
@@ -936,8 +969,8 @@ def module_equal(m, n):
 
 def validate_module(m):
     """Raise ValueError unless m is a graded right module: one action matrix
-    per algebra basis element, of the right shape, with no stored zeros and
-    degrees kept; the unit acting as the identity; and
+    per algebra basis element, stored as `check_matrix` asks, with degrees
+    kept; the unit acting as the identity; and
     act(b_i * g) = act(b_i) act(g) for every basis element b_i and every g
     of a generating set, which with linearity extends to all products."""
     from qshape.algebra import generating_vectors
@@ -948,17 +981,14 @@ def validate_module(m):
         raise ValueError("need one action matrix per algebra basis element")
     for b in range(a.dim):
         mat = m.action[b]
-        if len(mat) != m.dim:
-            raise ValueError("action matrix has wrong shape")
-        for r, row in enumerate(mat):
-            for s, c in row.items():
-                if f.is_zero(c):
-                    raise ValueError("action matrices must omit zeros")
+        check_matrix(f, mat, m.dim, m.dim, "action matrix")
+        for r, row in mat.items():
+            for s in row:
                 if m.degrees[s] != m.degrees[r] + a.degrees[b]:
                     raise ValueError("action violates the grading")
     if m.dim == 0 or a.dim == 0:
         return
-    ident = [{r: f.one()} for r in range(m.dim)]
+    ident = {r: {r: f.one()} for r in range(m.dim)}
     if m.action_of(a.unit) != ident:
         raise ValueError("unit does not act as the identity")
     for g in generating_vectors(a):
@@ -971,16 +1001,15 @@ def validate_module(m):
 
 def validate_map(source, target, matrix):
     """Raise ValueError unless the row matrix is a degree-0 module map
-    source -> target: right shape, degrees kept, and commuting with the
-    action of every generator of the algebra."""
+    source -> target: stored as `check_matrix` asks, degrees kept, and
+    commuting with the action of every generator of the algebra."""
     from qshape.algebra import generating_vectors, same_algebra
 
     if not same_algebra(source.algebra, target.algebra):
         raise ValueError("map between modules over different algebras")
     f = source.algebra.field
-    if len(matrix) != source.dim:
-        raise ValueError("map matrix has wrong shape")
-    for r, row in enumerate(matrix):
+    check_matrix(f, matrix, source.dim, target.dim, "map matrix")
+    for r, row in matrix.items():
         for s in row:
             if source.degrees[r] != target.degrees[s]:
                 raise ValueError("map does not preserve degrees")
@@ -1002,11 +1031,8 @@ def sum_maps(summands):
     one = total.algebra.field.one()
     inclusions, projections = [], []
     for m, off in zip(summands, offsets):
-        inclusions.append([{off + r: one} for r in range(m.dim)])
-        prj = [{} for _ in range(total.dim)]
-        for r in range(m.dim):
-            prj[off + r] = {r: one}
-        projections.append(prj)
+        inclusions.append({r: {off + r: one} for r in range(m.dim)})
+        projections.append({off + r: {r: one} for r in range(m.dim)})
     return total, inclusions, projections
 
 
@@ -1014,7 +1040,7 @@ def map_rank(field, rows):
     """Rank of a row matrix."""
     from qshape.linalg import span_basis
 
-    return len(span_basis(field, rows))
+    return len(span_basis(field, rows.values()))
 
 
 def opposite(a):
@@ -1034,11 +1060,11 @@ def opposite(a):
     return a._cache["opposite"]
 
 
-def _transpose(rows, ncols):
-    out = [dict() for _ in range(ncols)]
-    for r, row in enumerate(rows):
+def _transpose(rows):
+    out = {}
+    for r, row in rows.items():
         for s, c in row.items():
-            out[s][r] = c
+            out.setdefault(s, {})[r] = c
     return out
 
 
@@ -1047,13 +1073,13 @@ def dual_module(m):
     from qshape.modules import GradedModule
 
     return GradedModule(opposite(m.algebra), [-d for d in m.degrees],
-                        [_transpose(mat, m.dim) for mat in m.action])
+                        [_transpose(mat) for mat in m.action])
 
 
 def dual_map(rows, target):
     """Dual of the map with these rows into target: the transposed matrix,
     from dual_module(target) to the dual of the source."""
-    return _transpose(rows, target.dim)
+    return _transpose(rows)
 
 
 def socle(m):
@@ -1066,7 +1092,7 @@ def socle(m):
     for r in jacobson_radical(m.algebra).basis:
         # columns of the action matrix of r: one equation per target coordinate
         cols = {}
-        for mm, row in enumerate(m.action_of(r)):
+        for mm, row in m.action_of(r).items():
             for s, c in row.items():
                 cols.setdefault(s, {})[mm] = c
         rows.extend(cols[s] for s in sorted(cols))
@@ -1097,8 +1123,8 @@ def injective_envelope(m):
     if map_rank(f, mono) != m.dim:
         raise ValueError("envelope embedding is not injective")
     img = Echelon(f)
-    img.extend(mono)
-    for row in socle(env)[1]:
+    img.extend(mono.values())
+    for row in socle(env)[1].values():
         if not img.contains(row):
             raise ValueError("envelope is not minimal (socle escapes the image)")
     return env, mono
@@ -1134,10 +1160,11 @@ class QuotientModule:
         degrees = [parent.degrees[g] for g in self.kept]
         action = []
         for bidx in range(parent.algebra.dim):
-            mat = []
-            for g in self.kept:
-                img = apply_row(f, {g: f.one()}, parent.action[bidx])
-                mat.append(self.project(img))
+            mat = {}
+            for r, g in enumerate(self.kept):
+                row = self.project(apply_row(f, {g: f.one()}, parent.action[bidx]))
+                if row:
+                    mat[r] = row
             action.append(mat)
         self.module = GradedModule(parent.algebra, degrees, action)
 
@@ -1157,7 +1184,7 @@ def cosyzygy_of(m):
     """Cokernel of the minimal injective envelope, cached on m."""
     if "cosyzygy" not in m._cache:
         env, mono = injective_envelope(m)
-        m._cache["cosyzygy"] = QuotientModule(env, mono).module
+        m._cache["cosyzygy"] = QuotientModule(env, mono.values()).module
     return m._cache["cosyzygy"]
 
 
@@ -1176,7 +1203,7 @@ def _interval_modules(a, m):
     the projectives: for c <= i, drop from e_i.Lambda the paths that the
     right action of some e_j with j < c keeps (those starting at vertex j).
     In the path basis a path times e_j is the path itself or 0, so the
-    rows of e_j are unit vectors or empty; e_j.Lambda.e_k is 0 for k > j,
+    rows of e_j are unit vectors or absent; e_j.Lambda.e_k is 0 for k > j,
     so the dropped paths span a submodule."""
     from qshape.modules import projective, restrict
 
@@ -1184,8 +1211,7 @@ def _interval_modules(a, m):
     for i in range(1, m + 1):
         p = projective(a, i)
         for c in range(1, i + 1):
-            dropped = {r for j in range(1, c)
-                       for r, row in enumerate(p.action_of(a.idempotents[j - 1])) if row}
+            dropped = {r for j in range(1, c) for r in p.action_of(a.idempotents[j - 1])}
             out.append(restrict(p, [r for r in range(p.dim) if r not in dropped]))
     return out
 
@@ -1208,7 +1234,7 @@ def end_algebra(m, idempotent_maps=None):
     images = [hom.images(c) for c in hom.basis_coords]
     mult = composition_table(f, images, [hom.map_of(c) for c in hom.basis_coords],
                              lambda composed: hom.basis_coeffs(hom.coords_of_images(composed)))
-    identity = [{r: f.one()} for r in range(m.dim)]
+    identity = {r: {r: f.one()} for r in range(m.dim)}
     unit = hom.basis_coeffs(hom.coords_of_matrix(identity))
     idems = None
     if idempotent_maps is not None:
@@ -1232,10 +1258,7 @@ def interval_auslander(m, field):
     total, offsets = direct_sum(intervals)
     projectors = []
     for interval, off in zip(intervals, offsets):
-        rows = [{} for _ in range(total.dim)]
-        for r in range(off, off + interval.dim):
-            rows[r] = {r: field.one()}
-        projectors.append(rows)
+        projectors.append({r: {r: field.one()} for r in range(off, off + interval.dim)})
     return end_algebra(total, projectors)
 
 

@@ -18,8 +18,10 @@ from qshape.algebra import (
     generating_vectors,
     global_dimension_bounded,
     jacobson_radical,
+    left_support,
     primitive_idempotents,
     product_pairs,
+    right_support,
     sup_degree,
     zero_algebra,
 )
@@ -511,6 +513,12 @@ def test_product_pairs_are_the_pairs_whose_supports_meet(name, char):
         assert product_pairs(a, us, vs) == meet
         assert all(not a.product(u, v) for s, u in enumerate(us) for t, v in enumerate(vs)
                    if (s, t) not in meet)
+    # one vector g against the basis, read off the table: b_m * g and g * b_m
+    for g in a.idempotents + rad[:3]:
+        assert left_support(a, g) == [m for m in range(a.dim)
+                                      if any(j in a.mult[m] for j in g)]
+        assert right_support(a, g) == [m for m in range(a.dim)
+                                       if any(m in a.mult[i] for i in g)]
 
 
 @pytest.mark.parametrize("char", [0, 32003])

@@ -471,15 +471,19 @@ def test_axpy_and_scale_match_the_oracle(case):
 
 @st.composite
 def action_cases(draw):
-    """(field, action, vec, alg_vec): action matrices of nb basis elements
-    on a dim-dimensional space, with empty rows, and two sparse vectors."""
+    """(field, dim, action, vec, alg_vec): action matrices of nb basis
+    elements on a dim-dimensional space, each the dict of its nonzero rows
+    with some rows absent, and two sparse vectors."""
     field = FieldSpec(draw(st.sampled_from(KERNEL_CHARS)))
     dim, nb = draw(st.integers(1, 5)), draw(st.integers(1, 4))
     rows = sparse_vectors(field, st.integers(0, dim - 1), 3)
-    action = [[draw(rows) for _ in range(dim)] for _ in range(nb)]
+    action = []
+    for _ in range(nb):
+        drawn = {r: draw(rows) for r in range(dim)}
+        action.append({r: row for r, row in drawn.items() if row})
     vec = draw(sparse_vectors(field, st.integers(0, dim - 1), dim))
     alg_vec = draw(sparse_vectors(field, st.integers(0, nb - 1), nb))
-    return field, action, vec, alg_vec
+    return field, dim, action, vec, alg_vec
 
 
 @settings(max_examples=100, deadline=None)
@@ -488,22 +492,22 @@ def test_apply_row_act_and_action_of_match_the_oracle(case):
     # act sums (c_b x_m) . action[b][m] directly; the oracle sends vec
     # through each matrix first.  Only act does only the field's ops, so a
     # stub algebra carrying the field is enough
-    field, action, vec, alg_vec = case
-    m = GradedModule(SimpleNamespace(field=field), [0] * len(action[0]), action)
+    field, dim, action, vec, alg_vec = case
+    m = GradedModule(SimpleNamespace(field=field), [0] * dim, action)
     want_row = {}
     for r, x in vec.items():
-        vec_iadd_scaled(field, want_row, action[0][r], x)
-    want_rows = [{} for _ in range(m.dim)]
+        vec_iadd_scaled(field, want_row, action[0].get(r, {}), x)
+    want_rows = {}
     for b, c in alg_vec.items():
-        for r, row in enumerate(action[b]):
-            vec_iadd_scaled(field, want_rows[r], row, c)
+        for r, row in action[b].items():
+            vec_iadd_scaled(field, want_rows.setdefault(r, {}), row, c)
     got_row = apply_row(field, vec, action[0])
     got_act = m.act(vec, alg_vec)
     got_rows = m.action_of(alg_vec)
     assert got_row == want_row
     assert got_act == module_act(m, vec, alg_vec)
-    assert got_rows == want_rows
-    for got in [got_row, got_act, *got_rows]:
+    assert got_rows == {r: row for r, row in want_rows.items() if row}
+    for got in [got_row, got_act, *got_rows.values()]:
         assert keeps_scalar_contract(field, got)
 
 

@@ -250,7 +250,7 @@ def test_composition_table_sends_only_nonzero_images_through_a_matrix(monkeypatc
     expected, reference = [], []
     for imgs in images:
         rows = set().union(*imgs)
-        composed = [j for j, mat in enumerate(matrices) if any(mat[r] for r in rows)]
+        composed = [j for j, mat in enumerate(matrices) if any(r in mat for r in rows)]
         expected += [x for j in composed for x in imgs if x]
         ref = {}
         for j in composed:
@@ -266,7 +266,7 @@ def test_composition_table_sends_only_nonzero_images_through_a_matrix(monkeypatc
 
 def crosses_summands(rows, block):
     """Whether a matrix has an entry from one summand into another."""
-    return any(block[r] != block[s] for r, row in enumerate(rows) for s in row)
+    return any(block[r] != block[s] for r, row in rows.items() for s in row)
 
 
 @pytest.mark.parametrize("char", [0, 32003])

@@ -145,7 +145,7 @@ class TestReferences:
             p = projective(a, i)
             for c in range(1, i + 1):
                 kill = [row for j in range(1, c)
-                        for row in p.action_of(a.idempotents[j - 1]) if row]
+                        for row in p.action_of(a.idempotents[j - 1]).values()]
                 expected.append(QuotientModule(p, kill).module)
         intervals = _interval_modules(a, m)
         assert len(intervals) == len(expected) == m * (m + 1) // 2
