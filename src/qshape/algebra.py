@@ -927,8 +927,6 @@ def center_basis(a):
     other image is zero and adds no entry to the map.  So each g costs the
     products its rows and columns allow, not 2 * dim.
     """
-    if "center" in a._cache:
-        return a._cache["center"]
     f = a.field
     minus_one = f.neg(f.one())
     rows = []
@@ -942,9 +940,7 @@ def center_basis(a):
             for k, c in d.items():
                 by_k.setdefault(k, {})[m] = c
         rows.extend(by_k.values())
-    basis = span_basis(f, sparse_kernel(f, rows, a.dim))
-    a._cache["center"] = basis
-    return basis
+    return span_basis(f, sparse_kernel(f, rows, a.dim))
 
 
 def primitive_idempotents(a):

@@ -14,7 +14,6 @@ changes a module's degrees or action after construction.
 from .algebra import GradedAlgebra, generating_vectors, zero_algebra
 from .fields import check_same_field
 from .modules import GradedModule, hom_graded
-from .tilting import tilting_endomorphism_algebra
 
 
 def ungrade(a):
@@ -124,9 +123,9 @@ def base_change_hom_check(m, n, tensor):
     return {"lhs_dim": lhs, "rhs_dim": rhs, "pass": lhs == rhs}
 
 
-def gamma_tensor(lam, coefficient, gldim_bound=10):
-    """The stable endomorphism algebra of the tilting module, tensored with A."""
-    gamma = tilting_endomorphism_algebra(lam, gldim_bound)
-    if gamma.algebra.dim == 0 or coefficient.dim == 0:
-        return zero_algebra(lam.field)
-    return TensorAlgebra(gamma.algebra, coefficient).product
+def gamma_tensor(gamma, coefficient):
+    """Gamma (x) A, for the Gamma algebra that the caller holds
+    (`tilting_endomorphism_algebra(lam).algebra`)."""
+    if gamma.dim == 0 or coefficient.dim == 0:
+        return zero_algebra(gamma.field)
+    return TensorAlgebra(gamma, coefficient).product

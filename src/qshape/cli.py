@@ -73,6 +73,15 @@ class ParseError(Exception):
     pass
 
 
+def _json_int(value):
+    """int(value) for an integer field of an algebra file.  A JSON float or
+    bool is refused (ValueError): int() would truncate 1.5 to 1 and read
+    true as 1, and so describe an algebra the file did not."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def _load_algebra_file(path):
     try:
         with open(path, "rb") as fh:
@@ -85,7 +94,7 @@ def _load_algebra_file(path):
         raise ParseError(f"invalid JSON in {path}: {e}")
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        field = FieldSpec(int(data.get("field", {}).get("char", 0)))
+        field = FieldSpec(_json_int(data.get("field", {}).get("char", 0)))
     except (TypeError, ValueError, AttributeError) as e:
         raise ParseError(f"bad field spec: {e}")
     if ("builtin" in data) == ("quiver" in data):
@@ -93,18 +102,19 @@ def _load_algebra_file(path):
     try:
         if "builtin" in data:
             b = data["builtin"]
-            a = builtin(b["family"], int(b["parameter"]), field)
-            echo = {"builtin": {"family": b["family"], "parameter": int(b["parameter"])}}
+            parameter = _json_int(b["parameter"])
+            a = builtin(b["family"], parameter, field)
+            echo = {"builtin": {"family": b["family"], "parameter": parameter}}
         else:
             q = data["quiver"]
-            arrows = [(ar["name"], ar["from"], ar["to"], int(ar["degree"]))
+            arrows = [(ar["name"], ar["from"], ar["to"], _json_int(ar["degree"]))
                       for ar in q["arrows"]]
             relations = [
                 [(term["coeff"], tuple(term["path"])) for term in rel]
                 for rel in q["relations"]
             ]
             pres = QuiverPresentation(q["vertices"], arrows, relations,
-                                      int(q["nilpotency_bound"]))
+                                      _json_int(q["nilpotency_bound"]))
             a = compile_quiver(pres, field)
             echo = {"quiver": {"vertices": list(q["vertices"]),
                                "arrows": len(arrows),
@@ -353,7 +363,7 @@ def _witnesses(a, tilting):
     return witnesses
 
 
-def _base_change(a, coeff, gamma, gldim_bound):
+def _base_change(a, coeff, gamma):
     """(checks, gamma_tensor block) of base change along coeff: the hom
     check of every ordered pair of witnesses, by "m|n" name in sorted
     order, and dim Gamma (x) A against dim Gamma * dim A."""
@@ -361,7 +371,7 @@ def _base_change(a, coeff, gamma, gldim_bound):
     witnesses = sorted(_witnesses(a, gamma.tilting.module).items())
     checks = {f"{name_m}|{name_n}": base_change_hom_check(m, n, tensor)
               for name_m, m in witnesses for name_n, n in witnesses}
-    dim = gamma_tensor(a, coeff, gldim_bound).dim
+    dim = gamma_tensor(gamma.algebra, coeff).dim
     expected = gamma.algebra.dim * coeff.dim
     return checks, {"dim": dim, "expected_dim": expected, "pass": dim == expected}
 
@@ -385,7 +395,7 @@ def cmd_basechange(args, seed):
         report["error"] = str(e)
         _emit(report)
         return EXIT_HYPOTHESIS
-    checks, gt = _base_change(a, coeff, gamma, args.gldim_bound)
+    checks, gt = _base_change(a, coeff, gamma)
     all_pass = all(res["pass"] for res in checks.values())
     report["hom_checks"] = checks
     report["all_hom_checks_pass"] = all_pass
@@ -432,7 +442,7 @@ def _verify_one_field(family, parameter, field):
         }
         bc_pass = True
         for coeff in coeffs.values():
-            checks, gt = _base_change(a, coeff, gamma, DEFAULT_GLDIM_BOUND)
+            checks, gt = _base_change(a, coeff, gamma)
             bc_pass = bc_pass and gt["pass"] and all(r["pass"] for r in checks.values())
         verdicts["base_change_pass"] = bc_pass
 
@@ -454,10 +464,11 @@ def cmd_verify(args, seed):
     ).hexdigest()
     report = _envelope("verify", FieldSpec(0), echo, digest, seed)
     try:
-        # an algebra and the modules cached on it refer to each other, so the
-        # first field's objects are freed only by the cycle collector: collect
-        # them before the second field is built, walking only what this field
-        # made (older objects are frozen meanwhile)
+        # Gamma and T are freed when the first field returns, but an algebra
+        # and the modules cached on it refer to each other, so those are
+        # freed only by the cycle collector: collect them before the second
+        # field is built, walking only what this field made (older objects
+        # are frozen meanwhile)
         gc.freeze()
         try:
             rational, code_q = _verify_one_field(args.family, args.parameter, FieldSpec(0))

@@ -30,8 +30,9 @@ epi is onto:
      and each top(e_i.Lambda) has dim 1 when the idempotents span
      Lambda/rad, that is when dim rad = dim Lambda - #idempotents.
 The cover reads dim P and the degrees of P off its summands; the sum
-module P itself is built only when a caller acts on it (a syzygy, or maps
-into P), so hom solves and projectivity tests never copy the summands.
+module P itself is built, and not kept, each time a caller acts on it (a
+syzygy, or maps into P), so hom solves and projectivity tests never copy
+the summands, and P is freed with the one call that read it.
 A submodule reads the coordinates of a span vector at the pivots of the
 span's reduced echelon basis, and checks closure by support: it forms the
 image of a basis row under b only where the matrix of b has a row at some
@@ -155,9 +156,7 @@ class Submodule:
         pivots = sorted(ech.rows, key=lambda p: (parent.degrees[p], p))
         self.basis = {j: ech.rows[p] for j, p in enumerate(pivots)}
         pos = {p: j for j, p in enumerate(pivots)}
-        if "live" not in parent._cache:
-            parent._cache["live"] = row_index(parent.action)
-        live = parent._cache["live"]
+        live = row_index(parent.action)
         action = [{} for _ in range(parent.algebra.dim)]
         for j, b in self.basis.items():
             for k in {k for r in b for k in live.get(r, ())}:
@@ -347,9 +346,9 @@ class ProjectiveCover:
     P = sum of the summands is described by `dim` and `degrees`, read off
     the summands, and by `split`, which cuts a vector of P into summand
     blocks.  `module`, the block-diagonal sum module, is built by
-    `direct_sum` on first access and cached: only callers that act on P
-    (`syzygy_of`, maps into P) build it.  The cover holds no reference to
-    the module it covers, which caches the cover.
+    `direct_sum` on each access and not kept: only callers that act on P
+    (`syzygy_of`, maps into P) build it, once per call.  The cover holds no
+    reference to the module it covers, which caches the cover.
 
     `section_terms` caches, per basis vector of M, its section preimage cut
     into its nonzero cover-summand blocks, each read as an algebra element.
@@ -379,7 +378,6 @@ class ProjectiveCover:
 
         # P is read off its summands; the sum module is built on demand
         self._algebra = a
-        self._module = None
         self.degrees = [d for s in self.summands for d in s.module.degrees]
         self.dim = len(self.degrees)
         self._block_of = []  # P coordinate -> (summand, coordinate inside it)
@@ -419,13 +417,10 @@ class ProjectiveCover:
 
     @property
     def module(self):
-        """P as the direct sum of the summands, built on first access (cached)."""
-        if self._module is None:
-            if self.summands:
-                self._module = direct_sum([s.module for s in self.summands])[0]
-            else:
-                self._module = zero_module(self._algebra)
-        return self._module
+        """P as the direct sum of the summands, built on each access."""
+        if self.summands:
+            return direct_sum([s.module for s in self.summands])[0]
+        return zero_module(self._algebra)
 
     def split(self, vec):
         """The nonzero summand blocks of a vector of P, as (summand index,
@@ -452,18 +447,13 @@ def cover_of(m):
 
 def is_projective(m):
     """Projectivity via the cover: minimal epi is injective iff dims agree."""
-    if "is_projective" not in m._cache:
-        m._cache["is_projective"] = cover_of(m).dim == m.dim
-    return m._cache["is_projective"]
+    return cover_of(m).dim == m.dim
 
 
 def syzygy_of(m):
-    """Kernel of the minimal cover epi, as a module."""
-    if "syzygy" not in m._cache:
-        cov = cover_of(m)
-        sub = Submodule(cov.module, cov.kernel_rows)
-        m._cache["syzygy"] = sub.module
-    return m._cache["syzygy"]
+    """Kernel of the minimal cover epi, as a module (not kept on m)."""
+    cov = cover_of(m)
+    return Submodule(cov.module, cov.kernel_rows).module
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +677,4 @@ def dual_of_regular(a):
 
 def is_self_injective(a):
     """The regular module is injective iff its dual is projective."""
-    if "self_injective" not in a._cache:
-        if a.dim == 0:
-            a._cache["self_injective"] = True
-        else:
-            a._cache["self_injective"] = is_projective(dual_of_regular(a))
-    return a._cache["self_injective"]
+    return a.dim == 0 or is_projective(dual_of_regular(a))

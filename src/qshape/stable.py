@@ -102,8 +102,9 @@ def stable_ext_table(m, n, k):
     dim stable Hom(Omega^-i m, n), computed as dim stable Hom(m, Omega^i n):
     Omega is an autoequivalence of the stable category of a self-injective
     algebra, so applying it i times to both arguments preserves stable
-    homs.  One loop walks the cached syzygy towers of both arguments, which
-    are the same tower when m is n; no injective envelope is built.
+    homs.  One loop walks the syzygy towers of both arguments, one tower
+    when m is n; each level, with its cover, is freed once the loop moves
+    past it, and no injective envelope is built.
     """
     if k < 1:
         raise ValueError("window size must be >= 1")
@@ -112,7 +113,8 @@ def stable_ext_table(m, n, k):
     table = {0: stable_hom(m, n).dim}
     x, y = m, n
     for i in range(1, k + 1):
-        x, y = syzygy_of(x), syzygy_of(y)
+        x = syzygy_of(x)
+        y = x if n is m else syzygy_of(y)
         table[i] = stable_hom(x, n).dim
         table[-i] = stable_hom(m, y).dim
     return table

@@ -150,14 +150,11 @@ class GammaData:
 def tilting_endomorphism_algebra(a, gldim_bound=DEFAULT_GLDIM_BOUND):
     """GammaData for the input algebra (hypotheses verified).
 
-    Cached on the algebra per gldim bound, like its regular module and
-    projectives, so a command that needs Gamma in several places (base
-    change, Gamma tensor A, one tensor per coefficient) builds it once.
+    Not kept on the algebra: the caller holds Gamma and passes it to every
+    later reader (base change, Gamma tensor A), so Gamma and T are freed
+    when the caller drops them.
     """
-    key = ("gamma", gldim_bound)
-    if key not in a._cache:
-        a._cache[key] = GammaData(a, gldim_bound)
-    return a._cache[key]
+    return GammaData(a, gldim_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def criterion_6_data(field):
                         all_pass = False
         gt_dims = {}
         for cname, coeff in coefficients:
-            gt = gamma_tensor(a, coeff)
+            gt = gamma_tensor(g.algebra, coeff)
             gt_dims[cname] = {
                 "dim": gt.dim,
                 "expected": g.algebra.dim * coeff.dim,

@@ -942,8 +942,9 @@ _CONSTRUCTED = {
         builtin("preprojective_A", 2, f)),
     "TensorAlgebra": lambda f: tensor_algebra(
         builtin("exterior", 2, f), ungrade(builtin("preprojective_A", 2, f))).product,
-    "gamma_tensor": lambda f: gamma_tensor(builtin("truncated_polynomial", 4, f),
-                                           ungrade(builtin("preprojective_A", 2, f))),
+    "gamma_tensor": lambda f: gamma_tensor(
+        tilting_endomorphism_algebra(builtin("truncated_polynomial", 4, f)).algebra,
+        ungrade(builtin("preprojective_A", 2, f))),
     "ungrade": lambda f: ungrade(builtin("truncated_polynomial", 3, f)),
 }
 

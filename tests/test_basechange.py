@@ -22,7 +22,11 @@ from qshape.modules import (
     regular,
     simple,
 )
-from qshape.tilting import reference_upper_triangular, tilting_module
+from qshape.tilting import (
+    reference_upper_triangular,
+    tilting_endomorphism_algebra,
+    tilting_module,
+)
 
 from oracles import i_lower, module_equal, validate_module
 
@@ -118,16 +122,19 @@ class TestHomBaseChange:
 
 class TestGammaTensor:
     def test_truncated_cubic_times_dual_numbers(self):
-        g = gamma_tensor(trunc(3), dual_numbers_ungraded())
+        g = gamma_tensor(tilting_endomorphism_algebra(trunc(3)).algebra,
+                         dual_numbers_ungraded())
         assert g.dim == 6  # 3 * 2, the 2x2 upper triangular over A
 
     def test_base_field_coefficients(self):
-        g = gamma_tensor(trunc(3), base_field_algebra())
+        g = gamma_tensor(tilting_endomorphism_algebra(trunc(3)).algebra,
+                         base_field_algebra())
         assert g.dim == 3
 
     def test_preprojective_two_gives_coefficients(self):
+        gamma = tilting_endomorphism_algebra(builtin("preprojective_A", 2, QQ)).algebra
         for a in (dual_numbers_ungraded(), reference_upper_triangular(2, QQ)):
-            g = gamma_tensor(builtin("preprojective_A", 2, QQ), a)
+            g = gamma_tensor(gamma, a)
             assert g.dim == a.dim
 
 

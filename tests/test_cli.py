@@ -662,6 +662,26 @@ class TestBadFlagValues:
         assert code == 2
 
 
+class TestIntegerFields:
+    # int() would read 1.5 as 1 and true as 1, an algebra the file did not
+    # describe; every integer field of an algebra file refuses both
+    @pytest.mark.parametrize("value", [1.5, True])
+    @pytest.mark.parametrize("key", ["char", "parameter", "degree", "nilpotency_bound"])
+    def test_float_or_bool_is_parse_error(self, tmp_path, capsys, key, value):
+        if key in ("char", "parameter"):
+            data = json.loads(Path(write_builtin(tmp_path, "truncated_polynomial", 3)).read_text())
+            (data["field"] if key == "char" else data["builtin"])[key] = value
+        else:
+            data = json.loads(Path(write_preprojective_quiver(tmp_path)).read_text())
+            quiver = data["quiver"]
+            (quiver["arrows"][1] if key == "degree" else quiver)[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, rep = run(capsys, ["check", str(path)])
+        assert code == 2
+        assert rep["error"].endswith(f"expected an integer, got {json.dumps(value)}")
+
+
 class TestFractionCoefficients:
     def test_quiver_relation_with_rational_coefficient(self, tmp_path, capsys):
         # scaling a relation by a unit changes nothing; "1/2 b a" cuts the

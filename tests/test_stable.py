@@ -1,6 +1,8 @@
 """Stable homs, syzygies, Ext tables and stable endomorphism algebras."""
 
 import functools
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -391,18 +393,68 @@ def test_ext_table_builds_no_envelope(monkeypatch):
     assert stable_ext_table(t, t, 3) == {i: 0 if i else 12 for i in range(-3, 4)}
 
 
-def test_ext_table_covers_no_last_syzygy():
+def test_ext_table_covers_no_last_syzygy(monkeypatch):
     # Omega^k T lives in degrees >= 1 and T in degrees <= 0, so both homs
     # that read the last syzygy are zero by degree and need no cover of it
     a = builtin("exterior", 3, QQ)
     t = tilting_module(a).module
     k = 3
+    covered = []
+    init = qshape.modules.ProjectiveCover.__init__
+
+    def recording_init(self, m):
+        covered.append(m)
+        init(self, m)
+
+    monkeypatch.setattr(qshape.modules.ProjectiveCover, "__init__", recording_init)
     assert stable_ext_table(t, t, k) == {i: 0 if i else 12 for i in range(-k, k + 1)}
-    last = t
+    monkeypatch.undo()
+    tower = [t]
     for _ in range(k):
-        last = syzygy(last)
-    assert "cover" not in last._cache
-    assert "cover" in syzygy(syzygy(t))._cache
+        tower.append(syzygy(tower[-1]))
+    # T, Omega T and Omega^2 T are each covered once, Omega^3 T never
+    assert len(covered) == k and covered[0] is t
+    assert all(oracles.module_equal(m, n) for m, n in zip(covered, tower))
+    assert not any(oracles.module_equal(m, tower[k]) for m in covered)
+
+
+class TestFreedWhenDropped:
+    """With the cycle collector off, what a caller drops is freed by
+    reference counting alone: no cache keeps it alive."""
+
+    @pytest.fixture(autouse=True)
+    def no_cycle_collector(self):
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_ext_table_syzygies(self, monkeypatch):
+        t = tilting_module(builtin("exterior", 3, QQ)).module
+        refs = []
+
+        def recording_syzygy(m):
+            out = syzygy(m)
+            refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(qshape.stable, "syzygy_of", recording_syzygy)
+        assert stable_ext_table(t, t, 3) == {i: 0 if i else 12 for i in range(-3, 4)}
+        # one tower when m is n, and each level freed once passed
+        assert len(refs) == 3
+        assert all(r() is None for r in refs)
+
+    def test_gamma_and_tilting_module(self):
+        a = builtin("exterior", 3, QQ)
+        g = tilting_endomorphism_algebra(a)
+        refs = [weakref.ref(g), weakref.ref(g.tilting.module), weakref.ref(g.algebra)]
+        del g
+        assert a.dim == 8  # the algebra is alive, and nothing on it keeps Gamma
+        assert all(r() is None for r in refs)
+
+    def test_cover_sum_module(self):
+        t = tilting_module(builtin("exterior", 3, QQ)).module
+        ref = weakref.ref(cover_of(t).module)
+        assert ref() is None
 
 
 CERTIFIED = ([("truncated_polynomial", n) for n in range(3, 7)]
