@@ -20,10 +20,10 @@ from .algebra import (
     zero_algebra,
 )
 from .basechange import (
+    TensorAlgebra,
     base_change_hom_check,
     gamma_tensor,
     i_star,
-    tensor_algebra,
     ungrade,
 )
 from .fields import FieldSpec, QQ
@@ -31,7 +31,6 @@ from .modules import (
     GradedModule,
     HomSpace,
     dual_of_regular,
-    hom_graded,
     is_projective,
     is_self_injective,
     projective,
@@ -45,10 +44,10 @@ from .stable import (
     ExtCertificate,
     StableHomSpace,
     stable_ext_table,
-    stable_hom,
 )
 from .tilting import (
     AlgebraFingerprint,
+    GammaData,
     TiltingData,
     cartan_matrix,
     check_hypotheses,
@@ -57,7 +56,6 @@ from .tilting import (
     reference_auslander_linear,
     reference_subcategory_algebra,
     reference_upper_triangular,
-    tilting_endomorphism_algebra,
     tilting_module,
 )
-from .window import QWindow, build_window, check_window_properties, serre_of_object
+from .window import QWindow, check_window_properties, serre_of_object

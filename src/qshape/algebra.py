@@ -446,15 +446,18 @@ def compile_quiver(pres, field):
     gb.complete()
 
     # normal words, grown by length: a normal word times an arrow stays
-    # normal unless a leading word is a suffix of the product.  A normal
-    # word of length L survives; when a basis element mixes lengths, a path
-    # of length L may also reduce to shorter normal words
+    # normal unless a leading word is a suffix of the product, so a length
+    # with no normal word has no longer ones and the growth stops there.  A
+    # normal word of length L survives; when a basis element mixes lengths,
+    # a path of length L may also reduce to shorter normal words
     basis_paths = [(v, ()) for v in pres.vertices]
     layer = basis_paths
     for _ in range(L):
         layer = [(p[0], p[1] + (ai,)) for p in layer
                  for ai in gb.leaving.get(target(p), ())
                  if not gb.ends_in_tip(p[1] + (ai,))]
+        if not layer:
+            break
         basis_paths.extend(layer)
     if layer or (gb.mixed and not gb.kills_paths_of_length(L)):
         raise VerificationFailed(

@@ -13,7 +13,7 @@ changes a module's degrees or action after construction.
 
 from .algebra import GradedAlgebra, generating_vectors, zero_algebra
 from .fields import check_same_field
-from .modules import GradedModule, hom_graded
+from .modules import GradedModule, HomSpace
 
 
 def ungrade(a):
@@ -76,10 +76,6 @@ class TensorAlgebra:
         return out
 
 
-def tensor_algebra(left, right):
-    return TensorAlgebra(left, right)
-
-
 def i_star(m, tensor):
     """Extension of scalars: basis pairs (module basis, coefficient basis).
 
@@ -118,14 +114,14 @@ def i_star(m, tensor):
 
 def base_change_hom_check(m, n, tensor):
     """{lhs_dim, rhs_dim, pass}: graded hom after base change vs. hom times dim A."""
-    lhs = hom_graded(i_star(m, tensor), i_star(n, tensor)).dim
-    rhs = hom_graded(m, n).dim * tensor.right.dim
+    lhs = HomSpace(i_star(m, tensor), i_star(n, tensor)).dim
+    rhs = HomSpace(m, n).dim * tensor.right.dim
     return {"lhs_dim": lhs, "rhs_dim": rhs, "pass": lhs == rhs}
 
 
 def gamma_tensor(gamma, coefficient):
     """Gamma (x) A, for the Gamma algebra that the caller holds
-    (`tilting_endomorphism_algebra(lam).algebra`)."""
+    (`GammaData(lam).algebra`)."""
     if gamma.dim == 0 or coefficient.dim == 0:
         return zero_algebra(gamma.field)
     return TensorAlgebra(gamma, coefficient).product

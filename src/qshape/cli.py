@@ -43,23 +43,24 @@ from .algebra import (
     compile_quiver,
     sup_degree,
 )
-from .basechange import base_change_hom_check, gamma_tensor, tensor_algebra, ungrade
+from .basechange import TensorAlgebra, base_change_hom_check, gamma_tensor, ungrade
 from .errors import HypothesisViolated, NotSelfInjective, QShapeError
 from .fields import FieldSpec
 from .modules import projective, regular, simple
 from .stable import ExtCertificate, stable_ext_table
 from .tilting import (
     DEFAULT_GLDIM_BOUND,
+    GATE,
+    GammaData,
     check_hypotheses,
     compare,
     fingerprint,
     reference_auslander_linear,
     reference_subcategory_algebra,
     reference_upper_triangular,
-    tilting_endomorphism_algebra,
     tilting_module,
 )
-from .window import build_window, check_window_properties
+from .window import QWindow, check_window_properties
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -205,37 +206,44 @@ def _emit(report):
     print(_dumps(report))
 
 
-def _hypothesis_block(a, gldim_bound):
-    verdicts = check_hypotheses(a, gldim_bound)
-    verdicts = dict(verdicts)
-    if a.dim:
-        verdicts["top_degree"] = sup_degree(a)
-    else:
-        verdicts["top_degree"] = None
-    return verdicts
+def _hypothesis_block(a, verdicts):
+    """The hypothesis verdicts as reported: those given, and a's top degree."""
+    block = dict(verdicts)
+    block["top_degree"] = sup_degree(a) if a.dim else None
+    return block
+
+
+def _gated(report, a, gldim_bound, build):
+    """build(a, gldim_bound), a construction behind the hypothesis gate,
+    with the gate's verdicts reported.  When the gate fails, the report
+    gets the verdicts and the error and is emitted, and None is returned:
+    the command then exits with EXIT_HYPOTHESIS."""
+    try:
+        built = build(a, gldim_bound)
+    except HypothesisViolated as e:
+        report["hypotheses"] = _hypothesis_block(a, e.verdicts)
+        report["error"] = str(e)
+        _emit(report)
+        return None
+    report["hypotheses"] = _hypothesis_block(a, built.hypotheses)
+    return built
 
 
 def cmd_check(args, seed):
     a, field, echo, digest = _load_algebra_file(args.file)
     report = _envelope("check", field, echo, digest, seed)
-    verdicts = _hypothesis_block(a, args.gldim_bound)
-    report["hypotheses"] = verdicts
+    verdicts = check_hypotheses(a, args.gldim_bound)
+    report["hypotheses"] = _hypothesis_block(a, verdicts)
     report["dim"] = a.dim
     _emit(report)
-    ok = all(verdicts[k] for k in
-             ("non_negative_grading", "self_injective", "finite_global_dimension"))
-    return EXIT_OK if ok else EXIT_HYPOTHESIS
+    return EXIT_OK if all(verdicts[k] for k in GATE) else EXIT_HYPOTHESIS
 
 
 def cmd_tilt(args, seed):
     a, field, echo, digest = _load_algebra_file(args.file)
     report = _envelope("tilt", field, echo, digest, seed)
-    report["hypotheses"] = _hypothesis_block(a, args.gldim_bound)
-    try:
-        td = tilting_module(a, args.gldim_bound)
-    except HypothesisViolated as e:
-        report["error"] = str(e)
-        _emit(report)
+    td = _gated(report, a, args.gldim_bound, tilting_module)
+    if td is None:
         return EXIT_HYPOTHESIS
     report["tilting"] = {
         "summand_count": td.ell,
@@ -247,35 +255,34 @@ def cmd_tilt(args, seed):
     return EXIT_OK
 
 
-def _auto_reference(echo, a, field):
+def _auto_reference(echo):
+    """The --compare spec that `auto` stands for; None for a quiver."""
     b = echo.get("builtin")
     if not b:
-        return None, None
+        return None
     fam, par = b["family"], b["parameter"]
     if fam == "truncated_polynomial":
-        return f"upper_triangular:{par - 1}", reference_upper_triangular(par - 1, field)
+        return f"upper_triangular:{par - 1}"
     if fam == "preprojective_A":
-        if par == 1:
-            return "upper_triangular:0", reference_upper_triangular(0, field)
-        return f"auslander:{par - 1}", reference_auslander_linear(par - 1, field)
+        return f"auslander:{par - 1}" if par > 1 else "upper_triangular:0"
     if fam == "exterior":
-        return "subcategory", reference_subcategory_algebra(a)
-    return None, None
+        return "subcategory"
+    return None
 
 
-def _resolve_reference(spec_str, echo, a, field):
-    if spec_str == "none":
-        return None, None
+def _resolve_reference(spec_str, echo, a):
     if spec_str == "auto":
-        return _auto_reference(echo, a, field)
+        spec_str = _auto_reference(echo)
+    if spec_str in (None, "none"):
+        return None, None
     try:
         if spec_str == "subcategory":
             return "subcategory", reference_subcategory_algebra(a)
         name, _, param = spec_str.partition(":")
         if name == "upper_triangular":
-            return spec_str, reference_upper_triangular(int(param), field)
+            return spec_str, reference_upper_triangular(int(param), a.field)
         if name == "auslander":
-            return spec_str, reference_auslander_linear(int(param), field)
+            return spec_str, reference_auslander_linear(int(param), a.field)
     except (ValueError, TypeError) as e:
         raise ParseError(f"bad --compare spec {spec_str!r}: {e}")
     raise ParseError(f"unknown --compare spec {spec_str!r}")
@@ -284,12 +291,8 @@ def _resolve_reference(spec_str, echo, a, field):
 def cmd_gamma(args, seed):
     a, field, echo, digest = _load_algebra_file(args.file)
     report = _envelope("gamma", field, echo, digest, seed)
-    report["hypotheses"] = _hypothesis_block(a, args.gldim_bound)
-    try:
-        gamma = tilting_endomorphism_algebra(a, args.gldim_bound)
-    except HypothesisViolated as e:
-        report["error"] = str(e)
-        _emit(report)
+    gamma = _gated(report, a, args.gldim_bound, GammaData)
+    if gamma is None:
         return EXIT_HYPOTHESIS
     g = gamma.algebra
     report["gamma"] = _algebra_json(g)
@@ -297,7 +300,7 @@ def cmd_gamma(args, seed):
                                             for e in gamma.block_idempotents]
     fp = fingerprint(g)
     report["fingerprint"] = fp.as_dict()
-    ref_name, ref = _resolve_reference(args.compare, echo, a, field)
+    ref_name, ref = _resolve_reference(args.compare, echo, a)
     if ref is None:
         report["comparison"] = {"reference": None, "verdict": None}
         _emit(report)
@@ -318,12 +321,8 @@ def cmd_ext(args, seed):
         raise ParseError(f"--range must be >= 1, got {args.range}")
     a, field, echo, digest = _load_algebra_file(args.file)
     report = _envelope("ext", field, echo, digest, seed)
-    report["hypotheses"] = _hypothesis_block(a, args.gldim_bound)
-    try:
-        td = tilting_module(a, args.gldim_bound)
-    except HypothesisViolated as e:
-        report["error"] = str(e)
-        _emit(report)
+    td = _gated(report, a, args.gldim_bound, tilting_module)
+    if td is None:
         return EXIT_HYPOTHESIS
     table = stable_ext_table(td.module, td.module, args.range)
     report["ext_table"] = {str(i): table[i] for i in sorted(table)}
@@ -338,8 +337,8 @@ def cmd_window(args, seed):
         raise ParseError(f"--lo {args.lo} exceeds --hi {args.hi}")
     a, field, echo, digest = _load_algebra_file(args.file)
     report = _envelope("window", field, echo, digest, seed)
-    report["hypotheses"] = _hypothesis_block(a, args.gldim_bound)
-    w = build_window(a, args.lo, args.hi)
+    report["hypotheses"] = _hypothesis_block(a, check_hypotheses(a, args.gldim_bound))
+    w = QWindow(a, args.lo, args.hi)
     try:
         rep = check_window_properties(w, serre_check=args.serre)
     except NotSelfInjective as e:
@@ -367,7 +366,7 @@ def _base_change(a, coeff, gamma):
     """(checks, gamma_tensor block) of base change along coeff: the hom
     check of every ordered pair of witnesses, by "m|n" name in sorted
     order, and dim Gamma (x) A against dim Gamma * dim A."""
-    tensor = tensor_algebra(a, coeff)
+    tensor = TensorAlgebra(a, coeff)
     witnesses = sorted(_witnesses(a, gamma.tilting.module).items())
     checks = {f"{name_m}|{name_n}": base_change_hom_check(m, n, tensor)
               for name_m, m in witnesses for name_n, n in witnesses}
@@ -388,12 +387,8 @@ def cmd_basechange(args, seed):
         return EXIT_PARSE
     coeff = a2 if a2.is_trivially_graded() else ungrade(a2)
     report["coefficient_regraded"] = not a2.is_trivially_graded()
-    report["hypotheses"] = _hypothesis_block(a, args.gldim_bound)
-    try:
-        gamma = tilting_endomorphism_algebra(a, args.gldim_bound)
-    except HypothesisViolated as e:
-        report["error"] = str(e)
-        _emit(report)
+    gamma = _gated(report, a, args.gldim_bound, GammaData)
+    if gamma is None:
         return EXIT_HYPOTHESIS
     checks, gt = _base_change(a, coeff, gamma)
     all_pass = all(res["pass"] for res in checks.values())
@@ -407,18 +402,13 @@ def cmd_basechange(args, seed):
 def _verify_one_field(family, parameter, field):
     """Per-instance acceptance subset for one field; returns (verdicts, code)."""
     a = builtin(family, parameter, field)
-    verdicts = {}
-    hyp = check_hypotheses(a, DEFAULT_GLDIM_BOUND)
-    verdicts["hypotheses"] = {
-        k: hyp[k] for k in ("non_negative_grading", "self_injective",
-                            "finite_global_dimension")
-    }
-    if not all(verdicts["hypotheses"].values()):
-        return verdicts, EXIT_HYPOTHESIS
-
-    gamma = tilting_endomorphism_algebra(a)
+    try:
+        gamma = GammaData(a)
+    except HypothesisViolated as e:
+        return {"hypotheses": {k: e.verdicts[k] for k in GATE}}, EXIT_HYPOTHESIS
+    verdicts = {"hypotheses": {k: gamma.hypotheses[k] for k in GATE}}
     echo = {"builtin": {"family": family, "parameter": parameter}}
-    ref_name, ref = _auto_reference(echo, a, field)
+    ref_name, ref = _resolve_reference("auto", echo, a)
     cmp_verdict = compare(gamma.algebra, ref)
     verdicts["gamma_dim"] = gamma.algebra.dim
     verdicts["comparison"] = {"reference": ref_name, "verdict": cmp_verdict.as_dict()}
@@ -431,7 +421,7 @@ def _verify_one_field(family, parameter, field):
     verdicts["ext_zero_entry_is_gamma_dim"] = (
         gamma.stable_end.stable.dim == gamma.algebra.dim)
 
-    wrep = check_window_properties(build_window(a, -6, 6), serre_check=True)
+    wrep = check_window_properties(QWindow(a, -6, 6), serre_check=True)
     verdicts["window_all_pass"] = wrep["all_pass"]
 
     if (family, parameter) in (("truncated_polynomial", 3), ("preprojective_A", 2)):

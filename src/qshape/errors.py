@@ -35,8 +35,10 @@ class NotSelfInjective(QShapeError):
 
 
 class HypothesisViolated(QShapeError):
-    """One of the standing hypotheses on the input algebra fails."""
+    """One of the standing hypotheses on the input algebra fails.  `which`
+    names it; `verdicts`, when the gate raised, are all of its verdicts."""
 
-    def __init__(self, which, message=None):
+    def __init__(self, which, verdicts=None):
         self.which = which
-        super().__init__(message or f"hypothesis violated: {which}")
+        self.verdicts = verdicts
+        super().__init__(f"hypothesis violated: {which}")

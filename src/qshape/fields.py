@@ -14,35 +14,14 @@ per entry and no call per entry.
 """
 
 from fractions import Fraction
+from math import isqrt
 from operator import index
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin with bases 2, 3, 5, 7.
-
-    Exact for n < 3,215,031,751, the least strong pseudoprime to all four
-    bases, which covers every characteristic below 2^31.
-    """
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in (2, 3, 5, 7):
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division: exact, and a few ms for the largest characteristic,
+    2^31 - 1, checked once per field."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 class FieldSpec:
@@ -102,15 +81,19 @@ def _one():
 
 def _coercer(name, from_int, from_fraction):
     def coerce(x):
-        """Accept ints, Fractions and 'p/q' strings; reject floats."""
+        """Accept ints, Fractions and 'p/q' strings; reject floats, and
+        (ValueError) a zero denominator or, over GF(p), one divisible by p."""
         if isinstance(x, bool):
             raise TypeError("booleans are not scalars")
         if isinstance(x, int):
             return from_int(x)
-        if isinstance(x, str):
-            x = Fraction(x)
-        if isinstance(x, Fraction):
-            return from_fraction(x)
+        try:
+            if isinstance(x, str):
+                x = Fraction(x)
+            if isinstance(x, Fraction):
+                return from_fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {name}: {x}") from None
         raise TypeError(f"cannot coerce {x!r} into {name}")
     return coerce
 

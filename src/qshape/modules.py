@@ -613,10 +613,6 @@ class HomSpace:
         return self._basis_ech.express(coords)
 
 
-def hom_graded(m, n):
-    return HomSpace(m, n)
-
-
 def composition_table(field, images, matrices, coords_of_images):
     """Structure constants of composition over a list of maps M -> M.
 

@@ -22,9 +22,9 @@ from .algebra import GradedAlgebra
 from .errors import NotSelfInjective
 from .linalg import Echelon, apply_row
 from .modules import (
+    HomSpace,
     composition_table,
     cover_of,
-    hom_graded,
     is_self_injective,
     same_algebra,
     syzygy_of,
@@ -50,12 +50,12 @@ class StableHomSpace:
         f = m.algebra.field
         self.source = m
         self.target = n
-        self.hom = hom = hom_graded(m, n)
+        self.hom = hom = HomSpace(m, n)
         self.factoring = Echelon(f)
         if hom.dim:
             cov = cover_of(n)
             epi = cov.epi_rows
-            lifted = hom_graded(m, cov.module)
+            lifted = HomSpace(m, cov.module)
             for c in lifted.basis_coords:
                 images = [apply_row(f, x, epi) for x in lifted.images(c)]
                 coeffs = hom.basis_coeffs(hom.coords_of_images(images))
@@ -91,10 +91,6 @@ class StableHomSpace:
         return {self._rep_index[q]: x for q, x in residual.items()}
 
 
-def stable_hom(m, n):
-    return StableHomSpace(m, n)
-
-
 def stable_ext_table(m, n, k):
     """dim of stable hom from the i-th (co)syzygy of m to n, for |i| <= k.
 
@@ -110,13 +106,13 @@ def stable_ext_table(m, n, k):
         raise ValueError("window size must be >= 1")
     if not is_self_injective(m.algebra):
         raise NotSelfInjective("stable Ext tables need a self-injective algebra")
-    table = {0: stable_hom(m, n).dim}
+    table = {0: StableHomSpace(m, n).dim}
     x, y = m, n
     for i in range(1, k + 1):
         x = syzygy_of(x)
         y = x if n is m else syzygy_of(y)
-        table[i] = stable_hom(x, n).dim
-        table[-i] = stable_hom(m, y).dim
+        table[i] = StableHomSpace(x, n).dim
+        table[-i] = StableHomSpace(m, y).dim
     return table
 
 
@@ -178,7 +174,7 @@ class StableEnd:
     def __init__(self, m, idempotent_maps=None):
         f = m.algebra.field
         self.module = m
-        self.stable = stable_hom(m, m)
+        self.stable = StableHomSpace(m, m)
         hom = self.stable.hom
         coords = self.stable.representative_coords()
         reps = [hom.map_of(c) for c in coords]

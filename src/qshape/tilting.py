@@ -43,6 +43,8 @@ from .stable import StableEnd
 
 
 DEFAULT_GLDIM_BOUND = 10
+# the verdicts of `check_hypotheses` that must hold before T or Gamma is built
+GATE = ("non_negative_grading", "self_injective", "finite_global_dimension")
 
 
 def check_hypotheses(a, gldim_bound=DEFAULT_GLDIM_BOUND):
@@ -63,22 +65,26 @@ def check_hypotheses(a, gldim_bound=DEFAULT_GLDIM_BOUND):
 
 
 def require_hypotheses(a, gldim_bound=DEFAULT_GLDIM_BOUND):
+    """The verdicts of `check_hypotheses`; HypothesisViolated, carrying
+    them, names the first key of GATE that fails."""
     verdicts = check_hypotheses(a, gldim_bound)
-    for key in ("non_negative_grading", "self_injective", "finite_global_dimension"):
+    for key in GATE:
         if not verdicts[key]:
-            raise HypothesisViolated(key)
+            raise HypothesisViolated(key, verdicts)
     return verdicts
 
 
 class TiltingData:
-    """Summands T_i = Lambda(i)_{<=0}, their direct sum, and the offset of
-    each summand's coordinates in the sum."""
+    """Summands T_i = Lambda(i)_{<=0}, their direct sum, the offset of each
+    summand's coordinates in the sum, and the verdicts of the gate that let
+    them be built."""
 
-    def __init__(self, algebra, summands, module, offsets):
+    def __init__(self, algebra, summands, module, offsets, hypotheses):
         self.algebra = algebra
         self.summands = summands
         self.module = module
         self.offsets = offsets
+        self.hypotheses = hypotheses
         self.ell = len(summands)
 
     def vertex_projectors(self):
@@ -110,18 +116,19 @@ class TiltingData:
 def tilting_module(a, gldim_bound=DEFAULT_GLDIM_BOUND):
     """Direct sum of the degree-<=0 truncations of the first ell shifts.
 
-    All three standing hypotheses are verified first; violations raise
-    HypothesisViolated.  A top degree of zero yields the zero module.
+    All three standing hypotheses are verified first, and their verdicts
+    are kept as `hypotheses`; violations raise HypothesisViolated.  A top
+    degree of zero yields the zero module.
     """
-    require_hypotheses(a, gldim_bound)
+    verdicts = require_hypotheses(a, gldim_bound)
     ell = sup_degree(a) if a.dim else 0
     summands = []
     for i in range(ell):
         summands.append(truncate_le(shift(regular(a), i), 0))
     if not summands:
-        return TiltingData(a, [], zero_module(a), [])
+        return TiltingData(a, [], zero_module(a), [], verdicts)
     module, offsets = direct_sum(summands)
-    return TiltingData(a, summands, module, offsets)
+    return TiltingData(a, summands, module, offsets, verdicts)
 
 
 class GammaData:
@@ -133,28 +140,24 @@ class GammaData:
     it has a simple top and a local endomorphism ring; its projector's class
     is zero when the summand is projective and primitive otherwise.
     `block_idempotents[i]`, the class of the projector onto T_i, is the sum
-    of the classes of its vertex projectors.
+    of the classes of its vertex projectors.  `hypotheses` are the verdicts
+    of the gate that `tilting_module` runs.
+
+    Not kept on the algebra: the caller holds Gamma and passes it to every
+    later reader (base change, Gamma tensor A), so Gamma and T are freed
+    when the caller drops them.
     """
 
     def __init__(self, a, gldim_bound=DEFAULT_GLDIM_BOUND):
         f = a.field
         self.tilting = tilting_module(a, gldim_bound)
+        self.hypotheses = self.tilting.hypotheses
         projectors = self.tilting.vertex_projectors()
         self.stable_end = StableEnd(self.tilting.module, [p for _, p in projectors])
         self.algebra = self.stable_end.algebra
         self.block_idempotents = [{} for _ in range(self.tilting.ell)]
         for (i, _), e in zip(projectors, self.stable_end.idempotent_classes):
             f.axpy(self.block_idempotents[i], e, f.one())
-
-
-def tilting_endomorphism_algebra(a, gldim_bound=DEFAULT_GLDIM_BOUND):
-    """GammaData for the input algebra (hypotheses verified).
-
-    Not kept on the algebra: the caller holds Gamma and passes it to every
-    later reader (base change, Gamma tensor A), so Gamma and T are freed
-    when the caller drops them.
-    """
-    return GammaData(a, gldim_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -103,10 +103,6 @@ def _by_shift_class(a, corner_bases):
     return out
 
 
-def build_window(a, lo, hi):
-    return QWindow(a, lo, hi)
-
-
 def serre_of_object(a, i, j):
     """Serre image of P_i(j): the left slice e_i of the dual of the algebra,
     shifted by j.  The left action on the dual is (b . f)(x) = f(x b).  The

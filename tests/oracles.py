@@ -1224,12 +1224,12 @@ def end_algebra(m, idempotent_maps=None):
     classes of idempotent_maps (matrices of endomorphisms of m) are declared
     as its primitive idempotents."""
     from qshape.algebra import GradedAlgebra, zero_algebra
-    from qshape.modules import composition_table, hom_graded
+    from qshape.modules import HomSpace, composition_table
 
     f = m.algebra.field
     if m.is_zero():
         return zero_algebra(f)
-    hom = hom_graded(m, m)
+    hom = HomSpace(m, m)
     dim = hom.dim
     images = [hom.images(c) for c in hom.basis_coords]
     mult = composition_table(f, images, [hom.map_of(c) for c in hom.basis_coords],

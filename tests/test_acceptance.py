@@ -15,20 +15,20 @@ from qshape.algebra import (
     degree_zero_part,
     global_dimension_bounded,
 )
-from qshape.basechange import base_change_hom_check, gamma_tensor, tensor_algebra, ungrade
+from qshape.basechange import TensorAlgebra, base_change_hom_check, gamma_tensor, ungrade
 from qshape.fields import FieldSpec
 from qshape.modules import is_self_injective, projective, regular, simple
 from qshape.stable import stable_ext_table
 from qshape.tilting import (
+    GammaData,
     canonical_matrix,
     cartan_matrix,
     compare,
     reference_auslander_linear,
     reference_subcategory_algebra,
     reference_upper_triangular,
-    tilting_endomorphism_algebra,
 )
-from qshape.window import build_window, check_window_properties
+from qshape.window import QWindow, check_window_properties
 
 from oracles import auslander_linear_dim
 
@@ -54,7 +54,7 @@ def algebra_of(field, fam, par):
 def gamma_of(field, fam, par):
     key = ("gamma", field.char, fam, par)
     if key not in _cache:
-        _cache[key] = tilting_endomorphism_algebra(algebra_of(field, fam, par))
+        _cache[key] = GammaData(algebra_of(field, fam, par))
     return _cache[key]
 
 
@@ -149,7 +149,7 @@ def criterion_5_data(field):
     out = {}
     for fam, par in INSTANCES:
         a = algebra_of(field, fam, par)
-        rep = check_window_properties(build_window(a, -6, 6), serre_check=True)
+        rep = check_window_properties(QWindow(a, -6, 6), serre_check=True)
         entry = {
             "all_pass": rep["all_pass"],
             "serre_symmetry": rep["property_5"]["dimension_symmetry"],
@@ -178,7 +178,7 @@ def criterion_6_data(field):
         ]
         all_pass = True
         for _, coeff in coefficients:
-            tensor = tensor_algebra(a, coeff)
+            tensor = TensorAlgebra(a, coeff)
             for _, m in witnesses:
                 for _, n in witnesses:
                     if not base_change_hom_check(m, n, tensor)["pass"]:

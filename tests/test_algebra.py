@@ -1,6 +1,7 @@
 """Quiver compilation, builtin families, radicals and idempotents."""
 
 import copy
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,16 +32,16 @@ from qshape.errors import (
     UnsupportedCharacteristic,
     VerificationFailed,
 )
-from qshape.basechange import gamma_tensor, tensor_algebra, ungrade
+from qshape.basechange import TensorAlgebra, gamma_tensor, ungrade
 from qshape.fields import FieldSpec, QQ
 from qshape.tilting import (
+    GammaData,
     cartan_matrix,
     compare,
     fingerprint,
     reference_auslander_linear,
     reference_subcategory_algebra,
     reference_upper_triangular,
-    tilting_endomorphism_algebra,
 )
 from qshape.window import QWindow
 
@@ -78,6 +79,15 @@ class TestCompileQuiver:
         pres = QuiverPresentation(["v"], [("x", "v", "v", 1)], [[(1, ("x",) * 4)]], 3)
         with pytest.raises(VerificationFailed):
             compile_quiver(pres, QQ)
+
+    def test_large_nilpotency_bound_stops_at_the_last_normal_word(self):
+        # k[x]/x^2 has no normal word of length 2, so none longer: the
+        # words stop growing there, not at the bound
+        pres = QuiverPresentation(["v"], [("x", "v", "v", 1)], [[(1, ("x", "x"))]], 10 ** 8)
+        start = time.perf_counter()
+        a = compile_quiver(pres, QQ)
+        assert time.perf_counter() - start < 5
+        assert a.dim == 2 and sorted(a.degrees) == [0, 1]
 
     def test_non_homogeneous_relation(self):
         pres_args = (
@@ -394,7 +404,7 @@ def _radical_instance(name, char):
         family, n = name.removeprefix("Gamma ").split()
         a = builtin(family, int(n), FieldSpec(char))
         if name.startswith("Gamma "):
-            a = tilting_endomorphism_algebra(a).algebra
+            a = GammaData(a).algebra
         _RADICAL_INSTANCES[name, char] = a
     return _RADICAL_INSTANCES[name, char]
 
@@ -562,7 +572,7 @@ def test_fingerprint_forms_only_the_products_supports_allow(monkeypatch):
     # on the dim-120 Gamma of truncated_polynomial 16, 455 of the 105^2
     # products of radical basis vectors are nonzero; all pairs in the
     # radical, the center and the Cartan corners would form 31,845
-    g = tilting_endomorphism_algebra(builtin("truncated_polynomial", 16, QQ)).algebra
+    g = GammaData(builtin("truncated_polynomial", 16, QQ)).algebra
     calls = []
     product = GradedAlgebra.product
 
@@ -581,7 +591,7 @@ def test_validation_forms_only_the_products_supports_allow(monkeypatch):
     # generators) applies a right-multiplication table to 1,490 vectors;
     # every stored product and every word against every table would be
     # 22,400
-    g = tilting_endomorphism_algebra(builtin("truncated_polynomial", 16, QQ)).algebra
+    g = GammaData(builtin("truncated_polynomial", 16, QQ)).algebra
     calls = []
     apply_row = qshape.algebra.apply_row
 
@@ -771,7 +781,7 @@ _PERTURBATION_BASES = {
     "exterior 2": lambda f: builtin("exterior", 2, f),
     "preprojective_A 3": lambda f: builtin("preprojective_A", 3, f),
     "upper_triangular 3": lambda f: reference_upper_triangular(3, f),
-    "truncated_polynomial 2 (x) preprojective_A 2": lambda f: tensor_algebra(
+    "truncated_polynomial 2 (x) preprojective_A 2": lambda f: TensorAlgebra(
         builtin("truncated_polynomial", 2, f), ungrade(builtin("preprojective_A", 2, f))
     ).product,
     # sparse tables with many idempotents, where most products of a
@@ -779,7 +789,7 @@ _PERTURBATION_BASES = {
     "upper_triangular 6": lambda f: reference_upper_triangular(6, f),
     "auslander 3": lambda f: reference_auslander_linear(3, f),
     # no declared generators: the greedy generating set
-    "Gamma of truncated_polynomial 6": lambda f: tilting_endomorphism_algebra(
+    "Gamma of truncated_polynomial 6": lambda f: GammaData(
         builtin("truncated_polynomial", 6, f)).algebra,
     "degree_zero_part of preprojective_A 4": lambda f: degree_zero_part(
         builtin("preprojective_A", 4, f)),
@@ -933,17 +943,17 @@ def test_validation_rejects_a_unit_off_the_basis(extra, char):
 _CONSTRUCTED = {
     "compile_quiver": lambda f: builtin("preprojective_A", 3, f),
     "degree_zero_part": lambda f: degree_zero_part(builtin("preprojective_A", 3, f)),
-    "StableEnd": lambda f: tilting_endomorphism_algebra(builtin("exterior", 2, f)).algebra,
+    "StableEnd": lambda f: GammaData(builtin("exterior", 2, f)).algebra,
     # the oracle End of the interval modules: no quiver behind it, so no
     # radical hint, and idempotents given as class vectors
     "end_algebra": lambda f: interval_auslander(3, f),
     "reference_auslander_linear": lambda f: reference_auslander_linear(3, f),
     "reference_subcategory_algebra": lambda f: reference_subcategory_algebra(
         builtin("preprojective_A", 2, f)),
-    "TensorAlgebra": lambda f: tensor_algebra(
+    "TensorAlgebra": lambda f: TensorAlgebra(
         builtin("exterior", 2, f), ungrade(builtin("preprojective_A", 2, f))).product,
     "gamma_tensor": lambda f: gamma_tensor(
-        tilting_endomorphism_algebra(builtin("truncated_polynomial", 4, f)).algebra,
+        GammaData(builtin("truncated_polynomial", 4, f)).algebra,
         ungrade(builtin("preprojective_A", 2, f))),
     "ungrade": lambda f: ungrade(builtin("truncated_polynomial", 3, f)),
 }

@@ -7,24 +7,24 @@ import pytest
 
 from qshape.algebra import builtin
 from qshape.basechange import (
+    TensorAlgebra,
     base_change_hom_check,
     gamma_tensor,
     i_star,
-    tensor_algebra,
     ungrade,
 )
 from qshape.fields import QQ, FieldSpec
 from qshape.modules import (
     GradedModule,
+    HomSpace,
     cover_of,
-    hom_graded,
     is_projective,
     regular,
     simple,
 )
 from qshape.tilting import (
+    GammaData,
     reference_upper_triangular,
-    tilting_endomorphism_algebra,
     tilting_module,
 )
 
@@ -46,46 +46,46 @@ def base_field_algebra(field=QQ):
 class TestTensorAlgebra:
     def test_tensor_with_base_field_is_identity_like(self):
         lam = trunc(2)
-        t = tensor_algebra(lam, base_field_algebra())
+        t = TensorAlgebra(lam, base_field_algebra())
         assert t.product.dim == lam.dim
         assert t.product.degrees == lam.degrees
 
     def test_upper_triangular_with_dual_numbers(self):
-        t = tensor_algebra(reference_upper_triangular(2, QQ), dual_numbers_ungraded())
+        t = TensorAlgebra(reference_upper_triangular(2, QQ), dual_numbers_ungraded())
         assert t.product.dim == 6
 
     def test_grading_from_left_factor(self):
-        t = tensor_algebra(trunc(2), dual_numbers_ungraded())
+        t = TensorAlgebra(trunc(2), dual_numbers_ungraded())
         assert t.product.dim == 4
         assert max(t.product.degrees) == 1
 
     def test_right_factor_must_be_trivially_graded(self):
         with pytest.raises(ValueError):
-            tensor_algebra(trunc(2), trunc(2))
+            TensorAlgebra(trunc(2), trunc(2))
 
     def test_idempotent_count_multiplies(self):
         lam = builtin("preprojective_A", 2, QQ)
         a = reference_upper_triangular(2, QQ)
-        t = tensor_algebra(lam, a)
+        t = TensorAlgebra(lam, a)
         assert len(t.product.idempotents) == 4
 
 
 class TestScalars:
     def test_i_star_with_base_field(self):
         lam = trunc(2)
-        t = tensor_algebra(lam, base_field_algebra())
+        t = TensorAlgebra(lam, base_field_algebra())
         m = simple(lam, 1)
         assert module_equal(i_star(m, t), m) or i_star(m, t).dim == m.dim
 
     def test_i_star_of_regular_is_regular(self):
         lam = trunc(2)
-        t = tensor_algebra(lam, dual_numbers_ungraded())
+        t = TensorAlgebra(lam, dual_numbers_ungraded())
         assert module_equal(i_star(regular(lam), t), regular(t.product))
 
     def test_restriction_of_extension_multiplies_dim(self):
         lam = builtin("preprojective_A", 2, QQ)
         a = dual_numbers_ungraded()
-        t = tensor_algebra(lam, a)
+        t = TensorAlgebra(lam, a)
         m = simple(lam, 1)
         down = i_lower(i_star(m, t), t)
         assert down.dim == m.dim * a.dim
@@ -97,7 +97,7 @@ class TestHomBaseChange:
     def test_regular_pair(self):
         lam = trunc(2)
         for a in (base_field_algebra(), dual_numbers_ungraded()):
-            t = tensor_algebra(lam, a)
+            t = TensorAlgebra(lam, a)
             res = base_change_hom_check(regular(lam), regular(lam), t)
             assert res["pass"]
             deg0 = sum(1 for d in lam.degrees if d == 0)
@@ -105,7 +105,7 @@ class TestHomBaseChange:
 
     def test_tilting_against_regular(self):
         lam = trunc(2)
-        t = tensor_algebra(lam, dual_numbers_ungraded())
+        t = TensorAlgebra(lam, dual_numbers_ungraded())
         tilt = tilting_module(lam).module
         res = base_change_hom_check(tilt, regular(lam), t)
         assert res["pass"]
@@ -114,7 +114,7 @@ class TestHomBaseChange:
         lam = builtin("preprojective_A", 2, QQ)
         mods = [regular(lam), simple(lam, 1), simple(lam, 2),
                 tilting_module(lam).module]
-        t = tensor_algebra(lam, dual_numbers_ungraded())
+        t = TensorAlgebra(lam, dual_numbers_ungraded())
         for m in mods:
             for n in mods:
                 assert base_change_hom_check(m, n, t)["pass"]
@@ -122,17 +122,17 @@ class TestHomBaseChange:
 
 class TestGammaTensor:
     def test_truncated_cubic_times_dual_numbers(self):
-        g = gamma_tensor(tilting_endomorphism_algebra(trunc(3)).algebra,
+        g = gamma_tensor(GammaData(trunc(3)).algebra,
                          dual_numbers_ungraded())
         assert g.dim == 6  # 3 * 2, the 2x2 upper triangular over A
 
     def test_base_field_coefficients(self):
-        g = gamma_tensor(tilting_endomorphism_algebra(trunc(3)).algebra,
+        g = gamma_tensor(GammaData(trunc(3)).algebra,
                          base_field_algebra())
         assert g.dim == 3
 
     def test_preprojective_two_gives_coefficients(self):
-        gamma = tilting_endomorphism_algebra(builtin("preprojective_A", 2, QQ)).algebra
+        gamma = GammaData(builtin("preprojective_A", 2, QQ)).algebra
         for a in (dual_numbers_ungraded(), reference_upper_triangular(2, QQ)):
             g = gamma_tensor(gamma, a)
             assert g.dim == a.dim
@@ -143,7 +143,7 @@ class TestProjectiveRestrictionMore:
         # the restriction of the extension of M is M^(dim A), projective
         # exactly when M is
         lam = builtin("preprojective_A", 2, QQ)
-        t = tensor_algebra(lam, dual_numbers_ungraded())
+        t = TensorAlgebra(lam, dual_numbers_ungraded())
         from qshape.modules import projective
 
         for m, expected in (
@@ -158,12 +158,12 @@ class TestProjectiveRestrictionMore:
 class TestConstructedModulesValidate:
     def test_extension_satisfies_module_axioms(self):
         lam = builtin("preprojective_A", 2, QQ)
-        t = tensor_algebra(lam, dual_numbers_ungraded())
+        t = TensorAlgebra(lam, dual_numbers_ungraded())
         validate_module(i_star(simple(lam, 1), t))  # raises on a bad action
 
     def test_restriction_satisfies_module_axioms(self):
         lam = trunc(2)
-        t = tensor_algebra(lam, dual_numbers_ungraded())
+        t = TensorAlgebra(lam, dual_numbers_ungraded())
         validate_module(i_lower(i_star(regular(lam), t), t))
 
 
@@ -171,12 +171,12 @@ def basechange_witnesses(lam):
     """The witnesses `qshape basechange` checks: Λ, its projectives and
     simples, and the tilting module T."""
     from qshape.modules import projective
-    from qshape.tilting import tilting_endomorphism_algebra
+    from qshape.tilting import GammaData
 
     out = [regular(lam)]
     for i in range(1, len(lam.idempotents) + 1):
         out += [projective(lam, i), simple(lam, i)]
-    out.append(tilting_endomorphism_algebra(lam).tilting.module)
+    out.append(GammaData(lam).tilting.module)
     return out
 
 
@@ -184,13 +184,13 @@ class TestExtensionMemo:
     @pytest.mark.parametrize("field", [QQ, FieldSpec(32003)], ids=["QQ", "GF32003"])
     def test_memoised_extension_equals_a_fresh_one(self, field):
         lam = builtin("preprojective_A", 2, field)
-        t = tensor_algebra(lam, dual_numbers_ungraded(field))
+        t = TensorAlgebra(lam, dual_numbers_ungraded(field))
         witnesses = basechange_witnesses(lam)
         assert len(witnesses) == 6
         for m in witnesses:
             ext = i_star(m, t)
             assert i_star(m, t) is ext
-            fresh = i_star(m, tensor_algebra(lam, dual_numbers_ungraded(field)))
+            fresh = i_star(m, TensorAlgebra(lam, dual_numbers_ungraded(field)))
             assert fresh is not ext
             assert module_equal(ext, fresh)
         # equal modules that are distinct objects get extensions of their own
@@ -206,11 +206,11 @@ class TestExtensionMemo:
         gc.collect()
         gc.disable()
         try:
-            t = tensor_algebra(lam, dual_numbers_ungraded())
+            t = TensorAlgebra(lam, dual_numbers_ungraded())
             ext = i_star(witness, t)
             other = i_star(simple(lam, 1), t)
             cov = cover_of(ext)
-            assert hom_graded(ext, other).dim > 0
+            assert HomSpace(ext, other).dim > 0
             refs = [weakref.ref(x) for x in (t, ext, other, cov)]
             del t, ext, other, cov
             assert [r() for r in refs] == [None] * 4

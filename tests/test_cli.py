@@ -325,16 +325,17 @@ class TestWorkDoneOnce:
         assert len(calls) == 2  # Gamma and the reference, once each
 
     def gamma_builds(self, monkeypatch):
-        import qshape.tilting
+        import qshape.cli
+        from qshape.tilting import DEFAULT_GLDIM_BOUND, GammaData
 
         builds = []
 
-        class Counted(qshape.tilting.GammaData):
-            def __init__(self, a, gldim_bound):
+        class Counted(GammaData):
+            def __init__(self, a, gldim_bound=DEFAULT_GLDIM_BOUND):
                 builds.append(a)
                 super().__init__(a, gldim_bound)
 
-        monkeypatch.setattr(qshape.tilting, "GammaData", Counted)
+        monkeypatch.setattr(qshape.cli, "GammaData", Counted)
         return builds
 
     def test_basechange_builds_gamma_once(self, tmp_path, capsys, monkeypatch):
@@ -441,6 +442,35 @@ class TestWorkDoneOnce:
         code, rep = run(capsys, ["basechange", lam, "--with", coeff])
         assert code == 0 and rep["all_hom_checks_pass"]
         assert covers and sums == []
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["check"], 1), (["tilt"], 1), (["gamma"], 1), (["ext"], 1),
+        (["window", "--lo", "-1", "--hi", "1"], 1), (["basechange", "--with"], 1),
+        (["verify", "truncated_polynomial", "3"], 2),
+    ])
+    def test_hypotheses_are_checked_once_per_field(self, tmp_path, capsys, monkeypatch,
+                                                   argv, calls):
+        # the gate that builds T or Gamma is the only check of the
+        # hypotheses, and the report shows its verdicts
+        import qshape.tilting
+
+        counted = []
+        original = qshape.tilting.check_hypotheses
+
+        def spy(*args):
+            counted.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(qshape.tilting, "check_hypotheses", spy)
+        monkeypatch.setattr(qshape.cli, "check_hypotheses", spy)
+        if argv[0] != "verify":
+            f = write_builtin(tmp_path, "truncated_polynomial", 3)
+            argv = [argv[0], f] + argv[1:] + ([f] if argv[-1] == "--with" else [])
+        code, rep = run(capsys, argv)
+        assert code == 0
+        assert len(counted) == calls
+        fields = [rep["rationals"], rep["gf_32003"]] if argv[0] == "verify" else [rep]
+        assert all(field["hypotheses"]["self_injective"] is True for field in fields)
 
     def test_verify_builds_gamma_once_per_field(self, capsys, monkeypatch):
         # truncated_polynomial 3 runs the base-change loop over three
@@ -683,6 +713,18 @@ class TestIntegerFields:
 
 
 class TestFractionCoefficients:
+    @pytest.mark.parametrize("char, coeff", [(0, "1/0"), (7, "1/7")])
+    def test_zero_denominator_is_parse_error(self, tmp_path, capsys, char, coeff):
+        # over GF(7), 7 is zero: neither coefficient names a scalar
+        data = json.loads(Path(write_preprojective_quiver(tmp_path)).read_text())
+        data["field"]["char"] = char
+        data["quiver"]["relations"][0][0]["coeff"] = coeff
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(data))
+        code, rep = run(capsys, ["check", str(path)])
+        assert code == 2
+        assert rep["error"].startswith("bad algebra description: zero denominator")
+
     def test_quiver_relation_with_rational_coefficient(self, tmp_path, capsys):
         # scaling a relation by a unit changes nothing; "1/2 b a" cuts the
         # same ideal as "b a"

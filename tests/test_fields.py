@@ -32,6 +32,13 @@ def test_strong_pseudoprimes_are_rejected(n):
         FieldSpec(n)
 
 
+@pytest.mark.parametrize("char, text", [(0, "1/0"), (7, "1/7"), (7, "3/14")])
+def test_zero_denominator_is_a_value_error(char, text):
+    # over GF(p) a denominator divisible by p has no inverse
+    with pytest.raises(ValueError, match="zero denominator"):
+        FieldSpec(char).coerce(text)
+
+
 def test_only_fields_names_fraction():
     # every QQ scalar is made in qshape.fields, which hands out an int
     # whenever the value is integral; no other module builds a Fraction

@@ -19,10 +19,11 @@ from qshape.errors import NotSelfInjective
 from qshape.fields import FieldSpec, QQ
 from qshape.linalg import Echelon, apply_row
 from qshape.modules import (
+    HomSpace,
+    Submodule,
     cover_of,
     direct_sum,
     dual_of_regular,
-    hom_graded,
     is_projective,
     is_self_injective,
     projective,
@@ -30,7 +31,6 @@ from qshape.modules import (
     regular,
     shift,
     simple,
-    Submodule,
     syzygy_of,
     truncate_le,
     zero_module,
@@ -82,7 +82,7 @@ def enriched_hom_dims(m, n):
         return {}
     lo = min(n.degrees) - max(m.degrees)
     hi = max(n.degrees) - min(m.degrees)
-    return {i: hom_graded(m, shift(n, i)).dim for i in range(lo, hi + 1)}
+    return {i: HomSpace(m, shift(n, i)).dim for i in range(lo, hi + 1)}
 
 
 def linear_a2(field=QQ):
@@ -164,19 +164,19 @@ class TestHom:
         for fam, par in (("truncated_polynomial", 3), ("preprojective_A", 2)):
             a = builtin(fam, par, QQ)
             for target in (regular(a), simple(a, 1)):
-                h = hom_graded(regular(a), target)
+                h = HomSpace(regular(a), target)
                 assert h.dim == sum(1 for d in target.degrees if d == 0)
 
     def test_simple_to_regular_vanishes(self):
         a = trunc(2)
-        assert hom_graded(simple(a, 1), regular(a)).dim == 0
+        assert HomSpace(simple(a, 1), regular(a)).dim == 0
 
     def test_hom_from_projective_is_slice(self):
         a = builtin("preprojective_A", 3, QQ)
         for i in range(1, 4):
             p = projective(a, i)
             n = regular(a)
-            h = hom_graded(p, n)
+            h = HomSpace(p, n)
             # oracle: dim (N e_i)_0 by direct slice computation
             e = a.idempotents[i - 1]
             ech = Echelon(QQ)
@@ -192,19 +192,19 @@ class TestHom:
         for m in mods:
             for n in mods:
                 expected = len(naive_hom_basis(m, n))
-                assert hom_graded(m, n).dim == expected
+                assert HomSpace(m, n).dim == expected
 
     def test_naive_oracle_on_exterior(self):
         a = builtin("exterior", 2, QQ)
         t = truncate_le(shift(regular(a), 1), 0)
         for m, n in ((t, t), (t, regular(a)), (regular(a), t)):
-            assert hom_graded(m, n).dim == len(naive_hom_basis(m, n))
+            assert HomSpace(m, n).dim == len(naive_hom_basis(m, n))
 
     def test_basis_maps_are_valid(self):
         a = builtin("preprojective_A", 2, QQ)
         m = shift(projective(a, 2), 1)
         n = regular(a)
-        hom = hom_graded(m, n)
+        hom = HomSpace(m, n)
         for c in hom.basis_coords:
             validate_map(m, n, hom.map_of(c))  # raises on a bad map
 
@@ -216,7 +216,7 @@ class TestHom:
     def test_disjoint_degree_supports_give_zero(self):
         a = trunc(2)
         m = shift(regular(a), 10)
-        assert hom_graded(m, regular(a)).dim == 0
+        assert HomSpace(m, regular(a)).dim == 0
         # the enriched table recovers the total dim at the overlapping shifts
         assert sum(enriched_hom_dims(m, regular(a)).values()) == a.dim
 
@@ -225,7 +225,7 @@ class TestHom:
         m = truncate_le(shift(regular(a), 1), 0)
         n = regular(a)
         for j in (-2, 1, 3):
-            assert hom_graded(m, n).dim == hom_graded(shift(m, j), shift(n, j)).dim
+            assert HomSpace(m, n).dim == HomSpace(shift(m, j), shift(n, j)).dim
 
 
 def rescaled(a):
@@ -428,7 +428,7 @@ COVER_CASES = [(family, n, char)
 def cover_witnesses(a):
     """T, its first two syzygies, shifted simples, Lambda(1)_{<=0} and the
     extension of T to Lambda (x) k[x]/x^2."""
-    from qshape.basechange import i_star, tensor_algebra, ungrade
+    from qshape.basechange import TensorAlgebra, i_star, ungrade
     from qshape.tilting import tilting_module
 
     t = tilting_module(a).module
@@ -437,14 +437,14 @@ def cover_witnesses(a):
                for i in range(1, len(primitive_idempotents(a)) + 1) for j in (-1, 2)]
     return ([t, syzygy_of(t), syzygy_of(syzygy_of(t))] + simples
             + [truncate_le(shift(regular(a), 1), 0),
-               i_star(t, tensor_algebra(a, dual_numbers))])
+               i_star(t, TensorAlgebra(a, dual_numbers))])
 
 
 class TestInternalRoundtrips:
     def test_hom_basis_expresses_as_unit_vectors(self):
         a = builtin("preprojective_A", 2, QQ)
         m = shift(projective(a, 2), 1)
-        h = hom_graded(m, regular(a))
+        h = HomSpace(m, regular(a))
         for q, c in enumerate(h.basis_coords):
             coeffs = h.basis_coeffs(h.coords_of_matrix(h.map_of(c)))
             assert coeffs == {q: QQ.one()}
@@ -504,7 +504,7 @@ def test_map_of_matches_projecting_the_section(family, n, char):
     maps = 0
     for m in modules:
         for target in (t, m, simple(a, 1)):
-            hom = hom_graded(m, target)
+            hom = HomSpace(m, target)
             for c in hom.basis_coords:
                 assert hom.map_of(c) == map_by_projecting_the_section(hom, c)
                 maps += 1
@@ -548,7 +548,7 @@ class TestCoverLifetime:
             m = truncate_le(shift(regular(a), 1), 0)
             cov = cover_of(m)
             syzygy_of(m)
-            assert hom_graded(m, m).dim > 0
+            assert HomSpace(m, m).dim > 0
             ref = weakref.ref(m)
             del m
             assert ref() is None
@@ -601,8 +601,8 @@ def test_homs_into_one_target_agree(family, n, char):
     one = a.field.one()
     for m in (t, syzygy_of(t), regular(a), simple(a, 1)):
         for target in (t, regular(a)):
-            first, second = hom_graded(m, target), hom_graded(m, target)
-            fresh = hom_graded(m, GradedModule(a, target.degrees, target.action))
+            first, second = HomSpace(m, target), HomSpace(m, target)
+            fresh = HomSpace(m, GradedModule(a, target.degrees, target.action))
             assert first.basis_coords == second.basis_coords == fresh.basis_coords
             for q, c in enumerate(second.basis_coords):
                 assert second.basis_coeffs(second.coords_of_matrix(second.map_of(c))) == {q: one}
@@ -610,7 +610,7 @@ def test_homs_into_one_target_agree(family, n, char):
 
 def witness_homs(a):
     ws = cover_witnesses(a)
-    return [hom_graded(m, n) for m in ws for n in ws if m.algebra is n.algebra]
+    return [HomSpace(m, n) for m in ws for n in ws if m.algebra is n.algebra]
 
 
 def sample_coords(hom):
@@ -692,7 +692,7 @@ def test_zero_by_degree_hom_builds_no_cover(monkeypatch, char):
     f = a.field
     source = shift(regular(a), 10)
     monkeypatch.setattr(modules, "ProjectiveCover", refuse)
-    hom = hom_graded(source, regular(a))
+    hom = HomSpace(source, regular(a))
     assert hom.dim == 0
     monkeypatch.undo()
     # the presentation is set up on first use, and its slices are empty
@@ -887,7 +887,7 @@ def test_maps_are_row_matrices():
     m = truncate_le(shift(regular(a), 1), 0)
     assert type(m) is GradedModule
     assert type(simple(a, 1)) is GradedModule
-    hom = hom_graded(m, m)
+    hom = HomSpace(m, m)
     assert hom.dim
     for c in hom.basis_coords:
         rows = hom.map_of(c)
@@ -923,7 +923,7 @@ def moved_entry(m):
 def test_validate_module_accepts_constructed_modules(family, n, char):
     # the dual of the regular module is built unchecked: its action is the
     # transpose of the algebra's validated structure constants
-    from qshape.basechange import i_star, tensor_algebra, ungrade
+    from qshape.basechange import TensorAlgebra, i_star, ungrade
     from qshape.cli import _witnesses
     from qshape.tilting import reference_upper_triangular, tilting_module
 
@@ -937,7 +937,7 @@ def test_validate_module_accepts_constructed_modules(family, n, char):
     for coeff in (builtin("preprojective_A", 1, f),
                   ungrade(builtin("truncated_polynomial", 2, f)),
                   reference_upper_triangular(2, f)):
-        tensor = tensor_algebra(a, coeff)
+        tensor = TensorAlgebra(a, coeff)
         modules += [i_star(w, tensor) for w in witnesses]
     for m in modules:
         validate_module(m)
@@ -962,17 +962,17 @@ def test_every_matrix_is_the_dict_of_its_nonzero_rows(family, n, char):
     # module actions, hom representatives, vertex projectors and cover epis
     # keep only their nonzero rows, keyed by row index; act and apply_row
     # read an absent row as zero, as the oracles do
-    from qshape.basechange import i_star, tensor_algebra
-    from qshape.tilting import reference_upper_triangular, tilting_endomorphism_algebra
+    from qshape.basechange import TensorAlgebra, i_star
+    from qshape.tilting import GammaData, reference_upper_triangular
 
     f = FieldSpec(char)
     a = builtin(family, n, f)
-    gamma = tilting_endomorphism_algebra(a)
+    gamma = GammaData(a)
     tilting = gamma.tilting
     t = tilting.module
     modules = [regular(a), projective(a, 1), simple(a, 1), truncate_le(shift(regular(a), 1), 0),
                direct_sum([t, regular(a)])[0], syzygy_of(t), dual_of_regular(a),
-               i_star(t, tensor_algebra(a, reference_upper_triangular(2, f)))]
+               i_star(t, TensorAlgebra(a, reference_upper_triangular(2, f)))]
     for m in modules:
         alg = m.algebra
         full = {r: f.from_int(r + 1) for r in range(m.dim)}

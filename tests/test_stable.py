@@ -17,7 +17,7 @@ from qshape.modules import (
     composition_table,
     cover_of,
     direct_sum,
-    hom_graded,
+    HomSpace,
     regular,
     shift,
     simple,
@@ -27,10 +27,10 @@ from qshape.modules import (
 from qshape.stable import (
     ExtCertificate,
     StableEnd,
+    StableHomSpace,
     stable_ext_table,
-    stable_hom,
 )
-from qshape.tilting import tilting_endomorphism_algebra, tilting_module
+from qshape.tilting import GammaData, tilting_module
 
 import oracles
 from oracles import cosyzygy_of as cosyzygy, end_algebra, sparse_matmul
@@ -47,7 +47,7 @@ def trunc(n, field=QQ):
 def factoring_span(m, n):
     """hom(m, n) and the reduced basis of the coefficients, over its
     basis_coords, of the maps that factor through a projective."""
-    sh = stable_hom(m, n)
+    sh = StableHomSpace(m, n)
     return sh.hom, sh.factoring.basis()
 
 
@@ -75,12 +75,12 @@ class TestFactoring:
 def factoring_by_matrices(m, n):
     """Reference factoring subspace: build every map of hom(m, P) as a
     matrix, compose with the cover epi P -> n and express the product."""
-    hom = hom_graded(m, n)
+    hom = HomSpace(m, n)
     f = m.algebra.field
     cov = cover_of(n)
     ech = Echelon(f)
     if not n.is_zero() and not m.is_zero():
-        lifted = hom_graded(m, cov.module)
+        lifted = HomSpace(m, cov.module)
         for h in lifted.basis_coords:
             c = hom.basis_coeffs(hom.coords_of_matrix(
                 sparse_matmul(f, lifted.map_of(h), cov.epi_rows)))
@@ -114,19 +114,19 @@ def test_factoring_coordinates_match_matrix_path(family, char):
 class TestStableHom:
     def test_vanishes_on_projectives(self):
         a = builtin("preprojective_A", 2, QQ)
-        assert stable_hom(regular(a), simple(a, 1)).dim == 0
-        assert stable_hom(simple(a, 1), regular(a)).dim == 0
+        assert StableHomSpace(regular(a), simple(a, 1)).dim == 0
+        assert StableHomSpace(simple(a, 1), regular(a)).dim == 0
 
     def test_simple_stable_end_is_line(self):
         a = trunc(2)
         s = simple(a, 1)
-        sh = stable_hom(s, s)
+        sh = StableHomSpace(s, s)
         assert sh.hom.dim == 1
         assert sh.dim == 1
 
     def test_semisimple_algebra_everything_vanishes(self):
         a = builtin("preprojective_A", 1, QQ)
-        assert stable_hom(regular(a), regular(a)).dim == 0
+        assert StableHomSpace(regular(a), regular(a)).dim == 0
 
 
 class TestSyzygyCosyzygy:
@@ -157,7 +157,7 @@ class TestSyzygyCosyzygy:
         t1 = truncate_le(shift(regular(a), 1), 0)
         samples = [(simple(a, 1), t1), (t1, simple(a, 1)), (t1, t1)]
         for m, n in samples:
-            assert stable_hom(syzygy(m), n).dim == stable_hom(m, cosyzygy(n)).dim
+            assert StableHomSpace(syzygy(m), n).dim == StableHomSpace(m, cosyzygy(n)).dim
 
 
 class TestExtTable:
@@ -247,7 +247,7 @@ def test_composition_table_sends_only_nonzero_images_through_a_matrix(monkeypatc
 
     monkeypatch.setattr(qshape.modules, "apply_row", spy_apply)
     monkeypatch.setattr(qshape.stable, "composition_table", spy_table)
-    tilting_endomorphism_algebra(builtin("truncated_polynomial", 16, QQ))
+    GammaData(builtin("truncated_polynomial", 16, QQ))
     (images, matrices, coords_of_images, table), = tables
     expected, reference = [], []
     for imgs in images:
@@ -306,7 +306,7 @@ def test_composition_tables_match_all_pairs(monkeypatch, family, n, char):
         skipped |= len(stable_calls) < dim * dim
 
         e = end_algebra(m)
-        hom = hom_graded(m, m)
+        hom = HomSpace(m, m)
         basis = [hom.map_of(c) for c in hom.basis_coords]
         for i in range(hom.dim):
             for j in range(hom.dim):
@@ -326,7 +326,7 @@ def cosyzygy_entry(m, n, i):
             n = cosyzygy(n)
         else:
             m = cosyzygy(m)
-    return stable_hom(m, n).dim
+    return StableHomSpace(m, n).dim
 
 
 class TestSecondRoute:
@@ -445,7 +445,7 @@ class TestFreedWhenDropped:
 
     def test_gamma_and_tilting_module(self):
         a = builtin("exterior", 3, QQ)
-        g = tilting_endomorphism_algebra(a)
+        g = GammaData(a)
         refs = [weakref.ref(g), weakref.ref(g.tilting.module), weakref.ref(g.algebra)]
         del g
         assert a.dim == 8  # the algebra is alive, and nothing on it keeps Gamma
@@ -466,7 +466,7 @@ class TestExtCertificate:
     @pytest.mark.parametrize("char", [0, 32003])
     @pytest.mark.parametrize("family, n", CERTIFIED)
     def test_certificate_agrees_with_the_computed_table(self, family, n, char):
-        gamma = tilting_endomorphism_algebra(builtin(family, n, FieldSpec(char)))
+        gamma = GammaData(builtin(family, n, FieldSpec(char)))
         t = gamma.tilting.module
         cert = ExtCertificate(t)
         assert cert.holds

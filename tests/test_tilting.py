@@ -14,14 +14,16 @@ from qshape.errors import HypothesisViolated
 from qshape.fields import FieldSpec, QQ
 from qshape.modules import is_projective, projective, shift, truncate_le
 from qshape.tilting import (
+    GATE,
+    GammaData,
     canonical_matrix,
     cartan_matrix,
+    check_hypotheses,
     compare,
     fingerprint,
     reference_auslander_linear,
     reference_subcategory_algebra,
     reference_upper_triangular,
-    tilting_endomorphism_algebra,
     tilting_module,
 )
 
@@ -80,28 +82,44 @@ class TestTiltingModule:
             tilting_module(a)
         assert exc.value.which == "self_injective"
 
+    def test_gate_verdicts_are_carried(self):
+        # T and Gamma keep the verdicts of the gate that let them be built,
+        # and a failed gate carries them on the error, naming the first
+        # key of GATE that fails
+        a = trunc(3)
+        assert tilting_module(a).hypotheses == check_hypotheses(a)
+        assert GammaData(a).hypotheses == check_hypotheses(a)
+        pp3 = builtin("preprojective_A", 3, QQ)
+        with pytest.raises(HypothesisViolated) as exc:
+            tilting_module(pp3, gldim_bound=0)
+        verdicts = exc.value.verdicts
+        assert verdicts == check_hypotheses(pp3, 0)
+        assert exc.value.which == next(k for k in GATE if not verdicts[k])
+        assert exc.value.which == "finite_global_dimension"
+        assert str(exc.value) == "hypothesis violated: finite_global_dimension"
+
 
 class TestGamma:
     def test_truncated_family_dims(self):
         # upper-triangular count (N-1)N/2
         for n in (2, 3, 4):
-            g = tilting_endomorphism_algebra(trunc(n))
+            g = GammaData(trunc(n))
             assert g.algebra.dim == n * (n - 1) // 2
 
     def test_preprojective_family(self):
-        assert tilting_endomorphism_algebra(builtin("preprojective_A", 1, QQ)).algebra.dim == 0
-        g2 = tilting_endomorphism_algebra(builtin("preprojective_A", 2, QQ))
+        assert GammaData(builtin("preprojective_A", 1, QQ)).algebra.dim == 0
+        g2 = GammaData(builtin("preprojective_A", 2, QQ))
         assert g2.algebra.dim == 1  # the base field
-        g3 = tilting_endomorphism_algebra(builtin("preprojective_A", 3, QQ))
+        g3 = GammaData(builtin("preprojective_A", 3, QQ))
         assert g3.algebra.dim == 5  # kA_3/J^2: 3 vertices + 2 arrows
 
     def test_exterior_family_dims(self):
         for n, expect in ((1, 1), (2, 4)):
-            g = tilting_endomorphism_algebra(builtin("exterior", n, QQ))
+            g = GammaData(builtin("exterior", n, QQ))
             assert g.algebra.dim == expect
 
     def test_block_idempotents(self):
-        g = tilting_endomorphism_algebra(trunc(4))
+        g = GammaData(trunc(4))
         assert len(g.block_idempotents) == 3  # ell blocks; validated on build
 
 
@@ -179,7 +197,7 @@ class TestReferences:
 class TestFingerprintCompare:
     def test_truncated_matches_upper_triangular(self):
         for n in (2, 3, 4):
-            g = tilting_endomorphism_algebra(trunc(n)).algebra
+            g = GammaData(trunc(n)).algebra
             ref = reference_upper_triangular(n - 1, QQ)
             assert compare(g, ref).status == "match"
 
@@ -205,7 +223,7 @@ class TestFingerprintCompare:
     def test_exterior_matches_subcategory(self):
         for n in (1, 2):
             a = builtin("exterior", n, QQ)
-            g = tilting_endomorphism_algebra(a).algebra
+            g = GammaData(a).algebra
             if n == 1:
                 ref = reference_upper_triangular(1, QQ)  # single object, hom = k
             else:
@@ -213,7 +231,7 @@ class TestFingerprintCompare:
             assert compare(g, ref).status == "match"
 
     def test_preprojective_matches_auslander(self):
-        g = tilting_endomorphism_algebra(builtin("preprojective_A", 3, QQ)).algebra
+        g = GammaData(builtin("preprojective_A", 3, QQ)).algebra
         ref = reference_auslander_linear(2, QQ)
         assert compare(g, ref).status == "match"
 
@@ -222,11 +240,11 @@ class TestFingerprintCompare:
         # Gamma has 10 simples, past what a search over all orders of the
         # simples could afford
         field = FieldSpec(char)
-        g = tilting_endomorphism_algebra(builtin("preprojective_A", 5, field)).algebra
+        g = GammaData(builtin("preprojective_A", 5, field)).algebra
         assert compare(g, reference_auslander_linear(4, field)).status == "match"
 
     def test_zero_algebras_match(self):
-        g = tilting_endomorphism_algebra(builtin("preprojective_A", 1, QQ)).algebra
+        g = GammaData(builtin("preprojective_A", 1, QQ)).algebra
         assert compare(g, reference_upper_triangular(0, QQ)).status == "match"
 
     def test_fingerprint_deterministic(self):
@@ -239,7 +257,7 @@ class TestFingerprintCompare:
                                       ("exterior", 3)])
 def test_cartan_matrix_matches_pairwise_products(family, n, char):
     a = builtin(family, n, FieldSpec(char))
-    for alg in (a, tilting_endomorphism_algebra(a).algebra):
+    for alg in (a, GammaData(a).algebra):
         idems = primitive_idempotents(alg)
         assert cartan_matrix(alg) == naive_cartan(alg.field, alg.mult, idems)
 
@@ -307,7 +325,7 @@ class TestEndAlgebra:
 
 class TestGammaIdempotents:
     def test_gamma_of_truncated_cubic_has_two_primitives(self):
-        g = tilting_endomorphism_algebra(trunc(3)).algebra
+        g = GammaData(trunc(3)).algebra
         assert len(primitive_idempotents(g)) == 2
 
 
@@ -320,7 +338,7 @@ def test_gamma_idempotents_are_the_nonprojective_vertex_summands(family, n, char
     a = builtin(family, n, FieldSpec(char))
     f = a.field
     s = len(a.idempotents)
-    gamma = tilting_endomorphism_algebra(a)
+    gamma = GammaData(a)
     projectors = gamma.tilting.vertex_projectors()
     classes = gamma.stable_end.idempotent_classes
     assert len(classes) == len(projectors) == gamma.tilting.ell * s
@@ -387,7 +405,7 @@ class TestDirectPresentationTriangulation:
         )
         direct = compile_quiver(pres, QQ)
         assert direct.dim == 5
-        g = tilting_endomorphism_algebra(builtin("preprojective_A", 3, QQ)).algebra
+        g = GammaData(builtin("preprojective_A", 3, QQ)).algebra
         assert compare(g, direct).status == "match"
         assert compare(reference_auslander_linear(2, QQ), direct).status == "match"
         assert compare(interval_auslander(2, QQ), direct).status == "match"

@@ -9,8 +9,8 @@ import qshape.window
 from qshape.algebra import GradedAlgebra, QuiverPresentation, builtin, compile_quiver
 from qshape.errors import NotSelfInjective
 from qshape.fields import QQ, FieldSpec
-from qshape.modules import dual_of_regular, hom_graded, projective, regular, shift
-from qshape.window import build_window, check_window_properties, serre_of_object
+from qshape.modules import HomSpace, dual_of_regular, projective, regular, shift
+from qshape.window import QWindow, check_window_properties, serre_of_object
 
 from oracles import isomorphic_projectives, per_object_window_properties
 
@@ -21,13 +21,13 @@ def trunc(n, field=QQ):
 
 class TestBuildWindow:
     def test_dual_numbers_slices(self):
-        w = build_window(trunc(2), 0, 1)
+        w = QWindow(trunc(2), 0, 1)
         assert w.hom_dim((1, 0), (1, 1)) == 1
         assert w.hom_dim((1, 1), (1, 0)) == 0
 
     def test_window_dims_equal_graded_components(self):
         a = builtin("exterior", 2, QQ)
-        w = build_window(a, -2, 2)
+        w = QWindow(a, -2, 2)
         comp = {d: sum(1 for x in a.degrees if x == d) for d in set(a.degrees)}
         for j in range(-2, 3):
             for jp in range(-2, 3):
@@ -35,7 +35,7 @@ class TestBuildWindow:
 
     def test_slice_sum_over_idempotents(self):
         a = builtin("preprojective_A", 3, QQ)
-        w = build_window(a, 0, 2)
+        w = QWindow(a, 0, 2)
         comp = {d: sum(1 for x in a.degrees if x == d) for d in set(a.degrees)}
         for d in (0, 1, 2):
             total = sum(
@@ -46,16 +46,16 @@ class TestBuildWindow:
     def test_dims_match_hom_graded_on_samples(self):
         # dual route: slice dims against the presentation-based solver
         a = builtin("preprojective_A", 2, QQ)
-        w = build_window(a, -1, 1)
+        w = QWindow(a, -1, 1)
         for q in ((1, 0), (2, -1), (1, 1)):
             for qp in ((1, 0), (2, 0), (2, 1)):
-                direct = hom_graded(shift(projective(a, q[0]), q[1]),
+                direct = HomSpace(shift(projective(a, q[0]), q[1]),
                                     shift(projective(a, qp[0]), qp[1])).dim
                 assert w.hom_dim(q, qp) == direct
 
     def test_composition_against_map_composition(self):
         a = trunc(3)
-        w = build_window(a, 0, 2)
+        w = QWindow(a, 0, 2)
         x = w.hom_basis((1, 0), (1, 1))[0]
         y = w.hom_basis((1, 1), (1, 2))[0]
         z = w.compose(x, y)
@@ -90,7 +90,7 @@ class TestSerre:
 
 class TestProperties:
     def test_dual_numbers_window(self):
-        rep = check_window_properties(build_window(trunc(2), -3, 3))
+        rep = check_window_properties(QWindow(trunc(2), -3, 3))
         assert rep["all_pass"]
         assert rep["property_4"]["window_radical_nilpotency"] == 2
         # dim Q(P(0), P(1)) = 1 with S P(0) = P(1): part of property 5
@@ -98,19 +98,19 @@ class TestProperties:
 
     def test_truncated_nilpotency_equals_n(self):
         for n in (2, 3, 4):
-            rep = check_window_properties(build_window(trunc(n), -5, 5))
+            rep = check_window_properties(QWindow(trunc(n), -5, 5))
             assert rep["property_4"]["window_radical_nilpotency"] == n
             assert rep["property_4"]["algebra_radical_nilpotency"] == n
 
     def test_preprojective_window(self):
         a = builtin("preprojective_A", 3, QQ)
-        rep = check_window_properties(build_window(a, -3, 3))
+        rep = check_window_properties(QWindow(a, -3, 3))
         assert rep["all_pass"]
         assert rep["property_2"]["max_band_seen"] <= 2
 
     def test_semisimple_off_diagonal_vanishes(self):
         a = builtin("preprojective_A", 1, QQ)
-        w = build_window(a, -2, 2)
+        w = QWindow(a, -2, 2)
         for j in range(-2, 3):
             for jp in range(-2, 3):
                 if j != jp:
@@ -129,7 +129,7 @@ class TestProperties:
         mult = [{0: {0: one}, 1: {1: one}},
                 {0: {1: one}, 1: {0: f.neg(one), 1: f.from_int(2)}}]
         a = GradedAlgebra(f, [0, 0], mult, {0: one}, idempotents=[{0: one}])
-        w = build_window(a, 0, 0)
+        w = QWindow(a, 0, 0)
         assert w.hom_basis((1, 0), (1, 0)) == [{0: one}, {1: one}]
         assert w.radical_basis((1, 0), (1, 0)) == [{0: one, 1: f.neg(one)}]
         rep = check_window_properties(w)
@@ -139,10 +139,10 @@ class TestProperties:
     def test_serre_skippable(self):
         pres = QuiverPresentation(["1", "2"], [("a", "1", "2", 0)], [], 2)
         a = compile_quiver(pres, QQ)
-        rep = check_window_properties(build_window(a, -1, 1), serre_check=False)
+        rep = check_window_properties(QWindow(a, -1, 1), serre_check=False)
         assert rep["property_5"]["pass"] is None
         with pytest.raises(NotSelfInjective):
-            check_window_properties(build_window(a, -1, 1), serre_check=True)
+            check_window_properties(QWindow(a, -1, 1), serre_check=True)
 
 
 class TestSerreLocalStructure:
@@ -164,7 +164,7 @@ class TestNilpotencyInvariant:
 
         for fam, par in (("preprojective_A", 3), ("exterior", 2)):
             a = builtin(fam, par, QQ)
-            rep = check_window_properties(build_window(a, -6, 6), serre_check=False)
+            rep = check_window_properties(QWindow(a, -6, 6), serre_check=False)
             assert (rep["property_4"]["window_radical_nilpotency"]
                     == jacobson_radical(a).nilpotency)
 
@@ -200,7 +200,7 @@ class TestShiftClassesAgainstPerObjectCheck:
     def test_reports_equal(self, family, parameter, char):
         a = builtin(family, parameter, FieldSpec(char))
         for lo, hi in ORACLE_WINDOWS:
-            w = build_window(a, lo, hi)
+            w = QWindow(a, lo, hi)
             assert as_json(check_window_properties(w)) == as_json(
                 per_object_window_properties(w)), (lo, hi)
 
@@ -208,7 +208,7 @@ class TestShiftClassesAgainstPerObjectCheck:
         pres = QuiverPresentation(["1", "2"], [("a", "1", "2", 0)], [], 2)
         a = compile_quiver(pres, QQ)
         for lo, hi in ORACLE_WINDOWS:
-            w = build_window(a, lo, hi)
+            w = QWindow(a, lo, hi)
             assert as_json(check_window_properties(w, serre_check=False)) == as_json(
                 per_object_window_properties(w, serre_check=False)), (lo, hi)
             with pytest.raises(NotSelfInjective):
@@ -229,6 +229,6 @@ class TestShiftClassesAgainstPerObjectCheck:
 
         monkeypatch.setattr(qshape.modules, "Submodule", CountingSubmodule)
         monkeypatch.setattr(qshape.window, "Submodule", CountingSubmodule)
-        check_window_properties(build_window(a, -3, 3))
-        check_window_properties(build_window(a, 0, 5))
+        check_window_properties(QWindow(a, -3, 3))
+        check_window_properties(QWindow(a, 0, 5))
         assert len(built) == 3
