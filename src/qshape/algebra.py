@@ -1030,10 +1030,13 @@ def global_dimension_bounded(a, bound):
     """Max projective dimension of the simple modules, truncated at bound.
 
     Returns an int, or the string sentinel EXCEEDS_BOUND when some simple has
-    no projective resolution of length <= bound.
+    no projective resolution of length <= bound.  Raises ValueError for a
+    bound below 0.
     """
     from . import modules as gm
 
+    if bound < 0:
+        raise ValueError(f"global dimension bound must be >= 0, got {bound}")
     if a.dim == 0:
         return 0
     count = len(primitive_idempotents(a))

@@ -544,6 +544,9 @@ def main(argv=None):
             _emit({"error": "QSHAPE_SEED must be an integer"})
             return EXIT_PARSE
     try:
+        # every file command takes the bound; a negative one bounds nothing
+        if getattr(args, "gldim_bound", 0) < 0:
+            raise ParseError(f"--gldim-bound must be >= 0, got {args.gldim_bound}")
         return COMMANDS[args.command](args, seed)
     except ParseError as e:
         _emit({"error": str(e)})

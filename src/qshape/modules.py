@@ -33,6 +33,10 @@ The cover reads dim P and the degrees of P off its summands; the sum
 module P itself is built, and not kept, each time a caller acts on it (a
 syzygy, or maps into P), so hom solves and projectivity tests never copy
 the summands, and P is freed with the one call that read it.
+A syzygy reads its degrees off the kernel rows, each of which is
+homogeneous, and builds its action, the submodule of P the rows span, on
+first read: a syzygy that is only compared by degree, as the last of the
+Ext loop's tower is, builds neither P nor a closure image.
 A submodule reads the coordinates of a span vector at the pivots of the
 span's reduced echelon basis, and checks closure by support: it forms the
 image of a basis row under b only where the matrix of b has a row at some
@@ -347,8 +351,8 @@ class ProjectiveCover:
     the summands, and by `split`, which cuts a vector of P into summand
     blocks.  `module`, the block-diagonal sum module, is built by
     `direct_sum` on each access and not kept: only callers that act on P
-    (`syzygy_of`, maps into P) build it, once per call.  The cover holds no
-    reference to the module it covers, which caches the cover.
+    (a syzygy's action, maps into P) build it, once per call.  The cover
+    holds no reference to the module it covers, which caches the cover.
 
     `section_terms` caches, per basis vector of M, its section preimage cut
     into its nonzero cover-summand blocks, each read as an algebra element.
@@ -450,10 +454,53 @@ def is_projective(m):
     return cover_of(m).dim == m.dim
 
 
+def kernel_degrees(cov):
+    """The basis degrees of the kernel of a cover's epi, ascending, one per
+    kernel row: the degree of P shared by the row's support.  They are the
+    degrees of the Submodule those rows span, which orders its basis by
+    degree; raises ValueError on a row that is not homogeneous."""
+    degrees = []
+    for row in cov.kernel_rows:
+        degs = {cov.degrees[k] for k in row}
+        if len(degs) != 1:
+            raise ValueError("kernel rows must be homogeneous")
+        degrees.extend(degs)
+    return sorted(degrees)
+
+
+class _Syzygy(GradedModule):
+    """The kernel of the minimal cover epi of a module, with its degrees
+    read off the cover's kernel rows and its action built on first read.
+
+    The action is the Submodule that the kernel rows span in P, closure
+    checked; once it is built the module drops the cover, and a degree
+    that differs from those read raises ValueError.  A syzygy that no
+    caller acts on, such as the last of a tower whose homs are zero by
+    degree, costs its degrees only: no sum module P and no closure images.
+    """
+
+    def __init__(self, m):
+        cov = cover_of(m)
+        super().__init__(m.algebra, kernel_degrees(cov), None)
+        del self.action  # built by __getattr__ on first read
+        self._cov = cov
+
+    def __getattr__(self, name):
+        # only reached while the action is not yet built
+        if name != "action":
+            raise AttributeError(name)
+        built = Submodule(self._cov.module, self._cov.kernel_rows).module
+        if built.degrees != self.degrees:
+            raise ValueError("syzygy degrees differ from its kernel rows")
+        del self._cov
+        self.action = built.action
+        return self.action
+
+
 def syzygy_of(m):
-    """Kernel of the minimal cover epi, as a module (not kept on m)."""
-    cov = cover_of(m)
-    return Submodule(cov.module, cov.kernel_rows).module
+    """Kernel of the minimal cover epi, as a module (not kept on m) whose
+    action is built on first read."""
+    return _Syzygy(m)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .modules import (
     composition_table,
     cover_of,
     is_self_injective,
+    kernel_degrees,
     same_algebra,
     syzygy_of,
 )
@@ -130,15 +131,15 @@ class ExtCertificate:
     as zero by degree, with no cover of Omega^k m and no system.
 
     The degrees of Omega m are read off the kernel rows of the cover of m,
-    which the stable End of m builds and caches; no syzygy module is built.
+    which the stable End of m builds and caches, by `kernel_degrees`, which
+    checks that each row is homogeneous; no syzygy module is built.
     A zero module (or syzygy) has no degree, reported as None.
     """
 
     def __init__(self, m):
         cov = cover_of(m)
         self.top_degree = max(m.degrees, default=None)
-        self.syzygy_min_degree = min(
-            (cov.degrees[k] for row in cov.kernel_rows for k in row), default=None)
+        self.syzygy_min_degree = min(kernel_degrees(cov), default=None)
 
     @property
     def holds(self):

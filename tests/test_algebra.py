@@ -653,6 +653,12 @@ class TestGlobalDimension:
         a = compile_quiver(pres, QQ)
         assert global_dimension_bounded(a, 4) == EXCEEDS_BOUND
 
+    def test_negative_bound_is_rejected(self):
+        a = builtin("preprojective_A", 1, QQ)
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            global_dimension_bounded(a, -1)
+        assert global_dimension_bounded(a, 0) == 0
+
     def test_coefficient_rings_of_preprojective(self):
         for n in (2, 3, 4):
             part = degree_zero_part(builtin("preprojective_A", n, QQ))

@@ -655,6 +655,21 @@ class TestBadFlagValues:
         assert code == 2
         assert "error" in rep
 
+    @pytest.mark.parametrize("command,extra", [
+        ("check", []), ("tilt", []), ("gamma", []), ("ext", ["--range", "2"]),
+        ("window", ["--lo", "0", "--hi", "1"]), ("basechange", ["--with", None])])
+    def test_negative_gldim_bound_is_parse_error(self, tmp_path, capsys, command, extra):
+        # the degree-0 part of k[x]/x^3 is k, of global dimension 0: a
+        # negative bound would report it infinite
+        f = write_builtin(tmp_path, "truncated_polynomial", 3)
+        argv = [command, f, "--gldim-bound", "-1"] + [x or f for x in extra]
+        code, rep = run(capsys, argv)
+        assert code == 2
+        assert "--gldim-bound" in rep["error"]
+        code, rep = run(capsys, ["check", f, "--gldim-bound", "0"])
+        assert code == 0
+        assert rep["hypotheses"]["degree_zero_global_dimension"] == 0
+
     def test_verify_parameter_zero_is_parse_error(self, capsys):
         code, rep = run(capsys, ["verify", "preprojective_A", "0"])
         assert code == 2

@@ -296,6 +296,115 @@ class TestCovers:
         assert s.degrees == [1]
 
 
+def syzygy_witnesses(a):
+    """T, its syzygy, the simples and the regular module."""
+    from qshape.tilting import tilting_module
+
+    t = tilting_module(a).module
+    return ([t, syzygy_of(t)]
+            + [simple(a, i) for i in range(1, len(primitive_idempotents(a)) + 1)]
+            + [regular(a)])
+
+
+def fresh_copy(m):
+    """m as a new module with no cache, so a test may alter its cover."""
+    from qshape.modules import GradedModule
+
+    return GradedModule(m.algebra, m.degrees, m.action)
+
+
+def count_submodules(monkeypatch):
+    """Record each Submodule that qshape.modules builds from now on."""
+    import qshape.modules
+
+    built = []
+
+    def counting(parent, vectors):
+        built.append(parent.dim)
+        return Submodule(parent, vectors)
+
+    monkeypatch.setattr(qshape.modules, "Submodule", counting)
+    return built
+
+
+class TestLazySyzygy:
+    @pytest.mark.parametrize("char", [0, 32003])
+    @pytest.mark.parametrize("family,n", BUILTINS)
+    def test_equals_the_eager_submodule(self, family, n, char):
+        # the degrees are read off the kernel rows before any action is
+        # built, and the action built on first read is the eager one's
+        a = builtin(family, n, FieldSpec(char))
+        for m in syzygy_witnesses(a):
+            cov = cover_of(m)
+            eager = Submodule(cov.module, cov.kernel_rows).module
+            lazy = syzygy_of(m)
+            assert "action" not in vars(lazy)
+            assert (lazy.dim, lazy.degrees) == (eager.dim, eager.degrees)
+            assert module_equal(lazy, eager)
+            assert "_cov" not in vars(lazy)
+
+    def test_reads_degrees_before_any_action(self, monkeypatch):
+        a = trunc(3)
+        m = simple(a, 1)
+        cover_of(m)
+        built = count_submodules(monkeypatch)
+        s = syzygy_of(m)
+        assert (s.dim, s.degrees) == (2, [1, 2])
+        assert built == []
+        assert len(s.action) == a.dim
+        assert built == [3]
+        s.action
+        assert built == [3]
+
+    def test_non_homogeneous_kernel_row_raises_at_syzygy_of(self):
+        a = trunc(3)
+        m = fresh_copy(simple(a, 1))
+        cov = cover_of(m)
+        one = a.field.one()
+        cov.kernel_rows = [{cov.degrees.index(1): one, cov.degrees.index(2): one}]
+        with pytest.raises(ValueError, match="homogeneous"):
+            syzygy_of(m)
+
+    def test_span_not_closed_raises_on_first_read(self):
+        # x spans no submodule of k[x]/x^3: the degrees read fine, and the
+        # closure check fails when the action is built
+        a = trunc(3)
+        m = fresh_copy(simple(a, 1))
+        cov = cover_of(m)
+        cov.kernel_rows = [{cov.degrees.index(1): a.field.one()}]
+        s = syzygy_of(m)
+        assert s.degrees == [1]
+        with pytest.raises(ValueError, match="span is not closed under the action"):
+            s.action
+        with pytest.raises(ValueError, match="span is not closed under the action"):
+            s.action
+
+    def test_degree_mismatch_raises_on_first_read(self):
+        # two dependent rows read as two degrees but span one dimension
+        a = trunc(3)
+        f = a.field
+        m = fresh_copy(simple(a, 1))
+        cov = cover_of(m)
+        x2 = cov.degrees.index(2)
+        cov.kernel_rows = [{x2: f.one()}, {x2: f.add(f.one(), f.one())}]
+        s = syzygy_of(m)
+        assert s.degrees == [2, 2]
+        with pytest.raises(ValueError, match="syzygy degrees differ"):
+            s.action
+
+    def test_global_dimension_builds_bound_actions(self, monkeypatch):
+        # past its bound the loop stops at the (bound+1)-st syzygy, whose
+        # projectivity it never tests, so that syzygy's action is not built
+        from qshape.algebra import EXCEEDS_BOUND, global_dimension_bounded
+
+        pres = QuiverPresentation(["v"], [("x", "v", "v", 0)], [[(1, ("x", "x"))]], 2)
+        a = compile_quiver(pres, QQ)
+        projective(a, 1)
+        built = count_submodules(monkeypatch)
+        assert global_dimension_bounded(a, 4) == EXCEEDS_BOUND
+        assert len(built) == 4
+
+
 class TestDuality:
     def test_dual_preserves_dim_negates_degrees(self):
         a = builtin("preprojective_A", 2, QQ)

@@ -18,6 +18,7 @@ from qshape.modules import (
     cover_of,
     direct_sum,
     HomSpace,
+    Submodule,
     regular,
     shift,
     simple,
@@ -442,6 +443,22 @@ class TestFreedWhenDropped:
         # one tower when m is n, and each level freed once passed
         assert len(refs) == 3
         assert all(r() is None for r in refs)
+
+    def test_ext_table_builds_no_action_for_the_deepest_syzygy(self, monkeypatch):
+        # each level's action is built when the next level covers it; the
+        # last level is read by homs that are zero by degree, so only its
+        # degrees are read
+        t = tilting_module(builtin("exterior", 3, QQ)).module
+        cover_of(t)
+        built = []
+
+        def counting(parent, vectors):
+            built.append(parent.dim)
+            return Submodule(parent, vectors)
+
+        monkeypatch.setattr(qshape.modules, "Submodule", counting)
+        assert stable_ext_table(t, t, 3) == {i: 0 if i else 12 for i in range(-3, 4)}
+        assert len(built) == 2
 
     def test_gamma_and_tilting_module(self):
         a = builtin("exterior", 3, QQ)
