@@ -83,6 +83,15 @@ def _json_int(value):
     return int(value)
 
 
+def _required(obj, key):
+    """obj[key] for a key that an algebra file must give; ParseError
+    naming the key when it is missing."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ParseError(f"missing key {key!r}") from None
+
+
 def _load_algebra_file(path):
     try:
         with open(path, "rb") as fh:
@@ -94,6 +103,8 @@ def _load_algebra_file(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ParseError(f"invalid JSON in {path}: {e}")
     digest = hashlib.sha256(raw).hexdigest()
+    if not isinstance(data, dict):
+        raise ParseError("algebra file must hold a JSON object")
     try:
         field = FieldSpec(_json_int(data.get("field", {}).get("char", 0)))
     except (TypeError, ValueError, AttributeError) as e:
@@ -103,21 +114,24 @@ def _load_algebra_file(path):
     try:
         if "builtin" in data:
             b = data["builtin"]
-            parameter = _json_int(b["parameter"])
-            a = builtin(b["family"], parameter, field)
-            echo = {"builtin": {"family": b["family"], "parameter": parameter}}
+            parameter = _json_int(_required(b, "parameter"))
+            family = _required(b, "family")
+            a = builtin(family, parameter, field)
+            echo = {"builtin": {"family": family, "parameter": parameter}}
         else:
             q = data["quiver"]
-            arrows = [(ar["name"], ar["from"], ar["to"], _json_int(ar["degree"]))
-                      for ar in q["arrows"]]
+            arrows = [(_required(ar, "name"), _required(ar, "from"), _required(ar, "to"),
+                       _json_int(_required(ar, "degree")))
+                      for ar in _required(q, "arrows")]
             relations = [
-                [(term["coeff"], tuple(term["path"])) for term in rel]
-                for rel in q["relations"]
+                [(_required(term, "coeff"), tuple(_required(term, "path"))) for term in rel]
+                for rel in _required(q, "relations")
             ]
-            pres = QuiverPresentation(q["vertices"], arrows, relations,
-                                      _json_int(q["nilpotency_bound"]))
+            vertices = _required(q, "vertices")
+            pres = QuiverPresentation(vertices, arrows, relations,
+                                      _json_int(_required(q, "nilpotency_bound")))
             a = compile_quiver(pres, field)
-            echo = {"quiver": {"vertices": list(q["vertices"]),
+            echo = {"quiver": {"vertices": list(vertices),
                                "arrows": len(arrows),
                                "relations": len(relations)}}
     except QShapeError as e:

@@ -20,15 +20,23 @@ certifies surjectivity, and the tags of the rows that reduce to zero are a
 basis of the kernel.  At full rank every coordinate of M is a pivot whose
 reduced row is a unit vector, so the tag of pivot i is a preimage of the
 i-th basis vector: the tags are the section, read off with no solve.
-P is minimal iff the map P/P.rad -> M/M.rad is an isomorphism
-(Auslander-Reiten-Smalo, ch. I.4), which is a dimension count once the
-epi is onto:
-  1. the epi maps P.rad onto M.rad, so the map of tops is onto;
-  2. its kernel is (P.rad + ker)/P.rad, zero iff ker lies in P.rad;
-  3. so P is minimal iff the sum of dim top(e_i.Lambda) over its summands
-     is dim M/M.rad.  The cover has one summand per dimension of M/M.rad,
-     and each top(e_i.Lambda) has dim 1 when the idempotents span
-     Lambda/rad, that is when dim rad = dim Lambda - #idempotents.
+The top of a minimal cover is M/M.rad (Auslander-Reiten-Smalo, ch. I.4),
+and it is decided against that same echelon, degree by degree: a slice
+vector of degree d is a generator when it lies outside the span of the
+images of the generators before it plus M.rad, and its images go into
+the echelon at once.  Over a non-negatively graded algebra the images of
+the generators of degree < d span all of M below d (graded Nakayama), so
+for a radical generator v of positive degree (M.v)_d = M_{d - deg v}.v
+is already in the echelon; only the rows M.v of the generators of degree
+<= 0 are spanned beside it (none for the exterior and truncated
+polynomial algebras; every generator when the algebra has a negative
+degree).  Minimality, that the kernel lies in P.rad, is then checked
+rather than implied: a kernel row reaches the top of a summand e_i.Lambda
+only in the summand's generator degree, where its block must have
+character chi_i = 0.  A slice (M_d).e_i whose spanning images r.e_i are
+each zero or a multiple of a unit vector, as they are for a module on a
+basis adapted to the idempotents, is read off as those unit vectors with
+no elimination.
 The cover reads dim P and the degrees of P off its summands; the sum
 module P itself is built, and not kept, each time a caller acts on it (a
 syzygy, or maps into P), so hom solves and projectivity tests never copy
@@ -240,15 +248,6 @@ def truncate_le(m, n):
     return restrict(m, [i for i in range(m.dim) if m.degrees[i] <= n])
 
 
-def radical_submodule_span(m):
-    """Spanning vectors of M . rad(algebra), from the radical's generators V.
-
-    R is spanned by words in V and M.(v_1...v_j) lies in M.v_j, so
-    M.R = sum over v in V of M.v.
-    """
-    return [row for r in jacobson_radical(m.algebra).gens for row in m.action_of(r).values()]
-
-
 def projective(a, i):
     """The i-th indecomposable projective e_i . Lambda (i is 1-based)."""
     idems = primitive_idempotents(a)
@@ -295,14 +294,26 @@ def simple(a, i):
 
 
 def _slice_basis(m, i, d):
-    """Basis of (M_d) . e_i, the degree-d part of M acted on by the i-th
-    idempotent (i is 1-based); solved once and cached on m."""
+    """Reduced echelon basis of (M_d) . e_i, the degree-d part of M acted on
+    by the i-th idempotent (i is 1-based); read off or solved once and
+    cached on m.
+
+    When every image r . e_i of a degree-d basis vector r is zero or a
+    multiple of a unit vector, as it is for a module whose basis is adapted
+    to the idempotents, their span's reduced basis is those unit vectors in
+    increasing order, read off with no elimination; otherwise the images
+    are eliminated.
+    """
     key = ("slice", i, d)
     if key not in m._cache:
         f = m.algebra.field
+        one = f.one()
         e = primitive_idempotents(m.algebra)[i - 1]
-        m._cache[key] = span_basis(f, [m.act({r: f.one()}, e)
-                                       for r in m.component_indices(d)])
+        images = [x for r in m.component_indices(d) if (x := m.act({r: one}, e))]
+        if all(len(x) == 1 for x in images):
+            m._cache[key] = [{k: one} for k in sorted({k for x in images for k in x})]
+        else:
+            m._cache[key] = span_basis(f, images)
     return m._cache[key]
 
 
@@ -340,12 +351,20 @@ class CoverSummand:
 class ProjectiveCover:
     """Minimal projective cover of a module, with kernel and a section.
 
-    Generators are the vectors of the idempotent slices M_d . e that are
-    independent modulo M.rad and the generators before them.  The epi
-    rows are eliminated once: `kernel_rows` is their relations, and the
-    tags give a section, `section_rows`, the tag of each pivot of the
-    full-rank echelon; minimality is the dimension count of the module
-    docstring, which also guards against non-basic degenerate inputs.
+    Generators are the vectors of the idempotent slices M_d . e outside
+    M.rad plus the submodule that the generators before them generate,
+    decided against the tagged echelon of the epi rows as the module
+    docstring describes; the rows M.v that the echelon may not span yet are
+    `_radical_rows`.  The echelon's relations are `kernel_rows`, and the
+    tag of each pivot of the full-rank echelon is `section_rows`.
+    Minimality, ker in P.rad, is checked on the kernel rows' blocks at the
+    summands' generator degrees, through the characters chi_i.
+
+    Over a self-injective algebra each summand e_i.Lambda(-d) has a simple
+    socle, which every nonzero submodule contains (Happel 1988, ch. I);
+    over a non-negatively graded one it lies in the summand's top degree
+    d + max deg(e_i.Lambda), which `stable.StableHomSpace` reads off
+    `summands` to skip hom(M', P) when M' misses every such degree.
 
     P = sum of the summands is described by `dim` and `degrees`, read off
     the summands, and by `split`, which cuts a vector of P into summand
@@ -355,30 +374,51 @@ class ProjectiveCover:
     holds no reference to the module it covers, which caches the cover.
 
     `section_terms` caches, per basis vector of M, its section preimage cut
-    into its nonzero cover-summand blocks, each read as an algebra element.
-    A map out of M is then row by row a sum of one generator image acted on
-    by each term (see HomSpace.map_of).  The terms depend on the cover only,
-    not on the map, so they are computed once, on first use, and every map
-    out of M reuses them; they are the same vectors that projecting the
-    section onto each summand would give.
+    into its nonzero cover-summand blocks, each read as an algebra element,
+    and `terms_by_summand` the same terms grouped by summand.  A map out of
+    M is then row by row a sum of one generator image acted on by each term
+    (see HomSpace.map_of).  The terms depend on the cover only, not on the
+    map, so they are computed once, on first use, and every map out of M
+    reuses them; they are the same vectors that projecting the section onto
+    each summand would give.
     """
 
     def __init__(self, m):
         a = m.algebra
         f = a.field
         idems = primitive_idempotents(a)
-        # generators: vectors of the slices M_d . e that enlarge M.rad plus
-        # the generators so far; each lies in M . e, so gen . e = gen
-        span = Echelon(f)
-        span.extend(radical_submodule_span(m))
         self.generators = []   # generators in M coords
         self.summands = []     # CoverSummand
+        # epi rows: a summand basis element u (an algebra element in
+        # e_i.Lambda) maps to generator . u; every image is eliminated, in
+        # P's order, as its generator is chosen
+        self.epi_rows = {}
+        rank_ech = Echelon(f, tagged=True)
+        rad_rows = _radical_rows(m)
         for d in sorted(set(m.degrees)):
+            # the span a degree-d candidate is tested against: the epi
+            # echelon, plus the degree-d rows M.v it may not hold yet
+            top = None
+            if d in rad_rows:
+                top = Echelon(f)
+                top.extend(row for p, row in rank_ech.rows.items() if m.degrees[p] == d)
+                top.extend(rad_rows[d])
             for i in range(1, len(idems) + 1):
                 for gen in _slice_basis(m, i, d):
-                    if span.insert(gen):
-                        self.generators.append(gen)
-                        self.summands.append(CoverSummand(a, i, d))
+                    if not (top.insert(gen) if top is not None else rank_ech.reduce(gen)):
+                        continue
+                    # gen . e_i = gen, and its other degree-d images lie in
+                    # k.gen + M.rad_0, inside top
+                    s = CoverSummand(a, i, d)
+                    self.generators.append(gen)
+                    self.summands.append(s)
+                    for u in s.inclusion_rows.values():
+                        row = m.act(gen, u)
+                        if row:
+                            self.epi_rows[rank_ech.count] = row
+                        rank_ech.insert(row)
+        if rank_ech.dim != m.dim:
+            raise ValueError("cover candidate is not surjective")
 
         # P is read off its summands; the sum module is built on demand
         self._algebra = a
@@ -388,19 +428,7 @@ class ProjectiveCover:
         for k, s in enumerate(self.summands):
             self._block_of.extend((k, r) for r in range(s.module.dim))
         self._section_terms = None
-
-        # epi rows: a summand basis element u (an algebra element in e_i.Lambda)
-        # maps to generator . u; every image is eliminated, in P's order
-        self.epi_rows = {}
-        rank_ech = Echelon(f, tagged=True)
-        images = (m.act(gen, u) for s, gen in zip(self.summands, self.generators)
-                  for u in s.inclusion_rows.values())
-        for r, row in enumerate(images):
-            if row:
-                self.epi_rows[r] = row
-            rank_ech.insert(row)
-        if rank_ech.dim != m.dim:
-            raise ValueError("cover candidate is not surjective")
+        self._terms_by_summand = None
 
         # row r is the image of P coordinate r: its relations are the kernel
         self.kernel_rows = rank_ech.relations
@@ -410,14 +438,38 @@ class ProjectiveCover:
         # pivot i is the unit vector e_i, and its tag, a combination of the
         # epi rows, is a preimage of e_i: what express({i: 1}) would return
         self.section_rows = {i: rank_ech.tags[i] for i in range(m.dim)}
+        self._check_minimal()
 
-        # minimality: P/P.rad -> M/M.rad is onto, so injective iff dims
-        # agree.  The slices span M and the generators are independent
-        # modulo M.rad, so they number dim M/M.rad, and P/P.rad has that
-        # dimension when every top(e_i.Lambda) has dim 1: when the
-        # idempotents span Lambda/rad.  Covers refuse other algebras.
-        if len(jacobson_radical(a).basis) != a.dim - len(idems):
-            raise ValueError("cover is not minimal (kernel escapes P.rad)")
+    def _check_minimal(self):
+        """Raise ValueError unless every kernel row lies in P.rad.
+
+        A kernel row is homogeneous, as every epi row is, and its block at a
+        summand generated in another degree lies in Lambda's nonzero degrees,
+        inside rad; so only the summands generated in the row's degree have
+        their character read.
+        """
+        a = self._algebra
+        f = a.field
+        tops = {}  # generator degree -> per summand {P coordinate: chi}
+        offset = 0
+        for s in self.summands:
+            try:
+                chi = _top_character(a, s.idem_index)
+            except ValueError as e:
+                raise ValueError(f"cover is not minimal: {e}") from e
+            tops.setdefault(s.gen_degree, []).append(
+                {offset + r: c for r, c in chi.items()})
+            offset += s.module.dim
+        degrees = self.degrees
+        for row in self.kernel_rows:
+            for chi in tops.get(degrees[next(iter(row))], ()):
+                acc = f.zero()
+                for k, c in chi.items():
+                    x = row.get(k)
+                    if x is not None:
+                        acc = f.muladd(acc, c, x)
+                if not f.is_zero(acc):
+                    raise ValueError("cover is not minimal (kernel escapes P.rad)")
 
     @property
     def module(self):
@@ -441,6 +493,47 @@ class ProjectiveCover:
         if self._section_terms is None:
             self._section_terms = [self.split(sec) for sec in self.section_rows.values()]
         return self._section_terms
+
+    @property
+    def terms_by_summand(self):
+        """Per summand t, the pairs (i, u), i ascending, of the basis
+        vectors i of M whose section term at t is u (cached)."""
+        if self._terms_by_summand is None:
+            groups = [[] for _ in self.summands]
+            for i, terms in enumerate(self.section_terms):
+                for t, u in terms:
+                    groups[t].append((i, u))
+            self._terms_by_summand = groups
+        return self._terms_by_summand
+
+
+def _radical_rows(m):
+    """{d: the degree-d rows of M.v} over the radical generators v that the
+    cover's epi echelon may not span: those of degree <= 0, or all of them
+    when the algebra has a negative degree.  The radical's basis is the
+    reduced echelon basis of a graded ideal, so each v is homogeneous, and
+    so is each row."""
+    a = m.algebra
+    every = not a.is_nonnegatively_graded()
+    rows = {}
+    for v in jacobson_radical(a).gens:
+        if every or a.degrees[next(iter(v))] <= 0:
+            for row in m.action_of(v).values():
+                rows.setdefault(m.degrees[next(iter(row))], []).append(row)
+    return rows
+
+
+def _top_character(a, i):
+    """{position r in e_i.Lambda: chi_i(basis row r)}, its nonzero values:
+    the functional on e_i.Lambda whose kernel is e_i.rad, read off the
+    action on the simple S_i and cached on the algebra."""
+    key = ("top", i)
+    if key not in a._cache:
+        s, one = simple(a, i), a.field.one()
+        projective(a, i)  # caches the basis of e_i.Lambda in algebra coordinates
+        a._cache[key] = {r: x[0] for r, row in a._cache[("projective", i)].basis.items()
+                         if (x := s.act({0: one}, row))}
+    return a._cache[key]
 
 
 def cover_of(m):
@@ -629,21 +722,19 @@ class HomSpace:
     def map_of(self, coords):
         """The row matrix of the map with these slice coordinates: row i is
         the sum, over the cover's section terms (t, u) of basis vector i, of
-        the image of generator t acted on by u; only the nonzero rows are
-        kept."""
+        the image of generator t acted on by u.  Only the terms of the
+        summands whose generator image is nonzero are walked, summand by
+        summand in order, so each row sums its terms in the order of t; the
+        nonzero rows are returned in increasing index order."""
         f = self.source.algebra.field
         axpy, one = f.axpy, f.one()
         act = self.target.act
-        images = self.images(coords)
         rows = {}
-        for i, terms in enumerate(self._cov.section_terms):
-            out = {}
-            for t, u in terms:
-                if images[t]:
-                    axpy(out, act(images[t], u), one)
-            if out:
-                rows[i] = out
-        return rows
+        for img, terms in zip(self.images(coords), self._cov.terms_by_summand):
+            if img:
+                for i, u in terms:
+                    axpy(rows.setdefault(i, {}), act(img, u), one)
+        return {i: rows[i] for i in sorted(rows) if rows[i]}
 
     def coords_of_matrix(self, matrix_rows):
         """Slice coordinates of a map given by its matrix."""

@@ -4,7 +4,14 @@ and stable endomorphism algebras.
 Maps factoring through an arbitrary projective are computed as maps
 factoring through the projective cover of the target: any factorization
 M -> P -> N lifts along the cover because P is projective and the cover is
-surjective, so the factoring subspace is one image computation.
+surjective, so the factoring subspace is one image computation.  Over a
+self-injective algebra each indecomposable projective e_i.Lambda is
+injective with a simple socle, which every nonzero submodule contains
+(Happel 1988, ch. I); over a non-negatively graded one that socle is
+e_i.Lambda's top degree.  So a degree-0 map into a cover summand is 0
+unless the source has the summand's socle degree, and when no summand's
+socle degree is a degree of the source nothing factors and hom(M, P) is
+not solved.
 
 Over a self-injective algebra the syzygy functor Omega is an
 autoequivalence of the graded stable category, with the cosyzygy as its
@@ -43,6 +50,12 @@ class StableHomSpace:
     epi are the generator images of the composite, so no matrix is built.
     Representatives are the basis maps at the non-pivot positions, so
     dim representatives + dim factoring = hom.dim.
+
+    Over a self-injective, non-negatively graded algebra hom(m, P) is 0,
+    and neither P nor its system is built, when no summand e_i.Lambda(-d)
+    of P has its socle degree d + max deg(e_i.Lambda) among the degrees of
+    m: a nonzero degree-0 map into the summand has a nonzero image, which
+    contains the simple socle and so needs m in that degree.
     """
 
     def __init__(self, m, n):
@@ -53,12 +66,11 @@ class StableHomSpace:
         self.target = n
         self.hom = hom = HomSpace(m, n)
         self.factoring = Echelon(f)
-        if hom.dim:
+        if hom.dim and _may_map_into_cover(m, n):
             cov = cover_of(n)
-            epi = cov.epi_rows
             lifted = HomSpace(m, cov.module)
             for c in lifted.basis_coords:
-                images = [apply_row(f, x, epi) for x in lifted.images(c)]
+                images = [apply_row(f, x, cov.epi_rows) for x in lifted.images(c)]
                 coeffs = hom.basis_coeffs(hom.coords_of_images(images))
                 if coeffs is None:
                     raise ValueError("factoring map escaped the hom space")
@@ -90,6 +102,19 @@ class StableHomSpace:
             raise ValueError("map is not a module map in this hom space")
         residual = self.factoring.reduce(c)
         return {self._rep_index[q]: x for q, x in residual.items()}
+
+
+def _may_map_into_cover(m, n):
+    """False when hom(m, P) = 0 for the cover P of n by the socle argument
+    (see StableHomSpace); the self-injectivity test, a cached cover after
+    its first call, is read last."""
+    a = m.algebra
+    if not a.is_nonnegatively_graded():
+        return True
+    degrees = set(m.degrees)
+    if any(max(s.module.degrees) in degrees for s in cover_of(n).summands):
+        return True
+    return not is_self_injective(a)
 
 
 def stable_ext_table(m, n, k):

@@ -23,6 +23,9 @@ through the hom solver (`interval_auslander`), as the reference for the
 one compiled from the mesh quiver, `dense_images` keeps the earlier
 `HomSpace.images`, which walks every slice vector of every summand, as the
 reference for the one that reads only a map's nonzero coordinates,
+`MradCover` keeps the earlier projective cover, whose tops were chosen
+against an echelon of all of M.rad, as the reference for the one that
+decides them against its own epi echelon,
 `vec_iadd_scaled`, `vec_scale` and `module_act` keep the sparse row
 operations as one field op call per entry, as the reference for the
 kernels `FieldSpec` binds per field and for the fused `GradedModule.act`,
@@ -283,6 +286,52 @@ def uncached_slice_basis(m, i, d):
     f = m.algebra.field
     e = primitive_idempotents(m.algebra)[i - 1]
     return span_basis(f, [m.act({r: f.one()}, e) for r in m.component_indices(d)])
+
+
+class MradCover:
+    """The projective cover as it was built before its tops were decided
+    against the epi's own echelon: the generators are the vectors of the
+    slices (M_d).e_i, each eliminated afresh, that enlarge an echelon of all
+    of M.rad (`radical_submodule_span`) plus the generators before them; the
+    epi rows are then eliminated in P's order in one tagged echelon, whose
+    relations are the kernel and whose pivot tags are the section."""
+
+    def __init__(self, m):
+        from qshape.algebra import primitive_idempotents
+        from qshape.linalg import Echelon
+        from qshape.modules import CoverSummand
+
+        a = m.algebra
+        f = a.field
+        span = Echelon(f)
+        span.extend(radical_submodule_span(m))
+        self.generators, self.summands = [], []
+        for d in sorted(set(m.degrees)):
+            for i in range(1, len(primitive_idempotents(a)) + 1):
+                for gen in uncached_slice_basis(m, i, d):
+                    if span.insert(gen):
+                        self.generators.append(gen)
+                        self.summands.append(CoverSummand(a, i, d))
+        self.epi_rows = {}
+        rank_ech = Echelon(f, tagged=True)
+        images = (m.act(gen, u) for s, gen in zip(self.summands, self.generators)
+                  for u in s.inclusion_rows.values())
+        for r, row in enumerate(images):
+            if row:
+                self.epi_rows[r] = row
+            rank_ech.insert(row)
+        if rank_ech.dim != m.dim:
+            raise ValueError("cover candidate is not surjective")
+        self.kernel_rows = rank_ech.relations
+        self.section_rows = {i: rank_ech.tags[i] for i in range(m.dim)}
+
+
+def cover_fields(cov):
+    """What two covers of one module must agree on: the generators, the
+    summands as (idempotent, generator degree), the epi, kernel and
+    section rows."""
+    return (cov.generators, [(s.idem_index, s.gen_degree) for s in cov.summands],
+            cov.epi_rows, cov.kernel_rows, cov.section_rows)
 
 
 def dense_images(hom, coords):
@@ -1173,10 +1222,19 @@ class QuotientModule:
         return {self.pos[g]: c for g, c in red.items()}
 
 
+def radical_submodule_span(m):
+    """Spanning vectors of M . rad(algebra), from the radical's generators V.
+
+    R is spanned by words in V and M.(v_1...v_j) lies in M.v_j, so
+    M.R = sum over v in V of M.v.
+    """
+    from qshape.algebra import jacobson_radical
+
+    return [row for r in jacobson_radical(m.algebra).gens for row in m.action_of(r).values()]
+
+
 def top(m):
     """The semisimple quotient M / M.rad."""
-    from qshape.modules import radical_submodule_span
-
     return QuotientModule(m, radical_submodule_span(m)).module
 
 

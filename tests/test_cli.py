@@ -727,6 +727,38 @@ class TestIntegerFields:
         assert rep["error"].endswith(f"expected an integer, got {json.dumps(value)}")
 
 
+class TestParseErrorsSayWhatIsWrong:
+    @pytest.mark.parametrize("top", [[], 3, "builtin", None])
+    def test_top_level_must_be_an_object(self, tmp_path, capsys, top):
+        path = tmp_path / "top.json"
+        path.write_text(json.dumps(top))
+        code, rep = run(capsys, ["check", str(path)])
+        assert code == 2
+        assert rep == {"error": "algebra file must hold a JSON object"}
+
+    @pytest.mark.parametrize("where,key", [
+        ("builtin", "family"), ("builtin", "parameter"),
+        ("quiver", "vertices"), ("quiver", "arrows"), ("quiver", "relations"),
+        ("quiver", "nilpotency_bound"),
+        ("arrow", "name"), ("arrow", "from"), ("arrow", "to"), ("arrow", "degree"),
+        ("term", "coeff"), ("term", "path")])
+    def test_a_missing_key_is_named(self, tmp_path, capsys, where, key):
+        if where == "builtin":
+            data = json.loads(Path(write_builtin(tmp_path, "truncated_polynomial", 3)).read_text())
+            del data["builtin"][key]
+        else:
+            data = json.loads(Path(write_preprojective_quiver(tmp_path)).read_text())
+            quiver = data["quiver"]
+            holder = {"quiver": quiver, "arrow": quiver["arrows"][1],
+                      "term": quiver["relations"][0][0]}[where]
+            del holder[key]
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(data))
+        code, rep = run(capsys, ["check", str(path)])
+        assert code == 2
+        assert rep == {"error": f"missing key '{key}'"}
+
+
 class TestFractionCoefficients:
     @pytest.mark.parametrize("char, coeff", [(0, "1/0"), (7, "1/7")])
     def test_zero_denominator_is_parse_error(self, tmp_path, capsys, char, coeff):

@@ -20,6 +20,7 @@ from qshape.fields import FieldSpec, QQ
 from qshape.linalg import Echelon, apply_row
 from qshape.modules import (
     HomSpace,
+    ProjectiveCover,
     Submodule,
     cover_of,
     direct_sum,
@@ -27,7 +28,6 @@ from qshape.modules import (
     is_projective,
     is_self_injective,
     projective,
-    radical_submodule_span,
     regular,
     shift,
     simple,
@@ -37,8 +37,10 @@ from qshape.modules import (
 )
 
 from oracles import (
+    MradCover,
     check_matrix,
     cosyzygy_of,
+    cover_fields,
     dense_images,
     dual_module,
     epi_kernel,
@@ -49,6 +51,7 @@ from oracles import (
     module_equal,
     naive_hom_basis,
     QuotientModule,
+    radical_submodule_span,
     socle,
     sparse_matmul,
     submodule_by_express,
@@ -622,6 +625,32 @@ def test_map_of_matches_projecting_the_section(family, n, char):
 
 @pytest.mark.parametrize("char", [0, 32003])
 @pytest.mark.parametrize("family,n", [("exterior", 3), ("preprojective_A", 3)])
+def test_map_of_walks_the_terms_by_summand_in_order(family, n, char):
+    # the terms grouped by summand are the section terms, and the rows come
+    # in increasing index order, each summing its terms in summand order,
+    # as walking every section term of every row does
+    from qshape.tilting import tilting_module
+
+    a = builtin(family, n, FieldSpec(char))
+    t = tilting_module(a).module
+    for m in (t, syzygy_of(t), direct_sum([t, regular(a)])[0]):
+        cov = cover_of(m)
+        by_row = [[] for _ in range(m.dim)]
+        for k, group in enumerate(cov.terms_by_summand):
+            assert [i for i, _ in group] == sorted({i for i, _ in group})
+            for i, u in group:
+                by_row[i].append((k, u))
+        assert by_row == cov.section_terms
+        for target in (t, m):
+            hom = HomSpace(m, target)
+            for c in hom.basis_coords:
+                ours, ref = hom.map_of(c), map_by_projecting_the_section(hom, c)
+                assert [(i, list(r.items())) for i, r in ours.items()] == \
+                    [(i, list(r.items())) for i, r in ref.items()]
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("family,n", [("exterior", 3), ("preprojective_A", 3)])
 def test_cover_module_is_the_direct_sum_of_its_summands(family, n, char):
     # the cover's P is the sum of its summands, and the inclusions and
     # projections read off the sum's offsets split it
@@ -836,32 +865,177 @@ def test_radical_span_from_generators_is_the_whole_radical_span(family, n, char)
 
 @pytest.mark.parametrize("char", [0, 32003])
 def test_fresh_cover_eliminates_once(monkeypatch, char):
-    # the kernel comes from the epi's own echelon and minimality from a
-    # dimension count: no second kernel solve, and the only radical span is
-    # the one the top of M needs
+    # the kernel comes from the epi's own echelon: no second kernel solve;
+    # and the only radical rows a cover forms are the rows M.v of the
+    # radical generators v of degree <= 0, which that echelon does not span
     import qshape.modules as modules
+    from qshape.basechange import TensorAlgebra, i_star, ungrade
 
     def no_kernel_solve(*args):
         raise AssertionError("a cover solved a second system for its kernel")
 
-    real_span = modules.radical_submodule_span
-    spanned = []
+    real_action_of = modules.GradedModule.action_of
+    acted = []
 
-    def recorded_span(m):
-        spanned.append(m)
-        return real_span(m)
+    def recorded_action_of(self, alg_vec):
+        acted.append((self, alg_vec))
+        return real_action_of(self, alg_vec)
 
+    def degree_zero_gens(alg):
+        return [v for v in jacobson_radical(alg).gens if alg.degrees[min(v)] <= 0]
+
+    f = FieldSpec(char)
+    coefficients = ungrade(builtin("preprojective_A", 2, f))
     for family, n in (("exterior", 3), ("preprojective_A", 3), ("truncated_polynomial", 5)):
+        a = builtin(family, n, f)
+        tensor = TensorAlgebra(a, coefficients)
+        # preprojective_A puts one arrow of each pair in degree 0; the
+        # ungraded coefficients put theirs there too
+        assert bool(degree_zero_gens(a)) == (family == "preprojective_A")
+        assert degree_zero_gens(tensor.product)
+        for module, explicit in ((truncate_le(shift(regular(a), 1), 0), degree_zero_gens(a)),
+                                 (i_star(regular(a), tensor), degree_zero_gens(tensor.product))):
+            with monkeypatch.context() as patch:
+                patch.setattr(modules, "sparse_kernel", no_kernel_solve)
+                patch.setattr(modules.GradedModule, "action_of", recorded_action_of)
+                for _ in range(2):  # the module, then its syzygy
+                    acted.clear()
+                    modules.cover_of(module)
+                    assert all(x is module for x, _ in acted)
+                    assert [v for _, v in acted] == explicit
+                    module = syzygy_of(module)
+
+
+def cover_comparison_modules(a):
+    """T, its syzygies to the third, the simples, the projectives, the
+    regular module and the dual of the regular module."""
+    from qshape.tilting import tilting_module
+
+    t = tilting_module(a).module
+    tower = [t]
+    for _ in range(3):
+        tower.append(syzygy_of(tower[-1]))
+    idems = range(1, len(primitive_idempotents(a)) + 1)
+    return (tower + [simple(a, i) for i in idems] + [projective(a, i) for i in idems]
+            + [regular(a), dual_of_regular(a)])
+
+
+def assert_covers_match_the_mrad_cover(modules):
+    for m in modules:
+        assert cover_fields(ProjectiveCover(m)) == cover_fields(MradCover(m))
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("family,n", BUILTINS)
+def test_cover_matches_the_mrad_cover(family, n, char):
+    # tops decided against the epi echelon give the cover that an echelon
+    # of all of M.rad gives, field for field
+    assert_covers_match_the_mrad_cover(cover_comparison_modules(builtin(family, n, FieldSpec(char))))
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("family,n", [("truncated_polynomial", 3), ("exterior", 2),
+                                      ("preprojective_A", 2), ("preprojective_A", 3)])
+def test_cover_over_a_tensor_matches_the_mrad_cover(family, n, char):
+    # Lambda (x) A with A ungraded has radical generators in degree 0,
+    # whose rows M.v the cover spans beside its epi echelon
+    from qshape.basechange import TensorAlgebra, i_star, ungrade
+    from qshape.tilting import tilting_module
+
+    f = FieldSpec(char)
+    a = builtin(family, n, f)
+    tensor = TensorAlgebra(a, ungrade(builtin("preprojective_A", 2, f)))
+    t = tilting_module(a).module
+    extended = [i_star(t, tensor), i_star(regular(a), tensor)]
+    assert_covers_match_the_mrad_cover(extended + [syzygy_of(x) for x in extended])
+
+
+def negatively_graded_algebras(field):
+    """k[x]/x^3 with x in degree -1, built from its structure constants, and
+    the path algebra of 1 -> 2 -> 3 with arrows in degrees -1 and 1."""
+    one = field.one()
+    mult = [{j: {i + j: one} for j in range(3 - i)} for i in range(3)]
+    local = GradedAlgebra(field, [0, -1, -2], mult, {0: one}, idempotents=[{0: one}])
+    # basis e1, e2, e3, a, b, ab; paths compose left to right
+    products = {(0, 0): 0, (1, 1): 1, (2, 2): 2, (0, 3): 3, (3, 1): 3, (1, 4): 4,
+                (4, 2): 4, (3, 4): 5, (0, 5): 5, (5, 2): 5}
+    mult = [{} for _ in range(6)]
+    for (i, j), k in products.items():
+        mult[i][j] = {k: one}
+    path = GradedAlgebra(field, [0, 0, 0, -1, 1, 0], mult, {0: one, 1: one, 2: one},
+                         idempotents=[{0: one}, {1: one}, {2: one}])
+    return [local, path]
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_cover_over_a_negatively_graded_algebra_matches_the_mrad_cover(char):
+    # with a negative degree every radical generator's rows are spanned
+    for a in negatively_graded_algebras(FieldSpec(char)):
+        assert not a.is_nonnegatively_graded()
+        idems = range(1, len(primitive_idempotents(a)) + 1)
+        simples = [shift(simple(a, i), j) for i in idems for j in (-1, 0, 2)]
+        modules = (simples + [syzygy_of(x) for x in simples]
+                   + [regular(a), dual_of_regular(a),
+                      direct_sum([regular(a), shift(dual_of_regular(a), 1)] + simples)[0]])
+        assert any(cover_of(x).kernel_rows for x in modules)
+        assert_covers_match_the_mrad_cover(modules)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_a_redundant_generator_fails_the_minimality_check(monkeypatch, char):
+    # an echelon that once calls a dependent candidate independent makes the
+    # cover take one generator too many: its epi is still onto, and only the
+    # kernel-in-P.rad check sees it
+    import qshape.modules as modules
+
+    class OnceFooled(Echelon):
+        fooled = False
+
+        def reduce(self, vec):
+            res = super().reduce(vec)
+            if not res and self.tagged and not OnceFooled.fooled:
+                OnceFooled.fooled = True
+                return dict(vec)
+            return res
+
+    for family, n in (("truncated_polynomial", 3), ("exterior", 2)):
         a = builtin(family, n, FieldSpec(char))
-        module = truncate_le(shift(regular(a), 1), 0)
+        reg = regular(a)
+        assert cover_of(reg).dim == reg.dim  # warms the radical and the simples
+        fresh = modules.GradedModule(a, reg.degrees, reg.action)
+        OnceFooled.fooled = False
         with monkeypatch.context() as patch:
-            patch.setattr(modules, "sparse_kernel", no_kernel_solve)
-            patch.setattr(modules, "radical_submodule_span", recorded_span)
-            for _ in range(2):  # the module, then its syzygy
-                spanned.clear()
-                modules.cover_of(module)
-                assert spanned and all(x is module for x in spanned)
-                module = syzygy_of(module)
+            patch.setattr(modules, "Echelon", OnceFooled)
+            with pytest.raises(ValueError, match="cover is not minimal"):
+                ProjectiveCover(fresh)
+        assert OnceFooled.fooled
+        assert cover_fields(ProjectiveCover(fresh)) == cover_fields(MradCover(fresh))
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_slices_are_read_off_or_eliminated(monkeypatch, char):
+    # a module whose basis is adapted to the idempotents has its slices read
+    # off as unit vectors; on a changed basis of the algebra the idempotents
+    # have many entries, and the slices are eliminated
+    import qshape.modules as modules
+    from test_algebra import unitriangular_changed
+
+    calls = []
+    real = modules.span_basis
+
+    def spy(field, vecs):
+        calls.append(len(vecs))
+        return real(field, vecs)
+
+    monkeypatch.setattr(modules, "span_basis", spy)
+    base = builtin("preprojective_A", 3, FieldSpec(char))
+    for a, eliminated in ((base, False), (unitriangular_changed(base), True)):
+        m = modules.GradedModule(a, regular(a).degrees, regular(a).action)
+        calls.clear()
+        for i in range(1, len(primitive_idempotents(a)) + 1):
+            for d in sorted(set(m.degrees)):
+                assert modules._slice_basis(m, i, d) == uncached_slice_basis(m, i, d)
+        assert bool(calls) == eliminated
 
 
 @pytest.mark.parametrize("char", [0, 32003])

@@ -112,6 +112,67 @@ def test_factoring_coordinates_match_matrix_path(family, char):
     assert seen_zero and seen_partial
 
 
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("family,n", [("truncated_polynomial", 3), ("truncated_polynomial", 6),
+                                      ("exterior", 2), ("exterior", 3),
+                                      ("preprojective_A", 2), ("preprojective_A", 3)])
+def test_socle_skip_matches_solving_hom_into_the_cover(family, n, char):
+    a = builtin(family, n, FieldSpec(char))
+    t = tilting_module(a).module
+    sources = [t, syzygy(t), syzygy(syzygy(t)), cosyzygy(t), regular(a), simple(a, 1),
+               shift(simple(a, 1), -1), direct_sum([t, regular(a)])[0]]
+    # factoring_by_matrices solves hom(m, P) whenever m and the target are
+    # nonzero; the factoring echelon fixes the representatives, its non-pivots
+    for m in sources:
+        for target in (t, syzygy(t), simple(a, 1), regular(a)):
+            hom, coeffs = factoring_span(m, target)
+            assert (hom.dim, coeffs) == factoring_by_matrices(m, target)
+
+
+def two_arrow_quiver(field):
+    """2 -> 1 in degree 1 and 3 -> 1 in degree 2: e_1.Lambda has the socle
+    span(a, b), in degrees 1 and 2, and the algebra is not self-injective."""
+    return compile_quiver(QuiverPresentation(
+        ["1", "2", "3"], [("a", "2", "1", 1), ("b", "3", "1", 2)], [], 2), field)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_socle_skip_needs_self_injectivity(char):
+    # into e_1.Lambda, generated in degree 0 with its top degree 2, the
+    # simple S_2 in degree 1 maps onto a: the degrees alone would skip it
+    a = two_arrow_quiver(FieldSpec(char))
+    p1, s2 = qshape.modules.projective(a, 1), shift(simple(a, 2), -1)
+    assert max(cover_of(p1).summands[0].module.degrees) == 2 and s2.degrees == [1]
+    sh = StableHomSpace(s2, p1)
+    assert sh.hom.dim == 1 and sh.dim == 0
+    assert sh.factoring.basis() == factoring_by_matrices(s2, p1)[1]
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_socle_degrees_decide_whether_hom_into_the_cover_is_solved(monkeypatch, char):
+    # T of truncated_polynomial and exterior lives in degrees <= 0 and its
+    # cover's socles above 0, so no P is built; T of preprojective_A 3 has
+    # projective summands, and hom(T, P) is solved
+    real = qshape.modules.direct_sum
+    built = []
+
+    def spy(summands):
+        built.append(len(summands))
+        return real(summands)
+
+    for family, n, solves in (("truncated_polynomial", 6, False), ("exterior", 3, False),
+                              ("preprojective_A", 3, True)):
+        t = tilting_module(builtin(family, n, FieldSpec(char))).module
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(qshape.modules, "direct_sum", spy)
+            sh = StableHomSpace(t, t)
+        assert sh.hom.dim > 0
+        assert bool(built) == solves
+        assert bool(sh.factoring.dim) == solves
+        assert sh.factoring.basis() == factoring_by_matrices(t, t)[1]
+
+
 class TestStableHom:
     def test_vanishes_on_projectives(self):
         a = builtin("preprojective_A", 2, QQ)
