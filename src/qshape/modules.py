@@ -33,10 +33,7 @@ polynomial algebras; every generator when the algebra has a negative
 degree).  Minimality, that the kernel lies in P.rad, is then checked
 rather than implied: a kernel row reaches the top of a summand e_i.Lambda
 only in the summand's generator degree, where its block must have
-character chi_i = 0.  A slice (M_d).e_i whose spanning images r.e_i are
-each zero or a multiple of a unit vector, as they are for a module on a
-basis adapted to the idempotents, is read off as those unit vectors with
-no elimination.
+character chi_i = 0.
 The cover reads dim P and the degrees of P off its summands; the sum
 module P itself is built, and not kept, each time a caller acts on it (a
 syzygy, or maps into P), so hom solves and projectivity tests never copy
@@ -294,26 +291,14 @@ def simple(a, i):
 
 
 def _slice_basis(m, i, d):
-    """Reduced echelon basis of (M_d) . e_i, the degree-d part of M acted on
-    by the i-th idempotent (i is 1-based); read off or solved once and
-    cached on m.
-
-    When every image r . e_i of a degree-d basis vector r is zero or a
-    multiple of a unit vector, as it is for a module whose basis is adapted
-    to the idempotents, their span's reduced basis is those unit vectors in
-    increasing order, read off with no elimination; otherwise the images
-    are eliminated.
-    """
+    """Basis of (M_d) . e_i, the degree-d part of M acted on by the i-th
+    idempotent (i is 1-based); solved once and cached on m."""
     key = ("slice", i, d)
     if key not in m._cache:
         f = m.algebra.field
-        one = f.one()
         e = primitive_idempotents(m.algebra)[i - 1]
-        images = [x for r in m.component_indices(d) if (x := m.act({r: one}, e))]
-        if all(len(x) == 1 for x in images):
-            m._cache[key] = [{k: one} for k in sorted({k for x in images for k in x})]
-        else:
-            m._cache[key] = span_basis(f, images)
+        m._cache[key] = span_basis(f, [m.act({r: f.one()}, e)
+                                       for r in m.component_indices(d)])
     return m._cache[key]
 
 
@@ -373,14 +358,13 @@ class ProjectiveCover:
     (a syzygy's action, maps into P) build it, once per call.  The cover
     holds no reference to the module it covers, which caches the cover.
 
-    `section_terms` caches, per basis vector of M, its section preimage cut
-    into its nonzero cover-summand blocks, each read as an algebra element,
-    and `terms_by_summand` the same terms grouped by summand.  A map out of
-    M is then row by row a sum of one generator image acted on by each term
-    (see HomSpace.map_of).  The terms depend on the cover only, not on the
-    map, so they are computed once, on first use, and every map out of M
-    reuses them; they are the same vectors that projecting the section onto
-    each summand would give.
+    `terms_by_summand` caches, per summand, the blocks there of the section
+    preimages of the basis vectors of M, each read as an algebra element.
+    A map out of M is then row by row a sum of one generator image acted on
+    by each term (see HomSpace.map_of).  The terms depend on the cover
+    only, not on the map, so they are computed once, on first use, and
+    every map out of M reuses them; they are the same vectors that
+    projecting the section onto each summand would give.
     """
 
     def __init__(self, m):
@@ -427,7 +411,6 @@ class ProjectiveCover:
         self._block_of = []  # P coordinate -> (summand, coordinate inside it)
         for k, s in enumerate(self.summands):
             self._block_of.extend((k, r) for r in range(s.module.dim))
-        self._section_terms = None
         self._terms_by_summand = None
 
         # row r is the image of P coordinate r: its relations are the kernel
@@ -488,20 +471,13 @@ class ProjectiveCover:
         return [(t, self.summands[t].algebra_coords(blocks[t])) for t in sorted(blocks)]
 
     @property
-    def section_terms(self):
-        """Per basis vector of M, `split` of its section preimage (cached)."""
-        if self._section_terms is None:
-            self._section_terms = [self.split(sec) for sec in self.section_rows.values()]
-        return self._section_terms
-
-    @property
     def terms_by_summand(self):
         """Per summand t, the pairs (i, u), i ascending, of the basis
-        vectors i of M whose section term at t is u (cached)."""
+        vectors i of M whose section preimage has block u at t (cached)."""
         if self._terms_by_summand is None:
             groups = [[] for _ in self.summands]
-            for i, terms in enumerate(self.section_terms):
-                for t, u in terms:
+            for i, sec in self.section_rows.items():
+                for t, u in self.split(sec):
                     groups[t].append((i, u))
             self._terms_by_summand = groups
         return self._terms_by_summand

@@ -640,7 +640,7 @@ def test_map_of_walks_the_terms_by_summand_in_order(family, n, char):
             assert [i for i, _ in group] == sorted({i for i, _ in group})
             for i, u in group:
                 by_row[i].append((k, u))
-        assert by_row == cov.section_terms
+        assert by_row == [cov.split(sec) for sec in cov.section_rows.values()]
         for target in (t, m):
             hom = HomSpace(m, target)
             for c in hom.basis_coords:
@@ -1010,32 +1010,6 @@ def test_a_redundant_generator_fails_the_minimality_check(monkeypatch, char):
                 ProjectiveCover(fresh)
         assert OnceFooled.fooled
         assert cover_fields(ProjectiveCover(fresh)) == cover_fields(MradCover(fresh))
-
-
-@pytest.mark.parametrize("char", [0, 32003])
-def test_slices_are_read_off_or_eliminated(monkeypatch, char):
-    # a module whose basis is adapted to the idempotents has its slices read
-    # off as unit vectors; on a changed basis of the algebra the idempotents
-    # have many entries, and the slices are eliminated
-    import qshape.modules as modules
-    from test_algebra import unitriangular_changed
-
-    calls = []
-    real = modules.span_basis
-
-    def spy(field, vecs):
-        calls.append(len(vecs))
-        return real(field, vecs)
-
-    monkeypatch.setattr(modules, "span_basis", spy)
-    base = builtin("preprojective_A", 3, FieldSpec(char))
-    for a, eliminated in ((base, False), (unitriangular_changed(base), True)):
-        m = modules.GradedModule(a, regular(a).degrees, regular(a).action)
-        calls.clear()
-        for i in range(1, len(primitive_idempotents(a)) + 1):
-            for d in sorted(set(m.degrees)):
-                assert modules._slice_basis(m, i, d) == uncached_slice_basis(m, i, d)
-        assert bool(calls) == eliminated
 
 
 @pytest.mark.parametrize("char", [0, 32003])
