@@ -792,14 +792,16 @@ def sup_degree(a):
 
 class RadicalData:
     """Radical basis, the generators V (radical vectors spanning R modulo
-    R^2, so words in V span R), dims of the nonzero powers of R, and the
-    nilpotency index."""
+    R^2, so words in V span R), dims of the nonzero powers of R, the
+    nilpotency index, and the set of degrees of each layer W_1, W_2, ...
+    (W_j spanned by the words of length j in V; R^k = sum_{j>=k} W_j)."""
 
-    def __init__(self, basis, gens, series_dims, nilpotency):
+    def __init__(self, basis, gens, series_dims, nilpotency, layer_degrees):
         self.basis = basis
         self.gens = gens
         self.series_dims = series_dims
         self.nilpotency = nilpotency
+        self.layer_degrees = layer_degrees
 
 
 def _trace_form_radical(a):
@@ -862,7 +864,7 @@ def jacobson_radical(a):
         return a._radical
     f = a.field
     if a.dim == 0:
-        a._radical = RadicalData([], [], [], 0)
+        a._radical = RadicalData([], [], [], 0, [])
         return a._radical
     char_ok = f.char == 0 or f.char > a.dim
     if a.radical_hint is not None:
@@ -906,7 +908,11 @@ def jacobson_radical(a):
     series.reverse()
     if total.dim != len(basis):
         raise VerificationFailed("radical is not nilpotent")
-    a._radical = RadicalData(basis, gens, series, len(series) + 1 if series else 1)
+    # the radical is graded, so its reduced basis, V and every W_j are
+    # homogeneous: a vector's degree is that of any of its entries
+    layer_degrees = [{a.degrees[next(iter(v))] for v in layer} for layer in words]
+    a._radical = RadicalData(basis, gens, series, len(series) + 1 if series else 1,
+                             layer_degrees)
     return a._radical
 
 

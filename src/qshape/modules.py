@@ -112,7 +112,14 @@ class GradedModule:
         return {r: row for r, row in rows.items() if row}
 
     def component_indices(self, d):
-        return [i for i, deg in enumerate(self.degrees) if deg == d]
+        """Indices of the basis vectors of degree d, read from an index of
+        the degrees built on first use; callers must not change the list."""
+        index = self._cache.get("by_degree")
+        if index is None:
+            index = self._cache["by_degree"] = {}
+            for i, deg in enumerate(self.degrees):
+                index.setdefault(deg, []).append(i)
+        return index.get(d, [])
 
     def is_zero(self):
         return self.dim == 0
@@ -292,13 +299,16 @@ def simple(a, i):
 
 def _slice_basis(m, i, d):
     """Basis of (M_d) . e_i, the degree-d part of M acted on by the i-th
-    idempotent (i is 1-based); solved once and cached on m."""
+    idempotent (i is 1-based); solved once and cached on m.  A degree that
+    M lacks gives [] with nothing solved or cached."""
     key = ("slice", i, d)
     if key not in m._cache:
+        rows = m.component_indices(d)
+        if not rows:
+            return []
         f = m.algebra.field
         e = primitive_idempotents(m.algebra)[i - 1]
-        m._cache[key] = span_basis(f, [m.act({r: f.one()}, e)
-                                       for r in m.component_indices(d)])
+        m._cache[key] = span_basis(f, [m.act({r: f.one()}, e) for r in rows])
     return m._cache[key]
 
 

@@ -1,15 +1,16 @@
 """Finite windows of the category of shifted indecomposable projectives.
 
 Objects are pairs (i, j) with i a 1-based idempotent index and j a shift in
-[lo, hi].  A degree-0 map P_i(j) -> P_i'(j') is determined by the image of
-the generator e_i, which lives in the bimodule slice e_i' . Lambda_{j'-j} . e_i,
-and composition is multiplication in the algebra.  The window stores those
-slices and their radical parts e_i' . R_{j'-j} . e_i, R the Jacobson
-radical: the idempotent corners (`algebra.corners`) of the basis and of
-the radical basis, split by degree.  It checks finiteness, local
-boundedness, the identity-plus-radical splitting of endomorphism rings,
-radical nilpotency, and Serre duality dimensions with a nondegenerate
-composition pairing.
+[lo, hi], over a non-negatively graded algebra.  A degree-0 map
+P_i(j) -> P_i'(j') is determined by the image of the generator e_i, which
+lives in the bimodule slice e_i' . Lambda_{j'-j} . e_i, and composition is
+multiplication in the algebra.  The window stores those slices and their
+radical parts e_i' . R_{j'-j} . e_i, R the Jacobson radical: the
+idempotent corners (`algebra.corners`) of the basis and of the radical
+basis, split by degree.  It checks finiteness, local boundedness, the
+identity-plus-radical splitting of endomorphism rings, radical
+nilpotency, and Serre duality dimensions with a nondegenerate composition
+pairing.
 
 "Distinct objects" in the splitting property means distinct (i, j) labels;
 over a basic algebra distinct labels give non-isomorphic objects, and the
@@ -19,11 +20,12 @@ Shifting every object by one is an automorphism of the category, so a hom
 space, its radical part, a Serre slice and a pairing between P_i(j) and
 P_i'(j') depend on the shift class (i, i', j' - j) only.  The checks run
 once per class, with |j' - j| <= hi - lo, and the Serre image D(Lambda e_i)
-is built once per vertex and shifted.
+is built once per vertex and shifted.  The window radical's powers are not
+formed: its nilpotency is read off the radical layers of the algebra.
 """
 
 from .algebra import corners, jacobson_radical, left_support, primitive_idempotents
-from .errors import NotSelfInjective
+from .errors import NotNonNegativelyGraded, NotSelfInjective
 from .linalg import Echelon
 from .modules import (
     Submodule,
@@ -41,6 +43,8 @@ class QWindow:
     def __init__(self, a, lo, hi):
         if lo > hi:
             raise ValueError("window needs lo <= hi")
+        if not a.is_nonnegatively_graded():
+            raise NotNonNegativelyGraded("the window needs a non-negatively graded algebra")
         self.algebra = a
         self.lo = lo
         self.hi = hi
@@ -79,27 +83,23 @@ class QWindow:
 
     def dims_table(self):
         return {
-            f"({q[0]},{q[1]})->({qp[0]},{qp[1]})": self.hom_dim(q, qp)
+            f"({q[0]},{q[1]})->({qp[0]},{qp[1]})": dim
             for q in self.objects
             for qp in self.objects
-            if self.hom_dim(q, qp)
+            if (dim := self.hom_dim(q, qp))
         }
 
 
 def _by_shift_class(a, corner_bases):
-    """{(s, t, d): the rows of degree d >= 0 of corner (t, s)}, with 1-based
-    s and t, in pivot order: the slices e_t V_d e_s of the span V whose
+    """{(s, t, d): the rows of degree d of corner (t, s)}, with 1-based s
+    and t, in pivot order: the slices e_t V_d e_s of the span V whose
     corners are given.  Each row is homogeneous (`corners`), so its degree
-    is that of any entry.  The checks take maps never to lower the shift,
-    as over a non-negative grading, so rows of negative degree are left
-    out."""
+    is that of any entry."""
     out = {}
     for t, row in enumerate(corner_bases):
         for s, rows in enumerate(row):
             for vec in rows:
-                d = a.degrees[next(iter(vec))]
-                if d >= 0:
-                    out.setdefault((s + 1, t + 1, d), []).append(vec)
+                out.setdefault((s + 1, t + 1, a.degrees[next(iter(vec))]), []).append(vec)
     return out
 
 
@@ -143,25 +143,37 @@ def _pairing_nondegenerate(field, values):
 def check_window_properties(w, serre_check=True):
     """Report on the five structural properties of the windowed category.
 
-    (1) hom spaces are finite dimensional (dims tabulated); (2) local
-    boundedness: away from the window boundary, nonzero homs stay inside a
-    shift band of width the top degree; (3) End(q) splits as the identity
-    line plus the radical, and round trips through a distinct object land in
-    the radical;
+    (1) hom spaces are finite dimensional, which holds for homs between
+    finite-dimensional modules: the largest dimension and the number of
+    object pairs with a nonzero hom are reported; (2) local boundedness:
+    away from the window boundary, nonzero homs stay inside a shift band of
+    width the top degree; (3) End(q) splits as the identity line plus the
+    radical, and round trips through a distinct object land in the radical;
     (4) the window radical is nilpotent, reported with the algebra radical
     nilpotency; (5) dim hom(q, q') = dim hom(q', Sq) for the Serre image Sq,
     with the composition pairing into hom(q, Sq) nondegenerate on both
     sides.  Property (5) requires self-injectivity.
 
-    Properties 2-5 run over the shift classes (i, i', d), |d| <= hi - lo,
-    not over objects.  Shifting all objects by one is an automorphism, so
-    every hom, radical part, Serre slice and pairing between P_i(j) and
-    P_i'(j') depends on (i, i', j' - j) only; a class stands for the
-    W - |d| object pairs of the window (W = hi - lo + 1) that realise it,
-    which is how `pairs_checked` counts it.  Maps never lower the shift, so
-    a composite between two window objects passes only through shifts
-    between theirs, all inside the window: the window's radical powers are
-    per class too.  Round trips through a distinct object live in degree 0.
+    Properties 1-3 and 5 run over the shift classes (i, i', d),
+    |d| <= hi - lo, not over objects.  Shifting all objects by one is an
+    automorphism, so every hom, radical part, Serre slice and pairing
+    between P_i(j) and P_i'(j') depends on (i, i', j' - j) only; a class
+    stands for the W - |d| object pairs of the window (W = hi - lo + 1)
+    that realise it, which is how `nonzero_pairs` and `pairs_checked` count
+    it.  The algebra is non-negatively graded (`QWindow`), so maps never
+    lower the shift and round trips through a distinct object live in
+    degree 0.
+
+    Property 4 is read off the layers W_j of `jacobson_radical`, with
+    R^k = sum_{j>=k} W_j.  R is graded and no degree is negative, so
+    (R^k)_d is spanned by products of k homogeneous radical elements whose
+    degrees lie in [0, d].  For d <= hi - lo each such product is a
+    composite of window radical maps through shifts inside the window, and
+    summing over the intermediate vertices (sum e_i' = 1), the class
+    (i, i'', d) of the k-th power of the window radical is the (i, i'')
+    corner of (R^k)_d.  So the window radical nilpotency is 1 + the largest
+    j such that W_j has a degree in [0, hi - lo] (1 if there is none), and
+    it holds because `jacobson_radical` checks that R is nilpotent.
     """
     a = w.algebra
     f = a.field
@@ -176,11 +188,12 @@ def check_window_properties(w, serre_check=True):
     def rad(i, ip, d):
         return w.radical_basis((i, 0), (ip, d))
 
-    dims = w.dims_table()
+    classes = [(d, dim) for i in vertices for ip in vertices for d in range(width + 1)
+               if (dim := len(hom(i, ip, d)))]
     report["property_1"] = {
         "pass": True,
-        "max_hom_dim": max(dims.values(), default=0),
-        "nonzero_pairs": len(dims),
+        "max_hom_dim": max((dim for _, dim in classes), default=0),
+        "nonzero_pairs": sum(width + 1 - d for d, _ in classes),
     }
 
     # an object at least ell away from both ends sees every class |d| <= ell
@@ -204,30 +217,13 @@ def check_window_properties(w, serre_check=True):
                             "identity_splitting": split_ok,
                             "round_trips_in_radical": round_ok}
 
-    # r^{k+1}(i, i'', d) = sum over i', d' of r^k(i', i'', d - d') o r(i, i', d')
-    first = {(i, ip, d): rad(i, ip, d) for i in vertices for ip in vertices
-             for d in range(min(ell, width) + 1)}
-    current = first = {k: b for k, b in first.items() if b}
-    alg_nilp = jacobson_radical(a).nilpotency
-    limit = (width + 1) * max(alg_nilp, 1) + 2
-    nilp = 1
-    while current and nilp <= limit:
-        nxt = {}
-        for (i, ip, d1), xs in first.items():
-            for ipp in vertices:
-                for d2 in range(width - d1 + 1):
-                    ys = current.get((ip, ipp, d2))
-                    if ys:
-                        tgt = nxt.setdefault((i, ipp, d1 + d2), Echelon(f))
-                        for x in xs:
-                            for y in ys:
-                                tgt.insert(w.compose(x, y))
-        current = {k: e.basis() for k, e in nxt.items() if e.dim}
-        nilp += 1
+    radical = jacobson_radical(a)
     report["property_4"] = {
-        "pass": not current,
-        "window_radical_nilpotency": nilp,
-        "algebra_radical_nilpotency": alg_nilp,
+        "pass": True,
+        "window_radical_nilpotency": 1 + max(
+            (j for j, degs in enumerate(radical.layer_degrees, 1) if min(degs) <= width),
+            default=0),
+        "algebra_radical_nilpotency": radical.nilpotency,
     }
 
     if serre_check:

@@ -555,6 +555,21 @@ def naive_radical_series(field, mult, basis):
     return series, len(series) + 1
 
 
+def naive_radical_power_degrees(field, mult, degrees, basis):
+    """The set of degrees of each nonzero power of the nilpotent ideal
+    spanned by basis, the powers formed as in `naive_radical_series`.  A
+    graded span has a nonzero part in degree d exactly when one of its
+    vectors has an entry of degree d."""
+    n = len(mult)
+    times = lambda v, w: _naive_times(field, mult, v, w)
+    out = []
+    rank, power = _naive_rank(field, basis, n)
+    while rank and len(out) <= n:
+        out.append({degrees[k] for v in power for k in v})
+        rank, power = _naive_rank(field, [times(u, r) for u in power for r in basis], n)
+    return out
+
+
 def naive_corners(field, mult, idempotents, vectors):
     """C[u][v] = the reduced echelon rows of span{e_u (x e_v) : x in
     vectors}, each product formed anew for every pair (u, v) and reduced

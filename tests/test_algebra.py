@@ -54,6 +54,7 @@ from oracles import (
     naive_check_algebra,
     naive_corners,
     naive_failing_triples,
+    naive_radical_power_degrees,
     naive_radical_series,
     opposite,
     pairwise_compile_quiver,
@@ -355,6 +356,21 @@ class TestRadical:
         for n in (2, 3, 5):
             assert jacobson_radical(loop_algebra(n)).nilpotency == n
 
+    @pytest.mark.parametrize("char", [0, 32003])
+    @pytest.mark.parametrize("family,n", [("truncated_polynomial", 1),
+                                          ("truncated_polynomial", 2),
+                                          ("truncated_polynomial", 7),
+                                          ("exterior", 1), ("exterior", 4)])
+    def test_layer_j_sits_in_degree_j(self, family, n, char):
+        # both families are generated in degree 1, so the words of length j
+        # in V span the radical's part in degree j
+        rad = jacobson_radical(builtin(family, n, FieldSpec(char)))
+        assert rad.layer_degrees == [{j} for j in range(1, rad.nilpotency)]
+
+    def test_layer_degrees_of_the_semisimple_and_the_zero_algebra(self):
+        assert jacobson_radical(k_times_k()).layer_degrees == []
+        assert jacobson_radical(zero_algebra(QQ)).layer_degrees == []
+
     def test_non_nilpotent_ideal_hint_is_rejected(self):
         # k x k[x]/x^2 with basis e, f, x (unit e + f) over GF(3), so the
         # hint is not checked against the trace form.  span(e, x) is a
@@ -549,6 +565,20 @@ def test_dense_change_of_basis_keeps_every_invariant(name, char):
         for qp in w.objects:
             assert w.hom_dim(q, qp) == w_base.hom_dim(q, qp)
             assert len(w.radical_basis(q, qp)) == len(w_base.radical_basis(q, qp))
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("name", _PAIR_INSTANCES)
+def test_layer_degrees_give_the_degrees_of_each_radical_power(name, char):
+    # R^k = sum_{j>=k} W_j with every W_j graded, so the degrees of R^k are
+    # those of the layers from k on; preprojective_A has degree-0 arrows,
+    # so its layers hold several degrees
+    a = unitriangular_changed(_radical_instance(name, char))
+    rad = jacobson_radical(a)
+    layers = rad.layer_degrees
+    assert len(layers) == rad.nilpotency - 1
+    assert naive_radical_power_degrees(a.field, a.mult, a.degrees, rad.basis) == [
+        set().union(*layers[k:]) for k in range(len(layers))]
 
 
 @pytest.mark.parametrize("char", [0, 32003])

@@ -728,6 +728,25 @@ def test_cached_slices_match_a_fresh_solve(family, n, char):
 
 
 @pytest.mark.parametrize("family,n,char", COVER_CASES)
+def test_component_indices_are_the_linear_scan(family, n, char):
+    # the degree index answers every degree as a scan of the degree list
+    # does, absent degrees included, and the slice of an absent degree is
+    # empty with nothing solved or cached
+    from qshape.modules import _slice_basis
+    from qshape.tilting import tilting_module
+
+    a = builtin(family, n, FieldSpec(char))
+    t = tilting_module(a).module
+    for m in (t, syzygy_of(t), shift(dual_of_regular(a), 2), zero_module(a)):
+        present = set(m.degrees)
+        for d in range(min(present, default=0) - 2, max(present, default=0) + 3):
+            assert m.component_indices(d) == [k for k, deg in enumerate(m.degrees) if deg == d]
+            if d not in present:
+                assert _slice_basis(m, 1, d) == []
+                assert ("slice", 1, d) not in m._cache
+
+
+@pytest.mark.parametrize("family,n,char", COVER_CASES)
 def test_homs_into_one_target_agree(family, n, char):
     # a second hom into the same target reads the cached slices and their
     # echelons; a copy of the target with no cache solves them afresh

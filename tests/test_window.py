@@ -6,8 +6,14 @@ import pytest
 
 import qshape.modules
 import qshape.window
-from qshape.algebra import GradedAlgebra, QuiverPresentation, builtin, compile_quiver
-from qshape.errors import NotSelfInjective
+from qshape.algebra import (
+    GradedAlgebra,
+    QuiverPresentation,
+    builtin,
+    compile_quiver,
+    jacobson_radical,
+)
+from qshape.errors import NotNonNegativelyGraded, NotSelfInjective
 from qshape.fields import QQ, FieldSpec
 from qshape.modules import HomSpace, dual_of_regular, projective, regular, shift
 from qshape.window import QWindow, check_window_properties, serre_of_object
@@ -144,6 +150,59 @@ class TestProperties:
         with pytest.raises(NotSelfInjective):
             check_window_properties(QWindow(a, -1, 1), serre_check=True)
 
+    def test_negative_degree_is_rejected(self):
+        # basis 1, x, y, yx with x in degree -1, y in degree 1 and
+        # x^2 = y^2 = xy = 0: yx is a degree-0 radical vector of R^2 that
+        # only factors through the negative degree, so the window's own
+        # radical powers (maps never lower the shift) would stop at r^2 = 0,
+        # where the layers W_1 = <x, y> and W_2 = <yx> give 3
+        one = QQ.one()
+        mult = [{0: {0: one}, 1: {1: one}, 2: {2: one}, 3: {3: one}},
+                {0: {1: one}},
+                {0: {2: one}, 1: {3: one}},
+                {0: {3: one}}]
+        a = GradedAlgebra(QQ, [0, -1, 1, 0], mult, {0: one}, idempotents=[{0: one}])
+        rad = jacobson_radical(a)
+        assert rad.layer_degrees == [{-1, 1}, {0}]
+        assert rad.nilpotency == 3
+        with pytest.raises(NotNonNegativelyGraded):
+            QWindow(a, -1, 1)
+
+    @pytest.mark.parametrize("name,expected", [
+        ("truncated_polynomial 5", 0), ("exterior 3", 0), ("preprojective_A 1", 0),
+        ("preprojective_A 3", 0), ("preprojective_A 4", 0), ("two-cycle", 2)])
+    def test_only_round_trips_compose(self, name, expected, monkeypatch):
+        # property 1 tallies the classes with no hom table, and property 4
+        # reads the radical layers: the one product left is property 3's
+        # round trip through a distinct vertex in degree 0, none over one
+        # vertex or where no degree-0 arrow has a degree-0 way back; the
+        # two-cycle 1 -a-> 2 -b-> 1 in degree 0 with ab = ba = 0 has two
+        if name == "two-cycle":
+            pres = QuiverPresentation(["1", "2"], [("a", "1", "2", 0), ("b", "2", "1", 0)],
+                                      [[(1, ("a", "b"))], [(1, ("b", "a"))]], 2)
+            a = compile_quiver(pres, QQ)
+        else:
+            family, n = name.split()
+            a = builtin(family, int(n), QQ)
+        w = QWindow(a, -3, 3)
+        composed = []
+        compose = QWindow.compose
+
+        def counting_compose(self, x, y):
+            composed.append((x, y))
+            return compose(self, x, y)
+
+        def no_table(self):
+            raise AssertionError("dims_table called")
+
+        monkeypatch.setattr(QWindow, "compose", counting_compose)
+        monkeypatch.setattr(QWindow, "dims_table", no_table)
+        assert check_window_properties(w)["all_pass"]
+        vertices = range(1, w.n + 1)
+        round_trips = sum(w.hom_dim((i, 0), (ip, 0)) * w.hom_dim((ip, 0), (i, 0))
+                          for i in vertices for ip in vertices if ip != i)
+        assert len(composed) == round_trips == expected
+
 
 class TestSerreLocalStructure:
     def test_local_serre_equals_shifted_dual(self):
@@ -215,6 +274,17 @@ class TestShiftClassesAgainstPerObjectCheck:
                 check_window_properties(w, serre_check=True)
             with pytest.raises(NotSelfInjective):
                 per_object_window_properties(w, serre_check=True)
+
+    @pytest.mark.parametrize("family,parameter",
+                             [("truncated_polynomial", n) for n in range(6, 16)]
+                             + [("exterior", 4), ("preprojective_A", 5)])
+    @pytest.mark.parametrize("char", [0, 32003])
+    def test_reports_equal_on_larger_algebras(self, family, parameter, char):
+        a = builtin(family, parameter, FieldSpec(char))
+        for lo, hi in ((-1, 1), (0, 2), (-3, 4)):
+            w = QWindow(a, lo, hi)
+            assert as_json(check_window_properties(w, serre_check=False)) == as_json(
+                per_object_window_properties(w, serre_check=False)), (lo, hi)
 
     def test_one_serre_submodule_per_vertex(self, monkeypatch):
         a = builtin("preprojective_A", 3, QQ)
