@@ -566,7 +566,7 @@ def main(argv=None):
         _emit({"error": str(e)})
         return EXIT_PARSE
     except QShapeError as e:
-        _emit({"error": f"{type(e).__name__}: {e}"})
+        _emit({"command": args.command, "error": f"{type(e).__name__}: {e}"})
         return EXIT_PARSE
     except ValueError as e:
         _emit({"command": args.command, "error": f"ValueError: {e}"})

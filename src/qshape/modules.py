@@ -34,10 +34,11 @@ degree).  Minimality, that the kernel lies in P.rad, is then checked
 rather than implied: a kernel row reaches the top of a summand e_i.Lambda
 only in the summand's generator degree, where its block must have
 character chi_i = 0.
-The cover reads dim P and the degrees of P off its summands; the sum
-module P itself is built, and not kept, each time a caller acts on it (a
-syzygy, or maps into P), so hom solves and projectivity tests never copy
-the summands, and P is freed with the one call that read it.
+The cover reads dim P and the degrees of P off its summands; a sum of
+summands is built, and not kept, each time a caller acts on it (all of P
+for a syzygy, the summands a source reaches for maps into P), so hom
+solves and projectivity tests never copy the summands, and the sum is
+freed with the one call that read it.
 A syzygy reads its degrees off the kernel rows, each of which is
 homogeneous, and builds its action, the submodule of P the rows span, on
 first read: a syzygy that is only compared by degree, as the last of the
@@ -57,7 +58,9 @@ system, and its presentation is set up only if a caller asks for it.  A
 hom whose slices are all zero has no unknowns and builds no system.
 Maps stay in these generator coordinates: composing with another map only
 needs the images of the generators, and a map's matrix is built only when
-a caller asks for it.
+a caller asks for it.  A map's generator images are the dict {summand
+index: nonzero image}, as a matrix is the dict of its nonzero rows, so a
+composite costs the summands its first map reaches and not the cover.
 The module and map checks, the brute-force commutant solver, general
 quotients, tops, duals, socles and injective envelopes live in the test
 suite as independent references.
@@ -328,7 +331,8 @@ def _slice_echelon(m, i, d):
 # ---------------------------------------------------------------------------
 
 class CoverSummand:
-    """One summand e_i . Lambda(-d) of a cover, with its generator in degree d."""
+    """One summand e_i . Lambda(-d) of a cover, with its generator in degree d
+    and its top degree d + max deg(e_i.Lambda)."""
 
     def __init__(self, a, idem_index, gen_degree):
         self.idem_index = idem_index
@@ -337,6 +341,7 @@ class CoverSummand:
         # the basis of e_i.Lambda in algebra coordinates, keyed by position
         self.inclusion_rows = a._cache[("projective", idem_index)].basis
         self.module = shift(base, -gen_degree)
+        self.top_degree = gen_degree + max(base.degrees)
 
     def algebra_coords(self, vec):
         """View a summand element as an element of the algebra."""
@@ -357,16 +362,19 @@ class ProjectiveCover:
 
     Over a self-injective algebra each summand e_i.Lambda(-d) has a simple
     socle, which every nonzero submodule contains (Happel 1988, ch. I);
-    over a non-negatively graded one it lies in the summand's top degree
-    d + max deg(e_i.Lambda), which `stable.StableHomSpace` reads off
-    `summands` to skip hom(M', P) when M' misses every such degree.
+    over a non-negatively graded one it lies in the summand's `top_degree`
+    d + max deg(e_i.Lambda).  `stable.StableHomSpace` reads those degrees
+    to pick the summands a map out of M' can reach, and factors through
+    their sum P' only.
 
     P = sum of the summands is described by `dim` and `degrees`, read off
     the summands, and by `split`, which cuts a vector of P into summand
-    blocks.  `module`, the block-diagonal sum module, is built by
-    `direct_sum` on each access and not kept: only callers that act on P
-    (a syzygy's action, maps into P) build it, once per call.  The cover
-    holds no reference to the module it covers, which caches the cover.
+    blocks.  `sum_over` builds the block-diagonal sum P' of some summands,
+    with the epi rows of their coordinates, on each call: only callers that
+    act on P' build it, and the cover does not keep it.  `module`, the sum
+    of every summand, is P itself (a syzygy's action is a submodule of
+    it).  The cover holds no reference to the module it covers, which
+    caches the cover.
 
     `terms_by_summand` caches, per summand, the blocks there of the section
     preimages of the basis vectors of M, each read as an algebra element.
@@ -419,7 +427,9 @@ class ProjectiveCover:
         self.degrees = [d for s in self.summands for d in s.module.degrees]
         self.dim = len(self.degrees)
         self._block_of = []  # P coordinate -> (summand, coordinate inside it)
+        self._offsets = []   # summand -> its first P coordinate
         for k, s in enumerate(self.summands):
+            self._offsets.append(len(self._block_of))
             self._block_of.extend((k, r) for r in range(s.module.dim))
         self._terms_by_summand = None
 
@@ -464,12 +474,28 @@ class ProjectiveCover:
                 if not f.is_zero(acc):
                     raise ValueError("cover is not minimal (kernel escapes P.rad)")
 
+    def sum_over(self, ts):
+        """(P', epi rows of P'): the direct sum of the summands ts, given in
+        ascending order, built on each call, and the epi rows of their
+        coordinates, renumbered to P'.  No summand gives the zero module."""
+        if not ts:
+            return zero_module(self._algebra), {}
+        epi_rows = self.epi_rows
+        rows = {}
+        pos = 0
+        for t in ts:
+            off = self._offsets[t]
+            for r in range(self.summands[t].module.dim):
+                row = epi_rows.get(off + r)
+                if row is not None:
+                    rows[pos + r] = row
+            pos += self.summands[t].module.dim
+        return direct_sum([self.summands[t].module for t in ts])[0], rows
+
     @property
     def module(self):
-        """P as the direct sum of the summands, built on each access."""
-        if self.summands:
-            return direct_sum([s.module for s in self.summands])[0]
-        return zero_module(self._algebra)
+        """P as the direct sum of every summand, built on each access."""
+        return self.sum_over(range(len(self.summands)))[0]
 
     def split(self, vec):
         """The nonzero summand blocks of a vector of P, as (summand index,
@@ -598,12 +624,16 @@ class HomSpace:
     with idempotent i and generator degree d, the image lives in the slice
     (N_d).e_i.  A map is stored as its coordinate vector over the
     concatenated slice bases (`basis_coords`); `images` turns coordinates
-    into generator images and `coords_of_images` goes back, so callers that
-    compose with another map only need generator images.  A map's matrix,
-    its rows over N's coordinates, is built only on demand by `map_of`;
+    into generator images, the dict {summand index: nonzero image} with
+    ascending keys, and `coords_of_images` goes back, reading only the
+    summands the dict has, so callers that compose with another map only
+    need generator images.  A map's matrix, its rows over N's coordinates,
+    is built only on demand, by `map_of` from the generator images;
     `coords_of_matrix` goes back, and `basis_coeffs` expresses coordinates
-    over `basis_coords`.  The slice bases and their tagged echelons are
-    cached on N, so every hom into N shares them.  A hom between modules
+    over `basis_coords`.  The
+    slice bases and their tagged echelons are cached on N, so every hom
+    into N shares them, and a hom looks up the echelon of a summand the
+    first time an image there is expressed.  A hom between modules
     that share no degree is 0 and builds neither the cover of M nor any
     slice; `_present` sets them up on the first read of an attribute it
     sets, so such a hom still rejects a nonzero generator image.
@@ -614,7 +644,7 @@ class HomSpace:
             raise ValueError("hom between modules over different algebras")
         self.source = source
         self.target = target
-        self._slice_echelons = None  # the slices' tagged echelons, on first use
+        self._slice_echelons = {}  # summand -> its slice's tagged echelon, on first use
         self._basis_ech = None
         self.basis_coords = []
         if set(source.degrees).isdisjoint(target.degrees):
@@ -676,57 +706,65 @@ class HomSpace:
         return len(self.basis_coords)
 
     def images(self, coords):
-        """Images of the cover generators (in target coordinates) of a map.
+        """{summand index t: the nonzero image (in target coordinates) of
+        generator t} of a map, keys ascending.
 
         Only the nonzero coordinates are read; ascending coordinates run
         over the summands in order and over each slice basis in order.
         """
         axpy = self.source.algebra.field.axpy
-        images = [{} for _ in self.slices]
+        images = {}
         coord_vecs = self._coord_vecs
         for q in sorted(coords):
             t, bvec = coord_vecs[q]
-            axpy(images[t], bvec, coords[q])
-        return images
+            img = images.get(t)
+            if img is None:
+                img = images[t] = {}
+            axpy(img, bvec, coords[q])
+        return {t: img for t, img in images.items() if img}
 
     def coords_of_images(self, images):
-        """Slice coordinates of the map sending the cover generators to images."""
-        if self._slice_echelons is None:
-            self._slice_echelons = [_slice_echelon(self.target, i, d)
-                                    for i, d in self._slice_keys]
+        """Slice coordinates of the map sending cover generator t to
+        images[t] and every generator the dict leaves out to 0; the
+        coordinates follow the key order of images."""
+        echelons = self._slice_echelons
         coords = {}
-        for t, (img, ech) in enumerate(zip(images, self._slice_echelons)):
+        for t, img in images.items():
             if not img:
                 continue  # a zero image has no coordinates
+            ech = echelons.get(t)
+            if ech is None:
+                ech = echelons[t] = _slice_echelon(self.target, *self._slice_keys[t])
             expr = ech.express(img)
             if expr is None:
                 raise ValueError("generator image leaves the idempotent slice")
+            off = self.offsets[t]
             for pos, c in expr.items():
-                coords[self.offsets[t] + pos] = c
+                coords[off + pos] = c
         return coords
 
-    def map_of(self, coords):
-        """The row matrix of the map with these slice coordinates: row i is
-        the sum, over the cover's section terms (t, u) of basis vector i, of
-        the image of generator t acted on by u.  Only the terms of the
-        summands whose generator image is nonzero are walked, summand by
-        summand in order, so each row sums its terms in the order of t; the
-        nonzero rows are returned in increasing index order."""
+    def map_of(self, images):
+        """The row matrix of the map with these generator images, the dict
+        that `images` gives: row i is the sum, over the cover's section
+        terms (t, u) of basis vector i, of images[t] acted on by u.  Only
+        the terms of the summands that images has are walked, in its key
+        order, so each row sums its terms in the order of t; the nonzero
+        rows are returned in increasing index order."""
         f = self.source.algebra.field
         axpy, one = f.axpy, f.one()
         act = self.target.act
+        terms = self._cov.terms_by_summand
         rows = {}
-        for img, terms in zip(self.images(coords), self._cov.terms_by_summand):
-            if img:
-                for i, u in terms:
-                    axpy(rows.setdefault(i, {}), act(img, u), one)
+        for t, img in images.items():
+            for i, u in terms[t]:
+                axpy(rows.setdefault(i, {}), act(img, u), one)
         return {i: rows[i] for i in sorted(rows) if rows[i]}
 
     def coords_of_matrix(self, matrix_rows):
         """Slice coordinates of a map given by its matrix."""
         f = self.source.algebra.field
-        return self.coords_of_images([apply_row(f, gen, matrix_rows)
-                                      for gen in self._cov.generators])
+        return self.coords_of_images({t: img for t, gen in enumerate(self._cov.generators)
+                                      if (img := apply_row(f, gen, matrix_rows))})
 
     def basis_coeffs(self, coords):
         """Coefficients over `basis_coords` of the map with these slice
@@ -740,8 +778,9 @@ class HomSpace:
 def composition_table(field, images, matrices, coords_of_images):
     """Structure constants of composition over a list of maps M -> M.
 
-    images[i] are the generator images of map i and matrices[i] its matrix;
-    row i maps j to coords_of_images of "map i, then map j", whose
+    images[i] are the generator images of map i, the dict {summand index:
+    nonzero image} that `HomSpace.images` gives, and matrices[i] its
+    matrix; row i maps j to coords_of_images of "map i, then map j", whose
     generator images are those of map i sent through the matrix of map j,
     and holds the nonzero composites only.  Sending a vector through a
     matrix reads only the rows at its nonzero coordinates, so when the
@@ -750,18 +789,21 @@ def composition_table(field, images, matrices, coords_of_images):
     maps j that `row_index` lists at some r in that union are composed.
     That is exact for any maps; it needs no block structure,
     though for a direct sum most pairs of maps between different summands
-    are skipped this way.  A zero generator image stays zero and is not
-    sent through the matrix.
+    are skipped this way.  Only the summands that images[i] has are sent
+    through the matrix, the composite keeps the nonzero results only, and
+    a composite with none is zero and is not solved either.
     """
     live = row_index(matrices)
     mult = []
     for imgs in images:
         row = {}
-        for j in sorted({j for r in set().union(*imgs) for j in live.get(r, ())}):
-            coords = coords_of_images([apply_row(field, x, matrices[j]) if x else {}
-                                       for x in imgs])
-            if coords:
-                row[j] = coords
+        for j in sorted({j for x in imgs.values() for r in x for j in live.get(r, ())}):
+            mat = matrices[j]
+            composed = {t: y for t, x in imgs.items() if (y := apply_row(field, x, mat))}
+            if composed:
+                coords = coords_of_images(composed)
+                if coords:
+                    row[j] = coords
         mult.append(row)
     return mult
 

@@ -9,9 +9,9 @@ self-injective algebra each indecomposable projective e_i.Lambda is
 injective with a simple socle, which every nonzero submodule contains
 (Happel 1988, ch. I); over a non-negatively graded one that socle is
 e_i.Lambda's top degree.  So a degree-0 map into a cover summand is 0
-unless the source has the summand's socle degree, and when no summand's
-socle degree is a degree of the source nothing factors and hom(M, P) is
-not solved.
+unless the source has the summand's socle degree: hom(M, P) is solved
+into the sum P' of the summands the source reaches, which is zero, with
+nothing solved, when it reaches none.
 
 Over a self-injective algebra the syzygy functor Omega is an
 autoequivalence of the graded stable category, with the cosyzygy as its
@@ -44,18 +44,22 @@ class StableHomSpace:
 
     `factoring` is an Echelon of the maps that factor through a projective,
     as coefficient vectors over hom.basis_coords.  When hom(m, n) is 0 so
-    is the subspace, and hom(m, P) for the cover P of n is never solved.
-    Otherwise each basis map h of hom(m, P) is composed with the cover epi
-    in generator coordinates: the generator images of h followed by the
-    epi are the generator images of the composite, so no matrix is built.
-    Representatives are the basis maps at the non-pivot positions, so
-    dim representatives + dim factoring = hom.dim.
+    is the subspace, and no hom into a projective is solved.  Otherwise
+    each basis map h of hom(m, P') is composed with the epi rows of P' in
+    generator coordinates: the nonzero generator images of h followed by
+    the epi are the generator images of the composite, so no matrix is
+    built.  Representatives are the basis maps at the non-pivot positions,
+    so dim representatives + dim factoring = hom.dim.
 
-    Over a self-injective, non-negatively graded algebra hom(m, P) is 0,
-    and neither P nor its system is built, when no summand e_i.Lambda(-d)
-    of P has its socle degree d + max deg(e_i.Lambda) among the degrees of
-    m: a nonzero degree-0 map into the summand has a nonzero image, which
-    contains the simple socle and so needs m in that degree.
+    P' is the sum of the summands of the cover P of n that m reaches (see
+    `_reachable_summands`), built by the cover's `sum_over`.  Over a
+    self-injective, non-negatively graded algebra a summand e_i.Lambda(-d)
+    is reached only when its socle degree d + max deg(e_i.Lambda) is a
+    degree of m: a nonzero degree-0 map into the summand has a nonzero
+    image, which contains the simple socle and so needs m in that degree.
+    Every other component of a map into P is zero, so hom(m, P') composed
+    with its epi spans the same subspace as hom(m, P); when m reaches no
+    summand, P' is zero and nothing is solved.
     """
 
     def __init__(self, m, n):
@@ -66,11 +70,13 @@ class StableHomSpace:
         self.target = n
         self.hom = hom = HomSpace(m, n)
         self.factoring = Echelon(f)
-        if hom.dim and _may_map_into_cover(m, n):
+        if hom.dim:
             cov = cover_of(n)
-            lifted = HomSpace(m, cov.module)
+            p, epi_rows = cov.sum_over(_reachable_summands(m, cov))
+            lifted = HomSpace(m, p)
             for c in lifted.basis_coords:
-                images = [apply_row(f, x, cov.epi_rows) for x in lifted.images(c)]
+                images = {t: y for t, x in lifted.images(c).items()
+                          if (y := apply_row(f, x, epi_rows))}
                 coeffs = hom.basis_coeffs(hom.coords_of_images(images))
                 if coeffs is None:
                     raise ValueError("factoring map escaped the hom space")
@@ -92,8 +98,9 @@ class StableHomSpace:
         return self._class_coords(self.hom.coords_of_matrix(matrix_rows))
 
     def class_coords_of_images(self, images):
-        """Class coordinates of the map sending the cover generators of the
-        source to images."""
+        """Class coordinates of the map sending cover generator t of the
+        source to images[t], {summand index: nonzero image} as
+        HomSpace.images gives them."""
         return self._class_coords(self.hom.coords_of_images(images))
 
     def _class_coords(self, coords):
@@ -104,17 +111,22 @@ class StableHomSpace:
         return {self._rep_index[q]: x for q, x in residual.items()}
 
 
-def _may_map_into_cover(m, n):
-    """False when hom(m, P) = 0 for the cover P of n by the socle argument
-    (see StableHomSpace); the self-injectivity test, a cached cover after
-    its first call, is read last."""
+def _reachable_summands(m, cov):
+    """The indices, ascending, of the summands of cov that a nonzero
+    degree-0 map out of m can reach: by the socle argument (see
+    StableHomSpace) those whose top degree is a degree of m, or every
+    summand unless the algebra is self-injective and non-negatively
+    graded.  The self-injectivity test, a cached cover after its first
+    call, is read only when the degrees leave a summand out."""
+    every = range(len(cov.summands))
     a = m.algebra
     if not a.is_nonnegatively_graded():
-        return True
+        return every
     degrees = set(m.degrees)
-    if any(max(s.module.degrees) in degrees for s in cover_of(n).summands):
-        return True
-    return not is_self_injective(a)
+    reached = [t for t in every if cov.summands[t].top_degree in degrees]
+    if len(reached) == len(cov.summands) or is_self_injective(a):
+        return reached
+    return every
 
 
 def stable_ext_table(m, n, k):
@@ -188,7 +200,8 @@ class StableEnd:
     row of the second.  A skipped pair's representatives compose to the
     zero map, whose class is zero, so the table is the same as composing
     every pair; for the Gamma of truncated_polynomial 16 (dim 120) 680 of
-    the 14,400 pairs are composed.
+    the 14,400 pairs are composed.  Each representative's nonzero generator
+    images are read once, and its matrix is built from them.
 
     `idempotent_maps`, when given, are matrices of endomorphisms of m whose
     nonzero stable classes form a complete set of primitive orthogonal
@@ -202,9 +215,8 @@ class StableEnd:
         self.module = m
         self.stable = StableHomSpace(m, m)
         hom = self.stable.hom
-        coords = self.stable.representative_coords()
-        reps = [hom.map_of(c) for c in coords]
-        images = [hom.images(c) for c in coords]
+        images = [hom.images(c) for c in self.stable.representative_coords()]
+        reps = [hom.map_of(x) for x in images]
         dim = len(reps)
         mult = composition_table(f, images, reps, self.stable.class_coords_of_images)
         idems = None

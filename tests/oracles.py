@@ -34,7 +34,11 @@ direct sum, duals over the opposite algebra, socles, general quotients and
 tops, injective envelopes, cosyzygies and restriction of scalars) are built
 from qshape's modules and covers, the envelopes as the second route the
 stable tests check syzygies against, the quotients and tops as the
-reference for qshape's truncations and simples.  Matrices are as in
+reference for qshape's truncations and simples, `factoring_by_matrices`
+solves hom into the whole cover and composes matrices, as the reference
+for the stable hom's factoring through the summands a source reaches, and
+`negatively_graded_algebras` builds two small inputs with a negative
+degree from their structure constants.  Matrices are as in
 qshape: the dict {row index: nonzero row}, so a map is its nonzero rows
 over the target's coordinates, keyed by source basis vector, and an
 absent row is zero.
@@ -336,16 +340,18 @@ def cover_fields(cov):
 
 def dense_images(hom, coords):
     """Generator images of the map with these slice coordinates, walking
-    every slice vector of every summand of `hom` in order."""
+    every slice vector of every summand of `hom` in order; the nonzero
+    ones, keyed by summand index."""
     f = hom.source.algebra.field
-    images = []
+    images = {}
     for t, basis in enumerate(hom.slices):
         x = {}
         for sidx, bvec in enumerate(basis):
             c = coords.get(hom.offsets[t] + sidx)
             if c is not None:
                 vec_iadd_scaled(f, x, bvec, c)
-        images.append(x)
+        if x:
+            images[t] = x
     return images
 
 
@@ -1261,6 +1267,48 @@ def cosyzygy_of(m):
     return m._cache["cosyzygy"]
 
 
+def factoring_by_matrices(m, n):
+    """Reference factoring subspace: build every map of hom(m, P), for P
+    the sum of every summand of the cover of n, as a matrix, compose with
+    the cover epi P -> n and express the product.  Returns dim hom(m, n)
+    and the reduced basis of the coefficients, over its basis_coords, of
+    the maps that factor."""
+    from qshape.linalg import Echelon
+    from qshape.modules import HomSpace, cover_of
+
+    hom = HomSpace(m, n)
+    f = m.algebra.field
+    cov = cover_of(n)
+    ech = Echelon(f)
+    if not n.is_zero() and not m.is_zero():
+        lifted = HomSpace(m, cov.module)
+        for h in lifted.basis_coords:
+            c = hom.basis_coeffs(hom.coords_of_matrix(
+                sparse_matmul(f, lifted.map_of(lifted.images(h)), cov.epi_rows)))
+            assert c is not None
+            ech.insert(c)
+    return hom.dim, ech.basis()
+
+
+def negatively_graded_algebras(field):
+    """k[x]/x^3 with x in degree -1, built from its structure constants, and
+    the path algebra of 1 -> 2 -> 3 with arrows in degrees -1 and 1."""
+    from qshape.algebra import GradedAlgebra
+
+    one = field.one()
+    mult = [{j: {i + j: one} for j in range(3 - i)} for i in range(3)]
+    local = GradedAlgebra(field, [0, -1, -2], mult, {0: one}, idempotents=[{0: one}])
+    # basis e1, e2, e3, a, b, ab; paths compose left to right
+    products = {(0, 0): 0, (1, 1): 1, (2, 2): 2, (0, 3): 3, (3, 1): 3, (1, 4): 4,
+                (4, 2): 4, (3, 4): 5, (0, 5): 5, (5, 2): 5}
+    mult = [{} for _ in range(6)]
+    for (i, j), k in products.items():
+        mult[i][j] = {k: one}
+    path = GradedAlgebra(field, [0, 0, 0, -1, 1, 0], mult, {0: one, 1: one, 2: one},
+                         idempotents=[{0: one}, {1: one}, {2: one}])
+    return [local, path]
+
+
 def i_lower(mp, tensor):
     """Restriction along b -> b (x) 1: same space, action of the left factor."""
     from qshape.modules import GradedModule
@@ -1305,7 +1353,7 @@ def end_algebra(m, idempotent_maps=None):
     hom = HomSpace(m, m)
     dim = hom.dim
     images = [hom.images(c) for c in hom.basis_coords]
-    mult = composition_table(f, images, [hom.map_of(c) for c in hom.basis_coords],
+    mult = composition_table(f, images, [hom.map_of(x) for x in images],
                              lambda composed: hom.basis_coeffs(hom.coords_of_images(composed)))
     identity = {r: {r: f.one()} for r in range(m.dim)}
     unit = hom.basis_coeffs(hom.coords_of_matrix(identity))

@@ -690,6 +690,21 @@ class TestBadFlagValues:
         assert rep["command"] == "ext"
         assert "cover is not minimal" in rep["error"]
 
+    @pytest.mark.parametrize("command,extra,dim", [("gamma", [], 10),
+                                                   ("basechange", ["--with", None], 25)])
+    def test_domain_error_after_parsing_names_the_command(self, tmp_path, capsys,
+                                                          command, extra, dim):
+        # truncated_polynomial 5 over GF(2) parses and passes the gate, and
+        # its radical has no method in characteristic 2 <= dim: a domain
+        # error, exit 2, reported with the command like an internal error
+        f = write_builtin(tmp_path, "truncated_polynomial", 5, char=2)
+        code, rep = run(capsys, [command, f] + [x or f for x in extra])
+        assert code == 2
+        assert list(rep) == ["command", "error"]
+        assert rep == {"command": command,
+                       "error": "UnsupportedCharacteristic: characteristic 2 "
+                                f"<= dim {dim} and no quiver origin"}
+
     def test_bad_compare_spec(self, tmp_path, capsys):
         f = write_builtin(tmp_path, "truncated_polynomial", 3)
         code, rep = run(capsys, ["gamma", f, "--compare", "upper_triangular:x"])

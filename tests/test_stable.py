@@ -12,7 +12,6 @@ import qshape.stable
 from qshape.algebra import QuiverPresentation, builtin, compile_quiver, primitive_idempotents
 from qshape.errors import NotSelfInjective
 from qshape.fields import QQ, FieldSpec
-from qshape.linalg import Echelon
 from qshape.modules import (
     composition_table,
     cover_of,
@@ -34,7 +33,13 @@ from qshape.stable import (
 from qshape.tilting import GammaData, tilting_module
 
 import oracles
-from oracles import cosyzygy_of as cosyzygy, end_algebra, sparse_matmul
+from oracles import (
+    cosyzygy_of as cosyzygy,
+    end_algebra,
+    factoring_by_matrices,
+    negatively_graded_algebras,
+    sparse_matmul,
+)
 
 
 def stable_end_algebra(m):
@@ -71,23 +76,6 @@ class TestFactoring:
         hom, coeffs = factoring_span(s, s)
         assert hom.dim == 1
         assert coeffs == []  # hom(S, regular) = 0, so nothing factors
-
-
-def factoring_by_matrices(m, n):
-    """Reference factoring subspace: build every map of hom(m, P) as a
-    matrix, compose with the cover epi P -> n and express the product."""
-    hom = HomSpace(m, n)
-    f = m.algebra.field
-    cov = cover_of(n)
-    ech = Echelon(f)
-    if not n.is_zero() and not m.is_zero():
-        lifted = HomSpace(m, cov.module)
-        for h in lifted.basis_coords:
-            c = hom.basis_coeffs(hom.coords_of_matrix(
-                sparse_matmul(f, lifted.map_of(h), cov.epi_rows)))
-            assert c is not None
-            ech.insert(c)
-    return hom.dim, ech.basis()
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -148,29 +136,111 @@ def test_socle_skip_needs_self_injectivity(char):
     assert sh.factoring.basis() == factoring_by_matrices(s2, p1)[1]
 
 
+def built_from(monkeypatch):
+    """Patch ProjectiveCover.sum_over to record the summand indices of
+    every P' it builds."""
+    real = qshape.modules.ProjectiveCover.sum_over
+    built = []
+
+    def spy(cov, ts):
+        built.append(list(ts))
+        return real(cov, ts)
+
+    monkeypatch.setattr(qshape.modules.ProjectiveCover, "sum_over", spy)
+    return built
+
+
+def socle_reached(m, cov):
+    """The summands of cov whose top degree, read off the summand module,
+    is a degree of m."""
+    return [t for t, s in enumerate(cov.summands) if max(s.module.degrees) in m.degrees]
+
+
 @pytest.mark.parametrize("char", [0, 32003])
 def test_socle_degrees_decide_whether_hom_into_the_cover_is_solved(monkeypatch, char):
     # T of truncated_polynomial and exterior lives in degrees <= 0 and its
-    # cover's socles above 0, so no P is built; T of preprojective_A 3 has
-    # projective summands, and hom(T, P) is solved
-    real = qshape.modules.direct_sum
-    built = []
-
-    def spy(summands):
-        built.append(len(summands))
-        return real(summands)
-
-    for family, n, solves in (("truncated_polynomial", 6, False), ("exterior", 3, False),
-                              ("preprojective_A", 3, True)):
+    # cover's socles above 0, so P' has no summand and nothing is solved;
+    # T of preprojective_A 3 reaches 3 of its 6 summands, and hom(T, P')
+    # is solved over those
+    for family, n, reached in (("truncated_polynomial", 6, 0), ("exterior", 3, 0),
+                               ("preprojective_A", 3, 3)):
         t = tilting_module(builtin(family, n, FieldSpec(char))).module
-        built.clear()
+        cov = cover_of(t)
         with monkeypatch.context() as patch:
-            patch.setattr(qshape.modules, "direct_sum", spy)
+            built = built_from(patch)
             sh = StableHomSpace(t, t)
         assert sh.hom.dim > 0
-        assert bool(built) == solves
-        assert bool(sh.factoring.dim) == solves
+        assert built == [socle_reached(t, cov)]
+        assert len(built[0]) == reached < len(cov.summands)
+        assert bool(sh.factoring.dim) == bool(reached)
         assert sh.factoring.basis() == factoring_by_matrices(t, t)[1]
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("family,n", [("preprojective_A", 3), ("preprojective_A", 4),
+                                      ("preprojective_A", 5), ("exterior", 3),
+                                      ("truncated_polynomial", 6)])
+def test_reachable_summands_factor_as_the_whole_cover(monkeypatch, family, n, char):
+    # the factoring subspace through P', the summands T and its syzygies
+    # reach, is the one through every summand of the cover
+    a = builtin(family, n, FieldSpec(char))
+    t = tilting_module(a).module
+    omega = syzygy(t)
+    omega.action  # a syzygy builds its action, a submodule of P, on first read
+    sources = [t, omega, cosyzygy(t), regular(a), simple(a, 1)]
+    built = built_from(monkeypatch)
+    for m in sources:
+        for target in (t, omega):
+            del built[:]
+            hom, coeffs = factoring_span(m, target)
+            if hom.dim:
+                assert built == [socle_reached(m, cover_of(target))]
+            assert (hom.dim, coeffs) == factoring_by_matrices(m, target)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_tilting_module_of_preprojective_a4_reaches_half_its_cover(monkeypatch, char):
+    # T of preprojective_A 4 reaches 6 of its 12 cover summands: P' has
+    # dim 30 of P's 60
+    t = tilting_module(builtin("preprojective_A", 4, FieldSpec(char))).module
+    cov = cover_of(t)
+    built = built_from(monkeypatch)
+    sh = StableHomSpace(t, t)
+    (ts,) = built
+    assert (len(ts), len(cov.summands)) == (6, 12)
+    assert (sum(cov.summands[k].module.dim for k in ts), cov.dim) == (30, 60)
+    assert sh.factoring.basis() == factoring_by_matrices(t, t)[1]
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_every_summand_is_reachable_off_self_injective_non_negative(monkeypatch, char):
+    # S_2(-1) reaches no socle degree of e_1.Lambda's cover over the two
+    # arrow quiver, which is not self-injective, nor any over k[x]/x^3
+    # with x in degree -1, which is not non-negatively graded: both factor
+    # through every summand, as the reference does
+    f = FieldSpec(char)
+    a = two_arrow_quiver(f)
+    local = negatively_graded_algebras(f)[0]
+    assert not local.is_nonnegatively_graded()
+    s = simple(local, 1)
+    cases = [(shift(simple(a, 2), -1), qshape.modules.projective(a, 1))]
+    # the socle x^2 of k[x]/x^3 lies in its lowest degree, -2: S(2) in
+    # degree -2 maps into it, though Lambda's top degree is 0
+    cases += [(x, y) for x in (s, shift(s, 1), shift(s, 2), regular(local), syzygy(s))
+              for y in (s, shift(s, -1), regular(local), syzygy(shift(s, 1)))]
+    built = built_from(monkeypatch)
+    reached_less = set()
+    for m, n in cases:
+        del built[:]
+        hom, coeffs = factoring_span(m, n)
+        cov = cover_of(n)
+        if hom.dim:
+            assert built == [list(range(len(cov.summands)))]
+            if socle_reached(m, cov) != built[0]:
+                reached_less.add(m.algebra)
+        assert (hom.dim, coeffs) == factoring_by_matrices(m, n)
+    # the degrees alone would have left a summand out, over each algebra
+    assert reached_less == {a, local}
 
 
 class TestStableHom:
@@ -309,21 +379,26 @@ def test_composition_table_sends_only_nonzero_images_through_a_matrix(monkeypatc
 
     monkeypatch.setattr(qshape.modules, "apply_row", spy_apply)
     monkeypatch.setattr(qshape.stable, "composition_table", spy_table)
-    GammaData(builtin("truncated_polynomial", 16, QQ))
+    gamma = GammaData(builtin("truncated_polynomial", 16, QQ))
+    summands = len(cover_of(gamma.tilting.module).summands)
     (images, matrices, coords_of_images, table), = tables
     expected, reference = [], []
     for imgs in images:
-        rows = set().union(*imgs)
+        # the images are keyed by summand in order, and a zero one is left out
+        assert list(imgs) == sorted(imgs) and all(imgs.values())
+        rows = set().union(*imgs.values())
         composed = [j for j, mat in enumerate(matrices) if any(r in mat for r in rows)]
-        expected += [x for j in composed for x in imgs if x]
+        expected += [x for j in composed for x in imgs.values()]
         ref = {}
         for j in composed:
-            c = coords_of_images([real_apply(QQ, x, matrices[j]) for x in imgs])
+            c = coords_of_images({t: y for t, x in imgs.items()
+                                  if (y := real_apply(QQ, x, matrices[j]))})
             if c:
                 ref[j] = c
         reference.append(ref)
     assert len(table) == 120
-    assert any(not x for imgs in images for x in imgs)
+    # some map sends a generator to zero: fewer images than summands
+    assert any(len(imgs) < summands for imgs in images)
     assert all(sent) and sent == expected
     assert table == reference
 
@@ -358,7 +433,8 @@ def test_composition_tables_match_all_pairs(monkeypatch, family, n, char):
         block = [b for b, d in enumerate(dims) for _ in range(d)]
         del stable_calls[:], end_calls[:]
         se = StableEnd(m)
-        reps = [se.stable.hom.map_of(c) for c in se.stable.representative_coords()]
+        hom = se.stable.hom
+        reps = [hom.map_of(hom.images(c)) for c in se.stable.representative_coords()]
         dim = len(reps)
         for i in range(dim):
             for j in range(dim):
@@ -369,7 +445,7 @@ def test_composition_tables_match_all_pairs(monkeypatch, family, n, char):
 
         e = end_algebra(m)
         hom = HomSpace(m, m)
-        basis = [hom.map_of(c) for c in hom.basis_coords]
+        basis = [hom.map_of(hom.images(c)) for c in hom.basis_coords]
         for i in range(hom.dim):
             for j in range(hom.dim):
                 product = sparse_matmul(f, basis[i], basis[j])
