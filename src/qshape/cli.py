@@ -29,7 +29,6 @@ least non-negative residues.  QSHAPE_SEED overrides --seed.
 """
 
 import argparse
-import gc
 import hashlib
 import json
 import os
@@ -83,6 +82,14 @@ def _json_int(value):
     return int(value)
 
 
+def _json_array(obj, key):
+    """obj[key] for a key that must hold a JSON array; ParseError naming it."""
+    value = _required(obj, key)
+    if not isinstance(value, list):
+        raise ParseError(f"key {key!r} must hold a JSON array, got {json.dumps(value)}")
+    return value
+
+
 def _required(obj, key):
     """obj[key] for a key that an algebra file must give; ParseError
     naming the key when it is missing."""
@@ -124,10 +131,10 @@ def _load_algebra_file(path):
                        _json_int(_required(ar, "degree")))
                       for ar in _required(q, "arrows")]
             relations = [
-                [(_required(term, "coeff"), tuple(_required(term, "path"))) for term in rel]
+                [(_required(term, "coeff"), tuple(_json_array(term, "path"))) for term in rel]
                 for rel in _required(q, "relations")
             ]
-            vertices = _required(q, "vertices")
+            vertices = _json_array(q, "vertices")
             pres = QuiverPresentation(vertices, arrows, relations,
                                       _json_int(_required(q, "nilpotency_bound")))
             a = compile_quiver(pres, field)
@@ -376,12 +383,12 @@ def _witnesses(a, tilting):
     return witnesses
 
 
-def _base_change(a, coeff, gamma):
+def _base_change(a, witnesses, coeff, gamma):
     """(checks, gamma_tensor block) of base change along coeff: the hom
-    check of every ordered pair of witnesses, by "m|n" name in sorted
-    order, and dim Gamma (x) A against dim Gamma * dim A."""
+    check of every ordered pair of `_witnesses` (shared by every coeff),
+    by "m|n" name in sorted order, and dim Gamma (x) A against dim Gamma * dim A."""
     tensor = TensorAlgebra(a, coeff)
-    witnesses = sorted(_witnesses(a, gamma.tilting.module).items())
+    witnesses = sorted(witnesses.items())
     checks = {f"{name_m}|{name_n}": base_change_hom_check(m, n, tensor)
               for name_m, m in witnesses for name_n, n in witnesses}
     dim = gamma_tensor(gamma.algebra, coeff).dim
@@ -404,7 +411,7 @@ def cmd_basechange(args, seed):
     gamma = _gated(report, a, args.gldim_bound, GammaData)
     if gamma is None:
         return EXIT_HYPOTHESIS
-    checks, gt = _base_change(a, coeff, gamma)
+    checks, gt = _base_change(a, _witnesses(a, gamma.tilting.module), coeff, gamma)
     all_pass = all(res["pass"] for res in checks.values())
     report["hom_checks"] = checks
     report["all_hom_checks_pass"] = all_pass
@@ -444,9 +451,10 @@ def _verify_one_field(family, parameter, field):
             "dual_numbers": ungrade(builtin("truncated_polynomial", 2, field)),
             "upper_triangular_2": reference_upper_triangular(2, field),
         }
+        witnesses = _witnesses(a, gamma.tilting.module)
         bc_pass = True
         for coeff in coeffs.values():
-            checks, gt = _base_change(a, coeff, gamma)
+            checks, gt = _base_change(a, witnesses, coeff, gamma)
             bc_pass = bc_pass and gt["pass"] and all(r["pass"] for r in checks.values())
         verdicts["base_change_pass"] = bc_pass
 
@@ -468,17 +476,7 @@ def cmd_verify(args, seed):
     ).hexdigest()
     report = _envelope("verify", FieldSpec(0), echo, digest, seed)
     try:
-        # Gamma and T are freed when the first field returns, but an algebra
-        # and the modules cached on it refer to each other, so those are
-        # freed only by the cycle collector: collect them before the second
-        # field is built, walking only what this field made (older objects
-        # are frozen meanwhile)
-        gc.freeze()
-        try:
-            rational, code_q = _verify_one_field(args.family, args.parameter, FieldSpec(0))
-            gc.collect()
-        finally:
-            gc.unfreeze()
+        rational, code_q = _verify_one_field(args.family, args.parameter, FieldSpec(0))
         modular, code_p = _verify_one_field(args.family, args.parameter, FieldSpec(32003))
     except QShapeError as e:
         report["error"] = f"{type(e).__name__}: {e}"

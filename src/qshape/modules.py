@@ -33,20 +33,15 @@ polynomial algebras; every generator when the algebra has a negative
 degree).  Minimality, that the kernel lies in P.rad, is then checked
 rather than implied: a kernel row reaches the top of a summand e_i.Lambda
 only in the summand's generator degree, where its block must have
-character chi_i = 0.
-The cover reads dim P and the degrees of P off its summands; a sum of
-summands is built, and not kept, each time a caller acts on it (all of P
-for a syzygy, the summands a source reaches for maps into P), so hom
-solves and projectivity tests never copy the summands, and the sum is
-freed with the one call that read it.
-A syzygy reads its degrees off the kernel rows, each of which is
-homogeneous, and builds its action, the submodule of P the rows span, on
-first read: a syzygy that is only compared by degree, as the last of the
-Ext loop's tower is, builds neither P nor a closure image.
-A submodule reads the coordinates of a span vector at the pivots of the
-span's reduced echelon basis, and checks closure by support: it forms the
-image of a basis row under b only where the matrix of b has a row at some
-coordinate of that basis row, every other image being zero.
+character chi_i = 0.  ProjectiveCover, _Syzygy and Submodule describe
+how a sum of cover summands, a syzygy and a submodule are built and kept.
+
+An algebra caches data and never a module: its product columns (the
+regular module's action), the basis, degrees and action of each
+e_i.Lambda, the actions of the simples and of D(Lambda), the top
+characters and the self-injectivity verdict.  A module refers to its
+algebra, so a cached module would make a cycle that only the collector
+frees; each constructor wraps the data in a new module instead.
 
 Hom spaces are solved through projective presentations: a degree-0 map out
 of M is a choice of images for the generators of M (one slice of N per
@@ -142,11 +137,9 @@ def zero_module(algebra):
 def regular(a):
     """The algebra acting on itself on the right: row i of the matrix of b_j
     is b_i * b_j, so the matrix of b_j is the column {i: b_i * b_j} of the
-    nonzero products, which the algebra keeps; no code changes a module's
-    action after construction."""
-    if "regular" not in a._cache:
-        a._cache["regular"] = GradedModule(a, a.degrees, a._cache["cols"])
-    return a._cache["regular"]
+    nonzero products, which the algebra keeps; each call wraps them in a
+    new module, and no code changes a module's action after construction."""
+    return GradedModule(a, a.degrees, a._cache["cols"])
 
 
 class Submodule:
@@ -257,16 +250,23 @@ def truncate_le(m, n):
 
 def projective(a, i):
     """The i-th indecomposable projective e_i . Lambda (i is 1-based)."""
-    idems = primitive_idempotents(a)
-    if not 1 <= i <= len(idems):
-        raise IndexError(f"idempotent index {i} out of range 1..{len(idems)}")
+    _, degrees, action = _projective_data(a, i)
+    return GradedModule(a, degrees, action)
+
+
+def _projective_data(a, i):
+    """(basis, degrees, action) of the Submodule e_i . Lambda of the regular
+    module, closure checked, cached on the algebra; `basis` holds its rows
+    in algebra coordinates, keyed by position."""
     key = ("projective", i)
     if key not in a._cache:
+        idems = primitive_idempotents(a)
+        if not 1 <= i <= len(idems):
+            raise IndexError(f"idempotent index {i} out of range 1..{len(idems)}")
         reg = regular(a)
-        e = idems[i - 1]
-        spanning = [reg.act(e, a.basis_vec(j)) for j in range(a.dim)]
-        a._cache[key] = Submodule(reg, spanning)
-    return a._cache[key].module
+        sub = Submodule(reg, [reg.act(idems[i - 1], a.basis_vec(j)) for j in range(a.dim)])
+        a._cache[key] = (sub.basis, sub.module.degrees, sub.module.action)
+    return a._cache[key]
 
 
 def simple(a, i):
@@ -275,9 +275,10 @@ def simple(a, i):
     When the declared idempotents span Lambda/rad, every b is
     sum_v chi_v(b).e_v modulo rad, and b acts on the one basis vector of
     S_i by chi_i(b).  The characters come from one echelon of the radical
-    and a tagged echelon of the idempotents reduced modulo it, and all the
-    simples are built at once and cached on the algebra.  The idempotents
-    lie in degree 0 and rad is a graded ideal, so chi vanishes off degree 0.
+    and a tagged echelon of the idempotents reduced modulo it, and the
+    actions of all the simples are built at once and cached on the algebra.
+    The idempotents lie in degree 0 and rad is a graded ideal, so chi
+    vanishes off degree 0.
     Raises ValueError when the idempotents do not span Lambda/rad, which is
     when the algebra is not basic or its simples do not split.
     """
@@ -296,8 +297,8 @@ def simple(a, i):
         for k in range(a.dim):
             for v, c in tops.express(rad.reduce(a.basis_vec(k))).items():
                 actions[v][k] = {0: {0: c}}
-        a._cache["simples"] = [GradedModule(a, [0], act) for act in actions]
-    return a._cache["simples"][i - 1]
+        a._cache["simples"] = actions
+    return GradedModule(a, [0], a._cache["simples"][i - 1])
 
 
 def _slice_basis(m, i, d):
@@ -337,11 +338,10 @@ class CoverSummand:
     def __init__(self, a, idem_index, gen_degree):
         self.idem_index = idem_index
         self.gen_degree = gen_degree
-        base = projective(a, idem_index)
         # the basis of e_i.Lambda in algebra coordinates, keyed by position
-        self.inclusion_rows = a._cache[("projective", idem_index)].basis
-        self.module = shift(base, -gen_degree)
-        self.top_degree = gen_degree + max(base.degrees)
+        self.inclusion_rows, degrees, action = _projective_data(a, idem_index)
+        self.module = GradedModule(a, [d + gen_degree for d in degrees], action)
+        self.top_degree = gen_degree + max(degrees)
 
     def algebra_coords(self, vec):
         """View a summand element as an element of the algebra."""
@@ -542,8 +542,7 @@ def _top_character(a, i):
     key = ("top", i)
     if key not in a._cache:
         s, one = simple(a, i), a.field.one()
-        projective(a, i)  # caches the basis of e_i.Lambda in algebra coordinates
-        a._cache[key] = {r: x[0] for r, row in a._cache[("projective", i)].basis.items()
+        a._cache[key] = {r: x[0] for r, row in _projective_data(a, i)[0].items()
                          if (x := s.act({0: one}, row))}
     return a._cache[key]
 
@@ -823,7 +822,7 @@ def dual_of_regular(a):
     algebra, which its construction has validated.  ((f . b) . c)(x) =
     f(b (c x)) = f((b c) x) = (f . (b c))(x) by associativity, and
     (f . 1)(x) = f(x) by the unit laws; the grading holds because the
-    products keep degrees.
+    products keep degrees.  The transposed action is cached on the algebra.
     """
     if "dual_regular" not in a._cache:
         action = []
@@ -833,10 +832,14 @@ def dual_of_regular(a):
                 for i, c in w.items():
                     rows.setdefault(i, {})[j] = c
             action.append(rows)
-        a._cache["dual_regular"] = GradedModule(a, [-d for d in a.degrees], action)
-    return a._cache["dual_regular"]
+        a._cache["dual_regular"] = action
+    return GradedModule(a, [-d for d in a.degrees], a._cache["dual_regular"])
 
 
 def is_self_injective(a):
-    """The regular module is injective iff its dual is projective."""
-    return a.dim == 0 or is_projective(dual_of_regular(a))
+    """The regular module is injective iff its dual is projective.  The
+    verdict is cached on the algebra; the dual and its cover are freed once
+    it is decided."""
+    if "self_injective" not in a._cache:
+        a._cache["self_injective"] = a.dim == 0 or is_projective(dual_of_regular(a))
+    return a._cache["self_injective"]

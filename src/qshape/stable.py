@@ -116,17 +116,13 @@ def _reachable_summands(m, cov):
     degree-0 map out of m can reach: by the socle argument (see
     StableHomSpace) those whose top degree is a degree of m, or every
     summand unless the algebra is self-injective and non-negatively
-    graded.  The self-injectivity test, a cached cover after its first
-    call, is read only when the degrees leave a summand out."""
+    graded (a verdict cached on the algebra)."""
     every = range(len(cov.summands))
     a = m.algebra
-    if not a.is_nonnegatively_graded():
+    if not (a.is_nonnegatively_graded() and is_self_injective(a)):
         return every
     degrees = set(m.degrees)
-    reached = [t for t in every if cov.summands[t].top_degree in degrees]
-    if len(reached) == len(cov.summands) or is_self_injective(a):
-        return reached
-    return every
+    return [t for t in every if cov.summands[t].top_degree in degrees]
 
 
 def stable_ext_table(m, n, k):

@@ -28,12 +28,12 @@ from .algebra import corners, jacobson_radical, left_support, primitive_idempote
 from .errors import NotNonNegativelyGraded, NotSelfInjective
 from .linalg import Echelon
 from .modules import (
+    GradedModule,
     Submodule,
     _slice_basis,
     dual_of_regular,
     is_self_injective,
     projective,
-    shift,
 )
 
 
@@ -106,7 +106,8 @@ def _by_shift_class(a, corner_bases):
 def serre_of_object(a, i, j):
     """Serre image of P_i(j): the left slice e_i of the dual of the algebra,
     shifted by j.  The left action on the dual is (b . f)(x) = f(x b).  The
-    slice is built once per vertex and cached on the algebra."""
+    slice's degrees and action are built once per vertex and cached on the
+    algebra."""
     idems = primitive_idempotents(a)
     if not 1 <= i <= len(idems):
         raise IndexError(f"idempotent index {i} out of range 1..{len(idems)}")
@@ -120,8 +121,10 @@ def serre_of_object(a, i, j):
         for jj in left_support(a, e):
             for m, c in a.product(a.basis_vec(jj), e).items():
                 spans.setdefault(m, {})[jj] = c
-        a._cache[key] = Submodule(dual_of_regular(a), list(spans.values())).module
-    return shift(a._cache[key], j)
+        s = Submodule(dual_of_regular(a), list(spans.values())).module
+        a._cache[key] = (s.degrees, s.action)
+    degrees, action = a._cache[key]
+    return GradedModule(a, [d - j for d in degrees], action)
 
 
 def _kernel_trivial(field, rows):

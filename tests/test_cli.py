@@ -265,9 +265,8 @@ class TestVerify:
         assert code == 0
 
     def test_frees_the_first_field_before_the_second(self, capsys, monkeypatch):
-        # the QQ algebra and the modules cached on it form reference cycles;
-        # they must be gone before the GF(32003) field is built, whatever
-        # point the automatic collector has reached
+        # nothing the QQ field builds is in a reference cycle, so it is gone
+        # before the GF(32003) field is built, with the collector off
         import gc
         import weakref
 
@@ -405,7 +404,8 @@ class TestWorkDoneOnce:
     def test_basechange_hom_checks_build_no_cover_sum_module(self, tmp_path, capsys,
                                                             monkeypatch):
         # a hom solve reads the cover's summands, kernel and section only:
-        # no cover in the hom-check loop builds its sum module P
+        # no cover in the hom-check loop builds its sum module P, which only
+        # `sum_over` builds
         import qshape.cli
         import qshape.modules
 
@@ -415,7 +415,7 @@ class TestWorkDoneOnce:
         sums = []
         covers = []
         real_check = qshape.cli.base_change_hom_check
-        real_sum = qshape.modules.direct_sum
+        real_sum_over = qshape.modules.ProjectiveCover.sum_over
         real_cover = qshape.modules.cover_of
 
         def spy_check(m, n, tensor):
@@ -425,10 +425,10 @@ class TestWorkDoneOnce:
             finally:
                 in_loop.pop()
 
-        def spy_sum(summands):
+        def spy_sum_over(cov, ts):
             if in_loop:
-                sums.append(len(summands))
-            return real_sum(summands)
+                sums.append(list(ts))
+            return real_sum_over(cov, ts)
 
         def spy_cover(m):
             cov = real_cover(m)
@@ -437,7 +437,7 @@ class TestWorkDoneOnce:
             return cov
 
         monkeypatch.setattr(qshape.cli, "base_change_hom_check", spy_check)
-        monkeypatch.setattr(qshape.modules, "direct_sum", spy_sum)
+        monkeypatch.setattr(qshape.modules.ProjectiveCover, "sum_over", spy_sum_over)
         monkeypatch.setattr(qshape.modules, "cover_of", spy_cover)
         code, rep = run(capsys, ["basechange", lam, "--with", coeff])
         assert code == 0 and rep["all_hom_checks_pass"]
@@ -742,6 +742,37 @@ class TestIntegerFields:
         assert rep["error"].endswith(f"expected an integer, got {json.dumps(value)}")
 
 
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize("argv", [
+        ["check", "LAM"], ["tilt", "LAM"], ["gamma", "LAM"], ["ext", "LAM", "--range", "2"],
+        ["window", "LAM", "--lo", "-1", "--hi", "1"], ["basechange", "LAM", "--with", "COEFF"],
+        ["verify", "exterior", "2"]], ids=lambda argv: argv[0])
+    def test_a_command_frees_everything_by_reference_counting(self, tmp_path, capsys, argv):
+        # an algebra caches data and never a module, so no qshape object is
+        # in a reference cycle: with the collector off, what a command built
+        # is freed as it returns, and a collection finds none of it
+        import gc
+
+        files = {"LAM": write_builtin(tmp_path, "preprojective_A", 3, name="lam.json"),
+                 "COEFF": write_builtin(tmp_path, "preprojective_A", 2, name="coeff.json")}
+        argv = [files.get(arg, arg) for arg in argv]
+        gc.collect()
+        gc.garbage.clear()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            code, _ = run(capsys, argv)
+            gc.collect()
+            cyclic = sorted({type(x).__qualname__ for x in gc.garbage
+                             if type(x).__module__.startswith("qshape")})
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert code == 0
+        assert cyclic == []
+
+
 class TestParseErrorsSayWhatIsWrong:
     @pytest.mark.parametrize("top", [[], 3, "builtin", None])
     def test_top_level_must_be_an_object(self, tmp_path, capsys, top):
@@ -772,6 +803,22 @@ class TestParseErrorsSayWhatIsWrong:
         code, rep = run(capsys, ["check", str(path)])
         assert code == 2
         assert rep == {"error": f"missing key '{key}'"}
+
+    @pytest.mark.parametrize("key, value", [
+        ("vertices", "12"), ("vertices", {"1": 0, "2": 1}),
+        ("path", "ba"), ("path", {"b": 0, "a": 1})])
+    def test_a_list_must_be_a_json_array(self, tmp_path, capsys, key, value):
+        # iterated, the string "ba" and the object {"b": .., "a": ..} both
+        # read as the path ["b", "a"]: the file would be accepted as
+        # describing an algebra it does not spell out
+        data = json.loads(Path(write_preprojective_quiver(tmp_path)).read_text())
+        quiver = data["quiver"]
+        (quiver if key == "vertices" else quiver["relations"][0][0])[key] = value
+        path = tmp_path / "not_an_array.json"
+        path.write_text(json.dumps(data))
+        code, rep = run(capsys, ["check", str(path)])
+        assert code == 2
+        assert rep == {"error": f"key '{key}' must hold a JSON array, got {json.dumps(value)}"}
 
 
 class TestFractionCoefficients:
