@@ -4,8 +4,10 @@ Subcommands: check, tilt, gamma, ext, window, basechange, verify.
 Exit codes: 0 all checks pass, 1 a structural property or lemma check
 failed, or an internal invariant check failed (the error names the
 command), 2 parse/compile error, 3 hypothesis failure, 4 comparison
-mismatch, 5 nonzero stable Ext off degree zero (from `ext` only: `verify`
-proves the vanishing from a degree certificate, see ExtCertificate).
+mismatch, 5 nonzero stable Ext off degree zero (from `ext` only, and not
+reached once the gate passes: the table of T stops its tower at Omega T,
+where the degrees decide every entry off zero as 0; `verify` proves the
+same vanishing from a degree certificate, see ExtCertificate).
 
 Algebra file schema (UTF-8 JSON)::
 

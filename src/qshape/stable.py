@@ -20,9 +20,15 @@ finite dimensional algebras, 1988, ch. I.2).  Hence stable
 Hom(Omega^-i M, N) = stable Hom(M, Omega^i N), and the Ext table needs
 syzygies only; cosyzygies, through injective envelopes, live in the test
 suite as the independent reference the table is checked against.
-`ExtCertificate` proves from degrees alone, with no syzygy built, that the
-table of a module such as the tilting module vanishes off zero at every
-range.
+
+Over a non-negatively graded algebra a module in degrees >= d has its
+cover generators there, so its cover and its syzygy stay there too.  The
+table reads that off each level's degrees and stops walking a tower once
+the level lies wholly above the other argument (or either is zero): every
+deeper entry on that side is zero by degree.  `ExtCertificate` proves by
+the same argument, with no syzygy built, that the table of a module such
+as the tilting module vanishes off zero at every range; the table of T
+stops at Omega T.
 """
 
 from .algebra import GradedAlgebra
@@ -135,19 +141,51 @@ def stable_ext_table(m, n, k):
     homs.  One loop walks the syzygy towers of both arguments, one tower
     when m is n; each level, with its cover, is freed once the loop moves
     past it, and no injective envelope is built.
+
+    Over a non-negatively graded algebra a side stops walking as soon as
+    the degrees decide every deeper entry (see `_decided`): the +i side
+    once Omega^i m is decided against n, the -i side once Omega^i n is
+    decided against m, both by one test when m is n.  Every later entry
+    on that side is 0, with no further syzygy and no stable hom.  For the
+    tilting module T that happens at Omega T, whose degrees are read off
+    the cover of T that the entry at 0 built: no syzygy action and no
+    second cover, at any k.  Over any other algebra both towers are
+    walked to depth k.
     """
     if k < 1:
         raise ValueError("window size must be >= 1")
     if not is_self_injective(m.algebra):
         raise NotSelfInjective("stable Ext tables need a self-injective algebra")
     table = {0: StableHomSpace(m, n).dim}
-    x, y = m, n
+    graded = m.algebra.is_nonnegatively_graded()
+
+    def walk(x, other):
+        # x, or None once the degrees decide x and its deeper syzygies
+        return None if graded and _decided(x, other) else x
+
+    x = walk(m, n)
+    y = x if n is m else walk(n, m)
     for i in range(1, k + 1):
-        x = syzygy_of(x)
-        y = x if n is m else syzygy_of(y)
-        table[i] = StableHomSpace(x, n).dim
-        table[-i] = StableHomSpace(m, y).dim
+        if x is not None:
+            x = walk(syzygy_of(x), n)
+        if n is m:
+            y = x
+        elif y is not None:
+            y = walk(syzygy_of(y), m)
+        table[i] = StableHomSpace(x, n).dim if x is not None else 0
+        table[-i] = StableHomSpace(m, y).dim if y is not None else 0
     return table
+
+
+def _decided(x, other):
+    """True when every stable hom from x or a syzygy of it to `other`, or
+    from `other` to one of them, is zero by degree, over a non-negatively
+    graded algebra: x or `other` is zero, or x lies wholly above every
+    degree of `other`.  A module in degrees >= d has its cover generators
+    there, and with no negative degree the cover and its kernel stay
+    there, so every syzygy of x lives in degrees >= min deg x; degree-0
+    maps between modules with disjoint degree supports are zero."""
+    return x.is_zero() or other.is_zero() or min(x.degrees) > max(other.degrees)
 
 
 class ExtCertificate:
@@ -160,8 +198,8 @@ class ExtCertificate:
     grading non-negative the cover and its kernel stay there; so Omega^k m
     lives in degrees >= 1 for every k >= 1.  Degree-0 maps between modules
     with disjoint degree supports are zero, hence so are both stable homs.
-    The hom solver applies the same argument: the table solves these homs
-    as zero by degree, with no cover of Omega^k m and no system.
+    `stable_ext_table` applies the same argument: it stops the tower of m
+    at Omega m, with no syzygy action and no cover of Omega m.
 
     The degrees of Omega m are read off the kernel rows of the cover of m,
     which the stable End of m builds and caches, by `kernel_degrees`, which

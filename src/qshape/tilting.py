@@ -51,11 +51,7 @@ def check_hypotheses(a, gldim_bound=DEFAULT_GLDIM_BOUND):
     """Verdicts for the three standing hypotheses on the input algebra."""
     nonneg = a.is_nonnegatively_graded()
     selfinj = is_self_injective(a) if nonneg else False
-    gldim = None
-    if a.dim:
-        gldim = global_dimension_bounded(degree_zero_part(a), gldim_bound)
-    else:
-        gldim = 0
+    gldim = global_dimension_bounded(degree_zero_part(a), gldim_bound)
     return {
         "non_negative_grading": nonneg,
         "self_injective": selfinj,

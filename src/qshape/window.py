@@ -114,7 +114,7 @@ def serre_of_object(a, i, j):
     key = ("serre", i)
     if key not in a._cache:
         if not is_self_injective(a):
-            raise NotSelfInjective("the Serre construction needs a self-injective algebra")
+            raise NotSelfInjective("Serre check requested on a non-self-injective algebra")
         # the functional x -> coefficient of b_m in x e, one per m
         spans = {}
         e = idems[i - 1]
@@ -155,7 +155,8 @@ def check_window_properties(w, serre_check=True):
     (4) the window radical is nilpotent, reported with the algebra radical
     nilpotency; (5) dim hom(q, q') = dim hom(q', Sq) for the Serre image Sq,
     with the composition pairing into hom(q, Sq) nondegenerate on both
-    sides.  Property (5) requires self-injectivity.
+    sides.  Property (5) requires self-injectivity: `serre_of_object`
+    raises NotSelfInjective otherwise.
 
     Properties 1-3 and 5 run over the shift classes (i, i', d),
     |d| <= hi - lo, not over objects.  Shifting all objects by one is an
@@ -230,8 +231,6 @@ def check_window_properties(w, serre_check=True):
     }
 
     if serre_check:
-        if not is_self_injective(a):
-            raise NotSelfInjective("Serre check requested on a non-self-injective algebra")
         serre_ok = serre_dims_ok = True
         pairs_checked = 0
         for i in vertices:

@@ -809,7 +809,7 @@ def _per_shift_serre_of_object(a, i, j):
     from qshape.modules import Submodule, dual_of_regular, is_self_injective, shift
 
     if not is_self_injective(a):
-        raise NotSelfInjective("the Serre construction needs a self-injective algebra")
+        raise NotSelfInjective("Serre check requested on a non-self-injective algebra")
     idems = primitive_idempotents(a)
     e = idems[i - 1]
     lam_star = dual_of_regular(a)
@@ -847,9 +847,8 @@ def per_object_window_properties(w, serre_check=True):
     sides.  Property (5) requires self-injectivity.
     """
     from qshape.algebra import jacobson_radical
-    from qshape.errors import NotSelfInjective
     from qshape.linalg import Echelon
-    from qshape.modules import is_self_injective, projective
+    from qshape.modules import projective
 
     a = w.algebra
     f = a.field
@@ -939,8 +938,6 @@ def per_object_window_properties(w, serre_check=True):
     }
 
     if serre_check:
-        if not is_self_injective(a):
-            raise NotSelfInjective("Serre check requested on a non-self-injective algebra")
         serre_ok = True
         pairs_checked = 0
         serre_dims_ok = True

@@ -633,6 +633,7 @@ class TestWindowEdge:
         ])
         assert code == 3
         assert rep["hypotheses"]["self_injective"] is False
+        assert rep["error"] == "Serre check requested on a non-self-injective algebra"
 
     def test_no_serre_on_non_self_injective_reports(self, tmp_path, capsys):
         code, rep = run(capsys, [

@@ -23,6 +23,7 @@ from qshape.modules import (
     simple,
     syzygy_of as syzygy,
     truncate_le,
+    zero_module,
 )
 from qshape.stable import (
     ExtCertificate,
@@ -518,6 +519,52 @@ def test_pool_reaches_nonzero_negative_entries(char):
     assert stable_ext_table(pre[0], pre[10], 3)[-1] == 1
 
 
+def test_sides_that_stop_apart_match_cosyzygies(monkeypatch):
+    # T against S(-2) over exterior 3: S(-2), in degree 2, lies above T, so
+    # the -i side stops at once; Omega T and Omega^2 T reach degree 2, and
+    # the +i side stops at Omega^3 T, past the nonzero entry at 2
+    ext = pool_witnesses("exterior", 3, 0)
+    m, n = ext[-1], ext[4]
+    walked = []
+
+    def recording_syzygy(x):
+        walked.append(x)
+        return syzygy(x)
+
+    monkeypatch.setattr(qshape.stable, "syzygy_of", recording_syzygy)
+    table = stable_ext_table(m, n, 5)
+    monkeypatch.undo()
+    assert len(walked) == 3 and walked[0] is m
+    assert table[2] == 17
+    for i in range(-5, 6):
+        assert table[i] == cosyzygy_entry(m, n, i)
+
+
+def test_a_zero_argument_walks_no_tower(monkeypatch):
+    # a stable hom from or into the zero module is zero at every depth
+    def refuse(x):
+        raise AssertionError("the Ext table took a syzygy")
+
+    a = builtin("exterior", 3, QQ)
+    s, z = simple(a, 1), zero_module(a)
+    monkeypatch.setattr(qshape.stable, "syzygy_of", refuse)
+    assert stable_ext_table(s, z, 5) == {i: 0 for i in range(-5, 6)}
+    assert stable_ext_table(z, s, 5) == {i: 0 for i in range(-5, 6)}
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_a_negative_degree_walks_the_tower(char):
+    # over k[x]/x^3 with x in degree -1 syzygies move down: S lies above
+    # S(3), in degree -3, yet Omega^2 S = S(3), so no side stops by degree
+    a = negatively_graded_algebras(FieldSpec(char))[0]
+    s = simple(a, 1)
+    n = shift(s, 3)
+    table = stable_ext_table(s, n, 4)
+    assert table[2] == 1
+    for i in range(-4, 5):
+        assert table[i] == cosyzygy_entry(s, n, i)
+
+
 def test_ext_table_builds_no_envelope(monkeypatch):
     # a cosyzygy is the cokernel of an envelope; the table takes no quotient,
     # neither the general one of the oracles nor a coordinate restriction
@@ -532,28 +579,29 @@ def test_ext_table_builds_no_envelope(monkeypatch):
 
 
 def test_ext_table_covers_no_last_syzygy(monkeypatch):
-    # Omega^k T lives in degrees >= 1 and T in degrees <= 0, so both homs
-    # that read the last syzygy are zero by degree and need no cover of it
-    a = builtin("exterior", 3, QQ)
-    t = tilting_module(a).module
-    k = 3
-    covered = []
-    init = qshape.modules.ProjectiveCover.__init__
+    # T lives in degrees <= 0, and Omega T, read off the cover of T that
+    # the entry at 0 builds, in degrees >= 1: the tower stops at Omega T,
+    # so no syzygy is covered or acted on, at any depth
+    for k in (3, 50):
+        a = builtin("exterior", 3, QQ)
+        t = tilting_module(a).module
+        covered, built = [], []
+        init = qshape.modules.ProjectiveCover.__init__
 
-    def recording_init(self, m):
-        covered.append(m)
-        init(self, m)
+        def recording_init(self, m):
+            covered.append(m)
+            init(self, m)
 
-    monkeypatch.setattr(qshape.modules.ProjectiveCover, "__init__", recording_init)
-    assert stable_ext_table(t, t, k) == {i: 0 if i else 12 for i in range(-k, k + 1)}
-    monkeypatch.undo()
-    tower = [t]
-    for _ in range(k):
-        tower.append(syzygy(tower[-1]))
-    # T, Omega T and Omega^2 T are each covered once, Omega^3 T never
-    assert len(covered) == k and covered[0] is t
-    assert all(oracles.module_equal(m, n) for m, n in zip(covered, tower))
-    assert not any(oracles.module_equal(m, tower[k]) for m in covered)
+        def counting(parent, vectors):
+            built.append(parent.dim)
+            return Submodule(parent, vectors)
+
+        monkeypatch.setattr(qshape.modules.ProjectiveCover, "__init__", recording_init)
+        monkeypatch.setattr(qshape.modules, "Submodule", counting)
+        assert stable_ext_table(t, t, k) == {i: 0 if i else 12 for i in range(-k, k + 1)}
+        monkeypatch.undo()
+        assert len(covered) == 1 and covered[0] is t
+        assert built == []
 
 
 class TestFreedWhenDropped:
@@ -566,27 +614,38 @@ class TestFreedWhenDropped:
         yield
         gc.enable()
 
+    # S(-2) against S(2) over exterior 3, 3 at -2: S(-2) lies above S(2),
+    # so the +i side walks no tower, and the -i side walks the tower of
+    # S(2) until Omega^5 S(2), in degrees 3..5, lies above S(-2)
+    TABLE = {i: 3 if i == -2 else 0 for i in range(-8, 9)}
+
+    @staticmethod
+    def walked_pair():
+        w = pool_witnesses("exterior", 3, 0)
+        m, n = w[4], w[3]
+        cover_of(m)
+        cover_of(n)
+        return m, n
+
     def test_ext_table_syzygies(self, monkeypatch):
-        t = tilting_module(builtin("exterior", 3, QQ)).module
+        m, n = self.walked_pair()
         refs = []
 
-        def recording_syzygy(m):
-            out = syzygy(m)
+        def recording_syzygy(x):
+            out = syzygy(x)
             refs.append(weakref.ref(out))
             return out
 
         monkeypatch.setattr(qshape.stable, "syzygy_of", recording_syzygy)
-        assert stable_ext_table(t, t, 3) == {i: 0 if i else 12 for i in range(-3, 4)}
-        # one tower when m is n, and each level freed once passed
-        assert len(refs) == 3
+        assert stable_ext_table(m, n, 8) == self.TABLE
+        # Omega^1..Omega^5 of S(2), and none of S(-2); each freed once passed
+        assert len(refs) == 5
         assert all(r() is None for r in refs)
 
     def test_ext_table_builds_no_action_for_the_deepest_syzygy(self, monkeypatch):
-        # each level's action is built when the next level covers it; the
-        # last level is read by homs that are zero by degree, so only its
-        # degrees are read
-        t = tilting_module(builtin("exterior", 3, QQ)).module
-        cover_of(t)
+        # each level's action is built when a hom or the next level reads
+        # it; Omega^5 S(2), which stops the walk, is read for its degrees only
+        m, n = self.walked_pair()
         built = []
 
         def counting(parent, vectors):
@@ -594,8 +653,8 @@ class TestFreedWhenDropped:
             return Submodule(parent, vectors)
 
         monkeypatch.setattr(qshape.modules, "Submodule", counting)
-        assert stable_ext_table(t, t, 3) == {i: 0 if i else 12 for i in range(-3, 4)}
-        assert len(built) == 2
+        assert stable_ext_table(m, n, 8) == self.TABLE
+        assert len(built) == 4
 
     def test_gamma_and_tilting_module(self):
         a = builtin("exterior", 3, QQ)
@@ -624,8 +683,11 @@ class TestExtCertificate:
         t = gamma.tilting.module
         cert = ExtCertificate(t)
         assert cert.holds
-        assert stable_ext_table(t, t, 5) == {i: 0 if i else gamma.algebra.dim
-                                             for i in range(-5, 6)}
+        # the table stops its tower by the certificate's own degree
+        # argument; cosyzygies through injective envelopes are the
+        # independent reference
+        assert {i: cosyzygy_entry(t, t, i) for i in range(-3, 4)} == {
+            i: 0 if i else gamma.algebra.dim for i in range(-3, 4)}
         # the certificate reads the degrees of Omega T off the cover's kernel
         assert cert.syzygy_min_degree == min(syzygy(t).degrees, default=None)
         # the inductive step of the proof: Omega^k T stays in degrees >= 1

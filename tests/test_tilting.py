@@ -9,6 +9,7 @@ from qshape.algebra import (
     compile_quiver,
     jacobson_radical,
     primitive_idempotents,
+    zero_algebra,
 )
 from qshape.errors import HypothesisViolated
 from qshape.fields import FieldSpec, QQ
@@ -81,6 +82,13 @@ class TestTiltingModule:
         with pytest.raises(HypothesisViolated) as exc:
             tilting_module(a)
         assert exc.value.which == "self_injective"
+
+    def test_zero_algebra_passes_the_gate(self):
+        # global_dimension_bounded decides the zero algebra on its own
+        a = zero_algebra(QQ)
+        assert check_hypotheses(a) == {
+            "non_negative_grading": True, "self_injective": True,
+            "degree_zero_global_dimension": 0, "finite_global_dimension": True}
 
     def test_gate_verdicts_are_carried(self):
         # T and Gamma keep the verdicts of the gate that let them be built,

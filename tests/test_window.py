@@ -83,7 +83,7 @@ class TestSerre:
     def test_serre_needs_self_injective(self):
         pres = QuiverPresentation(["1", "2"], [("a", "1", "2", 0)], [], 2)
         a = compile_quiver(pres, QQ)
-        with pytest.raises(NotSelfInjective):
+        with pytest.raises(NotSelfInjective, match="Serre check requested"):
             serre_of_object(a, 1, 0)
 
     @pytest.mark.parametrize("i", [0, -1, 4])
