@@ -1036,8 +1036,9 @@ def global_dimension_bounded(a, bound):
     """Max projective dimension of the simple modules, truncated at bound.
 
     Returns an int, or the string sentinel EXCEEDS_BOUND when some simple has
-    no projective resolution of length <= bound.  Raises ValueError for a
-    bound below 0.
+    no projective resolution of length <= bound: as soon as its syzygy at
+    depth bound is not projective, with no deeper syzygy taken.  Raises
+    ValueError for a bound below 0.
     """
     from . import modules as gm
 
@@ -1049,13 +1050,11 @@ def global_dimension_bounded(a, bound):
     worst = 0
     for i in range(1, count + 1):
         m = gm.simple(a, i)
-        pd = None
-        for step in range(bound + 1):
-            if gm.is_projective(m):
-                pd = step
-                break
+        pd = 0
+        while not gm.is_projective(m):
+            if pd == bound:
+                return EXCEEDS_BOUND
             m = gm.syzygy_of(m)
-        if pd is None:
-            return EXCEEDS_BOUND
+            pd += 1
         worst = max(worst, pd)
     return worst

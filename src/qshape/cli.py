@@ -76,12 +76,13 @@ class ParseError(Exception):
 
 
 def _json_int(value):
-    """int(value) for an integer field of an algebra file.  A JSON float or
-    bool is refused (ValueError): int() would truncate 1.5 to 1 and read
-    true as 1, and so describe an algebra the file did not."""
-    if isinstance(value, (bool, float)):
+    """value, for an integer field of an algebra file, when it is a JSON
+    integer.  Anything else is refused (ValueError): int() would truncate
+    1.5 to 1, read true as 1 and " 3_0 " as 30, and so describe an algebra
+    the file did not."""
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"expected an integer, got {json.dumps(value)}")
-    return int(value)
+    return value
 
 
 def _json_array(obj, key):
@@ -131,10 +132,10 @@ def _load_algebra_file(path):
             q = data["quiver"]
             arrows = [(_required(ar, "name"), _required(ar, "from"), _required(ar, "to"),
                        _json_int(_required(ar, "degree")))
-                      for ar in _required(q, "arrows")]
+                      for ar in _json_array(q, "arrows")]
             relations = [
                 [(_required(term, "coeff"), tuple(_json_array(term, "path"))) for term in rel]
-                for rel in _required(q, "relations")
+                for rel in _json_array(q, "relations")
             ]
             vertices = _json_array(q, "vertices")
             pres = QuiverPresentation(vertices, arrows, relations,

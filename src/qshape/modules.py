@@ -33,8 +33,9 @@ polynomial algebras; every generator when the algebra has a negative
 degree).  Minimality, that the kernel lies in P.rad, is then checked
 rather than implied: a kernel row reaches the top of a summand e_i.Lambda
 only in the summand's generator degree, where its block must have
-character chi_i = 0.  ProjectiveCover, _Syzygy and Submodule describe
-how a sum of cover summands, a syzygy and a submodule are built and kept.
+character chi_i = 0.  ProjectiveCover and Submodule describe how a sum
+of cover summands and a submodule are built and kept; a syzygy is the
+Submodule that the kernel rows span in P.
 
 An algebra caches data and never a module: its product columns (the
 regular module's action), the basis, degrees and action of each
@@ -572,39 +573,12 @@ def kernel_degrees(cov):
     return sorted(degrees)
 
 
-class _Syzygy(GradedModule):
-    """The kernel of the minimal cover epi of a module, with its degrees
-    read off the cover's kernel rows and its action built on first read.
-
-    The action is the Submodule that the kernel rows span in P, closure
-    checked; once it is built the module drops the cover, and a degree
-    that differs from those read raises ValueError.  A syzygy that no
-    caller acts on, such as the last of a tower whose homs are zero by
-    degree, costs its degrees only: no sum module P and no closure images.
-    """
-
-    def __init__(self, m):
-        cov = cover_of(m)
-        super().__init__(m.algebra, kernel_degrees(cov), None)
-        del self.action  # built by __getattr__ on first read
-        self._cov = cov
-
-    def __getattr__(self, name):
-        # only reached while the action is not yet built
-        if name != "action":
-            raise AttributeError(name)
-        built = Submodule(self._cov.module, self._cov.kernel_rows).module
-        if built.degrees != self.degrees:
-            raise ValueError("syzygy degrees differ from its kernel rows")
-        del self._cov
-        self.action = built.action
-        return self.action
-
-
 def syzygy_of(m):
-    """Kernel of the minimal cover epi, as a module (not kept on m) whose
-    action is built on first read."""
-    return _Syzygy(m)
+    """Kernel of the minimal cover epi, as the Submodule its kernel rows
+    span in P, closure checked; not kept on m.  A caller that needs only
+    its degrees reads them off the cover with `kernel_degrees`."""
+    cov = cover_of(m)
+    return Submodule(cov.module, cov.kernel_rows).module
 
 
 # ---------------------------------------------------------------------------

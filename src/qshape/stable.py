@@ -23,12 +23,13 @@ suite as the independent reference the table is checked against.
 
 Over a non-negatively graded algebra a module in degrees >= d has its
 cover generators there, so its cover and its syzygy stay there too.  The
-table reads that off each level's degrees and stops walking a tower once
-the level lies wholly above the other argument (or either is zero): every
-deeper entry on that side is zero by degree.  `ExtCertificate` proves by
-the same argument, with no syzygy built, that the table of a module such
-as the tilting module vanishes off zero at every range; the table of T
-stops at Omega T.
+table reads each level's degrees off its parent's cover, before it takes
+the level, and stops walking a tower once the level would lie wholly
+above the other argument (or either is zero): every deeper entry on that
+side is zero by degree.  `ExtCertificate` proves by the same argument,
+with no syzygy built, that the table of a module such as the tilting
+module vanishes off zero at every range; the table of T never takes
+Omega T.
 """
 
 from .algebra import GradedAlgebra
@@ -145,47 +146,50 @@ def stable_ext_table(m, n, k):
     Over a non-negatively graded algebra a side stops walking as soon as
     the degrees decide every deeper entry (see `_decided`): the +i side
     once Omega^i m is decided against n, the -i side once Omega^i n is
-    decided against m, both by one test when m is n.  Every later entry
-    on that side is 0, with no further syzygy and no stable hom.  For the
-    tilting module T that happens at Omega T, whose degrees are read off
-    the cover of T that the entry at 0 built: no syzygy action and no
-    second cover, at any k.  Over any other algebra both towers are
-    walked to depth k.
+    decided against m, both by one test when m is n.  A level's degrees
+    are read off its parent's cover by `kernel_degrees`, and the level is
+    taken only if they do not decide it; every later entry on that side
+    is 0, with no further syzygy and no stable hom.  For the tilting
+    module T that happens at Omega T, whose degrees are read off the cover
+    of T that the entry at 0 built: no syzygy and no second cover, at any
+    k.  Over any other algebra both towers are walked to depth k.
     """
     if k < 1:
-        raise ValueError("window size must be >= 1")
+        raise ValueError(f"Ext range must be >= 1, got {k}")
     if not is_self_injective(m.algebra):
         raise NotSelfInjective("stable Ext tables need a self-injective algebra")
     table = {0: StableHomSpace(m, n).dim}
-    graded = m.algebra.is_nonnegatively_graded()
 
     def walk(x, other):
-        # x, or None once the degrees decide x and its deeper syzygies
-        return None if graded and _decided(x, other) else x
+        # the syzygy of x, or None once its degrees, read off the cover of
+        # x, decide it and every deeper level against `other`
+        return None if _decided(kernel_degrees(cover_of(x)), other) else syzygy_of(x)
 
-    x = walk(m, n)
-    y = x if n is m else walk(n, m)
+    x = None if _decided(m.degrees, n) else m
+    y = None if _decided(n.degrees, m) else n
     for i in range(1, k + 1):
         if x is not None:
-            x = walk(syzygy_of(x), n)
+            x = walk(x, n)
         if n is m:
             y = x
         elif y is not None:
-            y = walk(syzygy_of(y), m)
+            y = walk(y, m)
         table[i] = StableHomSpace(x, n).dim if x is not None else 0
         table[-i] = StableHomSpace(m, y).dim if y is not None else 0
     return table
 
 
-def _decided(x, other):
-    """True when every stable hom from x or a syzygy of it to `other`, or
-    from `other` to one of them, is zero by degree, over a non-negatively
-    graded algebra: x or `other` is zero, or x lies wholly above every
-    degree of `other`.  A module in degrees >= d has its cover generators
-    there, and with no negative degree the cover and its kernel stay
-    there, so every syzygy of x lives in degrees >= min deg x; degree-0
-    maps between modules with disjoint degree supports are zero."""
-    return x.is_zero() or other.is_zero() or min(x.degrees) > max(other.degrees)
+def _decided(degrees, other):
+    """True when the algebra is non-negatively graded and every stable hom
+    from a module x with these basis degrees, or from a syzygy of x, to
+    `other`, or from `other` to one of them, is zero by degree: x or
+    `other` is zero, or x lies wholly above every degree of `other`.  A
+    module in degrees >= d has its cover generators there, and with no
+    negative degree the cover and its kernel stay there, so every syzygy
+    of x lives in degrees >= min deg x; degree-0 maps between modules with
+    disjoint degree supports are zero."""
+    return other.algebra.is_nonnegatively_graded() and (
+        not degrees or other.is_zero() or min(degrees) > max(other.degrees))
 
 
 class ExtCertificate:
@@ -199,7 +203,8 @@ class ExtCertificate:
     lives in degrees >= 1 for every k >= 1.  Degree-0 maps between modules
     with disjoint degree supports are zero, hence so are both stable homs.
     `stable_ext_table` applies the same argument: it stops the tower of m
-    at Omega m, with no syzygy action and no cover of Omega m.
+    at Omega m, read off the same cover, and builds neither Omega m nor
+    its cover.
 
     The degrees of Omega m are read off the kernel rows of the cover of m,
     which the stable End of m builds and caches, by `kernel_degrees`, which

@@ -724,9 +724,10 @@ class TestBadFlagValues:
 
 
 class TestIntegerFields:
-    # int() would read 1.5 as 1 and true as 1, an algebra the file did not
-    # describe; every integer field of an algebra file refuses both
-    @pytest.mark.parametrize("value", [1.5, True])
+    # int() would read 1.5 as 1, true as 1 and "3" as 3, an algebra the
+    # file did not describe; every integer field of an algebra file refuses
+    # all three
+    @pytest.mark.parametrize("value", [1.5, True, "3"])
     @pytest.mark.parametrize("key", ["char", "parameter", "degree", "nilpotency_bound"])
     def test_float_or_bool_is_parse_error(self, tmp_path, capsys, key, value):
         if key in ("char", "parameter"):
@@ -807,14 +808,16 @@ class TestParseErrorsSayWhatIsWrong:
 
     @pytest.mark.parametrize("key, value", [
         ("vertices", "12"), ("vertices", {"1": 0, "2": 1}),
-        ("path", "ba"), ("path", {"b": 0, "a": 1})])
+        ("path", "ba"), ("path", {"b": 0, "a": 1}),
+        ("arrows", ""), ("relations", {})])
     def test_a_list_must_be_a_json_array(self, tmp_path, capsys, key, value):
         # iterated, the string "ba" and the object {"b": .., "a": ..} both
         # read as the path ["b", "a"]: the file would be accepted as
-        # describing an algebra it does not spell out
+        # describing an algebra it does not spell out; an empty string or
+        # object would read as no arrows or no relations
         data = json.loads(Path(write_preprojective_quiver(tmp_path)).read_text())
         quiver = data["quiver"]
-        (quiver if key == "vertices" else quiver["relations"][0][0])[key] = value
+        (quiver["relations"][0][0] if key == "path" else quiver)[key] = value
         path = tmp_path / "not_an_array.json"
         path.write_text(json.dumps(data))
         code, rep = run(capsys, ["check", str(path)])

@@ -187,7 +187,6 @@ def test_reachable_summands_factor_as_the_whole_cover(monkeypatch, family, n, ch
     a = builtin(family, n, FieldSpec(char))
     t = tilting_module(a).module
     omega = syzygy(t)
-    omega.action  # a syzygy builds its action, a submodule of P, on first read
     sources = [t, omega, cosyzygy(t), regular(a), simple(a, 1)]
     built = built_from(monkeypatch)
     for m in sources:
@@ -312,6 +311,12 @@ class TestExtTable:
         a = compile_quiver(pres, QQ)
         with pytest.raises(NotSelfInjective):
             stable_ext_table(simple(a, 1), simple(a, 1), 2)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_range_below_one_is_refused(self, k):
+        s = simple(trunc(2), 1)
+        with pytest.raises(ValueError, match=f"Ext range must be >= 1, got {k}"):
+            stable_ext_table(s, s, k)
 
 
 class TestStableEnd:
@@ -522,7 +527,8 @@ def test_pool_reaches_nonzero_negative_entries(char):
 def test_sides_that_stop_apart_match_cosyzygies(monkeypatch):
     # T against S(-2) over exterior 3: S(-2), in degree 2, lies above T, so
     # the -i side stops at once; Omega T and Omega^2 T reach degree 2, and
-    # the +i side stops at Omega^3 T, past the nonzero entry at 2
+    # the +i side stops at Omega^3 T, past the nonzero entry at 2, whose
+    # degrees are read off the cover of Omega^2 T without taking it
     ext = pool_witnesses("exterior", 3, 0)
     m, n = ext[-1], ext[4]
     walked = []
@@ -534,7 +540,7 @@ def test_sides_that_stop_apart_match_cosyzygies(monkeypatch):
     monkeypatch.setattr(qshape.stable, "syzygy_of", recording_syzygy)
     table = stable_ext_table(m, n, 5)
     monkeypatch.undo()
-    assert len(walked) == 3 and walked[0] is m
+    assert len(walked) == 2 and walked[0] is m
     assert table[2] == 17
     for i in range(-5, 6):
         assert table[i] == cosyzygy_entry(m, n, i)
@@ -638,13 +644,13 @@ class TestFreedWhenDropped:
 
         monkeypatch.setattr(qshape.stable, "syzygy_of", recording_syzygy)
         assert stable_ext_table(m, n, 8) == self.TABLE
-        # Omega^1..Omega^5 of S(2), and none of S(-2); each freed once passed
-        assert len(refs) == 5
+        # Omega^1..Omega^4 of S(2), and none of S(-2); each freed once passed
+        assert len(refs) == 4
         assert all(r() is None for r in refs)
 
     def test_ext_table_builds_no_action_for_the_deepest_syzygy(self, monkeypatch):
-        # each level's action is built when a hom or the next level reads
-        # it; Omega^5 S(2), which stops the walk, is read for its degrees only
+        # Omega^1..Omega^4 S(2) are taken; Omega^5 S(2), which stops the
+        # walk, is read for its degrees off the cover of Omega^4 S(2) only
         m, n = self.walked_pair()
         built = []
 
