@@ -27,6 +27,7 @@ from qshape.modules import (
     dual_of_regular,
     is_projective,
     is_self_injective,
+    kernel_degrees,
     projective,
     regular,
     shift,
@@ -300,6 +301,16 @@ class TestCovers:
         assert s.degrees == [1]
 
 
+def syzygy_witnesses(a):
+    """T, its syzygy, the simples and the regular module."""
+    from qshape.tilting import tilting_module
+
+    t = tilting_module(a).module
+    return ([t, syzygy_of(t)]
+            + [simple(a, i) for i in range(1, len(primitive_idempotents(a)) + 1)]
+            + [regular(a)])
+
+
 def fresh_copy(m):
     """m as a new module with no cache, so a test may alter its cover."""
     from qshape.modules import GradedModule
@@ -322,6 +333,22 @@ def count_submodules(monkeypatch):
 
 
 class TestLazySyzygy:
+    @pytest.mark.parametrize("char", [0, 32003])
+    @pytest.mark.parametrize("family,n", BUILTINS)
+    def test_equals_the_eager_submodule(self, family, n, char):
+        # syzygy_of is the Submodule the kernel rows span, and the degrees
+        # that kernel_degrees reads off the cover, which the Ext walk
+        # decides on, are its degrees
+        a = builtin(family, n, FieldSpec(char))
+        for m in syzygy_witnesses(a):
+            cov = cover_of(m)
+            eager = Submodule(cov.module, cov.kernel_rows).module
+            omega = syzygy_of(m)
+            assert (omega.dim, omega.degrees) == (eager.dim, eager.degrees)
+            assert omega.degrees == kernel_degrees(cov)
+            assert module_equal(omega, eager)
+            assert cover_of(m) is cov
+
     def test_non_homogeneous_kernel_row_raises_at_syzygy_of(self):
         a = trunc(3)
         m = fresh_copy(simple(a, 1))
