@@ -206,10 +206,10 @@ class GradedAlgebra:
         multiplied, so the cost is the words that meet each table's rows
         rather than dim * |G| row applications.  A declared generator's
         table forms b_m * g only for the m of `left_support`; the other
-        products are zero.  Declared
-        generators must reach the whole algebra; otherwise basis vectors
-        outside the span are adjoined in (degree, index) order until it is
-        reached.
+        products are zero.  A declared G that falls short raises
+        ValueError ("declared generators span only ..."); only when no G
+        is declared are basis vectors outside the span adjoined greedily,
+        in (degree, index) order, until it is reached.
         """
         f = self.field
         n = self.dim

@@ -13,6 +13,7 @@ scalar op written into the loop, so a row operation costs one loop step
 per entry and no call per entry.
 """
 
+import re
 from fractions import Fraction
 from math import isqrt
 from operator import index
@@ -81,14 +82,16 @@ def _one():
 
 def _coercer(name, from_int, from_fraction):
     def coerce(x):
-        """Accept ints, Fractions and 'p/q' strings; reject floats, and
-        (ValueError) a zero denominator or, over GF(p), one divisible by p."""
+        """Accept ints, Fractions and signed ASCII 'n' or 'p/q' strings;
+        reject floats and other strings, which Fraction(str) would read
+        ("1.5", "2e1", "1_0", " 1 "), and (ValueError) a zero denominator
+        or, over GF(p), one divisible by p."""
         if isinstance(x, bool):
             raise TypeError("booleans are not scalars")
         if isinstance(x, int):
             return from_int(x)
         try:
-            if isinstance(x, str):
+            if isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", x):
                 x = Fraction(x)
             if isinstance(x, Fraction):
                 return from_fraction(x)

@@ -33,9 +33,9 @@ polynomial algebras; every generator when the algebra has a negative
 degree).  Minimality, that the kernel lies in P.rad, is then checked
 rather than implied: a kernel row reaches the top of a summand e_i.Lambda
 only in the summand's generator degree, where its block must have
-character chi_i = 0.  ProjectiveCover and Submodule describe how a sum
-of cover summands and a submodule are built and kept; a syzygy is the
-Submodule that the kernel rows span in P.
+character chi_i = 0.  ProjectiveCover and Submodule describe how the
+sum P of the cover summands and a submodule are built and kept; a syzygy
+is the Submodule that the kernel rows span in P.
 
 An algebra caches data and never a module: its product columns (the
 regular module's action), the basis, degrees and action of each
@@ -61,6 +61,8 @@ The module and map checks, the brute-force commutant solver, general
 quotients, tops, duals, socles and injective envelopes live in the test
 suite as independent references.
 """
+
+from functools import cached_property
 
 from .algebra import (
     jacobson_radical,
@@ -366,24 +368,21 @@ class ProjectiveCover:
     over a non-negatively graded one it lies in the summand's `top_degree`
     d + max deg(e_i.Lambda).  `stable.StableHomSpace` reads those degrees
     to pick the summands a map out of M' can reach, and factors through
-    their sum P' only.
+    each of them alone, composing with its epi rows by `epi_image`.
 
     P = sum of the summands is described by `dim` and `degrees`, read off
-    the summands, and by `split`, which cuts a vector of P into summand
-    blocks.  `sum_over` builds the block-diagonal sum P' of some summands,
-    with the epi rows of their coordinates, on each call: only callers that
-    act on P' build it, and the cover does not keep it.  `module`, the sum
-    of every summand, is P itself (a syzygy's action is a submodule of
-    it).  The cover holds no reference to the module it covers, which
-    caches the cover.
+    the summands; summand t has the coordinates from `_offsets[t]` on.
+    `module`, the block-diagonal sum, is built on each access and not
+    kept: only `syzygy_of` acts on P.  The cover holds no reference to the
+    module it covers, which caches the cover.
 
-    `terms_by_summand` caches, per summand, the blocks there of the section
-    preimages of the basis vectors of M, each read as an algebra element.
-    A map out of M is then row by row a sum of one generator image acted on
-    by each term (see HomSpace.map_of).  The terms depend on the cover
-    only, not on the map, so they are computed once, on first use, and
-    every map out of M reuses them; they are the same vectors that
-    projecting the section onto each summand would give.
+    `terms_by_summand` and `kernel_by_summand` cut the section preimages
+    of the basis vectors of M and the kernel rows into summand blocks, read
+    as algebra elements, and group them by summand.  A map out of M is row
+    by row a sum of one generator image acted on by each term (see
+    HomSpace.map_of), and a hom's system reads the kernel blocks of the
+    summands with a nonzero slice only.  Both depend on the cover alone,
+    so each is computed once, on first use, for every hom out of M.
     """
 
     def __init__(self, m):
@@ -432,7 +431,6 @@ class ProjectiveCover:
         for k, s in enumerate(self.summands):
             self._offsets.append(len(self._block_of))
             self._block_of.extend((k, r) for r in range(s.module.dim))
-        self._terms_by_summand = None
 
         # row r is the image of P coordinate r: its relations are the kernel
         self.kernel_rows = rank_ech.relations
@@ -455,15 +453,13 @@ class ProjectiveCover:
         a = self._algebra
         f = a.field
         tops = {}  # generator degree -> per summand {P coordinate: chi}
-        offset = 0
-        for s in self.summands:
+        for s, offset in zip(self.summands, self._offsets):
             try:
                 chi = _top_character(a, s.idem_index)
             except ValueError as e:
                 raise ValueError(f"cover is not minimal: {e}") from e
             tops.setdefault(s.gen_degree, []).append(
                 {offset + r: c for r, c in chi.items()})
-            offset += s.module.dim
         degrees = self.degrees
         for row in self.kernel_rows:
             for chi in tops.get(degrees[next(iter(row))], ()):
@@ -475,49 +471,47 @@ class ProjectiveCover:
                 if not f.is_zero(acc):
                     raise ValueError("cover is not minimal (kernel escapes P.rad)")
 
-    def sum_over(self, ts):
-        """(P', epi rows of P'): the direct sum of the summands ts, given in
-        ascending order, built on each call, and the epi rows of their
-        coordinates, renumbered to P'.  No summand gives the zero module."""
-        if not ts:
-            return zero_module(self._algebra), {}
-        epi_rows = self.epi_rows
-        rows = {}
-        pos = 0
-        for t in ts:
-            off = self._offsets[t]
-            for r in range(self.summands[t].module.dim):
-                row = epi_rows.get(off + r)
-                if row is not None:
-                    rows[pos + r] = row
-            pos += self.summands[t].module.dim
-        return direct_sum([self.summands[t].module for t in ts])[0], rows
-
     @property
     def module(self):
-        """P as the direct sum of every summand, built on each access."""
-        return self.sum_over(range(len(self.summands)))[0]
+        """P as the direct sum of every summand, built on each access; the
+        cover of the zero module has no summand, and P is zero."""
+        if not self.summands:
+            return zero_module(self._algebra)
+        return direct_sum([s.module for s in self.summands])[0]
 
-    def split(self, vec):
-        """The nonzero summand blocks of a vector of P, as (summand index,
-        algebra element) pairs in summand order."""
-        blocks = {}
-        for k, c in vec.items():
-            t, r = self._block_of[k]
-            blocks.setdefault(t, {})[r] = c
-        return [(t, self.summands[t].algebra_coords(blocks[t])) for t in sorted(blocks)]
+    def epi_image(self, t, vec):
+        """The image in M of a vector of summand t, given in the summand's
+        own coordinates: the epi rows at the summand's offset."""
+        off = self._offsets[t]
+        return apply_row(self._algebra.field, {off + r: c for r, c in vec.items()},
+                         self.epi_rows)
 
-    @property
+    def _by_summand(self, rows):
+        """Per summand t, the pairs (i, u), in the order of rows, of the
+        (index i, vector of P) pairs whose block at t is u, nonzero and
+        read as an algebra element."""
+        groups = [[] for _ in self.summands]
+        block_of = self._block_of
+        for i, vec in rows:
+            blocks = {}
+            for k, c in vec.items():
+                t, r = block_of[k]
+                blocks.setdefault(t, {})[r] = c
+            for t, block in blocks.items():
+                groups[t].append((i, self.summands[t].algebra_coords(block)))
+        return groups
+
+    @cached_property
     def terms_by_summand(self):
         """Per summand t, the pairs (i, u), i ascending, of the basis
         vectors i of M whose section preimage has block u at t (cached)."""
-        if self._terms_by_summand is None:
-            groups = [[] for _ in self.summands]
-            for i, sec in self.section_rows.items():
-                for t, u in self.split(sec):
-                    groups[t].append((i, u))
-            self._terms_by_summand = groups
-        return self._terms_by_summand
+        return self._by_summand(self.section_rows.items())
+
+    @cached_property
+    def kernel_by_summand(self):
+        """Per summand t, the pairs (k, u), k ascending, of the kernel rows
+        k whose block at t is u (cached)."""
+        return self._by_summand(enumerate(self.kernel_rows))
 
 
 def _radical_rows(m):
@@ -628,18 +622,22 @@ class HomSpace:
         if not self.coord_dim:
             return  # every slice is zero: no unknowns, so no system
         f = source.algebra.field
-        offsets = self.offsets
+        kernel = self._cov.kernel_by_summand
 
-        # constraints: for each kernel vector sum_t x_t . u_t = 0
+        # constraints: for each kernel vector sum_t x_t . u_t = 0, where a
+        # summand with a zero slice has no unknown x_t and adds no term
         sys_rows = {}
-        for kidx, k in enumerate(self._cov.kernel_rows):
-            for t, u in self._cov.split(k):
-                for sidx, bvec in enumerate(self.slices[t]):
+        for t, basis in enumerate(self.slices):
+            if not basis:
+                continue
+            off = self.offsets[t]
+            for kidx, u in kernel[t]:
+                for sidx, bvec in enumerate(basis):
                     w = target.act(bvec, u)
                     for coord, c in w.items():
                         key = (kidx, coord)
                         row = sys_rows.setdefault(key, {})
-                        var = offsets[t] + sidx
+                        var = off + sidx
                         row[var] = f.add(row.get(var, f.zero()), c)
         sys_rows = {k: {v: c for v, c in row.items() if not f.is_zero(c)}
                     for k, row in sys_rows.items()}

@@ -9,9 +9,9 @@ self-injective algebra each indecomposable projective e_i.Lambda is
 injective with a simple socle, which every nonzero submodule contains
 (Happel 1988, ch. I); over a non-negatively graded one that socle is
 e_i.Lambda's top degree.  So a degree-0 map into a cover summand is 0
-unless the source has the summand's socle degree: hom(M, P) is solved
-into the sum P' of the summands the source reaches, which is zero, with
-nothing solved, when it reaches none.
+unless the source has the summand's socle degree: hom(M, P) is the sum of
+the homs into the summands the source reaches, solved one summand at a
+time, and nothing is solved when it reaches none.
 
 Over a self-injective algebra the syzygy functor Omega is an
 autoequivalence of the graded stable category, with the cosyzygy as its
@@ -26,15 +26,15 @@ cover generators there, so its cover and its syzygy stay there too.  The
 table reads each level's degrees off its parent's cover, before it takes
 the level, and stops walking a tower once the level would lie wholly
 above the other argument (or either is zero): every deeper entry on that
-side is zero by degree.  `ExtCertificate` proves by the same argument,
-with no syzygy built, that the table of a module such as the tilting
-module vanishes off zero at every range; the table of T never takes
-Omega T.
+side is zero by degree.  `ExtCertificate` applies the same test to
+Omega m against m, with no syzygy built, to prove that the table of a
+module such as the tilting module vanishes off zero at every range; the
+table of T never takes Omega T.
 """
 
 from .algebra import GradedAlgebra
 from .errors import NotSelfInjective
-from .linalg import Echelon, apply_row
+from .linalg import Echelon
 from .modules import (
     HomSpace,
     composition_table,
@@ -51,22 +51,23 @@ class StableHomSpace:
 
     `factoring` is an Echelon of the maps that factor through a projective,
     as coefficient vectors over hom.basis_coords.  When hom(m, n) is 0 so
-    is the subspace, and no hom into a projective is solved.  Otherwise
-    each basis map h of hom(m, P') is composed with the epi rows of P' in
-    generator coordinates: the nonzero generator images of h followed by
-    the epi are the generator images of the composite, so no matrix is
-    built.  Representatives are the basis maps at the non-pivot positions,
-    so dim representatives + dim factoring = hom.dim.
+    is the subspace, and no hom into a projective is solved.  Otherwise,
+    hom(m, P) being the sum of the homs into the summands of the cover P
+    of n, each basis map h of hom(m, P_t), for each summand P_t that m
+    reaches (see `_reachable_summands`), is composed with the epi rows of
+    P_t, read in its own coordinates: the nonzero generator images of h
+    followed by the epi are those of the composite, so neither a matrix
+    nor a sum of summands is built.  The echelon's reduced basis does not
+    depend on the order of the inserts.  Representatives are the basis
+    maps at the non-pivot positions, so dim representatives + dim
+    factoring = hom.dim.
 
-    P' is the sum of the summands of the cover P of n that m reaches (see
-    `_reachable_summands`), built by the cover's `sum_over`.  Over a
-    self-injective, non-negatively graded algebra a summand e_i.Lambda(-d)
-    is reached only when its socle degree d + max deg(e_i.Lambda) is a
-    degree of m: a nonzero degree-0 map into the summand has a nonzero
-    image, which contains the simple socle and so needs m in that degree.
-    Every other component of a map into P is zero, so hom(m, P') composed
-    with its epi spans the same subspace as hom(m, P); when m reaches no
-    summand, P' is zero and nothing is solved.
+    Over a self-injective, non-negatively graded algebra a summand
+    e_i.Lambda(-d) is reached only when its socle degree d + max
+    deg(e_i.Lambda) is a degree of m: a nonzero degree-0 map into the
+    summand has a nonzero image, which contains the simple socle and so
+    needs m in that degree.  Every other component of a map into P is
+    zero; when m reaches no summand, nothing is solved.
     """
 
     def __init__(self, m, n):
@@ -79,15 +80,15 @@ class StableHomSpace:
         self.factoring = Echelon(f)
         if hom.dim:
             cov = cover_of(n)
-            p, epi_rows = cov.sum_over(_reachable_summands(m, cov))
-            lifted = HomSpace(m, p)
-            for c in lifted.basis_coords:
-                images = {t: y for t, x in lifted.images(c).items()
-                          if (y := apply_row(f, x, epi_rows))}
-                coeffs = hom.basis_coeffs(hom.coords_of_images(images))
-                if coeffs is None:
-                    raise ValueError("factoring map escaped the hom space")
-                self.factoring.insert(coeffs)
+            for t in _reachable_summands(m, cov):
+                lifted = HomSpace(m, cov.summands[t].module)
+                for c in lifted.basis_coords:
+                    images = {g: y for g, x in lifted.images(c).items()
+                              if (y := cov.epi_image(t, x))}
+                    coeffs = hom.basis_coeffs(hom.coords_of_images(images))
+                    if coeffs is None:
+                        raise ValueError("factoring map escaped the hom space")
+                    self.factoring.insert(coeffs)
         pivots = self.factoring.rows
         self.rep_positions = [q for q in range(hom.dim) if q not in pivots]
         self._rep_index = {q: i for i, q in enumerate(self.rep_positions)}
@@ -197,14 +198,12 @@ class ExtCertificate:
     Hom(m, Omega^k m) vanish for every k >= 1, over a non-negatively graded
     algebra: every entry of stable_ext_table(m, m, k) off zero, at any k.
 
-    It holds when m lives in degrees <= 0 and Omega m in degrees >= 1.  A
-    module in degrees >= 1 has its cover generators there, and with the
-    grading non-negative the cover and its kernel stay there; so Omega^k m
-    lives in degrees >= 1 for every k >= 1.  Degree-0 maps between modules
-    with disjoint degree supports are zero, hence so are both stable homs.
-    `stable_ext_table` applies the same argument: it stops the tower of m
-    at Omega m, read off the same cover, and builds neither Omega m nor
-    its cover.
+    It holds when `_decided` decides Omega m against m: m is zero, or
+    Omega m is zero or lies wholly above every degree of m, as every
+    deeper syzygy then does; degree-0 maps between modules with disjoint
+    degree supports are zero, hence so are both stable homs.  The table
+    stops the tower of m at Omega m by the same test, read off the same
+    cover, and builds neither Omega m nor its cover.
 
     The degrees of Omega m are read off the kernel rows of the cover of m,
     which the stable End of m builds and caches, by `kernel_degrees`, which
@@ -213,14 +212,14 @@ class ExtCertificate:
     """
 
     def __init__(self, m):
-        cov = cover_of(m)
+        degrees = kernel_degrees(cover_of(m))
         self.top_degree = max(m.degrees, default=None)
-        self.syzygy_min_degree = min(kernel_degrees(cov), default=None)
+        self.syzygy_min_degree = min(degrees, default=None)
+        self._holds = _decided(degrees, m)
 
     @property
     def holds(self):
-        return ((self.top_degree is None or self.top_degree <= 0)
-                and (self.syzygy_min_degree is None or self.syzygy_min_degree >= 1))
+        return self._holds
 
     def as_dict(self):
         return {"tilting_max_degree": self.top_degree,

@@ -11,6 +11,7 @@ import pytest
 
 import qshape.cli
 from qshape.cli import _dumps, main
+from qshape.fields import FieldSpec
 
 
 def write_builtin(tmp_path, family, parameter, char=0, name="alg.json"):
@@ -405,7 +406,7 @@ class TestWorkDoneOnce:
                                                             monkeypatch):
         # a hom solve reads the cover's summands, kernel and section only:
         # no cover in the hom-check loop builds its sum module P, which only
-        # `sum_over` builds
+        # `ProjectiveCover.module` builds
         import qshape.cli
         import qshape.modules
 
@@ -415,7 +416,7 @@ class TestWorkDoneOnce:
         sums = []
         covers = []
         real_check = qshape.cli.base_change_hom_check
-        real_sum_over = qshape.modules.ProjectiveCover.sum_over
+        real_module = qshape.modules.ProjectiveCover.module.fget
         real_cover = qshape.modules.cover_of
 
         def spy_check(m, n, tensor):
@@ -425,10 +426,10 @@ class TestWorkDoneOnce:
             finally:
                 in_loop.pop()
 
-        def spy_sum_over(cov, ts):
+        def spy_module(cov):
             if in_loop:
-                sums.append(list(ts))
-            return real_sum_over(cov, ts)
+                sums.append(cov)
+            return real_module(cov)
 
         def spy_cover(m):
             cov = real_cover(m)
@@ -437,7 +438,7 @@ class TestWorkDoneOnce:
             return cov
 
         monkeypatch.setattr(qshape.cli, "base_change_hom_check", spy_check)
-        monkeypatch.setattr(qshape.modules.ProjectiveCover, "sum_over", spy_sum_over)
+        monkeypatch.setattr(qshape.modules.ProjectiveCover, "module", property(spy_module))
         monkeypatch.setattr(qshape.modules, "cover_of", spy_cover)
         code, rep = run(capsys, ["basechange", lam, "--with", coeff])
         assert code == 0 and rep["all_hom_checks_pass"]
@@ -742,6 +743,40 @@ class TestIntegerFields:
         code, rep = run(capsys, ["check", str(path)])
         assert code == 2
         assert rep["error"].endswith(f"expected an integer, got {json.dumps(value)}")
+
+
+class TestCoefficientStrings:
+    # Fraction(str) would read "1.5" as 3/2, "2e1" as 20, "1_0" as 10 and
+    # " 1 " as 1; a coefficient string is an integer or "p/q", nothing else
+    @staticmethod
+    def check_with_coeff(tmp_path, capsys, char, coeff):
+        data = json.loads(Path(write_preprojective_quiver(tmp_path)).read_text())
+        data["field"]["char"] = char
+        data["quiver"]["relations"][0][0]["coeff"] = coeff
+        path = tmp_path / "coeff.json"
+        path.write_text(json.dumps(data))
+        return run(capsys, ["check", str(path)])
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    @pytest.mark.parametrize("text", ["1.5", "2e1", "1_0", " 1 ", "1/", "/2", "3/-2", "٣"])
+    def test_a_string_that_is_not_p_over_q_is_a_parse_error(self, tmp_path, capsys,
+                                                             char, text):
+        code, rep = self.check_with_coeff(tmp_path, capsys, char, text)
+        assert code == 2
+        assert rep["error"].endswith(f"cannot coerce {text!r} into {FieldSpec(char)}")
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    def test_signed_p_over_q_reads_as_the_integer_coefficient(self, tmp_path, capsys, char):
+        # -2/6 is a unit, so the relation ba = 0 is the same either way
+        code, rep = self.check_with_coeff(tmp_path, capsys, char, "-2/6")
+        assert code == 0
+        del rep["input_sha256"]
+        code1, rep1 = self.check_with_coeff(tmp_path, capsys, char, 1)
+        del rep1["input_sha256"]
+        assert (code1, rep1) == (code, rep)
+        f = FieldSpec(char)
+        assert f.coerce("-2/6") == f.mul(f.neg(f.one()), f.inv(f.from_int(3)))
+        assert f.coerce("+4") == f.from_int(4)
 
 
 class TestNoReferenceCycles:

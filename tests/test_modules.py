@@ -596,24 +596,40 @@ def test_map_of_matches_projecting_the_section(family, n, char):
     assert maps
 
 
+def projected_blocks(cov, vec):
+    """The nonzero blocks of a vector of P, as (summand index, algebra
+    element) pairs in summand order, read through the projections of the
+    sum of the summands."""
+    f = cov.summands[0].module.algebra.field
+    blocks = []
+    for t, prj in enumerate(sum_maps([s.module for s in cov.summands])[2]):
+        blk = apply_row(f, vec, prj)
+        if blk:
+            blocks.append((t, cov.summands[t].algebra_coords(blk)))
+    return blocks
+
+
 @pytest.mark.parametrize("char", [0, 32003])
 @pytest.mark.parametrize("family,n", [("exterior", 3), ("preprojective_A", 3)])
 def test_map_of_walks_the_terms_by_summand_in_order(family, n, char):
     # the terms grouped by summand are the section terms, and the rows come
     # in increasing index order, each summing its terms in summand order,
-    # as walking every section term of every row does
+    # as walking every section term of every row does; the kernel rows are
+    # grouped by summand the same way
     from qshape.tilting import tilting_module
 
     a = builtin(family, n, FieldSpec(char))
     t = tilting_module(a).module
     for m in (t, syzygy_of(t), direct_sum([t, regular(a)])[0]):
         cov = cover_of(m)
-        by_row = [[] for _ in range(m.dim)]
-        for k, group in enumerate(cov.terms_by_summand):
-            assert [i for i, _ in group] == sorted({i for i, _ in group})
-            for i, u in group:
-                by_row[i].append((k, u))
-        assert by_row == [cov.split(sec) for sec in cov.section_rows.values()]
+        for groups, rows in ((cov.terms_by_summand, cov.section_rows),
+                             (cov.kernel_by_summand, dict(enumerate(cov.kernel_rows)))):
+            by_row = {i: [] for i in rows}
+            for k, group in enumerate(groups):
+                assert [i for i, _ in group] == sorted({i for i, _ in group})
+                for i, u in group:
+                    by_row[i].append((k, u))
+            assert by_row == {i: projected_blocks(cov, vec) for i, vec in rows.items()}
         for target in (t, m):
             hom = HomSpace(m, target)
             for c in hom.basis_coords:
@@ -717,6 +733,32 @@ def test_component_indices_are_the_linear_scan(family, n, char):
             if d not in present:
                 assert _slice_basis(m, 1, d) == []
                 assert ("slice", 1, d) not in m._cache
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_homs_out_of_one_source_split_each_kernel_row_once(monkeypatch, char):
+    # the kernel rows are cut into summand blocks once per cover, however
+    # many homs out of its module build a system: two homs into different
+    # targets, then a stable End that solves homs into cover summands too
+    from qshape.stable import StableHomSpace
+    from qshape.tilting import tilting_module
+
+    a = builtin("preprojective_A", 3, FieldSpec(char))
+    t = tilting_module(a).module
+    real = ProjectiveCover._by_summand
+    split = []
+
+    def spy(cov, rows):
+        rows = list(rows)
+        split.extend(id(vec) for _, vec in rows)
+        return real(cov, rows)
+
+    monkeypatch.setattr(ProjectiveCover, "_by_summand", spy)
+    homs = [HomSpace(t, t), HomSpace(t, regular(a)), StableHomSpace(t, t).hom]
+    assert all(hom.dim for hom in homs)
+    kernel = [id(row) for row in cover_of(t).kernel_rows]
+    assert kernel
+    assert sorted(i for i in split if i in set(kernel)) == sorted(kernel)
 
 
 @pytest.mark.parametrize("family,n,char", COVER_CASES)

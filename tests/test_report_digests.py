@@ -7,7 +7,10 @@ or an exit code changes by one byte; a refactor that keeps the reports keeps
 every digest.  The digests were taken from a run of these same commands on
 the code before the window check was regrouped by shift class; the two
 `verify` digests were retaken when its reports gained the `ext_certificate`
-key, their only change.
+key, their only change.  The two `gamma` digests of preprojective_A 8, whose
+T reaches 28 of its cover's 56 summands where the smaller instances reach
+at most 6, were taken on the code that still solved hom(T, P') into the
+block-diagonal sum P' of those summands.
 """
 
 import hashlib
@@ -44,6 +47,8 @@ def _cases():
                        [command, (family, parameter, char), *extra])
     yield ("basechange-preprojective_A-4-with-preprojective_A-2-0",
            ["basechange", ("preprojective_A", 4, 0), "--with", ("preprojective_A", 2, 0)])
+    for char in (0, 32003):
+        yield (f"gamma-preprojective_A-8-{char}", ["gamma", ("preprojective_A", 8, char)])
     yield "verify-truncated_polynomial-3", ["verify", "truncated_polynomial", "3"]
     yield "verify-preprojective_A-2", ["verify", "preprojective_A", "2"]
 
@@ -120,6 +125,10 @@ DIGESTS = {
         "bdb457bf125933491a494a30b3e9fb018acd8ea27b9740236713406f4fd9e44b",
     "gamma-preprojective_A-4-32003":
         "792ecb1034fdf2fdf6986bdc4e8dd8ca7f6faa3a24ab056f2c8ca3226ff67be5",
+    "gamma-preprojective_A-8-0":
+        "13ebe1d7addbf074481a5b5f476b603c4b3d519ebe1fcc0aa7cea8dce3890f64",
+    "gamma-preprojective_A-8-32003":
+        "27a616360a82f1667c9c8060c19cf92844eaf3bf37d2a04cd216c26bec0a069d",
     "gamma-truncated_polynomial-2-0":
         "792a68108829014a1b38131e8734b54a440745d91fd2d87f186e00d42a37736e",
     "gamma-truncated_polynomial-2-32003":

@@ -138,17 +138,25 @@ def test_socle_skip_needs_self_injectivity(char):
 
 
 def built_from(monkeypatch):
-    """Patch ProjectiveCover.sum_over to record the summand indices of
-    every P' it builds."""
-    real = qshape.modules.ProjectiveCover.sum_over
+    """Patch the HomSpace that StableHomSpace solves with to record the
+    target module of every hom it solves, hom(m, n) itself first."""
+    real = qshape.stable.HomSpace
     built = []
 
-    def spy(cov, ts):
-        built.append(list(ts))
-        return real(cov, ts)
+    def spy(source, target):
+        built.append(target)
+        return real(source, target)
 
-    monkeypatch.setattr(qshape.modules.ProjectiveCover, "sum_over", spy)
+    monkeypatch.setattr(qshape.stable, "HomSpace", spy)
     return built
+
+
+def solved_into(built, cov):
+    """The indices, in solving order, of the summands of cov whose modules
+    the homs recorded after the first one, hom(m, n), solve into; a hom
+    into any module but a summand of cov fails the lookup."""
+    index = {id(s.module): t for t, s in enumerate(cov.summands)}
+    return [index[id(target)] for target in built[1:]]
 
 
 def socle_reached(m, cov):
@@ -160,9 +168,9 @@ def socle_reached(m, cov):
 @pytest.mark.parametrize("char", [0, 32003])
 def test_socle_degrees_decide_whether_hom_into_the_cover_is_solved(monkeypatch, char):
     # T of truncated_polynomial and exterior lives in degrees <= 0 and its
-    # cover's socles above 0, so P' has no summand and nothing is solved;
-    # T of preprojective_A 3 reaches 3 of its 6 summands, and hom(T, P')
-    # is solved over those
+    # cover's socles above 0, so it reaches no summand and nothing is
+    # solved; T of preprojective_A 3 reaches 3 of its 6 summands, and a hom
+    # is solved into each of those
     for family, n, reached in (("truncated_polynomial", 6, 0), ("exterior", 3, 0),
                                ("preprojective_A", 3, 3)):
         t = tilting_module(builtin(family, n, FieldSpec(char))).module
@@ -171,8 +179,9 @@ def test_socle_degrees_decide_whether_hom_into_the_cover_is_solved(monkeypatch, 
             built = built_from(patch)
             sh = StableHomSpace(t, t)
         assert sh.hom.dim > 0
-        assert built == [socle_reached(t, cov)]
-        assert len(built[0]) == reached < len(cov.summands)
+        assert built[0] is t
+        assert solved_into(built, cov) == socle_reached(t, cov)
+        assert len(built) - 1 == reached < len(cov.summands)
         assert bool(sh.factoring.dim) == bool(reached)
         assert sh.factoring.basis() == factoring_by_matrices(t, t)[1]
 
@@ -182,8 +191,8 @@ def test_socle_degrees_decide_whether_hom_into_the_cover_is_solved(monkeypatch, 
                                       ("preprojective_A", 5), ("exterior", 3),
                                       ("truncated_polynomial", 6)])
 def test_reachable_summands_factor_as_the_whole_cover(monkeypatch, family, n, char):
-    # the factoring subspace through P', the summands T and its syzygies
-    # reach, is the one through every summand of the cover
+    # the factoring subspace through the summands T and its syzygies
+    # reach, one summand at a time, is the one through the whole cover
     a = builtin(family, n, FieldSpec(char))
     t = tilting_module(a).module
     omega = syzygy(t)
@@ -194,19 +203,20 @@ def test_reachable_summands_factor_as_the_whole_cover(monkeypatch, family, n, ch
             del built[:]
             hom, coeffs = factoring_span(m, target)
             if hom.dim:
-                assert built == [socle_reached(m, cover_of(target))]
+                assert solved_into(built, cover_of(target)) == \
+                    socle_reached(m, cover_of(target))
             assert (hom.dim, coeffs) == factoring_by_matrices(m, target)
 
 
 @pytest.mark.parametrize("char", [0, 32003])
 def test_tilting_module_of_preprojective_a4_reaches_half_its_cover(monkeypatch, char):
-    # T of preprojective_A 4 reaches 6 of its 12 cover summands: P' has
-    # dim 30 of P's 60
+    # T of preprojective_A 4 reaches 6 of its 12 cover summands, of dim 30
+    # of P's 60
     t = tilting_module(builtin("preprojective_A", 4, FieldSpec(char))).module
     cov = cover_of(t)
     built = built_from(monkeypatch)
     sh = StableHomSpace(t, t)
-    (ts,) = built
+    ts = solved_into(built, cov)
     assert (len(ts), len(cov.summands)) == (6, 12)
     assert (sum(cov.summands[k].module.dim for k in ts), cov.dim) == (30, 60)
     assert sh.factoring.basis() == factoring_by_matrices(t, t)[1]
@@ -235,8 +245,8 @@ def test_every_summand_is_reachable_off_self_injective_non_negative(monkeypatch,
         hom, coeffs = factoring_span(m, n)
         cov = cover_of(n)
         if hom.dim:
-            assert built == [list(range(len(cov.summands)))]
-            if socle_reached(m, cov) != built[0]:
+            assert solved_into(built, cov) == list(range(len(cov.summands)))
+            if socle_reached(m, cov) != solved_into(built, cov):
                 reached_less.add(m.algebra)
         assert (hom.dim, coeffs) == factoring_by_matrices(m, n)
     # the degrees alone would have left a summand out, over each algebra
@@ -703,16 +713,19 @@ class TestExtCertificate:
             assert all(d >= 1 for d in m.degrees)
 
     @pytest.mark.parametrize("char", [0, 32003])
-    def test_certificate_fails_on_shifted_tilting_modules(self, char):
-        # the certificate is a sufficient condition cut between degrees 0
-        # and 1: T(-1) reaches degree 1, T(1) has its syzygy start at 0
+    def test_certificate_holds_on_shifted_tilting_modules(self, char):
+        # the certificate is the table's own degree test, which a shift
+        # does not change: T(-1) reaches degree 1 and its syzygy starts at
+        # 2, T(1) stops at -1 and its syzygy starts at 0; the independent
+        # reference finds both tables zero off zero
         t = tilting_module(builtin("exterior", 3, FieldSpec(char))).module
-        up = ExtCertificate(shift(t, -1))
-        assert up.as_dict() == {"tilting_max_degree": 1, "syzygy_min_degree": 2}
-        assert not up.holds
-        down = ExtCertificate(shift(t, 1))
-        assert down.as_dict() == {"tilting_max_degree": -1, "syzygy_min_degree": 0}
-        assert not down.holds
+        for j, report in ((-1, {"tilting_max_degree": 1, "syzygy_min_degree": 2}),
+                          (1, {"tilting_max_degree": -1, "syzygy_min_degree": 0})):
+            m = shift(t, j)
+            cert = ExtCertificate(m)
+            assert cert.as_dict() == report
+            assert cert.holds
+            assert all(cosyzygy_entry(m, m, i) == 0 for i in range(-3, 4) if i)
 
     def test_certificate_fails_where_the_table_is_nonzero(self):
         # over the dual numbers Omega S = S(-1), so S + S(-1) has Ext^1
