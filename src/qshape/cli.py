@@ -42,6 +42,7 @@ from .algebra import (
     QuiverPresentation,
     builtin,
     compile_quiver,
+    primitive_idempotents,
     sup_degree,
 )
 from .basechange import TensorAlgebra, base_change_hom_check, gamma_tensor, ungrade
@@ -379,7 +380,7 @@ def _witnesses(a, tilting):
     """The base-change witnesses by name: the regular module, each
     projective and simple, and the tilting module."""
     witnesses = {"regular": regular(a)}
-    for i in range(1, len(a.idempotents) + 1):
+    for i in range(1, len(primitive_idempotents(a)) + 1):
         witnesses[f"projective_{i}"] = projective(a, i)
         witnesses[f"simple_{i}"] = simple(a, i)
     witnesses["tilting"] = tilting

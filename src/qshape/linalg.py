@@ -17,10 +17,10 @@ class Echelon:
 
     Rows are kept fully reduced (pivot entry 1, pivot column eliminated
     from every other row), so the row set is the canonical reduced echelon
-    basis of the span.  Optional tags follow each row through the same row
-    operations, which lets callers express reduced vectors as combinations
-    of the inserted ones; the tags of the inserts that reduced to zero are
-    kept in `relations`, a basis of the linear relations among them.
+    basis of the span; a row's pivot is its least index.  Optional tags
+    follow each row through the same row operations, so callers can write
+    reduced vectors over the inserted ones; the inserts that reduced to
+    zero leave their tags in `relations`, a basis of their relations.
 
     holders maps each non-pivot column to the set of pivots whose rows have
     an entry there (no empty sets, no pivot columns), so an insert
@@ -155,6 +155,8 @@ def sparse_kernel(field, rows, ncols):
 
     One vector per free column, ascending.  A reduced row holds no pivot
     column but its own, so one pass over the entries fills every vector.
+    A free column's vector is 1 there and 0 at every other free column, and
+    as a pivot is its row's least index, it is the vector's largest index.
     """
     ech = Echelon(field)
     ech.extend(rows)
@@ -165,6 +167,21 @@ def sparse_kernel(field, rows, ncols):
             if col != p:
                 basis[col][p] = neg(x)
     return list(basis.values())
+
+
+def read_coords(field, vec, index, rows):
+    """Coordinates of vec over rows, row q being 1 at its column and 0 at
+    every other row's ({column: q} is index): vec's entries there, or None
+    when they do not rebuild vec.  Reduced echelon rows are such rows at
+    their pivots, `sparse_kernel`'s vectors at their free columns."""
+    axpy = field.axpy
+    coords, built = {}, {}
+    for col, x in vec.items():
+        q = index.get(col)
+        if q is not None:
+            coords[q] = x
+            axpy(built, rows[q], x)
+    return coords if built == vec else None
 
 
 def apply_row(field, vec, rows):

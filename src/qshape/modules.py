@@ -46,8 +46,8 @@ frees; each constructor wraps the data in a new module instead.
 
 Hom spaces are solved through projective presentations: a degree-0 map out
 of M is a choice of images for the generators of M (one slice of N per
-cover summand) that kills the kernel of the cover.  Each slice (N_d).e_i,
-and its tagged echelon, is solved once per module N and cached on it.
+cover summand) that kills the kernel of the cover.  Each slice (N_d).e_i
+is solved once per module N and cached on it.
 A generator of degree d lies in M_d, so when M and N share no degree every
 slice is zero and so is the hom: it is set to 0 with no cover of M and no
 system, and its presentation is set up only if a caller asks for it.  A
@@ -73,6 +73,7 @@ from .errors import NotNonNegativelyGraded
 from .linalg import (
     Echelon,
     apply_row,
+    read_coords,
     sparse_kernel,
     span_basis,
 )
@@ -306,8 +307,8 @@ def simple(a, i):
 
 def _slice_basis(m, i, d):
     """Basis of (M_d) . e_i, the degree-d part of M acted on by the i-th
-    idempotent (i is 1-based); solved once and cached on m.  A degree that
-    M lacks gives [] with nothing solved or cached."""
+    idempotent (i is 1-based): its reduced echelon basis, solved once and
+    cached on m.  A degree that M lacks gives [] with nothing solved."""
     key = ("slice", i, d)
     if key not in m._cache:
         rows = m.component_indices(d)
@@ -316,17 +317,6 @@ def _slice_basis(m, i, d):
         f = m.algebra.field
         e = primitive_idempotents(m.algebra)[i - 1]
         m._cache[key] = span_basis(f, [m.act({r: f.one()}, e) for r in rows])
-    return m._cache[key]
-
-
-def _slice_echelon(m, i, d):
-    """The slice basis of (M_d) . e_i in a tagged echelon, which expresses
-    a slice vector over that basis; eliminated once and cached on m."""
-    key = ("slice_echelon", i, d)
-    if key not in m._cache:
-        ech = Echelon(m.algebra.field, tagged=True)
-        ech.extend(_slice_basis(m, i, d))
-        m._cache[key] = ech
     return m._cache[key]
 
 
@@ -581,7 +571,7 @@ def syzygy_of(m):
 
 # the attributes that HomSpace._present sets
 _PRESENTATION = frozenset(
-    ("_cov", "_slice_keys", "slices", "offsets", "coord_dim", "_coord_vecs"))
+    ("_cov", "slices", "_pivots", "offsets", "coord_dim", "_coord_vecs"))
 
 
 class HomSpace:
@@ -597,13 +587,13 @@ class HomSpace:
     need generator images.  A map's matrix, its rows over N's coordinates,
     is built only on demand, by `map_of` from the generator images;
     `coords_of_matrix` goes back, and `basis_coeffs` expresses coordinates
-    over `basis_coords`.  The
-    slice bases and their tagged echelons are cached on N, so every hom
-    into N shares them, and a hom looks up the echelon of a summand the
-    first time an image there is expressed.  A hom between modules
-    that share no degree is 0 and builds neither the cover of M nor any
-    slice; `_present` sets them up on the first read of an attribute it
-    sets, so such a hom still rejects a nonzero generator image.
+    over `basis_coords`.  Both read coordinates with `linalg.read_coords`:
+    a slice row holds 1 at its pivot, its least index, and a basis map 1 at
+    its free column, its largest one.  The slice bases are cached on N, so
+    every hom into N shares them.  A hom between modules that share no
+    degree is 0 and builds neither the cover of M nor any slice; `_present`
+    sets them up on the first read of an attribute it sets, so such a hom
+    still rejects a nonzero generator image.
     """
 
     def __init__(self, source, target):
@@ -611,9 +601,8 @@ class HomSpace:
             raise ValueError("hom between modules over different algebras")
         self.source = source
         self.target = target
-        self._slice_echelons = {}  # summand -> its slice's tagged echelon, on first use
-        self._basis_ech = None
         self.basis_coords = []
+        self._free = {}  # the free column of basis map q -> q
         if set(source.degrees).isdisjoint(target.degrees):
             # every generator degree d of M is a degree of M, so each slice
             # (N_d).e_i is zero, and so is the hom: no cover, no system
@@ -643,6 +632,7 @@ class HomSpace:
                     for k, row in sys_rows.items()}
         self.basis_coords = sparse_kernel(f, [r for r in sys_rows.values() if r],
                                           self.coord_dim)
+        self._free = {max(c): q for q, c in enumerate(self.basis_coords)}
 
     def _present(self):
         """Set up the presentation: the cover of M, and per cover summand
@@ -650,8 +640,10 @@ class HomSpace:
         summand and hom that has it."""
         cov = cover_of(self.source)
         self._cov = cov
-        self._slice_keys = [(s.idem_index, s.gen_degree) for s in cov.summands]
-        self.slices = [_slice_basis(self.target, i, d) for i, d in self._slice_keys]
+        self.slices = [_slice_basis(self.target, s.idem_index, s.gen_degree)
+                       for s in cov.summands]
+        self._pivots = [{min(bvec): pos for pos, bvec in enumerate(basis)}
+                        for basis in self.slices]
         offsets = []
         total = 0
         for basis in self.slices:
@@ -698,20 +690,15 @@ class HomSpace:
         """Slice coordinates of the map sending cover generator t to
         images[t] and every generator the dict leaves out to 0; the
         coordinates follow the key order of images."""
-        echelons = self._slice_echelons
+        f = self.source.algebra.field
         coords = {}
         for t, img in images.items():
             if not img:
                 continue  # a zero image has no coordinates
-            ech = echelons.get(t)
-            if ech is None:
-                ech = echelons[t] = _slice_echelon(self.target, *self._slice_keys[t])
-            expr = ech.express(img)
+            expr = read_coords(f, img, self._pivots[t], self.slices[t])
             if expr is None:
                 raise ValueError("generator image leaves the idempotent slice")
-            off = self.offsets[t]
-            for pos, c in expr.items():
-                coords[off + pos] = c
+            coords.update((self.offsets[t] + pos, c) for pos, c in expr.items())
         return coords
 
     def map_of(self, images):
@@ -740,10 +727,8 @@ class HomSpace:
     def basis_coeffs(self, coords):
         """Coefficients over `basis_coords` of the map with these slice
         coordinates, or None if it is not a module map."""
-        if self._basis_ech is None:
-            self._basis_ech = Echelon(self.source.algebra.field, tagged=True)
-            self._basis_ech.extend(self.basis_coords)
-        return self._basis_ech.express(coords)
+        return read_coords(self.source.algebra.field, coords, self._free,
+                           self.basis_coords)
 
 
 def composition_table(field, images, matrices, coords_of_images):

@@ -215,11 +215,7 @@ class ExtCertificate:
         degrees = kernel_degrees(cover_of(m))
         self.top_degree = max(m.degrees, default=None)
         self.syzygy_min_degree = min(degrees, default=None)
-        self._holds = _decided(degrees, m)
-
-    @property
-    def holds(self):
-        return self._holds
+        self.holds = _decided(degrees, m)
 
     def as_dict(self):
         return {"tilting_max_degree": self.top_degree,

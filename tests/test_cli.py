@@ -298,7 +298,13 @@ class TestVerify:
         # verify stops with exit 1 naming the command, not 0 and not 5
         import qshape.stable
 
-        monkeypatch.setattr(qshape.stable.ExtCertificate, "holds", property(lambda self: False))
+        real_init = qshape.stable.ExtCertificate.__init__
+
+        def failing(self, m):
+            real_init(self, m)
+            self.holds = False
+
+        monkeypatch.setattr(qshape.stable.ExtCertificate, "__init__", failing)
         code, rep = run(capsys, ["verify", "truncated_polynomial", "3"])
         assert code == 1
         assert rep["command"] == "verify"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qshape.fields import FieldSpec, QQ, check_same_field
-from qshape.linalg import Echelon, apply_row, span_basis, sparse_kernel
+from qshape.linalg import Echelon, apply_row, read_coords, span_basis, sparse_kernel
 from qshape.modules import GradedModule
 
 from oracles import (
@@ -306,6 +306,37 @@ def test_echelon_reduce_and_express_match_naive_rref(vectors_probes_order, char)
                 rebuilt = [field.add(x, field.mul(c, field.coerce(y)))
                            for x, y in zip(rebuilt, inserted[j])]
             assert rebuilt == t
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(sparse_entries, min_size=n, max_size=n), min_size=1, max_size=6),
+            st.lists(st.lists(sparse_entries, min_size=n, max_size=n), min_size=1, max_size=4),
+        )
+    ),
+    st.sampled_from([0, 32003]),
+)
+def test_read_coords_match_express(vectors_probes, char):
+    # a reduced echelon basis read at its pivots (each row's least index),
+    # and a kernel basis read at its free columns (each vector's largest
+    # index), give what a tagged echelon of the same rows expresses: the
+    # coordinates of a span member, None off the span
+    vectors, probes = vectors_probes
+    field = FieldSpec(char)
+    n = len(vectors[0])
+    rows = span_basis(field, [vec_from_list(field, v) for v in vectors])
+    kernel = sparse_kernel(field, rows, n)
+    for basis, index in ((rows, {min(v): q for q, v in enumerate(rows)}),
+                         (kernel, {max(v): q for q, v in enumerate(kernel)})):
+        assert len(index) == len(basis)
+        ech = Echelon(field, tagged=True)
+        ech.extend(basis)
+        members = [apply_row(field, vec_from_list(field, p[:len(basis)]), dict(enumerate(basis)))
+                   for p in probes]
+        for vec in members + [vec_from_list(field, p) for p in probes]:
+            assert read_coords(field, vec, index, basis) == ech.express(vec)
 
 
 @settings(max_examples=80, deadline=None)

@@ -763,8 +763,8 @@ def test_homs_out_of_one_source_split_each_kernel_row_once(monkeypatch, char):
 
 @pytest.mark.parametrize("family,n,char", COVER_CASES)
 def test_homs_into_one_target_agree(family, n, char):
-    # a second hom into the same target reads the cached slices and their
-    # echelons; a copy of the target with no cache solves them afresh
+    # a second hom into the same target reads the cached slices; a copy of
+    # the target with no cache solves them afresh
     from qshape.modules import GradedModule
     from qshape.tilting import tilting_module
 
@@ -812,32 +812,112 @@ def test_images_read_only_the_nonzero_coordinates(family, n, char):
 
 
 @pytest.mark.parametrize("family,n,char", COVER_CASES)
-def test_coords_of_images_skips_zero_images(family, n, char, monkeypatch):
+def test_coords_of_images_skips_zero_images(family, n, char):
+    # a zero or absent image adds no coordinate: the images with zeros left
+    # out, the same with every summand padded by an explicit zero, and the
+    # coordinates they were read from all agree
     a = builtin(family, n, FieldSpec(char))
-    calls = []
-    real_express = Echelon.express
-
-    def counted(self, vec):
-        calls.append(dict(vec))
-        return real_express(self, vec)
-
-    monkeypatch.setattr(Echelon, "express", counted)
     zero_images = 0
     for hom in witness_homs(a):
         for c in sample_coords(hom):
             images = hom.images(c)
-            # a zero image is left out of the dict, and so is not expressed
             assert all(images.values())
             zero_images += len(hom.slices) - len(images)
-            calls.clear()
-            assert hom.coords_of_images(images) == c
-            assert calls == list(images.values())
-            # an explicit zero image is skipped as well
             padded = {t: images.get(t, {}) for t in range(len(hom.slices))}
-            calls.clear()
-            assert hom.coords_of_images(padded) == c
-            assert calls == list(images.values())
+            assert hom.coords_of_images(images) == hom.coords_of_images(padded) == c
+            for t in range(len(hom.slices)):
+                assert hom.coords_of_images({t: {}}) == {}
+                # each image adds the coordinates of its own slice only
+                block = range(hom.offsets[t], hom.offsets[t] + len(hom.slices[t]))
+                assert hom.coords_of_images({t: images.get(t, {})}) == \
+                    {q: x for q, x in c.items() if q in block}
     assert zero_images
+
+
+def tagged_echelon(field, vecs):
+    ech = Echelon(field, tagged=True)
+    ech.extend(vecs)
+    return ech
+
+
+def slice_coords_by_express(hom, images):
+    """Slice coordinates of these generator images through a tagged echelon
+    of each slice basis, or None when an image leaves its slice."""
+    f = hom.source.algebra.field
+    coords = {}
+    for t, img in images.items():
+        expr = tagged_echelon(f, hom.slices[t]).express(img)
+        if expr is None:
+            return None
+        coords.update((hom.offsets[t] + pos, x) for pos, x in expr.items())
+    return coords
+
+
+def near_slice_images(hom):
+    """(t, image) pairs just outside each nonzero slice: its first basis
+    vector plus a unit vector at a non-pivot column of the slice's support,
+    or at a coordinate of another degree, so the entries at the pivots are
+    a slice vector's and the rest is not; at most three per summand."""
+    f = hom.source.algebra.field
+    one = f.one()
+    degrees = hom.target.degrees
+    for t, (basis, s) in enumerate(zip(hom.slices, hom._cov.summands)):
+        if not basis:
+            continue
+        pivots = {min(b) for b in basis}
+        support = sorted({k for b in basis for k in b} - pivots)
+        other = [j for j, d in enumerate(degrees) if d != s.gen_degree][:1]
+        for j in (support[:2] + other):
+            yield t, vec_iadd_scaled(f, dict(basis[0]), {j: one}, one)
+
+
+@pytest.mark.parametrize("family,n,char", COVER_CASES)
+def test_coords_and_coeffs_match_tagged_echelon_oracle(family, n, char):
+    # slice coordinates and basis coefficients are read off reduced rows;
+    # a tagged echelon of the same rows expresses them by elimination, and
+    # rejects what leaves the span
+    a = builtin(family, n, FieldSpec(char))
+    f = a.field
+    rejected = near = 0
+    for hom in witness_homs(a):
+        basis_ech = tagged_echelon(f, hom.basis_coords)
+        for c in sample_coords(hom):
+            images = hom.images(c)
+            assert hom.coords_of_images(images) == slice_coords_by_express(hom, images)
+            expected = basis_ech.express(c)
+            assert hom.basis_coeffs(c) == expected
+            rejected += expected is None
+        for t, img in near_slice_images(hom):
+            assert slice_coords_by_express(hom, {t: img}) is None
+            with pytest.raises(ValueError, match="leaves the idempotent slice"):
+                hom.coords_of_images({t: img})
+            near += 1
+    assert rejected and near
+
+
+@pytest.mark.parametrize("family,n,char", COVER_CASES)
+def test_coordinates_off_the_hom_are_not_a_module_map(family, n, char):
+    # a slice coordinate vector that the hom's basis does not span is no
+    # module map: basis_coeffs says so, and the stable class of its images
+    # is refused
+    from qshape.stable import StableHomSpace
+
+    a = builtin(family, n, FieldSpec(char))
+    one = a.field.one()
+    checked = 0
+    for hom in witness_homs(a):
+        if hom.coord_dim == hom.dim:
+            continue
+        basis_ech = tagged_echelon(a.field, hom.basis_coords)
+        q = next(q for q in range(hom.coord_dim) if not basis_ech.contains({q: one}))
+        assert hom.basis_coeffs({q: one}) is None
+        stable = StableHomSpace(hom.source, hom.target)
+        with pytest.raises(ValueError, match="map is not a module map"):
+            stable._class_coords({q: one})
+        with pytest.raises(ValueError, match="map is not a module map"):
+            stable.class_coords_of_images(hom.images({q: one}))
+        checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("family,n,char", COVER_CASES)

@@ -10,7 +10,10 @@ the code before the window check was regrouped by shift class; the two
 key, their only change.  The two `gamma` digests of preprojective_A 8, whose
 T reaches 28 of its cover's 56 summands where the smaller instances reach
 at most 6, were taken on the code that still solved hom(T, P') into the
-block-diagonal sum P' of those summands.
+block-diagonal sum P' of those summands.  The four `gamma` digests of
+exterior 4 and truncated_polynomial 10, whose stable Ends compose many
+more pairs of representatives than the smaller instances, were taken on
+the code that still read hom coordinates through tagged echelons.
 """
 
 import hashlib
@@ -47,8 +50,11 @@ def _cases():
                        [command, (family, parameter, char), *extra])
     yield ("basechange-preprojective_A-4-with-preprojective_A-2-0",
            ["basechange", ("preprojective_A", 4, 0), "--with", ("preprojective_A", 2, 0)])
-    for char in (0, 32003):
-        yield (f"gamma-preprojective_A-8-{char}", ["gamma", ("preprojective_A", 8, char)])
+    for family, parameter in (("preprojective_A", 8), ("exterior", 4),
+                              ("truncated_polynomial", 10)):
+        for char in (0, 32003):
+            yield (f"gamma-{family}-{parameter}-{char}",
+                   ["gamma", (family, parameter, char)])
     yield "verify-truncated_polynomial-3", ["verify", "truncated_polynomial", "3"]
     yield "verify-preprojective_A-2", ["verify", "preprojective_A", "2"]
 
@@ -113,6 +119,10 @@ DIGESTS = {
         "7a668e5f1381feb4b8867899ae7e3412f51f71131726b740d2518e5cdbd8ebb2",
     "gamma-exterior-3-32003":
         "c51f3a80b4bd7920b8afb22e83c3265bc4e0ddedf22b6642629eb0ba8ca2582c",
+    "gamma-exterior-4-0":
+        "b6ea71b106d1aa99a43fe7a1e5ccef3006a71de8ad47d9df52f4d7e6fae3c766",
+    "gamma-exterior-4-32003":
+        "8a03128118794693daae1adb6f4a99aca7c27c58b03a96654bd4b2845940aac2",
     "gamma-preprojective_A-2-0":
         "4611f622c25c0b2ef8f000602202e6467725d920214414f6f0a6b322b48967d9",
     "gamma-preprojective_A-2-32003":
@@ -133,6 +143,10 @@ DIGESTS = {
         "792a68108829014a1b38131e8734b54a440745d91fd2d87f186e00d42a37736e",
     "gamma-truncated_polynomial-2-32003":
         "1e17110c499579e7a222726dddf5a2daede891bf8212b7180f6c3077b6ad0e74",
+    "gamma-truncated_polynomial-10-0":
+        "1627af9002cbccf6c7da0a6bd5f0ea89a22cd3475b80401ab06b6e9aac7640ed",
+    "gamma-truncated_polynomial-10-32003":
+        "1bfcb99d5bb37afea98346d8f424c36bdc83ceb673b68e38637b343f793a26ef",
     "gamma-truncated_polynomial-5-0":
         "e32f30a8eed5c0caf34089731129c4f86584811482eda868ed878d3db06590c6",
     "gamma-truncated_polynomial-5-32003":

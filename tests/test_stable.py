@@ -223,6 +223,26 @@ def test_tilting_module_of_preprojective_a4_reaches_half_its_cover(monkeypatch, 
 
 
 @pytest.mark.parametrize("char", [0, 32003])
+def test_a_factoring_map_that_is_no_module_map_is_refused(monkeypatch, char):
+    # the homs into the cover summands are given every slice vector as a
+    # basis map, module map or not: sent through the epi, one of them
+    # leaves hom(Omega T, Omega T), and the factoring subspace refuses it
+    omega = syzygy(tilting_module(builtin("preprojective_A", 3, FieldSpec(char))).module)
+    one = omega.algebra.field.one()
+
+    def loose(m, n):
+        hom = HomSpace(m, n)
+        if n is not omega:
+            hom.basis_coords = [{q: one} for q in range(hom.coord_dim)]
+        return hom
+
+    assert StableHomSpace(omega, omega).dim
+    monkeypatch.setattr(qshape.stable, "HomSpace", loose)
+    with pytest.raises(ValueError, match="factoring map escaped the hom space"):
+        StableHomSpace(omega, omega)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
 def test_every_summand_is_reachable_off_self_injective_non_negative(monkeypatch, char):
     # S_2(-1) reaches no socle degree of e_1.Lambda's cover over the two
     # arrow quiver, which is not self-injective, nor any over k[x]/x^3
