@@ -228,7 +228,13 @@ def _dumps(obj, indent=""):
 
 
 def _emit(report):
-    print(_dumps(report))
+    """Print the report; if the reader has closed stdout, point stdout at
+    the null device, so that neither this print nor the final flush at
+    exit fails, and let the command return its own exit code."""
+    try:
+        print(_dumps(report), flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _hypothesis_block(a, verdicts):
@@ -270,10 +276,12 @@ def cmd_tilt(args, seed):
     td = _gated(report, a, args.gldim_bound, tilting_module)
     if td is None:
         return EXIT_HYPOTHESIS
+    # summand i is T's coordinates from offsets[i] up to the next offset
+    spans = list(zip(td.offsets, td.offsets[1:] + [td.module.dim]))
     report["tilting"] = {
         "summand_count": td.ell,
-        "summand_dims": [s.dim for s in td.summands],
-        "summand_degrees": [sorted(set(s.degrees)) for s in td.summands],
+        "summand_dims": [end - off for off, end in spans],
+        "summand_degrees": [sorted(set(td.module.degrees[off:end])) for off, end in spans],
         "total_dim": td.module.dim,
     }
     _emit(report)

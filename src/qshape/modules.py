@@ -47,11 +47,9 @@ frees; each constructor wraps the data in a new module instead.
 Hom spaces are solved through projective presentations: a degree-0 map out
 of M is a choice of images for the generators of M (one slice of N per
 cover summand) that kills the kernel of the cover.  Each slice (N_d).e_i
-is solved once per module N and cached on it.
-A generator of degree d lies in M_d, so when M and N share no degree every
-slice is zero and so is the hom: it is set to 0 with no cover of M and no
-system, and its presentation is set up only if a caller asks for it.  A
-hom whose slices are all zero has no unknowns and builds no system.
+is solved once per module N and cached on it.  Every hom sets up its
+presentation when it is built; one whose slices are all zero (as when M
+and N share no degree) has no unknowns and builds no system.
 Maps stay in these generator coordinates: composing with another map only
 needs the images of the generators, and a map's matrix is built only when
 a caller asks for it.  A map's generator images are the dict {summand
@@ -569,11 +567,6 @@ def syzygy_of(m):
 # hom spaces
 # ---------------------------------------------------------------------------
 
-# the attributes that HomSpace._present sets
-_PRESENTATION = frozenset(
-    ("_cov", "slices", "_pivots", "offsets", "coord_dim", "_coord_vecs"))
-
-
 class HomSpace:
     """Basis of degree-0 module maps M -> N, kept in generator coordinates.
 
@@ -590,10 +583,8 @@ class HomSpace:
     over `basis_coords`.  Both read coordinates with `linalg.read_coords`:
     a slice row holds 1 at its pivot, its least index, and a basis map 1 at
     its free column, its largest one.  The slice bases are cached on N, so
-    every hom into N shares them.  A hom between modules that share no
-    degree is 0 and builds neither the cover of M nor any slice; `_present`
-    sets them up on the first read of an attribute it sets, so such a hom
-    still rejects a nonzero generator image.
+    every hom into N shares them.  The cover of M and the slices are set
+    up when the hom is built, whatever the degrees of M and N.
     """
 
     def __init__(self, source, target):
@@ -601,13 +592,27 @@ class HomSpace:
             raise ValueError("hom between modules over different algebras")
         self.source = source
         self.target = target
+        # the presentation: the cover of M, and per cover summand the slice
+        # (N_d).e_i, solved once per target and shared by every summand and
+        # hom that has it
+        self._cov = cover_of(source)
+        self.slices = [_slice_basis(target, s.idem_index, s.gen_degree)
+                       for s in self._cov.summands]
+        self._pivots = [{min(bvec): pos for pos, bvec in enumerate(basis)}
+                        for basis in self.slices]
+        offsets = []
+        total = 0
+        for basis in self.slices:
+            offsets.append(total)
+            total += len(basis)
+        self.offsets = offsets
+        self.coord_dim = total
+        # slice coordinate q -> (summand, slice vector), so `images` reads
+        # only the coordinates a map has
+        self._coord_vecs = [(t, bvec) for t, basis in enumerate(self.slices)
+                            for bvec in basis]
         self.basis_coords = []
         self._free = {}  # the free column of basis map q -> q
-        if set(source.degrees).isdisjoint(target.degrees):
-            # every generator degree d of M is a degree of M, so each slice
-            # (N_d).e_i is zero, and so is the hom: no cover, no system
-            return
-        self._present()
         if not self.coord_dim:
             return  # every slice is zero: no unknowns, so no system
         f = source.algebra.field
@@ -633,36 +638,6 @@ class HomSpace:
         self.basis_coords = sparse_kernel(f, [r for r in sys_rows.values() if r],
                                           self.coord_dim)
         self._free = {max(c): q for q, c in enumerate(self.basis_coords)}
-
-    def _present(self):
-        """Set up the presentation: the cover of M, and per cover summand
-        the slice (N_d).e_i, solved once per target and shared by every
-        summand and hom that has it."""
-        cov = cover_of(self.source)
-        self._cov = cov
-        self.slices = [_slice_basis(self.target, s.idem_index, s.gen_degree)
-                       for s in cov.summands]
-        self._pivots = [{min(bvec): pos for pos, bvec in enumerate(basis)}
-                        for basis in self.slices]
-        offsets = []
-        total = 0
-        for basis in self.slices:
-            offsets.append(total)
-            total += len(basis)
-        self.offsets = offsets
-        self.coord_dim = total
-        # slice coordinate q -> (summand, slice vector), so `images` reads
-        # only the coordinates a map has
-        self._coord_vecs = [(t, bvec) for t, basis in enumerate(self.slices)
-                            for bvec in basis]
-
-    def __getattr__(self, name):
-        # only reached for an attribute not yet set: a hom that is zero by
-        # degree sets up its presentation on first use
-        if name in _PRESENTATION:
-            self._present()
-            return self.__dict__[name]
-        raise AttributeError(name)
 
     @property
     def dim(self):

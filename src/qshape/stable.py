@@ -226,7 +226,8 @@ class StableEnd:
     """The stable endomorphism algebra of a module, with class coordinates.
 
     Multiplication is "first map then second map" (matrix product in the
-    row convention).  The unit is the class of the identity.  Products come
+    row convention).  The unit is the class of the identity, whose
+    generator images are the cover generators themselves.  Products come
     from composition_table: composed in generator coordinates (the
     generator images of the first map, sent through the matrix of the
     second, are the generator images of the composite), and skipped as
@@ -261,6 +262,5 @@ class StableEnd:
         if m.is_zero() or dim == 0:
             self.algebra = GradedAlgebra(f, [], [], {}, idempotents=idems)
         else:
-            identity = {r: {r: f.one()} for r in range(m.dim)}
-            unit = self.stable.class_coords_of_matrix(identity)
+            unit = self.stable.class_coords_of_images(dict(enumerate(cover_of(m).generators)))
             self.algebra = GradedAlgebra(f, [0] * dim, mult, unit, idempotents=idems)

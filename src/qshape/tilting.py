@@ -71,17 +71,18 @@ def require_hypotheses(a, gldim_bound=DEFAULT_GLDIM_BOUND):
 
 
 class TiltingData:
-    """Summands T_i = Lambda(i)_{<=0}, their direct sum, the offset of each
-    summand's coordinates in the sum, and the verdicts of the gate that let
-    them be built."""
+    """The direct sum T of the summands T_i = Lambda(i)_{<=0}, the offset of
+    each summand's coordinates in T, and the verdicts of the gate that let
+    T be built.  The summands are not kept beside T: T_i is read off T as
+    its coordinates from offsets[i] up to the next offset (or T's end),
+    which hold T_i's basis vectors and degrees in order."""
 
-    def __init__(self, algebra, summands, module, offsets, hypotheses):
+    def __init__(self, algebra, module, offsets, hypotheses):
         self.algebra = algebra
-        self.summands = summands
         self.module = module
         self.offsets = offsets
         self.hypotheses = hypotheses
-        self.ell = len(summands)
+        self.ell = len(offsets)
 
     def vertex_projectors(self):
         """(i, matrix) per summand i and vertex v: the endomorphism of the
@@ -118,13 +119,11 @@ def tilting_module(a, gldim_bound=DEFAULT_GLDIM_BOUND):
     """
     verdicts = require_hypotheses(a, gldim_bound)
     ell = sup_degree(a) if a.dim else 0
-    summands = []
-    for i in range(ell):
-        summands.append(truncate_le(shift(regular(a), i), 0))
-    if not summands:
-        return TiltingData(a, [], zero_module(a), [], verdicts)
-    module, offsets = direct_sum(summands)
-    return TiltingData(a, summands, module, offsets, verdicts)
+    if ell < 1:
+        return TiltingData(a, zero_module(a), [], verdicts)
+    module, offsets = direct_sum([truncate_le(shift(regular(a), i), 0)
+                                  for i in range(ell)])
+    return TiltingData(a, module, offsets, verdicts)
 
 
 class GammaData:

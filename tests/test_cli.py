@@ -503,6 +503,23 @@ class TestDeterminism:
         code, rep = run(capsys, ["check", f])
         assert rep["seed"] == 7
 
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # the reader takes the head of a report far longer than a pipe's
+        # buffer and closes the pipe, as `| head -c 600` does; the command
+        # drops the rest of its report and exits with its own code
+        f = write_builtin(tmp_path, "truncated_polynomial", 12)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "qshape.cli", "gamma", f], env=env,
+                                bufsize=0, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(600)  # one read of at most 600 bytes
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 0
+        assert head.startswith(b"{") and stderr == b""
+
     def test_reports_do_not_depend_on_the_hash_seed(self, tmp_path):
         # string hashes change with PYTHONHASHSEED, so a report that follows
         # the order of a set or dict of names would change with it; the

@@ -456,10 +456,12 @@ def test_composition_tables_match_all_pairs(monkeypatch, family, n, char):
     td = tilting_module(a)
     t, lam = td.module, regular(a)
     omega = syzygy(t)
+    # summand i of T is its coordinates from offsets[i] up to the next offset
+    dims = [e - o for o, e in zip(td.offsets, td.offsets[1:] + [t.dim])]
     cases = [
-        (t, [s.dim for s in td.summands]),
-        (direct_sum([t, lam])[0], [s.dim for s in td.summands] + [lam.dim]),
-        (direct_sum([omega, t])[0], [omega.dim] + [s.dim for s in td.summands]),
+        (t, dims),
+        (direct_sum([t, lam])[0], dims + [lam.dim]),
+        (direct_sum([omega, t])[0], [omega.dim] + dims),
     ]
     stable_calls = counted_compositions(monkeypatch, qshape.stable)
     # the oracle reads composition_table from qshape.modules when called

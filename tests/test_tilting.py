@@ -1,5 +1,7 @@
 """Tilting module, its stable endomorphism algebra, references, fingerprints."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,11 +11,20 @@ from qshape.algebra import (
     compile_quiver,
     jacobson_radical,
     primitive_idempotents,
+    sup_degree,
     zero_algebra,
 )
 from qshape.errors import HypothesisViolated
 from qshape.fields import FieldSpec, QQ
-from qshape.modules import is_projective, projective, shift, truncate_le
+from qshape.modules import (
+    GradedModule,
+    is_projective,
+    projective,
+    regular,
+    restrict,
+    shift,
+    truncate_le,
+)
 from qshape.tilting import (
     GATE,
     GammaData,
@@ -57,7 +68,7 @@ class TestTiltingModule:
 
     def test_truncated_cubic_dims(self):
         td = tilting_module(trunc(3))
-        assert [s.dim for s in td.summands] == [1, 2]
+        assert [e - o for o, e in zip(td.offsets, td.offsets[1:] + [td.module.dim])] == [1, 2]
         assert td.module.dim == 3
 
     def test_semisimple_gives_zero(self):
@@ -105,6 +116,37 @@ class TestTiltingModule:
         assert exc.value.which == next(k for k in GATE if not verdicts[k])
         assert exc.value.which == "finite_global_dimension"
         assert str(exc.value) == "hypothesis violated: finite_global_dimension"
+
+
+BUILTINS = ([("truncated_polynomial", n) for n in (2, 3, 6, 10)]
+            + [("preprojective_A", n) for n in (1, 2, 3, 4)]
+            + [("exterior", n) for n in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("family,n", BUILTINS)
+def test_summands_are_read_off_t(family, n, char):
+    # T_i = Lambda(i)_{<=0} is T restricted to its coordinates from
+    # offsets[i] up to the next offset, or T's end
+    a = builtin(family, n, FieldSpec(char))
+    td = tilting_module(a)
+    assert td.ell == len(td.offsets) == (sup_degree(a) if a.dim else 0)
+    ends = td.offsets[1:] + [td.module.dim]
+    for i, (off, end) in enumerate(zip(td.offsets, ends)):
+        assert module_equal(restrict(td.module, range(off, end)),
+                            truncate_le(shift(regular(a), i), 0))
+
+
+@pytest.mark.parametrize("family,n", [("preprojective_A", 3), ("exterior", 3),
+                                      ("truncated_polynomial", 6)])
+def test_tilting_module_keeps_no_summand_beside_t(family, n):
+    # the summands are passed to direct_sum and dropped: T is the only
+    # module over the algebra that tilting_module leaves alive
+    a = builtin(family, n, QQ)
+    td = tilting_module(a)
+    gc.collect()
+    live = [x for x in gc.get_objects() if isinstance(x, GradedModule) and x.algebra is a]
+    assert len(live) == 1 and live[0] is td.module
 
 
 class TestGamma:
