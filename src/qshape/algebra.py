@@ -957,8 +957,10 @@ def primitive_idempotents(a):
 
     Every construction that knows its idempotents declares them: quiver
     vertices (the Auslander reference's are the interval modules), the
-    (i, v) summands of the tilting module in Gamma, the pairs (i, e_v) of
-    the subcategory reference, the pairs e (x) g in a tensor algebra.
+    non-projective (i, v) summands of the tilting module in Gamma (the
+    class of each block projector of T', see `tilting.GammaData`), the
+    pairs (i, e_v) of the subcategory reference, the pairs e (x) g in a
+    tensor algebra.
     They are not searched for; an algebra given by bare structure
     constants has none, and asking for them raises ValueError.
     Construction checks that a declared set consists of orthogonal

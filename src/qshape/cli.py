@@ -61,6 +61,7 @@ from .tilting import (
     reference_subcategory_algebra,
     reference_upper_triangular,
     tilting_module,
+    tilting_sum,
 )
 from .window import QWindow, check_window_properties
 
@@ -384,14 +385,16 @@ def cmd_window(args, seed):
     return EXIT_OK if rep["all_pass"] else EXIT_FAILED_CHECK
 
 
-def _witnesses(a, tilting):
+def _witnesses(a):
     """The base-change witnesses by name: the regular module, each
-    projective and simple, and the tilting module."""
+    projective and simple, and the tilting module T, built with no gate
+    (the caller's Gamma ran it); T and not Gamma's T', since graded homs,
+    unlike stable ones, see the projective summands."""
     witnesses = {"regular": regular(a)}
     for i in range(1, len(primitive_idempotents(a)) + 1):
         witnesses[f"projective_{i}"] = projective(a, i)
         witnesses[f"simple_{i}"] = simple(a, i)
-    witnesses["tilting"] = tilting
+    witnesses["tilting"] = tilting_sum(a)[0]
     return witnesses
 
 
@@ -423,7 +426,7 @@ def cmd_basechange(args, seed):
     gamma = _gated(report, a, args.gldim_bound, GammaData)
     if gamma is None:
         return EXIT_HYPOTHESIS
-    checks, gt = _base_change(a, _witnesses(a, gamma.tilting.module), coeff, gamma)
+    checks, gt = _base_change(a, _witnesses(a), coeff, gamma)
     all_pass = all(res["pass"] for res in checks.values())
     report["hom_checks"] = checks
     report["all_hom_checks_pass"] = all_pass
@@ -446,7 +449,8 @@ def _verify_one_field(family, parameter, field):
     verdicts["gamma_dim"] = gamma.algebra.dim
     verdicts["comparison"] = {"reference": ref_name, "verdict": cmp_verdict.as_dict()}
 
-    cert = ExtCertificate(gamma.tilting.module)
+    # Omega of a projective summand is 0, so T' has the certificate of T
+    cert = ExtCertificate(gamma.stable_end.module)
     if not cert.holds:
         raise ValueError(f"Ext degree certificate fails: {cert.as_dict()}")
     verdicts["ext_certificate"] = cert.as_dict()
@@ -463,7 +467,7 @@ def _verify_one_field(family, parameter, field):
             "dual_numbers": ungrade(builtin("truncated_polynomial", 2, field)),
             "upper_triangular_2": reference_upper_triangular(2, field),
         }
-        witnesses = _witnesses(a, gamma.tilting.module)
+        witnesses = _witnesses(a)
         bc_pass = True
         for coeff in coeffs.values():
             checks, gt = _base_change(a, witnesses, coeff, gamma)

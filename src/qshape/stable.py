@@ -32,6 +32,8 @@ module such as the tilting module vanishes off zero at every range; the
 table of T never takes Omega T.
 """
 
+from bisect import bisect_right
+
 from .algebra import GradedAlgebra
 from .errors import NotSelfInjective
 from .linalg import Echelon
@@ -101,18 +103,11 @@ class StableHomSpace:
         """Slice coordinates (see HomSpace) of the representative maps."""
         return [self.hom.basis_coords[q] for q in self.rep_positions]
 
-    def class_coords_of_matrix(self, matrix_rows):
-        """Coordinates of the stable class of a map, over the representatives."""
-        return self._class_coords(self.hom.coords_of_matrix(matrix_rows))
-
     def class_coords_of_images(self, images):
-        """Class coordinates of the map sending cover generator t of the
-        source to images[t], {summand index: nonzero image} as
-        HomSpace.images gives them."""
-        return self._class_coords(self.hom.coords_of_images(images))
-
-    def _class_coords(self, coords):
-        c = self.hom.basis_coeffs(coords)
+        """Coordinates over the representatives of the stable class of the
+        map sending cover generator t of the source to images[t],
+        {summand index: nonzero image} as HomSpace.images gives them."""
+        c = self.hom.basis_coeffs(self.hom.coords_of_images(images))
         if c is None:
             raise ValueError("map is not a module map in this hom space")
         residual = self.factoring.reduce(c)
@@ -238,14 +233,13 @@ class StableEnd:
     the 14,400 pairs are composed.  Each representative's nonzero generator
     images are read once, and its matrix is built from them.
 
-    `idempotent_maps`, when given, are matrices of endomorphisms of m whose
-    nonzero stable classes form a complete set of primitive orthogonal
-    idempotents; those classes are declared on the algebra, and
-    `idempotent_classes` keeps the class of every map, zero or not, in the
-    order given.
+    `offsets`, when given, are the first coordinates of the blocks of m as
+    a direct sum, each with a local stable End; the class of each block's
+    projector, which sends each cover generator to its coordinates in the
+    block, is declared, in order.  A zero class (a projective block) raises.
     """
 
-    def __init__(self, m, idempotent_maps=None):
+    def __init__(self, m, offsets=None):
         f = m.algebra.field
         self.module = m
         self.stable = StableHomSpace(m, m)
@@ -254,13 +248,18 @@ class StableEnd:
         reps = [hom.map_of(x) for x in images]
         dim = len(reps)
         mult = composition_table(f, images, reps, self.stable.class_coords_of_images)
+        generators = cover_of(m).generators
         idems = None
-        if idempotent_maps is not None:
-            self.idempotent_classes = [self.stable.class_coords_of_matrix(p)
-                                       for p in idempotent_maps]
-            idems = [e for e in self.idempotent_classes if e]
+        if offsets is not None:
+            blocks = [{} for _ in offsets]
+            for t, gen in enumerate(generators):
+                for k, c in gen.items():
+                    blocks[bisect_right(offsets, k) - 1].setdefault(t, {})[k] = c
+            idems = [self.stable.class_coords_of_images(b) for b in blocks]
+            if not all(idems):
+                raise ValueError("a block is projective: its stable class is zero")
         if m.is_zero() or dim == 0:
             self.algebra = GradedAlgebra(f, [], [], {}, idempotents=idems)
         else:
-            unit = self.stable.class_coords_of_images(dict(enumerate(cover_of(m).generators)))
+            unit = self.stable.class_coords_of_images(dict(enumerate(generators)))
             self.algebra = GradedAlgebra(f, [0] * dim, mult, unit, idempotents=idems)

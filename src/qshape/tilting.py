@@ -25,7 +25,6 @@ from .algebra import (
     global_dimension_bounded,
     jacobson_radical,
     primitive_idempotents,
-    right_support,
     sup_degree,
     zero_algebra,
     EXCEEDS_BOUND,
@@ -34,6 +33,7 @@ from .errors import HypothesisViolated, NonSplitSemisimpleQuotient
 from .modules import (
     direct_sum,
     is_self_injective,
+    projective,
     regular,
     shift,
     truncate_le,
@@ -84,31 +84,6 @@ class TiltingData:
         self.hypotheses = hypotheses
         self.ell = len(offsets)
 
-    def vertex_projectors(self):
-        """(i, matrix) per summand i and vertex v: the endomorphism of the
-        sum that is left multiplication by e_v on T_i and zero elsewhere.
-
-        Left multiplication by e_v is a map of right modules that keeps
-        degrees, so it passes to the truncation; it projects T_i onto the
-        summand (e_v Lambda(i))_{<=0}.  By `truncate_le`, the coordinates
-        of T_i are the basis vectors of degree <= i, in index order, and
-        e_v b_k stays among them.  The nonzero products e_v b_k are formed
-        once, for the k of `right_support`; the others are zero.
-        """
-        a = self.algebra
-        left = []  # per e_v, {k: e_v b_k} over the nonzero products
-        for e in primitive_idempotents(a):
-            prods = {k: a.product(e, a.basis_vec(k)) for k in right_support(a, e)}
-            left.append({k: p for k, p in prods.items() if p})
-        out = []
-        for i, off in enumerate(self.offsets):
-            kept = [k for k in range(a.dim) if a.degrees[k] <= i]
-            pos = {k: off + r for r, k in enumerate(kept)}
-            for prods in left:
-                out.append((i, {pos[k]: {pos[j]: c for j, c in prods[k].items()}
-                                for k in kept if k in prods}))
-        return out
-
 
 def tilting_module(a, gldim_bound=DEFAULT_GLDIM_BOUND):
     """Direct sum of the degree-<=0 truncations of the first ell shifts.
@@ -118,40 +93,51 @@ def tilting_module(a, gldim_bound=DEFAULT_GLDIM_BOUND):
     degree of zero yields the zero module.
     """
     verdicts = require_hypotheses(a, gldim_bound)
+    return TiltingData(a, *tilting_sum(a), verdicts)
+
+
+def tilting_sum(a):
+    """(T, offsets) as `tilting_module` builds them, with no gate: for a
+    caller that has run it already."""
     ell = sup_degree(a) if a.dim else 0
     if ell < 1:
-        return TiltingData(a, zero_module(a), [], verdicts)
-    module, offsets = direct_sum([truncate_le(shift(regular(a), i), 0)
-                                  for i in range(ell)])
-    return TiltingData(a, module, offsets, verdicts)
+        return zero_module(a), []
+    return direct_sum([truncate_le(shift(regular(a), i), 0) for i in range(ell)])
 
 
 class GammaData:
     """Stable endomorphism algebra of the tilting module, with block data.
 
-    Gamma's primitive idempotents are known before Gamma is built: they are
-    the nonzero stable classes of the vertex projectors.  The summand
-    (e_v Lambda(i))_{<=0} is a quotient of an indecomposable projective, so
-    it has a simple top and a local endomorphism ring; its projector's class
-    is zero when the summand is projective and primitive otherwise.
-    `block_idempotents[i]`, the class of the projector onto T_i, is the sum
-    of the classes of its vertex projectors.  `hypotheses` are the verdicts
-    of the gate that `tilting_module` runs.
+    Projectives are zero in the stable category (Happel 1988, ch. I), so
+    Gamma is the stable End of T', the direct sum in (i, v) order of the
+    vertex summands (e_v Lambda(i))_{<=0} of T that are not projective; T
+    is neither built nor kept.  The summand is e_v Lambda(i) exactly when
+    i >= the top degree of e_v Lambda, read off `projective(a, v).degrees`
+    with no cover; otherwise it is a proper quotient of e_v Lambda(i), with
+    a simple top and a local endomorphism ring, so its block projector's
+    class is primitive, and `StableEnd` declares one per block.
+    `block_idempotents[i]`, the class of the projector onto T_i, sums the
+    classes of the blocks with shift i.  `hypotheses` are the verdicts of
+    the gate, run once.
 
     Not kept on the algebra: the caller holds Gamma and passes it to every
-    later reader (base change, Gamma tensor A), so Gamma and T are freed
+    later reader (base change, Gamma tensor A), so Gamma and T' are freed
     when the caller drops them.
     """
 
     def __init__(self, a, gldim_bound=DEFAULT_GLDIM_BOUND):
         f = a.field
-        self.tilting = tilting_module(a, gldim_bound)
-        self.hypotheses = self.tilting.hypotheses
-        projectors = self.tilting.vertex_projectors()
-        self.stable_end = StableEnd(self.tilting.module, [p for _, p in projectors])
+        self.hypotheses = require_hypotheses(a, gldim_bound)
+        ell = sup_degree(a) if a.dim else 0
+        projectives = [projective(a, v) for v in range(1, len(primitive_idempotents(a)) + 1)]
+        parts = [(i, p) for i in range(ell) for p in projectives if i < max(p.degrees)]
+        # empty only when ell is 0: the e_v Lambda of top degree ell gives (0, v)
+        module, offsets = (direct_sum([truncate_le(shift(p, i), 0) for i, p in parts])
+                           if parts else (zero_module(a), []))
+        self.stable_end = StableEnd(module, offsets)
         self.algebra = self.stable_end.algebra
-        self.block_idempotents = [{} for _ in range(self.tilting.ell)]
-        for (i, _), e in zip(projectors, self.stable_end.idempotent_classes):
+        self.block_idempotents = [{} for _ in range(ell)]
+        for (i, _), e in zip(parts, self.algebra.idempotents):
             f.axpy(self.block_idempotents[i], e, f.one())
 
 

@@ -36,8 +36,10 @@ from qshape's modules and covers, the envelopes as the second route the
 stable tests check syzygies against, the quotients and tops as the
 reference for qshape's truncations and simples, `factoring_by_matrices`
 solves hom into the whole cover and composes matrices, as the reference
-for the stable hom's factoring through the summands a source reaches, and
-`negatively_graded_algebras` builds two small inputs with a negative
+for the stable hom's factoring through the summands a source reaches,
+`nonprojective_summands` decides by cover which vertex summands of the
+tilting module are projective, as the reference for Gamma's degree rule,
+and `negatively_graded_algebras` builds two small inputs with a negative
 degree from their structure constants.  Matrices are as in
 qshape: the dict {row index: nonzero row}, so a map is its nonzero rows
 over the target's coordinates, keyed by source basis vector, and an
@@ -1358,6 +1360,24 @@ def end_algebra(m, idempotent_maps=None):
     if idempotent_maps is not None:
         idems = [hom.basis_coeffs(hom.coords_of_matrix(p)) for p in idempotent_maps]
     return GradedAlgebra(f, [0] * dim, mult, unit, idempotents=idems)
+
+
+def nonprojective_summands(a):
+    """(pairs, module, offsets): the pairs (i, v), 0 <= i < top degree,
+    in (i, v) order, whose vertex summand (e_v Lambda(i))_{<=0} of the
+    tilting module is not projective, decided by its cover, and the direct
+    sum of those summands with the offset of each."""
+    from qshape.algebra import sup_degree
+    from qshape.modules import direct_sum, is_projective, projective, shift, truncate_le
+
+    pairs, summands = [], []
+    for i in range(sup_degree(a)):
+        for v in range(1, len(a.idempotents) + 1):
+            m = truncate_le(shift(projective(a, v), i), 0)
+            if not is_projective(m):
+                pairs.append((i, v))
+                summands.append(m)
+    return (pairs, *direct_sum(summands))
 
 
 def interval_auslander(m, field):

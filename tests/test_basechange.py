@@ -171,12 +171,11 @@ def basechange_witnesses(lam):
     """The witnesses `qshape basechange` checks: Λ, its projectives and
     simples, and the tilting module T."""
     from qshape.modules import projective
-    from qshape.tilting import GammaData
 
     out = [regular(lam)]
     for i in range(1, len(lam.idempotents) + 1):
         out += [projective(lam, i), simple(lam, i)]
-    out.append(GammaData(lam).tilting.module)
+    out.append(tilting_module(lam).module)
     return out
 
 

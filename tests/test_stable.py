@@ -29,6 +29,7 @@ from qshape.stable import (
     ExtCertificate,
     StableEnd,
     StableHomSpace,
+    _reachable_summands,
     stable_ext_table,
 )
 from qshape.tilting import GammaData, tilting_module
@@ -220,6 +221,24 @@ def test_tilting_module_of_preprojective_a4_reaches_half_its_cover(monkeypatch, 
     assert (len(ts), len(cov.summands)) == (6, 12)
     assert (sum(cov.summands[k].module.dim for k in ts), cov.dim) == (30, 60)
     assert sh.factoring.basis() == factoring_by_matrices(t, t)[1]
+
+
+NONPROJECTIVE_GRID = ([("preprojective_A", n) for n in range(3, 6)]
+                      + [("exterior", 3), ("truncated_polynomial", 5)])
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("family, n", NONPROJECTIVE_GRID)
+def test_no_endomorphism_of_the_nonprojective_summands_factors(family, n, char):
+    # a nonzero map into a cover summand e_w Lambda(j) contains its socle,
+    # in degree top_w - j >= 1 as (e_w Lambda(j))_{<=0} is not projective,
+    # and T' lives in degrees <= 0: T' reaches no summand of its cover, so
+    # its stable End is its graded End and no hom into a projective is solved
+    se = GammaData(builtin(family, n, FieldSpec(char))).stable_end
+    t1 = se.module
+    assert se.stable.factoring.dim == 0
+    assert se.algebra.dim == se.stable.hom.dim
+    assert not _reachable_summands(t1, cover_of(t1))
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -416,7 +435,7 @@ def test_composition_table_sends_only_nonzero_images_through_a_matrix(monkeypatc
     monkeypatch.setattr(qshape.modules, "apply_row", spy_apply)
     monkeypatch.setattr(qshape.stable, "composition_table", spy_table)
     gamma = GammaData(builtin("truncated_polynomial", 16, QQ))
-    summands = len(cover_of(gamma.tilting.module).summands)
+    summands = len(cover_of(gamma.stable_end.module).summands)
     (images, matrices, coords_of_images, table), = tables
     expected, reference = [], []
     for imgs in images:
@@ -476,7 +495,8 @@ def test_composition_tables_match_all_pairs(monkeypatch, family, n, char):
         dim = len(reps)
         for i in range(dim):
             for j in range(dim):
-                product = se.stable.class_coords_of_matrix(sparse_matmul(f, reps[i], reps[j]))
+                composed = hom.coords_of_matrix(sparse_matmul(f, reps[i], reps[j]))
+                product = se.stable.class_coords_of_images(hom.images(composed))
                 assert se.algebra.mult[i].get(j, {}) == product
                 cross_composed |= bool(product) and crosses_summands(reps[i], block)
         skipped |= len(stable_calls) < dim * dim
@@ -694,10 +714,10 @@ class TestFreedWhenDropped:
         assert stable_ext_table(m, n, 8) == self.TABLE
         assert len(built) == 4
 
-    def test_gamma_and_tilting_module(self):
+    def test_gamma_and_its_nonprojective_summands(self):
         a = builtin("exterior", 3, QQ)
         g = GammaData(a)
-        refs = [weakref.ref(g), weakref.ref(g.tilting.module), weakref.ref(g.algebra)]
+        refs = [weakref.ref(g), weakref.ref(g.stable_end.module), weakref.ref(g.algebra)]
         del g
         assert a.dim == 8  # the algebra is alive, and nothing on it keeps Gamma
         assert all(r() is None for r in refs)
@@ -717,8 +737,8 @@ class TestExtCertificate:
     @pytest.mark.parametrize("char", [0, 32003])
     @pytest.mark.parametrize("family, n", CERTIFIED)
     def test_certificate_agrees_with_the_computed_table(self, family, n, char):
-        gamma = GammaData(builtin(family, n, FieldSpec(char)))
-        t = gamma.tilting.module
+        a = builtin(family, n, FieldSpec(char))
+        gamma, t = GammaData(a), tilting_module(a).module
         cert = ExtCertificate(t)
         assert cert.holds
         # the table stops its tower by the certificate's own degree
@@ -748,6 +768,18 @@ class TestExtCertificate:
             assert cert.as_dict() == report
             assert cert.holds
             assert all(cosyzygy_entry(m, m, i) == 0 for i in range(-3, 4) if i)
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    @pytest.mark.parametrize("family, n", NONPROJECTIVE_GRID)
+    def test_the_nonprojective_summands_have_the_certificate_of_t(self, family, n, char):
+        # Omega of a projective summand is 0, so T' has T's degree
+        # certificate and stable Ext table; `verify` certifies on T'
+        a = builtin(family, n, FieldSpec(char))
+        t1, t = GammaData(a).stable_end.module, tilting_module(a).module
+        # only preprojective_A has projective vertex summands
+        assert (t1.dim < t.dim) == (family == "preprojective_A")
+        assert ExtCertificate(t1).as_dict() == ExtCertificate(t).as_dict()
+        assert stable_ext_table(t1, t1, 3) == stable_ext_table(t, t, 3)
 
     def test_certificate_fails_where_the_table_is_nonzero(self):
         # over the dual numbers Omega S = S(-1), so S + S(-1) has Ext^1

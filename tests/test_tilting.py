@@ -18,7 +18,6 @@ from qshape.errors import HypothesisViolated
 from qshape.fields import FieldSpec, QQ
 from qshape.modules import (
     GradedModule,
-    is_projective,
     projective,
     regular,
     restrict,
@@ -48,6 +47,7 @@ from oracles import (
     interval_auslander,
     module_equal,
     naive_cartan,
+    nonprojective_summands,
     opposite,
     socle,
     vec_iadd_scaled,
@@ -380,24 +380,30 @@ class TestGammaIdempotents:
 
 
 @pytest.mark.parametrize("char", [0, 32003])
-@pytest.mark.parametrize("family,n", [("truncated_polynomial", 5), ("preprojective_A", 3),
-                                      ("exterior", 3)])
+@pytest.mark.parametrize("family,n", [("preprojective_A", n) for n in range(3, 6)]
+                         + [("exterior", 3), ("truncated_polynomial", 5)])
 def test_gamma_idempotents_are_the_nonprojective_vertex_summands(family, n, char):
-    # one declared idempotent per non-projective (e_v Lambda(i))_{<=0}, and
-    # the classes for each i sum to block_idempotents[i]
+    # the degree rule agrees with the cover on every (i, v); Gamma declares
+    # one nonzero idempotent per non-projective (e_v Lambda(i))_{<=0}, the
+    # class of its block projector; the classes for each i sum to
+    # block_idempotents[i], and those sum to the unit
     a = builtin(family, n, FieldSpec(char))
     f = a.field
-    s = len(a.idempotents)
+    ell = sup_degree(a)
+    pairs, blocks, offsets = nonprojective_summands(a)
+    assert pairs == [(i, v) for i in range(ell) for v in range(1, len(a.idempotents) + 1)
+                     if i < max(projective(a, v).degrees)]
     gamma = GammaData(a)
-    projectors = gamma.tilting.vertex_projectors()
-    classes = gamma.stable_end.idempotent_classes
-    assert len(classes) == len(projectors) == gamma.tilting.ell * s
-    assert gamma.algebra.idempotents == [e for e in classes if e]
-    sums = [{} for _ in range(gamma.tilting.ell)]
-    for k, ((i, _), e) in enumerate(zip(projectors, classes)):
-        assert i == k // s
-        summand = truncate_le(shift(projective(a, k % s + 1), i), 0)
-        assert bool(e) == (not is_projective(summand))
+    assert module_equal(blocks, gamma.stable_end.module)
+    stable = gamma.stable_end.stable
+    idems = gamma.algebra.idempotents
+    assert len(idems) == len(pairs) and all(idems)
+    for e, off, end in zip(idems, offsets, offsets[1:] + [blocks.dim]):
+        projector = {r: {r: f.one()} for r in range(off, end)}
+        assert e == stable.class_coords_of_images(
+            stable.hom.images(stable.hom.coords_of_matrix(projector)))
+    sums = [{} for _ in range(ell)]
+    for (i, _), e in zip(pairs, idems):
         vec_iadd_scaled(f, sums[i], e, f.one())
     assert sums == gamma.block_idempotents
     total = {}
