@@ -34,11 +34,9 @@ from .modules import (
     is_projective,
     is_self_injective,
     projective,
+    projective_sum,
     regular,
-    shift,
     simple,
-    truncate_le,
-    zero_module,
 )
 from .stable import (
     ExtCertificate,

@@ -277,12 +277,17 @@ def cmd_tilt(args, seed):
     td = _gated(report, a, args.gldim_bound, tilting_module)
     if td is None:
         return EXIT_HYPOTHESIS
-    # summand i is T's coordinates from offsets[i] up to the next offset
-    spans = list(zip(td.offsets, td.offsets[1:] + [td.module.dim]))
+    # summand i is the sum of T's blocks with shift i, each block being T's
+    # coordinates from its offset up to the next offset
+    dims, degrees = {}, {}
+    ends = td.offsets[1:] + [td.module.dim]
+    for (_, i, _), off, end in zip(td.blocks, td.offsets, ends):
+        dims[i] = dims.get(i, 0) + end - off
+        degrees.setdefault(i, set()).update(td.module.degrees[off:end])
     report["tilting"] = {
-        "summand_count": td.ell,
-        "summand_dims": [end - off for off, end in spans],
-        "summand_degrees": [sorted(set(td.module.degrees[off:end])) for off, end in spans],
+        "summand_count": len(dims),
+        "summand_dims": list(dims.values()),
+        "summand_degrees": [sorted(d) for d in degrees.values()],
         "total_dim": td.module.dim,
     }
     _emit(report)
@@ -394,7 +399,7 @@ def _witnesses(a):
     for i in range(1, len(primitive_idempotents(a)) + 1):
         witnesses[f"projective_{i}"] = projective(a, i)
         witnesses[f"simple_{i}"] = simple(a, i)
-    witnesses["tilting"] = tilting_sum(a)[0]
+    witnesses["tilting"] = tilting_sum(a)
     return witnesses
 
 

@@ -6,13 +6,15 @@ map is its row matrix in the same convention, the nonzero rows over the
 target's coordinates keyed by source basis vector.  Every matrix is the
 dict of its nonzero rows, as `linalg` defines matrices, so a module or a
 map costs its nonzero rows and not its dimension.
-All constructions (submodules, restrictions, sums, shifts, truncations,
-simples, covers) produce explicit bases with homogeneous coordinates, so
-equality of submodules and membership tests are canonical.  The one
-quotient is `restrict`, by a span of basis vectors that the caller knows
-to be a submodule: a truncation drops the degrees above a bound.  A simple
-is read off the characters of Lambda/rad, which the declared idempotents
-span when the algebra is basic.
+All constructions (submodules, sums of projectives, simples, covers)
+produce explicit bases with homogeneous coordinates, so equality of
+submodules and membership tests are canonical.  Every sum that the
+package builds, the tilting module, its non-projective part and a
+cover's P, is a `projective_sum`: a direct sum of shifts e_v.Lambda(j)
+and their truncations (e_v.Lambda(j))_{<=n}, read off the cached data of
+each e_v.Lambda in one pass.  A truncation is the one quotient: it drops
+the degrees above a bound.  A simple is read off the characters of
+Lambda/rad, which the declared idempotents span when the algebra is basic.
 
 A cover P -> M keeps its epi as `epi_rows`, the nonzero images in M of the
 basis vectors of P, and eliminates the images once, in a tagged echelon: the rank
@@ -128,10 +130,6 @@ class GradedModule:
         return f"GradedModule(dim={self.dim}, degrees={sorted(set(self.degrees))})"
 
 
-def zero_module(algebra):
-    return GradedModule(algebra, [], [{} for _ in range(algebra.dim)])
-
-
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -192,62 +190,39 @@ def row_index(matrices):
     return live
 
 
-def restrict(m, keep):
-    """The module on the basis vectors `keep` of m, in increasing index
-    order: each action row is m's row with the dropped columns removed.
+def projective_sum(a, blocks):
+    """(module, offsets): the direct sum, in order, of the truncations
+    (e_v Lambda(j))_{<=n} over the blocks (v, j, n), v 1-based, and the
+    first coordinate of each block in it.
 
-    This is the quotient of m by the span of the dropped basis vectors, so
-    the caller must know that span to be a submodule; no closure is checked.
+    Each block is read off the cached data of e_v Lambda in one pass: the
+    basis vectors of degree d with d - j <= n are kept, in order, in degree
+    d - j, and each action row is copied once, cut to the kept positions,
+    its keys taken from the block's one position map.  Within an action
+    matrix the rows come in block order, and within a block in e_v Lambda's.
+    Dropping the degrees above n is the quotient by the span of the dropped
+    vectors, a submodule when the action never lowers degrees; so a block
+    that drops a vector raises NotNonNegativelyGraded over an algebra with
+    a negative degree.  A block that drops nothing is the shift
+    e_v Lambda(j) itself, over any grading.
     """
-    pos = {k: r for r, k in enumerate(keep)}
-    action = [{pos[k]: kept for k, row in mat.items() if k in pos
-               if (kept := {pos[s]: c for s, c in row.items() if s in pos})}
-              for mat in m.action]
-    return GradedModule(m.algebra, [m.degrees[k] for k in keep], action)
-
-
-def direct_sum(summands):
-    """(module, offsets) of a finite direct sum: the block-diagonal module
-    and the first coordinate of each summand in it.  The inclusion of a
-    summand sends its row r to row offset + r of the sum, and the
-    projection onto it reads those rows back."""
-    if not summands:
-        raise ValueError("direct_sum needs at least one summand")
-    a = summands[0].algebra
-    for m in summands[1:]:
-        if not same_algebra(a, m.algebra):
-            raise ValueError("summands live over different algebras")
-    offsets = []
-    total = 0
-    for m in summands:
-        offsets.append(total)
-        total += m.dim
-    degrees = [d for m in summands for d in m.degrees]
-    action = []
-    for bidx in range(a.dim):
-        mat = {}
-        for m, off in zip(summands, offsets):
-            for r, row in m.action[bidx].items():
-                mat[off + r] = {off + s: c for s, c in row.items()}
-        action.append(mat)
+    degrees, offsets = [], []
+    action = [{} for _ in range(a.dim)]
+    for v, j, n in blocks:
+        _, block_degrees, block_action = _projective_data(a, v)
+        offsets.append(len(degrees))
+        pos = {}
+        for r, d in enumerate(block_degrees):
+            if d - j <= n:
+                pos[r] = len(degrees)
+                degrees.append(d - j)
+        if len(pos) < len(block_degrees) and not a.is_nonnegatively_graded():
+            raise NotNonNegativelyGraded("truncation needs a non-negatively graded algebra")
+        for mat, block_mat in zip(action, block_action):
+            for r, row in block_mat.items():
+                if r in pos and (kept := {pos[s]: c for s, c in row.items() if s in pos}):
+                    mat[pos[r]] = kept
     return GradedModule(a, degrees, action), offsets
-
-
-def shift(m, j):
-    """Regrading: the new degree-d component is the old degree-(d+j) one."""
-    if j == 0:
-        return m
-    return GradedModule(m.algebra, [d - j for d in m.degrees], m.action)
-
-
-def truncate_le(m, n):
-    """The quotient by components in degrees > n: the restriction of m to
-    its basis vectors of degree <= n, which are its coordinates in index
-    order.  The action never lowers degrees, the grading being
-    non-negative, so the dropped vectors span a submodule."""
-    if not m.algebra.is_nonnegatively_graded():
-        raise NotNonNegativelyGraded("truncation needs a non-negatively graded algebra")
-    return restrict(m, [i for i in range(m.dim) if m.degrees[i] <= n])
 
 
 def projective(a, i):
@@ -360,9 +335,9 @@ class ProjectiveCover:
 
     P = sum of the summands is described by `dim` and `degrees`, read off
     the summands; summand t has the coordinates from `_offsets[t]` on.
-    `module`, the block-diagonal sum, is built on each access and not
-    kept: only `syzygy_of` acts on P.  The cover holds no reference to the
-    module it covers, which caches the cover.
+    `module`, the `projective_sum` of the summands' blocks, is built on
+    each access and not kept: only `syzygy_of` acts on P.  The cover holds
+    no reference to the module it covers, which caches the cover.
 
     `terms_by_summand` and `kernel_by_summand` cut the section preimages
     of the basis vectors of M and the kernel rows into summand blocks, read
@@ -461,11 +436,11 @@ class ProjectiveCover:
 
     @property
     def module(self):
-        """P as the direct sum of every summand, built on each access; the
+        """P, the sum of the summands e_v.Lambda(-d) as the blocks
+        (v, -d, top degree), which drop nothing; built on each access.  The
         cover of the zero module has no summand, and P is zero."""
-        if not self.summands:
-            return zero_module(self._algebra)
-        return direct_sum([s.module for s in self.summands])[0]
+        return projective_sum(self._algebra, [(s.idem_index, -s.gen_degree, s.top_degree)
+                                              for s in self.summands])[0]
 
     def epi_image(self, t, vec):
         """The image in M of a vector of summand t, given in the summand's

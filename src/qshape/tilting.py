@@ -3,16 +3,18 @@ stable endomorphism algebra, per-family reference algebras and
 isomorphism-evidence fingerprints.
 
 For a non-negatively graded self-injective algebra with a degree-0 part of
-finite global dimension, the tilting module is the direct sum of the
-degree-<=0 truncations of the shifted regular modules, one summand per
-positive degree below the top.  No reference algebra goes through the hom
-solver or the composition table that build Gamma: the upper triangular
-algebra and the Auslander algebra of linear A_m are compiled from quivers
-with relations (the latter from its Auslander-Reiten quiver with the mesh
-relations), and the subcategory algebra multiplies graded slices of the
-input.  Fingerprint agreement of the computed endomorphism algebra with a
-reference is evidence for an isomorphism, not a proof: only invariants are
-compared.
+finite global dimension, the tilting module T is the direct sum of the
+truncations T_i = Lambda(i)_{<=0}, 0 <= i < the top degree.  Lambda is the
+sum of its vertex summands e_v Lambda, so T is the `projective_sum` of the
+blocks (e_v Lambda(i))_{<=0} in (i, v) order, and Gamma's T' is the same
+sum over the blocks that are not projective.  No reference algebra goes
+through the hom solver or the composition table that build Gamma: the
+upper triangular algebra and the Auslander algebra of linear A_m are
+compiled from quivers with relations (the latter from its Auslander-Reiten
+quiver with the mesh relations), and the subcategory algebra multiplies
+graded slices of the input.  Fingerprint agreement of the computed
+endomorphism algebra with a reference is evidence for an isomorphism, not
+a proof: only invariants are compared.
 """
 
 from .algebra import (
@@ -30,15 +32,7 @@ from .algebra import (
     EXCEEDS_BOUND,
 )
 from .errors import HypothesisViolated, NonSplitSemisimpleQuotient
-from .modules import (
-    direct_sum,
-    is_self_injective,
-    projective,
-    regular,
-    shift,
-    truncate_le,
-    zero_module,
-)
+from .modules import is_self_injective, projective, projective_sum
 from .stable import StableEnd
 
 
@@ -71,51 +65,54 @@ def require_hypotheses(a, gldim_bound=DEFAULT_GLDIM_BOUND):
 
 
 class TiltingData:
-    """The direct sum T of the summands T_i = Lambda(i)_{<=0}, the offset of
-    each summand's coordinates in T, and the verdicts of the gate that let
-    T be built.  The summands are not kept beside T: T_i is read off T as
-    its coordinates from offsets[i] up to the next offset (or T's end),
-    which hold T_i's basis vectors and degrees in order."""
+    """The tilting module T as the `projective_sum` of `blocks`, with the
+    first coordinate of each block in T, and the verdicts of the gate that
+    let T be built.  The blocks (v, i, 0) of `tilting_blocks` are the
+    vertex summands (e_v Lambda(i))_{<=0}; T_i = Lambda(i)_{<=0} is the run
+    of blocks with shift i, and no summand is kept beside T."""
 
-    def __init__(self, algebra, module, offsets, hypotheses):
+    def __init__(self, algebra, blocks, module, offsets, hypotheses):
         self.algebra = algebra
+        self.blocks = blocks
         self.module = module
         self.offsets = offsets
         self.hypotheses = hypotheses
-        self.ell = len(offsets)
+
+
+def tilting_blocks(a):
+    """The blocks (v, i, 0) of T, 0 <= i < the top degree, in (i, v)
+    order: T_i = Lambda(i)_{<=0} is the sum of its vertex summands."""
+    ell = sup_degree(a) if a.dim else 0
+    vertices = range(1, len(primitive_idempotents(a)) + 1)
+    return [(v, i, 0) for i in range(ell) for v in vertices]
 
 
 def tilting_module(a, gldim_bound=DEFAULT_GLDIM_BOUND):
-    """Direct sum of the degree-<=0 truncations of the first ell shifts.
-
-    All three standing hypotheses are verified first, and their verdicts
-    are kept as `hypotheses`; violations raise HypothesisViolated.  A top
-    degree of zero yields the zero module.
-    """
+    """T, after all three standing hypotheses are verified; their verdicts
+    are kept as `hypotheses`, and violations raise HypothesisViolated.  A
+    top degree of zero yields the zero module."""
     verdicts = require_hypotheses(a, gldim_bound)
-    return TiltingData(a, *tilting_sum(a), verdicts)
+    blocks = tilting_blocks(a)
+    return TiltingData(a, blocks, *projective_sum(a, blocks), verdicts)
 
 
 def tilting_sum(a):
-    """(T, offsets) as `tilting_module` builds them, with no gate: for a
-    caller that has run it already."""
-    ell = sup_degree(a) if a.dim else 0
-    if ell < 1:
-        return zero_module(a), []
-    return direct_sum([truncate_le(shift(regular(a), i), 0) for i in range(ell)])
+    """T as `tilting_module` builds it, with no gate: for a caller that has
+    run it already."""
+    return projective_sum(a, tilting_blocks(a))[0]
 
 
 class GammaData:
     """Stable endomorphism algebra of the tilting module, with block data.
 
     Projectives are zero in the stable category (Happel 1988, ch. I), so
-    Gamma is the stable End of T', the direct sum in (i, v) order of the
-    vertex summands (e_v Lambda(i))_{<=0} of T that are not projective; T
-    is neither built nor kept.  The summand is e_v Lambda(i) exactly when
-    i >= the top degree of e_v Lambda, read off `projective(a, v).degrees`
-    with no cover; otherwise it is a proper quotient of e_v Lambda(i), with
-    a simple top and a local endomorphism ring, so its block projector's
-    class is primitive, and `StableEnd` declares one per block.
+    Gamma is the stable End of T', the `projective_sum` of the blocks of T
+    that are not projective; T is neither built nor kept.  The block
+    (e_v Lambda(i))_{<=0} is e_v Lambda(i) exactly when i >= the top degree
+    of e_v Lambda, read off `projective(a, v).degrees` with no cover;
+    otherwise it is a proper quotient of e_v Lambda(i), with a simple top
+    and a local endomorphism ring, so its block projector's class is
+    primitive, and `StableEnd` declares one per block.
     `block_idempotents[i]`, the class of the projector onto T_i, sums the
     classes of the blocks with shift i.  `hypotheses` are the verdicts of
     the gate, run once.
@@ -128,16 +125,12 @@ class GammaData:
     def __init__(self, a, gldim_bound=DEFAULT_GLDIM_BOUND):
         f = a.field
         self.hypotheses = require_hypotheses(a, gldim_bound)
-        ell = sup_degree(a) if a.dim else 0
-        projectives = [projective(a, v) for v in range(1, len(primitive_idempotents(a)) + 1)]
-        parts = [(i, p) for i in range(ell) for p in projectives if i < max(p.degrees)]
-        # empty only when ell is 0: the e_v Lambda of top degree ell gives (0, v)
-        module, offsets = (direct_sum([truncate_le(shift(p, i), 0) for i, p in parts])
-                           if parts else (zero_module(a), []))
-        self.stable_end = StableEnd(module, offsets)
+        blocks = [(v, i, n) for v, i, n in tilting_blocks(a)
+                  if i < max(projective(a, v).degrees)]
+        self.stable_end = StableEnd(*projective_sum(a, blocks))
         self.algebra = self.stable_end.algebra
-        self.block_idempotents = [{} for _ in range(ell)]
-        for (i, _), e in zip(parts, self.algebra.idempotents):
+        self.block_idempotents = [{} for _ in range(sup_degree(a) if a.dim else 0)]
+        for (_, i, _), e in zip(blocks, self.algebra.idempotents):
             f.axpy(self.block_idempotents[i], e, f.one())
 
 

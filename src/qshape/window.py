@@ -82,12 +82,13 @@ class QWindow:
         return dict(self.idempotents[q[0] - 1])
 
     def dims_table(self):
-        return {
-            f"({q[0]},{q[1]})->({qp[0]},{qp[1]})": dim
-            for q in self.objects
-            for qp in self.objects
-            if (dim := self.hom_dim(q, qp))
-        }
+        """{"(i,j)->(i',j')": dim hom} over the window's pairs with a
+        nonzero hom.  A nonzero hom has a shift class (i, i', d) with a
+        slice, and 0 <= d <= the top degree, so only the pairs that realise
+        those classes are read, not every ordered pair of objects."""
+        return {f"({s},{j})->({t},{j + d})": len(rows)
+                for (s, t, d), rows in self._slice.items()
+                for j in range(self.lo, self.hi - d + 1)}
 
 
 def _by_shift_class(a, corner_bases):

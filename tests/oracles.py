@@ -14,6 +14,8 @@ keeps the earlier quiver compiler, which spans the relation ideal pair of
 paths by pair of paths, as the reference for the Gröbner-basis compiler,
 `per_object_window_properties` keeps the earlier window check, which works
 object pair by object pair, as the reference for the shift-class check,
+and `all_pairs_dims_table` the earlier hom dims table, which looks up every
+ordered pair of window objects,
 `all_pairs_radical` and `all_pairs_center` keep the radical and center
 loops that formed every pair of products, as the reference for the ones
 that form only the pairs whose supports meet a stored product,
@@ -29,9 +31,12 @@ decides them against its own epi echelon,
 `vec_iadd_scaled`, `vec_scale` and `module_act` keep the sparse row
 operations as one field op call per entry, as the reference for the
 kernels `FieldSpec` binds per field and for the fused `GradedModule.act`,
-and the module references at the end (module and map checks, the maps of a
-direct sum, duals over the opposite algebra, socles, general quotients and
-tops, injective envelopes, cosyzygies and restriction of scalars) are built
+the generic shifts, truncations, restrictions and direct sums that built
+T, T' and a cover's P before `projective_sum` keep their earlier
+construction as its reference, and the module references at the end
+(module and map checks, the maps of a direct sum, duals over the opposite
+algebra, socles, general quotients and tops, injective envelopes,
+cosyzygies and restriction of scalars) are built
 from qshape's modules and covers, the envelopes as the second route the
 stable tests check syzygies against, the quotients and tops as the
 reference for qshape's truncations and simples, `factoring_by_matrices`
@@ -808,7 +813,7 @@ def _per_shift_serre_of_object(a, i, j):
     shifted by j.  The left action on the dual is (b . f)(x) = f(x b)."""
     from qshape.algebra import primitive_idempotents
     from qshape.errors import NotSelfInjective
-    from qshape.modules import Submodule, dual_of_regular, is_self_injective, shift
+    from qshape.modules import Submodule, dual_of_regular, is_self_injective
 
     if not is_self_injective(a):
         raise NotSelfInjective("Serre check requested on a non-self-injective algebra")
@@ -997,6 +1002,18 @@ def per_object_window_properties(w, serre_check=True):
 # scalars, over qshape's modules
 # ---------------------------------------------------------------------------
 
+def all_pairs_dims_table(w):
+    """The window's hom dims table as it was read before it kept to the
+    shift classes with a slice: every ordered pair of objects is looked
+    up, and the pairs with a nonzero hom are kept."""
+    return {
+        f"({q[0]},{q[1]})->({qp[0]},{qp[1]})": dim
+        for q in w.objects
+        for qp in w.objects
+        if (dim := w.hom_dim(q, qp))
+    }
+
+
 def sparse_matmul(field, a_rows, b_rows):
     """Row-convention product: result row r = sum_m a[r][m] * b[m], an
     absent row of b being zero, and the zero rows of the result left out."""
@@ -1089,13 +1106,89 @@ def validate_map(source, target, matrix):
             raise ValueError("map does not commute with the action")
 
 
+# The generic module constructions that built T, T' and a cover's P before
+# `qshape.modules.projective_sum` read every such sum off the data of the
+# e_v Lambda in one pass, kept as its reference: a block is
+# truncate_le(shift(projective(a, v), j), n), and the sum is direct_sum.
+
+def zero_module(algebra):
+    from qshape.modules import GradedModule
+
+    return GradedModule(algebra, [], [{} for _ in range(algebra.dim)])
+
+
+def restrict(m, keep):
+    """The module on the basis vectors `keep` of m, in increasing index
+    order: each action row is m's row with the dropped columns removed.
+
+    This is the quotient of m by the span of the dropped basis vectors, so
+    the caller must know that span to be a submodule; no closure is checked.
+    """
+    from qshape.modules import GradedModule
+
+    pos = {k: r for r, k in enumerate(keep)}
+    action = [{pos[k]: kept for k, row in mat.items() if k in pos
+               if (kept := {pos[s]: c for s, c in row.items() if s in pos})}
+              for mat in m.action]
+    return GradedModule(m.algebra, [m.degrees[k] for k in keep], action)
+
+
+def direct_sum(summands):
+    """(module, offsets) of a finite direct sum: the block-diagonal module
+    and the first coordinate of each summand in it.  The inclusion of a
+    summand sends its row r to row offset + r of the sum, and the
+    projection onto it reads those rows back."""
+    from qshape.algebra import same_algebra
+    from qshape.modules import GradedModule
+
+    if not summands:
+        raise ValueError("direct_sum needs at least one summand")
+    a = summands[0].algebra
+    for m in summands[1:]:
+        if not same_algebra(a, m.algebra):
+            raise ValueError("summands live over different algebras")
+    offsets = []
+    total = 0
+    for m in summands:
+        offsets.append(total)
+        total += m.dim
+    degrees = [d for m in summands for d in m.degrees]
+    action = []
+    for bidx in range(a.dim):
+        mat = {}
+        for m, off in zip(summands, offsets):
+            for r, row in m.action[bidx].items():
+                mat[off + r] = {off + s: c for s, c in row.items()}
+        action.append(mat)
+    return GradedModule(a, degrees, action), offsets
+
+
+def shift(m, j):
+    """Regrading: the new degree-d component is the old degree-(d+j) one."""
+    from qshape.modules import GradedModule
+
+    if j == 0:
+        return m
+    return GradedModule(m.algebra, [d - j for d in m.degrees], m.action)
+
+
+def truncate_le(m, n):
+    """The quotient by components in degrees > n: the restriction of m to
+    its basis vectors of degree <= n, which are its coordinates in index
+    order.  The action never lowers degrees, the grading being
+    non-negative, so the dropped vectors span a submodule."""
+    from qshape.errors import NotNonNegativelyGraded
+
+    if not m.algebra.is_nonnegatively_graded():
+        raise NotNonNegativelyGraded("truncation needs a non-negatively graded algebra")
+    return restrict(m, [i for i in range(m.dim) if m.degrees[i] <= n])
+
+
 def sum_maps(summands):
     """(module, inclusions, projections) of the direct sum of summands,
     with the maps taken from its offsets: the inclusion of a summand sends
     its row r to row offset + r, and the projection reads those rows
     back and sends every other row to zero."""
-    from qshape.modules import direct_sum
-
     total, offsets = direct_sum(summands)
     one = total.algebra.field.one()
     inclusions, projections = [], []
@@ -1325,7 +1418,7 @@ def _interval_modules(a, m):
     In the path basis a path times e_j is the path itself or 0, so the
     rows of e_j are unit vectors or absent; e_j.Lambda.e_k is 0 for k > j,
     so the dropped paths span a submodule."""
-    from qshape.modules import projective, restrict
+    from qshape.modules import projective
 
     out = []
     for i in range(1, m + 1):
@@ -1368,7 +1461,7 @@ def nonprojective_summands(a):
     tilting module is not projective, decided by its cover, and the direct
     sum of those summands with the offset of each."""
     from qshape.algebra import sup_degree
-    from qshape.modules import direct_sum, is_projective, projective, shift, truncate_le
+    from qshape.modules import is_projective, projective
 
     pairs, summands = [], []
     for i in range(sup_degree(a)):
@@ -1388,7 +1481,6 @@ def interval_auslander(m, field):
     Each interval module is indecomposable with End = k, so the projectors
     onto the summands are its primitive idempotents; the projector onto a
     summand is the identity on its rows of the sum and zero elsewhere."""
-    from qshape.modules import direct_sum
     from qshape.tilting import reference_upper_triangular
 
     a = reference_upper_triangular(m, field)

@@ -15,7 +15,7 @@ from qshape.algebra import (
     jacobson_radical,
     primitive_idempotents,
 )
-from qshape.errors import NotSelfInjective
+from qshape.errors import NotNonNegativelyGraded, NotSelfInjective
 from qshape.fields import FieldSpec, QQ
 from qshape.linalg import Echelon, apply_row
 from qshape.modules import (
@@ -23,18 +23,15 @@ from qshape.modules import (
     ProjectiveCover,
     Submodule,
     cover_of,
-    direct_sum,
     dual_of_regular,
     is_projective,
     is_self_injective,
     kernel_degrees,
     projective,
+    projective_sum,
     regular,
-    shift,
     simple,
     syzygy_of,
-    truncate_le,
-    zero_module,
 )
 
 from oracles import (
@@ -43,6 +40,7 @@ from oracles import (
     cosyzygy_of,
     cover_fields,
     dense_images,
+    direct_sum,
     dual_module,
     epi_kernel,
     injective_envelope,
@@ -55,15 +53,18 @@ from oracles import (
     nonprojective_summands,
     QuotientModule,
     radical_submodule_span,
+    shift,
     socle,
     sparse_matmul,
     submodule_by_express,
     sum_maps,
     top,
+    truncate_le,
     uncached_slice_basis,
     validate_map,
     validate_module,
     vec_iadd_scaled,
+    zero_module,
 )
 
 GF = FieldSpec(32003)
@@ -163,6 +164,67 @@ class TestTruncation:
             for cut in range(-i - 1, top_degree - i + 1):
                 drop = [{r: one} for r in range(m.dim) if m.degrees[r] > cut]
                 assert module_equal(truncate_le(m, cut), QuotientModule(m, drop).module)
+
+
+PROJECTIVE_SUM_CASES = [("preprojective_A", 1), ("preprojective_A", 3), ("preprojective_A", 5),
+                        ("exterior", 3), ("truncated_polynomial", 6)]
+
+
+def rows_in_order(m):
+    """Each action matrix as its (row, entry keys) pairs, in insertion order."""
+    return [[(r, list(row)) for r, row in mat.items()] for mat in m.action]
+
+
+def assert_same_sum(m, ref):
+    assert module_equal(m, ref)
+    assert rows_in_order(m) == rows_in_order(ref)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("family,n", PROJECTIVE_SUM_CASES)
+def test_projective_sum_is_the_direct_sum_of_truncated_shifts(family, n, char):
+    # block (v, j, cut) is truncate_le(shift(projective(a, v), j), cut),
+    # empty blocks included, with its rows in the same order; a list of
+    # blocks is their direct_sum, with the same offsets
+    a = builtin(family, n, FieldSpec(char))
+    top_degree = max(a.degrees)
+    blocks = [(v, j, cut) for v in range(1, len(primitive_idempotents(a)) + 1)
+              for j in range(-1, top_degree + 2) for cut in range(-1, top_degree + 1)]
+    refs = [truncate_le(shift(projective(a, v), j), cut) for v, j, cut in blocks]
+    for block, ref in zip(blocks, refs):
+        m, offsets = projective_sum(a, [block])
+        assert offsets == [0]
+        assert_same_sum(m, ref)
+    m, offsets = projective_sum(a, blocks)
+    ref, ref_offsets = direct_sum(refs)
+    assert offsets == ref_offsets
+    assert_same_sum(m, ref)
+    m, offsets = projective_sum(a, [])
+    assert offsets == [] and module_equal(m, zero_module(a))
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_cover_module_over_a_negatively_graded_algebra(char):
+    # P's blocks (v, -d, top degree) drop nothing, so P is built over a
+    # negatively graded algebra too, as the direct_sum of the summands
+    for a in negatively_graded_algebras(FieldSpec(char)):
+        idems = range(1, len(primitive_idempotents(a)) + 1)
+        for m in [regular(a), dual_of_regular(a)] + [shift(simple(a, i), 1) for i in idems]:
+            cov = cover_of(m)
+            assert_same_sum(cov.module, direct_sum([s.module for s in cov.summands])[0])
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_a_truncating_block_over_a_negatively_graded_algebra_raises(char):
+    # dropping the degrees above a bound is a quotient only when the action
+    # never lowers degrees; a block that drops nothing builds
+    for a in negatively_graded_algebras(FieldSpec(char)):
+        for v in range(1, len(primitive_idempotents(a)) + 1):
+            degrees = projective(a, v).degrees
+            assert module_equal(projective_sum(a, [(v, 0, max(degrees))])[0], projective(a, v))
+            if min(degrees) < max(degrees):
+                with pytest.raises(NotNonNegativelyGraded):
+                    projective_sum(a, [(v, 0, max(degrees) - 1)])
 
 
 class TestHom:
@@ -642,8 +704,8 @@ def test_map_of_walks_the_terms_by_summand_in_order(family, n, char):
 @pytest.mark.parametrize("char", [0, 32003])
 @pytest.mark.parametrize("family,n", [("exterior", 3), ("preprojective_A", 3)])
 def test_cover_module_is_the_direct_sum_of_its_summands(family, n, char):
-    # the cover's P is the sum of its summands, and the inclusions and
-    # projections read off the sum's offsets split it
+    # the cover's P is the sum of its summands, rows in the same order, and
+    # the inclusions and projections read off the sum's offsets split it
     from qshape.tilting import tilting_module
 
     a = builtin(family, n, FieldSpec(char))
@@ -653,7 +715,7 @@ def test_cover_module_is_the_direct_sum_of_its_summands(family, n, char):
         summands = [s.module for s in cov.summands]
         total, incs, prjs = sum_maps(summands)
         assert (cov.dim, cov.degrees) == (cov.module.dim, cov.module.degrees)
-        assert module_equal(cov.module, total)
+        assert_same_sum(cov.module, total)
         for i, (inc, s) in enumerate(zip(incs, summands)):
             validate_map(s, total, inc)
             validate_map(total, s, prjs[i])

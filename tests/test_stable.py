@@ -15,15 +15,11 @@ from qshape.fields import QQ, FieldSpec
 from qshape.modules import (
     composition_table,
     cover_of,
-    direct_sum,
     HomSpace,
     Submodule,
     regular,
-    shift,
     simple,
     syzygy_of as syzygy,
-    truncate_le,
-    zero_module,
 )
 from qshape.stable import (
     ExtCertificate,
@@ -37,10 +33,14 @@ from qshape.tilting import GammaData, tilting_module
 import oracles
 from oracles import (
     cosyzygy_of as cosyzygy,
+    direct_sum,
     end_algebra,
     factoring_by_matrices,
     negatively_graded_algebras,
+    shift,
     sparse_matmul,
+    truncate_le,
+    zero_module,
 )
 
 
@@ -475,7 +475,7 @@ def test_composition_tables_match_all_pairs(monkeypatch, family, n, char):
     td = tilting_module(a)
     t, lam = td.module, regular(a)
     omega = syzygy(t)
-    # summand i of T is its coordinates from offsets[i] up to the next offset
+    # block k of T is its coordinates from offsets[k] up to the next offset
     dims = [e - o for o, e in zip(td.offsets, td.offsets[1:] + [t.dim])]
     cases = [
         (t, dims),
@@ -625,14 +625,23 @@ def test_a_negative_degree_walks_the_tower(char):
 
 def test_ext_table_builds_no_envelope(monkeypatch):
     # a cosyzygy is the cokernel of an envelope; the table takes no quotient,
-    # neither the general one of the oracles nor a coordinate restriction
+    # neither the general one of the oracles nor a truncating block of a
+    # projective sum
     def refuse(*args):
         raise AssertionError("the Ext table built a quotient module")
+
+    build = qshape.modules.projective_sum
+
+    def untruncated(a, blocks):
+        for v, j, n in blocks:
+            if max(qshape.modules.projective(a, v).degrees) - j > n:
+                refuse()
+        return build(a, blocks)
 
     a = builtin("exterior", 3, QQ)
     t = tilting_module(a).module
     monkeypatch.setattr(oracles, "QuotientModule", refuse)
-    monkeypatch.setattr(qshape.modules, "restrict", refuse)
+    monkeypatch.setattr(qshape.modules, "projective_sum", untruncated)
     assert stable_ext_table(t, t, 3) == {i: 0 if i else 12 for i in range(-3, 4)}
 
 

@@ -18,11 +18,9 @@ from qshape.errors import HypothesisViolated
 from qshape.fields import FieldSpec, QQ
 from qshape.modules import (
     GradedModule,
+    _projective_data,
     projective,
     regular,
-    restrict,
-    shift,
-    truncate_le,
 )
 from qshape.tilting import (
     GATE,
@@ -45,11 +43,16 @@ from oracles import (
     brute_canonical_matrix,
     end_algebra,
     interval_auslander,
+    map_rank,
     module_equal,
     naive_cartan,
     nonprojective_summands,
     opposite,
+    restrict,
+    shift,
     socle,
+    truncate_le,
+    validate_map,
     vec_iadd_scaled,
 )
 
@@ -64,17 +67,19 @@ class TestTiltingModule:
     def test_dual_numbers_gives_simple(self):
         td = tilting_module(trunc(2))
         assert td.module.dim == 1
-        assert td.ell == 1
+        assert td.blocks == [(1, 0, 0)]
 
     def test_truncated_cubic_dims(self):
+        # one vertex: a block per shift
         td = tilting_module(trunc(3))
+        assert td.blocks == [(1, 0, 0), (1, 1, 0)]
         assert [e - o for o, e in zip(td.offsets, td.offsets[1:] + [td.module.dim])] == [1, 2]
         assert td.module.dim == 3
 
     def test_semisimple_gives_zero(self):
         td = tilting_module(builtin("preprojective_A", 1, QQ))
         assert td.module.dim == 0
-        assert td.ell == 0
+        assert td.blocks == td.offsets == []
 
     def test_dimension_bookkeeping(self):
         # dim T = sum over i < ell of the partial sums of component dims
@@ -84,7 +89,8 @@ class TestTiltingModule:
             comp = {}
             for d in a.degrees:
                 comp[d] = comp.get(d, 0) + 1
-            expected = sum(sum(comp.get(d, 0) for d in range(i + 1)) for i in range(td.ell))
+            expected = sum(sum(comp.get(d, 0) for d in range(i + 1))
+                           for i in range(sup_degree(a)))
             assert td.module.dim == expected
 
     def test_hypothesis_gate(self):
@@ -125,23 +131,42 @@ BUILTINS = ([("truncated_polynomial", n) for n in (2, 3, 6, 10)]
 
 @pytest.mark.parametrize("char", [0, 32003])
 @pytest.mark.parametrize("family,n", BUILTINS)
-def test_summands_are_read_off_t(family, n, char):
-    # T_i = Lambda(i)_{<=0} is T restricted to its coordinates from
-    # offsets[i] up to the next offset, or T's end
+def test_blocks_of_each_shift_map_onto_the_truncated_regular_module(family, n, char):
+    # the blocks (v, i, 0) of T, in (i, v) order, are T's coordinates from
+    # each offset up to the next, or T's end; those with shift i are a run,
+    # and the inclusion rows of each e_v Lambda send their sum bijectively
+    # onto T_i = Lambda(i)_{<=0} by a module map
     a = builtin(family, n, FieldSpec(char))
+    f = a.field
     td = tilting_module(a)
-    assert td.ell == len(td.offsets) == (sup_degree(a) if a.dim else 0)
+    ell = sup_degree(a) if a.dim else 0
+    vertices = range(1, len(primitive_idempotents(a)) + 1)
+    assert td.blocks == [(v, i, 0) for i in range(ell) for v in vertices]
     ends = td.offsets[1:] + [td.module.dim]
-    for i, (off, end) in enumerate(zip(td.offsets, ends)):
-        assert module_equal(restrict(td.module, range(off, end)),
-                            truncate_le(shift(regular(a), i), 0))
+    for i in range(ell):
+        run = [(v, off, end) for (v, j, _), off, end in zip(td.blocks, td.offsets, ends)
+               if j == i]
+        start, stop = run[0][1], run[-1][2]
+        source = restrict(td.module, range(start, stop))
+        target = truncate_le(shift(regular(a), i), 0)
+        pos = {b: k for k, b in enumerate(b for b in range(a.dim) if a.degrees[b] <= i)}
+        matrix = {}
+        for v, off, end in run:
+            inclusion = _projective_data(a, v)[0]
+            kept = [r for r, d in enumerate(projective(a, v).degrees) if d <= i]
+            assert len(kept) == end - off
+            for k, r in enumerate(kept):
+                matrix[off - start + k] = {pos[b]: c for b, c in inclusion[r].items()}
+        validate_map(source, target, matrix)
+        assert source.dim == target.dim == map_rank(f, matrix)
 
 
 @pytest.mark.parametrize("family,n", [("preprojective_A", 3), ("exterior", 3),
                                       ("truncated_polynomial", 6)])
 def test_tilting_module_keeps_no_summand_beside_t(family, n):
-    # the summands are passed to direct_sum and dropped: T is the only
-    # module over the algebra that tilting_module leaves alive
+    # the blocks are read off the data of each e_v Lambda, and no summand
+    # module is built: T is the only module over the algebra that
+    # tilting_module leaves alive
     a = builtin(family, n, QQ)
     td = tilting_module(a)
     gc.collect()

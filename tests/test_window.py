@@ -15,10 +15,15 @@ from qshape.algebra import (
 )
 from qshape.errors import NotNonNegativelyGraded, NotSelfInjective
 from qshape.fields import QQ, FieldSpec
-from qshape.modules import HomSpace, dual_of_regular, projective, regular, shift
+from qshape.modules import HomSpace, dual_of_regular, projective, regular
 from qshape.window import QWindow, check_window_properties, serre_of_object
 
-from oracles import isomorphic_projectives, per_object_window_properties
+from oracles import (
+    all_pairs_dims_table,
+    isomorphic_projectives,
+    per_object_window_properties,
+    shift,
+)
 
 
 def trunc(n, field=QQ):
@@ -257,9 +262,12 @@ class TestShiftClassesAgainstPerObjectCheck:
     @pytest.mark.parametrize("char", [0, 32003])
     @pytest.mark.parametrize("family,parameter", ORACLE_ALGEBRAS)
     def test_reports_equal(self, family, parameter, char):
+        # the hom dims table reads only the pairs of a shift class with a
+        # slice, the only ones with a nonzero hom
         a = builtin(family, parameter, FieldSpec(char))
         for lo, hi in ORACLE_WINDOWS:
             w = QWindow(a, lo, hi)
+            assert w.dims_table() == all_pairs_dims_table(w), (lo, hi)
             assert as_json(check_window_properties(w)) == as_json(
                 per_object_window_properties(w)), (lo, hi)
 
@@ -268,6 +276,7 @@ class TestShiftClassesAgainstPerObjectCheck:
         a = compile_quiver(pres, QQ)
         for lo, hi in ORACLE_WINDOWS:
             w = QWindow(a, lo, hi)
+            assert w.dims_table() == all_pairs_dims_table(w), (lo, hi)
             assert as_json(check_window_properties(w, serre_check=False)) == as_json(
                 per_object_window_properties(w, serre_check=False)), (lo, hi)
             with pytest.raises(NotSelfInjective):
