@@ -52,10 +52,41 @@ class GradedAlgebra:
     other triple is 0 = 0.  The cost is those triples, not |G| times the
     nonzero products, and the closure that verifies G skips the words whose
     image under a generator is zero by support in the same way.
+
+    Validated, by this constructor: what qshape computes or reads, namely
+    compiled quivers (the builtins, algebra files, the Auslander reference),
+    Gamma, `degree_zero_part` and bare tables.  Proven, by `proven`: the
+    algebras that a construction builds from validated ones, whose axioms
+    and generating set its docstring proves (the tensor algebra, `ungrade`,
+    the matrix units of the upper triangular reference and the subcategory
+    reference).  Tier-1 tests rebuild those through this constructor.
     """
 
     def __init__(self, field, degrees, mult, unit, idempotents=None, labels=None,
                  generators=None, radical_hint=None):
+        self._hold(field, degrees, mult, unit, idempotents, labels, generators, radical_hint)
+        self._validate()
+
+    @classmethod
+    def proven(cls, field, degrees, mult, unit, generators, idempotents=None,
+               labels=None, radical_hint=None):
+        """An algebra whose axioms its construction proves, built without
+        `_validate`: the caller's docstring proves the grading, the unit
+        laws and associativity of the table, and that right words in the
+        declared generators span it.  The table and its columns are stored
+        and the generators are taken as verified; only the declared
+        idempotents are checked.  Reached from constructions over algebras
+        already built, never from input."""
+        self = cls.__new__(cls)
+        self._hold(field, degrees, mult, unit, idempotents, labels, generators, radical_hint)
+        self._cache["cols"] = columns(mult)
+        self._cache["gens"] = self.generators
+        if self.idempotents is not None:
+            self._validate_idempotents()
+        return self
+
+    def _hold(self, field, degrees, mult, unit, idempotents, labels, generators,
+              radical_hint):
         self.field = field
         self.degrees = list(degrees)
         self.dim = len(self.degrees)
@@ -67,7 +98,6 @@ class GradedAlgebra:
         self.radical_hint = [dict(v) for v in radical_hint] if radical_hint is not None else None
         self._radical = None
         self._cache = {}
-        self._validate()
 
     # -- basic structure -------------------------------------------------
 
@@ -922,8 +952,9 @@ def jacobson_radical(a):
 
 def generating_vectors(a):
     """The generating set G that construction verified and checked
-    associativity against: the declared generators, or else the greedy
-    basis vectors.  Right words in G span the algebra."""
+    associativity against (the declared generators, or else the greedy
+    basis vectors), or that a proven construction declared.  Right words
+    in G span the algebra."""
     return a._cache["gens"]
 
 

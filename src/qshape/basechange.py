@@ -17,14 +17,30 @@ from .modules import GradedModule, HomSpace
 
 
 def ungrade(a):
-    """The same algebra regraded to live entirely in degree 0."""
-    return GradedAlgebra(a.field, [0] * a.dim, a.mult, a.unit,
-                         idempotents=a.idempotents, labels=a.labels,
-                         generators=a.generators, radical_hint=a.radical_hint)
+    """The same algebra regraded to live entirely in degree 0.
+
+    Proven (`GradedAlgebra.proven`): it keeps a's table, unit and verified
+    generating set, so the unit laws, associativity and the span of right
+    words in G hold as they do in a, and every degree is 0, so the grading
+    holds trivially.  Only the declared idempotents are checked.
+    """
+    return GradedAlgebra.proven(a.field, [0] * a.dim, a.mult, a.unit, generating_vectors(a),
+                                idempotents=a.idempotents, labels=a.labels,
+                                radical_hint=a.radical_hint)
 
 
 class TensorAlgebra:
-    """Lambda (x) A with basis pairs, graded by the left factor."""
+    """Lambda (x) A with basis pairs, graded by the left factor.
+
+    Proven (`GradedAlgebra.proven`) from the axioms of its factors.  The
+    product (x (x) y)(x' (x) y') = xx' (x) yy' is associative with unit
+    1 (x) 1 because both factors are, and it has degree deg x + deg x'
+    since A lives in degree 0.  A stored product is the outer product of
+    two nonzero vectors, so it has no zero entry.  G = G_Lambda (x) 1 union
+    1 (x) G_A generates: for right words w in G_Lambda and v in G_A,
+    (w (x) 1)(1 (x) v) = w (x) v is a right word in G, and the w (x) v span
+    Lambda (x) A.  Only the declared idempotents e (x) g are checked.
+    """
 
     def __init__(self, left, right):
         check_same_field(left.field, right.field)
@@ -60,8 +76,8 @@ class TensorAlgebra:
                       for i in range(nl) for al in range(nr)]
         gens = [self.pair_vec(g, right.unit) for g in generating_vectors(left)]
         gens += [self.pair_vec(left.unit, g) for g in generating_vectors(right)]
-        self.product = GradedAlgebra(f, degrees, mult, unit, idempotents=idems,
-                                     labels=labels, generators=gens)
+        self.product = GradedAlgebra.proven(f, degrees, mult, unit, gens,
+                                            idempotents=idems, labels=labels)
         # id(m) -> (m, i_star(m, self)); holding m keeps its id from being
         # reused while the memo lives, and since neither m nor its extension
         # refers back to the tensor, the memo is freed with the tensor

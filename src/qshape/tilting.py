@@ -9,10 +9,12 @@ sum of its vertex summands e_v Lambda, so T is the `projective_sum` of the
 blocks (e_v Lambda(i))_{<=0} in (i, v) order, and Gamma's T' is the same
 sum over the blocks that are not projective.  No reference algebra goes
 through the hom solver or the composition table that build Gamma: the
-upper triangular algebra and the Auslander algebra of linear A_m are
-compiled from quivers with relations (the latter from its Auslander-Reiten
-quiver with the mesh relations), and the subcategory algebra multiplies
-graded slices of the input.  Fingerprint agreement of the computed
+upper triangular algebra is written down from its matrix units, the
+Auslander algebra of linear A_m is compiled from its Auslander-Reiten
+quiver with the mesh relations, and the subcategory algebra multiplies
+graded slices of the input.  Gamma and the compiled Auslander algebra are
+validated on construction; the other two are proven by their
+construction (`GradedAlgebra.proven`).  Fingerprint agreement of the computed
 endomorphism algebra with a reference is evidence for an isomorphism, not
 a proof: only invariants are compared.
 """
@@ -24,11 +26,11 @@ from .algebra import (
     compile_quiver,
     corners,
     degree_zero_part,
+    generating_vectors,
     global_dimension_bounded,
     jacobson_radical,
     primitive_idempotents,
     sup_degree,
-    zero_algebra,
     EXCEEDS_BOUND,
 )
 from .errors import HypothesisViolated, NonSplitSemisimpleQuotient
@@ -139,15 +141,31 @@ class GammaData:
 # ---------------------------------------------------------------------------
 
 def reference_upper_triangular(m, field):
-    """Upper triangular m x m matrices, as the linear A_m path algebra."""
+    """Upper triangular m x m matrices T_m(k), written down from the matrix
+    units E_ij, i <= j, in order of j - i, then i; all in degree 0.
+
+    Proven (`GradedAlgebra.proven`): E_ij E_jk = E_ik, and every other
+    product of matrix units is zero, is matrix multiplication, so the table
+    is associative with unit the sum of the E_ii.  G = {E_ii} union
+    {E_i,i+1} generates: E_ij = E_i,i+1 E_i+1,i+2 ... E_j-1,j is a right
+    word for i < j.  The E_ii, in order of i, are the declared idempotents
+    (checked), and the radical hint is the E_ij with i < j: the strictly
+    upper triangular matrices are a nilpotent ideal with quotient k^m.
+    """
     if m < 0:
         raise ValueError("size must be >= 0")
-    if m == 0:
-        return zero_algebra(field)
-    vertices = [str(i) for i in range(1, m + 1)]
-    arrows = [(f"a{i}", str(i), str(i + 1), 0) for i in range(1, m)]
-    pres = QuiverPresentation(vertices, arrows, [], max(m, 1))
-    return compile_quiver(pres, field)
+    one = field.one()
+    units = [(i, i + d) for d in range(m) for i in range(1, m + 1 - d)]
+    index = {u: k for k, u in enumerate(units)}
+    mult = [{index[(j, k)]: {index[(i, k)]: one} for k in range(j, m + 1)}
+            for i, j in units]
+    idems = [{index[(i, i)]: one} for i in range(1, m + 1)]
+    unit = {index[(i, i)]: one for i in range(1, m + 1)}
+    gens = idems + [{index[(i, i + 1)]: one} for i in range(1, m)]
+    hint = [{k: one} for k, (i, j) in enumerate(units) if i < j]
+    labels = [f"E{i},{j}" for i, j in units]
+    return GradedAlgebra.proven(field, [0] * len(units), mult, unit, gens, idempotents=idems,
+                                labels=labels, radical_hint=hint)
 
 
 def reference_auslander_linear(m, field):
@@ -198,6 +216,19 @@ def reference_subcategory_algebra(a):
     Basis elements are triples (i, j, b) with 0 <= i <= j < ell and b a basis
     index of the degree-(j-i) component; products multiply matrix-style
     through the algebra.
+
+    Proven (`GradedAlgebra.proven`): the triples are the ell x ell matrices
+    with (i, j) entry in Lambda_{j-i}, a subalgebra of the matrices over
+    Lambda, since Lambda_{j-i} Lambda_{k-j} lies in Lambda_{k-i}; so the
+    table is associative with unit the diagonal of 1 in Lambda_0, all in
+    degree 0.  G is {(i, i, e_v)} union {(i, i + deg g, g) : g in G_Lambda,
+    i + deg g < ell}, with G_Lambda the generating set of Lambda, which must
+    be homogeneous.  It generates: Lambda_d is spanned by the right words
+    in G_Lambda of degree d, and as Lambda is non-negatively graded the
+    partial degrees of such a word g_1 ... g_k stay at most d, so for
+    j = i + d < ell its factors are elements of G and their product is
+    (i, j, g_1 ... g_k); the empty word gives (i, i, 1), the sum of the
+    (i, i, e_v).  Only the declared idempotents (i, e_v) are checked.
     """
     f = a.field
     if not a.is_nonnegatively_graded():
@@ -229,8 +260,22 @@ def reference_subcategory_algebra(a):
     for i in range(ell):
         for e in primitive_idempotents(a):
             idems.append({index[(i, i, c)]: v for c, v in e.items()})
+    gens = list(idems)
+    seen = {tuple(sorted(e.items())) for e in idems}
+    for g in generating_vectors(a):
+        degrees = {a.degrees[c] for c in g}
+        if len(degrees) > 1:
+            raise ValueError("a generator of the input algebra is not homogeneous")
+        for d in degrees:
+            for i in range(ell - d):
+                x = {index[(i, i + d, c)]: v for c, v in g.items()}
+                key = tuple(sorted(x.items()))
+                if key not in seen:
+                    seen.add(key)
+                    gens.append(x)
     labels = [f"E{i}{j}*{a.label_of(b)}" for (i, j, b) in basis]
-    return GradedAlgebra(f, [0] * n, mult, unit, idempotents=idems, labels=labels)
+    return GradedAlgebra.proven(f, [0] * n, mult, unit, gens, idempotents=idems,
+                                labels=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,10 @@ that form only the pairs whose supports meet a stored product,
 `end_algebra` and `_interval_modules` keep the earlier Auslander
 reference, the endomorphism algebra of the sum of the interval modules
 through the hom solver (`interval_auslander`), as the reference for the
-one compiled from the mesh quiver, `dense_images` keeps the earlier
+one compiled from the mesh quiver, `compiled_upper_triangular` keeps the
+earlier upper triangular reference, the path algebra of linear A_m
+compiled from its quiver, as the oracle for the one written down from
+matrix units, `dense_images` keeps the earlier
 `HomSpace.images`, which walks every slice vector of every summand, as the
 reference for the one that reads only a map's nonzero coordinates,
 `MradCover` keeps the earlier projective cover, whose tops were chosen
@@ -1411,6 +1414,21 @@ def i_lower(mp, tensor):
     return GradedModule(lam, mp.degrees, action)
 
 
+def compiled_upper_triangular(m, field):
+    """The path algebra of linear A_m, 1 -> 2 -> ... -> m, compiled from
+    its quiver: the earlier upper triangular reference, as the oracle for
+    the one written down from matrix units.  A path from s to t lies in
+    e_t Lambda e_s, so it is isomorphic to T_m(k) with the vertex order
+    reversed."""
+    from qshape.algebra import QuiverPresentation, compile_quiver, zero_algebra
+
+    if m == 0:
+        return zero_algebra(field)
+    vertices = [str(i) for i in range(1, m + 1)]
+    arrows = [(f"a{i}", str(i), str(i + 1), 0) for i in range(1, m)]
+    return compile_quiver(QuiverPresentation(vertices, arrows, [], m), field)
+
+
 def _interval_modules(a, m):
     """All indecomposables of the linear A_m path algebra, as quotients of
     the projectives: for c <= i, drop from e_i.Lambda the paths that the
@@ -1481,9 +1499,7 @@ def interval_auslander(m, field):
     Each interval module is indecomposable with End = k, so the projectors
     onto the summands are its primitive idempotents; the projector onto a
     summand is the identity on its rows of the sum and zero elsewhere."""
-    from qshape.tilting import reference_upper_triangular
-
-    a = reference_upper_triangular(m, field)
+    a = compiled_upper_triangular(m, field)
     intervals = _interval_modules(a, m)
     total, offsets = direct_sum(intervals)
     projectors = []

@@ -735,6 +735,11 @@ class TestBadFlagValues:
         code, rep = run(capsys, ["gamma", f, "--compare", "upper_triangular:x"])
         assert code == 2
 
+    def test_upper_triangular_size_below_zero(self, tmp_path, capsys):
+        f = write_builtin(tmp_path, "truncated_polynomial", 3)
+        code, rep = run(capsys, ["gamma", f, "--compare", "upper_triangular:-1"])
+        assert code == 2
+
     def test_auslander_parameter_below_one(self, tmp_path, capsys):
         f = write_builtin(tmp_path, "preprojective_A", 3)
         code, rep = run(capsys, ["gamma", f, "--compare", "auslander:0"])

@@ -41,6 +41,7 @@ from oracles import (
     _interval_modules,
     auslander_linear_dim,
     brute_canonical_matrix,
+    compiled_upper_triangular,
     end_algebra,
     interval_auslander,
     map_rank,
@@ -232,7 +233,7 @@ class TestReferences:
         # each interval module drops from e_i.Lambda the paths kept by e_j,
         # j < c: the restriction equals the quotient by the span of the
         # rows of those e_j, closure checked
-        a = reference_upper_triangular(m, FieldSpec(char))
+        a = compiled_upper_triangular(m, FieldSpec(char))
         expected = []
         for i in range(1, m + 1):
             p = projective(a, i)
